@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .cyclotomic import Cyclotomic, ONE, ZERO, Scalar, sum_cyclotomics
+from .cyclotomic import Cyclotomic, ONE, ZERO, Scalar, dot
 
 Matrix = tuple[tuple[Cyclotomic, ...], ...]
 
@@ -20,23 +20,18 @@ def eye(r: int) -> Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    r, mid, c = len(a), len(b), len(b[0])
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(c):
-            row.append(
-                sum_cyclotomics(
-                    a[i][k] * b[k][j] for k in range(mid) if a[i][k] and b[k][j]
-                )
-            )
-        out.append(tuple(row))
-    return tuple(out)
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(dot((x, y) for x, y in zip(row, col) if x and y) for col in cols)
+        for row in a
+    )
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
-    out = eye(len(a))
-    for _ in range(k):
+    if k < 1:
+        return eye(len(a))
+    out = a
+    for _ in range(k - 1):
         out = matmul(out, a)
     return out
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -351,12 +351,7 @@ def _is_smooth(n: int, primes: frozenset[int]) -> bool:
 
 
 def _is_perfect_square(n: int) -> bool:
-    r = int(n**0.5)
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r * r == n
+    return n >= 0 and isqrt(n) ** 2 == n
 
 
 # ---------------------------------------------------------------------------

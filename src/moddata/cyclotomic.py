@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Union
 
 import mpmath
@@ -178,34 +178,37 @@ def _reduction_rows(n: int) -> list[tuple[int, ...]]:
     return rows
 
 
+def _within_cap(n: int) -> bool:
+    # phi(n) >= sqrt(n/2), so a larger n is refused without factoring it
+    return n <= 2 * _order_cap**2 and euler_phi(n) <= _order_cap
+
+
 def _check_order(n: int) -> None:
     if n < 1:
         raise InvalidOrderError(f"invalid order {n}")
-    if euler_phi(n) > _order_cap:
+    if not _within_cap(n):
         raise InvalidOrderError(f"phi({n}) exceeds the order cap {_order_cap}")
 
 
-def _reduce_exponents(n: int, raw: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    """Fold exponents mod n, then mod Phi_n, dropping zero coefficients."""
+def _reduce_exponents(n: int, raw: Mapping[int, RationalLike]) -> dict[int, RationalLike]:
+    """Fold exponents mod n, then mod Phi_n, dropping zero coefficients.
+
+    Integer coefficients stay integers, Fraction ones stay Fractions."""
     deg = euler_phi(n)
-    merged: dict[int, Fraction] = {}
+    out: dict[int, RationalLike] = {}
+    high: dict[int, RationalLike] = {}
     for e, c in raw.items():
         if c:
             e %= n
-            merged[e] = merged.get(e, Fraction(0)) + c
-    out: dict[int, Fraction] = {}
-    rows = None
-    for e, c in merged.items():
-        if not c:
-            continue
-        if e < deg:
-            out[e] = out.get(e, Fraction(0)) + c
-        else:
-            if rows is None:
-                rows = _reduction_rows(n)
-            for j, rc in enumerate(rows[e - deg]):
-                if rc:
-                    out[j] = out.get(j, Fraction(0)) + c * rc
+            acc = out if e < deg else high
+            acc[e] = acc[e] + c if e in acc else c
+    if high:
+        rows = _reduction_rows(n)
+        for e, c in high.items():
+            if c:
+                for j, rc in enumerate(rows[e - deg]):
+                    if rc:
+                        out[j] = out[j] + c * rc if j in out else c * rc
     return {e: c for e, c in out.items() if c}
 
 
@@ -213,75 +216,52 @@ def _reduce_exponents(n: int, raw: Mapping[int, Fraction]) -> dict[int, Fraction
 # conductor reduction
 
 
-def _is_fixed_by(n: int, coeffs: Mapping[int, Fraction], k: int) -> bool:
-    image = _reduce_exponents(n, {(k * e) % n: c for e, c in coeffs.items()})
-    return image == dict(coeffs)
+def _descend(n: int, p: int, nums: dict[int, int]) -> Optional[tuple[dict[int, int], int]]:
+    """Integer numerators of an order-n element on the power basis of Q_m,
+    m = n/p for a prime p | n, as (sub, k) with x = sub / k over the same
+    denominator; None if the element does not lie in Q_m."""
+    m = n // p
+    if m % p == 0:
+        # zeta_m^j = zeta_n^(jp) for j < phi(m) are themselves basis elements
+        if any(e % p for e in nums):
+            return None
+        return {e // p: c for e, c in nums.items()}, 1
+    # zeta_n^e = zeta_m^(es) zeta_p^(et) with sp + tm = 1.  The trace to Q_m
+    # sends zeta_p^b to p - 1 if p | b, else to -1, and is p - 1 times the
+    # identity on Q_m: project by it, then embed back and compare.
+    s, t = pow(p, -1, m), pow(m, -1, p)
+    raw: dict[int, int] = {}
+    for e, c in nums.items():
+        a, v = e * s % m, (c * (p - 1) if e * t % p == 0 else -c)
+        raw[a] = raw[a] + v if a in raw else v
+    sub = _reduce_exponents(m, raw)
+    back = _reduce_exponents(n, {j * p: c for j, c in sub.items()})
+    if back != {e: c * (p - 1) for e, c in nums.items()}:
+        return None
+    return sub, p - 1
 
 
-def _lies_in_subfield(n: int, coeffs: Mapping[int, Fraction], m: int) -> bool:
-    # Q_m-membership: fixed by every unit k == 1 (mod m) of (Z/nZ)^x
-    for k in range(1 + m, n, m):
-        if gcd(k, n) == 1 and not _is_fixed_by(n, coeffs, k):
-            return False
-    return True
+def _integral(coeffs: Mapping[int, Fraction], step: int = 1) -> tuple[dict[int, int], int]:
+    """(numerators, common denominator) of coeffs, exponents scaled by step."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return {e * step: c.numerator * (den // c.denominator) for e, c in coeffs.items()}, den
 
 
-def _express_at_suborder(
-    n: int, coeffs: Mapping[int, Fraction], m: int
-) -> dict[int, Fraction]:
-    """Rewrite an element of Q_m < Q_n on the order-m power basis."""
-    deg_n, deg_m, step = euler_phi(n), euler_phi(m), n // m
-    cols = []
-    for j in range(deg_m):
-        vec = [Fraction(0)] * deg_n
-        for e, c in _reduce_exponents(n, {j * step: Fraction(1)}).items():
-            vec[e] = c
-        cols.append(vec)
-    target = [Fraction(0)] * deg_n
-    for e, c in coeffs.items():
-        target[e] = c
-    # Gaussian elimination on the (deg_n x deg_m) system
-    rows = [[cols[j][i] for j in range(deg_m)] + [target[i]] for i in range(deg_n)]
-    piv_cols: list[int] = []
-    piv = 0
-    for col in range(deg_m):
-        sel = next((r for r in range(piv, len(rows)) if rows[r][col]), None)
-        if sel is None:
-            continue
-        rows[piv], rows[sel] = rows[sel], rows[piv]
-        inv = 1 / rows[piv][col]
-        rows[piv] = [v * inv for v in rows[piv]]
-        for r in range(len(rows)):
-            if r != piv and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[piv])]
-        piv_cols.append(col)
-        piv += 1
-        if piv == deg_m:
-            break
-    for r in range(piv, len(rows)):
-        if rows[r][-1]:
-            raise ArithmeticError("element does not lie in the claimed subfield")
-    sol = {col: rows[i][-1] for i, col in enumerate(piv_cols) if rows[i][-1]}
-    return sol
-
-
-def _conductor_reduce(n: int, coeffs: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
-    if not coeffs:
-        return 1, {}
-    if set(coeffs) == {0}:
-        return 1, coeffs
+def _canonical(n: int, nums: dict[int, int], den: int) -> tuple[int, dict[int, Fraction]]:
+    """Conductor and coefficients of sum(nums[e] * zeta_n^e) / den."""
+    nums = _reduce_exponents(n, nums)
+    if not set(nums) - {0}:
+        n = 1  # zero or rational
     changed = True
     while changed and n > 1:
         changed = False
         for p in factorize(n):
-            m = n // p
-            if euler_phi(m) == euler_phi(n) or _lies_in_subfield(n, coeffs, m):
-                coeffs = _express_at_suborder(n, coeffs, m)
-                n = m
-                changed = True
+            step = _descend(n, p, nums)
+            if step is not None:
+                (nums, k), n, changed = step, n // p, True
+                den *= k
                 break
-    return n, coeffs
+    return n, {e: Fraction(c, den) for e, c in nums.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +279,19 @@ class Cyclotomic:
     def __init__(self, order: int, coeffs: Mapping[int, RationalLike]):
         _check_order(order)
         raw = {int(e): Fraction(c) for e, c in coeffs.items()}
-        reduced = _reduce_exponents(order, raw)
-        order, reduced = _conductor_reduce(order, reduced)
+        order, reduced = _canonical(order, *_integral(raw))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_coeffs", reduced)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _raw(cls, order: int, coeffs: dict[int, Fraction]) -> "Cyclotomic":
+        """A value from coefficients already in canonical form (unchecked)."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "order", order)
+        object.__setattr__(out, "_coeffs", coeffs)
+        object.__setattr__(out, "_hash", None)
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("Cyclotomic values are immutable")
@@ -390,7 +378,7 @@ class Cyclotomic:
 
     def __add__(self, other: Scalar) -> "Cyclotomic":
         other = Cyclotomic._coerce(other)
-        n = self.order * other.order // gcd(self.order, other.order)
+        n = lcm(self.order, other.order)
         merged = self._with_order(n)
         for e, c in other._with_order(n).items():
             merged[e] = merged.get(e, Fraction(0)) + c
@@ -399,11 +387,7 @@ class Cyclotomic:
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        out = object.__new__(Cyclotomic)
-        object.__setattr__(out, "order", self.order)
-        object.__setattr__(out, "_coeffs", {e: -c for e, c in self._coeffs.items()})
-        object.__setattr__(out, "_hash", None)
-        return out
+        return Cyclotomic._raw(self.order, {e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: Scalar) -> "Cyclotomic":
         return self + (-Cyclotomic._coerce(other))
@@ -412,17 +396,7 @@ class Cyclotomic:
         return Cyclotomic._coerce(other) + (-self)
 
     def __mul__(self, other: Scalar) -> "Cyclotomic":
-        other = Cyclotomic._coerce(other)
-        if not self._coeffs or not other._coeffs:
-            return ZERO
-        n = self.order * other.order // gcd(self.order, other.order)
-        a, b = self._with_order(n), other._with_order(n)
-        prod: dict[int, Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                prod[e] = prod.get(e, Fraction(0)) + c1 * c2
-        return Cyclotomic(n, prod)
+        return dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -479,7 +453,9 @@ class Cyclotomic:
             raise NotAUnitError(f"{k} is not a unit modulo {n}")
         if k == 1:
             return self
-        return Cyclotomic(n, {(k * e) % n: c for e, c in self._coeffs.items()})
+        # every subfield Q_m is Galois-stable, so the image keeps the conductor n
+        image = _reduce_exponents(n, {(k * e) % n: c for e, c in self._coeffs.items()})
+        return Cyclotomic._raw(n, image)
 
     def conjugate(self) -> "Cyclotomic":
         return self.galois(-1)
@@ -652,9 +628,7 @@ def sum_cyclotomics(values: Iterable[Cyclotomic]) -> Cyclotomic:
         return ZERO
     if len(terms) == 1:
         return terms[0]
-    n = 1
-    for v in terms:
-        n = n * v.order // gcd(n, v.order)
+    n = lcm(*(v.order for v in terms))
     merged: dict[int, Fraction] = {}
     for v in terms:
         step = n // v.order
@@ -662,6 +636,37 @@ def sum_cyclotomics(values: Iterable[Cyclotomic]) -> Cyclotomic:
             key = e * step
             merged[key] = merged.get(key, Fraction(0)) + c
     return Cyclotomic(n, merged)
+
+
+def dot(pairs: Iterable[tuple[Scalar, Scalar]]) -> Cyclotomic:
+    """sum(a * b for a, b in pairs), multiplied out in integers at the lcm
+    order and canonicalized once."""
+    terms = []
+    for a, b in pairs:
+        a, b = Cyclotomic._coerce(a), Cyclotomic._coerce(b)
+        if a._coeffs and b._coeffs:
+            terms.append((a, b))
+    if not terms:
+        return ZERO
+    n = lcm(*(v.order for pair in terms for v in pair))
+    if len(terms) > 1 and not _within_cap(n):
+        # the products may still lie in smaller fields
+        return sum_cyclotomics(dot([pair]) for pair in terms)
+    _check_order(n)
+    scaled = [
+        (_integral(a._coeffs, n // a.order), _integral(b._coeffs, n // b.order))
+        for a, b in terms
+    ]
+    den = lcm(*(da * db for (_, da), (_, db) in scaled))
+    prod: dict[int, int] = {}
+    for (left, da), (right, db) in scaled:
+        f = den // (da * db)
+        for e1, c1 in left.items():
+            c1 *= f
+            for e2, c2 in right.items():
+                e = e1 + e2
+                prod[e] = prod.get(e, 0) + c1 * c2
+    return Cyclotomic._raw(*_canonical(n, prod, den))
 
 
 def zeta(n: int, e: int = 1) -> Cyclotomic:

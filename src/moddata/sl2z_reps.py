@@ -39,9 +39,13 @@ class ModularRep:
 
 def verify_relations(s: mat.Matrix, t: tuple[Cyclotomic, ...]) -> Verdict:
     """Exact check of s^4 = Id and (st)^3 = s^2."""
-    r = len(s)
-    s2 = mat.matmul(s, s)
-    if not mat.mat_eq(mat.matmul(s2, s2), mat.eye(r)):
+    return _verify_with_square(s, mat.matmul(s, s), t)
+
+
+def _verify_with_square(
+    s: mat.Matrix, s2: mat.Matrix, t: tuple[Cyclotomic, ...]
+) -> Verdict:
+    if not mat.mat_eq(mat.matmul(s2, s2), mat.eye(len(s))):
         return Verdict(False, "s^4 != Id")
     st = mat.scale_cols(s, t)
     if not mat.mat_eq(mat.mat_pow(st, 3), s2):
@@ -49,9 +53,9 @@ def verify_relations(s: mat.Matrix, t: tuple[Cyclotomic, ...]) -> Verdict:
     return Verdict(True)
 
 
-def _parity_of(s: mat.Matrix) -> str:
-    s2 = mat.matmul(s, s)
-    r = len(s)
+def _parity_of(s2: mat.Matrix) -> str:
+    """Parity from s^2: even if s^2 = Id, odd if s^2 = -Id."""
+    r = len(s2)
     if mat.mat_eq(s2, mat.eye(r)):
         return "even"
     if mat.mat_eq(s2, mat.scale(mat.eye(r), -1)):
@@ -60,7 +64,8 @@ def _parity_of(s: mat.Matrix) -> str:
 
 
 def _build_rep(s: mat.Matrix, t: tuple[Cyclotomic, ...]) -> ModularRep:
-    check = verify_relations(s, t)
+    s2 = mat.matmul(s, s)
+    check = _verify_with_square(s, s2, t)
     if not check:
         raise NotModularRepresentation(str(check.witness))
     level = 1
@@ -69,7 +74,7 @@ def _build_rep(s: mat.Matrix, t: tuple[Cyclotomic, ...]) -> ModularRep:
         if order is None:
             raise NotModularRepresentation(f"t entry {v} is not a root of unity")
         level = lcm(level, order)
-    return ModularRep(len(s), s, t, level, _parity_of(s))
+    return ModularRep(len(s), s, t, level, _parity_of(s2))
 
 
 def global_dim_root(datum: ModularDatum) -> Cyclotomic:

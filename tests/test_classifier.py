@@ -6,6 +6,7 @@ import pytest
 from moddata.classifier import (
     TooLargeError,
     _all_nonzero_solution_exists,
+    _is_perfect_square,
     classify_fusion,
     grothendieck_equiv,
     in_rank5_cases,
@@ -197,6 +198,24 @@ class TestIntegralDimensionSearch:
             integral_dimension_search(7, (5, 1, 1), {2})
         with pytest.raises(ValueError):
             integral_dimension_search(7, (1, 5, 1), {4})
+
+
+class TestPerfectSquare:
+    @pytest.mark.parametrize(
+        "n, square",
+        [
+            (0, True),
+            (1, True),
+            (15, False),
+            (16, True),
+            (10**400, True),
+            ((10**200 + 1) ** 2, True),
+            ((10**200 + 1) ** 2 + 1, False),
+        ],
+        ids=["0", "1", "15", "16", "10**400", "(10**200+1)**2", "(10**200+1)**2+1"],
+    )
+    def test_exact_for_any_size(self, n, square):
+        assert _is_perfect_square(n) is square
 
 
 class TestRank5Suite:

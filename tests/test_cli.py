@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,21 @@ class TestCheck:
         path = tmp_path / "broken.json"
         path.write_text("{}")
         assert main(["check", str(path)]) == EXIT_USAGE
+
+    def test_huge_order_exits_two_without_traceback(self, tmp_path, su2_9_file):
+        bad = load(su2_9_file).to_json()
+        bad["S"][1][2]["order"] = 10**18 + 3
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(bad))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "moddata.cli", "check", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert "order cap" in proc.stderr
 
 
 class TestFusion:

@@ -1,4 +1,8 @@
 import random
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd
 
@@ -12,7 +16,10 @@ from moddata.cyclotomic import (
     ZERO,
     complex_eval,
     cyclotomic_polynomial,
+    divisors,
+    dot,
     euler_phi,
+    factorize,
     galois_apply,
     get_order_cap,
     is_prime,
@@ -20,9 +27,11 @@ from moddata.cyclotomic import (
     reduce_conductor,
     set_order_cap,
     sqrt_int,
+    sum_cyclotomics,
     units_mod,
     zeta,
 )
+from moddata.cyclotomic import _descend, _integral, _reduce_exponents
 
 SEED = 20240601
 
@@ -288,3 +297,153 @@ class TestJson:
         data = zeta(5, 2).to_json()
         assert set(data) == {"order", "coeffs"}
         assert all(isinstance(k, str) for k in data["coeffs"])
+
+
+# orders covering p^2 | n, p || n and n = 2 (mod 4) descents
+DESCENT_ORDERS = (8, 12, 20, 24, 36, 40, 60, 72, 120, 156)
+
+
+class TestDescent:
+    @pytest.mark.parametrize("n", DESCENT_ORDERS)
+    def test_same_value_built_at_every_multiple(self, n):
+        rng = random.Random(SEED + n)
+        for m in divisors(n):
+            for _ in range(3):
+                x = random_element(rng, m)
+                up = Cyclotomic(n, {e * (n // x.order): c for e, c in x.items()})
+                assert up.order == x.order
+                assert list(up.items()) == list(x.items())
+                assert hash(up) == hash(x)
+                assert up.to_json() == x.to_json()
+
+    @pytest.mark.parametrize("n", DESCENT_ORDERS)
+    def test_element_outside_subfield_does_not_descend(self, n):
+        rng = random.Random(SEED + 2 * n)
+        for p in factorize(n):
+            m = n // p
+            inside = random_element(rng, m) + zeta(m)
+            outside = zeta(n) + inside
+            assert outside.order == n
+            assert _descend(n, p, _integral(dict(outside.items()))[0]) is None
+            # the same element of Q_m, written at order n, descends to it
+            nums, den = _integral(dict(inside.items()), n // inside.order)
+            sub, k = _descend(n, p, _reduce_exponents(n, nums))
+            assert Cyclotomic(m, {j: Fraction(c, den * k) for j, c in sub.items()}) == inside
+
+    def test_large_order_2_mod_4(self):
+        # zeta_2310^e = (-1)^e zeta_1155^(578e); phi(2310) = 480
+        start = time.perf_counter()
+        x = Cyclotomic(2310, {1: 1, 7: 3})
+        assert time.perf_counter() - start < 20.0
+        assert x == Cyclotomic(1155, {578: -1, 578 * 7: -3})
+        assert x.order == 1155
+
+    def test_threads_share_the_reduction_caches(self):
+        from moddata import cyclotomic as cy
+
+        rng = random.Random(SEED + 11)
+        jobs = [
+            (n, {rng.randrange(n): Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(5)})
+            for n in (24, 60, 72, 120, 156)
+            for _ in range(4)
+        ]
+        with cy._poly_lock:
+            cy._phi_cache.clear()
+            cy._red_cache.clear()
+        barrier = threading.Barrier(4)
+
+        def work():
+            barrier.wait(timeout=60)
+            return [Cyclotomic(n, c).to_json() for n, c in jobs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(work) for _ in range(4)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r == results[0] for r in results)
+        assert results[0] == [Cyclotomic(n, c).to_json() for n, c in jobs]
+
+
+def _schoolbook_product(a, b):
+    # the product at the lcm order, built term by term through the constructor
+    n = a.order * b.order // gcd(a.order, b.order)
+    raw = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 * (n // a.order) + e2 * (n // b.order)
+            raw[e] = raw.get(e, 0) + c1 * c2
+    return Cyclotomic(n, raw)
+
+
+class TestDot:
+    def test_fixed_cases(self):
+        r2 = zeta(8) + zeta(8, -1)
+        cases = [
+            [],
+            [(ZERO, zeta(5))],
+            [(zeta(3), zeta(3, 2))],
+            [(r2, r2), (zeta(4), zeta(4))],
+            [(zeta(5), zeta(7)), (Fraction(1, 2), zeta(12)), (3, ONE)],
+            [(zeta(12), zeta(12, 11)), (zeta(20), -zeta(20, 19))],
+        ]
+        for pairs in cases:
+            assert dot(pairs) == sum_cyclotomics(a * b for a, b in pairs)
+        assert dot([(zeta(12), zeta(12, 11)), (zeta(20), -zeta(20, 19))]) == ZERO
+
+    def test_products_in_small_fields_past_the_order_cap(self):
+        # the lcm order 35 is over the cap, but each product is rational
+        pairs = [(zeta(5), zeta(5, 4)), (zeta(7), zeta(7, 6))]
+        cap = get_order_cap()
+        try:
+            set_order_cap(10)
+            assert dot(pairs) == Cyclotomic.from_rational(2)
+            with pytest.raises(InvalidOrderError):
+                dot([(zeta(5), zeta(7))])
+        finally:
+            set_order_cap(cap)
+
+    def test_random_pairs(self):
+        rng = random.Random(SEED + 13)
+        for _ in range(30):
+            pairs = [
+                (random_element(rng, rng.choice([1, 3, 4, 5, 8, 12])),
+                 random_element(rng, rng.choice([1, 3, 4, 5, 8, 12])))
+                for _ in range(rng.randint(1, 4))
+            ]
+            expected = sum_cyclotomics(_schoolbook_product(a, b) for a, b in pairs)
+            got = dot(pairs)
+            assert got == expected and got.to_json() == expected.to_json()
+            assert got == sum_cyclotomics(a * b for a, b in pairs)
+
+    def test_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+        @st.composite
+        def element(draw):
+            n = draw(st.sampled_from([1, 3, 4, 5, 8, 9, 12, 15]))
+            terms = draw(st.dictionaries(st.integers(0, n - 1), coeff, max_size=4))
+            return Cyclotomic(n, terms)
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(st.lists(st.tuples(element(), element()), max_size=4))
+        def check(pairs):
+            got = dot(pairs)
+            assert got == sum_cyclotomics(a * b for a, b in pairs)
+            assert got == sum_cyclotomics(_schoolbook_product(a, b) for a, b in pairs)
+
+        check()
+
+
+class TestHugeOrder:
+    def test_rejected_without_factoring(self):
+        start = time.perf_counter()
+        with pytest.raises(InvalidOrderError):
+            Cyclotomic(10**18 + 3, {1: 1})
+        assert time.perf_counter() - start < 1.0
