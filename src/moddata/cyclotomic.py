@@ -669,6 +669,27 @@ def dot(pairs: Iterable[tuple[Scalar, Scalar]]) -> Cyclotomic:
     return Cyclotomic._raw(*_canonical(n, prod, den))
 
 
+def _twisted_sum(n: int, terms: Mapping[int, Cyclotomic], shift: int) -> Cyclotomic:
+    """sum(x * zeta_n^(shift * s) for s, x in terms.items()): every x is
+    re-expressed at the lcm order, the root of unity becomes an exponent
+    shift there, and the sum is canonicalized once."""
+    terms = {s: x for s, x in terms.items() if x._coeffs}
+    if not terms:
+        return ZERO
+    m = lcm(n, *(x.order for x in terms.values()))
+    _check_order(m)
+    scaled = [(_integral(x._coeffs, m // x.order), s) for s, x in terms.items()]
+    den = lcm(*(d for (_, d), _ in scaled))
+    step = shift * (m // n)
+    nums: dict[int, int] = {}
+    for (part, d), s in scaled:
+        f, offset = den // d, s * step
+        for e, c in part.items():
+            e += offset
+            nums[e] = nums.get(e, 0) + c * f
+    return Cyclotomic._raw(*_canonical(m, nums, den))
+
+
 def zeta(n: int, e: int = 1) -> Cyclotomic:
     """The root of unity zeta_n^e."""
     return Cyclotomic(n, {e: 1})

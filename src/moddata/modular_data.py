@@ -7,9 +7,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from .cyclotomic import (
     Cyclotomic,
     ONE,
     ZERO,
+    _twisted_sum,
+    dot,
     factorize,
     sum_cyclotomics,
     units_mod,
@@ -120,20 +122,12 @@ class ModularDatum:
     @property
     def ord_t(self) -> int:
         """Actual order of T (lcm of the twist orders)."""
-        N, out = self.torder, 1
-        for a in self.t_exponents:
-            o = N // gcd(N, a) if a else 1
-            out = out * o // gcd(out, o)
-        return out
+        return lcm(*(self.torder // gcd(self.torder, a) for a in self.t_exponents))
 
     @property
     def s_field_conductor(self) -> int:
         """Conductor of F_S, the field generated by all S entries."""
-        c = 1
-        for row in self.S:
-            for v in row:
-                c = c * v.order // gcd(c, v.order)
-        return c
+        return lcm(*(v.order for row in self.S for v in row))
 
     # -- serialization ---------------------------------------------------------
 
@@ -291,18 +285,16 @@ def verlinde_fusion(datum: ModularDatum) -> FusionRules:
     if not _projectively_unitary(datum, ds.global_dim_sq):
         raise DegenerateSError("S * conj(S)^t != D^2 * Id")
     d2_inv = ds.global_dim_sq.inverse()
-    weights = [d.inverse() for d in ds.dims]
-    cols = [tuple(datum.S[i][a] for i in range(r)) for a in range(r)]
-    conj_cols = [tuple(v.conjugate() for v in col) for col in cols]
+    # weighted[i][a] = S_ia / (S_0a D^2)
+    weights = [d.inverse() * d2_inv for d in ds.dims]
+    weighted = [[v * w for v, w in zip(row, weights)] for row in datum.S]
+    conj_rows = [[v.conjugate() for v in row] for row in datum.S]
     tensor = np.zeros((r, r, r), dtype=np.int64)
     for i in range(r):
         for j in range(i, r):
-            pair = [cols[a][i] * cols[a][j] * weights[a] for a in range(r)]
+            pair = [w * v for w, v in zip(weighted[i], datum.S[j])]
             for k in range(r):
-                acc = sum_cyclotomics(
-                    pair[a] * conj_cols[a][k] for a in range(r)
-                )
-                value = acc * d2_inv
+                value = dot(zip(pair, conj_rows[k]))
                 if not value.is_integer or value.as_integer() < 0:
                     raise NotFusionIntegral(i, j, k, value)
                 tensor[i, j, k] = tensor[j, i, k] = value.as_integer()
@@ -339,8 +331,8 @@ def check_balancing(datum: ModularDatum, fusion: FusionRules) -> Verdict:
     for i in range(datum.rank):
         for j in range(datum.rank):
             lhs = thetas[i] * thetas[j] * datum.S[i][j]
-            rhs = sum_cyclotomics(
-                fusion.n(dual[i], j, k) * terms[k]
+            rhs = dot(
+                (fusion.n(dual[i], j, k), terms[k])
                 for k in range(datum.rank)
                 if fusion.n(dual[i], j, k)
             )
@@ -365,20 +357,34 @@ def check_twist_equation(datum: ModularDatum) -> Verdict:
     return Verdict(True)
 
 
+def _fs_table(datum: ModularDatum, fusion: FusionRules) -> list[dict[int, Cyclotomic]]:
+    """Per k, the map delta -> D^-2 c_k[delta] with c_k[delta] the sum of
+    N_ij^k d_i d_j over a_i - a_j = delta mod N (Ng-Schauenburg), so that
+    nu_n(k) = sum_delta D^-2 c_k[delta] zeta_N^(n delta) for every n."""
+    N, r = datum.torder, datum.rank
+    exps = datum.t_exponents
+    dims = datum.dims
+    d2_inv = derived_scalars(datum).global_dim_sq.inverse()
+    scaled = [d * d2_inv for d in dims]
+    table = []
+    for k in range(r):
+        groups: dict[int, list] = {}
+        for i in range(r):
+            for j in range(r):
+                m = fusion.n(i, j, k)
+                if m:
+                    # m copies of the product D^-2 d_i d_j
+                    pairs = groups.setdefault((exps[i] - exps[j]) % N, [])
+                    pairs.extend([(scaled[i], dims[j])] * m)
+        table.append({delta: dot(pairs) for delta, pairs in groups.items()})
+    return table
+
+
 def fs_indicator(
     datum: ModularDatum, fusion: FusionRules, n: int, k: int
 ) -> Cyclotomic:
     """Frobenius-Schur indicator nu_n(k), exact."""
-    N = datum.torder
-    dims = datum.dims
-    exps = datum.t_exponents
-    acc = sum_cyclotomics(
-        fusion.n(i, j, k) * dims[i] * dims[j] * zeta(N, n * (exps[i] - exps[j]))
-        for i in range(datum.rank)
-        for j in range(datum.rank)
-        if fusion.n(i, j, k)
-    )
-    return acc * derived_scalars(datum).global_dim_sq.inverse()
+    return _twisted_sum(datum.torder, _fs_table(datum, fusion)[k], n)
 
 
 def fs_exponent(datum: ModularDatum, fusion: FusionRules) -> int:
@@ -388,9 +394,10 @@ def fs_exponent(datum: ModularDatum, fusion: FusionRules) -> int:
     is exhaustive; the spec cap of 12 * ord(T) is therefore never reached.
     """
     dims = datum.dims
+    table = _fs_table(datum, fusion)
     for n in range(1, datum.ord_t + 1):
         if all(
-            fs_indicator(datum, fusion, n, k) == dims[k] for k in range(datum.rank)
+            _twisted_sum(datum.torder, row, n) == d for row, d in zip(table, dims)
         ):
             return n
     raise FSExponentNotFound(
@@ -520,8 +527,9 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
         reports.append(ConditionReport(5, "FS indicators", False, "no fusion"))
     else:
         ok, witness = True, ""
+        table = _fs_table(datum, fusion)
         for k in range(r):
-            nu2 = fs_indicator(datum, fusion, 2, k)
+            nu2 = _twisted_sum(datum.torder, table[k], 2)
             if fusion.dual[k] == k:
                 if nu2 != ONE and nu2 != -ONE:
                     ok, witness = False, f"nu_2({k}) = {nu2} not +-1 on self-dual"
@@ -532,7 +540,7 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
         if ok:
             for n in range(1, N + 1):
                 for k in range(r):
-                    nu = fs_indicator(datum, fusion, n, k)
+                    nu = _twisted_sum(datum.torder, table[k], n)
                     if not nu.is_algebraic_integer or N % nu.order != 0:
                         ok = False
                         witness = f"nu_{n}({k}) not in Z[zeta_{N}]"
@@ -547,7 +555,7 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
     if N % cond_s != 0:
         ok, witness = False, f"F_S has conductor {cond_s}, not inside Q_{N}"
     else:
-        from .galois import NotGaloisStable, compute_profile
+        from .galois import NotGaloisStable, compose, compute_profile
 
         try:
             profile = compute_profile(datum)
@@ -566,7 +574,7 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
                 perms = list(profile.perms.values())
                 for a in perms:
                     for b in perms:
-                        if _compose(a, b) != _compose(b, a):
+                        if compose(a, b) != compose(b, a):
                             ok, witness = False, "Galois image not abelian"
                             break
             if ok:
@@ -592,7 +600,3 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
 
     return AdmissibilityReport(tuple(reports))
 
-
-def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """(a then b): i -> b[a[i]]."""
-    return tuple(b[a[i]] for i in range(len(a)))

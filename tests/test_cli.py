@@ -63,6 +63,24 @@ class TestCheck:
         assert "order cap" in proc.stderr
 
 
+GOLDEN_CHECK_JSON = Path(__file__).resolve().parent / "golden_check_json"
+
+
+def test_every_datum_file_has_a_recorded_check_json(data_dir):
+    assert sorted(p.name for p in GOLDEN_CHECK_JSON.glob("*.json")) == sorted(
+        p.name for p in data_dir.glob("*.json")
+    )
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in GOLDEN_CHECK_JSON.glob("*.json"))
+)
+def test_check_json_output_is_stable(capsys, data_dir, name):
+    """`moddata --json check` stdout stays byte-identical to its recording."""
+    assert main(["--json", "check", str(data_dir / name)]) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN_CHECK_JSON / name).read_bytes().decode()
+
+
 class TestFusion:
     def test_prints_five_matrices(self, capsys, su2_4_file):
         assert main(["fusion", su2_4_file]) == EXIT_OK
