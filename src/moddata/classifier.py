@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
@@ -222,31 +223,55 @@ def vanishing_sum_scan(max_order: int = 60) -> list[dict]:
 
     A pair violates iff some relation with all four coefficients nonzero
     exists while (alpha, beta) is not of the forced (+-1, +-i) shape.
+
+    Whether such a relation exists is a Galois invariant of the pair:
+    sigma_k carries a + b*i + c*alpha + d*beta = 0 to
+    a + (+-b)*i + c*alpha^k + d*beta^k = 0, since sigma_k(i) = +-i, with
+    the same coefficients up to sign. For alpha = zeta_m^ea and
+    beta = zeta_n^eb, the orbits of (ea, eb) -> (k*ea, k*eb) over the units
+    k are told apart by eb * ea^-1 mod gcd(m, n) (by the Chinese remainder
+    theorem), so there are phi(gcd(m, n)) of them. The kernel runs once per
+    orbit, on the first pair met, and every other pair reuses its verdict.
+    Pairs are visited, and counterexamples listed, in the order of
+    (ord_alpha, e_alpha, ord_beta, e_beta).
     """
-    roots: list[tuple[int, Cyclotomic]] = []
-    for order in range(1, max_order + 1):
-        for e in range(order):
-            if order == 1 or gcd(e, order) == 1:
-                roots.append((order, zeta(order, e)))
-    counterexamples = []
+
+    def conductor(m: int) -> int:
+        return m // 2 if m % 4 == 2 else m
+
     i_root = zeta(4)
-    for orda, alpha in roots:
-        for ordb, beta in roots:
-            if orda > ordb:
-                continue
-            if (alpha == ONE or alpha == -ONE) and (
-                beta == i_root or beta == -i_root
-            ):
-                continue
-            # an all-nonzero relation needs beta in Q(i, alpha) and vice versa
-            if lcm(4, alpha.conductor) % beta.conductor:
-                continue
-            if lcm(4, beta.conductor) % alpha.conductor:
-                continue
-            if _all_nonzero_solution_exists([ONE, i_root, alpha, beta]):
-                counterexamples.append(
-                    {"alpha": alpha, "beta": beta, "ord_alpha": orda, "ord_beta": ordb}
-                )
+    root = cache(zeta)  # each root is built once per scan, as a representative or a hit
+    verdicts: dict[tuple[int, int, int], bool] = {}
+    counterexamples = []
+    for m in range(1, max_order + 1):
+        # skip the forced shape (+-1, +-i); an all-nonzero relation needs
+        # beta in Q(i, alpha) and alpha in Q(i, beta)
+        partners = [
+            (n, gcd(m, n), [e for e in range(n) if gcd(e, n) == 1])
+            for n in range(m, max_order + 1)
+            if not (m <= 2 and n == 4)
+            and lcm(4, conductor(m)) % conductor(n) == 0
+            and lcm(4, conductor(n)) % conductor(m) == 0
+        ]
+        for ea in (e for e in range(m) if gcd(e, m) == 1):
+            for n, g, units in partners:
+                ea_inv = pow(ea, -1, g)
+                for eb in units:
+                    key = (m, n, eb * ea_inv % g)
+                    hit = verdicts.get(key)
+                    if hit is None:
+                        hit = verdicts[key] = _all_nonzero_solution_exists(
+                            [ONE, i_root, root(m, ea), root(n, eb)]
+                        )
+                    if hit:
+                        counterexamples.append(
+                            {
+                                "alpha": root(m, ea),
+                                "beta": root(n, eb),
+                                "ord_alpha": m,
+                                "ord_beta": n,
+                            }
+                        )
     return counterexamples
 
 

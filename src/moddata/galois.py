@@ -4,7 +4,7 @@ functions eps_sigma, orbits, and the structural exclusion predicates."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .cyclotomic import Cyclotomic, NotAUnitError, ONE, euler_phi, units_mod
@@ -33,13 +33,6 @@ Perm = tuple[int, ...]
 def compose(a: Perm, b: Perm) -> Perm:
     """a then b: i -> b[a[i]]."""
     return tuple(b[a[i]] for i in range(len(a)))
-
-
-def perm_power(a: Perm, k: int) -> Perm:
-    out = tuple(range(len(a)))
-    for _ in range(k):
-        out = compose(out, a)
-    return out
 
 
 def cycle_type(perm: Perm) -> list[list[int]]:
@@ -216,13 +209,22 @@ def g_matrix(rep: "ModularRep", k: int):
 
 
 def galois_twist_symmetry(rep: "ModularRep") -> Verdict:
-    """Theorem-level identity sigma^2(t_i) = t_{h_sigma(i)} over Gal(Q_n/Q)."""
+    """Theorem-level identity sigma^2(t_i) = t_{h_sigma(i)} over Gal(Q_n/Q).
+
+    h_sigma depends on k only modulo the conductor of the character values,
+    so it is matched once per residue class, at the first k of the class.
+    """
     cols = _characters(rep.s)
+    cond = lcm(*(v.conductor for col in cols for v in col))
     n = rep.level
+    perms: dict[int, Perm] = {}
     for k in units_mod(n):
-        perm = _match_permutation(cols, k)
+        perm = perms.get(k % cond)
+        if perm is None:
+            perm = perms[k % cond] = _match_permutation(cols, k)
+        k_squared = k * k % n
         for i, t in enumerate(rep.t):
-            if t.galois(k).galois(k) != rep.t[perm[i]]:
+            if t.galois(k_squared) != rep.t[perm[i]]:
                 return Verdict(False, (k, i), "sigma^2(t_i) != t_{h(i)}")
     return Verdict(True)
 
