@@ -7,13 +7,8 @@ from .cyclotomic import (
     InvalidOrderError,
     NotAUnitError,
     ONE,
-    Rational,
     ZERO,
-    complex_eval,
-    galois_apply,
     get_order_cap,
-    make,
-    reduce_conductor,
     set_order_cap,
     sqrt_int,
     zeta,

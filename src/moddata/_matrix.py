@@ -9,10 +9,6 @@ from .cyclotomic import Cyclotomic, ONE, ZERO, Scalar, dot
 Matrix = tuple[tuple[Cyclotomic, ...], ...]
 
 
-def as_matrix(rows: Sequence[Sequence[Scalar]]) -> Matrix:
-    return tuple(tuple(Cyclotomic._coerce(v) for v in row) for row in rows)
-
-
 def eye(r: int) -> Matrix:
     return tuple(
         tuple(ONE if i == j else ZERO for j in range(r)) for i in range(r)
@@ -34,10 +30,6 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     for _ in range(k - 1):
         out = matmul(out, a)
     return out
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
 
 
 def entrywise(a: Matrix, f: Callable[[Cyclotomic], Cyclotomic]) -> Matrix:

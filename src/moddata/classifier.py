@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .catalog import pointed_zn, rank5_catalog, su2_4_family_all, su2_odd_mod2
-from .cyclotomic import Cyclotomic, ONE, ZERO, euler_phi, is_prime, zeta
+from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, zeta
 from .field_theory import cauchy_prime_support
 from .galois import (
     NamedVerdict,
@@ -167,20 +167,20 @@ def _rational_kernel(columns: list[Cyclotomic]) -> list[tuple[Fraction, ...]]:
     """Basis of {x in Q^m : sum x_c columns[c] = 0}, by exact elimination."""
     from .cyclotomic import _reduce_exponents
 
-    order = 1
-    for col in columns:
-        order = lcm(order, col.order)
-    dim = euler_phi(order)
-    rows = [[Fraction(0)] * len(columns) for _ in range(dim)]
+    order = lcm(*(col.order for col in columns))
+    m = len(columns)
+    # only the nonzero rows, one per exponent on the power basis of Q_order
+    rows: dict[int, list[Fraction]] = {}
     for c, col in enumerate(columns):
         step = order // col.order
         lifted = _reduce_exponents(order, {e * step: q for e, q in col.items()})
         for e, q in lifted.items():
+            if e not in rows:
+                rows[e] = [Fraction(0)] * m
             rows[e][c] = q
-    m = len(columns)
     pivots: list[int] = []
     piv_row = 0
-    work = [row[:] for row in rows if any(row)]
+    work = list(rows.values())
     for col in range(m):
         sel = next((r for r in range(piv_row, len(work)) if work[r][col]), None)
         if sel is None:

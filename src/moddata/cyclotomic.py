@@ -19,8 +19,6 @@ from typing import Iterable, Mapping, Optional, Union
 
 import mpmath
 
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 Scalar = Union[int, Fraction, "Cyclotomic"]
 
@@ -299,11 +297,6 @@ class Cyclotomic:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def make(cls, order: int, raw: Mapping[int, RationalLike]) -> "Cyclotomic":
-        """Sum of c_e * zeta_order^e for arbitrary integer exponents e."""
-        return cls(order, raw)
-
-    @classmethod
     def from_rational(cls, value: RationalLike) -> "Cyclotomic":
         return cls(1, {0: Fraction(value)})
 
@@ -320,9 +313,6 @@ class Cyclotomic:
     def items(self) -> Iterable[tuple[int, Fraction]]:
         """Canonical (exponent, coefficient) pairs, exponent-sorted."""
         return sorted(self._coeffs.items())
-
-    def coefficient(self, e: int) -> Fraction:
-        return self._coeffs.get(e, Fraction(0))
 
     @property
     def conductor(self) -> int:
@@ -371,18 +361,8 @@ class Cyclotomic:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _with_order(self, n: int) -> dict[int, Fraction]:
-        """Coefficients re-expressed at a multiple n of self.order (no reduce)."""
-        step = n // self.order
-        return {e * step: c for e, c in self._coeffs.items()}
-
     def __add__(self, other: Scalar) -> "Cyclotomic":
-        other = Cyclotomic._coerce(other)
-        n = lcm(self.order, other.order)
-        merged = self._with_order(n)
-        for e, c in other._with_order(n).items():
-            merged[e] = merged.get(e, Fraction(0)) + c
-        return Cyclotomic(n, merged)
+        return sum_cyclotomics((self, Cyclotomic._coerce(other)))
 
     __radd__ = __add__
 
@@ -532,11 +512,13 @@ class Cyclotomic:
             return None
         if self * self.conjugate() != ONE:
             return None
-        for e in range(f):
-            mono = Cyclotomic(f, {e: 1})
-            if self == mono:
+        # for a non-unit e, +-zeta_f^e lies in a proper subfield of Q_f
+        negated = {e: -c for e, c in self._coeffs.items()}
+        for e in units_mod(f):
+            mono = _reduce_exponents(f, {e: 1})
+            if self._coeffs == mono:
                 return (1, e)
-            if self == -mono:
+            if negated == mono:
                 return (-1, e)
         return None
 
@@ -623,19 +605,7 @@ ONE = Cyclotomic(1, {0: 1})
 
 def sum_cyclotomics(values: Iterable[Cyclotomic]) -> Cyclotomic:
     """Sum with a single canonicalization pass (hot-loop accumulator)."""
-    terms = [v for v in values if v._coeffs]
-    if not terms:
-        return ZERO
-    if len(terms) == 1:
-        return terms[0]
-    n = lcm(*(v.order for v in terms))
-    merged: dict[int, Fraction] = {}
-    for v in terms:
-        step = n // v.order
-        for e, c in v._coeffs.items():
-            key = e * step
-            merged[key] = merged.get(key, Fraction(0)) + c
-    return Cyclotomic(n, merged)
+    return _twisted_sum(1, ((0, v) for v in values), 0)
 
 
 def dot(pairs: Iterable[tuple[Scalar, Scalar]]) -> Cyclotomic:
@@ -669,16 +639,20 @@ def dot(pairs: Iterable[tuple[Scalar, Scalar]]) -> Cyclotomic:
     return Cyclotomic._raw(*_canonical(n, prod, den))
 
 
-def _twisted_sum(n: int, terms: Mapping[int, Cyclotomic], shift: int) -> Cyclotomic:
-    """sum(x * zeta_n^(shift * s) for s, x in terms.items()): every x is
-    re-expressed at the lcm order, the root of unity becomes an exponent
-    shift there, and the sum is canonicalized once."""
-    terms = {s: x for s, x in terms.items() if x._coeffs}
+def _twisted_sum(
+    n: int, terms: Iterable[tuple[int, Cyclotomic]], shift: int
+) -> Cyclotomic:
+    """sum(x * zeta_n^(shift * s) for s, x in terms): every x is re-expressed
+    at the lcm order, the root of unity becomes an exponent shift there, and
+    the sum is canonicalized once."""
+    terms = [(s, x) for s, x in terms if x._coeffs]
     if not terms:
         return ZERO
-    m = lcm(n, *(x.order for x in terms.values()))
+    if len(terms) == 1 and terms[0][0] * shift % n == 0:
+        return terms[0][1]
+    m = lcm(n, *(x.order for _, x in terms))
     _check_order(m)
-    scaled = [(_integral(x._coeffs, m // x.order), s) for s, x in terms.items()]
+    scaled = [(_integral(x._coeffs, m // x.order), s) for s, x in terms]
     den = lcm(*(d for (_, d), _ in scaled))
     step = shift * (m // n)
     nums: dict[int, int] = {}
@@ -693,40 +667,6 @@ def _twisted_sum(n: int, terms: Mapping[int, Cyclotomic], shift: int) -> Cycloto
 def zeta(n: int, e: int = 1) -> Cyclotomic:
     """The root of unity zeta_n^e."""
     return Cyclotomic(n, {e: 1})
-
-
-def make(order: int, raw: Mapping[int, RationalLike]) -> Cyclotomic:
-    return Cyclotomic.make(order, raw)
-
-
-def galois_apply(x: Cyclotomic, k: int) -> Cyclotomic:
-    return x.galois(k)
-
-
-def reduce_conductor(x: Cyclotomic) -> Cyclotomic:
-    """Canonical form at the conductor (the identity here: values stay reduced)."""
-    return x
-
-
-def is_rational(x: Cyclotomic) -> bool:
-    return x.is_rational
-
-
-def is_real(x: Cyclotomic) -> bool:
-    return x.is_real
-
-
-def is_algebraic_integer(x: Cyclotomic) -> bool:
-    return x.is_algebraic_integer
-
-
-def is_root_of_unity(x: Cyclotomic) -> tuple[bool, Optional[int]]:
-    m = x.root_of_unity_order()
-    return (m is not None), m
-
-
-def complex_eval(x: Cyclotomic, digits: int = EVAL_DIGIT_CAP) -> complex:
-    return x.complex_eval(digits)
 
 
 def sqrt_int(m: int) -> Cyclotomic:

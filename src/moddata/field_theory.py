@@ -4,7 +4,7 @@ admissible-level enumeration for prime-power Galois shapes."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Optional
 
 from .cyclotomic import (
@@ -81,10 +81,7 @@ def subfield_conductor(generators: Iterable[Cyclotomic]) -> int:
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    cond = 1
-    for g in gens:
-        cond = cond * g.conductor // gcd(cond, g.conductor)
-    return cond
+    return lcm(*(g.conductor for g in gens))
 
 
 @dataclass(frozen=True)

@@ -91,10 +91,6 @@ def _characters(S: Sequence[Sequence[Cyclotomic]]) -> list[tuple[Cyclotomic, ...
     return cols
 
 
-def _apply_galois_column(col: tuple[Cyclotomic, ...], k: int) -> tuple[Cyclotomic, ...]:
-    return tuple(v.galois(k) for v in col)
-
-
 def _match_permutation(
     cols: list[tuple[Cyclotomic, ...]], k: int
 ) -> Perm:
@@ -105,7 +101,7 @@ def _match_permutation(
         index[col] = a
     perm = []
     for a, col in enumerate(cols):
-        target = index.get(_apply_galois_column(col, k))
+        target = index.get(tuple(v.galois(k) for v in col))
         if target is None:
             raise NotGaloisStable(f"sigma_{k} sends character {a} to no column")
         perm.append(target)
@@ -153,18 +149,11 @@ def _orbits_from_perms(rank: int, perms) -> tuple[tuple[int, ...], ...]:
 
 
 def _rep_field_modulus(rep: "ModularRep") -> int:
-    m = 1
-    for row in rep.s:
-        for v in row:
-            m = m * v.order // gcd(m, v.order)
-    for v in rep.t:
-        m = m * v.order // gcd(m, v.order)
-    return m
+    return lcm(*(v.order for row in rep.s for v in row), *(v.order for v in rep.t))
 
 
 def _extend_unit(k: int, cond: int, modulus: int) -> int:
-    if modulus % cond != 0:
-        modulus = modulus * cond // gcd(modulus, cond)
+    modulus = lcm(modulus, cond)
     for cand in range(k % cond, modulus + 1, cond):
         if cand and gcd(cand, modulus) == 1:
             return cand
@@ -279,13 +268,13 @@ def _fp_column(datum: ModularDatum) -> Optional[int]:
     """
     cols = _characters(datum.S)
     for a, col in enumerate(cols):
-        values = [v.complex_eval() for v in col]
-        if all(abs(z.imag) < 1e-9 and z.real > 1e-9 for z in values):
+        if all(_numeric_positive(v) for v in col):
             return a
     return None
 
 
 def _numeric_positive(x: Cyclotomic) -> bool:
+    """x > 0 at the principal embedding, by floats with a 1e-9 tolerance."""
     z = x.complex_eval()
     return abs(z.imag) < 1e-9 and z.real > 1e-9
 
@@ -417,9 +406,7 @@ def orbit_field_degree(datum: ModularDatum, j: int) -> int:
         raise NotGaloisStable(f"characters undefined: S[0][{j}] = 0")
     inv = datum.S[0][j].inverse()
     gens = [datum.S[i][j] * inv for i in range(datum.rank)]
-    cond = 1
-    for g in gens:
-        cond = cond * g.order // gcd(cond, g.order)
+    cond = lcm(*(g.order for g in gens))
     fixing = sum(
         1
         for k in units_mod(cond)

@@ -384,7 +384,7 @@ def fs_indicator(
     datum: ModularDatum, fusion: FusionRules, n: int, k: int
 ) -> Cyclotomic:
     """Frobenius-Schur indicator nu_n(k), exact."""
-    return _twisted_sum(datum.torder, _fs_table(datum, fusion)[k], n)
+    return _twisted_sum(datum.torder, _fs_table(datum, fusion)[k].items(), n)
 
 
 def fs_exponent(datum: ModularDatum, fusion: FusionRules) -> int:
@@ -397,7 +397,7 @@ def fs_exponent(datum: ModularDatum, fusion: FusionRules) -> int:
     table = _fs_table(datum, fusion)
     for n in range(1, datum.ord_t + 1):
         if all(
-            _twisted_sum(datum.torder, row, n) == d for row, d in zip(table, dims)
+            _twisted_sum(datum.torder, row.items(), n) == d for row, d in zip(table, dims)
         ):
             return n
     raise FSExponentNotFound(
@@ -529,7 +529,7 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
         ok, witness = True, ""
         table = _fs_table(datum, fusion)
         for k in range(r):
-            nu2 = _twisted_sum(datum.torder, table[k], 2)
+            nu2 = _twisted_sum(datum.torder, table[k].items(), 2)
             if fusion.dual[k] == k:
                 if nu2 != ONE and nu2 != -ONE:
                     ok, witness = False, f"nu_2({k}) = {nu2} not +-1 on self-dual"
@@ -540,7 +540,7 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
         if ok:
             for n in range(1, N + 1):
                 for k in range(r):
-                    nu = _twisted_sum(datum.torder, table[k], n)
+                    nu = _twisted_sum(datum.torder, table[k].items(), n)
                     if not nu.is_algebraic_integer or N % nu.order != 0:
                         ok = False
                         witness = f"nu_{n}({k}) not in Z[zeta_{N}]"

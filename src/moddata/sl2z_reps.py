@@ -32,10 +32,6 @@ class ModularRep:
     level: int
     parity: str  # even | odd | neither
 
-    def t_spectrum(self) -> tuple[Cyclotomic, ...]:
-        """Eigenvalues of t in label order (with multiplicity)."""
-        return self.t
-
 
 def verify_relations(s: mat.Matrix, t: tuple[Cyclotomic, ...]) -> Verdict:
     """Exact check of s^4 = Id and (st)^3 = s^2."""

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from moddata.classifier import (
     TooLargeError,
     _all_nonzero_solution_exists,
+    _rational_kernel,
     _is_perfect_square,
     classify_fusion,
     grothendieck_equiv,
@@ -18,9 +21,49 @@ from moddata.classifier import (
     vanishing_sum_check,
     vanishing_sum_scan,
 )
-from moddata.cyclotomic import ONE, zeta
+from moddata.cyclotomic import Cyclotomic, ONE, _reduce_exponents, euler_phi, zeta
 from moddata.galois import compose, compute_profile
 from moddata.modular_data import FusionRules, verlinde_fusion
+
+
+def dense_rational_kernel(columns):
+    """The former kernel: a dense phi(L) x m Fraction matrix, zero rows
+    dropped afterwards, then the same Gauss-Jordan elimination."""
+    order = 1
+    for col in columns:
+        order = lcm(order, col.order)
+    dim = euler_phi(order)
+    rows = [[Fraction(0)] * len(columns) for _ in range(dim)]
+    for c, col in enumerate(columns):
+        step = order // col.order
+        lifted = _reduce_exponents(order, {e * step: q for e, q in col.items()})
+        for e, q in lifted.items():
+            rows[e][c] = q
+    m = len(columns)
+    pivots = []
+    piv_row = 0
+    work = [row[:] for row in rows if any(row)]
+    for col in range(m):
+        sel = next((r for r in range(piv_row, len(work)) if work[r][col]), None)
+        if sel is None:
+            continue
+        work[piv_row], work[sel] = work[sel], work[piv_row]
+        inv = 1 / work[piv_row][col]
+        work[piv_row] = [v * inv for v in work[piv_row]]
+        for r in range(len(work)):
+            if r != piv_row and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[piv_row])]
+        pivots.append(col)
+        piv_row += 1
+    basis = []
+    for fc in (c for c in range(m) if c not in pivots):
+        vec = [Fraction(0)] * m
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -work[r][fc]
+        basis.append(tuple(vec))
+    return basis
 
 
 class TestRank5Cases:
@@ -162,6 +205,40 @@ class TestVanishingSum:
         # small beta: kernel analysis mirrors the a=1,b=1 spec example
         for beta in [zeta(3), zeta(3, 2), zeta(12), zeta(12, 7)]:
             assert not _all_nonzero_solution_exists([ONE, zeta(4), zeta(3), beta])
+
+    def test_kernel_matches_dense_oracle_on_orbit_representatives(self):
+        # one pair of roots per orbit key (m, n, eb * ea^-1 mod gcd(m, n)),
+        # ord alpha <= ord beta <= 24, none of the scan's filters applied
+        seen = set()
+        for m in range(1, 25):
+            for n in range(m, 25):
+                g = gcd(m, n)
+                for ea in (e for e in range(m) if gcd(e, m) == 1):
+                    for eb in (e for e in range(n) if gcd(e, n) == 1):
+                        key = (m, n, eb * pow(ea, -1, g) % g)
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                        columns = [ONE, zeta(4), zeta(m, ea), zeta(n, eb)]
+                        got = _rational_kernel(columns)
+                        assert got == dense_rational_kernel(columns), key
+                        assert all(type(v) is Fraction for vec in got for v in vec)
+
+    def test_kernel_matches_dense_oracle_on_random_columns(self):
+        rng = random.Random(20240607)
+        for _ in range(60):
+            orders = [rng.choice([1, 3, 4, 5, 8, 12]) for _ in range(rng.randint(1, 6))]
+            columns = [
+                Cyclotomic(
+                    n,
+                    {
+                        rng.randrange(n): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        for _ in range(rng.randint(0, 3))
+                    },
+                )
+                for n in orders
+            ]
+            assert _rational_kernel(columns) == dense_rational_kernel(columns)
 
     def test_detector_finds_planted_relation(self):
         assert _all_nonzero_solution_exists([ONE, zeta(4), ONE, zeta(4)])

@@ -4,7 +4,8 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from math import gcd, lcm
 
 import pytest
 
@@ -14,17 +15,13 @@ from moddata.cyclotomic import (
     NotAUnitError,
     ONE,
     ZERO,
-    complex_eval,
     cyclotomic_polynomial,
     divisors,
     dot,
     euler_phi,
     factorize,
-    galois_apply,
     get_order_cap,
     is_prime,
-    make,
-    reduce_conductor,
     set_order_cap,
     sqrt_int,
     sum_cyclotomics,
@@ -37,7 +34,7 @@ SEED = 20240601
 
 
 def random_element(rng, n, terms=4, coeff=9):
-    return make(
+    return Cyclotomic(
         n,
         {
             rng.randrange(n): Fraction(rng.randint(-coeff, coeff), rng.randint(1, 5))
@@ -48,18 +45,18 @@ def random_element(rng, n, terms=4, coeff=9):
 
 class TestConstruction:
     def test_i_squared(self):
-        assert make(4, {1: 1}) * make(4, {1: 1}) == make(4, {0: -1})
+        assert Cyclotomic(4, {1: 1}) * Cyclotomic(4, {1: 1}) == Cyclotomic(4, {0: -1})
 
     def test_rational_constant(self):
-        x = make(1, {0: Fraction(3, 2)})
+        x = Cyclotomic(1, {0: Fraction(3, 2)})
         assert x.is_rational and x.as_rational() == Fraction(3, 2)
 
     def test_vanishing_sum_of_fifth_roots(self):
-        assert make(5, {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}).is_zero
+        assert Cyclotomic(5, {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}).is_zero
 
     def test_invalid_order(self):
         with pytest.raises(InvalidOrderError):
-            make(0, {0: 1})
+            Cyclotomic(0, {0: 1})
 
     def test_order_cap(self):
         cap = get_order_cap()
@@ -71,7 +68,7 @@ class TestConstruction:
             set_order_cap(cap)
 
     def test_exponents_reduced_mod_order(self):
-        assert make(5, {7: 1}) == zeta(5, 2)
+        assert Cyclotomic(5, {7: 1}) == zeta(5, 2)
 
     def test_immutability(self):
         x = zeta(5)
@@ -117,15 +114,15 @@ class TestArithmetic:
 
 class TestGalois:
     def test_monomial_action(self):
-        assert galois_apply(zeta(5), 2) == zeta(5, 2)
+        assert zeta(5).galois(2) == zeta(5, 2)
 
     def test_real_fixed_by_conjugation(self):
         r2 = zeta(8) + zeta(8, -1)
-        assert galois_apply(r2, -1) == r2
+        assert r2.galois(-1) == r2
 
     def test_non_unit_rejected(self):
         with pytest.raises(NotAUnitError):
-            galois_apply(zeta(6), 3)
+            zeta(6).galois(3)
 
     def test_composition_property(self):
         rng = random.Random(SEED)
@@ -134,8 +131,8 @@ class TestGalois:
             x = random_element(rng, n)
             units = units_mod(x.order)
             k1, k2 = rng.choice(units), rng.choice(units)
-            assert galois_apply(galois_apply(x, k1), k2) == galois_apply(
-                x, k1 * k2 % x.order if x.order > 1 else 1
+            assert x.galois(k1).galois(k2) == x.galois(
+                k1 * k2 % x.order if x.order > 1 else 1
             )
 
     def test_group_action_isomorphic_to_units(self):
@@ -143,36 +140,36 @@ class TestGalois:
         rng = random.Random(SEED + 1)
         for n in (7, 9, 20, 36, 60):
             x = zeta(n)
-            images = {k: galois_apply(x, k) for k in units_mod(n)}
+            images = {k: x.galois(k) for k in units_mod(n)}
             assert len(set(images.values())) == len(images)
             samples = [random_element(rng, n) for _ in range(20)]
             for k1 in units_mod(n)[:4]:
                 for k2 in units_mod(n)[:4]:
                     for s in samples:
                         if s.order > 1 and gcd(k1, s.order) == 1 and gcd(k2, s.order) == 1:
-                            lhs = galois_apply(galois_apply(s, k1), k2)
-                            assert lhs == galois_apply(s, (k1 * k2) % s.order)
+                            lhs = s.galois(k1).galois(k2)
+                            assert lhs == s.galois((k1 * k2) % s.order)
 
 
 class TestConductor:
     def test_zeta6_squared_lands_at_order_3(self):
-        x = make(6, {2: 1})
+        x = Cyclotomic(6, {2: 1})
         assert x.order == 3 and x == zeta(3)
 
     def test_sqrt2_stays_at_8(self):
         r2 = zeta(8) + zeta(8, -1)
-        assert reduce_conductor(r2).order == 8
+        assert r2.order == 8
         # oracle: not fixed by the subgroup over any proper divisor of 8
         for m in (1, 2, 4):
             fixed = all(
-                galois_apply(r2, k) == r2
+                r2.galois(k) == r2
                 for k in range(1, 8)
                 if gcd(k, 8) == 1 and k % m == 1 % m
             )
             assert not fixed
 
     def test_rational_at_order_12(self):
-        assert make(12, {0: 7}).order == 1
+        assert Cyclotomic(12, {0: 7}).order == 1
 
     def test_embed_round_trip(self):
         rng = random.Random(SEED + 2)
@@ -180,19 +177,15 @@ class TestConductor:
             n = rng.choice([3, 5, 8, 12])
             x = random_element(rng, n)
             big = n * rng.choice([2, 3, 4])
-            lifted = make(big, {e * (big // x.order): c for e, c in x.items()})
+            lifted = Cyclotomic(big, {e * (big // x.order): c for e, c in x.items()})
             assert lifted == x
-
-    def test_idempotent(self):
-        x = zeta(9) + zeta(9, 2)
-        assert reduce_conductor(reduce_conductor(x)) == reduce_conductor(x)
 
     def test_canonical_equality_across_orders(self):
         rng = random.Random(SEED + 3)
         for _ in range(30):
             n = rng.choice([6, 10, 12, 18])
             x = random_element(rng, n)
-            y = make(2 * x.order, {2 * e: c for e, c in x.items()})
+            y = Cyclotomic(2 * x.order, {2 * e: c for e, c in x.items()})
             assert x == y and hash(x) == hash(y)
 
 
@@ -201,7 +194,7 @@ class TestPredicates:
         assert (-zeta(3)).root_of_unity_order() == 6
 
     def test_half_not_algebraic_integer(self):
-        assert not make(1, {0: Fraction(1, 2)}).is_algebraic_integer
+        assert not Cyclotomic(1, {0: Fraction(1, 2)}).is_algebraic_integer
 
     def test_golden_real(self):
         assert (zeta(5) + zeta(5, 4)).is_real
@@ -210,8 +203,8 @@ class TestPredicates:
         rng = random.Random(SEED + 4)
         for _ in range(20):
             n = rng.choice([5, 8, 12])
-            a = make(n, {rng.randrange(n): rng.randint(-3, 3) for _ in range(3)})
-            b = make(n, {rng.randrange(n): rng.randint(-3, 3) for _ in range(3)})
+            a = Cyclotomic(n, {rng.randrange(n): rng.randint(-3, 3) for _ in range(3)})
+            b = Cyclotomic(n, {rng.randrange(n): rng.randint(-3, 3) for _ in range(3)})
             assert (a + b).is_algebraic_integer
             assert (a * b).is_algebraic_integer
 
@@ -222,16 +215,16 @@ class TestPredicates:
         assert (zeta(5) + 1).root_of_unity_log() is None
 
     def test_rationals(self):
-        assert make(1, {0: 2}).is_integer
+        assert Cyclotomic(1, {0: 2}).is_integer
         assert not zeta(3).is_rational
 
 
 class TestComplexEval:
     def test_i(self):
-        assert abs(complex_eval(zeta(4), 10) - 1j) < 1e-10
+        assert abs(zeta(4).complex_eval(10) - 1j) < 1e-10
 
     def test_sqrt2(self):
-        v = complex_eval(zeta(8) + zeta(8, -1), 10)
+        v = (zeta(8) + zeta(8, -1)).complex_eval(10)
         assert abs(v - 2**0.5) < 1e-10
 
     def test_sine_ratio(self):
@@ -239,15 +232,15 @@ class TestComplexEval:
 
         # sin(3 pi/11)/sin(pi/11) as a cyclotomic: ratio of zeta_22 differences
         h = 6  # (11+1)/2, zeta_22 = -zeta_11^6
-        num = make(11, {(h * 3) % 11: -1, (-h * 3) % 11: 1})
-        den = make(11, {h % 11: -1, (-h) % 11: 1})
-        value = complex_eval(num / den, 12)
+        num = Cyclotomic(11, {(h * 3) % 11: -1, (-h * 3) % 11: 1})
+        den = Cyclotomic(11, {h % 11: -1, (-h) % 11: 1})
+        value = (num / den).complex_eval(12)
         expected = math.sin(3 * math.pi / 11) / math.sin(math.pi / 11)
         assert abs(value - expected) < 1e-11
 
     def test_digit_cap(self):
         with pytest.raises(ValueError):
-            complex_eval(ONE, 99)
+            ONE.complex_eval(99)
 
 
 class TestCanonicalUniqueness:
@@ -266,7 +259,7 @@ class TestSqrtInt:
     def test_square_and_positivity(self, n):
         root = sqrt_int(n)
         assert root * root == Cyclotomic.from_rational(n)
-        assert complex_eval(root).real == pytest.approx(n**0.5, abs=1e-9)
+        assert root.complex_eval().real == pytest.approx(n**0.5, abs=1e-9)
 
 
 class TestPolynomials:
@@ -288,7 +281,7 @@ class TestPolynomials:
 
 class TestJson:
     def test_round_trip(self):
-        x = make(12, {0: Fraction(1, 2), 1: -2, 3: Fraction(7, 3)})
+        x = Cyclotomic(12, {0: Fraction(1, 2), 1: -2, 3: Fraction(7, 3)})
         data = x.to_json()
         assert data["order"] == x.order
         assert Cyclotomic.from_json(data) == x
@@ -447,3 +440,181 @@ class TestHugeOrder:
         with pytest.raises(InvalidOrderError):
             Cyclotomic(10**18 + 3, {1: 1})
         assert time.perf_counter() - start < 1.0
+
+
+def _merge_add(a, b):
+    # the former __add__: Fraction dicts merged at the lcm order, then rebuilt
+    # through the constructor
+    n = lcm(a.order, b.order)
+    merged = {e * (n // a.order): c for e, c in a.items()}
+    for e, c in b.items():
+        key = e * (n // b.order)
+        merged[key] = merged.get(key, Fraction(0)) + c
+    return Cyclotomic(n, merged)
+
+
+def _merge_sum(values):
+    # the former sum_cyclotomics, the same merge over many terms
+    terms = [v for v in values if v]
+    if not terms:
+        return ZERO
+    if len(terms) == 1:
+        return terms[0]
+    n = lcm(*(v.order for v in terms))
+    merged = {}
+    for v in terms:
+        step = n // v.order
+        for e, c in v.items():
+            merged[e * step] = merged.get(e * step, Fraction(0)) + c
+    return Cyclotomic(n, merged)
+
+
+def _outcome(f, *args):
+    """The value, or the type of the exception raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared by type with the oracle's
+        return type(exc)
+
+
+def _assert_same(got, expected):
+    if isinstance(expected, type):
+        assert got is expected
+    else:
+        assert got == expected and got.order == expected.order
+        assert got.to_json() == expected.to_json()
+
+
+SUM_ORDERS = [1, 3, 4, 5, 7, 8, 9, 12, 15, 20, 24]
+
+
+class TestSumAgainstMergeOracle:
+    def test_fixed_cases(self):
+        r2 = zeta(8) + zeta(8, -1)
+        cases = [
+            [],
+            [ZERO],
+            [ZERO, zeta(5), ZERO],
+            [zeta(3), zeta(3, 2)],
+            [zeta(3), zeta(3, 2), ONE],
+            [r2, -r2],
+            [zeta(12), zeta(12, 5), zeta(4)],
+            [zeta(5), zeta(7), Cyclotomic.from_rational(Fraction(-1, 3))],
+            [zeta(5, e) for e in range(5)],
+        ]
+        for values in cases:
+            _assert_same(sum_cyclotomics(values), _merge_sum(values))
+            if len(values) == 2:
+                _assert_same(values[0] + values[1], _merge_add(*values))
+        half = Cyclotomic.from_rational(Fraction(1, 2))
+        _assert_same(zeta(5) + 3, _merge_add(zeta(5), Cyclotomic.from_rational(3)))
+        _assert_same(Fraction(1, 2) + zeta(8), _merge_add(zeta(8), half))
+        _assert_same(zeta(9) - zeta(9, 2), _merge_add(zeta(9), -zeta(9, 2)))
+        _assert_same(1 - zeta(4), _merge_add(ONE, -zeta(4)))
+
+    def test_random_cases(self):
+        rng = random.Random(SEED + 17)
+        for _ in range(150):
+            values = [
+                random_element(rng, rng.choice(SUM_ORDERS), terms=rng.randint(0, 4))
+                for _ in range(rng.randint(0, 5))
+            ]
+            _assert_same(sum_cyclotomics(values), _merge_sum(values))
+            a, b = (random_element(rng, rng.choice(SUM_ORDERS)) for _ in range(2))
+            _assert_same(a + b, _merge_add(a, b))
+            _assert_same(a - b, _merge_add(a, -b))
+
+    def test_past_the_order_cap(self):
+        rng = random.Random(SEED + 19)
+        cap = get_order_cap()
+        try:
+            set_order_cap(8)
+            with pytest.raises(InvalidOrderError):
+                zeta(5) + zeta(7)
+            # the sum is rational, but its terms meet only at order 35
+            with pytest.raises(InvalidOrderError):
+                sum_cyclotomics([zeta(5), zeta(7), -zeta(5), -zeta(7)])
+            for _ in range(80):
+                values = [
+                    random_element(rng, rng.choice([1, 3, 4, 5, 7, 8, 9, 12]), terms=2)
+                    for _ in range(rng.randint(1, 3))
+                ]
+                expected = _outcome(_merge_sum, values)
+                _assert_same(_outcome(sum_cyclotomics, values), expected)
+                a, b = values[0], values[-1]
+                _assert_same(_outcome(lambda: a + b), _outcome(_merge_add, a, b))
+        finally:
+            set_order_cap(cap)
+
+    def test_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+        @st.composite
+        def element(draw):
+            n = draw(st.sampled_from(SUM_ORDERS))
+            terms = draw(st.dictionaries(st.integers(0, n - 1), coeff, max_size=4))
+            return Cyclotomic(n, terms)
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(st.lists(element(), max_size=5))
+        def check(values):
+            _assert_same(sum_cyclotomics(values), _merge_sum(values))
+            if len(values) >= 2:
+                _assert_same(values[0] + values[1], _merge_add(values[0], values[1]))
+
+        check()
+
+
+@cache
+def _monomials(f):
+    return [Cyclotomic(f, {e: 1}) for e in range(f)]
+
+
+def _scan_root_of_unity_parts(x):
+    """The former search: every exponent e < f tried against +-zeta_f^e."""
+    f = x.order
+    if f == 1:
+        q = x.as_rational()
+        return (1, 0) if q == 1 else (-1, 0) if q == -1 else None
+    if any(c.denominator != 1 for _, c in x.items()):
+        return None
+    if x * x.conjugate() != ONE:
+        return None
+    for e, mono in enumerate(_monomials(f)):
+        if x == mono:
+            return (1, e)
+        if x == -mono:
+            return (-1, e)
+    return None
+
+
+class TestRootOfUnityAgainstScanOracle:
+    def test_every_signed_root_up_to_order_120(self):
+        values = {
+            sign * zeta(f, e)
+            for f in range(1, 121)
+            if f % 4 != 2
+            for e in range(f)
+            for sign in (1, -1)
+        }
+        for x in values:
+            parts = x._root_of_unity_parts()
+            assert parts is not None and parts == _scan_root_of_unity_parts(x), x
+
+    def test_values_that_are_not_roots_of_unity(self):
+        rng = random.Random(SEED + 23)
+        values = [
+            ZERO,
+            Cyclotomic.from_rational(2),
+            Cyclotomic.from_rational(Fraction(1, 2)),
+            zeta(5) + 1,
+            zeta(8) + zeta(8, 3),
+            2 * zeta(12),
+            Cyclotomic(20, {1: Fraction(3, 5), 3: Fraction(4, 5)}),
+        ] + [random_element(rng, rng.choice([5, 8, 12, 15, 16, 21])) for _ in range(40)]
+        for x in values:
+            assert x._root_of_unity_parts() == _scan_root_of_unity_parts(x), x
+        assert all(x._root_of_unity_parts() is None for x in values[:7])
