@@ -91,8 +91,14 @@ def _characters(S: Sequence[Sequence[Cyclotomic]]) -> list[tuple[Cyclotomic, ...
     return cols
 
 
+def _rep_characters(rep: "ModularRep") -> Sequence[tuple[Cyclotomic, ...]]:
+    """The character columns of rep.s: the ones the lift builder stored, else
+    computed from s (a rep built by hand)."""
+    return rep.characters if rep.characters is not None else _characters(rep.s)
+
+
 def _match_permutation(
-    cols: list[tuple[Cyclotomic, ...]], k: int
+    cols: Sequence[tuple[Cyclotomic, ...]], k: int
 ) -> Perm:
     index: dict[tuple[Cyclotomic, ...], int] = {}
     for a, col in enumerate(cols):
@@ -164,17 +170,16 @@ def sign_function(rep: "ModularRep", k: int) -> tuple[int, ...]:
     """eps_sigma with sigma(s_ij) = eps(i) s_{h(i) j} = eps(j) s_{i h(j)}."""
     s = rep.s
     r = len(s)
-    cols = _characters(s)
-    perm = _match_permutation(cols, k)
+    perm = _match_permutation(_rep_characters(rep), k)
     eps = []
     for i in range(r):
         j0 = next((j for j in range(r) if s[perm[i]][j]), None)
         if j0 is None:
             raise NotGaloisSymmetric(f"zero row {perm[i]} in s")
-        ratio = s[i][j0].galois(k) * s[perm[i]][j0].inverse()
-        if ratio == ONE:
+        image, target = s[i][j0].galois(k), s[perm[i]][j0]
+        if image == target:
             eps.append(1)
-        elif ratio == -ONE:
+        elif image == -target:
             eps.append(-1)
         else:
             raise NotGaloisSymmetric(f"sigma_{k}(s[{i}]) is not +-row {perm[i]}")
@@ -203,7 +208,7 @@ def galois_twist_symmetry(rep: "ModularRep") -> Verdict:
     h_sigma depends on k only modulo the conductor of the character values,
     so it is matched once per residue class, at the first k of the class.
     """
-    cols = _characters(rep.s)
+    cols = _rep_characters(rep)
     cond = lcm(*(v.conductor for col in cols for v in col))
     n = rep.level
     perms: dict[int, Perm] = {}

@@ -3,14 +3,15 @@ t-spectrum obstructions, and the static spectra database."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import _matrix as mat
 from .cyclotomic import Cyclotomic, ONE, ZERO, zeta
+from .galois import _characters
 from .modular_data import ModularDatum, Verdict, derived_scalars
 
 
@@ -24,13 +25,22 @@ class NotTabulatedError(LookupError):
 
 @dataclass(frozen=True)
 class ModularRep:
-    """A normalized pair (s, t): a genuine SL(2,Z) representation."""
+    """A normalized pair (s, t): a genuine SL(2,Z) representation.
+
+    ``characters``, when set, holds the character columns of ``s``
+    (s_ia / s_0a for each column a).  Every lift of a datum shares them, so
+    the lift builder fills them in once per datum; they take no part in
+    equality or hashing, and None means "compute them from s".
+    """
 
     rank: int
     s: mat.Matrix
     t: tuple[Cyclotomic, ...]
     level: int
     parity: str  # even | odd | neither
+    characters: Optional[tuple[tuple[Cyclotomic, ...], ...]] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def verify_relations(s: mat.Matrix, t: tuple[Cyclotomic, ...]) -> Verdict:
@@ -49,14 +59,32 @@ def _verify_with_square(
     return Verdict(True)
 
 
-def _parity_of(s2: mat.Matrix) -> str:
-    """Parity from s^2: even if s^2 = Id, odd if s^2 = -Id."""
-    r = len(s2)
-    if mat.mat_eq(s2, mat.eye(r)):
+def _identity_multiple(m: mat.Matrix) -> Optional[Cyclotomic]:
+    """c with m = c Id, or None."""
+    c = m[0][0]
+    r = len(m)
+    if all(m[i][j] == (c if i == j else ZERO) for i in range(r) for j in range(r)):
+        return c
+    return None
+
+
+def _parity(c2: Optional[Cyclotomic]) -> str:
+    """Parity from s^2 = c2 Id: even if c2 = 1, odd if c2 = -1."""
+    if c2 == ONE:
         return "even"
-    if mat.mat_eq(s2, mat.scale(mat.eye(r), -1)):
+    if c2 == -ONE:
         return "odd"
     return "neither"
+
+
+def _level(t: tuple[Cyclotomic, ...]) -> int:
+    level = 1
+    for v in t:
+        order = v.root_of_unity_order()
+        if order is None:
+            raise NotModularRepresentation(f"t entry {v} is not a root of unity")
+        level = lcm(level, order)
+    return level
 
 
 def _build_rep(s: mat.Matrix, t: tuple[Cyclotomic, ...]) -> ModularRep:
@@ -64,13 +92,44 @@ def _build_rep(s: mat.Matrix, t: tuple[Cyclotomic, ...]) -> ModularRep:
     check = _verify_with_square(s, s2, t)
     if not check:
         raise NotModularRepresentation(str(check.witness))
-    level = 1
-    for v in t:
-        order = v.root_of_unity_order()
-        if order is None:
-            raise NotModularRepresentation(f"t entry {v} is not a root of unity")
-        level = lcm(level, order)
-    return ModularRep(len(s), s, t, level, _parity_of(s2))
+    return ModularRep(len(s), s, t, _level(t), _parity(_identity_multiple(s2)))
+
+
+def _lifts(
+    datum: ModularDatum, zeta6: Cyclotomic, x_exps: Iterable[int]
+) -> tuple[ModularRep, ...]:
+    """The lifts s = lam S, t = mu T for x = zeta_12^a, a in x_exps, where
+    lam = zeta^3 / (x^3 p+) and mu = x / zeta.
+
+    The matrix algebra is done once for the datum: with S^4 = c4 Id and
+    S^2 = kappa (ST)^3, a lift has s^4 = Id iff lam^4 c4 = 1 and
+    (st)^3 = s^2 iff lam mu^3 = kappa, and s^2 = lam^2 S^2 gives the parity.
+    Only kappa = 1/p+ is tried, since lam mu^3 = 1/p+ for every x.
+    zeta6 must be a root of unity: its conjugate is its inverse.
+    """
+    S, thetas = datum.S, datum.thetas
+    s2 = mat.matmul(S, S)
+    c4 = _identity_multiple(mat.matmul(s2, s2))
+    c2 = _identity_multiple(s2)
+    p_plus_inv = derived_scalars(datum).gauss_plus.inverse()
+    st3 = mat.mat_pow(mat.scale_cols(S, thetas), 3)
+    kappa = p_plus_inv if mat.mat_eq(s2, mat.scale(st3, p_plus_inv)) else None
+    characters = tuple(_characters(S)) if all(S[0]) else None
+    zeta_inv = zeta6.conjugate()
+    lam_base = zeta6**3 * p_plus_inv
+    reps = []
+    for a in x_exps:
+        lam = lam_base * zeta(4, -a)  # x^-3 = zeta_12^(-3a)
+        mu = zeta(12, a) * zeta_inv
+        if c4 is None or lam**4 * c4 != ONE:
+            raise NotModularRepresentation("s^4 != Id")
+        if kappa is None or lam * mu**3 != kappa:
+            raise NotModularRepresentation("(st)^3 != s^2")
+        t = tuple(mu * th for th in thetas)
+        parity = _parity(None if c2 is None else lam * lam * c2)
+        s = mat.scale(S, lam)
+        reps.append(ModularRep(datum.rank, s, t, _level(t), parity, characters))
+    return tuple(reps)
 
 
 def global_dim_root(datum: ModularDatum) -> Cyclotomic:
@@ -115,24 +174,17 @@ def normalize(
         zeta6 = _anomaly_sixth_root(datum)
     elif ds.anomaly is None or zeta6**6 != ds.anomaly:
         raise NotModularRepresentation("zeta6^6 is not the anomaly")
-    zeta_cubed = zeta6**3
+    elif zeta6 * zeta6.conjugate() != ONE:
+        raise NotModularRepresentation("zeta6 is not a root of unity")
     if x_exp is None:
-        cand = ds.gauss_plus * zeta_cubed.inverse()
-        gamma = 1 if cand.complex_eval().real > 0 else -1
-        x = Cyclotomic.from_rational(gamma)
-    else:
-        x = zeta(12, x_exp)
-    s_scalar = zeta_cubed * (x**3 * ds.gauss_plus).inverse()
-    t_scalar = x * zeta6.inverse()
-    s = mat.scale(datum.S, s_scalar)
-    t = tuple(t_scalar * th for th in datum.thetas)
-    return _build_rep(s, t)
+        cand = ds.gauss_plus * zeta6.conjugate() ** 3
+        x_exp = 0 if cand.complex_eval().real > 0 else 6
+    return _lifts(datum, zeta6, (x_exp,))[0]
 
 
 @lru_cache(maxsize=None)
 def _all_lifts_cached(datum: ModularDatum) -> tuple[ModularRep, ...]:
-    zeta6 = _anomaly_sixth_root(datum)
-    return tuple(normalize(datum, x_exp=a, zeta6=zeta6) for a in range(12))
+    return _lifts(datum, _anomaly_sixth_root(datum), range(12))
 
 
 def all_lifts(datum: ModularDatum) -> list[ModularRep]:
@@ -267,10 +319,10 @@ def signed_perm_match(rep1: ModularRep, rep2: ModularRep) -> Optional[SignedPerm
             for j in range(r):
                 if not s1[i][j]:
                     continue
-                ratio = s2[perm[i]][perm[j]] * s1[i][j].inverse()
-                if ratio == ONE:
+                image = s2[perm[i]][perm[j]]
+                if image == s1[i][j]:
                     sign = 1
-                elif ratio == -ONE:
+                elif image == -s1[i][j]:
                     sign = -1
                 else:
                     return None
