@@ -10,8 +10,6 @@ from itertools import permutations, product
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .catalog import pointed_zn, rank5_catalog, su2_4_family_all, su2_odd_mod2
 from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, zeta
 from .field_theory import cauchy_prime_support
@@ -22,7 +20,13 @@ from .galois import (
     exclusion_predicates,
     galois_twist_symmetry,
 )
-from .modular_data import FusionRules, ModularDatum, check_admissible, verlinde_fusion
+from .modular_data import (
+    FusionRules,
+    ModularDatum,
+    Tensor,
+    check_admissible,
+    verlinde_fusion,
+)
 from .sl2z_reps import normalize, spectra_connectivity
 
 Perm = tuple[int, ...]
@@ -96,30 +100,32 @@ def in_rank5_cases(image: Iterable[Perm]) -> bool:
 # Grothendieck equivalence
 
 
+def _reindexed(tensor: Tensor, p: Sequence[int]) -> Tensor:
+    """The tensor X with X[i][j][k] = tensor[p[i]][p[j]][p[k]]."""
+    return tuple(tuple(tuple(tensor[a][b][c] for c in p) for b in p) for a in p)
+
+
 def grothendieck_equiv(f1: FusionRules, f2: FusionRules) -> Optional[Perm]:
     """A unit-fixing relabeling carrying one fusion tensor to the other."""
     if f1.rank != f2.rank:
         return None
     if f1.rank > 8:
         raise TooLargeError("brute-force budget is rank <= 8")
-    r = f1.rank
-    t1, t2 = f1.tensor, f2.tensor
-    for rest in permutations(range(1, r)):
-        perm = np.array((0,) + rest)
-        if np.array_equal(t2[np.ix_(perm, perm, perm)], t1):
-            return tuple(int(v) for v in perm)
+    for rest in permutations(range(1, f1.rank)):
+        perm = (0,) + rest
+        if _reindexed(f2.tensor, perm) == f1.tensor:
+            return perm
     return None
 
 
 def relabel_fusion(f: FusionRules, perm: Perm) -> FusionRules:
     """The fusion rules with label i renamed perm[i] (perm[0] = 0)."""
     r = f.rank
-    inv = np.empty(r, dtype=int)
+    inv = [0] * r
     for i, p in enumerate(perm):
         inv[p] = i
-    tensor = f.tensor[np.ix_(inv, inv, inv)].copy()
     dual = tuple(perm[f.dual[inv[i]]] for i in range(r))
-    return FusionRules(r, tensor, dual)
+    return FusionRules(r, _reindexed(f.tensor, inv), dual)
 
 
 # ---------------------------------------------------------------------------

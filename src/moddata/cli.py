@@ -53,7 +53,7 @@ def _cmd_fusion(args) -> int:
                 "schema": 1,
                 "rank": fusion.rank,
                 "dual": list(fusion.dual),
-                "tensor": fusion.tensor.tolist(),
+                "tensor": fusion.tensor,
             }
         )
     else:

@@ -4,14 +4,13 @@ admissibility checker."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, lcm
 from pathlib import Path
 from typing import Optional, Union
-
-import numpy as np
 
 from . import _matrix as mat
 from .cyclotomic import (
@@ -27,6 +26,7 @@ from .cyclotomic import (
 )
 
 PathLike = Union[str, Path]
+Tensor = tuple[tuple[tuple[int, ...], ...], ...]  # tensor[i][j][k] = N_{ij}^k
 
 
 class SchemaViolation(ValueError):
@@ -220,31 +220,20 @@ def dual_from_s(datum: ModularDatum) -> Optional[tuple[int, ...]]:
 # Verlinde fusion
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FusionRules:
     """Nonnegative-integer fusion tensor N_{ij}^k with dual involution."""
 
     rank: int
-    tensor: np.ndarray  # shape (r, r, r), tensor[i, j, k] = N_{ij}^k
-    dual: tuple[int, ...]
-
-    def __post_init__(self):
-        self.tensor.flags.writeable = False
+    tensor: Tensor
+    dual: tuple[int, ...] = field(compare=False)
 
     def n(self, i: int, j: int, k: int) -> int:
-        return int(self.tensor[i, j, k])
+        return self.tensor[i][j][k]
 
-    def matrix(self, i: int) -> np.ndarray:
+    def matrix(self, i: int) -> list[list[int]]:
         """Fusion matrix N_i with (N_i)_{kj} = N_{ij}^k."""
-        return self.tensor[i].T.copy()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FusionRules):
-            return NotImplemented
-        return self.rank == other.rank and np.array_equal(self.tensor, other.tensor)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.tensor.tobytes()))
+        return [list(col) for col in zip(*self.tensor[i])]
 
     def verify_invariants(self) -> list[str]:
         """All violated fusion-ring identities (empty when consistent)."""
@@ -253,24 +242,28 @@ class FusionRules:
         for i in range(r):
             for j in range(r):
                 for k in range(r):
-                    if N[i, j, k] != N[j, i, k]:
+                    if N[i][j][k] != N[j][i][k]:
                         bad.append(f"N[{i},{j}]^{k} != N[{j},{i}]^{k}")
-                    if N[i, j, k] != N[i, dual[k], dual[j]]:
+                    if N[i][j][k] != N[i][dual[k]][dual[j]]:
                         bad.append(f"N[{i},{j}]^{k} != N[i,k*]^(j*)")
-                    if N[i, j, k] != N[dual[i], dual[j], dual[k]]:
+                    if N[i][j][k] != N[dual[i]][dual[j]][dual[k]]:
                         bad.append(f"N[{i},{j}]^{k} != N[i*,j*]^(k*)")
-                if N[i, j, 0] != (1 if dual[i] == j else 0):
+                if N[i][j][0] != (1 if dual[i] == j else 0):
                     bad.append(f"N[{i},{j}]^0 != delta(i, j*)")
-                if N[0, i, j] != (1 if i == j else 0):
+                if N[0][i][j] != (1 if i == j else 0):
                     bad.append(f"N[0,{i}]^{j} != delta({i},{j})")
-        assoc = np.einsum("ijm,mkl->ijkl", N, N) - np.einsum("jkm,iml->ijkl", N, N)
-        if assoc.any():
-            i, j, k, l = np.argwhere(assoc)[0]
-            bad.append(f"associativity fails at ({i},{j},{k},{l})")
-        mats = [self.matrix(i) for i in range(r)]
+        # (a b) c = a (b c): sum_m N_ij^m N_mk^l = sum_m N_jk^m N_im^l
+        for i, j, k, l in product(range(r), repeat=4):
+            if sum(N[i][j][m] * N[m][k][l] - N[j][k][m] * N[i][m][l] for m in range(r)):
+                bad.append(f"associativity fails at ({i},{j},{k},{l})")
+                break
         for i in range(r):
             for j in range(i + 1, r):
-                if not np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i]):
+                # (N_i N_j)_{kl} = sum_m N_{im}^k N_{jl}^m
+                if any(
+                    sum(N[i][m][k] * N[j][l][m] - N[j][m][k] * N[i][l][m] for m in range(r))
+                    for k, l in product(range(r), repeat=2)
+                ):
                     bad.append(f"N_{i} and N_{j} do not commute")
         return bad
 
@@ -289,7 +282,7 @@ def verlinde_fusion(datum: ModularDatum) -> FusionRules:
     weights = [d.inverse() * d2_inv for d in ds.dims]
     weighted = [[v * w for v, w in zip(row, weights)] for row in datum.S]
     conj_rows = [[v.conjugate() for v in row] for row in datum.S]
-    tensor = np.zeros((r, r, r), dtype=np.int64)
+    tensor = [[[0] * r for _ in range(r)] for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
             pair = [w * v for w, v in zip(weighted[i], datum.S[j])]
@@ -297,19 +290,19 @@ def verlinde_fusion(datum: ModularDatum) -> FusionRules:
                 value = dot(zip(pair, conj_rows[k]))
                 if not value.is_integer or value.as_integer() < 0:
                     raise NotFusionIntegral(i, j, k, value)
-                tensor[i, j, k] = tensor[j, i, k] = value.as_integer()
+                tensor[i][j][k] = tensor[j][i][k] = value.as_integer()
     dual = []
     for i in range(r):
-        hits = [k for k in range(r) if tensor[i, k, 0] == 1]
+        hits = [k for k in range(r) if tensor[i][k][0] == 1]
         if len(hits) != 1 or any(
-            tensor[i, k, 0] not in (0, 1) for k in range(r)
+            tensor[i][k][0] not in (0, 1) for k in range(r)
         ):
             raise NotFusionIntegral(i, 0, 0, ZERO)
         dual.append(hits[0])
     dual = tuple(dual)
     if dual[0] != 0 or any(dual[dual[i]] != i for i in range(r)):
         raise NotFusionIntegral(0, 0, 0, ZERO)
-    return FusionRules(r, tensor, dual)
+    return FusionRules(r, tuple(tuple(map(tuple, plane)) for plane in tensor), dual)
 
 
 def _projectively_unitary(datum: ModularDatum, d2: Cyclotomic) -> bool:

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
 import pytest
 
 from moddata.classifier import (
@@ -129,8 +128,8 @@ class TestGrothendieckEquiv:
                 for j in range(5):
                     for k in range(5):
                         assert (
-                            relabeled.tensor[witness[i], witness[j], witness[k]]
-                            == fusion.tensor[i, j, k]
+                            relabeled.tensor[witness[i]][witness[j]][witness[k]]
+                            == fusion.tensor[i][j][k]
                         )
 
     def test_equivalence_relation_properties(self, su2_9, su2_4_all):
@@ -158,15 +157,15 @@ class TestGrothendieckEquiv:
             for j in range(5):
                 for k in range(5):
                     assert (
-                        f2.tensor[composed[i], composed[j], composed[k]]
-                        == f0.tensor[i, j, k]
+                        f2.tensor[composed[i]][composed[j]][composed[k]]
+                        == f0.tensor[i][j][k]
                     )
 
     def test_rank_budget(self):
-        tensor = np.zeros((9, 9, 9), dtype=np.int64)
-        for i in range(9):
-            for j in range(9):
-                tensor[i, j, (i + j) % 9] = 1
+        tensor = tuple(
+            tuple(tuple(int((i + j) % 9 == k) for k in range(9)) for j in range(9))
+            for i in range(9)
+        )
         f = FusionRules(9, tensor, tuple((-i) % 9 for i in range(9)))
         with pytest.raises(TooLargeError):
             grothendieck_equiv(f, f)

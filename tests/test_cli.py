@@ -81,6 +81,73 @@ def test_check_json_output_is_stable(capsys, data_dir, name):
     assert capsys.readouterr().out == (GOLDEN_CHECK_JSON / name).read_bytes().decode()
 
 
+GOLDEN_FUSION = Path(__file__).resolve().parent / "golden_fusion"
+FUSION_NAMES = sorted(p.stem for p in (GOLDEN_FUSION / "fusion").glob("*.out"))
+
+
+def test_every_datum_file_has_a_recorded_fusion_output(data_dir):
+    names = sorted(p.stem for p in data_dir.glob("*.json"))
+    assert FUSION_NAMES == names
+    assert sorted(p.stem for p in (GOLDEN_FUSION / "fusion_json").glob("*.json")) == names
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("name", FUSION_NAMES)
+def test_fusion_output_is_stable(capsys, data_dir, name, as_json):
+    """`moddata [--json] fusion` stdout stays byte-identical to its recording."""
+    argv = ["fusion", str(data_dir / f"{name}.json")]
+    recorded = GOLDEN_FUSION / "fusion" / f"{name}.out"
+    if as_json:
+        argv.insert(0, "--json")
+        recorded = GOLDEN_FUSION / "fusion_json" / f"{name}.json"
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == recorded.read_bytes().decode()
+
+
+# recording name -> (first file, second file, exit code); su2_9_mod2_relabelled.json
+# is su2_9_mod2.json with labels 1..4 renamed (0, 3, 1, 4, 2)
+EQUIV_CASES = {
+    "family_0_vs_7": ("su2_4_family_0.json", "su2_4_family_7.json", EXIT_OK),
+    "su2_9_vs_relabelled": (
+        "su2_9_mod2.json",
+        GOLDEN_FUSION / "su2_9_mod2_relabelled.json",
+        EXIT_OK,
+    ),
+    "pointed_z5_vs_su2_9": ("pointed_z5.json", "su2_9_mod2.json", EXIT_FAIL),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("case", sorted(EQUIV_CASES))
+def test_equiv_output_is_stable(capsys, data_dir, case, as_json):
+    """`moddata [--json] equiv` stdout and exit code match their recording."""
+    first, second, code = EQUIV_CASES[case]
+    # data_dir / an absolute path is that absolute path
+    argv = ["equiv", str(data_dir / first), str(data_dir / second)]
+    if as_json:
+        argv.insert(0, "--json")
+    assert main(argv) == code
+    suffix = ".json.out" if as_json else ".out"
+    recorded = GOLDEN_FUSION / "equiv" / f"{case}{suffix}"
+    assert capsys.readouterr().out == recorded.read_bytes().decode()
+
+
+def test_runtime_imports_no_numpy():
+    """The CLI runs a full check without importing numpy."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    datum = str(Path(__file__).resolve().parent.parent / "data" / "pointed_z5.json")
+    code = (
+        "import sys, moddata, moddata.cli\n"
+        f"assert moddata.cli.main(['check', {datum!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestFusion:
     def test_prints_five_matrices(self, capsys, su2_4_file):
         assert main(["fusion", su2_4_file]) == EXIT_OK

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from moddata.cyclotomic import Cyclotomic, ONE, zeta
@@ -25,6 +24,10 @@ def perturb_twist(datum, j, delta):
     exps = list(datum.t_exponents)
     exps[j] = (exps[j] + delta) % datum.torder
     return ModularDatum(datum.rank, datum.torder, tuple(exps), datum.S)
+
+
+def _int_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def scale_entry(datum, i, j, factor):
@@ -113,7 +116,7 @@ class TestVerlinde:
                     assert fusion.n(i, j, k) == (1 if (i + j) % 5 == k else 0)
 
     def test_same_tensor_for_all_16(self, su2_4_all):
-        tensors = {verlinde_fusion(d).tensor.tobytes() for d in su2_4_all}
+        tensors = {verlinde_fusion(d).tensor for d in su2_4_all}
         assert len(tensors) == 1
 
     def test_unit_law_on_catalog(self, catalog_rank5):
@@ -280,4 +283,4 @@ class TestDerivedScalars:
             mats = [fusion.matrix(i) for i in range(fusion.rank)]
             for a in mats:
                 for b in mats:
-                    assert np.array_equal(a @ b, b @ a)
+                    assert _int_matmul(a, b) == _int_matmul(b, a)
