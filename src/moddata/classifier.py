@@ -171,19 +171,18 @@ def vanishing_sum_check(
 
 def _rational_kernel(columns: list[Cyclotomic]) -> list[tuple[Fraction, ...]]:
     """Basis of {x in Q^m : sum x_c columns[c] = 0}, by exact elimination."""
-    from .cyclotomic import _reduce_exponents
+    from .cyclotomic import _numerators_at
 
     order = lcm(*(col.order for col in columns))
     m = len(columns)
     # only the nonzero rows, one per exponent on the power basis of Q_order
     rows: dict[int, list[Fraction]] = {}
     for c, col in enumerate(columns):
-        step = order // col.order
-        lifted = _reduce_exponents(order, {e * step: q for e, q in col.items()})
+        lifted, den = _numerators_at(col, order)
         for e, q in lifted.items():
             if e not in rows:
                 rows[e] = [Fraction(0)] * m
-            rows[e][c] = q
+            rows[e][c] = Fraction(q, den)
     pivots: list[int] = []
     piv_row = 0
     work = list(rows.values())

@@ -1,13 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Elements are stored on the power basis {zeta_n^e : 0 <= e < phi(n)} with
-Fraction coefficients, reduced modulo the n-th cyclotomic polynomial and
-then pushed down to their conductor.  As a consequence two values are equal
-iff their (order, coefficients) pairs are identical, and the stored order is
-never congruent to 2 mod 4.
+Elements are stored on the power basis {zeta_n^e : 0 <= e < phi(n)} as
+integer numerators over one positive common denominator, reduced modulo the
+n-th cyclotomic polynomial, pushed down to their conductor and divided by
+the gcd of denominator and numerators.  As a consequence two values are
+equal iff their (order, numerators, denominator) triples are identical, and
+the stored order is never congruent to 2 mod 4.  Fraction appears only at
+the boundary: construction, items(), JSON, printing, as_rational(),
+complex_eval(), inverse() and the hash of a non-integer rational.
 
-Values are immutable; the per-order polynomial/reduction caches are guarded
-by a lock so instances can be shared freely between threads.
+Values are immutable; the per-order phi/reduction tables are written
+under a lock so instances can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -103,9 +106,20 @@ def units_mod(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and power-basis reduction tables
 
+# per-order tables; a dict read is atomic, so only writes take the lock
 _poly_lock = threading.Lock()
-_phi_cache: dict[int, tuple[int, ...]] = {}
-_red_cache: dict[int, list[tuple[int, ...]]] = {}
+_phi_cache: dict[int, tuple[int, tuple[int, ...]]] = {}  # n -> _order_info(n)
+_red_cache: dict[int, list[tuple[int, ...]]] = {}  # n -> _reduction_rows(n)
+
+
+def _order_info(n: int) -> tuple[int, tuple[int, ...]]:
+    """(phi(n), the primes dividing n), factored once per order."""
+    info = _phi_cache.get(n)
+    if info is None:
+        info = (euler_phi(n), tuple(factorize(n)))
+        with _poly_lock:
+            info = _phi_cache.setdefault(n, info)
+    return info
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -136,30 +150,21 @@ def _cyclotomic_poly_squarefree(r: int) -> list[int]:
 
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, little-endian, monic of degree phi(n)."""
-    with _poly_lock:
-        cached = _phi_cache.get(n)
-        if cached is not None:
-            return cached
-        r = radical(n)
-        base = _cyclotomic_poly_squarefree(r)
-        step = n // r
-        poly = [0] * ((len(base) - 1) * step + 1)
-        for i, c in enumerate(base):
-            poly[i * step] = c
-        result = tuple(poly)
-        _phi_cache[n] = result
-        return result
+    # the first reduction row is x^phi(n) mod Phi_n = x^phi(n) - Phi_n
+    return (*(-c for c in _reduction_rows(n)[0]), 1)
 
 
 def _reduction_rows(n: int) -> list[tuple[int, ...]]:
     """Row e-phi(n) is x^e mod Phi_n for phi(n) <= e <= max(n-1, 2*phi(n)-2)."""
-    with _poly_lock:
-        cached = _red_cache.get(n)
-        if cached is not None:
-            return cached
-    phi_poly = cyclotomic_polynomial(n)
-    deg = len(phi_poly) - 1
-    top = [-c for c in phi_poly[:deg]]  # x^deg = top
+    rows = _red_cache.get(n)
+    if rows is not None:
+        return rows
+    r = radical(n)
+    base, step = _cyclotomic_poly_squarefree(r), n // r  # Phi_n(x) = Phi_r(x^step)
+    deg = (len(base) - 1) * step
+    top = [0] * deg  # x^deg = top
+    for i, c in enumerate(base[:-1]):
+        top[i * step] = -c
     rows = [tuple(top)]
     hi = max(n - 1, 2 * deg - 2)
     cur = top
@@ -172,13 +177,15 @@ def _reduction_rows(n: int) -> list[tuple[int, ...]]:
         rows.append(tuple(nxt))
         cur = nxt
     with _poly_lock:
-        _red_cache[n] = rows
-    return rows
+        return _red_cache.setdefault(n, rows)
 
 
 def _within_cap(n: int) -> bool:
     # phi(n) >= sqrt(n/2), so a larger n is refused without factoring it
-    return n <= 2 * _order_cap**2 and euler_phi(n) <= _order_cap
+    if n > 2 * _order_cap**2:
+        return False
+    info = _phi_cache.get(n)
+    return (euler_phi(n) if info is None else info[0]) <= _order_cap
 
 
 def _check_order(n: int) -> None:
@@ -192,7 +199,7 @@ def _reduce_exponents(n: int, raw: Mapping[int, RationalLike]) -> dict[int, Rati
     """Fold exponents mod n, then mod Phi_n, dropping zero coefficients.
 
     Integer coefficients stay integers, Fraction ones stay Fractions."""
-    deg = euler_phi(n)
+    deg = _order_info(n)[0]
     out: dict[int, RationalLike] = {}
     high: dict[int, RationalLike] = {}
     for e, c in raw.items():
@@ -239,27 +246,26 @@ def _descend(n: int, p: int, nums: dict[int, int]) -> Optional[tuple[dict[int, i
     return sub, p - 1
 
 
-def _integral(coeffs: Mapping[int, Fraction], step: int = 1) -> tuple[dict[int, int], int]:
-    """(numerators, common denominator) of coeffs, exponents scaled by step."""
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    return {e * step: c.numerator * (den // c.denominator) for e, c in coeffs.items()}, den
-
-
-def _canonical(n: int, nums: dict[int, int], den: int) -> tuple[int, dict[int, Fraction]]:
-    """Conductor and coefficients of sum(nums[e] * zeta_n^e) / den."""
+def _canonical(n: int, nums: dict[int, int], den: int) -> tuple[int, dict[int, int], int]:
+    """(conductor, numerators, denominator) of sum(nums[e] * zeta_n^e) / den,
+    with the denominator positive and coprime to the numerators."""
     nums = _reduce_exponents(n, nums)
     if not set(nums) - {0}:
         n = 1  # zero or rational
     changed = True
     while changed and n > 1:
         changed = False
-        for p in factorize(n):
+        for p in _order_info(n)[1]:
             step = _descend(n, p, nums)
             if step is not None:
                 (nums, k), n, changed = step, n // p, True
                 den *= k
                 break
-    return n, {e: Fraction(c, den) for e, c in nums.items()}
+    g = gcd(den, *nums.values())
+    if g > 1:
+        den //= g
+        nums = {e: c // g for e, c in nums.items()}
+    return n, nums, den
 
 
 # ---------------------------------------------------------------------------
@@ -269,25 +275,30 @@ def _canonical(n: int, nums: dict[int, int], den: int) -> tuple[int, dict[int, F
 class Cyclotomic:
     """An exact element of some Q(zeta_n), always in canonical reduced form."""
 
-    __slots__ = ("order", "_coeffs", "_hash")
+    __slots__ = ("order", "_nums", "_den", "_hash")
 
     order: int
-    _coeffs: dict[int, Fraction]
+    _nums: dict[int, int]
+    _den: int
 
     def __init__(self, order: int, coeffs: Mapping[int, RationalLike]):
         _check_order(order)
         raw = {int(e): Fraction(c) for e, c in coeffs.items()}
-        order, reduced = _canonical(order, *_integral(raw))
+        den = lcm(*(c.denominator for c in raw.values()))
+        nums = {e: c.numerator * (den // c.denominator) for e, c in raw.items()}
+        order, nums, den = _canonical(order, nums, den)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_coeffs", reduced)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _raw(cls, order: int, coeffs: dict[int, Fraction]) -> "Cyclotomic":
-        """A value from coefficients already in canonical form (unchecked)."""
+    def _raw(cls, order: int, nums: dict[int, int], den: int) -> "Cyclotomic":
+        """A value from a triple already in canonical form (unchecked)."""
         out = object.__new__(cls)
         object.__setattr__(out, "order", order)
-        object.__setattr__(out, "_coeffs", coeffs)
+        object.__setattr__(out, "_nums", nums)
+        object.__setattr__(out, "_den", den)
         object.__setattr__(out, "_hash", None)
         return out
 
@@ -312,7 +323,7 @@ class Cyclotomic:
 
     def items(self) -> Iterable[tuple[int, Fraction]]:
         """Canonical (exponent, coefficient) pairs, exponent-sorted."""
-        return sorted(self._coeffs.items())
+        return sorted((e, Fraction(c, self._den)) for e, c in self._nums.items())
 
     @property
     def conductor(self) -> int:
@@ -320,19 +331,32 @@ class Cyclotomic:
         return self.order
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Cyclotomic):
+            return (
+                self.order == other.order
+                and self._den == other._den
+                and self._nums == other._nums
+            )
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other)
-        elif not isinstance(other, Cyclotomic):
-            return NotImplemented
-        return self.order == other.order and self._coeffs == other._coeffs
+            return (
+                self.order == 1
+                and self._den == other.denominator
+                and self._nums.get(0, 0) == other.numerator
+            )
+        return NotImplemented
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.order, frozenset(self._coeffs.items())))
+            if self.order != 1:
+                h = hash((self.order, self._den, frozenset(self._nums.items())))
+            elif self._den == 1:
+                h = hash(self._nums.get(0, 0))
+            else:  # equal to a Fraction, so it must hash like one
+                h = hash(Fraction(self._nums[0], self._den))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -340,7 +364,7 @@ class Cyclotomic:
         return f"Cyclotomic({self.order}, {dict(self.items())!r})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._nums:
             return "0"
         parts = []
         for e, c in self.items():
@@ -367,7 +391,7 @@ class Cyclotomic:
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic._raw(self.order, {e: -c for e, c in self._coeffs.items()})
+        return Cyclotomic._raw(self.order, {e: -c for e, c in self._nums.items()}, self._den)
 
     def __sub__(self, other: Scalar) -> "Cyclotomic":
         return self + (-Cyclotomic._coerce(other))
@@ -382,14 +406,13 @@ class Cyclotomic:
 
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse; raises ZeroDivisionError on 0."""
-        if not self._coeffs:
+        if not self._nums:
             raise ZeroDivisionError("division by zero cyclotomic")
-        n = self.order
-        deg = euler_phi(n)
-        if deg == 1 or set(self._coeffs) == {0}:
-            return Cyclotomic.from_rational(1 / self._coeffs[0])
+        n, den = self.order, self._den
+        if n == 1:
+            return Cyclotomic.from_rational(Fraction(den, self._nums[0]))
         # extended Euclid of f and Phi_n over Q[x]: u*f + v*Phi = 1
-        f = [self._coeffs.get(e, Fraction(0)) for e in range(deg)]
+        f = [Fraction(self._nums.get(e, 0), den) for e in range(_order_info(n)[0])]
         g = [Fraction(c) for c in cyclotomic_polynomial(n)]
         r0, r1 = g, f
         u0, u1 = [Fraction(0)], [Fraction(1)]
@@ -431,11 +454,12 @@ class Cyclotomic:
         k %= n
         if gcd(k, n) != 1:
             raise NotAUnitError(f"{k} is not a unit modulo {n}")
-        if k == 1:
+        if k == 1 or n == 1:
             return self
-        # every subfield Q_m is Galois-stable, so the image keeps the conductor n
-        image = _reduce_exponents(n, {(k * e) % n: c for e, c in self._coeffs.items()})
-        return Cyclotomic._raw(n, image)
+        # every subfield Q_m is Galois-stable, so the image keeps the conductor
+        # n; sigma_k permutes Z[zeta_n], so the numerators keep their gcd
+        image = _reduce_exponents(n, {(k * e) % n: c for e, c in self._nums.items()})
+        return Cyclotomic._raw(n, image, self._den)
 
     def conjugate(self) -> "Cyclotomic":
         return self.galois(-1)
@@ -444,7 +468,7 @@ class Cyclotomic:
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     @property
     def is_rational(self) -> bool:
@@ -453,11 +477,11 @@ class Cyclotomic:
     def as_rational(self) -> Fraction:
         if self.order != 1:
             raise ValueError(f"{self} is not rational")
-        return self._coeffs.get(0, Fraction(0))
+        return Fraction(self._nums.get(0, 0), self._den)
 
     @property
     def is_integer(self) -> bool:
-        return self.order == 1 and self._coeffs.get(0, Fraction(0)).denominator == 1
+        return self.order == 1 and self._den == 1
 
     def as_integer(self) -> int:
         q = self.as_rational()
@@ -472,7 +496,7 @@ class Cyclotomic:
     @property
     def is_algebraic_integer(self) -> bool:
         # valid test: the power basis is a Z-basis of the ring of integers
-        return all(c.denominator == 1 for c in self._coeffs.values())
+        return self._den == 1
 
     def root_of_unity_log(self) -> Optional[tuple[int, int]]:
         """(m, j) with self == zeta_m^j and gcd(j, m) == 1, if a root of unity.
@@ -500,23 +524,23 @@ class Cyclotomic:
 
     def _root_of_unity_parts(self) -> Optional[tuple[int, int]]:
         """(sign, e) with self == sign * zeta_order^e, if a root of unity."""
-        f = self.order
+        if self._den != 1:
+            return None
+        f, nums = self.order, self._nums
         if f == 1:
-            q = self._coeffs.get(0, Fraction(0))
+            q = nums.get(0, 0)
             if q == 1:
                 return (1, 0)
             if q == -1:
                 return (-1, 0)
             return None
-        if any(c.denominator != 1 for c in self._coeffs.values()):
-            return None
         if self * self.conjugate() != ONE:
             return None
         # for a non-unit e, +-zeta_f^e lies in a proper subfield of Q_f
-        negated = {e: -c for e, c in self._coeffs.items()}
+        negated = {e: -c for e, c in nums.items()}
         for e in units_mod(f):
             mono = _reduce_exponents(f, {e: 1})
-            if self._coeffs == mono:
+            if nums == mono:
                 return (1, e)
             if negated == mono:
                 return (-1, e)
@@ -533,7 +557,8 @@ class Cyclotomic:
             raise ValueError(f"digits must be in 1..{EVAL_DIGIT_CAP}")
         with mpmath.workdps(digits + 15):
             total = mpmath.mpc(0)
-            for e, c in self._coeffs.items():
+            for e, num in self._nums.items():
+                c = Fraction(num, self._den)
                 total += mpmath.mpf(c.numerator) / c.denominator * mpmath.expjpi(
                     mpmath.mpf(2 * e) / self.order
                 )
@@ -614,7 +639,7 @@ def dot(pairs: Iterable[tuple[Scalar, Scalar]]) -> Cyclotomic:
     terms = []
     for a, b in pairs:
         a, b = Cyclotomic._coerce(a), Cyclotomic._coerce(b)
-        if a._coeffs and b._coeffs:
+        if a._nums and b._nums:
             terms.append((a, b))
     if not terms:
         return ZERO
@@ -623,17 +648,14 @@ def dot(pairs: Iterable[tuple[Scalar, Scalar]]) -> Cyclotomic:
         # the products may still lie in smaller fields
         return sum_cyclotomics(dot([pair]) for pair in terms)
     _check_order(n)
-    scaled = [
-        (_integral(a._coeffs, n // a.order), _integral(b._coeffs, n // b.order))
-        for a, b in terms
-    ]
-    den = lcm(*(da * db for (_, da), (_, db) in scaled))
+    den = lcm(*(a._den * b._den for a, b in terms))
     prod: dict[int, int] = {}
-    for (left, da), (right, db) in scaled:
-        f = den // (da * db)
-        for e1, c1 in left.items():
-            c1 *= f
-            for e2, c2 in right.items():
+    for a, b in terms:
+        f, sa, sb = den // (a._den * b._den), n // a.order, n // b.order
+        right = b._nums.items() if sb == 1 else [(e * sb, c) for e, c in b._nums.items()]
+        for e1, c1 in a._nums.items():
+            e1, c1 = e1 * sa, c1 * f
+            for e2, c2 in right:
                 e = e1 + e2
                 prod[e] = prod.get(e, 0) + c1 * c2
     return Cyclotomic._raw(*_canonical(n, prod, den))
@@ -645,23 +667,28 @@ def _twisted_sum(
     """sum(x * zeta_n^(shift * s) for s, x in terms): every x is re-expressed
     at the lcm order, the root of unity becomes an exponent shift there, and
     the sum is canonicalized once."""
-    terms = [(s, x) for s, x in terms if x._coeffs]
+    terms = [(s, x) for s, x in terms if x._nums]
     if not terms:
         return ZERO
     if len(terms) == 1 and terms[0][0] * shift % n == 0:
         return terms[0][1]
     m = lcm(n, *(x.order for _, x in terms))
     _check_order(m)
-    scaled = [(_integral(x._coeffs, m // x.order), s) for s, x in terms]
-    den = lcm(*(d for (_, d), _ in scaled))
+    den = lcm(*(x._den for _, x in terms))
     step = shift * (m // n)
     nums: dict[int, int] = {}
-    for (part, d), s in scaled:
-        f, offset = den // d, s * step
-        for e, c in part.items():
-            e += offset
+    for s, x in terms:
+        f, scale, offset = den // x._den, m // x.order, s * step
+        for e, c in x._nums.items():
+            e = e * scale + offset
             nums[e] = nums.get(e, 0) + c * f
     return Cyclotomic._raw(*_canonical(m, nums, den))
+
+
+def _numerators_at(x: Cyclotomic, n: int) -> tuple[dict[int, int], int]:
+    """(numerators on the power basis of Q_n, denominator) of x, for x.order | n."""
+    step = n // x.order
+    return _reduce_exponents(n, {e * step: c for e, c in x._nums.items()}), x._den
 
 
 def zeta(n: int, e: int = 1) -> Cyclotomic:

@@ -207,10 +207,16 @@ def galois_twist_symmetry(rep: "ModularRep") -> Verdict:
 
     h_sigma depends on k only modulo the conductor of the character values,
     so it is matched once per residue class, at the first k of the class.
+    When every t_i is a root of unity zeta_m^j with m | n, the image
+    sigma_k^2(t_i) = zeta_m^(j k^2) is compared with t_h(i) by its log;
+    otherwise (a rep built by hand) by the Galois image itself.
     """
     cols = _rep_characters(rep)
     cond = lcm(*(v.conductor for col in cols for v in col))
     n = rep.level
+    logs = [t.root_of_unity_log() for t in rep.t]
+    if any(log is None or n % log[0] for log in logs):
+        logs = None
     perms: dict[int, Perm] = {}
     for k in units_mod(n):
         perm = perms.get(k % cond)
@@ -218,7 +224,12 @@ def galois_twist_symmetry(rep: "ModularRep") -> Verdict:
             perm = perms[k % cond] = _match_permutation(cols, k)
         k_squared = k * k % n
         for i, t in enumerate(rep.t):
-            if t.galois(k_squared) != rep.t[perm[i]]:
+            if logs is None:
+                same = t.galois(k_squared) == rep.t[perm[i]]
+            else:
+                m, j = logs[i]
+                same = (m, j * k_squared % m) == logs[perm[i]]
+            if not same:
                 return Verdict(False, (k, i), "sigma^2(t_i) != t_{h(i)}")
     return Verdict(True)
 

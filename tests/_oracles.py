@@ -8,11 +8,30 @@ The numpy_* functions are the fusion-tensor kernels as they stood when the
 tensor was a numpy int64 array (einsum associativity, matrix-product
 commutativity, np.ix_ relabelling). They oracle the pure-int kernels and
 skip the calling test when numpy is not installed.
+
+The fraction_* functions are the cyclotomic core as it stood when a value
+stored a dict of Fraction coefficients: every product and sum rebuilt
+integer numerators with fraction_integral and canonicalized back to
+Fractions. A value there is an (order, {exponent: Fraction}) pair. They
+share the exponent reduction and the descent step with the package, so
+they oracle the integer-numerator representation, not the descent.
 """
 
+from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
 
 import pytest
+
+from moddata.cyclotomic import (
+    Cyclotomic,
+    NotAUnitError,
+    _check_order,
+    _descend,
+    _reduce_exponents,
+    _within_cap,
+    factorize,
+)
 
 PRINTED_TABLE_PI_FRACTIONS = {
     (2, "even", 2): [[0.0, 1.0]],
@@ -160,3 +179,112 @@ def numpy_relabel_fusion(fusion, perm):
     tensor = np.array(fusion.tensor, dtype=np.int64)[np.ix_(inv, inv, inv)]
     dual = tuple(perm[fusion.dual[inv[i]]] for i in range(r))
     return tensor.tolist(), dual
+
+
+def fraction_value(x: Cyclotomic):
+    """The (order, Fraction coefficients) pair of a Cyclotomic."""
+    return x.order, dict(x.items())
+
+
+def fraction_integral(coeffs, step=1):
+    """(numerators, common denominator) of coeffs, exponents scaled by step."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return {e * step: c.numerator * (den // c.denominator) for e, c in coeffs.items()}, den
+
+
+def fraction_canonical(n, nums, den):
+    """Conductor and coefficients of sum(nums[e] * zeta_n^e) / den."""
+    nums = _reduce_exponents(n, nums)
+    if not set(nums) - {0}:
+        n = 1  # zero or rational
+    changed = True
+    while changed and n > 1:
+        changed = False
+        for p in factorize(n):
+            step = _descend(n, p, nums)
+            if step is not None:
+                (nums, k), n, changed = step, n // p, True
+                den *= k
+                break
+    return n, {e: Fraction(c, den) for e, c in nums.items()}
+
+
+def fraction_dot(pairs):
+    """sum(a * b for a, b in pairs) for pairs of (order, coeffs) values."""
+    terms = [(a, b) for a, b in pairs if a[1] and b[1]]
+    if not terms:
+        return 1, {}
+    n = lcm(*(v[0] for pair in terms for v in pair))
+    if len(terms) > 1 and not _within_cap(n):
+        return fraction_twisted_sum(1, [(0, fraction_dot([pair])) for pair in terms], 0)
+    _check_order(n)
+    scaled = [
+        (fraction_integral(a[1], n // a[0]), fraction_integral(b[1], n // b[0]))
+        for a, b in terms
+    ]
+    den = lcm(*(da * db for (_, da), (_, db) in scaled))
+    prod = {}
+    for (left, da), (right, db) in scaled:
+        f = den // (da * db)
+        for e1, c1 in left.items():
+            c1 *= f
+            for e2, c2 in right.items():
+                e = e1 + e2
+                prod[e] = prod.get(e, 0) + c1 * c2
+    return fraction_canonical(n, prod, den)
+
+
+def fraction_twisted_sum(n, terms, shift):
+    """sum(x * zeta_n^(shift * s) for s, x in terms), x an (order, coeffs) value."""
+    terms = [(s, x) for s, x in terms if x[1]]
+    if not terms:
+        return 1, {}
+    if len(terms) == 1 and terms[0][0] * shift % n == 0:
+        return terms[0][1]
+    m = lcm(n, *(x[0] for _, x in terms))
+    _check_order(m)
+    scaled = [(fraction_integral(x[1], m // x[0]), s) for s, x in terms]
+    den = lcm(*(d for (_, d), _ in scaled))
+    step = shift * (m // n)
+    nums = {}
+    for (part, d), s in scaled:
+        f, offset = den // d, s * step
+        for e, c in part.items():
+            e += offset
+            nums[e] = nums.get(e, 0) + c * f
+    return fraction_canonical(m, nums, den)
+
+
+def fraction_galois(x, k):
+    """sigma_k of an (order, coeffs) value."""
+    n, coeffs = x
+    k %= n
+    if gcd(k, n) != 1:
+        raise NotAUnitError(f"{k} is not a unit modulo {n}")
+    if k == 1:
+        return x
+    return n, _reduce_exponents(n, {(k * e) % n: c for e, c in coeffs.items()})
+
+
+def fraction_str(x):
+    """Cyclotomic.__str__ of an (order, coeffs) value."""
+    order, coeffs = x
+    if not coeffs:
+        return "0"
+    parts = []
+    for e, c in sorted(coeffs.items()):
+        if e == 0:
+            parts.append(str(c))
+        else:
+            z = f"z{order}" if e == 1 else f"z{order}^{e}"
+            parts.append(z if c == 1 else f"-{z}" if c == -1 else f"{c}*{z}")
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+def fraction_json(x):
+    """Cyclotomic.to_json of an (order, coeffs) value."""
+    order, coeffs = x
+    return {"order": order, "coeffs": {str(e): str(c) for e, c in sorted(coeffs.items())}}

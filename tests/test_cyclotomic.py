@@ -28,7 +28,16 @@ from moddata.cyclotomic import (
     units_mod,
     zeta,
 )
-from moddata.cyclotomic import _descend, _integral, _reduce_exponents
+from moddata import cyclotomic as cy
+from moddata.cyclotomic import _descend, _order_info, _reduce_exponents, _twisted_sum
+from _oracles import (
+    fraction_dot,
+    fraction_galois,
+    fraction_json,
+    fraction_str,
+    fraction_twisted_sum,
+    fraction_value,
+)
 
 SEED = 20240601
 
@@ -317,11 +326,12 @@ class TestDescent:
             inside = random_element(rng, m) + zeta(m)
             outside = zeta(n) + inside
             assert outside.order == n
-            assert _descend(n, p, _integral(dict(outside.items()))[0]) is None
+            assert _descend(n, p, outside._nums) is None
             # the same element of Q_m, written at order n, descends to it
-            nums, den = _integral(dict(inside.items()), n // inside.order)
+            step = n // inside.order
+            nums = {e * step: c for e, c in inside._nums.items()}
             sub, k = _descend(n, p, _reduce_exponents(n, nums))
-            assert Cyclotomic(m, {j: Fraction(c, den * k) for j, c in sub.items()}) == inside
+            assert Cyclotomic(m, {j: Fraction(c, inside._den * k) for j, c in sub.items()}) == inside
 
     def test_large_order_2_mod_4(self):
         # zeta_2310^e = (-1)^e zeta_1155^(578e); phi(2310) = 480
@@ -332,8 +342,6 @@ class TestDescent:
         assert x.order == 1155
 
     def test_threads_share_the_reduction_caches(self):
-        from moddata import cyclotomic as cy
-
         rng = random.Random(SEED + 11)
         jobs = [
             (n, {rng.randrange(n): Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(5)})
@@ -359,6 +367,12 @@ class TestDescent:
             sys.setswitchinterval(interval)
         assert all(r == results[0] for r in results)
         assert results[0] == [Cyclotomic(n, c).to_json() for n, c in jobs]
+        # the per-order entries the threads wrote agree with a fresh factoring
+        assert {n for n, _ in jobs} <= set(cy._phi_cache)
+        for n, info in list(cy._phi_cache.items()):
+            assert info == (euler_phi(n), tuple(factorize(n)))
+        for n, rows in list(cy._red_cache.items()):
+            assert len(rows[0]) == euler_phi(n)
 
 
 def _schoolbook_product(a, b):
@@ -618,3 +632,214 @@ class TestRootOfUnityAgainstScanOracle:
         for x in values:
             assert x._root_of_unity_parts() == _scan_root_of_unity_parts(x), x
         assert all(x._root_of_unity_parts() is None for x in values[:7])
+
+
+def _sieve_phi_and_primes(limit):
+    """phi(n) and the ascending primes of n for n <= limit, by a sieve."""
+    phi = list(range(limit + 1))
+    primes = [[] for _ in range(limit + 1)]
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # untouched so far: p is prime
+            for m in range(p, limit + 1, p):
+                phi[m] -= phi[m] // p
+                primes[m].append(p)
+    return phi, primes
+
+
+class TestOrderTables:
+    def test_phi_and_primes_up_to_5000(self):
+        phi, primes = _sieve_phi_and_primes(5000)
+        saved = dict(cy._phi_cache)
+        try:
+            for n in range(1, 5001):
+                info = _order_info(n)
+                assert info == (phi[n], tuple(primes[n])), n
+                assert info == (euler_phi(n), tuple(factorize(n)))
+                assert _order_info(n) is info  # factored once per order
+        finally:
+            with cy._poly_lock:
+                cy._phi_cache.clear()
+                cy._phi_cache.update(saved)
+
+    def test_polynomials_from_the_reduction_rows(self):
+        # prod_{d | n} Phi_d(x) = x^n - 1
+        for n in range(1, 61):
+            prod = [1]
+            for d in divisors(n):
+                phi_d = cyclotomic_polynomial(d)
+                out = [0] * (len(prod) + len(phi_d) - 1)
+                for i, a in enumerate(prod):
+                    for j, b in enumerate(phi_d):
+                        out[i + j] += a * b
+                prod = out
+            assert prod == [-1] + [0] * (n - 1) + [1], n
+
+
+def _assert_matches_oracle(got, expected):
+    """got: a value or exception type from the integer core; expected: the
+    (order, coeffs) pair or exception type from the Fraction-dict oracle."""
+    if isinstance(expected, type):
+        assert got is expected
+        return
+    order, coeffs = expected
+    assert not isinstance(got, type), got
+    assert got.order == order and dict(got.items()) == coeffs
+    assert got._den > 0 and gcd(got._den, *got._nums.values()) == 1
+    rebuilt = Cyclotomic(order, coeffs)
+    assert got == rebuilt and hash(got) == hash(rebuilt)
+    assert str(got) == fraction_str(expected)
+    assert got.to_json() == fraction_json(expected)
+
+
+def _check_core_against_oracle(values, n, shift, ks):
+    """dot, _twisted_sum and galois on values against the Fraction-dict core."""
+    pairs = list(zip(values, reversed(values)))
+    fpairs = [(fraction_value(a), fraction_value(b)) for a, b in pairs]
+    _assert_matches_oracle(_outcome(dot, pairs), _outcome(fraction_dot, fpairs))
+    terms = list(enumerate(values))
+    fterms = [(s, fraction_value(x)) for s, x in terms]
+    _assert_matches_oracle(
+        _outcome(_twisted_sum, n, terms, shift),
+        _outcome(fraction_twisted_sum, n, fterms, shift),
+    )
+    for x in values:
+        for k in ks:
+            _assert_matches_oracle(
+                _outcome(x.galois, k), _outcome(fraction_galois, fraction_value(x), k)
+            )
+
+
+ORACLE_ORDERS = [1, 3, 4, 5, 7, 8, 9, 12, 15, 20, 24]
+
+
+class TestIntegerCoreAgainstFractionOracle:
+    def test_fixed_cases(self):
+        r2 = zeta(8) + zeta(8, -1)
+        values = [
+            ZERO,
+            ONE,
+            Cyclotomic.from_rational(Fraction(-1, 3)),
+            zeta(5),
+            r2,
+            Cyclotomic(12, {0: Fraction(1, 2), 1: -2, 3: Fraction(7, 3)}),
+            Cyclotomic(20, {1: Fraction(3, 5), 3: Fraction(4, 5)}),
+            Cyclotomic(9, {1: Fraction(1, 6), 2: Fraction(1, 6), 4: Fraction(5, 6)}),
+            Cyclotomic(24, {5: Fraction(-6, 7)}),
+        ]
+        for i in range(len(values)):
+            for n, shift in ((1, 0), (3, 1), (8, 3), (12, 5)):
+                _check_core_against_oracle(values[i:] + values[:i], n, shift, (1, 2, 5, 7, -1))
+        _check_core_against_oracle([r2, r2], 1, 0, (3,))
+        _check_core_against_oracle([zeta(3), zeta(3, 2)], 3, 1, (2,))
+
+    def test_random_cases(self):
+        rng = random.Random(SEED + 29)
+        for _ in range(120):
+            values = [
+                random_element(rng, rng.choice(ORACLE_ORDERS), terms=rng.randint(0, 4))
+                for _ in range(rng.randint(1, 4))
+            ]
+            n = rng.choice(ORACLE_ORDERS)
+            ks = [rng.randrange(1, 60) for _ in range(3)]
+            _check_core_against_oracle(values, n, rng.randrange(n), ks)
+
+    def test_past_the_order_cap(self):
+        rng = random.Random(SEED + 31)
+        cap = get_order_cap()
+        try:
+            set_order_cap(8)
+            for _ in range(80):
+                values = [
+                    random_element(rng, rng.choice([1, 3, 4, 5, 7, 8, 9, 12]), terms=2)
+                    for _ in range(rng.randint(1, 3))
+                ]
+                _check_core_against_oracle(values, rng.choice([1, 5, 7]), 1, (2, 3))
+            # the lcm order 35 is over the cap; each product is rational
+            _check_core_against_oracle([zeta(5), zeta(7), zeta(7, 6), zeta(5, 4)], 1, 0, ())
+            with pytest.raises(InvalidOrderError):
+                _twisted_sum(1, [(0, zeta(5)), (0, zeta(7))], 0)
+        finally:
+            set_order_cap(cap)
+
+    def test_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+        @st.composite
+        def element(draw):
+            n = draw(st.sampled_from(ORACLE_ORDERS))
+            terms = draw(st.dictionaries(st.integers(0, n - 1), coeff, max_size=4))
+            return Cyclotomic(n, terms)
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(
+            st.lists(element(), min_size=1, max_size=4),
+            st.sampled_from(ORACLE_ORDERS),
+            st.integers(0, 23),
+            st.integers(1, 59),
+        )
+        def check(values, n, shift, k):
+            _check_core_against_oracle(values, n, shift, (k,))
+
+        check()
+
+
+class TestHashEqContract:
+    def test_dict_lookup_with_int_and_fraction_keys(self):
+        table = {3: "three", Fraction(1, 2): "half", 0: "zero"}
+        assert table.get(Cyclotomic(1, {0: 3})) == "three"
+        assert table.get(Cyclotomic(12, {0: Fraction(2, 4)})) == "half"
+        assert table.get(Cyclotomic(5, {0: 1, 1: 1, 2: 1, 3: 1, 4: 1})) == "zero"
+        back = {Cyclotomic(1, {0: 3}): "three", Cyclotomic.from_rational(Fraction(1, 2)): "half"}
+        assert back.get(3) == "three" and back.get(Fraction(1, 2)) == "half"
+        assert back.get(Fraction(6, 2)) == "three"
+
+    def test_rationals_hash_like_their_fraction(self):
+        assert hash(ONE) == hash(1) and hash(ZERO) == hash(0) and hash(-ONE) == hash(-1)
+        for q in (Fraction(-7, 3), Fraction(1, 2), Fraction(10**20, 3), Fraction(5)):
+            x = Cyclotomic.from_rational(q)
+            assert x == q and hash(x) == hash(q)
+            assert x != q + 1 and not (x == zeta(3))
+
+    def test_one_value_at_several_orders(self):
+        rng = random.Random(SEED + 37)
+        for _ in range(40):
+            x = random_element(rng, rng.choice([1, 3, 4, 5, 8, 12]))
+            for mult in (2, 3, 4, 6, 10):
+                n = x.order * mult
+                y = Cyclotomic(n, {e * mult: c for e, c in x.items()})
+                assert y == x and hash(y) == hash(x)
+
+
+class _CountingFraction(Fraction):
+    made = 0
+
+    def __new__(cls, *args, **kwargs):
+        _CountingFraction.made += 1
+        return super().__new__(cls, *args, **kwargs)
+
+
+class TestFractionFreeHotPath:
+    def test_hot_operations_build_no_fraction(self, monkeypatch):
+        # order-1 values with a denominator hash through Fraction by contract,
+        # so the rationals here are integers
+        rng = random.Random(SEED + 41)
+        values = [random_element(rng, rng.choice([3, 5, 8, 12, 15, 20])) for _ in range(12)]
+        values += [Cyclotomic(20, {1: Fraction(3, 5), 3: Fraction(4, 5)}), ONE, -ONE, ZERO]
+        values += [zeta(24, 5), -zeta(15, 2)]
+        three = Cyclotomic.from_rational(3)
+        monkeypatch.setattr(cy, "Fraction", _CountingFraction)
+        _CountingFraction.made = 0
+        for a, b in zip(values, values[1:] + values[:1]):
+            dot([(a, b), (b, a), (a, a)])
+            _twisted_sum(24, [(1, a), (5, b)], 7)
+            assert a + b == b + a and a * b == b * a
+            assert (a == b) == (a - b == ZERO)
+            assert a.galois(-1).galois(-1) == a and a.galois(13).galois(37) == a
+            assert {a: 1}.get(a.galois(-1).galois(-1)) == 1
+            assert bool(-a) == bool(a) and a.is_algebraic_integer in (True, False)
+            a.root_of_unity_log()
+            assert (a == 3) == (a == three) and (three == 3)
+        assert _CountingFraction.made == 0

@@ -1,7 +1,7 @@
 """Verdicts shared along Galois orbits: the vanishing-sum scan runs its kernel
 once per orbit of root pairs, and the twist-symmetry check matches h_sigma
-once per residue of k.  Both are compared with the term-by-term loops they
-replace, kept here as oracles."""
+once per residue of k and compares the twists by their logs.  Both are
+compared with the term-by-term loops they replace, kept here as oracles."""
 
 from dataclasses import replace
 from math import gcd, lcm
@@ -11,7 +11,7 @@ import pytest
 from moddata import classifier
 from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.classifier import _all_nonzero_solution_exists, vanishing_sum_scan
-from moddata.cyclotomic import ONE, units_mod, zeta
+from moddata.cyclotomic import ONE, Cyclotomic, units_mod, zeta
 from moddata.galois import _characters, _match_permutation, galois_twist_symmetry
 from moddata.modular_data import Verdict
 from moddata.sl2z_reps import all_lifts
@@ -101,6 +101,14 @@ def test_scan_matches_oracle_with_hits(monkeypatch, max_order, fake_name):
     assert sorted(calls) == sorted(orbits)
 
 
+def outcome(f, rep):
+    """The verdict, or the type of the exception raised."""
+    try:
+        return f(rep)
+    except Exception as exc:  # compared by type with the oracle's
+        return type(exc)
+
+
 def oracle_twist_symmetry(rep):
     """One permutation match and two Galois images per unit mod the level."""
     cols = _characters(rep.s)
@@ -145,3 +153,46 @@ def test_twist_symmetry_witness_on_perturbed_twists(build):
                 if not verdict.ok:
                     failures.add(verdict.witness)
     assert len(failures) > 1
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: su2_odd_mod2(3), lambda: pointed_zn(5)],
+    ids=["su2_odd_mod2(3)", "pointed_zn(5)"],
+)
+def test_twist_symmetry_compares_logs_not_galois_images(build, monkeypatch):
+    # besides the log's conjugate (k = -1), no Galois image of a twist is taken
+    calls = []
+    galois = Cyclotomic.galois
+
+    def spy(self, k):
+        calls.append((self, k))
+        return galois(self, k)
+
+    for rep in all_lifts(build())[:4]:
+        calls.clear()
+        monkeypatch.setattr(Cyclotomic, "galois", spy)
+        verdict = galois_twist_symmetry(rep)
+        monkeypatch.setattr(Cyclotomic, "galois", galois)
+        assert verdict == oracle_twist_symmetry(rep)
+        twists = {id(t) for t in rep.t}
+        assert all(k == -1 for x, k in calls if id(x) in twists)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: su2_odd_mod2(3), lambda: pointed_zn(5), lambda: pointed_zn(1)],
+    ids=["su2_odd_mod2(3)", "pointed_zn(5)", "pointed_zn(1)"],
+)
+def test_twist_symmetry_by_galois_images_on_hand_built_twists(build):
+    # a twist that is not a root of unity takes the Galois-image path, and a
+    # level that is a multiple of the twists' orders keeps the log path
+    for rep in all_lifts(build())[:3]:
+        for factor in (2, 3):
+            wider = replace(rep, level=factor * rep.level)
+            assert outcome(galois_twist_symmetry, wider) == outcome(oracle_twist_symmetry, wider)
+        for i in range(rep.rank):
+            # each bent twist stays in the field of the level
+            for bend in (lambda t: t * 2, lambda t: t + ONE, lambda t: t * t + t):
+                t = list(rep.t)
+                t[i] = bend(t[i])
+                bent = replace(rep, t=tuple(t))
+                assert outcome(galois_twist_symmetry, bent) == outcome(oracle_twist_symmetry, bent)
