@@ -54,8 +54,3 @@ def scale_cols(a: Matrix, diag: Sequence[Scalar]) -> Matrix:
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def is_symmetric(a: Matrix) -> bool:
-    r = len(a)
-    return all(a[i][j] == a[j][i] for i in range(r) for j in range(i + 1, r))

@@ -7,7 +7,7 @@ the gcd of denominator and numerators.  As a consequence two values are
 equal iff their (order, numerators, denominator) triples are identical, and
 the stored order is never congruent to 2 mod 4.  Fraction appears only at
 the boundary: construction, items(), JSON, printing, as_rational(),
-complex_eval(), inverse() and the hash of a non-integer rational.
+complex_eval() and the hash of a non-integer rational.
 
 Values are immutable; the per-order phi/reduction tables are written
 under a lock so instances can be shared freely between threads.
@@ -405,28 +405,26 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse; raises ZeroDivisionError on 0."""
+        """Multiplicative inverse x^-1 = rho(x) / N(x), where rho(x) is the
+        product of the Galois images sigma_k(x) over the units k != 1 mod the
+        order and N(x) = x * rho(x) is the rational field norm; raises
+        ZeroDivisionError on 0."""
         if not self._nums:
             raise ZeroDivisionError("division by zero cyclotomic")
-        n, den = self.order, self._den
-        if n == 1:
-            return Cyclotomic.from_rational(Fraction(den, self._nums[0]))
-        # extended Euclid of f and Phi_n over Q[x]: u*f + v*Phi = 1
-        f = [Fraction(self._nums.get(e, 0), den) for e in range(_order_info(n)[0])]
-        g = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        r0, r1 = g, f
-        u0, u1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        c = r1[0]  # nonzero constant: gcd(f, Phi_n) = 1 in Q[x]
-        inv_coeffs = {e: u / c for e, u in enumerate(u1) if u}
-        return Cyclotomic(n, inv_coeffs)
+        if self.order == 1:
+            num = self._nums[0]
+            return Cyclotomic._raw(1, {0: self._den if num > 0 else -self._den}, abs(num))
+        rho = _norm_cofactor(self)
+        norm = self * rho
+        # Q_n, n > 2, has no real embedding, so N(x) = p / q is a product of
+        # |sigma_k(x)|^2 and p > 0; x^-1 = rho * q / p keeps the order of rho
+        p, q = norm._nums[0], norm._den
+        nums, den = {e: c * q for e, c in rho._nums.items()}, rho._den * p
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {e: c // g for e, c in nums.items()}
+        return Cyclotomic._raw(rho.order, nums, den)
 
     def __truediv__(self, other: Scalar) -> "Cyclotomic":
         return self * Cyclotomic._coerce(other).inverse()
@@ -484,10 +482,11 @@ class Cyclotomic:
         return self.order == 1 and self._den == 1
 
     def as_integer(self) -> int:
-        q = self.as_rational()
-        if q.denominator != 1:
+        if self.order != 1:
+            raise ValueError(f"{self} is not rational")
+        if self._den != 1:
             raise ValueError(f"{self} is not a rational integer")
-        return q.numerator
+        return self._nums.get(0, 0)
 
     @property
     def is_real(self) -> bool:
@@ -580,46 +579,6 @@ class Cyclotomic:
         return cls(order, coeffs)
 
 
-# -- polynomial helpers for inverse() ---------------------------------------
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            f = a[i] / lead
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    return q, a
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    while len(out) > 1 and not out[-1]:
-        out.pop()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # module-level API
 
@@ -683,6 +642,15 @@ def _twisted_sum(
             e = e * scale + offset
             nums[e] = nums.get(e, 0) + c * f
     return Cyclotomic._raw(*_canonical(m, nums, den))
+
+
+def _norm_cofactor(x: Cyclotomic) -> Cyclotomic:
+    """rho(x), the product of sigma_k(x) over the units k != 1 mod x.order,
+    so that x * rho(x) is the rational field norm of x over Q_(x.order)."""
+    rho = ONE
+    for k in units_mod(x.order)[1:]:
+        rho = rho * x.galois(k)
+    return rho
 
 
 def _numerators_at(x: Cyclotomic, n: int) -> tuple[dict[int, int], int]:

@@ -205,31 +205,27 @@ def g_matrix(rep: "ModularRep", k: int):
 def galois_twist_symmetry(rep: "ModularRep") -> Verdict:
     """Theorem-level identity sigma^2(t_i) = t_{h_sigma(i)} over Gal(Q_n/Q).
 
+    Every t_i must be a root of unity zeta_m^j with m | n, as in every lift
+    the package builds; ValueError names the first t_i that is not.  The
+    image sigma_k^2(t_i) = zeta_m^(j k^2) is compared with t_h(i) by its log.
     h_sigma depends on k only modulo the conductor of the character values,
     so it is matched once per residue class, at the first k of the class.
-    When every t_i is a root of unity zeta_m^j with m | n, the image
-    sigma_k^2(t_i) = zeta_m^(j k^2) is compared with t_h(i) by its log;
-    otherwise (a rep built by hand) by the Galois image itself.
     """
     cols = _rep_characters(rep)
     cond = lcm(*(v.conductor for col in cols for v in col))
     n = rep.level
     logs = [t.root_of_unity_log() for t in rep.t]
-    if any(log is None or n % log[0] for log in logs):
-        logs = None
+    for i, log in enumerate(logs):
+        if log is None or n % log[0]:
+            raise ValueError(f"t_{i} is not a root of unity of order dividing the level {n}")
     perms: dict[int, Perm] = {}
     for k in units_mod(n):
         perm = perms.get(k % cond)
         if perm is None:
             perm = perms[k % cond] = _match_permutation(cols, k)
         k_squared = k * k % n
-        for i, t in enumerate(rep.t):
-            if logs is None:
-                same = t.galois(k_squared) == rep.t[perm[i]]
-            else:
-                m, j = logs[i]
-                same = (m, j * k_squared % m) == logs[perm[i]]
-            if not same:
+        for i, (m, j) in enumerate(logs):
+            if (m, j * k_squared % m) != logs[perm[i]]:
                 return Verdict(False, (k, i), "sigma^2(t_i) != t_{h(i)}")
     return Verdict(True)
 

@@ -17,6 +17,7 @@ from .cyclotomic import (
     Cyclotomic,
     ONE,
     ZERO,
+    _norm_cofactor,
     _twisted_sum,
     dot,
     factorize,
@@ -455,10 +456,7 @@ def rational_prime_support(q: Fraction) -> frozenset[int]:
 
 def norm_prime_support(x: Cyclotomic) -> frozenset[int]:
     """Primes dividing the rational field norm of x (over the conductor field)."""
-    norm = ONE
-    for k in units_mod(x.order):
-        norm = norm * x.galois(k)
-    return rational_prime_support(norm.as_rational())
+    return rational_prime_support((x * _norm_cofactor(x)).as_rational())
 
 
 def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
@@ -468,15 +466,14 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
     N = datum.ord_t
     r = datum.rank
 
-    # (i) reality, symmetry, projective unitarity, finite twist order
+    # (i) reality, projective unitarity, finite twist order; S is symmetric
+    # since ModularDatum rejects any other
     witness = ""
     ok = True
     for j, d in enumerate(ds.dims):
         if not d.is_real:
             ok, witness = False, f"d_{j} is not real"
             break
-    if ok and not mat.is_symmetric(datum.S):
-        ok, witness = False, "S not symmetric"
     if ok and not _projectively_unitary(datum, ds.global_dim_sq):
         ok, witness = False, "S*conj(S)^t != D^2*Id"
     reports.append(ConditionReport(1, "reality and unitarity", ok, witness))

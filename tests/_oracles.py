@@ -15,6 +15,10 @@ integer numerators with fraction_integral and canonicalized back to
 Fractions. A value there is an (order, {exponent: Fraction}) pair. They
 share the exponent reduction and the descent step with the package, so
 they oracle the integer-numerator representation, not the descent.
+
+fraction_inverse is Cyclotomic.inverse as it stood before it used the
+Galois norm: an extended Euclid of the power-basis polynomial against
+Phi_n over Q[x], with Fraction polynomial arithmetic.
 """
 
 from fractions import Fraction
@@ -30,6 +34,8 @@ from moddata.cyclotomic import (
     _descend,
     _reduce_exponents,
     _within_cap,
+    cyclotomic_polynomial,
+    euler_phi,
     factorize,
 )
 
@@ -288,3 +294,63 @@ def fraction_json(x):
     """Cyclotomic.to_json of an (order, coeffs) value."""
     order, coeffs = x
     return {"order": order, "coeffs": {str(e): str(c) for e, c in sorted(coeffs.items())}}
+
+
+def fraction_inverse(x: Cyclotomic) -> Cyclotomic:
+    """x^-1 from u with u*f + v*Phi_n = 1 in Q[x], f the power-basis
+    polynomial of x; raises ZeroDivisionError on 0."""
+    if not x:
+        raise ZeroDivisionError("division by zero cyclotomic")
+    n, den = x.order, x._den
+    if n == 1:
+        return Cyclotomic.from_rational(Fraction(den, x._nums[0]))
+    f = [Fraction(x._nums.get(e, 0), den) for e in range(euler_phi(n))]
+    r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(n)], f
+    u0, u1 = [Fraction(0)], [Fraction(1)]
+    while True:
+        while r1 and not r1[-1]:
+            r1.pop()
+        if len(r1) == 1:
+            break
+        q, rem = _poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
+    c = r1[0]  # nonzero constant: gcd(f, Phi_n) = 1 in Q[x]
+    return Cyclotomic(n, {e: u / c for e, u in enumerate(u1) if u})
+
+
+def _poly_divmod(a, b):
+    a = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    q = [Fraction(0)] * max(len(a) - db, 1)
+    for i in range(len(a) - 1, db - 1, -1):
+        if a[i]:
+            f = a[i] / lead
+            q[i - db] = f
+            for j in range(db + 1):
+                a[i - db + j] -= f * b[j]
+    while len(a) > 1 and not a[-1]:
+        a.pop()
+    return q, a
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] -= y
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return out

@@ -30,9 +30,11 @@ from moddata.cyclotomic import (
 )
 from moddata import cyclotomic as cy
 from moddata.cyclotomic import _descend, _order_info, _reduce_exponents, _twisted_sum
+from moddata.modular_data import derived_scalars, load
 from _oracles import (
     fraction_dot,
     fraction_galois,
+    fraction_inverse,
     fraction_json,
     fraction_str,
     fraction_twisted_sum,
@@ -226,6 +228,11 @@ class TestPredicates:
     def test_rationals(self):
         assert Cyclotomic(1, {0: 2}).is_integer
         assert not zeta(3).is_rational
+        assert Cyclotomic(1, {0: -7}).as_integer() == -7 and ZERO.as_integer() == 0
+        with pytest.raises(ValueError, match="is not a rational integer"):
+            Cyclotomic.from_rational(Fraction(1, 2)).as_integer()
+        with pytest.raises(ValueError, match="is not rational"):
+            zeta(3).as_integer()
 
 
 class TestComplexEval:
@@ -786,6 +793,34 @@ class TestIntegerCoreAgainstFractionOracle:
         check()
 
 
+def _triple(x):
+    return x.order, x._nums, x._den
+
+
+class TestInverseAgainstEuclidOracle:
+    def test_random_values(self):
+        rng = random.Random(SEED + 43)
+        for n in ORACLE_ORDERS + [44, 60, 120]:
+            for terms in (1, 2, 4, 7):
+                x = random_element(rng, n, terms=terms)
+                # a content shared by the numerators shares a factor with N(x)
+                for y in (x, x * 6, x * Fraction(-4, 3)):
+                    if y:
+                        assert _triple(y.inverse()) == _triple(fraction_inverse(y))
+
+    def test_datum_entries(self, data_dir):
+        # every nonzero S entry, D^2 and p+ of the shipped data files
+        values = set()
+        for path in sorted(data_dir.glob("*.json")):
+            datum = load(path)
+            ds = derived_scalars(datum)
+            values.update(v for row in datum.S for v in row if v)
+            values.update((ds.global_dim_sq, ds.gauss_plus))
+        assert len(values) > 18
+        for x in values:
+            assert _triple(x.inverse()) == _triple(fraction_inverse(x))
+
+
 class TestHashEqContract:
     def test_dict_lookup_with_int_and_fraction_keys(self):
         table = {3: "three", Fraction(1, 2): "half", 0: "zero"}
@@ -842,4 +877,6 @@ class TestFractionFreeHotPath:
             assert bool(-a) == bool(a) and a.is_algebraic_integer in (True, False)
             a.root_of_unity_log()
             assert (a == 3) == (a == three) and (three == 3)
+            if a:
+                assert a * a.inverse() == ONE
         assert _CountingFraction.made == 0

@@ -183,16 +183,27 @@ def test_twist_symmetry_compares_logs_not_galois_images(build, monkeypatch):
     ids=["su2_odd_mod2(3)", "pointed_zn(5)", "pointed_zn(1)"],
 )
 def test_twist_symmetry_by_galois_images_on_hand_built_twists(build):
-    # a twist that is not a root of unity takes the Galois-image path, and a
-    # level that is a multiple of the twists' orders keeps the log path
+    # a rep whose twists are all roots of unity of order dividing the level
+    # agrees with the oracle; any other is refused, naming the bent twist.
+    # t * zeta_3 + t = -t * zeta_3^2 keeps the level but may leave its roots
+    # of unity, where sigma_(k^2 mod level) is not sigma_k twice
+    refused = set()
     for rep in all_lifts(build())[:3]:
         for factor in (2, 3):
             wider = replace(rep, level=factor * rep.level)
             assert outcome(galois_twist_symmetry, wider) == outcome(oracle_twist_symmetry, wider)
+        bends = (
+            lambda t: t * 2, lambda t: t + ONE, lambda t: t * t + t, lambda t: t * zeta(3) + t
+        )
         for i in range(rep.rank):
-            # each bent twist stays in the field of the level
-            for bend in (lambda t: t * 2, lambda t: t + ONE, lambda t: t * t + t):
+            for b, bend in enumerate(bends):
                 t = list(rep.t)
                 t[i] = bend(t[i])
                 bent = replace(rep, t=tuple(t))
-                assert outcome(galois_twist_symmetry, bent) == outcome(oracle_twist_symmetry, bent)
+                if all(v ** bent.level == ONE for v in bent.t):
+                    assert outcome(galois_twist_symmetry, bent) == outcome(oracle_twist_symmetry, bent)
+                else:
+                    with pytest.raises(ValueError, match=f"^t_{i} is not a root of unity"):
+                        galois_twist_symmetry(bent)
+                    refused.add(b)
+    assert refused == {0, 1, 2, 3}

@@ -1,7 +1,7 @@
 """The lift builder does the matrix algebra once per datum and checks each of
 the 12 lifts by scalar equations.  Every lift is compared with the matrix
 check it replaces: `_build_rep` on (lam S, mu T), with lam and mu computed by
-Euclid inverses."""
+Cyclotomic.inverse."""
 
 from dataclasses import replace
 from fractions import Fraction
