@@ -4,14 +4,13 @@ vanishing-sum analysis, and the integral-dimension Diophantine search."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 from .catalog import pointed_zn, rank5_catalog, su2_4_family_all, su2_odd_mod2
-from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, zeta
+from .cyclotomic import Cyclotomic, ONE, ZERO, _numerators_at, is_prime, zeta
 from .field_theory import cauchy_prime_support
 from .galois import (
     NamedVerdict,
@@ -169,44 +168,60 @@ def vanishing_sum_check(
     return VanishingSumReport(True, all(checks), detail)
 
 
-def _rational_kernel(columns: list[Cyclotomic]) -> list[tuple[Fraction, ...]]:
-    """Basis of {x in Q^m : sum x_c columns[c] = 0}, by exact elimination."""
-    from .cyclotomic import _numerators_at
+def _integer_kernel(columns: list[Cyclotomic]) -> list[tuple[int, ...]]:
+    """Basis of {x in Q^m : sum x_c columns[c] = 0}: one primitive integer
+    vector per free column, positive there and zero on the other free columns.
 
+    Each row of the system is one exponent on the power basis of the lcm
+    order, over the columns brought to a common denominator (a uniform
+    scaling, so the kernel is unchanged).  Only the distinct nonzero rows
+    are kept, each once up to sign and content, and they are eliminated by
+    fraction-free Gauss-Jordan, each updated row divided by its content.
+    """
     order = lcm(*(col.order for col in columns))
+    den = lcm(*(col._den for col in columns))
     m = len(columns)
-    # only the nonzero rows, one per exponent on the power basis of Q_order
-    rows: dict[int, list[Fraction]] = {}
+    rows: dict[int, list[int]] = {}
     for c, col in enumerate(columns):
-        lifted, den = _numerators_at(col, order)
+        lifted, col_den = _numerators_at(col, order)
+        scale = den // col_den
         for e, q in lifted.items():
             if e not in rows:
-                rows[e] = [Fraction(0)] * m
-            rows[e][c] = Fraction(q, den)
+                rows[e] = [0] * m
+            rows[e][c] = q * scale
+    distinct = {}
+    for row in rows.values():
+        g = gcd(*row)
+        if next(v for v in row if v) < 0:
+            g = -g
+        distinct[tuple(v // g for v in row)] = None
+    work = [list(row) for row in distinct]
     pivots: list[int] = []
-    piv_row = 0
-    work = list(rows.values())
     for col in range(m):
-        sel = next((r for r in range(piv_row, len(work)) if work[r][col]), None)
+        sel = next((r for r in range(len(pivots), len(work)) if work[r][col]), None)
         if sel is None:
             continue
+        piv_row = len(pivots)
         work[piv_row], work[sel] = work[sel], work[piv_row]
-        inv = 1 / work[piv_row][col]
-        work[piv_row] = [v * inv for v in work[piv_row]]
-        for r in range(len(work)):
-            if r != piv_row and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[piv_row])]
+        pivot = work[piv_row]
+        a = pivot[col]
+        for r, row in enumerate(work):
+            b = row[col]
+            if r != piv_row and b:
+                row = [a * x - b * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                work[r] = [v // g for v in row] if g else row
         pivots.append(col)
-        piv_row += 1
     basis = []
-    free = [c for c in range(m) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * m
-        vec[fc] = Fraction(1)
+    for fc in (c for c in range(m) if c not in pivots):
+        # pivot row r reads a_r x_(pivots[r]) + work[r][fc] x_fc = 0
+        t = lcm(*(abs(work[r][pc]) for r, pc in enumerate(pivots)))
+        vec = [0] * m
+        vec[fc] = t
         for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        basis.append(tuple(vec))
+            vec[pc] = -work[r][fc] * t // work[r][pc]
+        g = gcd(*vec)
+        basis.append(tuple(v // g for v in vec))
     return basis
 
 
@@ -216,7 +231,7 @@ def _all_nonzero_solution_exists(columns: list[Cyclotomic]) -> bool:
     The kernel is not a finite union of proper subspaces over Q, so this
     holds iff no coordinate vanishes identically on the kernel.
     """
-    basis = _rational_kernel(columns)
+    basis = _integer_kernel(columns)
     if not basis:
         return False
     return all(any(vec[c] for vec in basis) for c in range(len(columns)))
@@ -239,6 +254,11 @@ def vanishing_sum_scan(max_order: int = 60) -> list[dict]:
     orbit, on the first pair met, and every other pair reuses its verdict.
     Pairs are visited, and counterexamples listed, in the order of
     (ord_alpha, e_alpha, ord_beta, e_beta).
+
+    The scan is integer-only: each root is built in canonical form by
+    zeta(), and the kernel is fraction-free elimination on the distinct
+    rows of the four columns, up to sign and content. Below order 105 a
+    root has power-basis entries in {-1, 0, 1}, so at most 40 rows remain.
     """
 
     def conductor(m: int) -> int:
@@ -469,11 +489,12 @@ def rank5_suite(data: Optional[Sequence[tuple[str, ModularDatum]]] = None) -> Ra
                 "; ".join(f"({c.index}) {c.witness}" for c in report.failures()),
             )
         )
-        try:
-            profile = compute_profile(datum)
-        except Exception as exc:
-            checks.append(NamedVerdict("Galois profile", False, str(exc)))
-            profile = None
+        profile = report.profile
+        if profile is None:
+            try:
+                profile = compute_profile(datum)
+            except Exception as exc:
+                checks.append(NamedVerdict("Galois profile", False, str(exc)))
         if profile is not None:
             checks.append(
                 NamedVerdict(

@@ -660,8 +660,17 @@ def _numerators_at(x: Cyclotomic, n: int) -> tuple[dict[int, int], int]:
 
 
 def zeta(n: int, e: int = 1) -> Cyclotomic:
-    """The root of unity zeta_n^e."""
-    return Cyclotomic(n, {e: 1})
+    """The root of unity zeta_n^e, built in canonical form: with gcd(e, n) = 1
+    it is primitive of order n, whose conductor is n unless n = 2k with k odd,
+    where zeta_2k^e = -zeta_k^(e(k+1)/2) (e is odd)."""
+    _check_order(n)
+    g = gcd(e, n)
+    n, e = n // g, e // g
+    sign = 1
+    if n % 4 == 2:
+        n //= 2
+        e, sign = e * (n + 1) // 2, -1
+    return Cyclotomic._raw(n, _reduce_exponents(n, {e: sign}), 1)
 
 
 def sqrt_int(m: int) -> Cyclotomic:

@@ -364,13 +364,14 @@ def _transposition_lemma(
     out.append(
         NamedVerdict("d_1 > 0", _numeric_positive(d1), f"d_{one} = {d1}")
     )
-    tr = d1 + d1.inverse()
+    d1_inv = d1.inverse()
+    tr = d1 + d1_inv
     out.append(NamedVerdict("d_1 + 1/d_1 integral", tr.is_integer, str(tr)))
-    d2overd1 = ds.global_dim_sq * d1.inverse()
+    d2overd1 = ds.global_dim_sq * d1_inv
     out.append(NamedVerdict("D^2/d_1 integral", d2overd1.is_integer, str(d2overd1)))
     rest = [i for i in range(datum.rank) if i not in (0, one)]
     for i in rest:
-        v = ds.dims[i] * ds.dims[i] * d1.inverse()
+        v = ds.dims[i] * ds.dims[i] * d1_inv
         if not v.is_integer:
             out.append(NamedVerdict("d_i^2/d_1 integral", False, f"i = {i}"))
             break

@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from . import _matrix as mat
 from .cyclotomic import (
@@ -25,6 +25,9 @@ from .cyclotomic import (
     units_mod,
     zeta,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .galois import GaloisProfile
 
 PathLike = Union[str, Path]
 Tensor = tuple[tuple[tuple[int, ...], ...], ...]  # tensor[i][j][k] = N_{ij}^k
@@ -414,6 +417,8 @@ class ConditionReport:
 @dataclass(frozen=True)
 class AdmissibilityReport:
     conditions: tuple[ConditionReport, ...]
+    # the Galois profile condition (vi) computed, if it got that far
+    profile: Optional[GaloisProfile] = field(default=None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -466,6 +471,16 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
     N = datum.ord_t
     r = datum.rank
 
+    # verlinde_fusion tests projective unitarity whenever the first row of S
+    # has no zero, and raises DegenerateSError then iff the test fails; its
+    # outcome settles that clause of (i), so S * conj(S) is formed once
+    fusion: Optional[FusionRules] = None
+    fusion_error: Optional[FusionComputationError] = None
+    try:
+        fusion = verlinde_fusion(datum)
+    except FusionComputationError as exc:
+        fusion_error = exc
+
     # (i) reality, projective unitarity, finite twist order; S is symmetric
     # since ModularDatum rejects any other
     witness = ""
@@ -474,8 +489,13 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
         if not d.is_real:
             ok, witness = False, f"d_{j} is not real"
             break
-    if ok and not _projectively_unitary(datum, ds.global_dim_sq):
-        ok, witness = False, "S*conj(S)^t != D^2*Id"
+    if ok:
+        if all(ds.dims):
+            unitary = not isinstance(fusion_error, DegenerateSError)
+        else:
+            unitary = _projectively_unitary(datum, ds.global_dim_sq)
+        if not unitary:
+            ok, witness = False, "S*conj(S)^t != D^2*Id"
     reports.append(ConditionReport(1, "reality and unitarity", ok, witness))
 
     # (ii) (ST)^3 = p+ S^2, p+ p- = D^2, anomaly a root of unity
@@ -495,12 +515,7 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
     reports.append(ConditionReport(2, "Gauss sum relations", ok, witness))
 
     # (iii) Verlinde integrality
-    fusion: Optional[FusionRules] = None
-    ok, witness = True, ""
-    try:
-        fusion = verlinde_fusion(datum)
-    except FusionComputationError as exc:
-        ok, witness = False, str(exc)
+    ok, witness = fusion is not None, "" if fusion_error is None else str(fusion_error)
     reports.append(ConditionReport(3, "Verlinde integrality", ok, witness))
 
     # (iv) balancing
@@ -541,6 +556,7 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
 
     # (vi) Galois structure of F_S inside F_T = Q_N
     ok, witness = True, ""
+    profile = None
     cond_s = datum.s_field_conductor
     if N % cond_s != 0:
         ok, witness = False, f"F_S has conductor {cond_s}, not inside Q_{N}"
@@ -588,5 +604,5 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
             witness = f"supp Norm(D^2) = {sorted(left)} != supp N = {sorted(right)}"
     reports.append(ConditionReport(7, "Cauchy condition", ok, witness))
 
-    return AdmissibilityReport(tuple(reports))
+    return AdmissibilityReport(tuple(reports), profile)
 

@@ -19,6 +19,11 @@ they oracle the integer-numerator representation, not the descent.
 fraction_inverse is Cyclotomic.inverse as it stood before it used the
 Galois norm: an extended Euclid of the power-basis polynomial against
 Phi_n over Q[x], with Fraction polynomial arithmetic.
+
+fraction_rational_kernel is the vanishing-sum kernel as it stood before it
+was integer-only: Fraction Gauss-Jordan on the nonzero power-basis rows.
+dense_rational_kernel is the one before that: the same elimination on a
+dense phi(L) x m Fraction matrix, zero rows dropped afterwards.
 """
 
 from fractions import Fraction
@@ -32,6 +37,7 @@ from moddata.cyclotomic import (
     NotAUnitError,
     _check_order,
     _descend,
+    _numerators_at,
     _reduce_exponents,
     _within_cap,
     cyclotomic_polynomial,
@@ -354,3 +360,83 @@ def _poly_sub(a, b):
     while len(out) > 1 and not out[-1]:
         out.pop()
     return out
+
+
+def fraction_rational_kernel(columns: list[Cyclotomic]) -> list[tuple[Fraction, ...]]:
+    """Basis of {x in Q^m : sum x_c columns[c] = 0}, by exact elimination."""
+    order = lcm(*(col.order for col in columns))
+    m = len(columns)
+    # only the nonzero rows, one per exponent on the power basis of Q_order
+    rows: dict[int, list[Fraction]] = {}
+    for c, col in enumerate(columns):
+        lifted, den = _numerators_at(col, order)
+        for e, q in lifted.items():
+            if e not in rows:
+                rows[e] = [Fraction(0)] * m
+            rows[e][c] = Fraction(q, den)
+    pivots: list[int] = []
+    piv_row = 0
+    work = list(rows.values())
+    for col in range(m):
+        sel = next((r for r in range(piv_row, len(work)) if work[r][col]), None)
+        if sel is None:
+            continue
+        work[piv_row], work[sel] = work[sel], work[piv_row]
+        inv = 1 / work[piv_row][col]
+        work[piv_row] = [v * inv for v in work[piv_row]]
+        for r in range(len(work)):
+            if r != piv_row and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[piv_row])]
+        pivots.append(col)
+        piv_row += 1
+    basis = []
+    free = [c for c in range(m) if c not in pivots]
+    for fc in free:
+        vec = [Fraction(0)] * m
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -work[r][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def dense_rational_kernel(columns):
+    """The kernel before fraction_rational_kernel: a dense phi(L) x m
+    Fraction matrix, zero rows dropped afterwards, then the same
+    Gauss-Jordan elimination."""
+    order = 1
+    for col in columns:
+        order = lcm(order, col.order)
+    dim = euler_phi(order)
+    rows = [[Fraction(0)] * len(columns) for _ in range(dim)]
+    for c, col in enumerate(columns):
+        step = order // col.order
+        lifted = _reduce_exponents(order, {e * step: q for e, q in col.items()})
+        for e, q in lifted.items():
+            rows[e][c] = q
+    m = len(columns)
+    pivots = []
+    piv_row = 0
+    work = [row[:] for row in rows if any(row)]
+    for col in range(m):
+        sel = next((r for r in range(piv_row, len(work)) if work[r][col]), None)
+        if sel is None:
+            continue
+        work[piv_row], work[sel] = work[sel], work[piv_row]
+        inv = 1 / work[piv_row][col]
+        work[piv_row] = [v * inv for v in work[piv_row]]
+        for r in range(len(work)):
+            if r != piv_row and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[piv_row])]
+        pivots.append(col)
+        piv_row += 1
+    basis = []
+    for fc in (c for c in range(m) if c not in pivots):
+        vec = [Fraction(0)] * m
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -work[r][fc]
+        basis.append(tuple(vec))
+    return basis

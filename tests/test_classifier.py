@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
 from moddata.classifier import (
     TooLargeError,
     _all_nonzero_solution_exists,
-    _rational_kernel,
+    _integer_kernel,
     _is_perfect_square,
     classify_fusion,
     grothendieck_equiv,
@@ -20,49 +20,23 @@ from moddata.classifier import (
     vanishing_sum_check,
     vanishing_sum_scan,
 )
-from moddata.cyclotomic import Cyclotomic, ONE, _reduce_exponents, euler_phi, zeta
+from moddata.cyclotomic import Cyclotomic, ONE, zeta
 from moddata.galois import compose, compute_profile
 from moddata.modular_data import FusionRules, verlinde_fusion
 
+from _oracles import dense_rational_kernel, fraction_rational_kernel
 
-def dense_rational_kernel(columns):
-    """The former kernel: a dense phi(L) x m Fraction matrix, zero rows
-    dropped afterwards, then the same Gauss-Jordan elimination."""
-    order = 1
-    for col in columns:
-        order = lcm(order, col.order)
-    dim = euler_phi(order)
-    rows = [[Fraction(0)] * len(columns) for _ in range(dim)]
-    for c, col in enumerate(columns):
-        step = order // col.order
-        lifted = _reduce_exponents(order, {e * step: q for e, q in col.items()})
-        for e, q in lifted.items():
-            rows[e][c] = q
-    m = len(columns)
-    pivots = []
-    piv_row = 0
-    work = [row[:] for row in rows if any(row)]
-    for col in range(m):
-        sel = next((r for r in range(piv_row, len(work)) if work[r][col]), None)
-        if sel is None:
-            continue
-        work[piv_row], work[sel] = work[sel], work[piv_row]
-        inv = 1 / work[piv_row][col]
-        work[piv_row] = [v * inv for v in work[piv_row]]
-        for r in range(len(work)):
-            if r != piv_row and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[piv_row])]
-        pivots.append(col)
-        piv_row += 1
-    basis = []
-    for fc in (c for c in range(m) if c not in pivots):
-        vec = [Fraction(0)] * m
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        basis.append(tuple(vec))
-    return basis
+
+def assert_primitive_multiples(got, oracle):
+    """Each integer vector is primitive and a positive rational multiple of
+    the oracle's Fraction vector for the same free column."""
+    assert len(got) == len(oracle)
+    for vec, ref in zip(got, oracle):
+        assert all(type(v) is int for v in vec)
+        assert gcd(*vec) == 1, vec
+        ratios = {Fraction(v) / r for v, r in zip(vec, ref) if r}
+        assert all(v == 0 for v, r in zip(vec, ref) if not r), (vec, ref)
+        assert len(ratios) == 1 and ratios.pop() > 0, (vec, ref)
 
 
 class TestRank5Cases:
@@ -219,9 +193,9 @@ class TestVanishingSum:
                             continue
                         seen.add(key)
                         columns = [ONE, zeta(4), zeta(m, ea), zeta(n, eb)]
-                        got = _rational_kernel(columns)
-                        assert got == dense_rational_kernel(columns), key
-                        assert all(type(v) is Fraction for vec in got for v in vec)
+                        oracle = fraction_rational_kernel(columns)
+                        assert oracle == dense_rational_kernel(columns), key
+                        assert_primitive_multiples(_integer_kernel(columns), oracle)
 
     def test_kernel_matches_dense_oracle_on_random_columns(self):
         rng = random.Random(20240607)
@@ -237,7 +211,9 @@ class TestVanishingSum:
                 )
                 for n in orders
             ]
-            assert _rational_kernel(columns) == dense_rational_kernel(columns)
+            oracle = fraction_rational_kernel(columns)
+            assert oracle == dense_rational_kernel(columns)
+            assert_primitive_multiples(_integer_kernel(columns), oracle)
 
     def test_detector_finds_planted_relation(self):
         assert _all_nonzero_solution_exists([ONE, zeta(4), ONE, zeta(4)])
@@ -305,6 +281,22 @@ class TestRank5Suite:
             v == "SU(2)_4" for k, v in classes.items() if k.startswith("su2_4")
         )
         assert any("SU(3)_4/Z_3" in note for note in report.notes)
+
+    def test_galois_profile_computed_once_per_datum(self, catalog_rank5, monkeypatch):
+        # condition (vi) of check_admissible builds the profile; the suite reuses it
+        from moddata import classifier, galois
+
+        seen = []
+        real = galois.compute_profile
+
+        def counting(datum, rep=None):
+            seen.append(datum)
+            return real(datum, rep)
+
+        monkeypatch.setattr(galois, "compute_profile", counting)
+        monkeypatch.setattr(classifier, "compute_profile", counting)
+        assert rank5_suite(catalog_rank5).passed
+        assert seen == [datum for _, datum in catalog_rank5]
 
     def test_corrupted_datum_isolated(self, su2_9):
         from moddata.modular_data import ModularDatum

@@ -880,3 +880,62 @@ class TestFractionFreeHotPath:
             if a:
                 assert a * a.inverse() == ONE
         assert _CountingFraction.made == 0
+
+    def test_scan_and_zeta_build_no_fraction(self, monkeypatch):
+        from moddata import classifier
+
+        monkeypatch.setattr(cy, "Fraction", _CountingFraction)
+        # the classifier imports no Fraction; bind one anyway so a use would count
+        monkeypatch.setattr(classifier, "Fraction", _CountingFraction, raising=False)
+        _CountingFraction.made = 0
+        assert classifier.vanishing_sum_scan(24) == []
+        for n in range(1, 61):
+            for e in range(-3, 2 * n):
+                zeta(n, e)
+        assert _CountingFraction.made == 0
+
+
+class TestZetaClosedForm:
+    """zeta(n, e) is built in canonical form with no __init__; it must be the
+    value Cyclotomic(n, {e: 1}) canonicalizes to."""
+
+    @staticmethod
+    def check(n, e):
+        got, ref = zeta(n, e), Cyclotomic(n, {e: 1})
+        assert (got.order, got._nums, got._den, hash(got)) == (
+            ref.order,
+            ref._nums,
+            ref._den,
+            hash(ref),
+        ), (n, e)
+
+    def test_every_exponent_to_order_300(self):
+        for n in range(1, 301):
+            for e in range(-3, 2 * n):
+                self.check(n, e)
+
+    def test_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(st.integers(1, 1000), st.integers(-(10**6), 10**6))
+        def check(n, e):
+            self.check(n, e)
+
+        check()
+
+    def test_order_cap_checked_before_reduction(self):
+        # zeta_202^101 = -1 and zeta_44^4 = zeta_11 (phi 10), but phi(202) and
+        # phi(44) are over the cap
+        cap = get_order_cap()
+        try:
+            set_order_cap(10)
+            for n, e in [(101, 1), (202, 101), (44, 4), (1000, 0)]:
+                with pytest.raises(InvalidOrderError):
+                    zeta(n, e)
+            assert zeta(22, 2) == zeta(11) and zeta(22, 11) == -ONE
+        finally:
+            set_order_cap(cap)
+        with pytest.raises(InvalidOrderError):
+            zeta(0)

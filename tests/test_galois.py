@@ -187,6 +187,25 @@ class TestExclusionPredicates:
         assert "eps signs not all equal" in names
         assert all(v.ok for v in verdicts)
 
+    def test_transposition_lemma_inverts_d1_once(self, su2_4_all, monkeypatch):
+        from moddata.cyclotomic import Cyclotomic
+
+        datum = su2_4_all[0]
+        profile = compute_profile(datum)
+        expected = exclusion_predicates(datum, profile)
+        inverted = []
+        real = Cyclotomic.inverse
+
+        def counting(self):
+            inverted.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Cyclotomic, "inverse", counting)
+        assert exclusion_predicates(datum, profile) == expected
+        swap = next(cycle_type(p)[0] for p in profile.image() if cycle_type(p))
+        d1 = derived_scalars(datum).dims[swap[1] if swap[0] == 0 else swap[0]]
+        assert sum(v is d1 for v in inverted) == 1
+
     def test_su2_9_vacuous(self, su2_9):
         verdicts = exclusion_predicates(su2_9, compute_profile(su2_9))
         assert len(verdicts) == 2  # only the two pattern predicates apply

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from moddata import modular_data
+from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.cyclotomic import Cyclotomic, ONE, zeta
 from moddata.modular_data import (
     DegenerateSError,
@@ -250,6 +252,109 @@ class TestAdmissibility:
         data = check_admissible(su2_9).to_json()
         assert data["schema"] == 1 and data["passed"] is True
         assert len(data["conditions"]) == 7
+
+
+def rank2_non_integral():
+    """S = [[1, 2], [2, -1]]: projectively unitary with D^2 = 5, N_11^1 = 3/2."""
+    two = Cyclotomic.from_rational(2)
+    return ModularDatum(2, 1, (0, 0), ((ONE, two), (two, -ONE)))
+
+
+# (passed, witness) of conditions (i)-(vii), recorded when condition (i) still
+# formed S * conj(S) itself
+NO_FUSION = [(False, "no fusion"), (False, "no fusion")]
+OFF_UNITARITY = [
+    (
+        lambda: scale_entry(pointed_zn(5, 1), 1, 2, 2),
+        [
+            (False, "S*conj(S)^t != D^2*Id"),
+            (False, "(ST)^3 != p+ S^2"),
+            (False, "S * conj(S)^t != D^2 * Id"),
+            *NO_FUSION,
+            (False, "sigma_2 sends character 1 to no column"),
+            (True, ""),
+        ],
+    ),
+    (
+        lambda: scale_entry(pointed_zn(5, 1), 0, 1, 0),
+        [
+            (False, "S*conj(S)^t != D^2*Id"),
+            (False, "(ST)^3 != p+ S^2"),
+            (False, "vanishing entry in the first row of S"),
+            *NO_FUSION,
+            (False, "vanishing first-row entry: characters undefined"),
+            (False, "supp Norm(D^2) = [2] != supp N = [5]"),
+        ],
+    ),
+    (
+        lambda: scale_entry(pointed_zn(5, 1), 0, 1, zeta(5)),
+        [
+            (False, "d_1 is not real"),
+            (False, "(ST)^3 != p+ S^2"),
+            (False, "S * conj(S)^t != D^2 * Id"),
+            *NO_FUSION,
+            (False, "sigma_2 sends character 0 to no column"),
+            (False, "supp Norm(D^2) = [5, 41] != supp N = [5]"),
+        ],
+    ),
+    (
+        lambda: scale_entry(su2_odd_mod2(5), 1, 2, -1),
+        [
+            (False, "S*conj(S)^t != D^2*Id"),
+            (False, "(ST)^3 != p+ S^2"),
+            (False, "S * conj(S)^t != D^2 * Id"),
+            *NO_FUSION,
+            (False, "sigma_2 sends character 1 to no column"),
+            (True, ""),
+        ],
+    ),
+    (
+        rank2_non_integral,
+        [
+            (True, ""),
+            (False, "(ST)^3 != p+ S^2"),
+            (False, "N[1,1]^1 = 3/2 is not a nonnegative integer"),
+            *NO_FUSION,
+            (True, ""),
+            (False, "supp Norm(D^2) = [5] != supp N = []"),
+        ],
+    ),
+]
+
+
+class TestUnitarityOnce:
+    @pytest.fixture
+    def unitarity_calls(self, monkeypatch):
+        calls = []
+        real = modular_data._projectively_unitary
+
+        def counting(datum, d2):
+            calls.append(datum)
+            return real(datum, d2)
+
+        monkeypatch.setattr(modular_data, "_projectively_unitary", counting)
+        verlinde_fusion.cache_clear()
+        return calls
+
+    def test_once_per_check_on_catalog(self, unitarity_calls, catalog_rank5):
+        for _, datum in catalog_rank5:
+            unitarity_calls.clear()
+            assert check_admissible(datum).passed
+            assert unitarity_calls == [datum]
+
+    @pytest.mark.parametrize(
+        "build, expected",
+        OFF_UNITARITY,
+        ids=["z5-S12x2", "z5-S01x0", "z5-S01xzeta5", "su2_9-S12x-1", "rank2-non-integral"],
+    )
+    def test_reports_unchanged_off_unitarity(self, unitarity_calls, build, expected):
+        report = check_admissible(build())
+        assert [(c.passed, c.witness) for c in report.conditions] == expected
+        assert len(unitarity_calls) == 1
+
+    def test_verlinde_alone_still_refuses(self, su2_9):
+        with pytest.raises(DegenerateSError, match=r"^S \* conj\(S\)\^t != D\^2 \* Id$"):
+            verlinde_fusion(scale_entry(su2_9, 1, 2, -1))
 
 
 class TestDerivedScalars:
