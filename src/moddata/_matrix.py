@@ -50,7 +50,3 @@ def scale_cols(a: Matrix, diag: Sequence[Scalar]) -> Matrix:
     return tuple(
         tuple(v * Cyclotomic._coerce(d) for v, d in zip(row, diag)) for row in a
     )
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))

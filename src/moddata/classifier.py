@@ -117,16 +117,6 @@ def grothendieck_equiv(f1: FusionRules, f2: FusionRules) -> Optional[Perm]:
     return None
 
 
-def relabel_fusion(f: FusionRules, perm: Perm) -> FusionRules:
-    """The fusion rules with label i renamed perm[i] (perm[0] = 0)."""
-    r = f.rank
-    inv = [0] * r
-    for i, p in enumerate(perm):
-        inv[p] = i
-    dual = tuple(perm[f.dual[inv[i]]] for i in range(r))
-    return FusionRules(r, _reindexed(f.tensor, inv), dual)
-
-
 # ---------------------------------------------------------------------------
 # vanishing sums a + b*i + c_alpha*alpha + c_beta*beta = 0
 
@@ -341,7 +331,6 @@ def integral_dimension_search(
     rank: int,
     orbit_multiplicities: Sequence[int],
     prime_set: Iterable[int],
-    modulus_filters: Optional[Sequence[int]] = None,
     bound: int = 10_000,
 ) -> DimensionSearch:
     """Integer dimension vectors constant on the prescribed orbits, with all
@@ -361,12 +350,11 @@ def integral_dimension_search(
     if not all(is_prime(p) for p in primes):
         raise ValueError("prime_set must contain primes")
     d_integer = any(sz > 1 and sz % 2 == 1 for sz in sizes)
-    if modulus_filters is None:
-        modulus_filters = [
-            sz for sz in dict.fromkeys(sizes) if sz > 2 and is_prime(sz) and sz not in primes
-        ]
+    moduli = [
+        sz for sz in dict.fromkeys(sizes) if sz > 2 and is_prime(sz) and sz not in primes
+    ]
     free = sizes[1:]
-    for m in modulus_filters:
+    for m in moduli:
         res = _smooth_residues(primes, m)
         sq = frozenset(v * v % m for v in res)
         lhs = sq if d_integer else res

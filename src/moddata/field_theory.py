@@ -31,7 +31,6 @@ class GroupShape:
 
     p: int
     exponents: tuple[int, ...]
-    multiquadratic: bool = False
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -40,12 +39,10 @@ class GroupShape:
             raise ValueError("exponents must be a nonempty tuple of positives")
         if tuple(sorted(self.exponents)) != self.exponents:
             raise ValueError("exponents must be ascending")
-        if self.multiquadratic and (self.p != 2 or set(self.exponents) != {1}):
-            raise ValueError("multiquadratic shapes are (Z/2Z)^m")
 
     @classmethod
     def elementary2(cls, m: int) -> "GroupShape":
-        return cls(2, (1,) * m, multiquadratic=True)
+        return cls(2, (1,) * m)
 
     @classmethod
     def parse(cls, text: str) -> "GroupShape":
@@ -216,23 +213,3 @@ def cauchy_prime_support(datum: ModularDatum) -> CauchySupport:
     left = norm_prime_support(d2)
     right = frozenset(factorize(datum.ord_t))
     return CauchySupport(left, right, left == right)
-
-
-def unit_quotient_shape(n: int) -> tuple[int, ...]:
-    """Prime-power decomposition of (Z/nZ)^x / (its maximal elementary
-    2-subgroup), sorted.  Cross-validation oracle for enumerate_levels."""
-    cyclic: list[int] = []
-    for q, e in factorize(n).items():
-        if q == 2:
-            if e == 2:
-                cyclic.append(2)
-            elif e >= 3:
-                cyclic.extend([2, 2 ** (e - 2)])
-        else:
-            cyclic.append((q - 1) * q ** (e - 1))
-    shape: list[int] = []
-    for d in cyclic:
-        d //= gcd(d, 2)
-        for q, e in factorize(d).items():
-            shape.append(q**e)
-    return tuple(sorted(shape))

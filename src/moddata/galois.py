@@ -7,13 +7,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .cyclotomic import Cyclotomic, NotAUnitError, ONE, euler_phi, units_mod
-from .modular_data import (
-    ModularDatum,
-    Verdict,
-    derived_scalars,
-    dual_from_s,
-)
+from .cyclotomic import Cyclotomic, NotAUnitError, units_mod
+from .modular_data import ModularDatum, Verdict, derived_scalars
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sl2z_reps import ModularRep
@@ -193,15 +188,6 @@ def sign_function(rep: "ModularRep", k: int) -> tuple[int, ...]:
     return tuple(eps)
 
 
-def g_matrix(rep: "ModularRep", k: int):
-    """G_sigma = sigma(s) s^(-1) = sigma(s) s^3; a signed permutation matrix."""
-    from . import _matrix as mat
-
-    sigma_s = tuple(tuple(v.galois(k) for v in row) for row in rep.s)
-    s_inv = mat.mat_pow(rep.s, 3)
-    return mat.matmul(sigma_s, s_inv)
-
-
 def galois_twist_symmetry(rep: "ModularRep") -> Verdict:
     """Theorem-level identity sigma^2(t_i) = t_{h_sigma(i)} over Gal(Q_n/Q).
 
@@ -335,10 +321,24 @@ def _no_c61_pattern(r: int, profile: GaloisProfile) -> NamedVerdict:
     return NamedVerdict("no (0 a)(r-2 cycle) element", True)
 
 
+def _dual_from_s(datum: ModularDatum) -> Optional[Perm]:
+    """Charge conjugation j -> j* from S_{i j*} = conj(S_ij), or None when the
+    columns are not distinct, a conjugate column is missing or 0* != 0.
+
+    The match is an involution without a check: the columns are distinct and
+    conjugation is one.
+    """
+    try:
+        perm = _match_permutation(tuple(zip(*datum.S)), -1)
+    except NotGaloisStable:
+        return None
+    return perm if perm[0] == 0 else None
+
+
 def _no_c62_pattern(datum: ModularDatum, profile: GaloisProfile) -> NamedVerdict:
     # forbidden: 0 inside an (r-2)-cycle next to a transposition of self-dual labels
     r = datum.rank
-    dual = dual_from_s(datum)
+    dual = _dual_from_s(datum)
     name = "no (r-2 cycle through 0)(a b) element"
     for perm in profile.image():
         cycles = cycle_type(perm)
@@ -380,13 +380,13 @@ def _transposition_lemma(
     eps: dict[int, int] = {}
     ok, witness = True, ""
     for j in rest:
-        v = datum.S[one][j] * ds.dims[j].inverse()
-        if v == ONE:
+        s1j, d = datum.S[one][j], ds.dims[j]
+        if s1j == d:
             eps[j] = 1
-        elif v == -ONE:
+        elif s1j == -d:
             eps[j] = -1
         else:
-            ok, witness = False, f"S[{one}][{j}]/d_{j} = {v}"
+            ok, witness = False, f"S[{one}][{j}]/d_{j} = {s1j * d.inverse()}"
             break
     out.append(NamedVerdict("eps_j = S_1j/d_j in {+-1}", ok, witness))
     if ok:
@@ -407,22 +407,3 @@ def _transposition_lemma(
                 break
         out.append(NamedVerdict("S_ij = 0 when eps_i = -eps_j", zero_ok, zero_witness))
     return out
-
-
-# ---------------------------------------------------------------------------
-# orbit-field degrees (Lemma: [K_j : Q] = |<j>|)
-
-
-def orbit_field_degree(datum: ModularDatum, j: int) -> int:
-    """Degree over Q of K_j = Q(S_ij / S_0j : i)."""
-    if not datum.S[0][j]:
-        raise NotGaloisStable(f"characters undefined: S[0][{j}] = 0")
-    inv = datum.S[0][j].inverse()
-    gens = [datum.S[i][j] * inv for i in range(datum.rank)]
-    cond = lcm(*(g.order for g in gens))
-    fixing = sum(
-        1
-        for k in units_mod(cond)
-        if all(g.galois(k) == g for g in gens)
-    )
-    return euler_phi(cond) // fixing

@@ -182,12 +182,11 @@ class DerivedScalars:
     gauss_plus: Cyclotomic
     gauss_minus: Cyclotomic
     anomaly: Optional[Cyclotomic]
-    dual: Optional[tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
 def derived_scalars(datum: ModularDatum) -> DerivedScalars:
-    """Dimensions, D^2, Gauss sums, anomaly and the charge conjugation."""
+    """Dimensions, D^2, the Gauss sums and the anomaly."""
     dims = datum.dims
     thetas = datum.thetas
     d_sq = [d * d for d in dims]
@@ -197,27 +196,7 @@ def derived_scalars(datum: ModularDatum) -> DerivedScalars:
         dq * th.conjugate() for dq, th in zip(d_sq, thetas)
     )
     anomaly = p_plus * p_minus.inverse() if p_minus else None
-    return DerivedScalars(
-        dims, global_dim_sq, p_plus, p_minus, anomaly, dual_from_s(datum)
-    )
-
-
-def dual_from_s(datum: ModularDatum) -> Optional[tuple[int, ...]]:
-    """Charge conjugation from S_{i j*} = conj(S_ij): column matching."""
-    cols = [tuple(datum.S[i][j] for i in range(datum.rank)) for j in range(datum.rank)]
-    index = {}
-    for j, col in enumerate(cols):
-        index.setdefault(col, []).append(j)
-    dual = []
-    for j, col in enumerate(cols):
-        matches = index.get(tuple(v.conjugate() for v in col), [])
-        if len(matches) != 1:
-            return None
-        dual.append(matches[0])
-    perm = tuple(dual)
-    if perm[0] != 0 or any(perm[perm[j]] != j for j in range(datum.rank)):
-        return None
-    return perm
+    return DerivedScalars(dims, global_dim_sq, p_plus, p_minus, anomaly)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +291,7 @@ def verlinde_fusion(datum: ModularDatum) -> FusionRules:
 def _projectively_unitary(datum: ModularDatum, d2: Cyclotomic) -> bool:
     prod = mat.matmul(datum.S, mat.conj(datum.S))  # conj(S)^t = conj(S), S symmetric
     target = mat.scale(mat.eye(datum.rank), d2)
-    return mat.mat_eq(prod, target)
+    return prod == target
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +485,7 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
         st = mat.scale_cols(datum.S, datum.thetas)
         lhs = mat.mat_pow(st, 3)
         rhs = mat.scale(mat.matmul(datum.S, datum.S), ds.gauss_plus)
-        if not mat.mat_eq(lhs, rhs):
+        if lhs != rhs:
             ok, witness = False, "(ST)^3 != p+ S^2"
         elif ds.gauss_plus * ds.gauss_minus != ds.global_dim_sq:
             ok, witness = False, "p+ p- != D^2"

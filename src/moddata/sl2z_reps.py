@@ -51,10 +51,10 @@ def verify_relations(s: mat.Matrix, t: tuple[Cyclotomic, ...]) -> Verdict:
 def _verify_with_square(
     s: mat.Matrix, s2: mat.Matrix, t: tuple[Cyclotomic, ...]
 ) -> Verdict:
-    if not mat.mat_eq(mat.matmul(s2, s2), mat.eye(len(s))):
+    if mat.matmul(s2, s2) != mat.eye(len(s)):
         return Verdict(False, "s^4 != Id")
     st = mat.scale_cols(s, t)
-    if not mat.mat_eq(mat.mat_pow(st, 3), s2):
+    if mat.mat_pow(st, 3) != s2:
         return Verdict(False, "(st)^3 != s^2")
     return Verdict(True)
 
@@ -113,7 +113,7 @@ def _lifts(
     c2 = _identity_multiple(s2)
     p_plus_inv = derived_scalars(datum).gauss_plus.inverse()
     st3 = mat.mat_pow(mat.scale_cols(S, thetas), 3)
-    kappa = p_plus_inv if mat.mat_eq(s2, mat.scale(st3, p_plus_inv)) else None
+    kappa = p_plus_inv if s2 == mat.scale(st3, p_plus_inv) else None
     characters = tuple(_characters(S)) if all(S[0]) else None
     zeta_inv = zeta6.conjugate()
     lam_base = zeta6**3 * p_plus_inv
@@ -132,20 +132,6 @@ def _lifts(
     return tuple(reps)
 
 
-def global_dim_root(datum: ModularDatum) -> Cyclotomic:
-    """The positive square root D of D^2, as an exact cyclotomic.
-
-    With zeta a 6th root of the anomaly, (p+ / zeta^3)^2 = p+ p- = D^2, so
-    D = +-p+/zeta^3; the sign is fixed by the principal embedding.
-    """
-    ds = derived_scalars(datum)
-    zeta6 = _anomaly_sixth_root(datum)
-    cand = ds.gauss_plus * (zeta6**3).inverse()
-    if cand * cand != ds.global_dim_sq:
-        raise NotModularRepresentation("(p+/zeta^3)^2 != D^2: data inconsistent")
-    return cand if cand.complex_eval().real > 0 else -cand
-
-
 def _anomaly_sixth_root(datum: ModularDatum) -> Cyclotomic:
     ds = derived_scalars(datum)
     if ds.anomaly is None:
@@ -158,38 +144,22 @@ def _anomaly_sixth_root(datum: ModularDatum) -> Cyclotomic:
 
 
 @lru_cache(maxsize=None)
-def normalize(
-    datum: ModularDatum,
-    x_exp: Optional[int] = None,
-    zeta6: Optional[Cyclotomic] = None,
-) -> ModularRep:
-    """The modular representation s = (zeta^3/(x^3 p+)) S, t = (x/zeta) T.
+def normalize(datum: ModularDatum) -> ModularRep:
+    """The canonical lift s = S/D, t = (x/zeta) T.
 
-    x = zeta_12^x_exp; zeta6 is a 6th root of the anomaly.  With both left
-    None the canonical lift s = S/D is produced (x is the 6th root of unity
-    with zeta^3/(x^3 p+) = 1/D).
+    zeta is a 6th root of the anomaly and x = +-1 is the 6th root of unity
+    with zeta^3/(x^3 p+) = 1/D: D = +-p+/zeta^3, with the sign fixed by the
+    principal embedding.
     """
-    ds = derived_scalars(datum)
-    if zeta6 is None:
-        zeta6 = _anomaly_sixth_root(datum)
-    elif ds.anomaly is None or zeta6**6 != ds.anomaly:
-        raise NotModularRepresentation("zeta6^6 is not the anomaly")
-    elif zeta6 * zeta6.conjugate() != ONE:
-        raise NotModularRepresentation("zeta6 is not a root of unity")
-    if x_exp is None:
-        cand = ds.gauss_plus * zeta6.conjugate() ** 3
-        x_exp = 0 if cand.complex_eval().real > 0 else 6
+    zeta6 = _anomaly_sixth_root(datum)
+    d_root = derived_scalars(datum).gauss_plus * zeta6.conjugate() ** 3  # +-D
+    x_exp = 0 if d_root.complex_eval().real > 0 else 6
     return _lifts(datum, zeta6, (x_exp,))[0]
-
-
-@lru_cache(maxsize=None)
-def _all_lifts_cached(datum: ModularDatum) -> tuple[ModularRep, ...]:
-    return _lifts(datum, _anomaly_sixth_root(datum), range(12))
 
 
 def all_lifts(datum: ModularDatum) -> list[ModularRep]:
     """The 12 modular representations rho_x, x running over 12th roots."""
-    return list(_all_lifts_cached(datum))
+    return list(_lifts(datum, _anomaly_sixth_root(datum), range(12)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +217,11 @@ class ObstructionScan:
         return any(ok for _, ok in self.subsets)
 
 
-def obstruction_120(rep: ModularRep, subdegree: Optional[int] = None) -> ObstructionScan:
+def obstruction_120(rep: ModularRep) -> ObstructionScan:
     """Scan candidate degree-(r-2) sub-spectra for a 120th root of unity."""
     if rep.rank < 3:
         raise ValueError("obstruction scan needs rank >= 3")
-    if subdegree is None:
-        subdegree = rep.rank - 2
+    subdegree = rep.rank - 2
     orders = []
     for v in rep.t:
         o = v.root_of_unity_order()
@@ -487,6 +456,9 @@ def spectra_lookup(degree: int, level: int, parity: str) -> list[SpectrumRecord]
 # the inadmissible degree-p level-p representation
 
 
+_PSI_MAX_PRIME = 50
+
+
 @dataclass(frozen=True)
 class PsiCertificate:
     rep: ModularRep
@@ -494,13 +466,13 @@ class PsiCertificate:
     inadmissible: bool
 
 
-def inadmissible_psi(p: int, cap: int = 50) -> PsiCertificate:
+def inadmissible_psi(p: int) -> PsiCertificate:
     """The unique degree-p irreducible of SL(2, Z/p), plus the certificate
     that it is not realizable: conductor(sqrt(p+1)) does not divide p."""
     from .cyclotomic import is_prime, sqrt_int
 
-    if p <= 3 or p > cap or not is_prime(p):
-        raise ValueError(f"p must be a prime with 3 < p <= {cap}")
+    if p <= 3 or p > _PSI_MAX_PRIME or not is_prime(p):
+        raise ValueError(f"p must be a prime with 3 < p <= {_PSI_MAX_PRIME}")
     root = sqrt_int(p + 1)
     p_inv = Cyclotomic.from_rational(1) / p
     rows = []

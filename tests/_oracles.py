@@ -24,6 +24,15 @@ fraction_rational_kernel is the vanishing-sum kernel as it stood before it
 was integer-only: Fraction Gauss-Jordan on the nonzero power-basis rows.
 dense_rational_kernel is the one before that: the same elimination on a
 dense phi(L) x m Fraction matrix, zero rows dropped afterwards.
+
+g_matrix, orbit_field_degree, unit_quotient_shape and relabel_fusion were
+public package functions whose only callers were tests. g_matrix oracles
+galois.sign_function, unit_quotient_shape oracles
+field_theory.enumerate_levels, and orbit_field_degree checks the orbit
+lemma [K_j : Q] = |<j>| on GaloisProfile.orbits.
+
+dual_from_s is the charge conjugation as it stood before galois built it on
+the character-column matcher: its own column index, conjugating each column.
 """
 
 from fractions import Fraction
@@ -32,6 +41,8 @@ from math import gcd, lcm
 
 import pytest
 
+from moddata import _matrix as mat
+from moddata.classifier import _reindexed
 from moddata.cyclotomic import (
     Cyclotomic,
     NotAUnitError,
@@ -43,7 +54,9 @@ from moddata.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     factorize,
+    units_mod,
 )
+from moddata.modular_data import FusionRules
 
 PRINTED_TABLE_PI_FRACTIONS = {
     (2, "even", 2): [[0.0, 1.0]],
@@ -182,7 +195,7 @@ def numpy_grothendieck_equiv(f1, f2):
 
 
 def numpy_relabel_fusion(fusion, perm):
-    """classifier.relabel_fusion by np.ix_: (tensor as nested lists, dual)."""
+    """relabel_fusion by np.ix_: (tensor as nested lists, dual)."""
     np = pytest.importorskip("numpy")
     r = fusion.rank
     inv = np.empty(r, dtype=int)
@@ -440,3 +453,67 @@ def dense_rational_kernel(columns):
             vec[pc] = -work[r][fc]
         basis.append(tuple(vec))
     return basis
+
+
+def g_matrix(rep, k):
+    """G_sigma = sigma(s) s^(-1) = sigma(s) s^3; a signed permutation matrix."""
+    sigma_s = tuple(tuple(v.galois(k) for v in row) for row in rep.s)
+    return mat.matmul(sigma_s, mat.mat_pow(rep.s, 3))
+
+
+def orbit_field_degree(datum, j):
+    """Degree over Q of K_j = Q(S_ij / S_0j : i)."""
+    assert datum.S[0][j], f"characters undefined: S[0][{j}] = 0"
+    inv = datum.S[0][j].inverse()
+    gens = [datum.S[i][j] * inv for i in range(datum.rank)]
+    cond = lcm(*(g.order for g in gens))
+    fixing = sum(1 for k in units_mod(cond) if all(g.galois(k) == g for g in gens))
+    return euler_phi(cond) // fixing
+
+
+def unit_quotient_shape(n):
+    """Prime-power decomposition of (Z/nZ)^x / (its maximal elementary
+    2-subgroup), sorted."""
+    cyclic = []
+    for q, e in factorize(n).items():
+        if q == 2:
+            if e == 2:
+                cyclic.append(2)
+            elif e >= 3:
+                cyclic.extend([2, 2 ** (e - 2)])
+        else:
+            cyclic.append((q - 1) * q ** (e - 1))
+    shape = []
+    for d in cyclic:
+        d //= gcd(d, 2)
+        for q, e in factorize(d).items():
+            shape.append(q**e)
+    return tuple(sorted(shape))
+
+
+def relabel_fusion(f, perm):
+    """The fusion rules with label i renamed perm[i] (perm[0] = 0)."""
+    r = f.rank
+    inv = [0] * r
+    for i, p in enumerate(perm):
+        inv[p] = i
+    dual = tuple(perm[f.dual[inv[i]]] for i in range(r))
+    return FusionRules(r, _reindexed(f.tensor, inv), dual)
+
+
+def dual_from_s(datum):
+    """Charge conjugation from S_{i j*} = conj(S_ij): column matching."""
+    cols = [tuple(datum.S[i][j] for i in range(datum.rank)) for j in range(datum.rank)]
+    index = {}
+    for j, col in enumerate(cols):
+        index.setdefault(col, []).append(j)
+    dual = []
+    for j, col in enumerate(cols):
+        matches = index.get(tuple(v.conjugate() for v in col), [])
+        if len(matches) != 1:
+            return None
+        dual.append(matches[0])
+    perm = tuple(dual)
+    if perm[0] != 0 or any(perm[perm[j]] != j for j in range(datum.rank)):
+        return None
+    return perm

@@ -15,7 +15,6 @@ from moddata.classifier import (
     integral_dimension_search,
     rank5_galois_cases,
     rank5_suite,
-    relabel_fusion,
     subgroups_conjugate,
     vanishing_sum_check,
     vanishing_sum_scan,
@@ -24,7 +23,7 @@ from moddata.cyclotomic import Cyclotomic, ONE, zeta
 from moddata.galois import compose, compute_profile
 from moddata.modular_data import FusionRules, verlinde_fusion
 
-from _oracles import dense_rational_kernel, fraction_rational_kernel
+from _oracles import dense_rational_kernel, fraction_rational_kernel, relabel_fusion
 
 
 def assert_primitive_multiples(got, oracle):

@@ -1,5 +1,6 @@
 import pytest
 
+from _oracles import unit_quotient_shape
 from moddata.catalog import su2_odd_mod2
 from moddata.cyclotomic import Cyclotomic, sqrt_int, zeta
 from moddata.field_theory import (
@@ -11,7 +12,6 @@ from moddata.field_theory import (
     is_modularly_admissible,
     odd_prime_constraints,
     subfield_conductor,
-    unit_quotient_shape,
 )
 from moddata.modular_data import ModularDatum
 
@@ -122,6 +122,12 @@ class TestEnumerateLevels:
         assert GroupShape.parse("multiquadratic,m=2") == GroupShape.elementary2(2)
         with pytest.raises(ValueError):
             GroupShape.parse("p=4,m=1,r=1")
+
+    def test_elementary2_is_the_plain_shape(self):
+        # (Z/2)^m is one shape however it is spelled
+        assert GroupShape(2, (1, 1)) == GroupShape.elementary2(2)
+        assert hash(GroupShape(2, (1, 1))) == hash(GroupShape.elementary2(2))
+        assert GroupShape.parse("p=2,r=1,r=1") == GroupShape.parse("multiquadratic,m=2")
 
 
 class TestOddPrimeConstraints:

@@ -1,7 +1,8 @@
 """The pure-int fusion kernels against their numpy predecessors.
 
-verify_invariants, grothendieck_equiv and relabel_fusion must return the
-same witnesses, in the same order, as the numpy code in tests/_oracles.py:
+verify_invariants and grothendieck_equiv, and the relabel_fusion oracle,
+must return the same witnesses, in the same order, as the numpy code in
+tests/_oracles.py:
 the first associativity failure in C order of (i, j, k, l), and the first
 matching permutation in itertools.permutations order.
 """
@@ -15,8 +16,9 @@ from _oracles import (
     numpy_grothendieck_equiv,
     numpy_relabel_fusion,
     numpy_verify_invariants,
+    relabel_fusion,
 )
-from moddata.classifier import grothendieck_equiv, relabel_fusion
+from moddata.classifier import grothendieck_equiv
 from moddata.modular_data import FusionRules, verlinde_fusion
 
 pytest.importorskip("numpy")

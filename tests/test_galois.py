@@ -1,22 +1,24 @@
+from dataclasses import replace
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
-from moddata.cyclotomic import ONE, units_mod
+from _oracles import dual_from_s, g_matrix, orbit_field_degree
+from moddata.cyclotomic import ONE, ZERO, units_mod, zeta
 from moddata.galois import (
     GaloisProfile,
     NotGaloisStable,
+    _dual_from_s,
     classify_dimensions,
     compose,
     compute_profile,
     cycle_type,
     exclusion_predicates,
-    g_matrix,
     galois_twist_symmetry,
-    orbit_field_degree,
     sign_function,
 )
-from moddata.modular_data import derived_scalars, verlinde_fusion
+from moddata.modular_data import derived_scalars, load, verlinde_fusion
 from moddata.sl2z_reps import all_lifts, normalize
 
 
@@ -91,34 +93,21 @@ class TestSigns:
         for k, eps in profile.signs.items():
             assert all(e in (1, -1) for e in eps)
 
-    def test_g_matrix_is_signed_permutation(self, su2_4_all):
-        rep = normalize(su2_4_all[0])
-        n = rep.level
-        for k in units_mod(n):
-            g = g_matrix(rep, k)
-            for row in g:
-                nonzero = [v for v in row if v]
-                assert len(nonzero) == 1
-                assert nonzero[0] == ONE or nonzero[0] == -ONE
-
-    def test_gidrem_trivial_perm_gives_scalar(self, catalog_rank5):
-        # h_sigma = id forces G_sigma = +-I
-        from moddata.galois import _characters, _match_permutation
-
+    def test_g_matrix_is_the_signed_permutation(self, catalog_rank5):
+        # G_sigma = sigma(s) s^-1 has the entry eps(i) at (i, h_sigma(i)) and
+        # zeros elsewhere, for every unit k modulo the level of the lift
         for _, datum in catalog_rank5:
             rep = normalize(datum)
-            cols = _characters(rep.s)
-            identity = tuple(range(datum.rank))
+            profile = compute_profile(datum)
+            c = profile.field_conductor
             for k in units_mod(rep.level):
-                if _match_permutation(cols, k) != identity:
-                    continue
-                g = g_matrix(rep, k)
-                diag = {g[i][i] for i in range(datum.rank)}
-                assert len(diag) == 1 and (ONE in diag or -ONE in diag)
-                for i in range(datum.rank):
-                    for j in range(datum.rank):
-                        if i != j:
-                            assert not g[i][j]
+                perm = profile.perms[k % c if c > 1 else 1]
+                eps = sign_function(rep, k)
+                expected = tuple(
+                    tuple(ONE * eps[i] if j == perm[i] else ZERO for j in range(rep.rank))
+                    for i in range(rep.rank)
+                )
+                assert g_matrix(rep, k) == expected, (datum, k)
 
     def test_order2_fixed_point_symmetry(self, su2_4_all):
         # S_ij = eps(i) eps(j) S_{h(i) h(j)} and S_ii = S_{h(i)h(i)}
@@ -204,7 +193,18 @@ class TestExclusionPredicates:
         assert exclusion_predicates(datum, profile) == expected
         swap = next(cycle_type(p)[0] for p in profile.image() if cycle_type(p))
         d1 = derived_scalars(datum).dims[swap[1] if swap[0] == 0 else swap[0]]
-        assert sum(v is d1 for v in inverted) == 1
+        # eps_j is decided by S_1j == +-d_j, so no d_j is inverted
+        assert len(inverted) == 1 and inverted[0] is d1
+
+    def test_eps_witness_keeps_the_quotient(self, su2_4_all):
+        # S_13 + 1 is not +-d_3: the witness still prints S_13 / d_3
+        datum = su2_4_all[0]
+        profile = compute_profile(datum)
+        rows = [list(row) for row in datum.S]
+        rows[1][3] = rows[3][1] = rows[1][3] + ONE
+        verdict = exclusion_predicates(replace(datum, S=tuple(map(tuple, rows))), profile)[-1]
+        assert verdict.name == "eps_j = S_1j/d_j in {+-1}" and not verdict.ok
+        assert verdict.witness == "S[1][3]/d_3 = -1 + 2/3*z12 - 1/3*z12^3"
 
     def test_su2_9_vacuous(self, su2_9):
         verdicts = exclusion_predicates(su2_9, compute_profile(su2_9))
@@ -235,3 +235,25 @@ class TestOrbitFields:
             for orbit in profile.orbits:
                 selfdual = {j for j in orbit if dual[j] == j}
                 assert selfdual in (set(), set(orbit))
+
+
+class TestDualFromS:
+    def test_catalog_matches_oracle_and_fusion(self, catalog_rank5, data_dir):
+        data = [d for _, d in catalog_rank5]
+        data += [load(path) for path in sorted(data_dir.glob("*.json"))]
+        for datum in data:
+            assert _dual_from_s(datum) == dual_from_s(datum) == verlinde_fusion(datum).dual
+
+    @pytest.mark.parametrize(
+        "S, expected",
+        [
+            (((ONE, ONE), (ONE, ONE)), None),  # duplicate columns
+            (((ONE, ONE), (ONE, zeta(4))), None),  # column 1 has no conjugate column
+            (((ONE, ONE), (zeta(4), -zeta(4))), None),  # conjugation moves the unit
+            (((ONE, ONE, ONE), (ONE, zeta(3), zeta(3, 2)), (ONE, zeta(3, 2), zeta(3))), (0, 2, 1)),
+        ],
+        ids=["duplicate-columns", "no-conjugate", "unit-moved", "z3"],
+    )
+    def test_perturbed_s_matches_oracle(self, S, expected):
+        datum = SimpleNamespace(rank=len(S), S=S)
+        assert _dual_from_s(datum) == dual_from_s(datum) == expected

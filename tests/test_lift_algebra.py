@@ -4,7 +4,6 @@ check it replaces: `_build_rep` on (lam S, mu T), with lam and mu computed by
 Cyclotomic.inverse."""
 
 from dataclasses import replace
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -12,7 +11,7 @@ import pytest
 
 from moddata import _matrix as mat
 from moddata.catalog import pointed_zn, su2_odd_mod2
-from moddata.cyclotomic import Cyclotomic, ONE, ZERO, zeta
+from moddata.cyclotomic import ONE, ZERO, zeta
 from moddata.galois import (
     NotGaloisStable,
     _characters,
@@ -24,6 +23,7 @@ from moddata.sl2z_reps import (
     NotModularRepresentation,
     _anomaly_sixth_root,
     _build_rep,
+    _lifts,
     all_lifts,
     normalize,
 )
@@ -100,7 +100,7 @@ def test_stored_characters_change_no_result(name):
         bare = replace(rep, characters=None)
         assert bare == rep and hash(bare) == hash(rep)
         assert galois_twist_symmetry(bare) == galois_twist_symmetry(rep)
-        assert normalize(datum, a, zeta6) == rep
+        assert _lifts(datum, zeta6, (a,)) == (rep,)
     rep = normalize(datum)
     bare = replace(rep, characters=None)
     assert compute_profile(datum, bare).to_json() == compute_profile(datum, rep).to_json()
@@ -130,7 +130,7 @@ def test_perturbed_data_fail_like_the_oracle(perturb, witness):
         assert str(exc.value) == witness
     for a in range(12):
         with pytest.raises(NotModularRepresentation) as new:
-            normalize(datum, a, zeta6)
+            _lifts(datum, zeta6, (a,))
         with pytest.raises(NotModularRepresentation) as old:
             oracle_lift(datum, zeta(12, a))
         assert str(new.value) == str(old.value) == witness
@@ -146,14 +146,3 @@ def test_vanishing_dimension_leaves_characters_unset():
         with pytest.raises(NotGaloisStable, match="vanishing first-row entry"):
             galois_twist_symmetry(rep)
 
-
-def test_zeta6_off_the_unit_circle_is_refused():
-    # dims zeta_8^-1 * (64/65, -1/65) with theta = (1, i, -i) give
-    # p+ = 128/65 and p- = 2/65, so the anomaly 64 has the sixth root 2
-    d1 = zeta(8, -1) * Fraction(64, 65)
-    d2 = zeta(8, -1) * Fraction(-1, 65)
-    S = ((ONE, d1, d2), (d1, ONE, ZERO), (d2, ZERO, ONE))
-    datum = ModularDatum(3, 4, (0, 1, 3), S)
-    assert derived_scalars(datum).anomaly == 64
-    with pytest.raises(NotModularRepresentation, match="zeta6 is not a root of unity"):
-        normalize(datum, 0, Cyclotomic.from_rational(2))

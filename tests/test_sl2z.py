@@ -12,7 +12,6 @@ from moddata.sl2z_reps import (
     NotModularRepresentation,
     NotTabulatedError,
     all_lifts,
-    global_dim_root,
     inadmissible_psi,
     normalize,
     obstruction_120,
@@ -37,10 +36,10 @@ class TestNormalize:
         rep = normalize(su2_9)
         assert rep.level % 11 == 0 and 132 % rep.level == 0
         assert verify_relations(rep.s, rep.t).ok
-        # canonical lift is s = S/D
-        d_root = global_dim_root(su2_9)
+        # canonical lift is s = S/D with D > 0
+        d_root = 1 / rep.s[0][0]
         assert d_root * d_root == derived_scalars(su2_9).global_dim_sq
-        assert rep.s[0][0] * d_root == ONE
+        assert d_root == d_root.conjugate() and d_root.complex_eval().real > 0
 
     def test_self_dual_even_lift(self, su2_9, su2_4_all):
         # self-dual data admit an even lift; the canonical one is even
@@ -83,10 +82,6 @@ class TestNormalize:
         bad = ModularDatum(5, 11, su2_9.t_exponents, rows_t)
         with pytest.raises(NotModularRepresentation):
             normalize(bad)
-
-    def test_explicit_zeta_choice_validated(self, su2_9):
-        with pytest.raises(NotModularRepresentation):
-            normalize(su2_9, zeta6=zeta(7))
 
 
 class TestConnectivity:
