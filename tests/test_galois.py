@@ -93,6 +93,35 @@ class TestSigns:
         for k, eps in profile.signs.items():
             assert all(e in (1, -1) for e in eps)
 
+    def test_g_matrix_is_signed_permutation(self, su2_4_all):
+        rep = normalize(su2_4_all[0])
+        n = rep.level
+        for k in units_mod(n):
+            g = g_matrix(rep, k)
+            for row in g:
+                nonzero = [v for v in row if v]
+                assert len(nonzero) == 1
+                assert nonzero[0] == ONE or nonzero[0] == -ONE
+
+    def test_gidrem_trivial_perm_gives_scalar(self, catalog_rank5):
+        # h_sigma = id forces G_sigma = +-I
+        from moddata.galois import _characters, _match_permutation
+
+        for _, datum in catalog_rank5:
+            rep = normalize(datum)
+            cols = _characters(rep.s)
+            identity = tuple(range(datum.rank))
+            for k in units_mod(rep.level):
+                if _match_permutation(cols, k) != identity:
+                    continue
+                g = g_matrix(rep, k)
+                diag = {g[i][i] for i in range(datum.rank)}
+                assert len(diag) == 1 and (ONE in diag or -ONE in diag)
+                for i in range(datum.rank):
+                    for j in range(datum.rank):
+                        if i != j:
+                            assert not g[i][j]
+
     def test_g_matrix_is_the_signed_permutation(self, catalog_rank5):
         # G_sigma = sigma(s) s^-1 has the entry eps(i) at (i, h_sigma(i)) and
         # zeros elsewhere, for every unit k modulo the level of the lift
