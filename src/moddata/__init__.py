@@ -9,6 +9,7 @@ from .cyclotomic import (
     ONE,
     ZERO,
     get_order_cap,
+    real_sign,
     set_order_cap,
     sqrt_int,
     zeta,

@@ -7,7 +7,9 @@ the gcd of denominator and numerators.  As a consequence two values are
 equal iff their (order, numerators, denominator) triples are identical, and
 the stored order is never congruent to 2 mod 4.  Fraction appears only at
 the boundary: construction, items(), JSON, printing, as_rational(),
-complex_eval() and the hash of a non-integer rational.
+complex_eval() and the hash of a non-integer rational.  The sign of a real
+value is decided exactly by real_sign; mpmath is imported only for the float
+rendering.
 
 Values are immutable; the per-order phi/reduction tables are written
 under a lock so instances can be shared freely between threads.
@@ -19,8 +21,6 @@ import threading
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Union
-
-import mpmath
 
 RationalLike = Union[int, Fraction]
 Scalar = Union[int, Fraction, "Cyclotomic"]
@@ -533,25 +533,35 @@ class Cyclotomic:
             if q == -1:
                 return (-1, 0)
             return None
-        if self * self.conjugate() != ONE:
-            return None
-        # for a non-unit e, +-zeta_f^e lies in a proper subfield of Q_f
-        negated = {e: -c for e, c in nums.items()}
-        for e in units_mod(f):
-            mono = _reduce_exponents(f, {e: 1})
-            if nums == mono:
-                return (1, e)
-            if negated == mono:
-                return (-1, e)
+        # +-zeta_f^e is one basis term for e < phi(f); any other e lies in a
+        # window [j phi(f), (j+1) phi(f)) and drops below phi(f) when the
+        # exponents are shifted down by j phi(f).  A hit is a unit e, since
+        # for a non-unit e, +-zeta_f^e lies in a proper subfield of Q_f.
+        phi = _order_info(f)[0]
+        for shift in range(0, f, phi):
+            mono = nums if shift == 0 else _reduce_exponents(
+                f, {e - shift: c for e, c in nums.items()}
+            )
+            if len(mono) == 1:
+                ((e, c),) = mono.items()
+                if c in (1, -1):
+                    e = (e + shift) % f
+                    # for even f, -zeta_f^e == zeta_f^(e + f/2): report the
+                    # smaller exponent
+                    if f % 2 == 0 and e >= f // 2:
+                        c, e = -c, e - f // 2
+                    return (c, e)
         return None
 
     # -- numerics ------------------------------------------------------------
 
     def complex_eval(self, digits: int = EVAL_DIGIT_CAP) -> complex:
-        """Float evaluation at the principal embedding zeta_n = e^(2*pi*i/n).
-
-        Diagnostics only; never used to decide exact equality.
+        """Float evaluation at the principal embedding zeta_n = e^(2*pi*i/n),
+        for display (`moddata rep`, demos); no decision reads it, and mpmath
+        is imported here only.
         """
+        import mpmath
+
         if not 1 <= digits <= EVAL_DIGIT_CAP:
             raise ValueError(f"digits must be in 1..{EVAL_DIGIT_CAP}")
         with mpmath.workdps(digits + 15):
@@ -701,3 +711,95 @@ def sqrt_int(m: int) -> Cyclotomic:
 def _legendre(a: int, p: int) -> int:
     r = pow(a, (p - 1) // 2, p)
     return r if r <= 1 else -1
+
+
+# ---------------------------------------------------------------------------
+# certified sign of a real value
+#
+# A fixed-point number at precision p is an integer v standing for v / 2^p,
+# and "error err" means |v - 2^p * (true value)| <= err.  Floor divisions by
+# positive integers nest exactly: floor(floor(a / b) / c) == floor(a / (bc)).
+
+
+def real_sign(x: Cyclotomic) -> int:
+    """The sign -1, 0 or +1 of a real x, decided exactly; ValueError if x is
+    not real.
+
+    Zero is tested exactly.  Otherwise x = (1/den) sum c_e cos(2 pi e/n) is
+    evaluated in integer fixed point with a proven error bound, and the
+    precision doubles until the bound excludes 0, which it must since x != 0.
+    """
+    if x.order == 1:
+        q = x._nums.get(0, 0)
+        return (q > 0) - (q < 0)
+    if not x.is_real:
+        raise ValueError(f"{x} is not real")
+    p = 64  # bits; every sign of the catalog data is decided at this precision
+    while True:
+        pi, pi_err = _pi_fixed(p)
+        total = err = 0
+        for e, c in x._nums.items():
+            v, v_err = _cos_fixed(e, x.order, pi, pi_err, p)
+            total += c * v
+            err += abs(c) * v_err
+        if abs(total) > err:
+            return 1 if total > 0 else -1
+        p *= 2
+
+
+def _arctan_inv(x: int, p: int) -> tuple[int, int]:
+    """arctan(1/x), x >= 2, at precision p with its error.
+
+    Term k is floor(2^p / ((2k+1) x^(2k+1))) exactly, so each of the K terms
+    added is off by less than 1; the loop stops at the first power that is
+    0, where 2^p / x^(2K+1) < 1 bounds the alternating tail."""
+    power, total, k, x2 = (1 << p) // x, 0, 0, x * x
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k & 1 else term
+        power //= x2
+        k += 1
+    return total, k + 1
+
+
+def _pi_fixed(p: int) -> tuple[int, int]:
+    """pi at precision p with its error, by Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239)."""
+    a, a_err = _arctan_inv(5, p)
+    b, b_err = _arctan_inv(239, p)
+    return 16 * a - 4 * b, 16 * a_err + 4 * b_err
+
+
+def _cos_fixed(num: int, den: int, pi: int, pi_err: int, p: int) -> tuple[int, int]:
+    """cos(2 pi num / den) at precision p with its error, from pi with error
+    pi_err at the same precision.
+
+    Octant reduction: 2 pi num/den = q pi/2 + y with q = round(4 num/den) and
+    |y| <= pi/4, so the value is +-cos y or +-sin y.  y is computed with
+    error at most pi_err/4 + 1, and cos and sin are 1-Lipschitz, so that
+    error carries over unchanged.  The Taylor series is then summed at the
+    computed y' exactly: with |y'| < 0.79, y2 = floor(y'^2 2^p) and the
+    divisors d_k = (2k-1)(2k) for cos, (2k)(2k+1) for sin, each term
+    t_k = floor(t_(k-1) y2 / (2^p d_k)) is off by less than
+    (0.62 err_(k-1) + 1) / d_k + 1: 1.5 for the first cos term (err_0 = 0,
+    d_1 = 2) and below 1.4 for every other (d_k >= 6).  The sum stops at the
+    first term that is 0, and the alternating tail after it is below 2.
+    """
+    q = (8 * num + den) // (2 * den)
+    m = 4 * num - q * den  # |m| <= den/2, y = pi m / (2 den)
+    y = pi * m // (2 * den)
+    r = q & 1  # q even: cos y is needed, q odd: sin y
+    a = abs(y)
+    y2 = a * a >> p
+    term = total = a if r else 1 << p
+    k = 0
+    while term:
+        k += 1
+        term = (term * y2 >> p) // ((2 * k + r - 1) * (2 * k + r))
+        total += -term if k & 1 else term
+    # cos(q pi/2 + y) is cos y, -sin y, -cos y, sin y for q = 0, 1, 2, 3 mod 4
+    if r and y < 0:
+        total = -total
+    if q & 3 in (1, 2):
+        total = -total
+    return total, 2 * k + 2 + pi_err // 4 + 2

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .cyclotomic import Cyclotomic, NotAUnitError, units_mod
+from .cyclotomic import Cyclotomic, NotAUnitError, real_sign, units_mod
 from .modular_data import ModularDatum, Verdict, derived_scalars
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -240,7 +240,7 @@ def classify_dimensions(datum: ModularDatum, profile: GaloisProfile) -> Dimensio
         )
     constant = None
     if ds.global_dim_sq.is_integer and all(
-        _numeric_positive(d) for d in ds.dims
+        _positive(d) for d in ds.dims
     ):
         constant = all(
             ds.dims[p[a]] == ds.dims[a]
@@ -260,21 +260,17 @@ def classify_dimensions(datum: ModularDatum, profile: GaloisProfile) -> Dimensio
 
 
 def _fp_column(datum: ModularDatum) -> Optional[int]:
-    """Column whose character values are all positive reals (Frobenius-Perron).
-
-    Numeric identification only; never feeds an exact equality decision.
-    """
+    """Column whose character values are all positive reals (Frobenius-Perron)."""
     cols = _characters(datum.S)
     for a, col in enumerate(cols):
-        if all(_numeric_positive(v) for v in col):
+        if all(_positive(v) for v in col):
             return a
     return None
 
 
-def _numeric_positive(x: Cyclotomic) -> bool:
-    """x > 0 at the principal embedding, by floats with a 1e-9 tolerance."""
-    z = x.complex_eval()
-    return abs(z.imag) < 1e-9 and z.real > 1e-9
+def _positive(x: Cyclotomic) -> bool:
+    """x is real and > 0 at the principal embedding, decided exactly."""
+    return x.is_real and real_sign(x) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +358,7 @@ def _transposition_lemma(
     ds = derived_scalars(datum)
     d1 = ds.dims[one]
     out.append(
-        NamedVerdict("d_1 > 0", _numeric_positive(d1), f"d_{one} = {d1}")
+        NamedVerdict("d_1 > 0", _positive(d1), f"d_{one} = {d1}")
     )
     d1_inv = d1.inverse()
     tr = d1 + d1_inv

@@ -10,7 +10,7 @@ from math import lcm
 from typing import Iterable, Optional
 
 from . import _matrix as mat
-from .cyclotomic import Cyclotomic, ONE, ZERO, zeta
+from .cyclotomic import Cyclotomic, ONE, ZERO, real_sign, zeta
 from .galois import _characters
 from .modular_data import ModularDatum, Verdict, derived_scalars
 
@@ -149,11 +149,12 @@ def normalize(datum: ModularDatum) -> ModularRep:
 
     zeta is a 6th root of the anomaly and x = +-1 is the 6th root of unity
     with zeta^3/(x^3 p+) = 1/D: D = +-p+/zeta^3, with the sign fixed by the
-    principal embedding.
+    principal embedding.  The sign is read from 2 Re(+-D), which is real
+    even for a datum whose D is not.
     """
     zeta6 = _anomaly_sixth_root(datum)
     d_root = derived_scalars(datum).gauss_plus * zeta6.conjugate() ** 3  # +-D
-    x_exp = 0 if d_root.complex_eval().real > 0 else 6
+    x_exp = 0 if real_sign(d_root + d_root.conjugate()) > 0 else 6
     return _lifts(datum, zeta6, (x_exp,))[0]
 
 

@@ -9,6 +9,16 @@ import pytest
 from moddata.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from moddata.modular_data import load
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports moddata from src/, with a timeout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
 
 @pytest.fixture()
 def su2_9_file(data_dir):
@@ -52,12 +62,7 @@ class TestCheck:
         bad["S"][1][2]["order"] = 10**18 + 3
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(bad))
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "moddata.cli", "check", str(path)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_python("-m", "moddata.cli", "check", str(path))
         assert proc.returncode == EXIT_USAGE
         assert "Traceback" not in proc.stderr
         assert "order cap" in proc.stderr
@@ -133,19 +138,89 @@ def test_equiv_output_is_stable(capsys, data_dir, case, as_json):
 
 
 def test_runtime_imports_no_numpy():
-    """The CLI runs a full check without importing numpy."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    """The exact paths (check, the SL(2,Z) lifts, the vanishing-sum scan and
+    classify-rank5) import neither numpy nor mpmath; rep still prints its
+    float column, which imports mpmath."""
     datum = str(Path(__file__).resolve().parent.parent / "data" / "pointed_z5.json")
     code = (
-        "import sys, moddata, moddata.cli\n"
-        f"assert moddata.cli.main(['check', {datum!r}]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "import contextlib, io, sys\n"
+        "from moddata.catalog import pointed_zn\n"
+        "from moddata.classifier import vanishing_sum_scan\n"
+        "from moddata.cli import main\n"
+        "from moddata.sl2z_reps import all_lifts, normalize\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['check', {datum!r}]) == 0\n"
+        "    assert main(['classify-rank5']) == 0\n"
+        "all_lifts(pointed_zn(7))\n"
+        "normalize(pointed_zn(7))\n"
+        "vanishing_sum_scan(8)\n"
+        "for name in ('numpy', 'mpmath'):\n"
+        "    assert name not in sys.modules, name + ' was imported'\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    assert main(['rep', {datum!r}]) == 0\n"
+        "assert '~' in out.getvalue(), out.getvalue()\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def _entry(order, coeffs):
+    return {"order": order, "coeffs": coeffs}
+
+
+def _with(doc, **fields):
+    return {**doc, **fields}
+
+
+def _with_entry(doc, i, j, entry):
+    """doc with S[i][j] and S[j][i] replaced, so S stays symmetric."""
+    S = [list(row) for row in doc["S"]]
+    S[i][j] = S[j][i] = entry
+    return _with(doc, S=S)
+
+
+# name -> (edit of data/pointed_z5.json, exit codes of check, fusion, galois
+# and rep): 2 for a malformed file, 1 for a well-formed datum that is not
+# modular; fusion reads S only, so a bad twist leaves it at 0
+MALFORMED = {
+    "top_level_list": (lambda d: [d], (2, 2, 2, 2)),
+    "rank_not_int": (lambda d: _with(d, rank="five"), (2, 2, 2, 2)),
+    "torder_missing": (lambda d: {k: v for k, v in d.items() if k != "torder"}, (2, 2, 2, 2)),
+    "S_not_list": (lambda d: _with(d, S="identity"), (2, 2, 2, 2)),
+    "entry_not_object": (lambda d: _with_entry(d, 1, 2, 3), (2, 2, 2, 2)),
+    "coeffs_not_object": (lambda d: _with_entry(d, 1, 2, {"order": 5, "coeffs": ["1"]}), (2, 2, 2, 2)),
+    "ragged_S": (lambda d: _with(d, S=[*d["S"][:2], d["S"][2][:-1], *d["S"][3:]]), (2, 2, 2, 2)),
+    "entry_order_0": (lambda d: _with_entry(d, 1, 1, _entry(0, {"0": "1"})), (2, 2, 2, 2)),
+    "torder_0": (lambda d: _with(d, torder=0), (2, 2, 2, 2)),
+    "huge_torder": (lambda d: _with(d, torder=10**30), (2, 2, 2, 2)),
+    "huge_entry_order": (lambda d: _with_entry(d, 1, 2, _entry(10**30, {"1": "1"})), (2, 2, 2, 2)),
+    "huge_exponent": (lambda d: _with_entry(d, 1, 2, _entry(5, {str(10**40 + 2): "1"})), (1, 1, 1, 1)),
+    "huge_coefficient": (lambda d: _with_entry(d, 1, 2, _entry(5, {"1": f"{10**300}/7"})), (1, 1, 1, 1)),
+    "huge_twist_exponent": (lambda d: _with(d, t_exponents=[0, 10**40 + 2, 4, 4, 1]), (1, 0, 1, 1)),
+    "fraction_zero_denominator": (lambda d: _with_entry(d, 1, 2, _entry(5, {"1": "1/0"})), (2, 2, 2, 2)),
+    "fraction_not_a_number": (lambda d: _with_entry(d, 1, 2, _entry(5, {"1": "one"})), (2, 2, 2, 2)),
+    "fraction_two_slashes": (lambda d: _with_entry(d, 1, 2, _entry(5, {"1": "1/2/3"})), (2, 2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_datum_is_refused(tmp_path, data_dir, case):
+    """check, fusion, galois and rep exit 2 on a malformed datum file and 1 on
+    a datum that is not modular, within the timeout and without a traceback."""
+    edit, codes = MALFORMED[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(edit(json.loads((data_dir / "pointed_z5.json").read_text()))))
+    code = (
+        "import contextlib, io\n"
+        "from moddata.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main([cmd, {str(path)!r}]) for cmd in ('check', 'fusion', 'galois', 'rep')]\n"
+        "print(*codes)\n"
+    )
+    proc = run_python("-c", code)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stdout.split() == [str(c) for c in codes], proc.stderr
 
 
 class TestFusion:
