@@ -34,6 +34,6 @@ print("-z3 has order      =", w.root_of_unity_order())
 
 print()
 print("== float rendering (never a correctness path) ==")
-print("sqrt(2) ~", r2.complex_eval(12))
+print("sqrt(2) ~", r2.complex_eval())
 half = Cyclotomic(1, {0: Fraction(1, 2)})
 print("half is not an algebraic integer:", half.is_algebraic_integer)

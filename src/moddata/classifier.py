@@ -9,7 +9,13 @@ from itertools import permutations, product
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
-from .catalog import pointed_zn, rank5_catalog, su2_4_family_all, su2_odd_mod2
+from .catalog import (
+    pointed_zn,
+    rank5_catalog,
+    su2_4_family,
+    su2_4_parameter_tuples,
+    su2_odd_mod2,
+)
 from .cyclotomic import Cyclotomic, ONE, ZERO, _numerators_at, is_prime, zeta
 from .field_theory import cauchy_prime_support
 from .galois import (
@@ -448,7 +454,7 @@ class Rank5Report:
 
 
 _FUSION_CLASSES = (
-    ("SU(2)_4", lambda: verlinde_fusion(su2_4_family_all()[0])),
+    ("SU(2)_4", lambda: verlinde_fusion(su2_4_family(*su2_4_parameter_tuples()[0]))),
     ("SU(2)_9/Z_2", lambda: verlinde_fusion(su2_odd_mod2(5))),
     ("SU(5)_1", lambda: verlinde_fusion(pointed_zn(5, 1))),
 )

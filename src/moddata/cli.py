@@ -87,7 +87,7 @@ def _cmd_rep(args) -> int:
     rep = normalize(datum)
     conn = spectra_connectivity(rep)
     spectrum = [
-        (str(v), v.root_of_unity_order(), v.complex_eval(args.precision))
+        (str(v), v.root_of_unity_order(), v.complex_eval())
         for v in rep.t
     ]
     if args.json:
@@ -181,12 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact admissibility and classification checks for modular data",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument(
-        "--precision",
-        type=int,
-        default=6,
-        help="digits for diagnostic float rendering",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run the seven admissibility conditions")

@@ -7,9 +7,10 @@ the gcd of denominator and numerators.  As a consequence two values are
 equal iff their (order, numerators, denominator) triples are identical, and
 the stored order is never congruent to 2 mod 4.  Fraction appears only at
 the boundary: construction, items(), JSON, printing, as_rational(),
-complex_eval() and the hash of a non-integer rational.  The sign of a real
-value is decided exactly by real_sign; mpmath is imported only for the float
-rendering.
+complex_eval() and the hash of a non-integer rational.  One integer
+fixed-point evaluation with a proven error bound serves both numeric needs:
+real_sign decides the sign of a real value exactly, and complex_eval rounds
+each part of a value correctly to a double for display.
 
 Values are immutable; the per-order phi/reduction tables are written
 under a lock so instances can be shared freely between threads.
@@ -19,14 +20,11 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import gcd, lcm
+from math import copysign, gcd, inf, lcm, nextafter
 from typing import Iterable, Mapping, Optional, Union
 
 RationalLike = Union[int, Fraction]
 Scalar = Union[int, Fraction, "Cyclotomic"]
-
-#: complex_eval returns a Python complex, so this is the honest digit cap.
-EVAL_DIGIT_CAP = 15
 
 _DEFAULT_ORDER_CAP = 2000
 _order_cap = _DEFAULT_ORDER_CAP
@@ -555,23 +553,21 @@ class Cyclotomic:
 
     # -- numerics ------------------------------------------------------------
 
-    def complex_eval(self, digits: int = EVAL_DIGIT_CAP) -> complex:
-        """Float evaluation at the principal embedding zeta_n = e^(2*pi*i/n),
-        for display (`moddata rep`, demos); no decision reads it, and mpmath
-        is imported here only.
-        """
-        import mpmath
+    def complex_eval(self) -> complex:
+        """The value at the principal embedding zeta_n = e^(2*pi*i/n), each
+        part correctly rounded to a double, for display (`moddata rep`,
+        demos); no decision reads it.
 
-        if not 1 <= digits <= EVAL_DIGIT_CAP:
-            raise ValueError(f"digits must be in 1..{EVAL_DIGIT_CAP}")
-        with mpmath.workdps(digits + 15):
-            total = mpmath.mpc(0)
-            for e, num in self._nums.items():
-                c = Fraction(num, self._den)
-                total += mpmath.mpf(c.numerator) / c.denominator * mpmath.expjpi(
-                    mpmath.mpf(2 * e) / self.order
-                )
-            return complex(float(total.real), float(total.imag))
+        A part that is exactly 0 is 0.0: the imaginary part vanishes iff
+        x == conj(x), the real part iff x == -conj(x).  A part beyond the
+        double range raises OverflowError, as float() of such an int does.
+        """
+        if self.order == 1:
+            return complex(float(self.as_rational()))
+        conj = self.conjugate()
+        re = 0.0 if self == -conj else _nearest_double(self, False)
+        im = 0.0 if self == conj else _nearest_double(self, True)
+        return complex(re, im)
 
     # -- JSON ---------------------------------------------------------------
 
@@ -714,7 +710,7 @@ def _legendre(a: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# certified sign of a real value
+# certified evaluation: the sign of a real value, each part as a double
 #
 # A fixed-point number at precision p is an integer v standing for v / 2^p,
 # and "error err" means |v - 2^p * (true value)| <= err.  Floor divisions by
@@ -728,6 +724,8 @@ def real_sign(x: Cyclotomic) -> int:
     Zero is tested exactly.  Otherwise x = (1/den) sum c_e cos(2 pi e/n) is
     evaluated in integer fixed point with a proven error bound, and the
     precision doubles until the bound excludes 0, which it must since x != 0.
+    A precision past the Liouville bound of x that still leaves the sign
+    open can only come from a fault in the evaluation: ArithmeticError.
     """
     if x.order == 1:
         q = x._nums.get(0, 0)
@@ -736,15 +734,77 @@ def real_sign(x: Cyclotomic) -> int:
         raise ValueError(f"{x} is not real")
     p = 64  # bits; every sign of the catalog data is decided at this precision
     while True:
-        pi, pi_err = _pi_fixed(p)
-        total = err = 0
-        for e, c in x._nums.items():
-            v, v_err = _cos_fixed(e, x.order, pi, pi_err, p)
-            total += c * v
-            err += abs(c) * v_err
+        total, err = _fixed_sum(x, p, False)
         if abs(total) > err:
             return 1 if total > 0 else -1
+        # |2^p den x| <= 2 err, against |den x| >= 1 / _liouville(x)
+        if err * _liouville(x) << 1 < 1 << p:
+            raise ArithmeticError(f"the sign of {x} is undecided at {p} bits")
         p *= 2
+
+
+def _nearest_double(x: Cyclotomic, imag: bool) -> float:
+    """The real part of x, or with imag its imaginary part, rounded to the
+    nearest double, for x of order > 1 whose part is not 0.
+
+    The part is evaluated like real_sign's sum, and the precision doubles
+    until both ends of the error interval round to the same double.  When a
+    part lies on or next to a rounding boundary (a midpoint between two
+    doubles), the doubling stops at a cap past which the interval holds
+    that one boundary only, and the side is decided exactly by real_sign.
+    """
+    p = 64
+    while True:
+        total, err = _fixed_sum(x, p, imag)
+        scale = x._den << p
+        lo, hi = (total - err) / scale, (total + err) / scale  # correctly rounded
+        if _same_double(lo, hi):
+            return lo
+        # 2 den part is, up to a factor i, sum c_e (zeta^e +- zeta^-e): a
+        # nonzero algebraic integer of Q_n whose conjugates are at most
+        # 2C = 2 sum |c_e|, so |part| >= L = 1/(2 den (2C)^(phi-1)).
+        # Past the cap the interval is narrower than L / 2^56: its points lie
+        # beyond L/2 on one side of 0, where rounding boundaries are more
+        # than L / 2^55 apart, so it holds at most one of them.
+        phi = _order_info(x.order)[0]
+        if err * _liouville(x) << (phi + 57) < 1 << p:
+            break
+        p *= 2
+    if not _same_double(nextafter(lo, inf), hi):
+        raise ArithmeticError(f"{x} is not rounded at {p} bits")
+    mid = (Fraction(lo) + Fraction(hi)) / 2
+    conj = x.conjugate()
+    part = (x - conj) * zeta(4, -1) if imag else x + conj  # 2 Im x or 2 Re x
+    side = real_sign(part * Fraction(1, 2) - mid)
+    return lo if side < 0 else hi if side > 0 else float(mid)  # ties to even
+
+
+def _same_double(a: float, b: float) -> bool:
+    # -0.0 == 0.0, but an interval that straddles 0 below the smallest
+    # double leaves the sign of the rounded part open
+    return a == b and copysign(1.0, a) == copysign(1.0, b)
+
+
+def _fixed_sum(x: Cyclotomic, p: int, imag: bool) -> tuple[int, int]:
+    """den 2^p times the real part (1/den) sum c_e cos(2 pi e/n) of x, or
+    with imag its imaginary part (1/den) sum c_e sin(2 pi e/n), at
+    precision p with its error; sin(2 pi e/n) = cos(2 pi (4e - n)/(4n))."""
+    n = x.order
+    k, shift = (4, n) if imag else (1, 0)
+    pi, pi_err = _pi_fixed(p)
+    total = err = 0
+    for e, c in x._nums.items():
+        v, v_err = _cos_fixed(k * e - shift, k * n, pi, pi_err, p)
+        total += c * v
+        err += abs(c) * v_err
+    return total, err
+
+
+def _liouville(x: Cyclotomic) -> int:
+    """C^(phi(n) - 1) for C = sum |c_e|.  den x = sum c_e zeta_n^e is an
+    algebraic integer whose conjugates are at most C in absolute value, and
+    its norm is a nonzero integer when x != 0, so |den x| >= 1 / C^(phi(n)-1)."""
+    return sum(map(abs, x._nums.values())) ** (_order_info(x.order)[0] - 1)
 
 
 def _arctan_inv(x: int, p: int) -> tuple[int, int]:

@@ -576,11 +576,15 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
     if not ds.global_dim_sq:
         ok, witness = False, "D^2 = 0"
     else:
-        left = norm_prime_support(ds.global_dim_sq)
-        right = frozenset(factorize(N))
-        if left != right:
+        from .field_theory import cauchy_prime_support
+
+        support = cauchy_prime_support(datum)
+        if not support.ok:
             ok = False
-            witness = f"supp Norm(D^2) = {sorted(left)} != supp N = {sorted(right)}"
+            witness = (
+                f"supp Norm(D^2) = {sorted(support.norm_primes)}"
+                f" != supp N = {sorted(support.torder_primes)}"
+            )
     reports.append(ConditionReport(7, "Cauchy condition", ok, witness))
 
     return AdmissibilityReport(tuple(reports), profile)

@@ -31,6 +31,12 @@ galois.sign_function, unit_quotient_shape oracles
 field_theory.enumerate_levels, and orbit_field_degree checks the orbit
 lemma [K_j : Q] = |<j>| on GaloisProfile.orbits.
 
+mpmath_complex_eval is Cyclotomic.complex_eval as it stood when it used
+mpmath: the sum of c_e e^(2 pi i e/n) at 30 decimal places, each part
+converted to a double. It oracles the fixed-point evaluation behind
+complex_eval and real_sign, and skips the calling test when mpmath is not
+installed.
+
 dual_from_s is the charge conjugation as it stood before galois built it on
 the character-column matcher: its own column index, conjugating each column.
 """
@@ -517,3 +523,15 @@ def dual_from_s(datum):
     if perm[0] != 0 or any(perm[perm[j]] != j for j in range(datum.rank)):
         return None
     return perm
+
+
+def mpmath_complex_eval(x: Cyclotomic) -> complex:
+    """x at the principal embedding by mpmath at 30 decimal places."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        total = mpmath.mpc(0)
+        for e, c in x.items():
+            total += mpmath.mpf(c.numerator) / c.denominator * mpmath.expjpi(
+                mpmath.mpf(2 * e) / x.order
+            )
+        return complex(float(total.real), float(total.imag))

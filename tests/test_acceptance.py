@@ -137,7 +137,7 @@ def test_criterion_6_table_round_trip():
                 {cmath.exp(1j * math.pi * f) for f in fracs}
                 for fracs in PRINTED_TABLE_PI_FRACTIONS[key]
             ]
-            rendered = [{v.complex_eval(15) for v in s} for s in row.spectra]
+            rendered = [{v.complex_eval() for v in s} for s in row.spectra]
             assert match_rendered_spectra(rendered, expected, 1e-12), key
             covered.add(key)
         assert covered == set(PRINTED_TABLE_PI_FRACTIONS)

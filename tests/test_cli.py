@@ -138,28 +138,30 @@ def test_equiv_output_is_stable(capsys, data_dir, case, as_json):
 
 
 def test_runtime_imports_no_numpy():
-    """The exact paths (check, the SL(2,Z) lifts, the vanishing-sum scan and
-    classify-rank5) import neither numpy nor mpmath; rep still prints its
-    float column, which imports mpmath."""
-    datum = str(Path(__file__).resolve().parent.parent / "data" / "pointed_z5.json")
+    """Every subcommand succeeds on data/ files in an interpreter where
+    mpmath cannot be imported, rep with its float column included; neither
+    they nor the SL(2,Z) lifts and the vanishing-sum scan import numpy."""
+    data = Path(__file__).resolve().parent.parent / "data"
+    files = [str(data / f"{name}.json") for name in ("pointed_z5", "su2_9_mod2", "su2_4_family_0")]
+    runs = [[*flag, cmd, f] for f in files for cmd in ("check", "fusion", "galois", "rep") for flag in ((), ("--json",))]
+    runs += [["classify-rank5"], ["--json", "classify-rank5"], ["equiv", files[2], str(data / "su2_4_family_1.json")]]
     code = (
         "import contextlib, io, sys\n"
+        "sys.modules['mpmath'] = None\n"
         "from moddata.catalog import pointed_zn\n"
         "from moddata.classifier import vanishing_sum_scan\n"
         "from moddata.cli import main\n"
         "from moddata.sl2z_reps import all_lifts, normalize\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main(['check', {datum!r}]) == 0\n"
-        "    assert main(['classify-rank5']) == 0\n"
+        f"for argv in {runs!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    assert argv[0] != 'rep' or '~' in out.getvalue(), out.getvalue()\n"
         "all_lifts(pointed_zn(7))\n"
         "normalize(pointed_zn(7))\n"
         "vanishing_sum_scan(8)\n"
-        "for name in ('numpy', 'mpmath'):\n"
-        "    assert name not in sys.modules, name + ' was imported'\n"
-        "out = io.StringIO()\n"
-        "with contextlib.redirect_stdout(out):\n"
-        f"    assert main(['rep', {datum!r}]) == 0\n"
-        "assert '~' in out.getvalue(), out.getvalue()\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "assert sys.modules['mpmath'] is None, 'mpmath was imported'\n"
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
@@ -324,3 +326,7 @@ class TestUsage:
 
     def test_no_args(self, capsys):
         assert main([]) == EXIT_USAGE
+
+    def test_precision_flag_is_gone(self, capsys, su2_9_file):
+        # rep prints each part correctly rounded; there is no digit knob
+        assert main(["--precision", "6", "rep", su2_9_file]) == EXIT_USAGE

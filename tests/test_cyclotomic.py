@@ -237,10 +237,10 @@ class TestPredicates:
 
 class TestComplexEval:
     def test_i(self):
-        assert abs(zeta(4).complex_eval(10) - 1j) < 1e-10
+        assert abs(zeta(4).complex_eval() - 1j) < 1e-10
 
     def test_sqrt2(self):
-        v = (zeta(8) + zeta(8, -1)).complex_eval(10)
+        v = (zeta(8) + zeta(8, -1)).complex_eval()
         assert abs(v - 2**0.5) < 1e-10
 
     def test_sine_ratio(self):
@@ -250,13 +250,9 @@ class TestComplexEval:
         h = 6  # (11+1)/2, zeta_22 = -zeta_11^6
         num = Cyclotomic(11, {(h * 3) % 11: -1, (-h * 3) % 11: 1})
         den = Cyclotomic(11, {h % 11: -1, (-h) % 11: 1})
-        value = (num / den).complex_eval(12)
+        value = (num / den).complex_eval()
         expected = math.sin(3 * math.pi / 11) / math.sin(math.pi / 11)
         assert abs(value - expected) < 1e-11
-
-    def test_digit_cap(self):
-        with pytest.raises(ValueError):
-            ONE.complex_eval(99)
 
 
 class TestCanonicalUniqueness:

@@ -27,6 +27,7 @@ from moddata.sl2z_reps import (
     all_lifts,
     normalize,
 )
+from _oracles import mpmath_complex_eval
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -62,7 +63,7 @@ def oracle_canonical_exp(datum):
     """x = +-1 = zeta_12^(0 or 6), the sign of p+/zeta^3 at the principal embedding."""
     ds = derived_scalars(datum)
     cand = ds.gauss_plus * (_anomaly_sixth_root(datum) ** 3).inverse()
-    return 0 if cand.complex_eval().real > 0 else 6
+    return 0 if mpmath_complex_eval(cand).real > 0 else 6
 
 
 def assert_same_rep(rep, expected):

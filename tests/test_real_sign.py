@@ -1,21 +1,28 @@
-"""real_sign decides the sign of a real cyclotomic exactly: the sign of every
-real value the program meets agrees with the float evaluation, the fixed-point
-cosine stays within the error it claims, and a value closer to 0 than the
-first precision can see is decided after the precision doubles."""
+"""The certified fixed-point evaluation behind real_sign and complex_eval.
+
+real_sign decides the sign of a real cyclotomic exactly: the sign of every
+real value the program meets agrees with the mpmath evaluation, the
+fixed-point cosine stays within the error it claims, and a value closer to 0
+than the first precision can see is decided after the precision doubles.
+complex_eval rounds each part correctly: it equals the mpmath evaluation on
+every nonzero part of every value the program displays, is exactly 0.0 on a
+zero part and rounds an exact midpoint to even.  A faulty cosine makes both
+raise instead of doubling the precision forever."""
 
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-import mpmath
 import pytest
 
 from moddata import cyclotomic as cy
 from moddata.catalog import pointed_zn, su2_odd_mod2
-from moddata.cyclotomic import ONE, ZERO, Cyclotomic, real_sign, zeta
+from moddata.cyclotomic import ONE, ZERO, Cyclotomic, real_sign, sqrt_int, zeta
 from moddata.galois import _characters
 from moddata.modular_data import derived_scalars, load
-from moddata.sl2z_reps import _anomaly_sixth_root
+from moddata.sl2z_reps import _anomaly_sixth_root, all_lifts
+from _oracles import mpmath_complex_eval
+from test_cli import run_python
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -27,7 +34,7 @@ BUILDERS = {
 
 
 def float_sign(x):
-    v = x.complex_eval().real
+    v = mpmath_complex_eval(x).real
     return (v > 0) - (v < 0)
 
 
@@ -47,7 +54,7 @@ def test_sign_matches_float_evaluation(name):
             assert real_sign(x) == 0
         else:
             # far enough from 0 for the float sign to be right
-            assert abs(x.complex_eval().real) > 1e-6, x
+            assert abs(mpmath_complex_eval(x).real) > 1e-6, x
             assert real_sign(x) == float_sign(x), x
 
 
@@ -67,6 +74,7 @@ def near_zero_values():
     """(zeta_n + zeta_n^-1) - p/q for the first two continued-fraction
     convergents p/q of 2 cos(2 pi/n) within 1e-20, with the sign of the
     difference at 80 digits; consecutive convergents give both signs."""
+    mpmath = pytest.importorskip("mpmath")
     out = []
     with mpmath.workdps(80):
         for n in (5, 7, 8, 9, 11, 12, 13):
@@ -105,12 +113,13 @@ def test_near_zero_values_double_the_precision(monkeypatch):
             assert len(precisions) > 1 and precisions == sorted(set(precisions))
         if expected > 0:
             # the float test with a 1e-9 tolerance it replaces calls x not positive
-            z = x.complex_eval()
+            z = mpmath_complex_eval(x)
             assert not (abs(z.imag) < 1e-9 and z.real > 1e-9)
 
 
 @pytest.mark.parametrize("p", [64, 128, 256, 512])
 def test_pi_within_its_error(p):
+    mpmath = pytest.importorskip("mpmath")
     pi, err = cy._pi_fixed(p)
     with mpmath.workdps(p // 3 + 30):
         assert abs(pi - mpmath.pi * 2**p) <= err
@@ -120,12 +129,86 @@ def test_pi_within_its_error(p):
 @pytest.mark.parametrize("pi_off", [0, 10**6, -(10**6)])
 def test_cosine_within_its_error(p, pi_off):
     """_cos_fixed is within its claimed error for every pi within pi_err, the
-    worst allowed pi included."""
+    worst allowed pi included; a negative numerator is how the sine enters."""
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(p // 3 + 30):
         pi = int(mpmath.nint(mpmath.pi * 2**p)) + pi_off
         pi_err = abs(pi_off) + 1
         for den in range(1, 61):
-            for num in range(den):
+            for num in range(-den, den):
                 v, err = cy._cos_fixed(num, den, pi, pi_err, p)
                 exact = mpmath.cos(2 * mpmath.pi * num / den) * 2**p
                 assert abs(v - exact) <= err, (num, den)
+
+
+def display_values():
+    """Every S entry, dim, D^2, p+-, anomaly and s and t entry of the 12 lifts
+    of each datum in BUILDERS, every zeta_n^e with n <= 120 and sqrt_int(m)
+    for m < 60."""
+    values = set()
+    for build in BUILDERS.values():
+        datum = build()
+        ds = derived_scalars(datum)
+        values.update(v for row in datum.S for v in row)
+        values.update((*ds.dims, ds.global_dim_sq, ds.gauss_plus, ds.gauss_minus))
+        values.add(ds.anomaly)
+        for rep in all_lifts(datum):
+            values.update(v for row in rep.s for v in row)
+            values.update(rep.t)
+    values.update(zeta(n, e) for n in range(1, 121) for e in range(n))
+    values.update(sqrt_int(m) for m in range(60))
+    return values
+
+
+def test_complex_eval_is_correctly_rounded():
+    values = display_values()
+    assert len(values) > 4000
+    for x in values:
+        got, want = x.complex_eval(), mpmath_complex_eval(x)
+        conj = x.conjugate()
+        for g, w, zero in ((got.real, want.real, x == -conj), (got.imag, want.imag, x == conj)):
+            # hex tells -0.0 from 0.0
+            assert g.hex() == (0.0 if zero else w).hex(), x
+
+
+@pytest.mark.parametrize(
+    "x, want",
+    [
+        (Fraction(2**53 + 1) + zeta(4), complex(2**53, 1)),
+        (Fraction(2**53 + 3) + zeta(4), complex(2**53 + 4, 1)),
+        (1 - Fraction(2**53 + 1) * zeta(4), complex(1, -(2**53))),
+        (Fraction(2**53 + 1) + Fraction(1, 10**30) + zeta(4), complex(2**53 + 2, 1)),
+    ],
+)
+def test_complex_eval_rounds_a_midpoint_to_even(x, want):
+    """A part on a midpoint between two doubles, or next to it, is placed by
+    an exact sign test once the doubling reaches its cap."""
+    assert x.complex_eval() == want
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "real_sign(zeta(5) + zeta(5, -1))",
+        "real_sign(-zeta(12) - zeta(12, -1))",
+        "zeta(5).complex_eval()",
+        "(zeta(7) + zeta(7, -1)).complex_eval()",
+        "(zeta(8) - zeta(8, -1)).complex_eval()",
+    ],
+)
+def test_faulty_cosine_raises(call):
+    """With _cos_fixed returning (0, 1), no precision excludes 0 or fixes a
+    double: the Liouville cap turns that into ArithmeticError."""
+    code = (
+        "from moddata import cyclotomic as cy\n"
+        "from moddata.cyclotomic import real_sign, zeta\n"
+        "cy._cos_fixed = lambda *args: (0, 1)\n"
+        "try:\n"
+        f"    {call}\n"
+        "except ArithmeticError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no ArithmeticError')\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr

@@ -21,6 +21,7 @@ from moddata.sl2z_reps import (
     spectra_table,
     verify_relations,
 )
+from _oracles import mpmath_complex_eval
 
 TRIVIAL = ModularDatum(1, 1, (0,), ((ONE,),))
 
@@ -39,7 +40,7 @@ class TestNormalize:
         # canonical lift is s = S/D with D > 0
         d_root = 1 / rep.s[0][0]
         assert d_root * d_root == derived_scalars(su2_9).global_dim_sq
-        assert d_root == d_root.conjugate() and d_root.complex_eval().real > 0
+        assert d_root == d_root.conjugate() and mpmath_complex_eval(d_root).real > 0
 
     def test_self_dual_even_lift(self, su2_9, su2_4_all):
         # self-dual data admit an even lift; the canonical one is even
@@ -181,7 +182,7 @@ class TestSpectraTable:
                 for fracs in PRINTED_TABLE_PI_FRACTIONS[key]
             ]
             rendered = [
-                {v.complex_eval(15) for v in spec} for spec in row.spectra
+                {v.complex_eval() for v in spec} for spec in row.spectra
             ]
             assert match_rendered_spectra(rendered, expected_sets, 1e-12), key
         assert seen == set(PRINTED_TABLE_PI_FRACTIONS)
