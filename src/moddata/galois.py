@@ -86,10 +86,37 @@ def _characters(S: Sequence[Sequence[Cyclotomic]]) -> list[tuple[Cyclotomic, ...
     return cols
 
 
-def _rep_characters(rep: "ModularRep") -> Sequence[tuple[Cyclotomic, ...]]:
-    """The character columns of rep.s: the ones the lift builder stored, else
-    computed from s (a rep built by hand)."""
-    return rep.characters if rep.characters is not None else _characters(rep.s)
+class _CharacterTable:
+    """The character columns s_ia / s_0a of a datum, with h_sigma per unit.
+
+    Every lift's s is a scalar multiple of S, so the lift builder gives all
+    the lifts of a datum one table.  h_sigma depends on k only modulo the
+    conductor of the column values; it is matched at the first k of each
+    residue and kept, so a table that is never asked matches nothing.
+    """
+
+    __slots__ = ("columns", "conductor", "_perms")
+
+    def __init__(self, columns: Sequence[tuple[Cyclotomic, ...]]):
+        self.columns = tuple(columns)
+        self.conductor = lcm(*(v.conductor for col in self.columns for v in col))
+        self._perms: dict[int, Perm] = {}
+
+    def perm(self, k: int) -> Perm:
+        """h_sigma_k; k must be a unit modulo the conductor."""
+        residue = k % self.conductor
+        perm = self._perms.get(residue)
+        if perm is None:
+            perm = self._perms[residue] = _match_permutation(self.columns, k)
+        return perm
+
+
+def _rep_table(rep: "ModularRep") -> _CharacterTable:
+    """The table the lift builder stored, else a throwaway one built from s
+    (a rep built by hand)."""
+    if rep.characters is not None:
+        return rep.characters
+    return _CharacterTable(_characters(rep.s))
 
 
 def _match_permutation(
@@ -115,12 +142,14 @@ def compute_profile(
     """h_sigma for every unit mod conductor(F_S), with orbits.
 
     Signs are filled in when a normalized pair is supplied (they depend on it):
-    each unit is extended to a unit modulo the rep's scalar field.
+    each unit is extended to a unit modulo the rep's scalar field.  The pair
+    must be a lift of the datum: h_sigma is then read from its character
+    table, whose columns are those of S.
     """
     cond = datum.s_field_conductor
-    cols = _characters(datum.S)
+    table = _CharacterTable(_characters(datum.S)) if rep is None else _rep_table(rep)
     units = tuple(units_mod(cond))
-    perms = {k: _match_permutation(cols, k) for k in units}
+    perms = {k: table.perm(k) for k in units}
     orbits = _orbits_from_perms(datum.rank, perms.values())
     signs: dict[int, tuple[int, ...]] = {}
     if rep is not None:
@@ -165,7 +194,7 @@ def sign_function(rep: "ModularRep", k: int) -> tuple[int, ...]:
     """eps_sigma with sigma(s_ij) = eps(i) s_{h(i) j} = eps(j) s_{i h(j)}."""
     s = rep.s
     r = len(s)
-    perm = _match_permutation(_rep_characters(rep), k)
+    perm = _rep_table(rep).perm(k)
     eps = []
     for i in range(r):
         j0 = next((j for j in range(r) if s[perm[i]][j]), None)
@@ -191,24 +220,26 @@ def sign_function(rep: "ModularRep", k: int) -> tuple[int, ...]:
 def galois_twist_symmetry(rep: "ModularRep") -> Verdict:
     """Theorem-level identity sigma^2(t_i) = t_{h_sigma(i)} over Gal(Q_n/Q).
 
-    Every t_i must be a root of unity zeta_m^j with m | n, as in every lift
-    the package builds; ValueError names the first t_i that is not.  The
-    image sigma_k^2(t_i) = zeta_m^(j k^2) is compared with t_h(i) by its log.
-    h_sigma depends on k only modulo the conductor of the character values,
-    so it is matched once per residue class, at the first k of the class.
+    Every t_i must be a root of unity zeta_m^j with m | n, and the conductor
+    of the character values must divide n, as in every lift the package
+    builds; ValueError names the first t_i that is not, or the conductor.
+    The image sigma_k^2(t_i) = zeta_m^(j k^2) is compared with t_h(i) by its
+    log.  h_sigma is read from the rep's character table, which the 12 lifts
+    of a datum share, so it is matched once per unit residue mod the
+    conductor for all of them.
     """
-    cols = _rep_characters(rep)
-    cond = lcm(*(v.conductor for col in cols for v in col))
+    table = _rep_table(rep)
     n = rep.level
     logs = [t.root_of_unity_log() for t in rep.t]
     for i, log in enumerate(logs):
         if log is None or n % log[0]:
             raise ValueError(f"t_{i} is not a root of unity of order dividing the level {n}")
-    perms: dict[int, Perm] = {}
+    if n % table.conductor:
+        raise ValueError(
+            f"the character conductor {table.conductor} does not divide the level {n}"
+        )
     for k in units_mod(n):
-        perm = perms.get(k % cond)
-        if perm is None:
-            perm = perms[k % cond] = _match_permutation(cols, k)
+        perm = table.perm(k)
         k_squared = k * k % n
         for i, (m, j) in enumerate(logs):
             if (m, j * k_squared % m) != logs[perm[i]]:

@@ -7,11 +7,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
+from operator import neg
 from typing import Iterable, Optional
 
 from . import _matrix as mat
 from .cyclotomic import Cyclotomic, ONE, ZERO, real_sign, zeta
-from .galois import _characters
+from .galois import _CharacterTable, _characters
 from .modular_data import ModularDatum, Verdict, derived_scalars
 
 
@@ -27,10 +28,10 @@ class NotTabulatedError(LookupError):
 class ModularRep:
     """A normalized pair (s, t): a genuine SL(2,Z) representation.
 
-    ``characters``, when set, holds the character columns of ``s``
-    (s_ia / s_0a for each column a).  Every lift of a datum shares them, so
-    the lift builder fills them in once per datum; they take no part in
-    equality or hashing, and None means "compute them from s".
+    ``characters``, when set, is the character table of ``s``: the columns
+    s_ia / s_0a and h_sigma, matched on first use.  Every lift of a datum
+    shares one table, which the lift builder makes once per datum; it takes
+    no part in equality or hashing, and None means "build one from s".
     """
 
     rank: int
@@ -38,7 +39,7 @@ class ModularRep:
     t: tuple[Cyclotomic, ...]
     level: int
     parity: str  # even | odd | neither
-    characters: Optional[tuple[tuple[Cyclotomic, ...], ...]] = field(
+    characters: Optional[_CharacterTable] = field(
         default=None, compare=False, repr=False
     )
 
@@ -101,11 +102,15 @@ def _lifts(
     """The lifts s = lam S, t = mu T for x = zeta_12^a, a in x_exps, where
     lam = zeta^3 / (x^3 p+) and mu = x / zeta.
 
-    The matrix algebra is done once for the datum: with S^4 = c4 Id and
-    S^2 = kappa (ST)^3, a lift has s^4 = Id iff lam^4 c4 = 1 and
+    The work that depends only on the datum is done once: with S^4 = c4 Id
+    and S^2 = kappa (ST)^3, a lift has s^4 = Id iff lam^4 c4 = 1 and
     (st)^3 = s^2 iff lam mu^3 = kappa, and s^2 = lam^2 S^2 gives the parity.
-    Only kappa = 1/p+ is tried, since lam mu^3 = 1/p+ for every x.
-    zeta6 must be a root of unity: its conjugate is its inverse.
+    lam = lam0 zeta_4^-a, so lam^4 and lam mu^3 = lam0 mu0^3 = 1/p+ are the
+    same for every a and are checked once (only kappa = 1/p+ is tried), and
+    lam^2 c2 = (-1)^a lam0^2 c2 gives two parities.  s depends on a only
+    mod 4, with s_(a+2) = -s_a, so at most two scalings of S are made.  The
+    lifts share one character table.  zeta6 must be a root of unity: its
+    conjugate is its inverse.
     """
     S, thetas = datum.S, datum.thetas
     s2 = mat.matmul(S, S)
@@ -114,21 +119,27 @@ def _lifts(
     p_plus_inv = derived_scalars(datum).gauss_plus.inverse()
     st3 = mat.mat_pow(mat.scale_cols(S, thetas), 3)
     kappa = p_plus_inv if s2 == mat.scale(st3, p_plus_inv) else None
-    characters = tuple(_characters(S)) if all(S[0]) else None
     zeta_inv = zeta6.conjugate()
-    lam_base = zeta6**3 * p_plus_inv
+    lam = zeta6**3 * p_plus_inv  # at a = 0
+    if c4 is None or lam**4 * c4 != ONE:
+        raise NotModularRepresentation("s^4 != Id")
+    if kappa is None or lam * zeta_inv**3 != kappa:
+        raise NotModularRepresentation("(st)^3 != s^2")
+    lam2_c2 = None if c2 is None else lam * lam * c2
+    parities = (_parity(lam2_c2), _parity(None if lam2_c2 is None else -lam2_c2))
+    characters = _CharacterTable(_characters(S)) if all(S[0]) else None
+    scaled: dict[int, mat.Matrix] = {}  # s by a mod 4
     reps = []
     for a in x_exps:
-        lam = lam_base * zeta(4, -a)  # x^-3 = zeta_12^(-3a)
+        s = scaled.get(a % 4)
+        if s is None:
+            half = scaled.get((a + 2) % 4)
+            s = scaled[a % 4] = (
+                mat.scale(S, lam * zeta(4, -a)) if half is None else mat.entrywise(half, neg)
+            )
         mu = zeta(12, a) * zeta_inv
-        if c4 is None or lam**4 * c4 != ONE:
-            raise NotModularRepresentation("s^4 != Id")
-        if kappa is None or lam * mu**3 != kappa:
-            raise NotModularRepresentation("(st)^3 != s^2")
         t = tuple(mu * th for th in thetas)
-        parity = _parity(None if c2 is None else lam * lam * c2)
-        s = mat.scale(S, lam)
-        reps.append(ModularRep(datum.rank, s, t, _level(t), parity, characters))
+        reps.append(ModularRep(datum.rank, s, t, _level(t), parities[a % 2], characters))
     return tuple(reps)
 
 

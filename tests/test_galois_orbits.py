@@ -1,20 +1,22 @@
 """Verdicts shared along Galois orbits: the vanishing-sum scan runs its kernel
 once per orbit of root pairs, and the twist-symmetry check matches h_sigma
-once per residue of k and compares the twists by their logs.  Both are
-compared with the term-by-term loops they replace, kept here as oracles."""
+once per unit residue of k for all the lifts of a datum and compares the
+twists by their logs.  Both are compared with the term-by-term loops they
+replace, kept here as oracles."""
 
 from dataclasses import replace
 from math import gcd, lcm
 
 import pytest
 
-from moddata import classifier
+from moddata import classifier, galois
 from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.classifier import _all_nonzero_solution_exists, vanishing_sum_scan
 from moddata.cyclotomic import ONE, Cyclotomic, units_mod, zeta
 from moddata.galois import _characters, _match_permutation, galois_twist_symmetry
 from moddata.modular_data import Verdict
-from moddata.sl2z_reps import all_lifts
+from moddata.sl2z_reps import all_lifts, normalize
+from test_lift_algebra import BUILDERS, datum_of
 
 
 def orbit_key(alpha, beta):
@@ -121,15 +123,44 @@ def oracle_twist_symmetry(rep):
     return Verdict(True)
 
 
-@pytest.mark.parametrize(
-    "build", [lambda: su2_odd_mod2(3), lambda: pointed_zn(5), lambda: su2_odd_mod2(5)],
-    ids=["su2_odd_mod2(3)", "pointed_zn(5)", "su2_odd_mod2(5)"],
-)
-def test_twist_symmetry_matches_oracle_on_all_lifts(build):
-    for rep in all_lifts(build()):
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_twist_symmetry_matches_oracle_on_all_lifts(name):
+    for rep in all_lifts(datum_of(name)):
         verdict = galois_twist_symmetry(rep)
         assert verdict.ok
         assert verdict == oracle_twist_symmetry(rep)
+
+
+@pytest.mark.parametrize(
+    "build, matches",
+    [(lambda: su2_odd_mod2(3), 6), (lambda: pointed_zn(5), 4), (lambda: su2_odd_mod2(5), 10)],
+    ids=["su2_odd_mod2(3)", "pointed_zn(5)", "su2_odd_mod2(5)"],
+)
+def test_twist_symmetry_matches_h_sigma_once_per_datum(build, matches, monkeypatch):
+    # the 12 lifts share one character table: one match per unit residue
+    # mod the conductor (7, 5 and 11), phi of it in all
+    calls = []
+
+    def counted(cols, k):
+        calls.append(k)
+        return _match_permutation(cols, k)
+
+    monkeypatch.setattr(galois, "_match_permutation", counted)
+    reps = all_lifts(build())
+    assert all(galois_twist_symmetry(rep).ok for rep in reps)
+    assert len(calls) == matches
+    assert len({k % reps[0].characters.conductor for k in calls}) == matches
+
+
+@pytest.mark.parametrize("stored", [True, False], ids=["characters", "no-characters"])
+def test_twist_symmetry_refuses_a_conductor_outside_the_level(stored):
+    # the characters of su2_odd_mod2(3) have conductor 7; at level 8 the unit
+    # k = 7 is 0 mod 7, where no h_sigma exists
+    rep = replace(normalize(su2_odd_mod2(3)), t=(ONE,) * 3, level=8)
+    if not stored:
+        rep = replace(rep, characters=None)
+    with pytest.raises(ValueError, match="^the character conductor 7 does not divide the level 8$"):
+        galois_twist_symmetry(rep)
 
 
 @pytest.mark.parametrize(
