@@ -1,8 +1,9 @@
-"""Tiny exact linear algebra over Cyclotomic, on tuples of tuples."""
+"""Tiny exact linear algebra over Cyclotomic, on tuples of tuples, and the one
+exact check of the modular relation (ST)^3 = cS^2 (`_st_cubed_is`)."""
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cyclotomic import Cyclotomic, ONE, ZERO, Scalar, dot
 
@@ -50,3 +51,26 @@ def scale_cols(a: Matrix, diag: Sequence[Scalar]) -> Matrix:
     return tuple(
         tuple(v * Cyclotomic._coerce(d) for v, d in zip(row, diag)) for row in a
     )
+
+
+def _identity_multiple(m: Matrix) -> Optional[Cyclotomic]:
+    """c with m = c Id, or None."""
+    c = m[0][0]
+    r = len(m)
+    ok = all(m[i][j] == (c if i == j else ZERO) for i in range(r) for j in range(r))
+    return c if ok else None
+
+
+def _st_residual(s: Matrix, t: Sequence[Cyclotomic], c: Cyclotomic) -> Matrix:
+    """R = T(ST)^2 - cS for T = diag(t): (ST)^3 - cS^2 = SR for every s."""
+    st, minus_c = scale_cols(s, t), -c
+    return tuple(
+        tuple(dot(((tj, x), (minus_c, v))) for x, v in zip(row, srow))
+        for tj, row, srow in zip(t, matmul(st, st), s)
+    )
+
+
+def _st_cubed_is(s: Matrix, t: Sequence[Cyclotomic], c: Cyclotomic) -> bool:
+    """(ST)^3 == cS^2: R = 0, or else SR = 0 (formed only when R != 0)."""
+    res = _st_residual(s, t, c)
+    return not any(map(any, res)) or not any(map(any, matmul(s, res)))

@@ -17,6 +17,7 @@ from .cyclotomic import (
     units_mod,
 )
 from .modular_data import ModularDatum, derived_scalars, norm_prime_support
+from .modular_data import _fixer_of_order_above_2
 
 FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
@@ -103,16 +104,13 @@ def is_modularly_admissible(
     f = subfield_conductor(gens)
     if n % f != 0:
         raise BadLevelError(f"generators have conductor {f}, not inside Q_{n}")
-    ok, witness = True, ""
-    for k in units_mod(n):
-        if all(g.galois(k) == g for g in gens) and (k * k) % n != 1 % n:
-            ok, witness = False, f"sigma_{k} fixes K but has order > 2"
-            break
+    fixer = _fixer_of_order_above_2(n, gens)
+    witness = "" if fixer is None else f"sigma_{fixer} fixes K but has order > 2"
     quot = n // f
     fixing_f = [k for k in units_mod(n) if k % f == 1]
     elem2 = all((k * k) % n == 1 % n for k in fixing_f) and len(fixing_f) <= 8
     return AdmissibilityFacts(
-        ok,
+        fixer is None,
         f,
         24 % quot == 0,
         gcd(quot, f) in (1, 2),

@@ -290,8 +290,7 @@ def verlinde_fusion(datum: ModularDatum) -> FusionRules:
 
 def _projectively_unitary(datum: ModularDatum, d2: Cyclotomic) -> bool:
     prod = mat.matmul(datum.S, mat.conj(datum.S))  # conj(S)^t = conj(S), S symmetric
-    target = mat.scale(mat.eye(datum.rank), d2)
-    return prod == target
+    return mat._identity_multiple(prod) == d2
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +317,12 @@ def check_balancing(datum: ModularDatum, fusion: FusionRules) -> Verdict:
 
 
 def check_twist_equation(datum: ModularDatum) -> Verdict:
-    """p+ S_jk = theta_j theta_k sum_i theta_i S_ij S_ik, exactly."""
-    ds = derived_scalars(datum)
-    thetas = datum.thetas
-    for j in range(datum.rank):
+    """p+ S_jk = theta_j theta_k sum_i theta_i S_ij S_ik, exactly: the residual
+    of (ST)^3 = p+ S^2 is 0.  The witness is its first nonzero (j, k), j <= k."""
+    res = mat._st_residual(datum.S, datum.thetas, derived_scalars(datum).gauss_plus)
+    for j, row in enumerate(res):
         for k in range(j, datum.rank):
-            lhs = ds.gauss_plus * datum.S[j][k]
-            rhs = sum_cyclotomics(
-                thetas[i] * datum.S[i][j] * datum.S[i][k]
-                for i in range(datum.rank)
-            )
-            if lhs != thetas[j] * thetas[k] * rhs:
+            if row[k]:
                 return Verdict(False, (j, k), "twist equation fails")
     return Verdict(True)
 
@@ -443,6 +437,14 @@ def norm_prime_support(x: Cyclotomic) -> frozenset[int]:
     return rational_prime_support((x * _norm_cofactor(x)).as_rational())
 
 
+def _fixer_of_order_above_2(n: int, values: list[Cyclotomic]) -> Optional[int]:
+    """The first unit k mod n, k^2 != 1, whose sigma_k fixes every value."""
+    for k in units_mod(n):
+        if (k * k) % n != 1 % n and all(v.galois(k) == v for v in values):
+            return k
+    return None
+
+
 def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
     """Evaluate the seven admissibility conditions, all exactly."""
     reports: list[ConditionReport] = []
@@ -481,16 +483,12 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
     ok, witness = True, ""
     if not ds.gauss_plus or not ds.gauss_minus:
         ok, witness = False, "vanishing Gauss sum"
-    else:
-        st = mat.scale_cols(datum.S, datum.thetas)
-        lhs = mat.mat_pow(st, 3)
-        rhs = mat.scale(mat.matmul(datum.S, datum.S), ds.gauss_plus)
-        if lhs != rhs:
-            ok, witness = False, "(ST)^3 != p+ S^2"
-        elif ds.gauss_plus * ds.gauss_minus != ds.global_dim_sq:
-            ok, witness = False, "p+ p- != D^2"
-        elif not ds.anomaly.is_root_of_unity:
-            ok, witness = False, "anomaly is not a root of unity"
+    elif not mat._st_cubed_is(datum.S, datum.thetas, ds.gauss_plus):
+        ok, witness = False, "(ST)^3 != p+ S^2"
+    elif ds.gauss_plus * ds.gauss_minus != ds.global_dim_sq:
+        ok, witness = False, "p+ p- != D^2"
+    elif not ds.anomaly.is_root_of_unity:
+        ok, witness = False, "anomaly is not a root of unity"
     reports.append(ConditionReport(2, "Gauss sum relations", ok, witness))
 
     # (iii) Verlinde integrality
@@ -548,10 +546,9 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
             ok, witness = False, str(exc)
         else:
             idperm = tuple(range(r))
+            entries = [v for row in datum.S for v in row]
             for k, perm in profile.perms.items():
-                if perm == idperm and any(
-                    v.galois(k) != v for row in datum.S for v in row
-                ):
+                if perm == idperm and any(v.galois(k) != v for v in entries):
                     ok = False
                     witness = f"sigma_{k} acts trivially on characters but moves S"
                     break
@@ -563,12 +560,9 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
                             ok, witness = False, "Galois image not abelian"
                             break
             if ok:
-                for k in units_mod(N):
-                    if all(v.galois(k) == v for row in datum.S for v in row):
-                        if (k * k) % N != 1 % N:
-                            ok = False
-                            witness = f"Gal(F_T/F_S) has sigma_{k} of order > 2"
-                            break
+                k = _fixer_of_order_above_2(N, entries)
+                if k is not None:
+                    ok, witness = False, f"Gal(F_T/F_S) has sigma_{k} of order > 2"
     reports.append(ConditionReport(6, "Galois field structure", ok, witness))
 
     # (vii) Cauchy: prime support of Norm(D^2) equals prime support of N

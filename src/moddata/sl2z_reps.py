@@ -52,21 +52,11 @@ def verify_relations(s: mat.Matrix, t: tuple[Cyclotomic, ...]) -> Verdict:
 def _verify_with_square(
     s: mat.Matrix, s2: mat.Matrix, t: tuple[Cyclotomic, ...]
 ) -> Verdict:
-    if mat.matmul(s2, s2) != mat.eye(len(s)):
+    if mat._identity_multiple(mat.matmul(s2, s2)) != ONE:
         return Verdict(False, "s^4 != Id")
-    st = mat.scale_cols(s, t)
-    if mat.mat_pow(st, 3) != s2:
+    if not mat._st_cubed_is(s, t, ONE):
         return Verdict(False, "(st)^3 != s^2")
     return Verdict(True)
-
-
-def _identity_multiple(m: mat.Matrix) -> Optional[Cyclotomic]:
-    """c with m = c Id, or None."""
-    c = m[0][0]
-    r = len(m)
-    if all(m[i][j] == (c if i == j else ZERO) for i in range(r) for j in range(r)):
-        return c
-    return None
 
 
 def _parity(c2: Optional[Cyclotomic]) -> str:
@@ -93,7 +83,7 @@ def _build_rep(s: mat.Matrix, t: tuple[Cyclotomic, ...]) -> ModularRep:
     check = _verify_with_square(s, s2, t)
     if not check:
         raise NotModularRepresentation(str(check.witness))
-    return ModularRep(len(s), s, t, _level(t), _parity(_identity_multiple(s2)))
+    return ModularRep(len(s), s, t, _level(t), _parity(mat._identity_multiple(s2)))
 
 
 def _lifts(
@@ -102,28 +92,22 @@ def _lifts(
     """The lifts s = lam S, t = mu T for x = zeta_12^a, a in x_exps, where
     lam = zeta^3 / (x^3 p+) and mu = x / zeta.
 
-    The work that depends only on the datum is done once: with S^4 = c4 Id
-    and S^2 = kappa (ST)^3, a lift has s^4 = Id iff lam^4 c4 = 1 and
-    (st)^3 = s^2 iff lam mu^3 = kappa, and s^2 = lam^2 S^2 gives the parity.
-    lam = lam0 zeta_4^-a, so lam^4 and lam mu^3 = lam0 mu0^3 = 1/p+ are the
-    same for every a and are checked once (only kappa = 1/p+ is tried), and
-    lam^2 c2 = (-1)^a lam0^2 c2 gives two parities.  s depends on a only
-    mod 4, with s_(a+2) = -s_a, so at most two scalings of S are made.  The
-    lifts share one character table.  zeta6 must be a root of unity: its
-    conjugate is its inverse.
+    The work that depends only on the datum is done once.  zeta6 must be a
+    root of unity (its conjugate is its inverse), so lam mu^3 = 1/p+ and
+    (st)^3 = s^2 iff (ST)^3 = p+ S^2.  With S^4 = c4 Id and lam = lam0 i^-a,
+    s^4 = Id iff lam0^4 c4 = 1, and lam^2 = (-1)^a lam0^2 gives two parities.
+    s_(a+2) = -s_a, so S is scaled at most twice.  One character table serves all.
     """
     S, thetas = datum.S, datum.thetas
     s2 = mat.matmul(S, S)
-    c4 = _identity_multiple(mat.matmul(s2, s2))
-    c2 = _identity_multiple(s2)
-    p_plus_inv = derived_scalars(datum).gauss_plus.inverse()
-    st3 = mat.mat_pow(mat.scale_cols(S, thetas), 3)
-    kappa = p_plus_inv if s2 == mat.scale(st3, p_plus_inv) else None
+    c4 = mat._identity_multiple(mat.matmul(s2, s2))
+    c2 = mat._identity_multiple(s2)
+    p_plus = derived_scalars(datum).gauss_plus
     zeta_inv = zeta6.conjugate()
-    lam = zeta6**3 * p_plus_inv  # at a = 0
+    lam = zeta6**3 * p_plus.inverse()  # at a = 0
     if c4 is None or lam**4 * c4 != ONE:
         raise NotModularRepresentation("s^4 != Id")
-    if kappa is None or lam * zeta_inv**3 != kappa:
+    if not mat._st_cubed_is(S, thetas, p_plus):
         raise NotModularRepresentation("(st)^3 != s^2")
     lam2_c2 = None if c2 is None else lam * lam * c2
     parities = (_parity(lam2_c2), _parity(None if lam2_c2 is None else -lam2_c2))

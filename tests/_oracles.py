@@ -37,6 +37,10 @@ converted to a double. It oracles the fixed-point evaluation behind
 complex_eval and real_sign, and skips the calling test when mpmath is not
 installed.
 
+dense_st_cubed_is is the dense form of the modular relation as it stood
+before the residual check: (ST)^3 from two r x r products, compared with cS^2.
+It oracles _matrix._st_cubed_is.
+
 dual_from_s is the charge conjugation as it stood before galois built it on
 the character-column matcher: its own column index, conjugating each column.
 """
@@ -505,6 +509,11 @@ def relabel_fusion(f, perm):
         inv[p] = i
     dual = tuple(perm[f.dual[inv[i]]] for i in range(r))
     return FusionRules(r, _reindexed(f.tensor, inv), dual)
+
+
+def dense_st_cubed_is(s, t, c):
+    """(ST)^3 == cS^2 for T = diag(t), by mat_pow."""
+    return mat.mat_pow(mat.scale_cols(s, t), 3) == mat.scale(mat.matmul(s, s), c)
 
 
 def dual_from_s(datum):

@@ -1,7 +1,8 @@
 """The lift builder does the matrix algebra once per datum and checks each of
-the 12 lifts by scalar equations.  Every lift is compared with the matrix
-check it replaces: `_build_rep` on (lam S, mu T), with lam and mu computed by
-Cyclotomic.inverse."""
+the 12 lifts by scalar equations.  Every lift is compared with the dense matrix
+check it replaces on (lam S, mu T), with lam and mu computed by
+Cyclotomic.inverse: s^4 = Id by two r x r products and (st)^3 = s^2 by the
+dense oracle, before `_build_rep` gives the level and parity."""
 
 from dataclasses import replace
 from functools import lru_cache
@@ -27,7 +28,7 @@ from moddata.sl2z_reps import (
     all_lifts,
     normalize,
 )
-from _oracles import mpmath_complex_eval
+from _oracles import dense_st_cubed_is, mpmath_complex_eval
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -49,7 +50,14 @@ def oracle_lift(datum, x):
     zeta6 = _anomaly_sixth_root(datum)
     lam = zeta6**3 * (x**3 * ds.gauss_plus).inverse()
     mu = x * zeta6.inverse()
-    return _build_rep(mat.scale(datum.S, lam), tuple(mu * th for th in datum.thetas))
+    s = mat.scale(datum.S, lam)
+    t = tuple(mu * th for th in datum.thetas)
+    s2 = mat.matmul(s, s)
+    if mat.matmul(s2, s2) != mat.eye(len(s)):
+        raise NotModularRepresentation("s^4 != Id")
+    if not dense_st_cubed_is(s, t, ONE):
+        raise NotModularRepresentation("(st)^3 != s^2")
+    return _build_rep(s, t)
 
 
 @lru_cache(maxsize=None)

@@ -184,7 +184,9 @@ class TestTwistEquation:
         exps = list(datum.t_exponents)
         exps[3] = (exps[3] + 6) % 24  # theta3 -> theta3 * i breaks theta3^2 = -nu2 nu3 i
         bad = ModularDatum(5, 24, tuple(exps), datum.S)
-        assert not check_twist_equation(bad).ok
+        verdict = check_twist_equation(bad)
+        assert not verdict.ok
+        assert verdict.witness == (0, 1) and verdict.detail == "twist equation fails"
 
 
 class TestIndicators:
