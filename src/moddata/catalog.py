@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .cyclotomic import Cyclotomic, ONE, is_prime, zeta
+from .cyclotomic import Cyclotomic, ONE, _check_order, is_prime, zeta
 from .modular_data import ModularDatum
 
 
@@ -28,6 +28,8 @@ def su2_odd_mod2(p: int, conj: int = 1) -> ModularDatum:
     and the 2i factors cancel in the ratio.
     """
     q = 2 * p + 1
+    if p >= 1:
+        _check_order(q)  # bounds the primality test
     if p < 1 or not is_prime(q):
         raise InvalidFamilyError(f"q = 2p+1 = {q} is not prime")
     if gcd(conj, q) != 1:

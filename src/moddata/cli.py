@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import gcd
 from pathlib import Path
 
 from . import catalog
@@ -87,8 +88,8 @@ def _cmd_rep(args) -> int:
     rep = normalize(datum)
     conn = spectra_connectivity(rep)
     spectrum = [
-        (str(v), v.root_of_unity_order(), v.complex_eval())
-        for v in rep.t
+        (str(v), rep.level // gcd(e, rep.level), v.complex_eval())
+        for e, v in zip(rep.t_exponents, rep.t)
     ]
     if args.json:
         _print_json(

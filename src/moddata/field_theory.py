@@ -34,7 +34,22 @@ class GroupShape:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_prime(self.p):
+        # for odd p every level is a multiple of each q = 2 p^r + 1 > p (or,
+        # for p = 3, of 3^(r+1) > q), so if one exceeds 2 cap^2, the largest
+        # order cyclotomic accepts, no level is an order: refuse before any
+        # primality test, never forming p^r
+        p, bound = self.p, 2 * get_order_cap() ** 2
+        if p % 2 == 0 and p != 2:
+            raise ValueError(f"p = {p} is not prime")
+        if p > bound:
+            raise ValueError(f"p = {p} exceeds 2*cap^2 = {bound}: no level is an order")
+        for r in self.exponents if p >= 3 else ():
+            q = 2
+            for _ in range(r):
+                q *= p
+                if q + 1 > bound:
+                    raise ValueError(f"2*{p}^{r}+1 exceeds 2*cap^2 = {bound}: no level is an order")
+        if not is_prime(p):
             raise ValueError(f"p = {self.p} is not prime")
         if not self.exponents or any(r < 1 for r in self.exponents):
             raise ValueError("exponents must be a nonempty tuple of positives")

@@ -179,7 +179,7 @@ def _orbits_from_perms(rank: int, perms) -> tuple[tuple[int, ...], ...]:
 
 
 def _rep_field_modulus(rep: "ModularRep") -> int:
-    return lcm(*(v.order for row in rep.s for v in row), *(v.order for v in rep.t))
+    return lcm(*(v.order for row in rep.s for v in row), rep.level)
 
 
 def _extend_unit(k: int, cond: int, modulus: int) -> int:
@@ -220,20 +220,15 @@ def sign_function(rep: "ModularRep", k: int) -> tuple[int, ...]:
 def galois_twist_symmetry(rep: "ModularRep") -> Verdict:
     """Theorem-level identity sigma^2(t_i) = t_{h_sigma(i)} over Gal(Q_n/Q).
 
-    Every t_i must be a root of unity zeta_m^j with m | n, and the conductor
+    With t_i = zeta_n^(e_i) at the level n, the image sigma_k^2(t_i) is
+    zeta_n^(e_i k^2), compared with t_h(i) by its exponent.  The conductor
     of the character values must divide n, as in every lift the package
-    builds; ValueError names the first t_i that is not, or the conductor.
-    The image sigma_k^2(t_i) = zeta_m^(j k^2) is compared with t_h(i) by its
-    log.  h_sigma is read from the rep's character table, which the 12 lifts
-    of a datum share, so it is matched once per unit residue mod the
-    conductor for all of them.
+    builds; ValueError names it otherwise.  h_sigma is read from the rep's
+    character table, which the 12 lifts of a datum share, so it is matched
+    once per unit residue mod the conductor for all of them.
     """
     table = _rep_table(rep)
-    n = rep.level
-    logs = [t.root_of_unity_log() for t in rep.t]
-    for i, log in enumerate(logs):
-        if log is None or n % log[0]:
-            raise ValueError(f"t_{i} is not a root of unity of order dividing the level {n}")
+    n, exps = rep.level, rep.t_exponents
     if n % table.conductor:
         raise ValueError(
             f"the character conductor {table.conductor} does not divide the level {n}"
@@ -241,8 +236,8 @@ def galois_twist_symmetry(rep: "ModularRep") -> Verdict:
     for k in units_mod(n):
         perm = table.perm(k)
         k_squared = k * k % n
-        for i, (m, j) in enumerate(logs):
-            if (m, j * k_squared % m) != logs[perm[i]]:
+        for i, e in enumerate(exps):
+            if e * k_squared % n != exps[perm[i]]:
                 return Verdict(False, (k, i), "sigma^2(t_i) != t_{h(i)}")
     return Verdict(True)
 

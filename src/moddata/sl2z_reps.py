@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import neg
 from typing import Iterable, Optional
 
@@ -28,6 +28,9 @@ class NotTabulatedError(LookupError):
 class ModularRep:
     """A normalized pair (s, t): a genuine SL(2,Z) representation.
 
+    t = diag(zeta_level^e) for e in ``t_exponents`` (each reduced mod
+    ``level``), as ModularDatum stores T; ``level`` must be the order of t,
+    the lcm of the exponents' orders, or NotModularRepresentation is raised.
     ``characters``, when set, is the character table of ``s``: the columns
     s_ia / s_0a and h_sigma, matched on first use.  Every lift of a datum
     shares one table, which the lift builder makes once per datum; it takes
@@ -36,12 +39,22 @@ class ModularRep:
 
     rank: int
     s: mat.Matrix
-    t: tuple[Cyclotomic, ...]
     level: int
+    t_exponents: tuple[int, ...]
     parity: str  # even | odd | neither
     characters: Optional[_CharacterTable] = field(
         default=None, compare=False, repr=False
     )
+
+    def __post_init__(self):
+        n = self.level
+        if n < 1 or n != lcm(*(n // gcd(e, n) for e in self.t_exponents)):
+            raise NotModularRepresentation(f"level {n} is not the order of t")
+        object.__setattr__(self, "t_exponents", tuple(e % n for e in self.t_exponents))
+
+    @property
+    def t(self) -> tuple[Cyclotomic, ...]:
+        return tuple(zeta(self.level, e) for e in self.t_exponents)
 
 
 def verify_relations(s: mat.Matrix, t: tuple[Cyclotomic, ...]) -> Verdict:
@@ -68,50 +81,42 @@ def _parity(c2: Optional[Cyclotomic]) -> str:
     return "neither"
 
 
-def _level(t: tuple[Cyclotomic, ...]) -> int:
-    level = 1
-    for v in t:
-        order = v.root_of_unity_order()
-        if order is None:
-            raise NotModularRepresentation(f"t entry {v} is not a root of unity")
-        level = lcm(level, order)
-    return level
-
-
-def _build_rep(s: mat.Matrix, t: tuple[Cyclotomic, ...]) -> ModularRep:
+def _build_rep(s: mat.Matrix, level: int, exps: tuple[int, ...]) -> ModularRep:
     s2 = mat.matmul(s, s)
-    check = _verify_with_square(s, s2, t)
+    rep = ModularRep(len(s), s, level, exps, _parity(mat._identity_multiple(s2)))
+    check = _verify_with_square(s, s2, rep.t)
     if not check:
         raise NotModularRepresentation(str(check.witness))
-    return ModularRep(len(s), s, t, _level(t), _parity(mat._identity_multiple(s2)))
+    return rep
 
 
 def _lifts(
-    datum: ModularDatum, zeta6: Cyclotomic, x_exps: Iterable[int]
+    datum: ModularDatum, root: tuple[int, int], x_exps: Iterable[int]
 ) -> tuple[ModularRep, ...]:
     """The lifts s = lam S, t = mu T for x = zeta_12^a, a in x_exps, where
-    lam = zeta^3 / (x^3 p+) and mu = x / zeta.
+    lam = zeta^3 / (x^3 p+), mu = x / zeta and zeta = zeta_m^e for root = (m, e).
 
-    The work that depends only on the datum is done once.  zeta6 must be a
-    root of unity (its conjugate is its inverse), so lam mu^3 = 1/p+ and
-    (st)^3 = s^2 iff (ST)^3 = p+ S^2.  With S^4 = c4 Id and lam = lam0 i^-a,
+    The work that depends only on the datum is done once.  lam mu^3 = 1/p+,
+    so (st)^3 = s^2 iff (ST)^3 = p+ S^2.  With S^4 = c4 Id and lam = lam0 i^-a,
     s^4 = Id iff lam0^4 c4 = 1, and lam^2 = (-1)^a lam0^2 gives two parities.
-    s_(a+2) = -s_a, so S is scaled at most twice.  One character table serves all.
+    s_(a+2) = -s_a, so S is scaled at most twice.  t is exponent arithmetic
+    at L = lcm(12, m, N), cut down to its level.  One character table serves all.
     """
-    S, thetas = datum.S, datum.thetas
+    S, (m, e), N = datum.S, root, datum.torder
     s2 = mat.matmul(S, S)
     c4 = mat._identity_multiple(mat.matmul(s2, s2))
     c2 = mat._identity_multiple(s2)
     p_plus = derived_scalars(datum).gauss_plus
-    zeta_inv = zeta6.conjugate()
-    lam = zeta6**3 * p_plus.inverse()  # at a = 0
+    lam = zeta(m, 3 * e) * p_plus.inverse()  # at a = 0
     if c4 is None or lam**4 * c4 != ONE:
         raise NotModularRepresentation("s^4 != Id")
-    if not mat._st_cubed_is(S, thetas, p_plus):
+    if not mat._st_cubed_is(S, datum.thetas, p_plus):
         raise NotModularRepresentation("(st)^3 != s^2")
     lam2_c2 = None if c2 is None else lam * lam * c2
     parities = (_parity(lam2_c2), _parity(None if lam2_c2 is None else -lam2_c2))
     characters = _CharacterTable(_characters(S)) if all(S[0]) else None
+    L = lcm(12, m, N)
+    theta_exps = [j * (L // N) - e * (L // m) for j in datum.t_exponents]
     scaled: dict[int, mat.Matrix] = {}  # s by a mod 4
     reps = []
     for a in x_exps:
@@ -121,13 +126,15 @@ def _lifts(
             s = scaled[a % 4] = (
                 mat.scale(S, lam * zeta(4, -a)) if half is None else mat.entrywise(half, neg)
             )
-        mu = zeta(12, a) * zeta_inv
-        t = tuple(mu * th for th in thetas)
-        reps.append(ModularRep(datum.rank, s, t, _level(t), parities[a % 2], characters))
+        exps = [(a * (L // 12) + th) % L for th in theta_exps]
+        level = lcm(*(L // gcd(v, L) for v in exps))
+        exps = tuple(v // (L // level) for v in exps)
+        reps.append(ModularRep(datum.rank, s, level, exps, parities[a % 2], characters))
     return tuple(reps)
 
 
-def _anomaly_sixth_root(datum: ModularDatum) -> Cyclotomic:
+def _anomaly_sixth_root(datum: ModularDatum) -> tuple[int, int]:
+    """A sixth root zeta_(6m)^e of the anomaly zeta_m^e, as (6m, e)."""
     ds = derived_scalars(datum)
     if ds.anomaly is None:
         raise NotModularRepresentation("p- = 0: anomaly undefined")
@@ -135,7 +142,7 @@ def _anomaly_sixth_root(datum: ModularDatum) -> Cyclotomic:
     if log is None:
         raise NotModularRepresentation("anomaly is not a root of unity")
     m, e = log
-    return zeta(6 * m, e)
+    return 6 * m, e
 
 
 @lru_cache(maxsize=None)
@@ -147,10 +154,10 @@ def normalize(datum: ModularDatum) -> ModularRep:
     principal embedding.  The sign is read from 2 Re(+-D), which is real
     even for a datum whose D is not.
     """
-    zeta6 = _anomaly_sixth_root(datum)
-    d_root = derived_scalars(datum).gauss_plus * zeta6.conjugate() ** 3  # +-D
+    root = m, e = _anomaly_sixth_root(datum)
+    d_root = derived_scalars(datum).gauss_plus * zeta(m, -3 * e)  # +-D
     x_exp = 0 if real_sign(d_root + d_root.conjugate()) > 0 else 6
-    return _lifts(datum, zeta6, (x_exp,))[0]
+    return _lifts(datum, root, (x_exp,))[0]
 
 
 def all_lifts(datum: ModularDatum) -> list[ModularRep]:
@@ -167,18 +174,16 @@ def spectra_connectivity(rep: ModularRep) -> Verdict:
 
     A disconnected graph exhibits a direct-sum split with disjoint t-spectra.
     """
-    values = []
-    index: dict[Cyclotomic, int] = {}
-    for v in rep.t:
-        if v not in index:
-            index[v] = len(values)
-            values.append(v)
-    n = len(values)
+    exps = rep.t_exponents
+    index: dict[int, int] = {}
+    for e in exps:
+        index.setdefault(e, len(index))
+    n = len(index)
     adj: list[set[int]] = [set() for _ in range(n)]
     for i in range(rep.rank):
         for j in range(rep.rank):
             if rep.s[i][j]:
-                a, b = index[rep.t[i]], index[rep.t[j]]
+                a, b = index[exps[i]], index[exps[j]]
                 adj[a].add(b)
                 adj[b].add(a)
     seen = {0}
@@ -218,26 +223,19 @@ def obstruction_120(rep: ModularRep) -> ObstructionScan:
     if rep.rank < 3:
         raise ValueError("obstruction scan needs rank >= 3")
     subdegree = rep.rank - 2
-    orders = []
-    for v in rep.t:
-        o = v.root_of_unity_order()
-        if o is None:
-            raise NotModularRepresentation(f"t entry {v} is not a root of unity")
-        orders.append(o)
+    n, exps, t = rep.level, rep.t_exponents, rep.t
+    orders = tuple(n // gcd(e, n) for e in exps)
     seen = set()
     subsets = []
     for idxs in combinations(range(rep.rank), subdegree):
-        multiset: dict[Cyclotomic, int] = {}
-        for i in idxs:
-            multiset[rep.t[i]] = multiset.get(rep.t[i], 0) + 1
-        key = frozenset(multiset.items())
+        key = tuple(sorted(exps[i] for i in idxs))
         if key in seen:
             continue
         seen.add(key)
-        values = tuple(rep.t[i] for i in idxs)
+        values = tuple(t[i] for i in idxs)
         has_120 = any(120 % orders[i] == 0 for i in idxs)
         subsets.append((values, has_120))
-    return ObstructionScan(subdegree, tuple(orders), tuple(subsets))
+    return ObstructionScan(subdegree, orders, tuple(subsets))
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +263,13 @@ def signed_perm_match(rep1: ModularRep, rep2: ModularRep) -> Optional[SignedPerm
     if r != rep2.rank:
         return None
     for rep in (rep1, rep2):
-        if len(set(rep.t)) != r:
+        if len(set(rep.t_exponents)) != r:
             raise ValueError("signed_perm_match needs nondegenerate t")
-    where2 = {v: i for i, v in enumerate(rep2.t)}
-    if set(rep1.t) != set(where2):
+    # the level is the order of t, so different levels mean different spectra
+    where2 = {e: i for i, e in enumerate(rep2.t_exponents)}
+    if rep1.level != rep2.level or set(rep1.t_exponents) != set(where2):
         return None
-    perm = tuple(where2[v] for v in rep1.t)
+    perm = tuple(where2[e] for e in rep1.t_exponents)
     s1, s2 = rep1.s, rep2.s
     # determine eps with s2[perm(i)][perm(j)] = eps_i eps_j s1[i][j]
     eps: list[Optional[int]] = [None] * r
@@ -486,7 +485,6 @@ def inadmissible_psi(p: int) -> PsiCertificate:
                 row.append(acc * p_inv)
         rows.append(tuple(row))
     s = tuple(rows)
-    t = tuple(zeta(p, k) for k in range(p))
-    rep = _build_rep(s, t)
+    rep = _build_rep(s, p, tuple(range(p)))
     cond = root.conductor
     return PsiCertificate(rep, cond, p % cond != 0)

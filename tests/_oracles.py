@@ -41,6 +41,13 @@ dense_st_cubed_is is the dense form of the modular relation as it stood
 before the residual check: (ST)^3 from two r x r products, compared with cS^2.
 It oracles _matrix._st_cubed_is.
 
+product_twists is the lift's t as it stood when ModularRep stored it as
+values: t_i = mu theta_i for mu = zeta_12^a / zeta by Cyclotomic products,
+zeta the anomaly's sixth root, and the level as the lcm of the orders that
+root_of_unity_log reads off each t_i.  twist_exponents is that log pass on
+its own: (level, exponents) of any tuple of roots of unity.  They oracle the
+exponent arithmetic of sl2z_reps._lifts.
+
 dual_from_s is the charge conjugation as it stood before galois built it on
 the character-column matcher: its own column index, conjugating each column.
 """
@@ -65,8 +72,9 @@ from moddata.cyclotomic import (
     euler_phi,
     factorize,
     units_mod,
+    zeta,
 )
-from moddata.modular_data import FusionRules
+from moddata.modular_data import FusionRules, derived_scalars
 
 PRINTED_TABLE_PI_FRACTIONS = {
     (2, "even", 2): [[0.0, 1.0]],
@@ -514,6 +522,22 @@ def relabel_fusion(f, perm):
 def dense_st_cubed_is(s, t, c):
     """(ST)^3 == cS^2 for T = diag(t), by mat_pow."""
     return mat.mat_pow(mat.scale_cols(s, t), 3) == mat.scale(mat.matmul(s, s), c)
+
+
+def twist_exponents(t):
+    """(level, exponents) of diag(t) from each entry's root-of-unity log."""
+    logs = [v.root_of_unity_log() for v in t]
+    assert all(logs), "a twist is not a root of unity"
+    level = lcm(*(n for n, _ in logs))
+    return level, tuple(j * (level // n) for n, j in logs)
+
+
+def product_twists(datum, a):
+    """(t, level, exponents) of the lift with x = zeta_12^a, t by products."""
+    m, e = derived_scalars(datum).anomaly.root_of_unity_log()
+    mu = zeta(12, a) * zeta(6 * m, e).inverse()
+    t = tuple(mu * th for th in datum.thetas)
+    return (t, *twist_exponents(t))
 
 
 def dual_from_s(datum):

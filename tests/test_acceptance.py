@@ -120,8 +120,8 @@ def test_criterion_5_spectra_connectivity():
                 assert spectra_connectivity(rep).ok
         from moddata.cyclotomic import ZERO
 
-        block = ModularRep(
-            2, ((ONE, ZERO), (ZERO, ONE)), (zeta(5), zeta(7)), 35, "even"
+        block = ModularRep(  # t = (zeta_5, zeta_7)
+            2, ((ONE, ZERO), (ZERO, ONE)), 35, (7, 5), "even"
         )
         assert not spectra_connectivity(block).ok
 

@@ -12,11 +12,11 @@ from moddata.modular_data import load
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_python(*args):
+def run_python(*args, timeout=60):
     """Run a fresh interpreter that imports moddata from src/, with a timeout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -105,6 +105,30 @@ def test_fusion_output_is_stable(capsys, data_dir, name, as_json):
     if as_json:
         argv.insert(0, "--json")
         recorded = GOLDEN_FUSION / "fusion_json" / f"{name}.json"
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == recorded.read_bytes().decode()
+
+
+GOLDEN_REP = Path(__file__).resolve().parent / "golden_rep"
+
+
+@pytest.mark.parametrize("command", ["rep", "galois"])
+def test_every_datum_file_has_a_recorded_rep_and_galois_output(data_dir, command):
+    names = sorted(p.stem for p in data_dir.glob("*.json"))
+    assert sorted(p.stem for p in (GOLDEN_REP / command).glob("*.out")) == names
+    assert sorted(p.stem for p in (GOLDEN_REP / f"{command}_json").glob("*.json")) == names
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["rep", "galois"])
+@pytest.mark.parametrize("name", FUSION_NAMES)
+def test_rep_and_galois_output_is_stable(capsys, data_dir, name, command, as_json):
+    """`moddata [--json] rep|galois` stdout stays byte-identical to its recording."""
+    argv = [command, str(data_dir / f"{name}.json")]
+    recorded = GOLDEN_REP / command / f"{name}.out"
+    if as_json:
+        argv.insert(0, "--json")
+        recorded = GOLDEN_REP / f"{command}_json" / f"{name}.json"
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == recorded.read_bytes().decode()
 
@@ -269,6 +293,24 @@ class TestLevels:
 
     def test_bad_shape_exits_two(self, capsys):
         assert main(["levels", "p=4,m=1,r=1"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["levels", "p=3,r=60"],
+        ["levels", "p=3,r=1000000000"],
+        ["levels", "p=2305843009213693951,r=1"],
+        ["catalog", "su2-odd-mod2", "--p", "2305843009213693951"],
+    ],
+    ids=["p3-r60", "p3-r1e9", "p-mersenne61", "su2-odd-mod2-mersenne61"],
+)
+def test_oversized_argument_exits_two_in_bounded_time(argv):
+    # each level would be a multiple of p or 2p^r + 1, past any order the
+    # package accepts; the refusal comes before any primality test
+    proc = run_python("-m", "moddata.cli", *argv, timeout=10)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 class TestCatalogCmd:

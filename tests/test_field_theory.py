@@ -2,7 +2,7 @@ import pytest
 
 from _oracles import unit_quotient_shape
 from moddata.catalog import su2_odd_mod2
-from moddata.cyclotomic import Cyclotomic, sqrt_int, zeta
+from moddata.cyclotomic import Cyclotomic, get_order_cap, set_order_cap, sqrt_int, zeta
 from moddata.field_theory import (
     BadLevelError,
     FERMAT_PRIMES,
@@ -115,6 +115,24 @@ class TestEnumerateLevels:
             assert levels
             for n in levels:
                 assert unit_quotient_shape(n) == expected, (n, shape)
+
+    def test_shape_past_the_order_cap_is_refused(self):
+        # 2*3^13+1 = 3188647 <= 2*2000^2 < 2*3^14+1 = 9565939; every level of
+        # p = 3, r = 13 is a multiple of 3^14 or of 2*3^13+1
+        assert min(enumerate_levels(GroupShape(3, (13,)))) == 3**14
+        for p, rs in ((3, (14,)), (3, (1, 10**9)), (191, (3,)), (8_000_009, (1,))):
+            with pytest.raises(ValueError, match="no level is an order$"):
+                GroupShape(p, rs)
+        with pytest.raises(ValueError, match="is not prime$"):
+            GroupShape(2 * (2**61 - 1), (1,))
+        cap = get_order_cap()
+        try:
+            set_order_cap(10)  # 2*10^2 = 200 lies between 2*5+1 and 2*5^3+1
+            assert enumerate_levels(GroupShape(5, (1,)))
+            with pytest.raises(ValueError, match="no level is an order$"):
+                GroupShape(5, (3,))
+        finally:
+            set_order_cap(cap)
 
     def test_parse(self):
         assert GroupShape.parse("p=3,m=1,r=1") == GroupShape(3, (1,))

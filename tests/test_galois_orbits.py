@@ -1,7 +1,7 @@
 """Verdicts shared along Galois orbits: the vanishing-sum scan runs its kernel
 once per orbit of root pairs, and the twist-symmetry check matches h_sigma
 once per unit residue of k for all the lifts of a datum and compares the
-twists by their logs.  Both are compared with the term-by-term loops they
+twists by their exponents.  Both are compared with the term-by-term loops they
 replace, kept here as oracles."""
 
 from dataclasses import replace
@@ -14,8 +14,14 @@ from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.classifier import _all_nonzero_solution_exists, vanishing_sum_scan
 from moddata.cyclotomic import ONE, Cyclotomic, units_mod, zeta
 from moddata.galois import _characters, _match_permutation, galois_twist_symmetry
-from moddata.modular_data import Verdict
-from moddata.sl2z_reps import all_lifts, normalize
+from moddata.modular_data import Verdict, derived_scalars
+from moddata.sl2z_reps import (
+    NotModularRepresentation,
+    all_lifts,
+    normalize,
+    spectra_connectivity,
+)
+from _oracles import twist_exponents
 from test_lift_algebra import BUILDERS, datum_of
 
 
@@ -156,11 +162,19 @@ def test_twist_symmetry_matches_h_sigma_once_per_datum(build, matches, monkeypat
 def test_twist_symmetry_refuses_a_conductor_outside_the_level(stored):
     # the characters of su2_odd_mod2(3) have conductor 7; at level 8 the unit
     # k = 7 is 0 mod 7, where no h_sigma exists
-    rep = replace(normalize(su2_odd_mod2(3)), t=(ONE,) * 3, level=8)
+    rep = replace(normalize(su2_odd_mod2(3)), level=8, t_exponents=(0, 1, 0))
     if not stored:
         rep = replace(rep, characters=None)
     with pytest.raises(ValueError, match="^the character conductor 7 does not divide the level 8$"):
         galois_twist_symmetry(rep)
+
+
+def with_twists(rep, t):
+    """rep with twists t, their level and exponents read off by their logs."""
+    level, exps = twist_exponents(t)
+    bent = replace(rep, level=level, t_exponents=exps)
+    assert bent.t == tuple(t)
+    return bent
 
 
 @pytest.mark.parametrize(
@@ -177,8 +191,7 @@ def test_twist_symmetry_witness_on_perturbed_twists(build):
             for factor in (-ONE, zeta(3), zeta(7)):
                 t = list(rep.t)
                 t[i] = t[i] * factor
-                level = lcm(*(v.root_of_unity_order() for v in t))
-                bent = replace(rep, t=tuple(t), level=level)
+                bent = with_twists(rep, t)
                 verdict = galois_twist_symmetry(bent)
                 assert verdict == oracle_twist_symmetry(bent)
                 if not verdict.ok:
@@ -191,22 +204,28 @@ def test_twist_symmetry_witness_on_perturbed_twists(build):
     ids=["su2_odd_mod2(3)", "pointed_zn(5)"],
 )
 def test_twist_symmetry_compares_logs_not_galois_images(build, monkeypatch):
-    # besides the log's conjugate (k = -1), no Galois image of a twist is taken
-    calls = []
-    galois = Cyclotomic.galois
-
-    def spy(self, k):
-        calls.append((self, k))
-        return galois(self, k)
-
-    for rep in all_lifts(build())[:4]:
-        calls.clear()
-        monkeypatch.setattr(Cyclotomic, "galois", spy)
-        verdict = galois_twist_symmetry(rep)
-        monkeypatch.setattr(Cyclotomic, "galois", galois)
-        assert verdict == oracle_twist_symmetry(rep)
-        twists = {id(t) for t in rep.t}
-        assert all(k == -1 for x, k in calls if id(x) in twists)
+    # building the lifts takes one root-of-unity log, the anomaly's; checking
+    # them takes no Galois image of a twist: every image is one of the r^2 a
+    # character match takes
+    datum = build()
+    derived_scalars(datum)
+    logs, images, matches = [], [], []
+    log, image = Cyclotomic.root_of_unity_log, Cyclotomic.galois
+    monkeypatch.setattr(Cyclotomic, "root_of_unity_log", lambda x: logs.append(x) or log(x))
+    monkeypatch.setattr(Cyclotomic, "galois", lambda x, k: images.append(k) or image(x, k))
+    monkeypatch.setattr(
+        galois, "_match_permutation",
+        lambda cols, k: matches.append(k) or _match_permutation(cols, k),
+    )
+    reps = all_lifts(datum)
+    images.clear()
+    verdicts = [(galois_twist_symmetry(rep), spectra_connectivity(rep)) for rep in reps]
+    assert len(logs) == 1
+    assert matches and len(images) == datum.rank**2 * len(matches)
+    monkeypatch.undo()
+    for rep, (twist, connected) in zip(reps, verdicts):
+        assert twist == oracle_twist_symmetry(rep)
+        assert connected.ok
 
 
 @pytest.mark.parametrize(
@@ -214,27 +233,25 @@ def test_twist_symmetry_compares_logs_not_galois_images(build, monkeypatch):
     ids=["su2_odd_mod2(3)", "pointed_zn(5)", "pointed_zn(1)"],
 )
 def test_twist_symmetry_by_galois_images_on_hand_built_twists(build):
-    # a rep whose twists are all roots of unity of order dividing the level
-    # agrees with the oracle; any other is refused, naming the bent twist.
-    # t * zeta_3 + t = -t * zeta_3^2 keeps the level but may leave its roots
-    # of unity, where sigma_(k^2 mod level) is not sigma_k twice
-    refused = set()
+    # twists bent to other roots of unity agree with the oracle; t * zeta_3 + t
+    # = -t * zeta_3^2 may move the level.  A level that is not the order of t,
+    # such as a multiple of the lift's, cannot be built
+    compared = 0
     for rep in all_lifts(build())[:3]:
         for factor in (2, 3):
-            wider = replace(rep, level=factor * rep.level)
-            assert outcome(galois_twist_symmetry, wider) == outcome(oracle_twist_symmetry, wider)
-        bends = (
-            lambda t: t * 2, lambda t: t + ONE, lambda t: t * t + t, lambda t: t * zeta(3) + t
-        )
+            with pytest.raises(NotModularRepresentation, match="is not the order of t$"):
+                replace(
+                    rep,
+                    level=factor * rep.level,
+                    t_exponents=tuple(factor * e for e in rep.t_exponents),
+                )
         for i in range(rep.rank):
-            for b, bend in enumerate(bends):
+            for bend in (lambda t: t * t + t, lambda t: t * zeta(3) + t):
                 t = list(rep.t)
                 t[i] = bend(t[i])
-                bent = replace(rep, t=tuple(t))
-                if all(v ** bent.level == ONE for v in bent.t):
-                    assert outcome(galois_twist_symmetry, bent) == outcome(oracle_twist_symmetry, bent)
-                else:
-                    with pytest.raises(ValueError, match=f"^t_{i} is not a root of unity"):
-                        galois_twist_symmetry(bent)
-                    refused.add(b)
-    assert refused == {0, 1, 2, 3}
+                if t[i].root_of_unity_log() is None:
+                    continue
+                bent = with_twists(rep, t)
+                assert outcome(galois_twist_symmetry, bent) == outcome(oracle_twist_symmetry, bent)
+                compared += 1
+    assert compared >= 3 * rep.rank

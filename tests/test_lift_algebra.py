@@ -2,8 +2,10 @@
 the 12 lifts by scalar equations.  Every lift is compared with the dense matrix
 check it replaces on (lam S, mu T), with lam and mu computed by
 Cyclotomic.inverse: s^4 = Id by two r x r products and (st)^3 = s^2 by the
-dense oracle, before `_build_rep` gives the level and parity."""
+dense oracle.  t, its level and its exponents come from product_twists, the
+Cyclotomic products the builder's exponent arithmetic replaces."""
 
+from collections import namedtuple
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -23,12 +25,11 @@ from moddata.modular_data import ModularDatum, derived_scalars, load
 from moddata.sl2z_reps import (
     NotModularRepresentation,
     _anomaly_sixth_root,
-    _build_rep,
     _lifts,
     all_lifts,
     normalize,
 )
-from _oracles import dense_st_cubed_is, mpmath_complex_eval
+from _oracles import dense_st_cubed_is, mpmath_complex_eval, product_twists
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -44,33 +45,38 @@ def datum_of(name):
     return BUILDERS[name]()
 
 
-def oracle_lift(datum, x):
-    """s = (zeta^3/(x^3 p+)) S, t = (x/zeta) T, checked by r x r matmuls."""
+OracleLift = namedtuple("OracleLift", "s t level t_exponents parity")
+
+
+def oracle_lift(datum, a):
+    """s = (zeta^3/(x^3 p+)) S for x = zeta_12^a and t = (x/zeta) T, checked
+    by r x r matmuls."""
     ds = derived_scalars(datum)
-    zeta6 = _anomaly_sixth_root(datum)
-    lam = zeta6**3 * (x**3 * ds.gauss_plus).inverse()
-    mu = x * zeta6.inverse()
+    zeta6 = zeta(*_anomaly_sixth_root(datum))
+    lam = zeta6**3 * (zeta(12, 3 * a) * ds.gauss_plus).inverse()
     s = mat.scale(datum.S, lam)
-    t = tuple(mu * th for th in datum.thetas)
+    t, level, exps = product_twists(datum, a)
     s2 = mat.matmul(s, s)
     if mat.matmul(s2, s2) != mat.eye(len(s)):
         raise NotModularRepresentation("s^4 != Id")
     if not dense_st_cubed_is(s, t, ONE):
         raise NotModularRepresentation("(st)^3 != s^2")
-    return _build_rep(s, t)
+    eye = mat.eye(len(s))
+    parity = "even" if s2 == eye else "odd" if s2 == mat.scale(eye, -ONE) else "neither"
+    return OracleLift(s, t, level, exps, parity)
 
 
 @lru_cache(maxsize=None)
 def oracle_lifts(datum):
     """The 12 lifts by the matrix oracle; equal data (a catalog datum and its
     file in data/) are checked once."""
-    return tuple(oracle_lift(datum, zeta(12, a)) for a in range(12))
+    return tuple(oracle_lift(datum, a) for a in range(12))
 
 
 def oracle_canonical_exp(datum):
     """x = +-1 = zeta_12^(0 or 6), the sign of p+/zeta^3 at the principal embedding."""
     ds = derived_scalars(datum)
-    cand = ds.gauss_plus * (_anomaly_sixth_root(datum) ** 3).inverse()
+    cand = ds.gauss_plus * (zeta(*_anomaly_sixth_root(datum)) ** 3).inverse()
     return 0 if mpmath_complex_eval(cand).real > 0 else 6
 
 
@@ -78,6 +84,7 @@ def assert_same_rep(rep, expected):
     assert rep.s == expected.s
     assert rep.t == expected.t
     assert rep.level == expected.level
+    assert rep.t_exponents == expected.t_exponents
     assert rep.parity == expected.parity
 
 
@@ -106,12 +113,12 @@ def test_lifts_match_matrix_oracle(name):
 @pytest.mark.parametrize("name", list(BUILDERS))
 def test_stored_characters_change_no_result(name):
     datum = datum_of(name)
-    zeta6 = _anomaly_sixth_root(datum)
+    root = _anomaly_sixth_root(datum)
     for a, rep in enumerate(all_lifts(datum)):
         bare = replace(rep, characters=None)
         assert bare == rep and hash(bare) == hash(rep)
         assert galois_twist_symmetry(bare) == galois_twist_symmetry(rep)
-        assert _lifts(datum, zeta6, (a,)) == (rep,)
+        assert _lifts(datum, root, (a,)) == (rep,)
     rep = normalize(datum)
     bare = replace(rep, characters=None)
     assert compute_profile(datum, bare).to_json() == compute_profile(datum, rep).to_json()
@@ -134,16 +141,16 @@ def negate_pair(S, i, j):
 def test_perturbed_data_fail_like_the_oracle(perturb, witness):
     base = pointed_zn(5)
     datum = replace(base, S=perturb(base.S))
-    zeta6 = _anomaly_sixth_root(datum)
+    root = _anomaly_sixth_root(datum)
     for build in (lambda: all_lifts(datum), lambda: normalize(datum)):
         with pytest.raises(NotModularRepresentation) as exc:
             build()
         assert str(exc.value) == witness
     for a in range(12):
         with pytest.raises(NotModularRepresentation) as new:
-            _lifts(datum, zeta6, (a,))
+            _lifts(datum, root, (a,))
         with pytest.raises(NotModularRepresentation) as old:
-            oracle_lift(datum, zeta(12, a))
+            oracle_lift(datum, a)
         assert str(new.value) == str(old.value) == witness
 
 
@@ -153,7 +160,7 @@ def test_vanishing_dimension_leaves_characters_unset():
     datum = ModularDatum(2, 3, (0, 1), ((ONE, ZERO), (ZERO, ONE)))
     for a, rep in enumerate(all_lifts(datum)):
         assert rep.characters is None
-        assert_same_rep(rep, oracle_lift(datum, zeta(12, a)))
+        assert_same_rep(rep, oracle_lift(datum, a))
         with pytest.raises(NotGaloisStable, match="vanishing first-row entry"):
             galois_twist_symmetry(rep)
 

@@ -41,7 +41,7 @@ def float_sign(x):
 def real_values(datum):
     """The dims, D^2, +-D and every real character value of a datum."""
     ds = derived_scalars(datum)
-    d_root = ds.gauss_plus * _anomaly_sixth_root(datum).conjugate() ** 3
+    d_root = ds.gauss_plus * zeta(*_anomaly_sixth_root(datum)).conjugate() ** 3
     values = [*ds.dims, ds.global_dim_sq, d_root, -d_root]
     assert all(v.is_real for v in values)
     return values + [v for col in _characters(datum.S) for v in col if v.is_real]

@@ -1,11 +1,13 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from moddata import _matrix as mat
 from moddata.cyclotomic import Cyclotomic, ONE, ZERO, zeta
+from moddata.catalog import su2_odd_mod2
 from moddata.modular_data import ModularDatum, derived_scalars
 from moddata.sl2z_reps import (
     ModularRep,
@@ -76,6 +78,17 @@ class TestNormalize:
             for rep in all_lifts(datum):
                 assert rep.level % N == 0 and (12 * N) % rep.level == 0
 
+    def test_level_must_be_the_order_of_t(self):
+        s = ((ONE,),)
+        assert ModularRep(1, s, 6, (-1,), "even").t_exponents == (5,)
+        for level, exps in ((2, (0,)), (6, (2,)), (6, (0, 2, 4)), (0, (0,)), (-3, (1,))):
+            with pytest.raises(NotModularRepresentation):
+                ModularRep(1, s, level, exps, "even")
+        rep = normalize(su2_odd_mod2(3))
+        doubled = tuple(2 * e for e in rep.t_exponents)  # t itself, read at level 42
+        with pytest.raises(NotModularRepresentation, match="^level 42 is not the order of t$"):
+            replace(rep, level=2 * rep.level, t_exponents=doubled)
+
     def test_rejects_broken_data(self, su2_9):
         rows = [list(row) for row in su2_9.S]
         rows[1][1] = rows[1][1] + 1
@@ -92,12 +105,12 @@ class TestConnectivity:
 
     def test_block_diagonal_counterexample(self):
         s = ((ONE, ZERO), (ZERO, ONE))
-        rep = ModularRep(2, s, (zeta(5), zeta(7)), 35, "even")
+        rep = ModularRep(2, s, 35, (7, 5), "even")  # (zeta_5, zeta_7)
         verdict = spectra_connectivity(rep)
         assert not verdict.ok
 
     def test_rank_one(self):
-        rep = ModularRep(1, ((ONE,),), (ONE,), 1, "even")
+        rep = ModularRep(1, ((ONE,),), 1, (0,), "even")
         assert spectra_connectivity(rep).ok
 
 
@@ -110,19 +123,19 @@ class TestObstruction120:
         assert scan.all_obstructed
 
     def test_all_77th_roots(self):
-        t = (zeta(77), zeta(77, 2), zeta(77, 3))
-        rep = ModularRep(3, mat.eye(3), t, 77, "even")
+        rep = ModularRep(3, mat.eye(3), 77, (1, 2, 3), "even")
+        assert rep.t == (zeta(77), zeta(77, 2), zeta(77, 3))
         scan = obstruction_120(rep)
         assert scan.all_obstructed and not scan.split_allowed
 
     def test_rank3_with_one(self):
-        t = (ONE, zeta(77), zeta(77, 76))
-        rep = ModularRep(3, mat.eye(3), t, 77, "even")
+        rep = ModularRep(3, mat.eye(3), 77, (0, 1, 76), "even")
+        assert rep.t == (ONE, zeta(77), zeta(77, 76))
         scan = obstruction_120(rep)
         assert scan.split_allowed
 
     def test_rank_too_small(self):
-        rep = ModularRep(2, mat.eye(2), (ONE, -ONE), 2, "even")
+        rep = ModularRep(2, mat.eye(2), 2, (0, 1), "even")
         with pytest.raises(ValueError):
             obstruction_120(rep)
 
@@ -246,15 +259,24 @@ class TestSignedPermMatch:
                 )
                 for a in range(5)
             )
-            t2 = tuple(rep.t[perm[a]] for a in range(5))
-            rep2 = ModularRep(5, s2, t2, rep.level, rep.parity)
+            exps2 = tuple(rep.t_exponents[perm[a]] for a in range(5))
+            rep2 = replace(rep, s=s2, t_exponents=exps2, characters=None)
+            t2 = rep2.t
+            assert t2 == tuple(rep.t[perm[a]] for a in range(5))
             recovered = signed_perm_match(rep, rep2)
             assert recovered is not None
             # the eigenvalue-matching permutation is the inverse relabeling
             assert all(t2[recovered.perm[i]] == rep.t[i] for i in range(5))
             assert all(perm[recovered.perm[i]] == i for i in range(5))
 
+    def test_equal_exponents_at_different_levels_do_not_match(self):
+        # (1, zeta_3) and (1, zeta_6) are different spectra with the same exponents
+        rep3 = ModularRep(2, mat.eye(2), 3, (0, 1), "even")
+        rep6 = replace(rep3, level=6)
+        assert signed_perm_match(rep3, rep6) is None
+        assert signed_perm_match(rep6, replace(rep6, t_exponents=(1, 0))).perm == (1, 0)
+
     def test_degenerate_rejected(self):
-        rep = ModularRep(2, mat.eye(2), (ONE, ONE), 1, "even")
+        rep = ModularRep(2, mat.eye(2), 1, (0, 0), "even")
         with pytest.raises(ValueError):
             signed_perm_match(rep, rep)
