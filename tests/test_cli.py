@@ -86,6 +86,63 @@ def test_check_json_output_is_stable(capsys, data_dir, name):
     assert capsys.readouterr().out == (GOLDEN_CHECK_JSON / name).read_bytes().decode()
 
 
+# datum files that fail conditions (i)-(vii) between them, each an edit of a
+# data/ file or a small hand-built datum (the name says which entries or
+# twists moved), with their `check` and `--json check` stdout
+GOLDEN_REPORTS = Path(__file__).resolve().parent / "golden_reports"
+FAILING_NAMES = sorted(p.stem for p in (GOLDEN_REPORTS / "data").glob("*.json"))
+
+
+def test_every_failing_datum_has_recorded_check_outputs():
+    assert sorted(p.stem for p in (GOLDEN_REPORTS / "check").glob("*.out")) == FAILING_NAMES
+    assert sorted(p.stem for p in (GOLDEN_REPORTS / "check_json").glob("*.json")) == FAILING_NAMES
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("name", FAILING_NAMES)
+def test_failing_check_output_is_stable(capsys, name, as_json):
+    """`moddata [--json] check` on a failing datum exits 1, and its stdout
+    stays byte-identical to its recording."""
+    argv = ["check", str(GOLDEN_REPORTS / "data" / f"{name}.json")]
+    recorded = GOLDEN_REPORTS / "check" / f"{name}.out"
+    if as_json:
+        argv.insert(0, "--json")
+        recorded = GOLDEN_REPORTS / "check_json" / f"{name}.json"
+    assert main(argv) == EXIT_FAIL
+    assert capsys.readouterr().out == recorded.read_bytes().decode()
+
+
+def test_every_condition_fails_in_some_recording():
+    failed = set()
+    for name in FAILING_NAMES:
+        report = json.loads((GOLDEN_REPORTS / "check_json" / f"{name}.json").read_text())
+        failed |= {c["index"] for c in report["conditions"] if not c["passed"]}
+    assert failed == {1, 2, 3, 4, 5, 6, 7}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_classify_rank5_output_is_stable(capsys, as_json):
+    argv = ["classify-rank5"]
+    recorded = GOLDEN_REPORTS / "classify_rank5.out"
+    if as_json:
+        argv.insert(0, "--json")
+        recorded = GOLDEN_REPORTS / "classify_rank5.json"
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == recorded.read_bytes().decode()
+
+
+def test_failing_rank5_suite_report_is_stable():
+    """rank5_suite over the failing datum files: its table and JSON, FAIL
+    rows and the caught errors' messages included, match their recording."""
+    from moddata.classifier import rank5_suite
+
+    report = rank5_suite([(n, load(GOLDEN_REPORTS / "data" / f"{n}.json")) for n in FAILING_NAMES])
+    assert report.format_table() + "\n" == (GOLDEN_REPORTS / "rank5_suite_failing.out").read_text()
+    assert json.dumps(report.to_json(), indent=1) + "\n" == (
+        GOLDEN_REPORTS / "rank5_suite_failing.json"
+    ).read_text()
+
+
 GOLDEN_FUSION = Path(__file__).resolve().parent / "golden_fusion"
 FUSION_NAMES = sorted(p.stem for p in (GOLDEN_FUSION / "fusion").glob("*.out"))
 
