@@ -19,7 +19,6 @@ from .catalog import (
 from .cyclotomic import Cyclotomic, ONE, ZERO, _numerators_at, is_prime, zeta
 from .field_theory import cauchy_prime_support
 from .galois import (
-    NamedVerdict,
     compose,
     compute_profile,
     exclusion_predicates,
@@ -29,6 +28,9 @@ from .modular_data import (
     FusionRules,
     ModularDatum,
     Tensor,
+    Verdict,
+    _table_line,
+    _verdict_json,
     check_admissible,
     verlinde_fusion,
 )
@@ -406,7 +408,7 @@ def _is_perfect_square(n: int) -> bool:
 class DatumReport:
     name: str
     fusion_class: str
-    checks: tuple[NamedVerdict, ...]
+    checks: tuple[Verdict, ...]
 
     @property
     def passed(self) -> bool:
@@ -426,10 +428,7 @@ class Rank5Report:
         lines = []
         for entry in self.entries:
             lines.append(f"{entry.name}  ->  fusion class: {entry.fusion_class}")
-            for c in entry.checks:
-                tag = "PASS" if c.ok else "FAIL"
-                extra = f"  [{c.witness}]" if c.witness and not c.ok else ""
-                lines.append(f"    {c.name:<34} {tag}{extra}")
+            lines.extend(f"    {_table_line(c, 34)}" for c in entry.checks)
         lines.extend(f"note: {n}" for n in self.notes)
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
@@ -443,10 +442,7 @@ class Rank5Report:
                 {
                     "name": e.name,
                     "fusion_class": e.fusion_class,
-                    "checks": [
-                        {"name": c.name, "passed": c.ok, "witness": c.witness}
-                        for c in e.checks
-                    ],
+                    "checks": [_verdict_json(c) for c in e.checks],
                 }
                 for e in self.entries
             ],
@@ -468,74 +464,69 @@ def classify_fusion(fusion: FusionRules) -> str:
 
 
 def rank5_suite(data: Optional[Sequence[tuple[str, ModularDatum]]] = None) -> Rank5Report:
-    """Run the full predicate battery over the rank-5 catalog."""
+    """Run the full predicate battery over the rank-5 catalog.
+
+    A package error on bad data, a ValueError or an ArithmeticError, becomes
+    a FAIL row; any other exception propagates.
+    """
     if data is None:
         data = rank5_catalog()
     entries = []
     for name, datum in data:
-        checks: list[NamedVerdict] = []
         fusion_class = "n/a"
         report = check_admissible(datum)
-        checks.append(
-            NamedVerdict(
-                "admissible (7 conditions)",
+        checks = [
+            Verdict(
                 report.passed,
-                "; ".join(f"({c.index}) {c.witness}" for c in report.failures()),
+                "; ".join(f"({i}) {c.witness}" for i, c in report.failures()),
+                "admissible (7 conditions)",
             )
-        )
+        ]
         profile = report.profile
         if profile is None:
             try:
                 profile = compute_profile(datum)
-            except Exception as exc:
-                checks.append(NamedVerdict("Galois profile", False, str(exc)))
+            except (ValueError, ArithmeticError) as exc:
+                checks.append(Verdict(False, str(exc), "Galois profile"))
         if profile is not None:
             checks.append(
-                NamedVerdict(
-                    "Galois case membership",
+                Verdict(
                     in_rank5_cases(profile.image()),
                     f"image {sorted(profile.image())}",
+                    "Galois case membership",
                 )
             )
-            for verdict in exclusion_predicates(datum, profile):
-                checks.append(verdict)
+            checks.extend(exclusion_predicates(datum, profile))
         try:
-            fusion = verlinde_fusion(datum)
-            fusion_class = classify_fusion(fusion)
+            fusion_class = classify_fusion(verlinde_fusion(datum))
             checks.append(
-                NamedVerdict(
-                    "fusion class identified", fusion_class != "unclassified", fusion_class
-                )
+                Verdict(fusion_class != "unclassified", fusion_class, "fusion class identified")
             )
-        except Exception as exc:
-            checks.append(NamedVerdict("fusion computed", False, str(exc)))
+        except (ValueError, ArithmeticError) as exc:
+            checks.append(Verdict(False, str(exc), "fusion computed"))
         try:
             rep = normalize(datum)
-            checks.append(NamedVerdict("canonical lift relations", True))
+            checks.append(Verdict(True, "", "canonical lift relations"))
             twist = galois_twist_symmetry(rep)
-            checks.append(
-                NamedVerdict("Galois twist symmetry", twist.ok, str(twist.witness or ""))
-            )
+            checks.append(Verdict(twist.ok, str(twist.witness or ""), "Galois twist symmetry"))
             conn = spectra_connectivity(rep)
-            checks.append(
-                NamedVerdict("spectra connectivity", conn.ok, str(conn.witness or ""))
-            )
+            checks.append(Verdict(conn.ok, str(conn.witness or ""), "spectra connectivity"))
             N, n = datum.ord_t, rep.level
             checks.append(
-                NamedVerdict(
-                    "level divisibility N | n | 12N",
+                Verdict(
                     n % N == 0 and (12 * N) % n == 0,
                     f"N={N}, n={n}",
+                    "level divisibility N | n | 12N",
                 )
             )
-        except Exception as exc:
-            checks.append(NamedVerdict("canonical lift relations", False, str(exc)))
+        except (ValueError, ArithmeticError) as exc:
+            checks.append(Verdict(False, str(exc), "canonical lift relations"))
         support = cauchy_prime_support(datum)
         checks.append(
-            NamedVerdict(
-                "Cauchy prime support",
+            Verdict(
                 support.ok,
                 f"{sorted(support.norm_primes)} vs {sorted(support.torder_primes)}",
+                "Cauchy prime support",
             )
         )
         entries.append(DatumReport(name, fusion_class, tuple(checks)))

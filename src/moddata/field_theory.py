@@ -3,6 +3,7 @@ admissible-level enumeration for prime-power Galois shapes."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Iterable, Optional
@@ -16,7 +17,7 @@ from .cyclotomic import (
     is_prime,
     units_mod,
 )
-from .modular_data import ModularDatum, derived_scalars, norm_prime_support
+from .modular_data import ModularDatum, Verdict, derived_scalars, norm_prime_support
 from .modular_data import _fixer_of_order_above_2
 
 FERMAT_PRIMES = (3, 5, 17, 257, 65537)
@@ -58,6 +59,11 @@ class GroupShape:
 
     @classmethod
     def elementary2(cls, m: int) -> "GroupShape":
+        # (Z/2)^m as a Galois group over Q needs 2^m | phi(n) <= cap: refuse
+        # before building the m-tuple, never forming 2^m
+        cap = get_order_cap()
+        if m >= cap.bit_length():
+            raise ValueError(f"2^{m} exceeds the order cap {cap}: no level is an order")
         return cls(2, (1,) * m)
 
     @classmethod
@@ -150,16 +156,24 @@ def enumerate_levels(shape: GroupShape) -> frozenset[int]:
         core = prod(qs)
         return frozenset(f * core for f in divisors(24))
     if p == 3:
+        # q = 2*3^r + 1 grows with r, so the q's repeat where the r's do;
+        # count each distinct r once
         out: set[int] = set()
-        qs = [2 * 3**r + 1 for r in rs]
-        if len(set(qs)) == len(qs) and all(is_prime(q) for q in qs):
-            core = prod(qs)
+        counts = Counter(rs)
+        prime = {r: is_prime(2 * 3**r + 1) for r in counts}
+        repeats = len(rs) - len(counts)
+        if not repeats and all(prime.values()):
+            core = prod(2 * 3**r + 1 for r in counts)
             out.update(f * core for f in divisors(24))
-        for i, r in enumerate(rs):
-            others = [q for j, q in enumerate(qs) if j != i]
-            if len(set(others)) == len(others) and all(is_prime(q) for q in others):
-                core = 3 ** (r + 1) * prod(others)
-                out.update(f * core for f in divisors(8))
+        # one factor Z/3^r takes 3^(r+1) in place of its q; the other q's must
+        # be distinct primes, so if some r repeats, only that r may, and only
+        # if it repeats just twice
+        for r, c in counts.items():
+            if repeats == 0 or (repeats == 1 and c == 2):
+                others = [s for s in counts if s != r or c > 1]
+                if all(prime[s] for s in others):
+                    core = 3 ** (r + 1) * prod(2 * 3**s + 1 for s in others)
+                    out.update(f * core for f in divisors(8))
         return frozenset(out)
     # p == 2: n = 2^a * distinct Fermat primes, within the order cap
     cap = get_order_cap()
@@ -180,13 +194,7 @@ def enumerate_levels(shape: GroupShape) -> frozenset[int]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class OddPrimeReport:
-    ok: bool
-    witness: str = ""
-
-
-def odd_prime_constraints(n: int, p: Optional[int] = None) -> OddPrimeReport:
+def odd_prime_constraints(n: int, p: Optional[int] = None) -> Verdict:
     """Constraints on odd primes q | n for an odd-degree subfield: q = 3 mod 4,
     q a simple factor, and q = 2 p^r + 1 (p given, or any prime power)."""
     if n < 1:
@@ -195,9 +203,9 @@ def odd_prime_constraints(n: int, p: Optional[int] = None) -> OddPrimeReport:
         if q <= 3:
             continue
         if q % 4 != 3:
-            return OddPrimeReport(False, f"{q} = 1 mod 4")
+            return Verdict(False, f"{q} = 1 mod 4")
         if mult > 1:
-            return OddPrimeReport(False, f"{q}^{mult} is not a simple factor")
+            return Verdict(False, f"{q}^{mult} is not a simple factor")
         half = (q - 1) // 2
         if p is not None:
             r = 0
@@ -205,12 +213,12 @@ def odd_prime_constraints(n: int, p: Optional[int] = None) -> OddPrimeReport:
                 half //= p
                 r += 1
             if half != 1 or r < 1:
-                return OddPrimeReport(False, f"{q} != 2*{p}^r + 1")
+                return Verdict(False, f"{q} != 2*{p}^r + 1")
         else:
             fac = factorize(half)
             if len(fac) != 1:
-                return OddPrimeReport(False, f"({q}-1)/2 is not a prime power")
-    return OddPrimeReport(True)
+                return Verdict(False, f"({q}-1)/2 is not a prime power")
+    return Verdict(True)
 
 
 @dataclass(frozen=True)

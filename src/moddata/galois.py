@@ -303,18 +303,11 @@ def _positive(x: Cyclotomic) -> bool:
 # exclusion predicates
 
 
-@dataclass(frozen=True)
-class NamedVerdict:
-    name: str
-    ok: bool
-    witness: str = ""
-
-
 def exclusion_predicates(
     datum: ModularDatum, profile: GaloisProfile
-) -> list[NamedVerdict]:
+) -> list[Verdict]:
     """Checkable instances of the forbidden-permutation and transposition lemmas."""
-    out: list[NamedVerdict] = []
+    out: list[Verdict] = []
     r = datum.rank
     if r >= 5 and r % 2 == 1:
         out.append(_no_c61_pattern(r, profile))
@@ -330,17 +323,15 @@ def exclusion_predicates(
     return out
 
 
-def _no_c61_pattern(r: int, profile: GaloisProfile) -> NamedVerdict:
+def _no_c61_pattern(r: int, profile: GaloisProfile) -> Verdict:
     # forbidden: a 2-cycle through 0 together with an (r-2)-cycle
     for perm in profile.image():
         cycles = cycle_type(perm)
         if sorted(len(c) for c in cycles) == [2, r - 2]:
             two = next(c for c in cycles if len(c) == 2)
             if 0 in two:
-                return NamedVerdict(
-                    "no (0 a)(r-2 cycle) element", False, f"found {perm}"
-                )
-    return NamedVerdict("no (0 a)(r-2 cycle) element", True)
+                return Verdict(False, f"found {perm}", "no (0 a)(r-2 cycle) element")
+    return Verdict(True, "", "no (0 a)(r-2 cycle) element")
 
 
 def _dual_from_s(datum: ModularDatum) -> Optional[Perm]:
@@ -357,7 +348,7 @@ def _dual_from_s(datum: ModularDatum) -> Optional[Perm]:
     return perm if perm[0] == 0 else None
 
 
-def _no_c62_pattern(datum: ModularDatum, profile: GaloisProfile) -> NamedVerdict:
+def _no_c62_pattern(datum: ModularDatum, profile: GaloisProfile) -> Verdict:
     # forbidden: 0 inside an (r-2)-cycle next to a transposition of self-dual labels
     r = datum.rank
     dual = _dual_from_s(datum)
@@ -370,35 +361,33 @@ def _no_c62_pattern(datum: ModularDatum, profile: GaloisProfile) -> NamedVerdict
             if 0 in big and (
                 dual is None or all(dual[x] == x for x in two)
             ):
-                return NamedVerdict(name, False, f"found {perm}")
-    return NamedVerdict(name, True)
+                return Verdict(False, f"found {perm}", name)
+    return Verdict(True, "", name)
 
 
 def _transposition_lemma(
     datum: ModularDatum, swap: Sequence[int]
-) -> list[NamedVerdict]:
+) -> list[Verdict]:
     """Clauses of the Gal = <(0 1)> lemma: integrality of traces/norms and the
     sign pattern eps_j = S_{1j}/d_j with its zero consequences."""
     out = []
     one = swap[0] if swap[1] == 0 else swap[1]
     ds = derived_scalars(datum)
     d1 = ds.dims[one]
-    out.append(
-        NamedVerdict("d_1 > 0", _positive(d1), f"d_{one} = {d1}")
-    )
+    out.append(Verdict(_positive(d1), f"d_{one} = {d1}", "d_1 > 0"))
     d1_inv = d1.inverse()
     tr = d1 + d1_inv
-    out.append(NamedVerdict("d_1 + 1/d_1 integral", tr.is_integer, str(tr)))
+    out.append(Verdict(tr.is_integer, str(tr), "d_1 + 1/d_1 integral"))
     d2overd1 = ds.global_dim_sq * d1_inv
-    out.append(NamedVerdict("D^2/d_1 integral", d2overd1.is_integer, str(d2overd1)))
+    out.append(Verdict(d2overd1.is_integer, str(d2overd1), "D^2/d_1 integral"))
     rest = [i for i in range(datum.rank) if i not in (0, one)]
     for i in rest:
         v = ds.dims[i] * ds.dims[i] * d1_inv
         if not v.is_integer:
-            out.append(NamedVerdict("d_i^2/d_1 integral", False, f"i = {i}"))
+            out.append(Verdict(False, f"i = {i}", "d_i^2/d_1 integral"))
             break
     else:
-        out.append(NamedVerdict("d_i^2/d_1 integral", True))
+        out.append(Verdict(True, "", "d_i^2/d_1 integral"))
     eps: dict[int, int] = {}
     ok, witness = True, ""
     for j in rest:
@@ -410,14 +399,10 @@ def _transposition_lemma(
         else:
             ok, witness = False, f"S[{one}][{j}]/d_{j} = {s1j * d.inverse()}"
             break
-    out.append(NamedVerdict("eps_j = S_1j/d_j in {+-1}", ok, witness))
+    out.append(Verdict(ok, witness, "eps_j = S_1j/d_j in {+-1}"))
     if ok:
         out.append(
-            NamedVerdict(
-                "eps signs not all equal",
-                len(set(eps.values())) > 1,
-                f"eps = {eps}",
-            )
+            Verdict(len(set(eps.values())) > 1, f"eps = {eps}", "eps signs not all equal")
         )
         zero_ok, zero_witness = True, ""
         for i in rest:
@@ -427,5 +412,5 @@ def _transposition_lemma(
                     break
             if not zero_ok:
                 break
-        out.append(NamedVerdict("S_ij = 0 when eps_i = -eps_j", zero_ok, zero_witness))
+        out.append(Verdict(zero_ok, zero_witness, "S_ij = 0 when eps_i = -eps_j"))
     return out

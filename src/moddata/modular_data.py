@@ -63,14 +63,25 @@ class FSExponentNotFound(ValueError):
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of an exact check, with the first witness on failure."""
+    """Outcome of an exact check, with the first witness on failure and the
+    name of the check."""
 
     ok: bool
     witness: object = None
-    detail: str = ""
+    name: str = ""
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _table_line(v: Verdict, width: int) -> str:
+    """The report row "name PASS", or "name FAIL  [witness]"."""
+    extra = f"  [{v.witness}]" if v.witness and not v.ok else ""
+    return f"{v.name:<{width}} {'PASS' if v.ok else 'FAIL'}{extra}"
+
+
+def _verdict_json(v: Verdict) -> dict:
+    return {"name": v.name, "passed": v.ok, "witness": v.witness}
 
 
 # ---------------------------------------------------------------------------
@@ -380,34 +391,23 @@ def fs_exponent(datum: ModularDatum, fusion: FusionRules) -> int:
 
 
 @dataclass(frozen=True)
-class ConditionReport:
-    index: int
-    name: str
-    passed: bool
-    witness: str = ""
-
-
-@dataclass(frozen=True)
 class AdmissibilityReport:
-    conditions: tuple[ConditionReport, ...]
+    # conditions (i)-(vii) in order, each witness a string
+    conditions: tuple[Verdict, ...]
     # the Galois profile condition (vi) computed, if it got that far
     profile: Optional[GaloisProfile] = field(default=None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
+        return all(c.ok for c in self.conditions)
 
-    def failures(self) -> list[ConditionReport]:
-        return [c for c in self.conditions if not c.passed]
+    def failures(self) -> list[tuple[int, Verdict]]:
+        """(index, verdict) of each failing condition, indices from 1."""
+        return [(i, c) for i, c in enumerate(self.conditions, 1) if not c.ok]
 
     def format_table(self) -> str:
-        lines = []
-        for c in self.conditions:
-            tag = "PASS" if c.passed else "FAIL"
-            extra = f"  [{c.witness}]" if c.witness and not c.passed else ""
-            lines.append(f"({c.index}) {c.name:<24} {tag}{extra}")
-        verdict = "admissible" if self.passed else "NOT admissible"
-        lines.append(f"overall: {verdict}")
+        lines = [f"({i}) {_table_line(c, 24)}" for i, c in enumerate(self.conditions, 1)]
+        lines.append(f"overall: {'admissible' if self.passed else 'NOT admissible'}")
         return "\n".join(lines)
 
     def to_json(self) -> dict:
@@ -415,13 +415,7 @@ class AdmissibilityReport:
             "schema": 1,
             "passed": self.passed,
             "conditions": [
-                {
-                    "index": c.index,
-                    "name": c.name,
-                    "passed": c.passed,
-                    "witness": c.witness,
-                }
-                for c in self.conditions
+                {"index": i, **_verdict_json(c)} for i, c in enumerate(self.conditions, 1)
             ],
         }
 
@@ -447,7 +441,7 @@ def _fixer_of_order_above_2(n: int, values: list[Cyclotomic]) -> Optional[int]:
 
 def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
     """Evaluate the seven admissibility conditions, all exactly."""
-    reports: list[ConditionReport] = []
+    reports: list[Verdict] = []
     ds = derived_scalars(datum)
     N = datum.ord_t
     r = datum.rank
@@ -477,7 +471,7 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
             unitary = _projectively_unitary(datum, ds.global_dim_sq)
         if not unitary:
             ok, witness = False, "S*conj(S)^t != D^2*Id"
-    reports.append(ConditionReport(1, "reality and unitarity", ok, witness))
+    reports.append(Verdict(ok, witness, "reality and unitarity"))
 
     # (ii) (ST)^3 = p+ S^2, p+ p- = D^2, anomaly a root of unity
     ok, witness = True, ""
@@ -489,24 +483,22 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
         ok, witness = False, "p+ p- != D^2"
     elif not ds.anomaly.is_root_of_unity:
         ok, witness = False, "anomaly is not a root of unity"
-    reports.append(ConditionReport(2, "Gauss sum relations", ok, witness))
+    reports.append(Verdict(ok, witness, "Gauss sum relations"))
 
     # (iii) Verlinde integrality
     ok, witness = fusion is not None, "" if fusion_error is None else str(fusion_error)
-    reports.append(ConditionReport(3, "Verlinde integrality", ok, witness))
+    reports.append(Verdict(ok, witness, "Verlinde integrality"))
 
     # (iv) balancing
     if fusion is None:
-        reports.append(ConditionReport(4, "balancing equation", False, "no fusion"))
+        reports.append(Verdict(False, "no fusion", "balancing equation"))
     else:
         v = check_balancing(datum, fusion)
-        reports.append(
-            ConditionReport(4, "balancing equation", v.ok, str(v.witness or ""))
-        )
+        reports.append(Verdict(v.ok, str(v.witness or ""), "balancing equation"))
 
     # (v) Frobenius-Schur indicators
     if fusion is None:
-        reports.append(ConditionReport(5, "FS indicators", False, "no fusion"))
+        reports.append(Verdict(False, "no fusion", "FS indicators"))
     else:
         ok, witness = True, ""
         table = _fs_table(datum, fusion)
@@ -529,7 +521,7 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
                         break
                 if not ok:
                     break
-        reports.append(ConditionReport(5, "FS indicators", ok, witness))
+        reports.append(Verdict(ok, witness, "FS indicators"))
 
     # (vi) Galois structure of F_S inside F_T = Q_N
     ok, witness = True, ""
@@ -563,7 +555,7 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
                 k = _fixer_of_order_above_2(N, entries)
                 if k is not None:
                     ok, witness = False, f"Gal(F_T/F_S) has sigma_{k} of order > 2"
-    reports.append(ConditionReport(6, "Galois field structure", ok, witness))
+    reports.append(Verdict(ok, witness, "Galois field structure"))
 
     # (vii) Cauchy: prime support of Norm(D^2) equals prime support of N
     ok, witness = True, ""
@@ -579,7 +571,7 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
                 f"supp Norm(D^2) = {sorted(support.norm_primes)}"
                 f" != supp N = {sorted(support.torder_primes)}"
             )
-    reports.append(ConditionReport(7, "Cauchy condition", ok, witness))
+    reports.append(Verdict(ok, witness, "Cauchy condition"))
 
     return AdmissibilityReport(tuple(reports), profile)
 

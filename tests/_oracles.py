@@ -48,13 +48,17 @@ root_of_unity_log reads off each t_i.  twist_exponents is that log pass on
 its own: (level, exponents) of any tuple of roots of unity.  They oracle the
 exponent arithmetic of sl2z_reps._lifts.
 
+p3_levels is field_theory.enumerate_levels on p = 3 as it stood before it
+counted each distinct exponent once: for each index it rebuilt the list of
+the other q = 2*3^r + 1, quadratic in the number of exponents.
+
 dual_from_s is the charge conjugation as it stood before galois built it on
 the character-column matcher: its own column index, conjugating each column.
 """
 
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -69,8 +73,10 @@ from moddata.cyclotomic import (
     _reduce_exponents,
     _within_cap,
     cyclotomic_polynomial,
+    divisors,
     euler_phi,
     factorize,
+    is_prime,
     units_mod,
     zeta,
 )
@@ -507,6 +513,21 @@ def unit_quotient_shape(n):
         for q, e in factorize(d).items():
             shape.append(q**e)
     return tuple(sorted(shape))
+
+
+def p3_levels(rs):
+    """Levels of the p = 3 shape with exponents rs, by the per-index loop."""
+    out = set()
+    qs = [2 * 3**r + 1 for r in rs]
+    if len(set(qs)) == len(qs) and all(is_prime(q) for q in qs):
+        core = prod(qs)
+        out.update(f * core for f in divisors(24))
+    for i, r in enumerate(rs):
+        others = [q for j, q in enumerate(qs) if j != i]
+        if len(set(others)) == len(others) and all(is_prime(q) for q in others):
+            core = 3 ** (r + 1) * prod(others)
+            out.update(f * core for f in divisors(8))
+    return frozenset(out)
 
 
 def relabel_fusion(f, perm):

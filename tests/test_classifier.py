@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +22,11 @@ from moddata.classifier import (
 )
 from moddata.cyclotomic import Cyclotomic, ONE, zeta
 from moddata.galois import compose, compute_profile
-from moddata.modular_data import FusionRules, verlinde_fusion
+from moddata.modular_data import FusionRules, Verdict, verlinde_fusion
 
 from _oracles import dense_rational_kernel, fraction_rational_kernel, relabel_fusion
+
+GOLDEN_REPORTS = Path(__file__).resolve().parent / "golden_reports"
 
 
 def assert_primitive_multiples(got, oracle):
@@ -309,6 +312,27 @@ class TestRank5Suite:
         entry = report.entries[0]
         failing = [c.name for c in entry.checks if not c.ok]
         assert "admissible (7 conditions)" in failing
+
+    def test_only_package_errors_become_fail_rows(self, catalog_rank5, monkeypatch):
+        from moddata import classifier
+
+        recorded = (GOLDEN_REPORTS / "classify_rank5.out").read_text()
+
+        def raising(exc):
+            def normalize(datum):
+                raise exc
+            return normalize
+
+        # a ValueError on bad data is a FAIL row
+        monkeypatch.setattr(classifier, "normalize", raising(ValueError("bad lift")))
+        entry = rank5_suite(catalog_rank5[:1]).entries[0]
+        assert Verdict(False, "bad lift", "canonical lift relations") in entry.checks
+        # a TypeError is a bug, not a verdict
+        monkeypatch.setattr(classifier, "normalize", raising(TypeError("bug")))
+        with pytest.raises(TypeError, match="^bug$"):
+            rank5_suite(catalog_rank5)
+        monkeypatch.undo()
+        assert rank5_suite(catalog_rank5).format_table() + "\n" == recorded
 
     def test_json_schema(self, catalog_rank5):
         data = rank5_suite(catalog_rank5[:1]).to_json()

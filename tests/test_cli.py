@@ -12,11 +12,25 @@ from moddata.modular_data import load
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_python(*args, timeout=60):
-    """Run a fresh interpreter that imports moddata from src/, with a timeout."""
+def run_python(*args, timeout=60, max_bytes=None):
+    """Run a fresh interpreter that imports moddata from src/, with a timeout
+    and, given max_bytes, that limit on the child's address space (the test
+    is skipped where the resource module is missing)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    limit = None
+    if max_bytes is not None:
+        resource = pytest.importorskip("resource")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
+
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+        preexec_fn=limit,
     )
 
 
@@ -368,6 +382,28 @@ def test_oversized_argument_exits_two_in_bounded_time(argv):
     proc = run_python("-m", "moddata.cli", *argv, timeout=10)
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "shape, code",
+    [
+        # (Z/2)^m needs 2^m | phi(n) <= cap; the m-tuple is never built
+        ("'multiquadratic,m=1000000000'", EXIT_USAGE),
+        # longer than one argv string may be, so built in the child
+        ("'p=3,' + ','.join(['r=1'] * 50000)", EXIT_OK),
+    ],
+    ids=["multiquadratic-m1e9", "p3-50000-r1"],
+)
+def test_long_shape_finishes_in_bounded_time_and_memory(shape, code):
+    proc = run_python(
+        "-c",
+        f"import sys; from moddata.cli import main; sys.exit(main(['levels', {shape}]))",
+        timeout=10,
+        max_bytes=256 << 20,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") if code else proc.stdout == ""
 
 
 class TestCatalogCmd:

@@ -1,6 +1,8 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
-from _oracles import unit_quotient_shape
+from _oracles import p3_levels, unit_quotient_shape
 from moddata.catalog import su2_odd_mod2
 from moddata.cyclotomic import Cyclotomic, get_order_cap, set_order_cap, sqrt_int, zeta
 from moddata.field_theory import (
@@ -131,6 +133,27 @@ class TestEnumerateLevels:
             assert enumerate_levels(GroupShape(5, (1,)))
             with pytest.raises(ValueError, match="no level is an order$"):
                 GroupShape(5, (3,))
+        finally:
+            set_order_cap(cap)
+
+    def test_p3_matches_the_per_index_loop(self):
+        for size in range(1, 5):
+            for rs in combinations_with_replacement((1, 2, 3, 5), size):
+                assert enumerate_levels(GroupShape(3, rs)) == p3_levels(rs), rs
+
+    def test_elementary2_past_the_order_cap_is_refused(self):
+        # 2^m | phi(n) <= cap: at the default cap 2000, m = 10 is the largest
+        assert get_order_cap().bit_length() == 11
+        assert enumerate_levels(GroupShape.elementary2(10))
+        for m in (11, 10**9):
+            with pytest.raises(ValueError, match="no level is an order$"):
+                GroupShape.elementary2(m)
+        cap = get_order_cap()
+        try:
+            set_order_cap(8)
+            assert enumerate_levels(GroupShape.elementary2(3))
+            with pytest.raises(ValueError, match="no level is an order$"):
+                GroupShape.elementary2(4)
         finally:
             set_order_cap(cap)
 

@@ -186,7 +186,7 @@ class TestTwistEquation:
         bad = ModularDatum(5, 24, tuple(exps), datum.S)
         verdict = check_twist_equation(bad)
         assert not verdict.ok
-        assert verdict.witness == (0, 1) and verdict.detail == "twist equation fails"
+        assert verdict.witness == (0, 1) and verdict.name == "twist equation fails"
 
 
 class TestIndicators:
@@ -227,7 +227,7 @@ class TestAdmissibility:
     def test_su2_9_all_seven(self, su2_9):
         report = check_admissible(su2_9)
         assert report.passed
-        assert [c.index for c in report.conditions] == [1, 2, 3, 4, 5, 6, 7]
+        assert [c["index"] for c in report.to_json()["conditions"]] == [1, 2, 3, 4, 5, 6, 7]
 
     def test_all_16_admissible(self, su2_4_all):
         for datum in su2_4_all:
@@ -239,7 +239,7 @@ class TestAdmissibility:
     def test_scaled_entry_fails_early_condition(self, su2_9):
         bad = scale_entry(su2_9, 0, 1, Cyclotomic.from_rational(2))
         report = check_admissible(bad)
-        failed = {c.index for c in report.failures()}
+        failed = {i for i, _ in report.failures()}
         assert failed & {1, 3}
 
     def test_perturbed_twist_reported(self, su2_9):
@@ -351,7 +351,7 @@ class TestUnitarityOnce:
     )
     def test_reports_unchanged_off_unitarity(self, unitarity_calls, build, expected):
         report = check_admissible(build())
-        assert [(c.passed, c.witness) for c in report.conditions] == expected
+        assert [(c.ok, c.witness) for c in report.conditions] == expected
         assert len(unitarity_calls) == 1
 
     def test_verlinde_alone_still_refuses(self, su2_9):

@@ -179,7 +179,7 @@ def test_fixer_witnesses_unchanged():
     assert not facts.ok and facts.witness == "sigma_2 fixes K but has order > 2"
     datum = ModularDatum(2, 9, (0, 1), matrix((1, 1), (1, -1)))
     report = check_admissible(datum)
-    assert [(x.passed, x.witness) for x in report.conditions][5] == (
+    assert [(x.ok, x.witness) for x in report.conditions][5] == (
         False,
         "Gal(F_T/F_S) has sigma_2 of order > 2",
     )
