@@ -27,6 +27,14 @@ class BadLevelError(ValueError):
     """A generator does not lie in the requested Q_n."""
 
 
+def _refuse_2_rank(m: int) -> None:
+    # a 2-group with m invariant factors has order >= 2^m, which must divide
+    # phi(n) <= cap; compare bit lengths, never forming 2^m
+    cap = get_order_cap()
+    if m >= cap.bit_length():
+        raise ValueError(f"2^{m} exceeds the order cap {cap}: no level is an order")
+
+
 @dataclass(frozen=True)
 class GroupShape:
     """An abelian p-group Z/p^r1 x ... x Z/p^rm (invariant factor exponents)."""
@@ -44,6 +52,8 @@ class GroupShape:
             raise ValueError(f"p = {p} is not prime")
         if p > bound:
             raise ValueError(f"p = {p} exceeds 2*cap^2 = {bound}: no level is an order")
+        if p == 2:
+            _refuse_2_rank(len(self.exponents))
         for r in self.exponents if p >= 3 else ():
             q = 2
             for _ in range(r):
@@ -59,11 +69,7 @@ class GroupShape:
 
     @classmethod
     def elementary2(cls, m: int) -> "GroupShape":
-        # (Z/2)^m as a Galois group over Q needs 2^m | phi(n) <= cap: refuse
-        # before building the m-tuple, never forming 2^m
-        cap = get_order_cap()
-        if m >= cap.bit_length():
-            raise ValueError(f"2^{m} exceeds the order cap {cap}: no level is an order")
+        _refuse_2_rank(m)  # before building the m-tuple
         return cls(2, (1,) * m)
 
     @classmethod

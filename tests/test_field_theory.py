@@ -145,9 +145,13 @@ class TestEnumerateLevels:
         # 2^m | phi(n) <= cap: at the default cap 2000, m = 10 is the largest
         assert get_order_cap().bit_length() == 11
         assert enumerate_levels(GroupShape.elementary2(10))
-        for m in (11, 10**9):
+        for m in (11, 10**6):  # 10**9 runs in a memory-capped child in test_cli.py
             with pytest.raises(ValueError, match="no level is an order$"):
                 GroupShape.elementary2(m)
+        # however it is spelled
+        with pytest.raises(ValueError, match="no level is an order$"):
+            GroupShape.parse("p=2," + ",".join(["r=1"] * 11))
+        assert enumerate_levels(GroupShape.parse("p=2," + ",".join(["r=1"] * 10)))
         cap = get_order_cap()
         try:
             set_order_cap(8)
