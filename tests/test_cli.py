@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from moddata.classifier import rank5_suite
 from moddata.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from moddata.modular_data import load
 
@@ -148,8 +149,6 @@ def test_classify_rank5_output_is_stable(capsys, as_json):
 def test_failing_rank5_suite_report_is_stable():
     """rank5_suite over the failing datum files: its table and JSON, FAIL
     rows and the caught errors' messages included, match their recording."""
-    from moddata.classifier import rank5_suite
-
     report = rank5_suite([(n, load(GOLDEN_REPORTS / "data" / f"{n}.json")) for n in FAILING_NAMES])
     assert report.format_table() + "\n" == (GOLDEN_REPORTS / "rank5_suite_failing.out").read_text()
     assert json.dumps(report.to_json(), indent=1) + "\n" == (
