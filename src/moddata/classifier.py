@@ -3,7 +3,6 @@ vanishing-sum analysis, and the integral-dimension Diophantine search."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
 from math import gcd, isqrt, lcm
@@ -27,6 +26,7 @@ from .galois import (
 from .modular_data import (
     FusionRules,
     ModularDatum,
+    Record,
     Tensor,
     Verdict,
     _table_line,
@@ -129,8 +129,7 @@ def grothendieck_equiv(f1: FusionRules, f2: FusionRules) -> Optional[Perm]:
 # vanishing sums a + b*i + c_alpha*alpha + c_beta*beta = 0
 
 
-@dataclass(frozen=True)
-class VanishingSumReport:
+class VanishingSumReport(Record):
     sum_is_zero: bool
     conclusions_hold: Optional[bool]
     detail: str = ""
@@ -302,8 +301,7 @@ def vanishing_sum_scan(max_order: int = 60) -> list[dict]:
 # integral dimension search
 
 
-@dataclass(frozen=True)
-class DimensionSearch:
+class DimensionSearch(Record):
     survivors: tuple[tuple[int, ...], ...]
     excluded_by_modulus: Optional[int] = None
 
@@ -404,8 +402,7 @@ def _is_perfect_square(n: int) -> bool:
 # the rank-5 suite
 
 
-@dataclass(frozen=True)
-class DatumReport:
+class DatumReport(Record):
     name: str
     fusion_class: str
     checks: tuple[Verdict, ...]
@@ -415,8 +412,7 @@ class DatumReport:
         return all(c.ok for c in self.checks)
 
 
-@dataclass(frozen=True)
-class Rank5Report:
+class Rank5Report(Record):
     entries: tuple[DatumReport, ...]
     notes: tuple[str, ...]
 

@@ -303,6 +303,10 @@ class Cyclotomic:
     def __setattr__(self, *_):
         raise AttributeError("Cyclotomic values are immutable")
 
+    def __reduce__(self):
+        # pickle and copy would restore the slots through __setattr__
+        return (Cyclotomic._raw, (self.order, self._nums, self._den))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

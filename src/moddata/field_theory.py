@@ -4,7 +4,6 @@ admissible-level enumeration for prime-power Galois shapes."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Iterable, Optional
 
@@ -17,7 +16,7 @@ from .cyclotomic import (
     is_prime,
     units_mod,
 )
-from .modular_data import ModularDatum, Verdict, derived_scalars, norm_prime_support
+from .modular_data import ModularDatum, Record, Verdict, derived_scalars, norm_prime_support
 from .modular_data import _fixer_of_order_above_2
 
 FERMAT_PRIMES = (3, 5, 17, 257, 65537)
@@ -35,8 +34,7 @@ def _refuse_2_rank(m: int) -> None:
         raise ValueError(f"2^{m} exceeds the order cap {cap}: no level is an order")
 
 
-@dataclass(frozen=True)
-class GroupShape:
+class GroupShape(Record):
     """An abelian p-group Z/p^r1 x ... x Z/p^rm (invariant factor exponents)."""
 
     p: int
@@ -109,8 +107,7 @@ def subfield_conductor(generators: Iterable[Cyclotomic]) -> int:
     return lcm(*(g.conductor for g in gens))
 
 
-@dataclass(frozen=True)
-class AdmissibilityFacts:
+class AdmissibilityFacts(Record):
     ok: bool
     conductor: int
     quotient_divides_24: bool
@@ -227,8 +224,7 @@ def odd_prime_constraints(n: int, p: Optional[int] = None) -> Verdict:
     return Verdict(True)
 
 
-@dataclass(frozen=True)
-class CauchySupport:
+class CauchySupport(Record):
     norm_primes: frozenset[int]
     torder_primes: frozenset[int]
     ok: bool

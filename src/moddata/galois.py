@@ -3,12 +3,11 @@ functions eps_sigma, orbits, and the structural exclusion predicates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .cyclotomic import Cyclotomic, NotAUnitError, real_sign, units_mod
-from .modular_data import ModularDatum, Verdict, derived_scalars
+from .modular_data import ModularDatum, Record, Verdict, derived_scalars
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sl2z_reps import ModularRep
@@ -45,8 +44,7 @@ def cycle_type(perm: Perm) -> list[list[int]]:
     return cycles
 
 
-@dataclass(frozen=True)
-class GaloisProfile:
+class GaloisProfile(Record):
     """The h_sigma action of Gal(F_S/Q) realized as units mod the conductor."""
 
     field_conductor: int
@@ -246,8 +244,7 @@ def galois_twist_symmetry(rep: "ModularRep") -> Verdict:
 # dimension classification
 
 
-@dataclass(frozen=True)
-class DimensionClass:
+class DimensionClass(Record):
     label: str  # integral | weakly-integral | pseudo-unitary-candidate | generic
     fp_column: Optional[int]
     fp_unit: Optional[int]

@@ -4,7 +4,6 @@ admissibility checker."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -61,8 +60,91 @@ class FSExponentNotFound(ValueError):
     """No n with nu_n(k) = d_k for all k; the data is not admissible."""
 
 
-@dataclass(frozen=True)
-class Verdict:
+# ---------------------------------------------------------------------------
+# immutable records
+
+_MISSING = object()
+
+
+class Field:
+    """Options of one Record field: a default, and whether the field takes
+    part in == and hash and in repr."""
+
+    __slots__ = ("default", "compare", "repr")
+
+    def __init__(self, default=_MISSING, *, compare: bool = True, repr: bool = True):
+        self.default, self.compare, self.repr = default, compare, repr
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    The fields are the class annotations, in order; a class attribute gives a
+    field's default, either as a plain value or as a Field.  The generated
+    __init__ takes the fields as arguments, sets them and then calls
+    __post_init__ when the class defines one.  == and hash read the compared
+    fields as one tuple, so a record hashes as the tuple of those fields.
+    repr is "Name(f=v, ...)".  Assigning or deleting an attribute raises
+    AttributeError; replace() makes a changed copy.
+    """
+
+    __record_fields__: dict[str, Field] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = dict(cls.__record_fields__)
+        for name in cls.__dict__.get("__annotations__", {}):
+            spec = cls.__dict__.get(name, _MISSING)
+            fields[name] = spec = spec if isinstance(spec, Field) else Field(spec)
+            if spec.default is not _MISSING:
+                setattr(cls, name, spec.default)
+            elif name in cls.__dict__:
+                delattr(cls, name)
+        cls.__record_fields__ = fields
+        # One compile per class.  A plain signature lets Python bind and check
+        # the arguments, and attribute loads in bytecode read the compared
+        # fields faster than a generic getter would.
+        params = ", ".join(n if f.default is _MISSING else f"{n}=None" for n, f in fields.items())
+        body = "".join(f"\n    __set(self, {n!r}, {n})" for n in fields)
+        if hasattr(cls, "__post_init__"):
+            body += "\n    self.__post_init__()"
+        mine = "".join(f"self.{n}," for n, f in fields.items() if f.compare)
+        theirs = "".join(f"other.{n}," for n, f in fields.items() if f.compare)
+        namespace: dict = {}
+        exec(
+            f"def __init__(self, {params}):{body or ' pass'}\n"
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({mine}) == ({theirs})\n"
+            "    return NotImplemented\n"
+            f"def __hash__(self):\n    return hash(({mine}))\n",
+            {"__set": object.__setattr__},
+            namespace,
+        )
+        defaults = tuple(f.default for f in fields.values() if f.default is not _MISSING)
+        namespace["__init__"].__defaults__ = defaults or None
+        for name, method in namespace.items():
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n, f in self.__record_fields__.items() if f.repr)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(record: Record, **changes):
+    """A copy of the record with the given fields changed (__post_init__
+    runs again)."""
+    return type(record)(**{**{n: getattr(record, n) for n in record.__record_fields__}, **changes})
+
+
+class Verdict(Record):
     """Outcome of an exact check, with the first witness on failure and the
     name of the check."""
 
@@ -88,8 +170,7 @@ def _verdict_json(v: Verdict) -> dict:
 # the central object
 
 
-@dataclass(frozen=True)
-class ModularDatum:
+class ModularDatum(Record):
     """Rank-r S matrix over a cyclotomic field plus twists theta_j = zeta_N^a_j."""
 
     rank: int
@@ -186,8 +267,7 @@ def load(path: PathLike) -> ModularDatum:
 # derived scalars
 
 
-@dataclass(frozen=True)
-class DerivedScalars:
+class DerivedScalars(Record):
     dims: tuple[Cyclotomic, ...]
     global_dim_sq: Cyclotomic
     gauss_plus: Cyclotomic
@@ -214,13 +294,12 @@ def derived_scalars(datum: ModularDatum) -> DerivedScalars:
 # Verlinde fusion
 
 
-@dataclass(frozen=True)
-class FusionRules:
+class FusionRules(Record):
     """Nonnegative-integer fusion tensor N_{ij}^k with dual involution."""
 
     rank: int
     tensor: Tensor
-    dual: tuple[int, ...] = field(compare=False)
+    dual: tuple[int, ...] = Field(compare=False)
 
     def n(self, i: int, j: int, k: int) -> int:
         return self.tensor[i][j][k]
@@ -390,12 +469,11 @@ def fs_exponent(datum: ModularDatum, fusion: FusionRules) -> int:
 # admissibility
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Record):
     # conditions (i)-(vii) in order, each witness a string
     conditions: tuple[Verdict, ...]
     # the Galois profile condition (vi) computed, if it got that far
-    profile: Optional[GaloisProfile] = field(default=None, compare=False, repr=False)
+    profile: Optional[GaloisProfile] = Field(None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:

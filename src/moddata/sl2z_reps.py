@@ -3,7 +3,6 @@ t-spectrum obstructions, and the static spectra database."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
@@ -13,7 +12,7 @@ from typing import Iterable, Optional
 from . import _matrix as mat
 from .cyclotomic import Cyclotomic, ONE, ZERO, real_sign, zeta
 from .galois import _CharacterTable, _characters
-from .modular_data import ModularDatum, Verdict, derived_scalars
+from .modular_data import Field, ModularDatum, Record, Verdict, derived_scalars
 
 
 class NotModularRepresentation(ValueError):
@@ -24,8 +23,7 @@ class NotTabulatedError(LookupError):
     """Spectra query outside the degree <= 4 prime-power table."""
 
 
-@dataclass(frozen=True)
-class ModularRep:
+class ModularRep(Record):
     """A normalized pair (s, t): a genuine SL(2,Z) representation.
 
     t = diag(zeta_level^e) for e in ``t_exponents`` (each reduced mod
@@ -42,9 +40,7 @@ class ModularRep:
     level: int
     t_exponents: tuple[int, ...]
     parity: str  # even | odd | neither
-    characters: Optional[_CharacterTable] = field(
-        default=None, compare=False, repr=False
-    )
+    characters: Optional[_CharacterTable] = Field(None, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.level
@@ -200,8 +196,7 @@ def spectra_connectivity(rep: ModularRep) -> Verdict:
     return Verdict(False, component, "t-spectrum graph is disconnected")
 
 
-@dataclass(frozen=True)
-class ObstructionScan:
+class ObstructionScan(Record):
     """Which (r-2)-sub-multisets of the t-spectrum could carry a
     subrepresentation: any without a 120th root of unity is obstructed."""
 
@@ -242,8 +237,7 @@ def obstruction_120(rep: ModularRep) -> ObstructionScan:
 # signed permutation matching (equivalence of nondegenerate reps)
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(Record):
     perm: tuple[int, ...]  # t2[perm[i]] == t1[i]
     signs: tuple[int, ...]
 
@@ -308,8 +302,7 @@ def signed_perm_match(rep1: ModularRep, rep2: ModularRep) -> Optional[SignedPerm
 # the degree <= 4 prime-power spectra table
 
 
-@dataclass(frozen=True)
-class SpectrumRecord:
+class SpectrumRecord(Record):
     degree: int
     parity: str
     level: int
@@ -454,8 +447,7 @@ def spectra_lookup(degree: int, level: int, parity: str) -> list[SpectrumRecord]
 _PSI_MAX_PRIME = 50
 
 
-@dataclass(frozen=True)
-class PsiCertificate:
+class PsiCertificate(Record):
     rep: ModularRep
     sqrt_conductor: int
     inadmissible: bool

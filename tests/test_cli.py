@@ -261,6 +261,20 @@ def test_runtime_imports_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    """Each moddata command starts a fresh interpreter, so what importing the
+    CLI pulls in is paid on every run; dataclasses alone brings in inspect,
+    ast, dis and tokenize."""
+    code = (
+        "import sys\n"
+        "import moddata.cli\n"
+        "loaded = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _entry(order, coeffs):
     return {"order": order, "coeffs": coeffs}
 

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from math import gcd
 from types import SimpleNamespace
 
@@ -18,7 +17,7 @@ from moddata.galois import (
     galois_twist_symmetry,
     sign_function,
 )
-from moddata.modular_data import derived_scalars, load, verlinde_fusion
+from moddata.modular_data import derived_scalars, load, replace, verlinde_fusion
 from moddata.sl2z_reps import all_lifts, normalize
 
 

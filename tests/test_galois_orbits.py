@@ -4,7 +4,6 @@ once per unit residue of k for all the lifts of a datum and compares the
 twists by their exponents.  Both are compared with the term-by-term loops they
 replace, kept here as oracles."""
 
-from dataclasses import replace
 from math import gcd, lcm
 
 import pytest
@@ -14,7 +13,7 @@ from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.classifier import _all_nonzero_solution_exists, vanishing_sum_scan
 from moddata.cyclotomic import ONE, Cyclotomic, units_mod, zeta
 from moddata.galois import _characters, _match_permutation, galois_twist_symmetry
-from moddata.modular_data import Verdict, derived_scalars
+from moddata.modular_data import Verdict, derived_scalars, replace
 from moddata.sl2z_reps import (
     NotModularRepresentation,
     all_lifts,

@@ -6,7 +6,6 @@ dense oracle.  t, its level and its exponents come from product_twists, the
 Cyclotomic products the builder's exponent arithmetic replaces."""
 
 from collections import namedtuple
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from moddata.galois import (
     compute_profile,
     galois_twist_symmetry,
 )
-from moddata.modular_data import ModularDatum, derived_scalars, load
+from moddata.modular_data import ModularDatum, derived_scalars, load, replace
 from moddata.sl2z_reps import (
     NotModularRepresentation,
     _anomaly_sixth_root,

@@ -1,14 +1,13 @@
 import cmath
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
 from moddata import _matrix as mat
 from moddata.cyclotomic import Cyclotomic, ONE, ZERO, zeta
 from moddata.catalog import su2_odd_mod2
-from moddata.modular_data import ModularDatum, derived_scalars
+from moddata.modular_data import ModularDatum, derived_scalars, replace
 from moddata.sl2z_reps import (
     ModularRep,
     NotModularRepresentation,

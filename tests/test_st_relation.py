@@ -2,7 +2,6 @@
 `_matrix._st_cubed_is`, against the dense oracle, and the identity
 (ST)^3 - cS^2 = S R behind it, with R = T(ST)^2 - cS from `_st_residual`."""
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +16,7 @@ from moddata.modular_data import (
     check_admissible,
     derived_scalars,
     load,
+    replace,
 )
 from moddata.sl2z_reps import all_lifts
 from _oracles import dense_st_cubed_is
