@@ -16,15 +16,17 @@ from . import catalog
 from .classifier import grothendieck_equiv, rank5_suite
 from .cyclotomic import zeta
 from .field_theory import GroupShape, enumerate_levels
-from .galois import compute_profile
+from .galois import NotGaloisStable, NotGaloisSymmetric, compute_profile
 from .modular_data import (
+    FSExponentNotFound,
+    FusionComputationError,
     SchemaViolation,
     check_admissible,
     load,
     save,
     verlinde_fusion,
 )
-from .sl2z_reps import normalize, spectra_connectivity
+from .sl2z_reps import NotModularRepresentation, normalize, spectra_connectivity
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -231,10 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .galois import NotGaloisStable, NotGaloisSymmetric
-    from .modular_data import FSExponentNotFound, FusionComputationError
-    from .sl2z_reps import NotModularRepresentation
-
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

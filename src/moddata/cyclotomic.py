@@ -699,9 +699,7 @@ def sqrt_int(m: int) -> Cyclotomic:
         if p == 2:
             factor = zeta(8) + zeta(8, -1)
         else:
-            g = ZERO
-            for a in range(1, p):
-                g = g + Cyclotomic(p, {a: _legendre(a, p)})
+            g = Cyclotomic(p, {a: _legendre(a, p) for a in range(1, p)})
             # Gauss: g = sqrt(p) for p = 1 mod 4, i*sqrt(p) for p = 3 mod 4
             factor = g if p % 4 == 1 else g * zeta(4, -1)
         root = root * factor

@@ -362,52 +362,35 @@ def _no_c62_pattern(datum: ModularDatum, profile: GaloisProfile) -> Verdict:
     return Verdict(True, "", name)
 
 
-def _transposition_lemma(
-    datum: ModularDatum, swap: Sequence[int]
-) -> list[Verdict]:
+def _transposition_lemma(datum: ModularDatum, swap: Sequence[int]) -> list[Verdict]:
     """Clauses of the Gal = <(0 1)> lemma: integrality of traces/norms and the
     sign pattern eps_j = S_{1j}/d_j with its zero consequences."""
-    out = []
     one = swap[0] if swap[1] == 0 else swap[1]
     ds = derived_scalars(datum)
-    d1 = ds.dims[one]
-    out.append(Verdict(_positive(d1), f"d_{one} = {d1}", "d_1 > 0"))
+    dims, row = ds.dims, datum.S[one]
+    d1 = dims[one]
+    positive = Verdict(_positive(d1), f"d_{one} = {d1}", "d_1 > 0")
     d1_inv = d1.inverse()
     tr = d1 + d1_inv
-    out.append(Verdict(tr.is_integer, str(tr), "d_1 + 1/d_1 integral"))
     d2overd1 = ds.global_dim_sq * d1_inv
-    out.append(Verdict(d2overd1.is_integer, str(d2overd1), "D^2/d_1 integral"))
     rest = [i for i in range(datum.rank) if i not in (0, one)]
-    for i in rest:
-        v = ds.dims[i] * ds.dims[i] * d1_inv
-        if not v.is_integer:
-            out.append(Verdict(False, f"i = {i}", "d_i^2/d_1 integral"))
-            break
-    else:
-        out.append(Verdict(True, "", "d_i^2/d_1 integral"))
-    eps: dict[int, int] = {}
-    ok, witness = True, ""
-    for j in rest:
-        s1j, d = datum.S[one][j], ds.dims[j]
-        if s1j == d:
-            eps[j] = 1
-        elif s1j == -d:
-            eps[j] = -1
-        else:
-            ok, witness = False, f"S[{one}][{j}]/d_{j} = {s1j * d.inverse()}"
-            break
-    out.append(Verdict(ok, witness, "eps_j = S_1j/d_j in {+-1}"))
-    if ok:
-        out.append(
-            Verdict(len(set(eps.values())) > 1, f"eps = {eps}", "eps signs not all equal")
-        )
-        zero_ok, zero_witness = True, ""
-        for i in rest:
-            for j in rest:
-                if eps[i] == -eps[j] and datum.S[i][j]:
-                    zero_ok, zero_witness = False, f"S[{i}][{j}] != 0"
-                    break
-            if not zero_ok:
-                break
-        out.append(Verdict(zero_ok, zero_witness, "S_ij = 0 when eps_i = -eps_j"))
-    return out
+    square = next((f"i = {i}" for i in rest if not (dims[i] * dims[i] * d1_inv).is_integer), "")
+    # eps_j is 0 where S_1j/d_j is not +-1
+    eps = {j: 1 if row[j] == dims[j] else -1 if row[j] == -dims[j] else 0 for j in rest}
+    bad = next((j for j in rest if not eps[j]), None)
+    sign = "" if bad is None else f"S[{one}][{bad}]/d_{bad} = {row[bad] * dims[bad].inverse()}"
+    out = [
+        positive,
+        Verdict(tr.is_integer, str(tr), "d_1 + 1/d_1 integral"),
+        Verdict(d2overd1.is_integer, str(d2overd1), "D^2/d_1 integral"),
+        Verdict(not square, square, "d_i^2/d_1 integral"),
+        Verdict(not sign, sign, "eps_j = S_1j/d_j in {+-1}"),
+    ]
+    if sign:
+        return out
+    mixed = ((i, j) for i in rest for j in rest if eps[i] == -eps[j] and datum.S[i][j])
+    zero = next((f"S[{i}][{j}] != 0" for i, j in mixed), "")
+    return out + [
+        Verdict(len(set(eps.values())) > 1, f"eps = {eps}", "eps signs not all equal"),
+        Verdict(not zero, zero, "S_ij = 0 when eps_i = -eps_j"),
+    ]

@@ -517,139 +517,120 @@ def _fixer_of_order_above_2(n: int, values: list[Cyclotomic]) -> Optional[int]:
     return None
 
 
-def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
-    """Evaluate the seven admissibility conditions, all exactly."""
-    reports: list[Verdict] = []
-    ds = derived_scalars(datum)
-    N = datum.ord_t
-    r = datum.rank
+_CONDITION_NAMES = (
+    "reality and unitarity", "Gauss sum relations", "Verlinde integrality",
+    "balancing equation", "FS indicators", "Galois field structure", "Cauchy condition",
+)
 
-    # verlinde_fusion tests projective unitarity whenever the first row of S
-    # has no zero, and raises DegenerateSError then iff the test fails; its
-    # outcome settles that clause of (i), so S * conj(S) is formed once
-    fusion: Optional[FusionRules] = None
-    fusion_error: Optional[FusionComputationError] = None
-    try:
-        fusion = verlinde_fusion(datum)
-    except FusionComputationError as exc:
-        fusion_error = exc
 
+def _reality_and_unitarity(datum: ModularDatum, ds: DerivedScalars, fusion_error) -> str:
     # (i) reality, projective unitarity, finite twist order; S is symmetric
     # since ModularDatum rejects any other
-    witness = ""
-    ok = True
     for j, d in enumerate(ds.dims):
         if not d.is_real:
-            ok, witness = False, f"d_{j} is not real"
-            break
-    if ok:
-        if all(ds.dims):
-            unitary = not isinstance(fusion_error, DegenerateSError)
-        else:
-            unitary = _projectively_unitary(datum, ds.global_dim_sq)
-        if not unitary:
-            ok, witness = False, "S*conj(S)^t != D^2*Id"
-    reports.append(Verdict(ok, witness, "reality and unitarity"))
-
-    # (ii) (ST)^3 = p+ S^2, p+ p- = D^2, anomaly a root of unity
-    ok, witness = True, ""
-    if not ds.gauss_plus or not ds.gauss_minus:
-        ok, witness = False, "vanishing Gauss sum"
-    elif not mat._st_cubed_is(datum.S, datum.thetas, ds.gauss_plus):
-        ok, witness = False, "(ST)^3 != p+ S^2"
-    elif ds.gauss_plus * ds.gauss_minus != ds.global_dim_sq:
-        ok, witness = False, "p+ p- != D^2"
-    elif not ds.anomaly.is_root_of_unity:
-        ok, witness = False, "anomaly is not a root of unity"
-    reports.append(Verdict(ok, witness, "Gauss sum relations"))
-
-    # (iii) Verlinde integrality
-    ok, witness = fusion is not None, "" if fusion_error is None else str(fusion_error)
-    reports.append(Verdict(ok, witness, "Verlinde integrality"))
-
-    # (iv) balancing
-    if fusion is None:
-        reports.append(Verdict(False, "no fusion", "balancing equation"))
+            return f"d_{j} is not real"
+    # verlinde_fusion tests projective unitarity whenever the first row of S
+    # has no zero, and raises DegenerateSError then iff the test fails; its
+    # outcome settles this clause, so S * conj(S) is formed once
+    if all(ds.dims):
+        unitary = not isinstance(fusion_error, DegenerateSError)
     else:
-        v = check_balancing(datum, fusion)
-        reports.append(Verdict(v.ok, str(v.witness or ""), "balancing equation"))
+        unitary = _projectively_unitary(datum, ds.global_dim_sq)
+    return "" if unitary else "S*conj(S)^t != D^2*Id"
 
+
+def _gauss_sum_relations(datum: ModularDatum, ds: DerivedScalars) -> str:
+    # (ii) (ST)^3 = p+ S^2, p+ p- = D^2, anomaly a root of unity
+    if not ds.gauss_plus or not ds.gauss_minus:
+        return "vanishing Gauss sum"
+    if not mat._st_cubed_is(datum.S, datum.thetas, ds.gauss_plus):
+        return "(ST)^3 != p+ S^2"
+    if ds.gauss_plus * ds.gauss_minus != ds.global_dim_sq:
+        return "p+ p- != D^2"
+    if not ds.anomaly.is_root_of_unity:
+        return "anomaly is not a root of unity"
+    return ""
+
+
+def _fs_indicators(datum: ModularDatum, fusion: Optional[FusionRules]) -> str:
     # (v) Frobenius-Schur indicators
     if fusion is None:
-        reports.append(Verdict(False, "no fusion", "FS indicators"))
-    else:
-        ok, witness = True, ""
-        table = _fs_table(datum, fusion)
-        for k in range(r):
-            nu2 = _twisted_sum(datum.torder, table[k].items(), 2)
-            if fusion.dual[k] == k:
-                if nu2 != ONE and nu2 != -ONE:
-                    ok, witness = False, f"nu_2({k}) = {nu2} not +-1 on self-dual"
-                    break
-            elif nu2:
-                ok, witness = False, f"nu_2({k}) != 0 on non-self-dual"
-                break
-        if ok:
-            for n in range(1, N + 1):
-                for k in range(r):
-                    nu = _twisted_sum(datum.torder, table[k].items(), n)
-                    if not nu.is_algebraic_integer or N % nu.order != 0:
-                        ok = False
-                        witness = f"nu_{n}({k}) not in Z[zeta_{N}]"
-                        break
-                if not ok:
-                    break
-        reports.append(Verdict(ok, witness, "FS indicators"))
+        return "no fusion"
+    N = datum.ord_t
+    table = _fs_table(datum, fusion)
+    for k, row in enumerate(table):
+        nu2 = _twisted_sum(datum.torder, row.items(), 2)
+        if fusion.dual[k] == k:
+            if nu2 != ONE and nu2 != -ONE:
+                return f"nu_2({k}) = {nu2} not +-1 on self-dual"
+        elif nu2:
+            return f"nu_2({k}) != 0 on non-self-dual"
+    for n in range(1, N + 1):
+        for k, row in enumerate(table):
+            nu = _twisted_sum(datum.torder, row.items(), n)
+            if not nu.is_algebraic_integer or N % nu.order != 0:
+                return f"nu_{n}({k}) not in Z[zeta_{N}]"
+    return ""
 
+
+def _galois_field_structure(datum: ModularDatum) -> tuple[str, Optional[GaloisProfile]]:
     # (vi) Galois structure of F_S inside F_T = Q_N
-    ok, witness = True, ""
-    profile = None
+    N = datum.ord_t
     cond_s = datum.s_field_conductor
     if N % cond_s != 0:
-        ok, witness = False, f"F_S has conductor {cond_s}, not inside Q_{N}"
-    else:
-        from .galois import NotGaloisStable, compose, compute_profile
+        return f"F_S has conductor {cond_s}, not inside Q_{N}", None
+    from .galois import NotGaloisStable, compute_profile
 
-        try:
-            profile = compute_profile(datum)
-        except NotGaloisStable as exc:
-            ok, witness = False, str(exc)
-        else:
-            idperm = tuple(range(r))
-            entries = [v for row in datum.S for v in row]
-            for k, perm in profile.perms.items():
-                if perm == idperm and any(v.galois(k) != v for v in entries):
-                    ok = False
-                    witness = f"sigma_{k} acts trivially on characters but moves S"
-                    break
-            if ok:
-                perms = list(profile.perms.values())
-                for a in perms:
-                    for b in perms:
-                        if compose(a, b) != compose(b, a):
-                            ok, witness = False, "Galois image not abelian"
-                            break
-            if ok:
-                k = _fixer_of_order_above_2(N, entries)
-                if k is not None:
-                    ok, witness = False, f"Gal(F_T/F_S) has sigma_{k} of order > 2"
-    reports.append(Verdict(ok, witness, "Galois field structure"))
+    try:
+        profile = compute_profile(datum)
+    except NotGaloisStable as exc:
+        return str(exc), None
+    # Two clauses hold for every profile, so neither is checked.  The image
+    # of h is abelian: the columns are distinct (compute_profile refuses
+    # others), so sigma_k sigma_l = sigma_kl gives h_kl = h_k h_l, and
+    # (Z/c)^x is abelian.  A sigma with h_sigma = id fixes S: S is symmetric
+    # with S_00 = 1, so column 0 is (S_i0) = (d_i), and sigma fixes every
+    # d_a and every S_ia / d_a, hence every S_ia.
+    k = _fixer_of_order_above_2(N, [v for row in datum.S for v in row])
+    return ("" if k is None else f"Gal(F_T/F_S) has sigma_{k} of order > 2"), profile
 
+
+def _cauchy_condition(datum: ModularDatum, ds: DerivedScalars) -> str:
     # (vii) Cauchy: prime support of Norm(D^2) equals prime support of N
-    ok, witness = True, ""
     if not ds.global_dim_sq:
-        ok, witness = False, "D^2 = 0"
-    else:
-        from .field_theory import cauchy_prime_support
+        return "D^2 = 0"
+    from .field_theory import cauchy_prime_support
 
-        support = cauchy_prime_support(datum)
-        if not support.ok:
-            ok = False
-            witness = (
-                f"supp Norm(D^2) = {sorted(support.norm_primes)}"
-                f" != supp N = {sorted(support.torder_primes)}"
-            )
-    reports.append(Verdict(ok, witness, "Cauchy condition"))
+    support = cauchy_prime_support(datum)
+    if support.ok:
+        return ""
+    return (
+        f"supp Norm(D^2) = {sorted(support.norm_primes)}"
+        f" != supp N = {sorted(support.torder_primes)}"
+    )
 
-    return AdmissibilityReport(tuple(reports), profile)
 
+def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
+    """Evaluate the seven admissibility conditions, all exactly.
+
+    Each condition is one function that returns its first witness, a
+    non-empty string, when it fails and "" when it holds, so its report row
+    is Verdict(not witness, witness, name).  They run in order (i) to (vii).
+    """
+    ds = derived_scalars(datum)
+    try:
+        fusion, fusion_error = verlinde_fusion(datum), None
+    except FusionComputationError as exc:
+        fusion, fusion_error = None, exc
+
+    witnesses = [
+        _reality_and_unitarity(datum, ds, fusion_error),
+        _gauss_sum_relations(datum, ds),
+        "" if fusion_error is None else str(fusion_error),
+        "no fusion" if fusion is None else str(check_balancing(datum, fusion).witness or ""),
+        _fs_indicators(datum, fusion),
+    ]
+    galois, profile = _galois_field_structure(datum)
+    witnesses += [galois, _cauchy_condition(datum, ds)]
+    rows = zip(witnesses, _CONDITION_NAMES)
+    return AdmissibilityReport(tuple(Verdict(not w, w, name) for w, name in rows), profile)

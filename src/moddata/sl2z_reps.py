@@ -10,7 +10,7 @@ from operator import neg
 from typing import Iterable, Optional
 
 from . import _matrix as mat
-from .cyclotomic import Cyclotomic, ONE, ZERO, real_sign, zeta
+from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, real_sign, sqrt_int, sum_cyclotomics, zeta
 from .galois import _CharacterTable, _characters
 from .modular_data import Field, ModularDatum, Record, Verdict, derived_scalars
 
@@ -456,8 +456,6 @@ class PsiCertificate(Record):
 def inadmissible_psi(p: int) -> PsiCertificate:
     """The unique degree-p irreducible of SL(2, Z/p), plus the certificate
     that it is not realizable: conductor(sqrt(p+1)) does not divide p."""
-    from .cyclotomic import is_prime, sqrt_int
-
     if p <= 3 or p > _PSI_MAX_PRIME or not is_prime(p):
         raise ValueError(f"p must be a prime with 3 < p <= {_PSI_MAX_PRIME}")
     root = sqrt_int(p + 1)
@@ -471,9 +469,7 @@ def inadmissible_psi(p: int) -> PsiCertificate:
             elif j == 0 or k == 0:
                 row.append(root * p_inv)
             else:
-                acc = ZERO
-                for a in range(1, p):
-                    acc = acc + zeta(p, a * j + pow(a, -1, p) * k)
+                acc = sum_cyclotomics(zeta(p, a * j + pow(a, -1, p) * k) for a in range(1, p))
                 row.append(acc * p_inv)
         rows.append(tuple(row))
     s = tuple(rows)

@@ -1,10 +1,12 @@
+import random
 from math import gcd
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from _oracles import dual_from_s, g_matrix, orbit_field_degree
-from moddata.cyclotomic import ONE, ZERO, units_mod, zeta
+from moddata.cyclotomic import Cyclotomic, ONE, ZERO, units_mod, zeta
 from moddata.galois import (
     GaloisProfile,
     NotGaloisStable,
@@ -17,8 +19,42 @@ from moddata.galois import (
     galois_twist_symmetry,
     sign_function,
 )
-from moddata.modular_data import derived_scalars, load, replace, verlinde_fusion
+from moddata.modular_data import ModularDatum, derived_scalars, load, replace, verlinde_fusion
 from moddata.sl2z_reps import all_lifts, normalize
+
+
+GOLDEN_REPORT_DATA = Path(__file__).resolve().parent / "golden_reports" / "data"
+MUTATION_FACTORS = (
+    -ONE, Cyclotomic.from_rational(2), Cyclotomic.from_rational(1) / 2, zeta(3), zeta(4), zeta(5)
+)
+
+
+@pytest.fixture(scope="module")
+def profiled(catalog_rank5, data_dir):
+    """(datum, profile) for every datum with a Galois profile among the
+    data/ files, the failing report data and 20 seeded single-entry
+    mutations (S_ij = S_ji scaled) of each catalog datum."""
+    data = [
+        load(path)
+        for directory in (data_dir, GOLDEN_REPORT_DATA)
+        for path in sorted(directory.glob("*.json"))
+    ]
+    rng = random.Random(19)
+    for _, datum in catalog_rank5:
+        for _ in range(20):
+            i, j = rng.randrange(datum.rank), rng.randrange(1, datum.rank)
+            rows = [list(row) for row in datum.S]
+            rows[i][j] = rows[j][i] = rows[i][j] * rng.choice(MUTATION_FACTORS)
+            S = tuple(map(tuple, rows))
+            data.append(ModularDatum(datum.rank, datum.torder, datum.t_exponents, S))
+    out = []
+    for datum in data:
+        try:
+            out.append((datum, compute_profile(datum)))
+        except NotGaloisStable:
+            pass
+    assert len(out) > 100
+    return out
 
 
 class TestProfile:
@@ -44,19 +80,25 @@ class TestProfile:
         }
         assert profile.orbits == ((0, 1), (2,), (3,), (4,))
 
-    def test_homomorphism(self, catalog_rank5):
-        for _, datum in catalog_rank5:
-            profile = compute_profile(datum)
+    # condition (vi) of check_admissible relies on these facts unchecked: h is
+    # a homomorphism, so its image is abelian, and a sigma_k with
+    # h_sigma = id fixes every S entry
+    def test_homomorphism(self, profiled):
+        for datum, profile in profiled:
             c = profile.field_conductor
             for k1 in profile.units:
                 for k2 in profile.units:
                     assert profile.perms[(k1 * k2) % c if c > 1 else 1] == compose(
                         profile.perms[k1], profile.perms[k2]
                     )
+            entries = [v for row in datum.S for v in row]
+            for k, perm in profile.perms.items():
+                if perm == tuple(range(datum.rank)):
+                    assert all(v.galois(k) == v for v in entries)
 
-    def test_image_abelian(self, catalog_rank5):
-        for _, datum in catalog_rank5:
-            image = compute_profile(datum).image()
+    def test_image_abelian(self, profiled):
+        for _, profile in profiled:
+            image = profile.image()
             for a in image:
                 for b in image:
                     assert compose(a, b) == compose(b, a)
