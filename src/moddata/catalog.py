@@ -24,8 +24,9 @@ def su2_odd_mod2(p: int, conj: int = 1) -> ModularDatum:
     """The rank-p datum with S_ij = sin((2i+1)(2j+1)pi/q)/sin(pi/q),
     theta_j = zeta_q^(j^2+j), q = 2p+1 prime, with a Galois conjugate applied.
 
-    Sines are realized inside Q(zeta_q): for odd q, zeta_2q = -zeta_q^((q+1)/2),
-    and the 2i factors cancel in the ratio.
+    For odd a the sine ratio is the quantum integer [a] = sum of zeta_q^m over
+    |m| <= a//2.  Each q consecutive powers sum to 0, so [a] is the sum of the
+    first a mod q of them; sigma_conj multiplies each exponent by conj.
     """
     q = 2 * p + 1
     if p >= 1:
@@ -34,23 +35,16 @@ def su2_odd_mod2(p: int, conj: int = 1) -> ModularDatum:
         raise InvalidFamilyError(f"q = 2p+1 = {q} is not prime")
     if gcd(conj, q) != 1:
         raise InvalidFamilyError(f"conj = {conj} is not a unit mod {q}")
-    h = (q + 1) // 2
 
-    def sine_numerator(a: int) -> Cyclotomic:
-        # zeta_2q^a - zeta_2q^(-a), an element of Q(zeta_q)
-        sign = -1 if a % 2 else 1
-        return Cyclotomic(q, {(h * a) % q: sign, (-h * a) % q: -sign})
+    def quantum_integer(a: int) -> Cyclotomic:
+        return Cyclotomic(q, {conj * (k - a // 2) % q: 1 for k in range(a % q)})
 
-    denom_inv = sine_numerator(1).inverse()
-    rows = []
-    for i in range(p):
-        row = []
-        for j in range(p):
-            entry = sine_numerator((2 * i + 1) * (2 * j + 1)) * denom_inv
-            row.append(entry.galois(conj) if conj % q != 1 else entry)
-        rows.append(tuple(row))
+    S = tuple(
+        tuple(quantum_integer((2 * i + 1) * (2 * j + 1)) for j in range(p))
+        for i in range(p)
+    )
     exps = tuple((conj * (j * j + j)) % q for j in range(p))
-    return ModularDatum(p, q, exps, tuple(rows))
+    return ModularDatum(p, q, exps, S)
 
 
 def pointed_zn(n: int, m: int = 1) -> ModularDatum:

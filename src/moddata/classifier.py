@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import permutations, product
 from math import gcd, isqrt, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Optional, Sequence
 
 from .catalog import (
     pointed_zn,
@@ -47,18 +47,18 @@ class TooLargeError(ValueError):
 # rank-5 Galois cases
 
 
-def _generate(rank: int, gens: Sequence[Perm]) -> frozenset[Perm]:
-    identity = tuple(range(rank))
-    group = {identity}
-    frontier = [identity]
+def _closure(seed: Hashable, step: Callable, gens: Collection) -> frozenset:
+    """Everything seed reaches by repeated steps x -> step(x, g), g in gens."""
+    reached = {seed}
+    frontier = [seed]
     while frontier:
         cur = frontier.pop()
         for g in gens:
-            nxt = compose(cur, g)
-            if nxt not in group:
-                group.add(nxt)
+            nxt = step(cur, g)
+            if nxt not in reached:
+                reached.add(nxt)
                 frontier.append(nxt)
-    return frozenset(group)
+    return frozenset(reached)
 
 
 def rank5_galois_cases() -> list[frozenset[Perm]]:
@@ -70,15 +70,9 @@ def rank5_galois_cases() -> list[frozenset[Perm]]:
     d0123 = (1, 0, 3, 2, 4)  # (0 1)(2 3)
     t23 = (0, 1, 3, 2, 4)  # (2 3)
     k2 = (2, 3, 0, 1, 4)  # (0 2)(1 3)
-    return [
-        _generate(5, [c01]),
-        _generate(5, [c012]),
-        _generate(5, [c0123]),
-        _generate(5, [c01234]),
-        _generate(5, [d0123]),
-        _generate(5, [c01, t23]),
-        _generate(5, [d0123, k2]),
-    ]
+    identity = tuple(range(5))
+    gen_sets = ([c01], [c012], [c0123], [c01234], [d0123], [c01, t23], [d0123, k2])
+    return [_closure(identity, compose, gens) for gens in gen_sets]
 
 
 def subgroups_conjugate(h1: Iterable[Perm], h2: Iterable[Perm], rank: int = 5) -> bool:
@@ -320,19 +314,6 @@ def _log_cap(p: int, bound: int) -> int:
     return k
 
 
-def _smooth_residues(primes: frozenset[int], m: int) -> frozenset[int]:
-    closure = {1 % m}
-    frontier = [1 % m]
-    while frontier:
-        cur = frontier.pop()
-        for p in primes:
-            nxt = cur * p % m
-            if nxt not in closure:
-                closure.add(nxt)
-                frontier.append(nxt)
-    return frozenset(closure)
-
-
 def integral_dimension_search(
     rank: int,
     orbit_multiplicities: Sequence[int],
@@ -361,7 +342,7 @@ def integral_dimension_search(
     ]
     free = sizes[1:]
     for m in moduli:
-        res = _smooth_residues(primes, m)
+        res = _closure(1 % m, lambda c, p: c * p % m, primes)
         sq = frozenset(v * v % m for v in res)
         lhs = sq if d_integer else res
         feasible = False

@@ -4,7 +4,7 @@ functions eps_sigma, orbits, and the structural exclusion predicates."""
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .cyclotomic import Cyclotomic, NotAUnitError, real_sign, units_mod
 from .modular_data import ModularDatum, Record, Verdict, derived_scalars
@@ -148,7 +148,8 @@ def compute_profile(
     table = _CharacterTable(_characters(datum.S)) if rep is None else _rep_table(rep)
     units = tuple(units_mod(cond))
     perms = {k: table.perm(k) for k in units}
-    orbits = _orbits_from_perms(datum.rank, perms.values())
+    edges = (edge for perm in perms.values() for edge in enumerate(perm))
+    orbits = _components(datum.rank, edges)
     signs: dict[int, tuple[int, ...]] = {}
     if rep is not None:
         modulus = _rep_field_modulus(rep)
@@ -158,8 +159,12 @@ def compute_profile(
     return GaloisProfile(cond, units, perms, orbits, signs)
 
 
-def _orbits_from_perms(rank: int, perms) -> tuple[tuple[int, ...], ...]:
-    parent = list(range(rank))
+def _components(
+    n: int, edges: Iterable[tuple[int, int]]
+) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the graph on 0..n-1, each sorted, in order of
+    their least element."""
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -167,13 +172,12 @@ def _orbits_from_perms(rank: int, perms) -> tuple[tuple[int, ...], ...]:
             x = parent[x]
         return x
 
-    for perm in perms:
-        for i, j in enumerate(perm):
-            parent[find(i)] = find(j)
+    for i, j in edges:
+        parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
-    for i in range(rank):
+    for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+    return tuple(map(tuple, groups.values()))
 
 
 def _rep_field_modulus(rep: "ModularRep") -> int:

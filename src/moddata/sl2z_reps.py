@@ -10,8 +10,8 @@ from operator import neg
 from typing import Iterable, Optional
 
 from . import _matrix as mat
-from .cyclotomic import Cyclotomic, ONE, ZERO, is_prime, real_sign, sqrt_int, sum_cyclotomics, zeta
-from .galois import _CharacterTable, _characters
+from .cyclotomic import Cyclotomic, ONE, is_prime, real_sign, sqrt_int, sum_cyclotomics, zeta
+from .galois import _CharacterTable, _characters, _components
 from .modular_data import Field, ModularDatum, Record, Verdict, derived_scalars
 
 
@@ -75,15 +75,6 @@ def _parity(c2: Optional[Cyclotomic]) -> str:
     if c2 == -ONE:
         return "odd"
     return "neither"
-
-
-def _build_rep(s: mat.Matrix, level: int, exps: tuple[int, ...]) -> ModularRep:
-    s2 = mat.matmul(s, s)
-    rep = ModularRep(len(s), s, level, exps, _parity(mat._identity_multiple(s2)))
-    check = _verify_with_square(s, s2, rep.t)
-    if not check:
-        raise NotModularRepresentation(str(check.witness))
-    return rep
 
 
 def _lifts(
@@ -170,29 +161,15 @@ def spectra_connectivity(rep: ModularRep) -> Verdict:
 
     A disconnected graph exhibits a direct-sum split with disjoint t-spectra.
     """
-    exps = rep.t_exponents
+    exps, r = rep.t_exponents, rep.rank
     index: dict[int, int] = {}
     for e in exps:
         index.setdefault(e, len(index))
-    n = len(index)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(rep.rank):
-        for j in range(rep.rank):
-            if rep.s[i][j]:
-                a, b = index[exps[i]], index[exps[j]]
-                adj[a].add(b)
-                adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        cur = stack.pop()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    if len(seen) == n:
+    labels = [index[e] for e in exps]
+    edges = ((labels[i], labels[j]) for i in range(r) for j in range(r) if rep.s[i][j])
+    component = _components(len(index), edges)[0]
+    if len(component) == len(index):
         return Verdict(True)
-    component = tuple(sorted(seen))
     return Verdict(False, component, "t-spectrum graph is disconnected")
 
 
@@ -241,12 +218,6 @@ class SignedPermutation(Record):
     perm: tuple[int, ...]  # t2[perm[i]] == t1[i]
     signs: tuple[int, ...]
 
-    def matrix(self, r: int) -> mat.Matrix:
-        rows = [[ZERO] * r for _ in range(r)]
-        for j in range(r):
-            rows[self.perm[j]][j] = Cyclotomic.from_rational(self.signs[j])
-        return tuple(tuple(row) for row in rows)
-
 
 def signed_perm_match(rep1: ModularRep, rep2: ModularRep) -> Optional[SignedPermutation]:
     """U with U^-1 s1 U = s2 matching the t-spectra, or None.
@@ -265,37 +236,27 @@ def signed_perm_match(rep1: ModularRep, rep2: ModularRep) -> Optional[SignedPerm
         return None
     perm = tuple(where2[e] for e in rep1.t_exponents)
     s1, s2 = rep1.s, rep2.s
-    # determine eps with s2[perm(i)][perm(j)] = eps_i eps_j s1[i][j]
-    eps: list[Optional[int]] = [None] * r
-    for comp_root in range(r):
-        if eps[comp_root] is not None:
+    # eps with s2[perm(i)][perm(j)] = eps_i eps_j s1[i][j], read off a spanning
+    # forest of the graph s1[i][j] != 0: a tree fixes eps on its component up
+    # to a global sign, which eps_i eps_j does not see, and the check below
+    # rejects any image other than +-s1[i][j] and any inconsistent other edge
+    eps = [0] * r
+    for root in range(r):
+        if eps[root]:
             continue
-        eps[comp_root] = 1
-        stack = [comp_root]
+        eps[root] = 1
+        stack = [root]
         while stack:
             i = stack.pop()
             for j in range(r):
-                if not s1[i][j]:
-                    continue
-                image = s2[perm[i]][perm[j]]
-                if image == s1[i][j]:
-                    sign = 1
-                elif image == -s1[i][j]:
-                    sign = -1
-                else:
-                    return None
-                expect = eps[i] * sign
-                if eps[j] is None:
-                    eps[j] = expect
+                if s1[i][j] and not eps[j]:
+                    eps[j] = eps[i] if s2[perm[i]][perm[j]] == s1[i][j] else -eps[i]
                     stack.append(j)
-                elif eps[j] != expect:
-                    return None
-    signs = tuple(e if e is not None else 1 for e in eps)
     for i in range(r):
         for j in range(r):
-            if s2[perm[i]][perm[j]] != signs[i] * signs[j] * s1[i][j]:
+            if s2[perm[i]][perm[j]] != eps[i] * eps[j] * s1[i][j]:
                 return None
-    return SignedPermutation(perm, signs)
+    return SignedPermutation(perm, tuple(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -458,21 +419,26 @@ def inadmissible_psi(p: int) -> PsiCertificate:
     that it is not realizable: conductor(sqrt(p+1)) does not divide p."""
     if p <= 3 or p > _PSI_MAX_PRIME or not is_prime(p):
         raise ValueError(f"p must be a prime with 3 < p <= {_PSI_MAX_PRIME}")
-    root = sqrt_int(p + 1)
+    # The relations are checked on s' = D^-1 s D, D = diag(1/sqrt(p+1), 1, ..., 1),
+    # which lies in Q(zeta_p): D commutes with t, so s' satisfies s^4 = 1 and
+    # (st)^3 = s^2 exactly when s does, and s'^2 = D^-1 s^2 D gives s the parity.
     p_inv = Cyclotomic.from_rational(1) / p
-    rows = []
-    for j in range(p):
-        row = []
-        for k in range(p):
-            if j == 0 and k == 0:
-                row.append(-p_inv)
-            elif j == 0 or k == 0:
-                row.append(root * p_inv)
-            else:
-                acc = sum_cyclotomics(zeta(p, a * j + pow(a, -1, p) * k) for a in range(1, p))
-                row.append(acc * p_inv)
-        rows.append(tuple(row))
-    s = tuple(rows)
-    rep = _build_rep(s, p, tuple(range(p)))
+    rows = [(-p_inv,) + (p_inv * (p + 1),) * (p - 1)]
+    for j in range(1, p):
+        kloosterman = (
+            sum_cyclotomics(zeta(p, a * j + pow(a, -1, p) * k) for a in range(1, p))
+            for k in range(1, p)
+        )
+        rows.append((p_inv,) + tuple(acc * p_inv for acc in kloosterman))
+    s_prime = tuple(rows)
+    s2 = mat.matmul(s_prime, s_prime)
+    check = _verify_with_square(s_prime, s2, tuple(zeta(p, e) for e in range(p)))
+    if not check:
+        raise NotModularRepresentation(str(check.witness))
+    # s = D s' D^-1: row 0 scaled by 1/sqrt(p+1), column 0 by sqrt(p+1), both root/p
+    root = sqrt_int(p + 1)
+    edge = root * p_inv
+    s = ((-p_inv,) + (edge,) * (p - 1),) + tuple((edge,) + row[1:] for row in s_prime[1:])
+    rep = ModularRep(p, s, p, tuple(range(p)), _parity(mat._identity_multiple(s2)))
     cond = root.conductor
     return PsiCertificate(rep, cond, p % cond != 0)

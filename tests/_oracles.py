@@ -54,6 +54,12 @@ the other q = 2*3^r + 1, quadratic in the number of exponents.
 
 dual_from_s is the charge conjugation as it stood before galois built it on
 the character-column matcher: its own column index, conjugating each column.
+
+spectra_connectivity, signed_perm_match, orbits_from_perms, generate and
+smooth_residues are the package's graph walks as they stood before they
+shared galois._components and classifier._closure: a DFS over adjacency
+sets of t-eigenvalue labels, a sign DFS that tested every edge before the
+full check, a union-find over permutation cycles, and two BFS closures.
 """
 
 from fractions import Fraction
@@ -80,7 +86,9 @@ from moddata.cyclotomic import (
     units_mod,
     zeta,
 )
-from moddata.modular_data import FusionRules, derived_scalars
+from moddata.galois import compose
+from moddata.modular_data import FusionRules, Verdict, derived_scalars
+from moddata.sl2z_reps import SignedPermutation
 
 PRINTED_TABLE_PI_FRACTIONS = {
     (2, "even", 2): [[0.0, 1.0]],
@@ -589,3 +597,123 @@ def mpmath_complex_eval(x: Cyclotomic) -> complex:
                 mpmath.mpf(2 * e) / x.order
             )
         return complex(float(total.real), float(total.imag))
+
+
+def spectra_connectivity(rep):
+    """Verdict of the t-spectrum graph's connectivity, by DFS from label 0."""
+    exps = rep.t_exponents
+    index = {}
+    for e in exps:
+        index.setdefault(e, len(index))
+    n = len(index)
+    adj = [set() for _ in range(n)]
+    for i in range(rep.rank):
+        for j in range(rep.rank):
+            if rep.s[i][j]:
+                a, b = index[exps[i]], index[exps[j]]
+                adj[a].add(b)
+                adj[b].add(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        cur = stack.pop()
+        for nxt in adj[cur]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    if len(seen) == n:
+        return Verdict(True)
+    return Verdict(False, tuple(sorted(seen)), "t-spectrum graph is disconnected")
+
+
+def signed_perm_match(rep1, rep2):
+    """SignedPermutation carrying rep1 to rep2, or None; nondegenerate t."""
+    r = rep1.rank
+    if r != rep2.rank:
+        return None
+    for rep in (rep1, rep2):
+        if len(set(rep.t_exponents)) != r:
+            raise ValueError("signed_perm_match needs nondegenerate t")
+    where2 = {e: i for i, e in enumerate(rep2.t_exponents)}
+    if rep1.level != rep2.level or set(rep1.t_exponents) != set(where2):
+        return None
+    perm = tuple(where2[e] for e in rep1.t_exponents)
+    s1, s2 = rep1.s, rep2.s
+    eps = [None] * r
+    for comp_root in range(r):
+        if eps[comp_root] is not None:
+            continue
+        eps[comp_root] = 1
+        stack = [comp_root]
+        while stack:
+            i = stack.pop()
+            for j in range(r):
+                if not s1[i][j]:
+                    continue
+                image = s2[perm[i]][perm[j]]
+                if image == s1[i][j]:
+                    sign = 1
+                elif image == -s1[i][j]:
+                    sign = -1
+                else:
+                    return None
+                expect = eps[i] * sign
+                if eps[j] is None:
+                    eps[j] = expect
+                    stack.append(j)
+                elif eps[j] != expect:
+                    return None
+    signs = tuple(e if e is not None else 1 for e in eps)
+    for i in range(r):
+        for j in range(r):
+            if s2[perm[i]][perm[j]] != signs[i] * signs[j] * s1[i][j]:
+                return None
+    return SignedPermutation(perm, signs)
+
+
+def orbits_from_perms(rank, perms):
+    """Orbits of the group the permutations generate, by union-find."""
+    parent = list(range(rank))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for perm in perms:
+        for i, j in enumerate(perm):
+            parent[find(i)] = find(j)
+    groups = {}
+    for i in range(rank):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+
+
+def generate(rank, gens):
+    """The permutation group the generators generate, by BFS."""
+    identity = tuple(range(rank))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = compose(cur, g)
+            if nxt not in group:
+                group.add(nxt)
+                frontier.append(nxt)
+    return frozenset(group)
+
+
+def smooth_residues(primes, m):
+    """Residues mod m of the products of the primes, by BFS."""
+    closure = {1 % m}
+    frontier = [1 % m]
+    while frontier:
+        cur = frontier.pop()
+        for p in primes:
+            nxt = cur * p % m
+            if nxt not in closure:
+                closure.add(nxt)
+                frontier.append(nxt)
+    return frozenset(closure)

@@ -1,0 +1,55 @@
+"""Imports in src/moddata stay at module top.
+
+The only imports inside function bodies are the two that break the
+modular_data <-> galois / field_theory import cycle; `if TYPE_CHECKING:`
+blocks are exempt, since they never run.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "moddata"
+
+CYCLE_IMPORTS = {
+    ("modular_data.py", "_galois_field_structure", "galois"),
+    ("modular_data.py", "_cauchy_condition", "field_theory"),
+}
+
+
+class _LocalImports(ast.NodeVisitor):
+    def __init__(self, filename):
+        self.filename = filename
+        self.functions = []
+        self.found = set()
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_If(self, node):
+        if isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            for child in node.orelse:
+                self.visit(child)
+        else:
+            self.generic_visit(node)
+
+    def visit_Import(self, node):
+        if self.functions:
+            for alias in node.names:
+                self.found.add((self.filename, self.functions[-1], alias.name))
+
+    def visit_ImportFrom(self, node):
+        if self.functions:
+            self.found.add((self.filename, self.functions[-1], node.module))
+
+
+def test_only_the_cycle_imports_are_function_local():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        visitor = _LocalImports(path.name)
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        found |= visitor.found
+    assert found == CYCLE_IMPORTS

@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+import json
 import math
 import random
 
@@ -200,7 +202,38 @@ class TestSpectraTable:
         assert seen == set(PRINTED_TABLE_PI_FRACTIONS)
 
 
+def _certificate_sha256(cert):
+    rep = cert.rep
+    text = json.dumps(
+        {
+            "s": [[v.to_json() for v in row] for row in rep.s],
+            "level": rep.level,
+            "t_exponents": list(rep.t_exponents),
+            "parity": rep.parity,
+            "sqrt_conductor": cert.sqrt_conductor,
+            "inadmissible": cert.inadmissible,
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# recorded when the relations were still checked on s itself, over Q(zeta_p, sqrt(p+1))
+PSI_CERTIFICATE_SHA256 = {
+    5: "e4d381eaff8cc1139d6f99504447ef20f5ce4455e7355660f663e5ee225e7b41",
+    7: "cf0535816a254220003eed425c9095b830d6dc2e53de00029f2b96adcbbe22bd",
+    11: "64d3901c8eec02c181cecb22ba090178e189a69623f132c7972258932d19ee47",
+    13: "3461ba3c1bd40d59a7278d096413a8b1a7bafbc5ee9cb950528abbf67c58ffbb",
+    17: "74f01de727f8a3ff569e6c9cbc9df510e3b702da53a262a202745751b3cbdd51",
+    19: "7533c649e7fa1783008b9245b0d34739fc715e6d6829f9d97aaba68949b9144a",
+}
+
+
 class TestInadmissiblePsi:
+    @pytest.mark.parametrize("p", sorted(PSI_CERTIFICATE_SHA256))
+    def test_certificate_pinned(self, p):
+        assert _certificate_sha256(inadmissible_psi(p)) == PSI_CERTIFICATE_SHA256[p]
+
     def test_p5_certificate(self):
         cert = inadmissible_psi(5)
         assert cert.sqrt_conductor == 24
