@@ -37,10 +37,6 @@ def entrywise(a: Matrix, f: Callable[[Cyclotomic], Cyclotomic]) -> Matrix:
     return tuple(tuple(f(v) for v in row) for row in a)
 
 
-def conj(a: Matrix) -> Matrix:
-    return entrywise(a, lambda v: v.conjugate())
-
-
 def scale(a: Matrix, s: Scalar) -> Matrix:
     s = Cyclotomic._coerce(s)
     return entrywise(a, lambda v: v * s)
@@ -62,12 +58,16 @@ def _identity_multiple(m: Matrix) -> Optional[Cyclotomic]:
 
 
 def _st_residual(s: Matrix, t: Sequence[Cyclotomic], c: Cyclotomic) -> Matrix:
-    """R = T(ST)^2 - cS for T = diag(t): (ST)^3 - cS^2 = SR for every s."""
+    """R = T(ST)^2 - cS for T = diag(t): (ST)^3 - cS^2 = SR for every s.
+
+    R_jk is one dot: sum_l (t_j s_jl t_l) (s_lk t_k) - c s_jk."""
     st, minus_c = scale_cols(s, t), -c
-    return tuple(
-        tuple(dot(((tj, x), (minus_c, v))) for x, v in zip(row, srow))
-        for tj, row, srow in zip(t, matmul(st, st), s)
-    )
+    cols = tuple(zip(*st))
+    res = []
+    for tj, st_row, s_row in zip(t, st, s):
+        tst_row = [tj * x for x in st_row]  # row j of TST
+        res.append(tuple(dot(((minus_c, v), *zip(tst_row, col))) for v, col in zip(s_row, cols)))
+    return tuple(res)
 
 
 def _st_cubed_is(s: Matrix, t: Sequence[Cyclotomic], c: Cyclotomic) -> bool:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import copysign, gcd, inf, lcm, nextafter
 from typing import Iterable, Mapping, Optional, Union
 
@@ -219,29 +220,47 @@ def _reduce_exponents(n: int, raw: Mapping[int, RationalLike]) -> dict[int, Rati
 # conductor reduction
 
 
+@lru_cache(maxsize=None)
+def _descent_units(n: int, p: int) -> tuple[int, int, int]:
+    """(s, t, k) for n = mp with p prime, p not dividing m: sp + tm = 1, and
+    k = 1 mod m with k mod p the least generator g of (Z/p)^x."""
+    m = n // p
+    s, t = pow(p, -1, m), pow(m, -1, p)
+    qs = factorize(p - 1)
+    g = next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
+    return s, t, 1 + m * ((g - 1) * t % p)
+
+
 def _descend(n: int, p: int, nums: dict[int, int]) -> Optional[tuple[dict[int, int], int]]:
     """Integer numerators of an order-n element on the power basis of Q_m,
     m = n/p for a prime p | n, as (sub, k) with x = sub / k over the same
-    denominator; None if the element does not lie in Q_m."""
+    denominator; None if the element does not lie in Q_m.  nums is reduced
+    (the output of _reduce_exponents) and not rational.
+
+    For p not dividing m, Q_n = Q_m(zeta_p) and Gal(Q_n/Q_m) is isomorphic
+    to (Z/p)^x, which is cyclic.  So x lies in Q_m iff x is fixed by one
+    generator sigma_k, with k = 1 mod m and k mod p a generator of (Z/p)^x:
+    one Galois image and one comparison decide it.
+    """
     m = n // p
     if m % p == 0:
         # zeta_m^j = zeta_n^(jp) for j < phi(m) are themselves basis elements
         if any(e % p for e in nums):
             return None
         return {e // p: c for e, c in nums.items()}, 1
-    # zeta_n^e = zeta_m^(es) zeta_p^(et) with sp + tm = 1.  The trace to Q_m
-    # sends zeta_p^b to p - 1 if p | b, else to -1, and is p - 1 times the
-    # identity on Q_m: project by it, then embed back and compare.
-    s, t = pow(p, -1, m), pow(m, -1, p)
+    if m == 1:
+        return None  # Q_m = Q, and _canonical sends the rationals to order 1 first
+    s, t, k = _descent_units(n, p)
+    # (Z/2)^x is trivial, so Q_2m = Q_m
+    if p != 2 and _reduce_exponents(n, {e * k % n: c for e, c in nums.items()}) != nums:
+        return None
+    # zeta_n^e = zeta_m^(es) zeta_p^(et).  The trace to Q_m sends zeta_p^b
+    # to p - 1 if p | b, else to -1, and is p - 1 times the identity on Q_m.
     raw: dict[int, int] = {}
     for e, c in nums.items():
         a, v = e * s % m, (c * (p - 1) if e * t % p == 0 else -c)
         raw[a] = raw[a] + v if a in raw else v
-    sub = _reduce_exponents(m, raw)
-    back = _reduce_exponents(n, {j * p: c for j, c in sub.items()})
-    if back != {e: c * (p - 1) for e, c in nums.items()}:
-        return None
-    return sub, p - 1
+    return _reduce_exponents(m, raw), p - 1
 
 
 def _canonical(n: int, nums: dict[int, int], den: int) -> tuple[int, dict[int, int], int]:

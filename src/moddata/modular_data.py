@@ -258,7 +258,7 @@ def save(datum: ModularDatum, path: PathLike) -> None:
 def load(path: PathLike) -> ModularDatum:
     try:
         data = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested past the decoder's depth
         raise SchemaViolation(f"malformed JSON: {exc}", str(path)) from exc
     return ModularDatum.from_json(data)
 
@@ -379,8 +379,18 @@ def verlinde_fusion(datum: ModularDatum) -> FusionRules:
 
 
 def _projectively_unitary(datum: ModularDatum, d2: Cyclotomic) -> bool:
-    prod = mat.matmul(datum.S, mat.conj(datum.S))  # conj(S)^t = conj(S), S symmetric
-    return mat._identity_multiple(prod) == d2
+    """S conj(S)^t = D^2 Id, one dot of the difference per entry (i, j), i <= j.
+
+    S is symmetric, so conj(S)^t = conj(S), and entry (j, i) of S conj(S) is
+    the conjugate of entry (i, j): the entries with i <= j decide it."""
+    conj_rows = [[v.conjugate() for v in row] for row in datum.S]
+    minus_d2 = -d2
+    for i, row in enumerate(datum.S):
+        for j in range(i, datum.rank):
+            pairs = zip(row, conj_rows[j])
+            if dot(((minus_d2, ONE), *pairs) if i == j else pairs):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -389,19 +399,16 @@ def _projectively_unitary(datum: ModularDatum, d2: Cyclotomic) -> bool:
 
 def check_balancing(datum: ModularDatum, fusion: FusionRules) -> Verdict:
     """theta_i theta_j S_ij = sum_k N_{i* j}^k d_k theta_k, exactly."""
-    thetas = datum.thetas
-    dims = datum.dims
-    dual = fusion.dual
-    terms = [dims[k] * thetas[k] for k in range(datum.rank)]
-    for i in range(datum.rank):
-        for j in range(datum.rank):
-            lhs = thetas[i] * thetas[j] * datum.S[i][j]
-            rhs = dot(
-                (fusion.n(dual[i], j, k), terms[k])
-                for k in range(datum.rank)
-                if fusion.n(dual[i], j, k)
-            )
-            if lhs != rhs:
+    r, N, exps = datum.rank, datum.torder, datum.t_exponents
+    # -d_k theta_k, and theta_i theta_j as one root of unity
+    terms = [-(d * th) for d, th in zip(datum.dims, datum.thetas)]
+    for i in range(r):
+        plane = fusion.tensor[fusion.dual[i]]
+        for j in range(r):
+            pairs = [(zeta(N, exps[i] + exps[j]), datum.S[i][j])]
+            for k, m in enumerate(plane[j]):
+                pairs.extend([(terms[k], ONE)] * m)  # m copies of -d_k theta_k
+            if dot(pairs):
                 return Verdict(False, (i, j), "balancing equation fails")
     return Verdict(True)
 
@@ -531,7 +538,7 @@ def _reality_and_unitarity(datum: ModularDatum, ds: DerivedScalars, fusion_error
             return f"d_{j} is not real"
     # verlinde_fusion tests projective unitarity whenever the first row of S
     # has no zero, and raises DegenerateSError then iff the test fails; its
-    # outcome settles this clause, so S * conj(S) is formed once
+    # outcome settles this clause, so the test runs once
     if all(ds.dims):
         unitary = not isinstance(fusion_error, DegenerateSError)
     else:

@@ -37,6 +37,18 @@ converted to a double. It oracles the fixed-point evaluation behind
 complex_eval and real_sign, and skips the calling test when mpmath is not
 installed.
 
+embedding_descend is cyclotomic._descend as it stood before it tested
+membership in Q_m with one Galois image: for p not dividing m it projected
+by the trace to Q_m, embedded the result back at order n and compared it
+with the input.  embedding_canonical is cyclotomic._canonical with that
+descent step; it oracles the one-automorphism test.
+
+matmul_projectively_unitary, separate_check_balancing and
+matmul_st_residual are the exact identities as they stood before each
+entry became one dot of the difference: S conj(S) as a full matmul
+compared with D^2 Id, theta_i theta_j S_ij and its right side
+canonicalised apart, and R from matmul(ST, ST) and a second dot per entry.
+
 dense_st_cubed_is is the dense form of the modular relation as it stood
 before the residual check: (ST)^3 from two r x r products, compared with cS^2.
 It oracles _matrix._st_cubed_is.
@@ -80,6 +92,7 @@ from moddata.cyclotomic import (
     _within_cap,
     cyclotomic_polynomial,
     divisors,
+    dot,
     euler_phi,
     factorize,
     is_prime,
@@ -87,7 +100,7 @@ from moddata.cyclotomic import (
     zeta,
 )
 from moddata.galois import compose
-from moddata.modular_data import FusionRules, Verdict, derived_scalars
+from moddata.modular_data import FusionRules, ModularDatum, Verdict, derived_scalars
 from moddata.sl2z_reps import SignedPermutation
 
 PRINTED_TABLE_PI_FRACTIONS = {
@@ -717,3 +730,79 @@ def smooth_residues(primes, m):
                 closure.add(nxt)
                 frontier.append(nxt)
     return frozenset(closure)
+
+
+def embedding_descend(n, p, nums):
+    """Numerators of an order-n element on the power basis of Q_(n/p), as
+    (sub, k) with x = sub / k, or None: the trace projection checked by
+    embedding it back."""
+    m = n // p
+    if m % p == 0:
+        if any(e % p for e in nums):
+            return None
+        return {e // p: c for e, c in nums.items()}, 1
+    s, t = pow(p, -1, m), pow(m, -1, p)
+    raw = {}
+    for e, c in nums.items():
+        a, v = e * s % m, (c * (p - 1) if e * t % p == 0 else -c)
+        raw[a] = raw[a] + v if a in raw else v
+    sub = _reduce_exponents(m, raw)
+    back = _reduce_exponents(n, {j * p: c for j, c in sub.items()})
+    if back != {e: c * (p - 1) for e, c in nums.items()}:
+        return None
+    return sub, p - 1
+
+
+def embedding_canonical(n, nums, den):
+    """(conductor, numerators, denominator) of sum(nums[e] zeta_n^e) / den,
+    descending with embedding_descend."""
+    nums = _reduce_exponents(n, nums)
+    if not set(nums) - {0}:
+        n = 1
+    changed = True
+    while changed and n > 1:
+        changed = False
+        for p in factorize(n):
+            step = embedding_descend(n, p, nums)
+            if step is not None:
+                (nums, k), n, changed = step, n // p, True
+                den *= k
+                break
+    g = gcd(den, *nums.values())
+    if g > 1:
+        den //= g
+        nums = {e: c // g for e, c in nums.items()}
+    return n, nums, den
+
+
+def matmul_projectively_unitary(datum: ModularDatum, d2: Cyclotomic) -> bool:
+    """S conj(S)^t == D^2 Id from the full product."""
+    conj = mat.entrywise(datum.S, lambda v: v.conjugate())
+    return mat._identity_multiple(mat.matmul(datum.S, conj)) == d2
+
+
+def separate_check_balancing(datum: ModularDatum, fusion: FusionRules) -> Verdict:
+    """theta_i theta_j S_ij == sum_k N_{i* j}^k d_k theta_k, each side
+    canonicalised on its own."""
+    thetas, dims, dual = datum.thetas, datum.dims, fusion.dual
+    terms = [dims[k] * thetas[k] for k in range(datum.rank)]
+    for i in range(datum.rank):
+        for j in range(datum.rank):
+            lhs = thetas[i] * thetas[j] * datum.S[i][j]
+            rhs = dot(
+                (fusion.n(dual[i], j, k), terms[k])
+                for k in range(datum.rank)
+                if fusion.n(dual[i], j, k)
+            )
+            if lhs != rhs:
+                return Verdict(False, (i, j), "balancing equation fails")
+    return Verdict(True)
+
+
+def matmul_st_residual(s, t, c):
+    """R = T(ST)^2 - cS from matmul(ST, ST)."""
+    st, minus_c = mat.scale_cols(s, t), -c
+    return tuple(
+        tuple(dot(((tj, x), (minus_c, v))) for x, v in zip(row, srow))
+        for tj, row, srow in zip(t, mat.matmul(st, st), s)
+    )

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from moddata import cli
 from moddata.classifier import rank5_suite
 from moddata.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from moddata.modular_data import load
@@ -290,10 +291,12 @@ def _with_entry(doc, i, j, entry):
     return _with(doc, S=S)
 
 
-# name -> (edit of data/pointed_z5.json, exit codes of check, fusion, galois
-# and rep): 2 for a malformed file, 1 for a well-formed datum that is not
-# modular; fusion reads S only, so a bad twist leaves it at 0
+# name -> (edit of data/pointed_z5.json, or the file's text, and the exit
+# codes of check, fusion, galois and rep): 2 for a malformed file, 1 for a
+# well-formed datum that is not modular; fusion reads S only, so a bad twist
+# leaves it at 0
 MALFORMED = {
+    "deep_nesting": (lambda d: "[" * 200_000 + "]" * 200_000, (2, 2, 2, 2)),
     "top_level_list": (lambda d: [d], (2, 2, 2, 2)),
     "rank_not_int": (lambda d: _with(d, rank="five"), (2, 2, 2, 2)),
     "torder_missing": (lambda d: {k: v for k, v in d.items() if k != "torder"}, (2, 2, 2, 2)),
@@ -320,7 +323,8 @@ def test_malformed_datum_is_refused(tmp_path, data_dir, case):
     a datum that is not modular, within the timeout and without a traceback."""
     edit, codes = MALFORMED[case]
     path = tmp_path / f"{case}.json"
-    path.write_text(json.dumps(edit(json.loads((data_dir / "pointed_z5.json").read_text()))))
+    doc = edit(json.loads((data_dir / "pointed_z5.json").read_text()))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code = (
         "import contextlib, io\n"
         "from moddata.cli import main\n"
@@ -481,3 +485,19 @@ class TestUsage:
     def test_precision_flag_is_gone(self, capsys, su2_9_file):
         # rep prints each part correctly rounded; there is no digit knob
         assert main(["--precision", "6", "rep", su2_9_file]) == EXIT_USAGE
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch, su2_9_file):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        assert main(["check", su2_9_file]) == EXIT_OK
+        assert main(["--json", "check", su2_9_file]) == EXIT_OK
+        assert main(["check"]) == EXIT_USAGE  # a usage error after a successful call
+        assert main(["check", su2_9_file]) == EXIT_OK
+        assert built == [1]

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -30,8 +31,9 @@ from moddata.cyclotomic import (
 )
 from moddata import cyclotomic as cy
 from moddata.cyclotomic import _descend, _order_info, _reduce_exponents, _twisted_sum
-from moddata.modular_data import derived_scalars, load
+from moddata.modular_data import check_admissible, derived_scalars, load, verlinde_fusion
 from _oracles import (
+    embedding_canonical,
     fraction_dot,
     fraction_galois,
     fraction_inverse,
@@ -306,6 +308,9 @@ class TestJson:
 
 # orders covering p^2 | n, p || n and n = 2 (mod 4) descents
 DESCENT_ORDERS = (8, 12, 20, 24, 36, 40, 60, 72, 120, 156)
+# 2 * odd, p^2 | n, p || n, and n = p once a descent reaches a prime order
+ORACLE_DESCENT_ORDERS = (6, 9, 12, 15, 20, 21, 24, 33, 44, 60, 105)
+GOLDEN_REPORT_DATA = Path(__file__).resolve().parent / "golden_reports" / "data"
 
 
 class TestDescent:
@@ -335,6 +340,37 @@ class TestDescent:
             nums = {e * step: c for e, c in inside._nums.items()}
             sub, k = _descend(n, p, _reduce_exponents(n, nums))
             assert Cyclotomic(m, {j: Fraction(c, inside._den * k) for j, c in sub.items()}) == inside
+
+    @pytest.mark.parametrize("n", ORACLE_DESCENT_ORDERS)
+    def test_canonical_matches_embedding_descent(self, n):
+        """Sums of elements of subfields Q_d, written at order n."""
+        rng = random.Random(SEED + 3 * n)
+        for _ in range(60):
+            nums = {}
+            for d in rng.sample(divisors(n), rng.randint(1, 3)):
+                for _ in range(rng.randint(1, 4)):
+                    e = rng.randrange(d) * (n // d)
+                    nums[e] = nums.get(e, 0) + rng.randint(-9, 9)
+            den = rng.randint(1, 12)
+            assert cy._canonical(n, dict(nums), den) == embedding_canonical(n, nums, den)
+
+    def test_canonical_matches_embedding_descent_while_checking(self, monkeypatch, data_dir):
+        calls = []
+        real = cy._canonical
+
+        def recording(n, nums, den):
+            calls.append((n, dict(nums), den))
+            return real(n, nums, den)
+
+        monkeypatch.setattr(cy, "_canonical", recording)
+        derived_scalars.cache_clear()
+        verlinde_fusion.cache_clear()
+        for path in [*sorted(data_dir.glob("*.json")), *sorted(GOLDEN_REPORT_DATA.glob("*.json"))]:
+            check_admissible(load(path))
+        monkeypatch.undo()
+        assert len(calls) > 10_000
+        for n, nums, den in calls:
+            assert cy._canonical(n, nums, den) == embedding_canonical(n, nums, den)
 
     def test_large_order_2_mod_4(self):
         # zeta_2310^e = (-1)^e zeta_1155^(578e); phi(2310) = 480

@@ -1,6 +1,7 @@
 """The one exact check of the modular relation (ST)^3 = cS^2,
 `_matrix._st_cubed_is`, against the dense oracle, and the identity
-(ST)^3 - cS^2 = S R behind it, with R = T(ST)^2 - cS from `_st_residual`."""
+(ST)^3 - cS^2 = S R behind it, with R = T(ST)^2 - cS from `_st_residual`
+(itself checked against the matmul form of R)."""
 
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from moddata.modular_data import (
     replace,
 )
 from moddata.sl2z_reps import all_lifts
-from _oracles import dense_st_cubed_is
+from _oracles import dense_st_cubed_is, matmul_st_residual
 from test_lift_algebra import BUILDERS, datum_of, negate_pair
 from test_modular_data import OFF_UNITARITY, perturb_twist
 
@@ -38,6 +39,7 @@ def check_against_oracle(s, t, c):
     """The routine's verdict equals the dense one, and (ST)^3 - cS^2 = S R
     entry by entry; returns (verdict, R)."""
     res = mat._st_residual(s, t, c)
+    assert res == matmul_st_residual(s, t, c)
     cube_minus = minus(mat.mat_pow(mat.scale_cols(s, t), 3), mat.scale(mat.matmul(s, s), c))
     assert cube_minus == mat.matmul(s, res)
     verdict = mat._st_cubed_is(s, t, c)
