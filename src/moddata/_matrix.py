@@ -60,14 +60,21 @@ def _identity_multiple(m: Matrix) -> Optional[Cyclotomic]:
 def _st_residual(s: Matrix, t: Sequence[Cyclotomic], c: Cyclotomic) -> Matrix:
     """R = T(ST)^2 - cS for T = diag(t): (ST)^3 - cS^2 = SR for every s.
 
-    R_jk is one dot: sum_l (t_j s_jl t_l) (s_lk t_k) - c s_jk."""
+    R_jk is one dot: sum_l (t_j s_jl t_l) (s_lk t_k) - c s_jk.  R is
+    symmetric when s is (T is diagonal), and then only the entries with
+    j <= k are formed; any other s has every entry formed."""
+    r = len(s)
+    symmetric = all(s[j][k] == s[k][j] for j in range(r) for k in range(j + 1, r))
     st, minus_c = scale_cols(s, t), -c
     cols = tuple(zip(*st))
-    res = []
-    for tj, st_row, s_row in zip(t, st, s):
+    res = [[ZERO] * r for _ in range(r)]
+    for j, (tj, st_row, s_row) in enumerate(zip(t, st, s)):
         tst_row = [tj * x for x in st_row]  # row j of TST
-        res.append(tuple(dot(((minus_c, v), *zip(tst_row, col))) for v, col in zip(s_row, cols)))
-    return tuple(res)
+        for k in range(j if symmetric else 0, r):
+            res[j][k] = dot(((minus_c, s_row[k]), *zip(tst_row, cols[k])))
+            if symmetric:
+                res[k][j] = res[j][k]
+    return tuple(map(tuple, res))
 
 
 def _st_cubed_is(s: Matrix, t: Sequence[Cyclotomic], c: Cyclotomic) -> bool:

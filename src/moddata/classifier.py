@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import permutations, product
 from math import gcd, isqrt, lcm
-from typing import Callable, Collection, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .catalog import (
     pointed_zn,
@@ -15,7 +15,7 @@ from .catalog import (
     su2_4_parameter_tuples,
     su2_odd_mod2,
 )
-from .cyclotomic import Cyclotomic, ONE, ZERO, _numerators_at, is_prime, zeta
+from .cyclotomic import Cyclotomic, ONE, ZERO, _numerators_at, _reduce_exponents, is_prime, zeta
 from .field_theory import cauchy_prime_support
 from .galois import (
     compose,
@@ -159,27 +159,35 @@ def vanishing_sum_check(
     return VanishingSumReport(True, all(checks), detail)
 
 
-def _integer_kernel(columns: list[Cyclotomic]) -> list[tuple[int, ...]]:
-    """Basis of {x in Q^m : sum x_c columns[c] = 0}: one primitive integer
-    vector per free column, positive there and zero on the other free columns.
+def _lift(columns: Sequence[Cyclotomic]) -> list[dict[int, int]]:
+    """The columns as integer columns on one power basis: their numerators
+    at the lcm order, over a common denominator (a uniform scaling, so the
+    kernel is unchanged)."""
+    order = lcm(*(col.order for col in columns))
+    den = lcm(*(col._den for col in columns))
+    return [
+        {e: q * (den // col._den) for e, q in _numerators_at(col, order)[0].items()}
+        for col in columns
+    ]
 
-    Each row of the system is one exponent on the power basis of the lcm
-    order, over the columns brought to a common denominator (a uniform
-    scaling, so the kernel is unchanged).  Only the distinct nonzero rows
+
+def _integer_kernel(columns: Sequence[Mapping[int, int]]) -> list[tuple[int, ...]]:
+    """Basis of {x in Q^m : sum x_c columns[c] = 0} for integer columns on
+    one power basis (exponent -> nonzero coefficient, as `_lift` and
+    `_reduce_exponents` give them): one primitive integer vector per free
+    column, positive there and zero on the other free columns.
+
+    Each row of the system is one exponent.  Only the distinct nonzero rows
     are kept, each once up to sign and content, and they are eliminated by
     fraction-free Gauss-Jordan, each updated row divided by its content.
     """
-    order = lcm(*(col.order for col in columns))
-    den = lcm(*(col._den for col in columns))
     m = len(columns)
     rows: dict[int, list[int]] = {}
     for c, col in enumerate(columns):
-        lifted, col_den = _numerators_at(col, order)
-        scale = den // col_den
-        for e, q in lifted.items():
+        for e, q in col.items():
             if e not in rows:
                 rows[e] = [0] * m
-            rows[e][c] = q * scale
+            rows[e][c] = q
     distinct = {}
     for row in rows.values():
         g = gcd(*row)
@@ -216,8 +224,10 @@ def _integer_kernel(columns: list[Cyclotomic]) -> list[tuple[int, ...]]:
     return basis
 
 
-def _all_nonzero_solution_exists(columns: list[Cyclotomic]) -> bool:
-    """Is there a rational relation with every coefficient nonzero?
+def _all_nonzero_solution_exists(columns: Sequence[Mapping[int, int]]) -> bool:
+    """Is there a rational relation with every coefficient nonzero among
+    integer columns on one power basis?  (`_lift` brings Cyclotomic columns
+    there.)
 
     The kernel is not a finite union of proper subspaces over Q, so this
     holds iff no coordinate vanishes identically on the kernel.
@@ -246,39 +256,40 @@ def vanishing_sum_scan(max_order: int = 60) -> list[dict]:
     Pairs are visited, and counterexamples listed, in the order of
     (ord_alpha, e_alpha, ord_beta, e_beta).
 
-    The scan is integer-only: each root is built in canonical form by
-    zeta(), and the kernel is fraction-free elimination on the distinct
-    rows of the four columns, up to sign and content. Below order 105 a
-    root has power-basis entries in {-1, 0, 1}, so at most 40 rows remain.
+    The scan is integer-only. The four columns are zeta_L^j on the power
+    basis of Q_L, L = lcm(4, m, n), for j = 0, L/4, ea*L/m and eb*L/n, each
+    reduced once per scan (Q_L sits linearly in any larger common order, so
+    the kernel is the same). Below order 105 a root has power-basis entries
+    in {-1, 0, 1}, so at most 40 distinct rows remain for the kernel.
     """
 
     def conductor(m: int) -> int:
         return m // 2 if m % 4 == 2 else m
 
-    i_root = zeta(4)
-    root = cache(zeta)  # each root is built once per scan, as a representative or a hit
+    root = cache(zeta)  # each root of a listed pair is built once per scan
+    # zeta_L^j on the power basis of Q_L, once per (L, j); shared, so only read
+    row = cache(lambda order, j: _reduce_exponents(order, {j: 1}))
     verdicts: dict[tuple[int, int, int], bool] = {}
     counterexamples = []
     for m in range(1, max_order + 1):
         # skip the forced shape (+-1, +-i); an all-nonzero relation needs
         # beta in Q(i, alpha) and alpha in Q(i, beta)
         partners = [
-            (n, gcd(m, n), [e for e in range(n) if gcd(e, n) == 1])
+            (n, gcd(m, n), lcm(4, m, n), [e for e in range(n) if gcd(e, n) == 1])
             for n in range(m, max_order + 1)
             if not (m <= 2 and n == 4)
             and lcm(4, conductor(m)) % conductor(n) == 0
             and lcm(4, conductor(n)) % conductor(m) == 0
         ]
         for ea in (e for e in range(m) if gcd(e, m) == 1):
-            for n, g, units in partners:
+            for n, g, order, units in partners:
                 ea_inv = pow(ea, -1, g)
                 for eb in units:
                     key = (m, n, eb * ea_inv % g)
                     hit = verdicts.get(key)
                     if hit is None:
-                        hit = verdicts[key] = _all_nonzero_solution_exists(
-                            [ONE, i_root, root(m, ea), root(n, eb)]
-                        )
+                        js = (0, order // 4, ea * order // m, eb * order // n)
+                        hit = verdicts[key] = _all_nonzero_solution_exists([row(order, j) for j in js])
                     if hit:
                         counterexamples.append(
                             {

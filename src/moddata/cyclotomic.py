@@ -603,7 +603,9 @@ class Cyclotomic:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Cyclotomic":
-        order = int(data["order"])
+        order = data["order"]
+        if type(order) is not int:  # a JSON integer, not a float, string or boolean
+            raise TypeError(f"order must be an integer, not {type(order).__name__}")
         coeffs = {int(e): Fraction(s) for e, s in data["coeffs"].items()}
         return cls(order, coeffs)
 

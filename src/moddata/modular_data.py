@@ -238,9 +238,9 @@ class ModularDatum(Record):
     @classmethod
     def from_json(cls, data: dict) -> "ModularDatum":
         try:
-            rank = int(data["rank"])
-            torder = int(data["torder"])
-            exps = tuple(int(a) for a in data["t_exponents"])
+            rank = _json_int(data["rank"], "rank")
+            torder = _json_int(data["torder"], "torder")
+            exps = tuple(_json_int(a, "t_exponents") for a in data["t_exponents"])
             S = tuple(
                 tuple(Cyclotomic.from_json(v) for v in row) for row in data["S"]
             )
@@ -249,6 +249,13 @@ class ModularDatum(Record):
         except Exception as exc:
             raise SchemaViolation(str(exc), "datum") from exc
         return cls(rank, torder, exps, S)
+
+
+def _json_int(value, field: str) -> int:
+    """A JSON integer; int() would also read a float, string or boolean."""
+    if type(value) is not int:
+        raise SchemaViolation(f"{field} must be an integer, not {type(value).__name__}", field)
+    return value
 
 
 def save(datum: ModularDatum, path: PathLike) -> None:
@@ -348,13 +355,13 @@ def verlinde_fusion(datum: ModularDatum) -> FusionRules:
     ds = derived_scalars(datum)
     if any(not d for d in ds.dims):
         raise DegenerateSError("vanishing entry in the first row of S")
-    if not _projectively_unitary(datum, ds.global_dim_sq):
+    conj_rows = _projectively_unitary(datum, ds.global_dim_sq)
+    if conj_rows is None:
         raise DegenerateSError("S * conj(S)^t != D^2 * Id")
     d2_inv = ds.global_dim_sq.inverse()
     # weighted[i][a] = S_ia / (S_0a D^2)
     weights = [d.inverse() * d2_inv for d in ds.dims]
     weighted = [[v * w for v, w in zip(row, weights)] for row in datum.S]
-    conj_rows = [[v.conjugate() for v in row] for row in datum.S]
     tensor = [[[0] * r for _ in range(r)] for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
@@ -378,8 +385,9 @@ def verlinde_fusion(datum: ModularDatum) -> FusionRules:
     return FusionRules(r, tuple(tuple(map(tuple, plane)) for plane in tensor), dual)
 
 
-def _projectively_unitary(datum: ModularDatum, d2: Cyclotomic) -> bool:
-    """S conj(S)^t = D^2 Id, one dot of the difference per entry (i, j), i <= j.
+def _projectively_unitary(datum: ModularDatum, d2: Cyclotomic) -> Optional[list[list[Cyclotomic]]]:
+    """The rows of conj(S) if S conj(S)^t = D^2 Id, else None; one dot of the
+    difference per entry (i, j), i <= j.  verlinde_fusion reuses the rows.
 
     S is symmetric, so conj(S)^t = conj(S), and entry (j, i) of S conj(S) is
     the conjugate of entry (i, j): the entries with i <= j decide it."""
@@ -389,8 +397,8 @@ def _projectively_unitary(datum: ModularDatum, d2: Cyclotomic) -> bool:
         for j in range(i, datum.rank):
             pairs = zip(row, conj_rows[j])
             if dot(((minus_d2, ONE), *pairs) if i == j else pairs):
-                return False
-    return True
+                return None
+    return conj_rows
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +550,7 @@ def _reality_and_unitarity(datum: ModularDatum, ds: DerivedScalars, fusion_error
     if all(ds.dims):
         unitary = not isinstance(fusion_error, DegenerateSError)
     else:
-        unitary = _projectively_unitary(datum, ds.global_dim_sq)
+        unitary = _projectively_unitary(datum, ds.global_dim_sq) is not None
     return "" if unitary else "S*conj(S)^t != D^2*Id"
 
 

@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 
+from moddata import classifier
 from moddata.classifier import (
     TooLargeError,
     _all_nonzero_solution_exists,
     _integer_kernel,
     _is_perfect_square,
+    _lift,
     classify_fusion,
     grothendieck_equiv,
     in_rank5_cases,
@@ -20,7 +22,7 @@ from moddata.classifier import (
     vanishing_sum_check,
     vanishing_sum_scan,
 )
-from moddata.cyclotomic import Cyclotomic, ONE, zeta
+from moddata.cyclotomic import Cyclotomic, ONE, _numerators_at, euler_phi, zeta
 from moddata.galois import compose, compute_profile
 from moddata.modular_data import FusionRules, Verdict, verlinde_fusion
 
@@ -179,7 +181,7 @@ class TestVanishingSum:
         # a + bi + c*zeta3 + d*beta = 0 with all nonzero is impossible for
         # small beta: kernel analysis mirrors the a=1,b=1 spec example
         for beta in [zeta(3), zeta(3, 2), zeta(12), zeta(12, 7)]:
-            assert not _all_nonzero_solution_exists([ONE, zeta(4), zeta(3), beta])
+            assert not _all_nonzero_solution_exists(_lift([ONE, zeta(4), zeta(3), beta]))
 
     def test_kernel_matches_dense_oracle_on_orbit_representatives(self):
         # one pair of roots per orbit key (m, n, eb * ea^-1 mod gcd(m, n)),
@@ -197,7 +199,7 @@ class TestVanishingSum:
                         columns = [ONE, zeta(4), zeta(m, ea), zeta(n, eb)]
                         oracle = fraction_rational_kernel(columns)
                         assert oracle == dense_rational_kernel(columns), key
-                        assert_primitive_multiples(_integer_kernel(columns), oracle)
+                        assert_primitive_multiples(_integer_kernel(_lift(columns)), oracle)
 
     def test_kernel_matches_dense_oracle_on_random_columns(self):
         rng = random.Random(20240607)
@@ -215,11 +217,71 @@ class TestVanishingSum:
             ]
             oracle = fraction_rational_kernel(columns)
             assert oracle == dense_rational_kernel(columns)
-            assert_primitive_multiples(_integer_kernel(columns), oracle)
+            assert_primitive_multiples(_integer_kernel(_lift(columns)), oracle)
 
     def test_detector_finds_planted_relation(self):
-        assert _all_nonzero_solution_exists([ONE, zeta(4), ONE, zeta(4)])
-        assert _all_nonzero_solution_exists([ONE, zeta(4), -ONE, zeta(4, 3)])
+        assert _all_nonzero_solution_exists(_lift([ONE, zeta(4), ONE, zeta(4)]))
+        assert _all_nonzero_solution_exists(_lift([ONE, zeta(4), -ONE, zeta(4, 3)]))
+
+    def test_scan_reads_every_row_from_its_table(self, monkeypatch):
+        # every row the scan reduces is the lift of zeta_L^j to Q_L, once
+        # per (L, j); every kernel call reads the rows of 1, i, alpha, beta
+        # from that table at L = lcm(4, m, n)
+        built, calls = {}, []
+        reduce_exponents = classifier._reduce_exponents
+
+        def reduce(order, raw):
+            ((j, c),) = raw.items()
+            assert c == 1 and (order, j) not in built
+            built[order, j] = reduce_exponents(order, raw)
+            return built[order, j]
+
+        def exists(columns):
+            calls.append(columns)
+            return False
+
+        monkeypatch.setattr(classifier, "_reduce_exponents", reduce)
+        monkeypatch.setattr(classifier, "_all_nonzero_solution_exists", exists)
+        assert vanishing_sum_scan(48) == []
+        monkeypatch.undo()
+        conductor = lambda m: m // 2 if m % 4 == 2 else m
+        orders = {
+            lcm(4, m, n)
+            for m in range(1, 49)
+            for n in range(m, 49)
+            if lcm(4, conductor(m)) % conductor(n) == 0
+            and lcm(4, conductor(n)) % conductor(m) == 0
+        }
+        assert {order for order, _ in built} == orders
+        for (order, j), row in built.items():
+            assert row == _numerators_at(zeta(order, j), order)[0], (order, j)
+        tables = {id(row): order for (order, _), row in built.items()}
+        assert len(calls) == 885
+        for columns in calls:
+            (order,) = {tables[id(col)] for col in columns}
+            assert columns[:2] == [{0: 1}, _numerators_at(zeta(4), order)[0]]
+
+    def test_integer_kernel_matches_fraction_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def integer_columns(draw):
+            # integer columns on the power basis of Q_order: exponents below
+            # phi(order), nonzero coefficients
+            order = draw(st.sampled_from([1, 3, 4, 5, 8, 12, 15, 24]))
+            coeff = st.integers(-4, 4).filter(bool)
+            column = st.dictionaries(st.integers(0, euler_phi(order) - 1), coeff, max_size=4)
+            return order, draw(st.lists(column, min_size=1, max_size=6))
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(integer_columns())
+        def check(case):
+            order, columns = case
+            oracle = fraction_rational_kernel([Cyclotomic(order, col) for col in columns])
+            assert_primitive_multiples(_integer_kernel(columns), oracle)
+
+        check()
 
 
 class TestIntegralDimensionSearch:

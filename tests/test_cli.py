@@ -314,6 +314,14 @@ MALFORMED = {
     "fraction_zero_denominator": (lambda d: _with_entry(d, 1, 2, _entry(5, {"1": "1/0"})), (2, 2, 2, 2)),
     "fraction_not_a_number": (lambda d: _with_entry(d, 1, 2, _entry(5, {"1": "one"})), (2, 2, 2, 2)),
     "fraction_two_slashes": (lambda d: _with_entry(d, 1, 2, _entry(5, {"1": "1/2/3"})), (2, 2, 2, 2)),
+    # JSON integers only: int() would read these as rank 5, rank 1, torder 5,
+    # exponent 1 (twice) and order 5
+    "rank_float": (lambda d: _with(d, rank=5.0), (2, 2, 2, 2)),
+    "rank_bool": (lambda d: _with(d, rank=True), (2, 2, 2, 2)),
+    "torder_string": (lambda d: _with(d, torder="5"), (2, 2, 2, 2)),
+    "exponent_float": (lambda d: _with(d, t_exponents=[0, 1.0, 4, 4, 1]), (2, 2, 2, 2)),
+    "exponent_bool": (lambda d: _with(d, t_exponents=[0, True, 4, 4, 1]), (2, 2, 2, 2)),
+    "entry_order_float": (lambda d: _with_entry(d, 1, 2, _entry(5.0, {"1": "1"})), (2, 2, 2, 2)),
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from moddata import classifier, galois
 from moddata.catalog import pointed_zn, su2_odd_mod2
-from moddata.classifier import _all_nonzero_solution_exists, vanishing_sum_scan
+from moddata.classifier import _all_nonzero_solution_exists, _lift, vanishing_sum_scan
 from moddata.cyclotomic import ONE, Cyclotomic, units_mod, zeta
 from moddata.galois import _characters, _match_permutation, galois_twist_symmetry
 from moddata.modular_data import Verdict, derived_scalars, replace
@@ -53,7 +53,7 @@ def oracle_vanishing_sum_scan(max_order):
                 continue
             if lcm(4, beta.conductor) % alpha.conductor:
                 continue
-            if classifier._all_nonzero_solution_exists([ONE, i_root, alpha, beta]):
+            if classifier._all_nonzero_solution_exists(_lift([ONE, i_root, alpha, beta])):
                 counterexamples.append(
                     {"alpha": alpha, "beta": beta, "ord_alpha": orda, "ord_beta": ordb}
                 )
@@ -73,29 +73,43 @@ def test_kernel_verdict_constant_on_orbits():
                 continue
             g = gcd(m, n)
             key = (m, n, eb * pow(ea, -1, g) % g)
-            hit = _all_nonzero_solution_exists([ONE, zeta(4), alpha, beta])
+            hit = _all_nonzero_solution_exists(_lift([ONE, zeta(4), alpha, beta]))
             assert verdicts.setdefault(key, hit) == hit, (m, ea, n, eb)
     # the forced shape (+-1, +-i) is the only true orbit
     assert {key for key, hit in verdicts.items() if hit} == {(1, 4, 0), (2, 4, 1)}
 
 
+def roots_of(columns):
+    """alpha and beta from the integer columns of 1, i, alpha, beta on the
+    power basis of Q_L.  i = zeta_L^(L/4), so when its column is the single
+    basis element zeta_L^e (true below L = 420) e is L/4, which names L."""
+    assert columns[0] == {0: 1}
+    ((e, c),) = columns[1].items()
+    assert c == 1
+    return Cyclotomic(4 * e, columns[2]), Cyclotomic(4 * e, columns[3])
+
+
 FAKE_KERNELS = {
     # Galois-invariant stand-ins for the kernel that make hits exist:
     # one depends only on the conductor of beta, one on the whole orbit key
-    "conductor": lambda key, columns: columns[3].conductor % 3 == 0,
-    "orbit_key": lambda key, columns: key[2] == 1 % gcd(key[0], key[1]),
+    "conductor": lambda key, beta: beta.conductor % 3 == 0,
+    "orbit_key": lambda key, beta: key[2] == 1 % gcd(key[0], key[1]),
 }
 
 
 @pytest.mark.parametrize("fake_name", sorted(FAKE_KERNELS))
 @pytest.mark.parametrize("max_order", [12, 24])
 def test_scan_matches_oracle_with_hits(monkeypatch, max_order, fake_name):
+    # the fake stands in for the verdict on integer columns, which both the
+    # scan (rows read from its table) and the oracle (columns lifted by
+    # _lift) call
     calls = []
 
     def fake(columns):
-        key = orbit_key(columns[2], columns[3])
+        alpha, beta = roots_of(columns)
+        key = orbit_key(alpha, beta)
         calls.append(key)
-        return FAKE_KERNELS[fake_name](key, columns)
+        return FAKE_KERNELS[fake_name](key, beta)
 
     monkeypatch.setattr(classifier, "_all_nonzero_solution_exists", fake)
     expected = oracle_vanishing_sum_scan(max_order)

@@ -46,8 +46,11 @@ def mutations(datum, rng, count=6):
 def agree(datum, fusion):
     """Each identity gives what its earlier form gives; returns the verdicts."""
     d2 = derived_scalars(datum).global_dim_sq
-    unitary = _projectively_unitary(datum, d2)
+    conj_rows = _projectively_unitary(datum, d2)
+    unitary = conj_rows is not None
     assert unitary == matmul_projectively_unitary(datum, d2)
+    if unitary:
+        assert conj_rows == [[v.conjugate() for v in row] for row in datum.S]
     balancing = check_balancing(datum, fusion)
     assert balancing == separate_check_balancing(datum, fusion)
     c = derived_scalars(datum).gauss_plus
@@ -62,7 +65,7 @@ def test_catalog_data_hold(name):
     assert agree(datum, verlinde_fusion(datum)) == (True, True, True)
     # S conj(S) = D^2 Id holds off the diagonal, so only the diagonal refutes 2 D^2
     wrong = derived_scalars(datum).global_dim_sq * 2
-    assert not _projectively_unitary(datum, wrong)
+    assert _projectively_unitary(datum, wrong) is None
     assert not matmul_projectively_unitary(datum, wrong)
 
 

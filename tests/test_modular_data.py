@@ -354,6 +354,21 @@ class TestUnitarityOnce:
         assert [(c.ok, c.witness) for c in report.conditions] == expected
         assert len(unitarity_calls) == 1
 
+    def test_verlinde_conjugates_each_entry_once(self, monkeypatch, unitarity_calls, catalog_rank5):
+        # the unitarity test hands its rows of conj(S) on to the fusion rules
+        conjugated = []
+        real = Cyclotomic.conjugate
+
+        def counting(self):
+            conjugated.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Cyclotomic, "conjugate", counting)
+        for _, datum in catalog_rank5:
+            conjugated.clear()
+            verlinde_fusion(datum)
+            assert len(conjugated) == datum.rank**2
+
     def test_verlinde_alone_still_refuses(self, su2_9):
         with pytest.raises(DegenerateSError, match=r"^S \* conj\(S\)\^t != D\^2 \* Id$"):
             verlinde_fusion(scale_entry(su2_9, 1, 2, -1))

@@ -124,6 +124,45 @@ def test_fixed_small_matrices(s, t, cc, holds):
     assert check_against_oracle(s, t, cc)[0] is holds
 
 
+def residual_and_dots(monkeypatch, s, t, c):
+    """R from `_st_residual` and the number of dots it formed."""
+    calls = []
+    real_dot = mat.dot
+
+    def counting_dot(pairs):
+        calls.append(None)
+        return real_dot(pairs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mat, "dot", counting_dot)
+        res = mat._st_residual(s, t, c)
+    return res, len(calls)
+
+
+def is_symmetric(s):
+    return all(s[j][k] == s[k][j] for j in range(len(s)) for k in range(len(s)))
+
+
+def test_residual_forms_the_upper_triangle_of_a_symmetric_s(monkeypatch):
+    cases = [
+        (d.S, d.thetas, derived_scalars(d).gauss_plus)
+        for d in (build() for build in (*ADMISSIBLE.values(), *FAILING.values()))
+    ]
+    cases += [(rep.s, rep.t, ONE) for name in BUILDERS for rep in all_lifts(datum_of(name))]
+    cases += [(s, t, cc) for s, t, cc, _ in FIXED if is_symmetric(s)]
+    for s, t, cc in cases:
+        res, dots = residual_and_dots(monkeypatch, s, t, cc)
+        assert dots == len(s) * (len(s) + 1) // 2
+        assert res == matmul_st_residual(s, t, cc)
+
+
+@pytest.mark.parametrize("s, t, cc, holds", [case for case in FIXED if not is_symmetric(case[0])])
+def test_residual_forms_every_entry_of_a_general_s(monkeypatch, s, t, cc, holds):
+    res, dots = residual_and_dots(monkeypatch, s, t, cc)
+    assert dots == len(s) ** 2
+    assert res == matmul_st_residual(s, t, cc)
+
+
 def test_nilpotent_case_needs_the_second_product():
     s, t, cc, _ = FIXED[0]
     res = mat._st_residual(s, t, cc)
