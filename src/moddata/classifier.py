@@ -238,6 +238,20 @@ def _all_nonzero_solution_exists(columns: Sequence[Mapping[int, int]]) -> bool:
     return all(any(vec[c] for vec in basis) for c in range(len(columns)))
 
 
+def _pair_class(m: int, ea: int, n: int, eb: int) -> tuple[int, int, int]:
+    """The key of the class of (zeta_m^ea, zeta_n^eb) under Galois, signs and
+    swap: the Galois orbit of its squares, unordered (see
+    `vanishing_sum_scan`)."""
+    m2, n2 = m // gcd(m, 2), n // gcd(n, 2)
+    a2, b2 = 2 * ea // gcd(m, 2) % m2, 2 * eb // gcd(n, 2) % n2
+    g = gcd(m2, n2)
+    r = b2 * pow(a2, -1, g) % g
+    if m2 < n2:
+        return (m2, n2, r)
+    r_inv = pow(r, -1, g)
+    return (n2, m2, r_inv) if m2 > n2 else (m2, m2, min(r, r_inv))
+
+
 def vanishing_sum_scan(max_order: int = 60) -> list[dict]:
     """Exhaustive scan over root pairs of order <= max_order for violations
     of the vanishing-sum lemma; the expected result is the empty list.
@@ -245,19 +259,31 @@ def vanishing_sum_scan(max_order: int = 60) -> list[dict]:
     A pair violates iff some relation with all four coefficients nonzero
     exists while (alpha, beta) is not of the forced (+-1, +-i) shape.
 
-    Whether such a relation exists is a Galois invariant of the pair:
-    sigma_k carries a + b*i + c*alpha + d*beta = 0 to
-    a + (+-b)*i + c*alpha^k + d*beta^k = 0, since sigma_k(i) = +-i, with
-    the same coefficients up to sign. For alpha = zeta_m^ea and
-    beta = zeta_n^eb, the orbits of (ea, eb) -> (k*ea, k*eb) over the units
-    k are told apart by eb * ea^-1 mod gcd(m, n) (by the Chinese remainder
-    theorem), so there are phi(gcd(m, n)) of them. The kernel runs once per
-    orbit, on the first pair met, and every other pair reuses its verdict.
-    Pairs are visited, and counterexamples listed, in the order of
-    (ord_alpha, e_alpha, ord_beta, e_beta).
+    Whether such a relation exists is constant on the class of a pair under
+    Galois, signs and swap: sigma_k carries a + b*i + c*alpha + d*beta = 0 to
+    a + (+-b)*i + c*alpha^k + d*beta^k = 0, since sigma_k(i) = +-i; the
+    relation for (alpha, beta) is one for (-alpha, beta) with c -> -c, and
+    one for (beta, alpha) with c <-> d; every coefficient stays nonzero.
+    Two pairs differ only by signs iff their squares agree, so a class is
+    the Galois orbit of (alpha^2, beta^2), taken unordered.  For
+    alpha = zeta_m^ea, alpha^2 = zeta_m2^a2 with m2 = m / gcd(m, 2) and
+    a2 = 2*ea / gcd(m, 2) mod m2; likewise beta^2 = zeta_n2^b2.  By the
+    Chinese remainder theorem the orbits of ordered pairs of roots of orders
+    (m2, n2) under the units are told apart by r = b2 * a2^-1 mod
+    g = gcd(m2, n2), and swapping the pair inverts r.  So `_pair_class`
+    keys a class by (m2, n2, r) when m2 < n2, by (n2, m2, r^-1) when
+    m2 > n2 and by (m2, m2, min(r, r^-1)) when they are equal.
+
+    The filters below depend only on the orders (m, n), and every pair is
+    Galois-conjugate to one with ea = 1 (take k = ea^-1 mod m, lifted to a
+    unit mod lcm(m, n)).  So the kernel runs once per class, on the first
+    pair (zeta_m, zeta_n^eb) met, before any pair is visited.  Only if some
+    class hits are the pairs walked, in the order of
+    (ord_alpha, e_alpha, ord_beta, e_beta), and those of hitting classes
+    listed.
 
     The scan is integer-only. The four columns are zeta_L^j on the power
-    basis of Q_L, L = lcm(4, m, n), for j = 0, L/4, ea*L/m and eb*L/n, each
+    basis of Q_L, L = lcm(4, m, n), for j = 0, L/4, L/m and eb*L/n, each
     reduced once per scan (Q_L sits linearly in any larger common order, so
     the kernel is the same). Below order 105 a root has power-basis entries
     in {-1, 0, 1}, so at most 40 distinct rows remain for the kernel.
@@ -266,40 +292,41 @@ def vanishing_sum_scan(max_order: int = 60) -> list[dict]:
     def conductor(m: int) -> int:
         return m // 2 if m % 4 == 2 else m
 
-    root = cache(zeta)  # each root of a listed pair is built once per scan
-    # zeta_L^j on the power basis of Q_L, once per (L, j); shared, so only read
-    row = cache(lambda order, j: _reduce_exponents(order, {j: 1}))
-    verdicts: dict[tuple[int, int, int], bool] = {}
-    counterexamples = []
-    for m in range(1, max_order + 1):
-        # skip the forced shape (+-1, +-i); an all-nonzero relation needs
-        # beta in Q(i, alpha) and alpha in Q(i, beta)
-        partners = [
-            (n, gcd(m, n), lcm(4, m, n), [e for e in range(n) if gcd(e, n) == 1])
+    units = [[e for e in range(n) if gcd(e, n) == 1] for n in range(max_order + 1)]
+    # skip the forced shape (+-1, +-i); an all-nonzero relation needs
+    # beta in Q(i, alpha) and alpha in Q(i, beta)
+    partners = {
+        m: [
+            n
             for n in range(m, max_order + 1)
             if not (m <= 2 and n == 4)
             and lcm(4, conductor(m)) % conductor(n) == 0
             and lcm(4, conductor(n)) % conductor(m) == 0
         ]
-        for ea in (e for e in range(m) if gcd(e, m) == 1):
-            for n, g, order, units in partners:
-                ea_inv = pow(ea, -1, g)
-                for eb in units:
-                    key = (m, n, eb * ea_inv % g)
-                    hit = verdicts.get(key)
-                    if hit is None:
-                        js = (0, order // 4, ea * order // m, eb * order // n)
-                        hit = verdicts[key] = _all_nonzero_solution_exists([row(order, j) for j in js])
-                    if hit:
-                        counterexamples.append(
-                            {
-                                "alpha": root(m, ea),
-                                "beta": root(n, eb),
-                                "ord_alpha": m,
-                                "ord_beta": n,
-                            }
-                        )
-    return counterexamples
+        for m in range(1, max_order + 1)
+    }
+    # zeta_L^j on the power basis of Q_L, once per (L, j); shared, so only read
+    row = cache(lambda order, j: _reduce_exponents(order, {j: 1}))
+    verdicts: dict[tuple[int, int, int], bool] = {}
+    for m, ns in partners.items():
+        for n in ns:
+            order = lcm(4, m, n)
+            for eb in units[n]:
+                key = _pair_class(m, 1, n, eb)
+                if key not in verdicts:
+                    js = (0, order // 4, order // m % order, eb * order // n)
+                    verdicts[key] = _all_nonzero_solution_exists([row(order, j) for j in js])
+    if not any(verdicts.values()):
+        return []
+    root = cache(zeta)  # each root of a listed pair is built once per scan
+    return [
+        {"alpha": root(m, ea), "beta": root(n, eb), "ord_alpha": m, "ord_beta": n}
+        for m, ns in partners.items()
+        for ea in units[m]
+        for n in ns
+        for eb in units[n]
+        if verdicts[_pair_class(m, ea, n, eb)]
+    ]
 
 
 # ---------------------------------------------------------------------------

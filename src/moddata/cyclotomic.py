@@ -18,6 +18,7 @@ under a lock so instances can be shared freely between threads.
 
 from __future__ import annotations
 
+import re
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -29,6 +30,8 @@ Scalar = Union[int, Fraction, "Cyclotomic"]
 
 _DEFAULT_ORDER_CAP = 2000
 _order_cap = _DEFAULT_ORDER_CAP
+# an exponent key of a JSON value: an optional minus sign and ASCII digits
+_EXPONENT_KEY = re.compile(r"-?[0-9]+").fullmatch
 
 
 class InvalidOrderError(ValueError):
@@ -606,7 +609,15 @@ class Cyclotomic:
         order = data["order"]
         if type(order) is not int:  # a JSON integer, not a float, string or boolean
             raise TypeError(f"order must be an integer, not {type(order).__name__}")
-        coeffs = {int(e): Fraction(s) for e, s in data["coeffs"].items()}
+        coeffs = {}
+        for e, s in data["coeffs"].items():
+            # a "p/q" string: Fraction() would also read a float or a boolean
+            if type(s) is not str:
+                raise TypeError(f"coefficient must be a string, not {type(s).__name__}")
+            # plain ASCII digits: int() would also read "1_0", " 1" and "+1"
+            if not _EXPONENT_KEY(e):
+                raise ValueError(f"exponent must be a decimal integer, not {e!r}")
+            coeffs[int(e)] = Fraction(s)
         return cls(order, coeffs)
 
 

@@ -67,6 +67,10 @@ the other q = 2*3^r + 1, quadratic in the number of exponents.
 dual_from_s is the charge conjugation as it stood before galois built it on
 the character-column matcher: its own column index, conjugating each column.
 
+root_pair_class is the class of a pair of roots of unity under Galois, signs
+and swap, found by brute force over the units at the pair's order.  It
+oracles classifier._pair_class, which keys the class by a formula.
+
 spectra_connectivity, signed_perm_match, orbits_from_perms, generate and
 smooth_residues are the package's graph walks as they stood before they
 shared galois._components and classifier._closure: a DFS over adjacency
@@ -806,3 +810,25 @@ def matmul_st_residual(s, t, c):
         tuple(dot(((tj, x), (minus_c, v))) for x, v in zip(row, srow))
         for tj, row, srow in zip(t, mat.matmul(st, st), s)
     )
+
+
+_ROOT_PAIR_CLASSES: dict[int, dict[tuple[int, int], tuple]] = {}
+
+
+def root_pair_class(m, ea, n, eb):
+    """(L, least exponent pair at L) over the class of (zeta_m^ea, zeta_n^eb):
+    every unit k mod L = lcm(4, m, n), both signs of each root and both
+    orders of the pair.  A sign moves the order of a root only between an
+    odd m and 2m, so L is the same for every pair of the class."""
+    order = lcm(4, m, n)
+    x, y = ea * order // m, eb * order // n
+    table = _ROOT_PAIR_CLASSES.setdefault(order, {})
+    if (x, y) not in table:
+        half = order // 2
+        members = set()
+        for k in units_mod(order):
+            for u in (k * x % order, (k * x + half) % order):
+                for v in (k * y % order, (k * y + half) % order):
+                    members.update(((u, v), (v, u)))
+        table.update(dict.fromkeys(members, (order, min(members))))
+    return table[x, y]

@@ -26,7 +26,12 @@ from moddata.cyclotomic import Cyclotomic, ONE, _numerators_at, euler_phi, zeta
 from moddata.galois import compose, compute_profile
 from moddata.modular_data import FusionRules, Verdict, verlinde_fusion
 
-from _oracles import dense_rational_kernel, fraction_rational_kernel, relabel_fusion
+from _oracles import (
+    dense_rational_kernel,
+    fraction_rational_kernel,
+    relabel_fusion,
+    root_pair_class,
+)
 
 GOLDEN_REPORTS = Path(__file__).resolve().parent / "golden_reports"
 
@@ -225,8 +230,10 @@ class TestVanishingSum:
 
     def test_scan_reads_every_row_from_its_table(self, monkeypatch):
         # every row the scan reduces is the lift of zeta_L^j to Q_L, once
-        # per (L, j); every kernel call reads the rows of 1, i, alpha, beta
-        # from that table at L = lcm(4, m, n)
+        # per (L, j).  The kernel runs once per class of root pairs under
+        # Galois, signs and swap, on the first pair (zeta_m, zeta_n^eb) of
+        # the class in the order of (m, n, eb), reading the rows of 1, i,
+        # alpha, beta from that table at L = lcm(4, m, n)
         built, calls = {}, []
         reduce_exponents = classifier._reduce_exponents
 
@@ -245,21 +252,39 @@ class TestVanishingSum:
         assert vanishing_sum_scan(48) == []
         monkeypatch.undo()
         conductor = lambda m: m // 2 if m % 4 == 2 else m
-        orders = {
-            lcm(4, m, n)
-            for m in range(1, 49)
-            for n in range(m, 49)
-            if lcm(4, conductor(m)) % conductor(n) == 0
-            and lcm(4, conductor(n)) % conductor(m) == 0
-        }
-        assert {order for order, _ in built} == orders
+        representatives = {}
+        for m in range(1, 49):
+            for n in range(m, 49):
+                if (
+                    not (m <= 2 and n == 4)
+                    and lcm(4, conductor(m)) % conductor(n) == 0
+                    and lcm(4, conductor(n)) % conductor(m) == 0
+                ):
+                    for eb in (e for e in range(n) if gcd(e, n) == 1):
+                        representatives.setdefault(root_pair_class(m, 1 % m, n, eb), (m, n, eb))
+        reads = [
+            [(order, 0), (order, order // 4), (order, order // m % order), (order, eb * order // n)]
+            for m, n, eb in representatives.values()
+            for order in [lcm(4, m, n)]
+        ]
+        assert {order for order, _ in built} == {order for (order, _), *_ in reads}
         for (order, j), row in built.items():
             assert row == _numerators_at(zeta(order, j), order)[0], (order, j)
-        tables = {id(row): order for (order, _), row in built.items()}
-        assert len(calls) == 885
-        for columns in calls:
-            (order,) = {tables[id(col)] for col in columns}
-            assert columns[:2] == [{0: 1}, _numerators_at(zeta(4), order)[0]]
+        tables = {id(row): key for key, row in built.items()}
+        assert len(calls) == 342
+        assert [[tables[id(col)] for col in columns] for columns in calls] == reads
+
+    @pytest.mark.parametrize(
+        "max_order, classes", [(24, 94), (36, 198), (48, 342), (60, 522), (96, 1272)]
+    )
+    def test_scan_runs_the_kernel_once_per_class(self, monkeypatch, max_order, classes):
+        calls = []
+        exists = classifier._all_nonzero_solution_exists
+        monkeypatch.setattr(
+            classifier, "_all_nonzero_solution_exists", lambda cols: calls.append(cols) or exists(cols)
+        )
+        assert vanishing_sum_scan(max_order) == []
+        assert len(calls) == classes
 
     def test_integer_kernel_matches_fraction_oracle(self):
         hypothesis = pytest.importorskip("hypothesis")

@@ -305,6 +305,22 @@ class TestJson:
         assert set(data) == {"order", "coeffs"}
         assert all(isinstance(k, str) for k in data["coeffs"])
 
+    @pytest.mark.parametrize("coeff", [0.1, 1, True, None, ["1"]])
+    def test_coefficient_must_be_a_string(self, coeff):
+        with pytest.raises(TypeError, match="^coefficient must be a string, not "):
+            Cyclotomic.from_json({"order": 5, "coeffs": {"1": coeff}})
+
+    # int() reads each of these as an exponent ("1_0" as 10); the last is
+    # an Arabic-Indic digit one, which str.isdecimal accepts
+    @pytest.mark.parametrize("key", ["1_0", " 1", "+1", "1 ", "1\n", "", "-", "\u0661"])
+    def test_exponent_key_must_be_plain_digits(self, key):
+        with pytest.raises(ValueError, match="^exponent must be a decimal integer, not "):
+            Cyclotomic.from_json({"order": 5, "coeffs": {key: "1"}})
+
+    def test_exponent_keys_with_sign_and_leading_zeros(self):
+        data = {"order": 5, "coeffs": {"-1": "1/2", "007": "-3"}}
+        assert Cyclotomic.from_json(data) == Fraction(1, 2) * zeta(5, 4) - 3 * zeta(5, 2)
+
 
 # orders covering p^2 | n, p || n and n = 2 (mod 4) descents
 DESCENT_ORDERS = (8, 12, 20, 24, 36, 40, 60, 72, 120, 156)

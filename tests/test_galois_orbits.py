@@ -1,8 +1,9 @@
-"""Verdicts shared along Galois orbits: the vanishing-sum scan runs its kernel
-once per orbit of root pairs, and the twist-symmetry check matches h_sigma
-once per unit residue of k for all the lifts of a datum and compares the
-twists by their exponents.  Both are compared with the term-by-term loops they
-replace, kept here as oracles."""
+"""Verdicts shared along classes and orbits: the vanishing-sum scan runs its
+kernel once per class of root pairs under Galois, signs and swap, and the
+twist-symmetry check matches h_sigma once per unit residue of k for all the
+lifts of a datum and compares the twists by their exponents.  Both are
+compared with the term-by-term loops they replace, kept here as oracles, and
+the scan's class key with a brute-force class."""
 
 from math import gcd, lcm
 
@@ -10,7 +11,12 @@ import pytest
 
 from moddata import classifier, galois
 from moddata.catalog import pointed_zn, su2_odd_mod2
-from moddata.classifier import _all_nonzero_solution_exists, _lift, vanishing_sum_scan
+from moddata.classifier import (
+    _all_nonzero_solution_exists,
+    _lift,
+    _pair_class,
+    vanishing_sum_scan,
+)
 from moddata.cyclotomic import ONE, Cyclotomic, units_mod, zeta
 from moddata.galois import _characters, _match_permutation, galois_twist_symmetry
 from moddata.modular_data import Verdict, derived_scalars, replace
@@ -20,16 +26,8 @@ from moddata.sl2z_reps import (
     normalize,
     spectra_connectivity,
 )
-from _oracles import twist_exponents
+from _oracles import root_pair_class, twist_exponents
 from test_lift_algebra import BUILDERS, datum_of
-
-
-def orbit_key(alpha, beta):
-    """(m, n, eb * ea^-1 mod gcd(m, n)) for alpha = zeta_m^ea, beta = zeta_n^eb."""
-    m, ea = alpha.root_of_unity_log()
-    n, eb = beta.root_of_unity_log()
-    g = gcd(m, n)
-    return (m, n, eb * pow(ea, -1, g) % g)
 
 
 def oracle_vanishing_sum_scan(max_order):
@@ -61,22 +59,47 @@ def oracle_vanishing_sum_scan(max_order):
 
 
 def test_kernel_verdict_constant_on_orbits():
-    # every pair the scan could visit (ord alpha <= ord beta), with none of
-    # its filters applied
+    # every ordered pair of roots of order <= 20, none of the scan's filters
+    # applied: the verdict is constant on each Galois orbit of the pairs the
+    # scan could visit (ord alpha <= ord beta), and on each class under
+    # Galois, signs and swap
     roots = [
         (m, e, zeta(m, e)) for m in range(1, 21) for e in range(m) if gcd(e, m) == 1
     ]
-    verdicts = {}
+    by_orbit, by_class = {}, {}
     for m, ea, alpha in roots:
         for n, eb, beta in roots:
-            if m > n:
-                continue
-            g = gcd(m, n)
-            key = (m, n, eb * pow(ea, -1, g) % g)
             hit = _all_nonzero_solution_exists(_lift([ONE, zeta(4), alpha, beta]))
-            assert verdicts.setdefault(key, hit) == hit, (m, ea, n, eb)
-    # the forced shape (+-1, +-i) is the only true orbit
-    assert {key for key, hit in verdicts.items() if hit} == {(1, 4, 0), (2, 4, 1)}
+            assert by_class.setdefault(root_pair_class(m, ea, n, eb), hit) == hit, (m, ea, n, eb)
+            if m <= n:
+                g = gcd(m, n)
+                key = (m, n, eb * pow(ea, -1, g) % g)
+                assert by_orbit.setdefault(key, hit) == hit, (m, ea, n, eb)
+    # the forced shape (+-1, +-i) is the only true orbit, and its class the
+    # only true class
+    assert {key for key, hit in by_orbit.items() if hit} == {(1, 4, 0), (2, 4, 1)}
+    assert [cls for cls, hit in by_class.items() if hit] == [root_pair_class(1, 0, 4, 1)]
+
+
+def exponents(alpha, beta):
+    """(m, ea, n, eb) for alpha = zeta_m^ea and beta = zeta_n^eb."""
+    return (*alpha.root_of_unity_log(), *beta.root_of_unity_log())
+
+
+def test_scan_key_is_the_brute_force_class(monkeypatch):
+    # a kernel that always hits makes the scan list every pair it visits;
+    # on them its key and the brute-force class induce one partition
+    monkeypatch.setattr(classifier, "_all_nonzero_solution_exists", lambda columns: True)
+    pairs = vanishing_sum_scan(36)
+    monkeypatch.undo()
+    keys, classes = {}, {}
+    for pair in pairs:
+        m, ea, n, eb = exponents(pair["alpha"], pair["beta"])
+        assert (m, n) == (pair["ord_alpha"], pair["ord_beta"])
+        key, cls = _pair_class(m, ea, n, eb), root_pair_class(m, ea, n, eb)
+        assert keys.setdefault(key, cls) == cls, (m, ea, n, eb)
+        assert classes.setdefault(cls, key) == key, (m, ea, n, eb)
+    assert len(pairs) > 10 * len(keys) and len(keys) == 198
 
 
 def roots_of(columns):
@@ -90,10 +113,12 @@ def roots_of(columns):
 
 
 FAKE_KERNELS = {
-    # Galois-invariant stand-ins for the kernel that make hits exist:
-    # one depends only on the conductor of beta, one on the whole orbit key
-    "conductor": lambda key, beta: beta.conductor % 3 == 0,
-    "orbit_key": lambda key, beta: key[2] == 1 % gcd(key[0], key[1]),
+    # stand-ins for the kernel that make hits exist; like the real verdict,
+    # each is a function of the class under Galois, signs and swap.  One
+    # hits every class at an order L divisible by 3, one the single class of
+    # (zeta_5^2, zeta_10^3), which holds pairs with alpha of order 5 and 10
+    "order_3": lambda cls: cls[0] % 3 == 0,
+    "one_class": lambda cls: cls == root_pair_class(5, 2, 10, 3),
 }
 
 
@@ -106,20 +131,24 @@ def test_scan_matches_oracle_with_hits(monkeypatch, max_order, fake_name):
     calls = []
 
     def fake(columns):
-        alpha, beta = roots_of(columns)
-        key = orbit_key(alpha, beta)
-        calls.append(key)
-        return FAKE_KERNELS[fake_name](key, beta)
+        pair = exponents(*roots_of(columns))
+        calls.append((root_pair_class(*pair), pair))
+        return FAKE_KERNELS[fake_name](calls[-1][0])
 
     monkeypatch.setattr(classifier, "_all_nonzero_solution_exists", fake)
     expected = oracle_vanishing_sum_scan(max_order)
-    orbits = set(calls)
+    classes = {cls for cls, _ in calls}
     calls.clear()
     got = vanishing_sum_scan(max_order)
     assert expected
     assert got == expected
-    # one kernel call per orbit of the pairs the oracle visits
-    assert sorted(calls) == sorted(orbits)
+    # one kernel call per class of the pairs the oracle visits, so most
+    # listed pairs (alpha of exponent 2, for one) never reach the kernel
+    assert sorted(cls for cls, _ in calls) == sorted(classes)
+    called = {pair for _, pair in calls}
+    listed = [exponents(d["alpha"], d["beta"]) for d in got]
+    unseen = [pair for pair in listed if pair not in called]
+    assert any(ea == 2 for _, ea, _, _ in unseen)
 
 
 def outcome(f, rep):
