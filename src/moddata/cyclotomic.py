@@ -12,8 +12,8 @@ fixed-point evaluation with a proven error bound serves both numeric needs:
 real_sign decides the sign of a real value exactly, and complex_eval rounds
 each part of a value correctly to a double for display.
 
-Values are immutable; the per-order phi/reduction tables are written
-under a lock so instances can be shared freely between threads.
+Values are immutable; the per-order phi, reduction and prime tables are
+written under a lock so instances can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ Scalar = Union[int, Fraction, "Cyclotomic"]
 
 _DEFAULT_ORDER_CAP = 2000
 _order_cap = _DEFAULT_ORDER_CAP
-# an exponent key of a JSON value: an optional minus sign and ASCII digits
+# an exponent key of a JSON value: an optional minus sign and ASCII digits;
+# a coefficient: such an integer, or one over ASCII digits
 _EXPONENT_KEY = re.compile(r"-?[0-9]+").fullmatch
+_COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?").fullmatch
 
 
 class InvalidOrderError(ValueError):
@@ -94,10 +96,35 @@ def radical(n: int) -> int:
     return r
 
 
+# Miller-Rabin to the bases 2..41 is exact below _MR_LIMIT, the least strong
+# pseudoprime to all thirteen of them
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Primality, decided exactly: Miller-Rabin to the bases 2..41 below
+    _MR_LIMIT, trial division above it."""
     if n < 2:
         return False
-    return factorize(n) == {n: 1}
+    if n >= _MR_LIMIT:
+        return factorize(n) == {n: 1}
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def units_mod(n: int) -> list[int]:
@@ -112,6 +139,7 @@ def units_mod(n: int) -> list[int]:
 _poly_lock = threading.Lock()
 _phi_cache: dict[int, tuple[int, tuple[int, ...]]] = {}  # n -> _order_info(n)
 _red_cache: dict[int, list[tuple[int, ...]]] = {}  # n -> _reduction_rows(n)
+_embed_cache: dict[int, list[tuple[int, tuple[int, ...]]]] = {}  # n -> _embedding(n, i), i = 0, 1, ...
 
 
 def _order_info(n: int) -> tuple[int, tuple[int, ...]]:
@@ -180,6 +208,32 @@ def _reduction_rows(n: int) -> list[tuple[int, ...]]:
         cur = nxt
     with _poly_lock:
         return _red_cache.setdefault(n, rows)
+
+
+def _embedding(n: int, i: int) -> tuple[int, tuple[int, ...]]:
+    """(ell, powers) for the i-th prime ell = 1 mod n below 2^62, counting
+    down, with powers[e] = g^e mod ell for g = b^((ell-1)/n), b >= 2 the
+    least base that gives g the order n.  zeta_n -> g is a ring map
+    Z[zeta_n] -> F_ell whose kernel is a prime of norm ell."""
+    table = _embed_cache.get(n, [])
+    while len(table) <= i:
+        known = len(table)
+        ell = table[-1][0] - n if table else ((1 << 62) - 1) // n * n + 1
+        while not is_prime(ell):
+            ell -= n
+        qs = factorize(n)
+        g = next(
+            g for g in (pow(b, (ell - 1) // n, ell) for b in range(2, ell))
+            if all(pow(g, n // q, ell) != 1 for q in qs)
+        )
+        powers = [1] * n
+        for e in range(1, n):
+            powers[e] = powers[e - 1] * g % ell
+        with _poly_lock:
+            table = _embed_cache.setdefault(n, [])
+            if len(table) == known:
+                table.append((ell, tuple(powers)))
+    return table[i]
 
 
 def _within_cap(n: int) -> bool:
@@ -617,6 +671,9 @@ class Cyclotomic:
             # plain ASCII digits: int() would also read "1_0", " 1" and "+1"
             if not _EXPONENT_KEY(e):
                 raise ValueError(f"exponent must be a decimal integer, not {e!r}")
+            # and Fraction() "1e3", "1.5", "1_0", " 1/2 " and other scripts' digits
+            if not _COEFFICIENT(s):
+                raise ValueError(f"coefficient must be an integer or p/q, not {s!r}")
             coeffs[int(e)] = Fraction(s)
         return cls(order, coeffs)
 
@@ -699,6 +756,16 @@ def _numerators_at(x: Cyclotomic, n: int) -> tuple[dict[int, int], int]:
     """(numerators on the power basis of Q_n, denominator) of x, for x.order | n."""
     step = n // x.order
     return _reduce_exponents(n, {e * step: c for e, c in x._nums.items()}), x._den
+
+
+def _residue(x: Cyclotomic, n: int, emb: tuple[int, tuple[int, ...]]) -> int:
+    """The image of x under zeta_n -> g in F_ell, for x.order | n and emb =
+    (ell, powers) with powers[e] = g^e mod ell, g of order n (an _embedding(n, i)
+    or its conjugate); ValueError if ell divides the denominator of x."""
+    ell, powers = emb
+    step = n // x.order
+    v = sum(c * powers[e * step] for e, c in x._nums.items())
+    return v % ell if x._den == 1 else v * pow(x._den, -1, ell) % ell
 
 
 def zeta(n: int, e: int = 1) -> Cyclotomic:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -16,7 +17,9 @@ from .cyclotomic import (
     Cyclotomic,
     ONE,
     ZERO,
+    _embedding,
     _norm_cofactor,
+    _residue,
     _twisted_sum,
     dot,
     factorize,
@@ -355,22 +358,9 @@ def verlinde_fusion(datum: ModularDatum) -> FusionRules:
     ds = derived_scalars(datum)
     if any(not d for d in ds.dims):
         raise DegenerateSError("vanishing entry in the first row of S")
-    conj_rows = _projectively_unitary(datum, ds.global_dim_sq)
-    if conj_rows is None:
+    if not _projectively_unitary(datum, ds.global_dim_sq):
         raise DegenerateSError("S * conj(S)^t != D^2 * Id")
-    d2_inv = ds.global_dim_sq.inverse()
-    # weighted[i][a] = S_ia / (S_0a D^2)
-    weights = [d.inverse() * d2_inv for d in ds.dims]
-    weighted = [[v * w for v, w in zip(row, weights)] for row in datum.S]
-    tensor = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for i in range(r):
-        for j in range(i, r):
-            pair = [w * v for w, v in zip(weighted[i], datum.S[j])]
-            for k in range(r):
-                value = dot(zip(pair, conj_rows[k]))
-                if not value.is_integer or value.as_integer() < 0:
-                    raise NotFusionIntegral(i, j, k, value)
-                tensor[i][j][k] = tensor[j][i][k] = value.as_integer()
+    tensor = _modular_tensor(datum, ds.global_dim_sq) or _exact_tensor(datum, ds)
     dual = []
     for i in range(r):
         hits = [k for k in range(r) if tensor[i][k][0] == 1]
@@ -385,51 +375,128 @@ def verlinde_fusion(datum: ModularDatum) -> FusionRules:
     return FusionRules(r, tuple(tuple(map(tuple, plane)) for plane in tensor), dual)
 
 
-def _projectively_unitary(datum: ModularDatum, d2: Cyclotomic) -> Optional[list[list[Cyclotomic]]]:
-    """The rows of conj(S) if S conj(S)^t = D^2 Id, else None; one dot of the
-    difference per entry (i, j), i <= j.  verlinde_fusion reuses the rows.
+def _modular_tensor(datum: ModularDatum, d2: Cyclotomic) -> Optional[list[list[list[int]]]]:
+    """The Verlinde tensor from residues, for S conj(S)^t = D^2 Id, or None.
+
+    The candidate N_ij^k is the Verlinde formula mod the first prime ell of
+    the order of S, read in [0, ell/2].  It is certified by sum_k N_ij^k S_ka
+    S_0a = S_ia S_ja for all i <= j and all a, decided by _first_nonzero.
+    The Verlinde tensor solves that system, and S is invertible, so it is
+    its only solution.  None when a candidate lies past ell/2, a residue
+    that the formula divides by is 0, or the certificate fails."""
+    S, r = datum.S, datum.rank
+    flat = [v for row in S for v in row]
+    n = lcm(*(v.order for v in flat))
+    ell, powers = emb = _embedding(n, 0)
+    conj = (ell, powers[:1] + powers[:0:-1])  # conj(x) at g is x at 1/g
+    try:
+        res = [[_residue(v, n, emb) for v in row] for row in S]
+        res_conj = [[_residue(v, n, conj) for v in row] for row in S]
+        scale = [pow(d * _residue(d2, n, emb), -1, ell) for d in res[0]]
+    except ValueError:  # ell divides a denominator, or a residue is not invertible
+        return None
+    tensor = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for i in range(r):
+        weighted = [x * w % ell for x, w in zip(res[i], scale)]  # S_ia / (S_0a D^2)
+        for j in range(i, r):
+            pair = [x * y for x, y in zip(weighted, res[j])]
+            for k in range(r):
+                value = sum(map(mul, pair, res_conj[k])) % ell
+                if value > ell // 2:
+                    return None
+                tensor[i][j][k] = tensor[j][i][k] = value
+
+    def entries(n, emb):
+        res = [[_residue(v, n, emb) for v in row] for row in S]
+        cols = list(zip(*res))
+        for i in range(r):
+            for j in range(i, r):
+                counts = tensor[i][j]
+                for a, col in enumerate(cols):
+                    yield col[0] * sum(map(mul, counts, col)) - res[i][a] * res[j][a]
+
+    size = mat._size(flat)
+    most = max(sum(row) for plane in tensor for row in plane)
+    bound = mat._l1_bound((most, size, size), (1, size, size))
+    return tensor if mat._first_nonzero(flat, bound, entries) is None else None
+
+
+def _exact_tensor(datum: ModularDatum, ds: DerivedScalars) -> list[list[list[int]]]:
+    """The Verlinde tensor entry by entry, each one exact dot; raises
+    NotFusionIntegral at the first (i, j, k), i <= j, that is not a
+    nonnegative integer."""
+    r = datum.rank
+    conj_rows = [[v.conjugate() for v in row] for row in datum.S]
+    d2_inv = ds.global_dim_sq.inverse()
+    # weighted[i][a] = S_ia / (S_0a D^2)
+    weights = [d.inverse() * d2_inv for d in ds.dims]
+    weighted = [[v * w for v, w in zip(row, weights)] for row in datum.S]
+    tensor = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            pair = [w * v for w, v in zip(weighted[i], datum.S[j])]
+            for k in range(r):
+                value = dot(zip(pair, conj_rows[k]))
+                if not value.is_integer or value.as_integer() < 0:
+                    raise NotFusionIntegral(i, j, k, value)
+                tensor[i][j][k] = tensor[j][i][k] = value.as_integer()
+    return tensor
+
+
+def _projectively_unitary(datum: ModularDatum, d2: Cyclotomic) -> bool:
+    """S conj(S)^t == D^2 Id, decided from residues of the entries (i, j),
+    i <= j.
 
     S is symmetric, so conj(S)^t = conj(S), and entry (j, i) of S conj(S) is
     the conjugate of entry (i, j): the entries with i <= j decide it."""
-    conj_rows = [[v.conjugate() for v in row] for row in datum.S]
-    minus_d2 = -d2
-    for i, row in enumerate(datum.S):
-        for j in range(i, datum.rank):
-            pairs = zip(row, conj_rows[j])
-            if dot(((minus_d2, ONE), *pairs) if i == j else pairs):
-                return None
-    return conj_rows
+    S, r = datum.S, datum.rank
+    flat = [v for row in S for v in row]
+
+    def entries(n, emb):
+        ell, powers = emb
+        conj = (ell, powers[:1] + powers[:0:-1])  # conj(x) at g is x at 1/g
+        res = [[_residue(v, n, emb) for v in row] for row in S]
+        res_conj = [[_residue(v, n, conj) for v in row] for row in S]
+        res_d2 = _residue(d2, n, emb)
+        for i, row in enumerate(res):
+            for j in range(i, r):
+                yield sum(map(mul, row, res_conj[j])) - (res_d2 if i == j else 0)
+
+    size = mat._size(flat)
+    bound = mat._l1_bound((r, size, size), (1, mat._size([d2])))
+    return mat._first_nonzero([*flat, d2], bound, entries) is None
 
 
 # ---------------------------------------------------------------------------
-# exact identities
+# exact identities, decided from residues
 
 
 def check_balancing(datum: ModularDatum, fusion: FusionRules) -> Verdict:
-    """theta_i theta_j S_ij = sum_k N_{i* j}^k d_k theta_k, exactly."""
-    r, N, exps = datum.rank, datum.torder, datum.t_exponents
-    # -d_k theta_k, and theta_i theta_j as one root of unity
-    terms = [-(d * th) for d, th in zip(datum.dims, datum.thetas)]
-    for i in range(r):
-        plane = fusion.tensor[fusion.dual[i]]
-        for j in range(r):
-            pairs = [(zeta(N, exps[i] + exps[j]), datum.S[i][j])]
-            for k, m in enumerate(plane[j]):
-                pairs.extend([(terms[k], ONE)] * m)  # m copies of -d_k theta_k
-            if dot(pairs):
-                return Verdict(False, (i, j), "balancing equation fails")
-    return Verdict(True)
+    """theta_i theta_j S_ij = sum_k N_{i* j}^k d_k theta_k; the witness is
+    the first (i, j) where it fails."""
+    r, S, thetas = datum.rank, datum.S, datum.thetas
+    flat = [v for row in S for v in row]
+
+    def entries(n, emb):
+        res = [[_residue(v, n, emb) for v in row] for row in S]
+        res_t = [_residue(v, n, emb) for v in thetas]
+        terms = [d * th for d, th in zip(res[0], res_t)]  # d_k theta_k
+        for i in range(r):
+            plane = fusion.tensor[fusion.dual[i]]
+            for j in range(r):
+                yield res_t[i] * res_t[j] * res[i][j] - sum(map(mul, plane[j], terms))
+
+    size = mat._size(flat)
+    most = max(sum(row) for plane in fusion.tensor for row in plane)
+    index = mat._first_nonzero([*flat, *thetas], mat._l1_bound((1, size), (most, size)), entries)
+    return Verdict(True) if index is None else Verdict(False, divmod(index, r), "balancing equation fails")
 
 
 def check_twist_equation(datum: ModularDatum) -> Verdict:
-    """p+ S_jk = theta_j theta_k sum_i theta_i S_ij S_ik, exactly: the residual
-    of (ST)^3 = p+ S^2 is 0.  The witness is its first nonzero (j, k), j <= k."""
-    res = mat._st_residual(datum.S, datum.thetas, derived_scalars(datum).gauss_plus)
-    for j, row in enumerate(res):
-        for k in range(j, datum.rank):
-            if row[k]:
-                return Verdict(False, (j, k), "twist equation fails")
-    return Verdict(True)
+    """p+ S_jk = theta_j theta_k sum_i theta_i S_ij S_ik: the residual of
+    (ST)^3 = p+ S^2 is 0.  The witness is its first nonzero (j, k), j <= k."""
+    witness = mat._st_first_nonzero(datum.S, datum.thetas, derived_scalars(datum).gauss_plus)
+    return Verdict(True) if witness is None else Verdict(False, witness, "twist equation fails")
 
 
 def _fs_table(datum: ModularDatum, fusion: FusionRules) -> list[dict[int, Cyclotomic]]:
@@ -550,7 +617,7 @@ def _reality_and_unitarity(datum: ModularDatum, ds: DerivedScalars, fusion_error
     if all(ds.dims):
         unitary = not isinstance(fusion_error, DegenerateSError)
     else:
-        unitary = _projectively_unitary(datum, ds.global_dim_sq) is not None
+        unitary = _projectively_unitary(datum, ds.global_dim_sq)
     return "" if unitary else "S*conj(S)^t != D^2*Id"
 
 

@@ -61,7 +61,7 @@ def verify_relations(s: mat.Matrix, t: tuple[Cyclotomic, ...]) -> Verdict:
 def _verify_with_square(
     s: mat.Matrix, s2: mat.Matrix, t: tuple[Cyclotomic, ...]
 ) -> Verdict:
-    if mat._identity_multiple(mat.matmul(s2, s2)) != ONE:
+    if not mat._square_is_identity(s2):
         return Verdict(False, "s^4 != Id")
     if not mat._st_cubed_is(s, t, ONE):
         return Verdict(False, "(st)^3 != s^2")

@@ -53,6 +53,15 @@ dense_st_cubed_is is the dense form of the modular relation as it stood
 before the residual check: (ST)^3 from two r x r products, compared with cS^2.
 It oracles _matrix._st_cubed_is.
 
+dot_projectively_unitary, dot_check_balancing, dot_check_twist_equation,
+dot_st_cubed_is, matmul_square_is_identity and dot_verlinde_fusion are the
+exact identities as they stood before they were decided from residues at
+primes ell = 1 mod n: each entry one exact dot (one matmul for a^2 = Id),
+canonicalised and compared with 0, and the Verlinde tensor from one dot per
+N_ij^k.  They oracle modular_data._projectively_unitary, check_balancing,
+check_twist_equation, verlinde_fusion and _matrix._st_cubed_is and
+_square_is_identity.
+
 product_twists is the lift's t as it stood when ModularRep stored it as
 values: t_i = mu theta_i for mu = zeta_12^a / zeta by Cyclotomic products,
 zeta the anomaly's sixth root, and the level as the lcm of the orders that
@@ -96,6 +105,8 @@ from moddata.cyclotomic import (
     _within_cap,
     cyclotomic_polynomial,
     divisors,
+    ONE,
+    ZERO,
     dot,
     euler_phi,
     factorize,
@@ -104,7 +115,15 @@ from moddata.cyclotomic import (
     zeta,
 )
 from moddata.galois import compose
-from moddata.modular_data import FusionRules, ModularDatum, Verdict, derived_scalars
+from moddata.modular_data import (
+    DegenerateSError,
+    FusionRules,
+    ModularDatum,
+    NotFusionIntegral,
+    Verdict,
+    _exact_tensor,
+    derived_scalars,
+)
 from moddata.sl2z_reps import SignedPermutation
 
 PRINTED_TABLE_PI_FRACTIONS = {
@@ -832,3 +851,70 @@ def root_pair_class(m, ea, n, eb):
                     members.update(((u, v), (v, u)))
         table.update(dict.fromkeys(members, (order, min(members))))
     return table[x, y]
+
+
+def dot_projectively_unitary(datum: ModularDatum, d2: Cyclotomic) -> bool:
+    """S conj(S)^t == D^2 Id, one dot of the difference per entry (i, j), i <= j."""
+    conj_rows = [[v.conjugate() for v in row] for row in datum.S]
+    for i, row in enumerate(datum.S):
+        for j in range(i, datum.rank):
+            pairs = zip(row, conj_rows[j])
+            if dot(((-d2, ONE), *pairs) if i == j else pairs):
+                return False
+    return True
+
+
+def dot_check_balancing(datum: ModularDatum, fusion: FusionRules) -> Verdict:
+    """theta_i theta_j S_ij == sum_k N_{i* j}^k d_k theta_k, one dot per (i, j)."""
+    r, N, exps = datum.rank, datum.torder, datum.t_exponents
+    terms = [-(d * th) for d, th in zip(datum.dims, datum.thetas)]
+    for i in range(r):
+        plane = fusion.tensor[fusion.dual[i]]
+        for j in range(r):
+            pairs = [(zeta(N, exps[i] + exps[j]), datum.S[i][j])]
+            for k, m in enumerate(plane[j]):
+                pairs.extend([(terms[k], ONE)] * m)
+            if dot(pairs):
+                return Verdict(False, (i, j), "balancing equation fails")
+    return Verdict(True)
+
+
+def dot_check_twist_equation(datum: ModularDatum) -> Verdict:
+    """The first nonzero (j, k), j <= k, of the exact residual of (ST)^3 = p+ S^2."""
+    res = mat._st_residual(datum.S, datum.thetas, derived_scalars(datum).gauss_plus)
+    for j, row in enumerate(res):
+        for k in range(j, datum.rank):
+            if row[k]:
+                return Verdict(False, (j, k), "twist equation fails")
+    return Verdict(True)
+
+
+def dot_st_cubed_is(s, t, c) -> bool:
+    """(ST)^3 == cS^2: the exact residual R is 0, or else SR is."""
+    res = mat._st_residual(s, t, c)
+    return not any(map(any, res)) or not any(map(any, mat.matmul(s, res)))
+
+
+def matmul_square_is_identity(a) -> bool:
+    return mat._identity_multiple(mat.matmul(a, a)) == ONE
+
+
+def dot_verlinde_fusion(datum: ModularDatum) -> FusionRules:
+    """verlinde_fusion with the tensor from one exact dot per N_ij^k."""
+    r = datum.rank
+    ds = derived_scalars(datum)
+    if any(not d for d in ds.dims):
+        raise DegenerateSError("vanishing entry in the first row of S")
+    if not dot_projectively_unitary(datum, ds.global_dim_sq):
+        raise DegenerateSError("S * conj(S)^t != D^2 * Id")
+    tensor = _exact_tensor(datum, ds)
+    dual = []
+    for i in range(r):
+        hits = [k for k in range(r) if tensor[i][k][0] == 1]
+        if len(hits) != 1 or any(tensor[i][k][0] not in (0, 1) for k in range(r)):
+            raise NotFusionIntegral(i, 0, 0, ZERO)
+        dual.append(hits[0])
+    dual = tuple(dual)
+    if dual[0] != 0 or any(dual[dual[i]] != i for i in range(r)):
+        raise NotFusionIntegral(0, 0, 0, ZERO)
+    return FusionRules(r, tuple(tuple(map(tuple, plane)) for plane in tensor), dual)

@@ -328,6 +328,13 @@ MALFORMED = {
     "coeff_bool": (lambda d: _with_entry(d, 1, 2, _entry(5, {"1": True})), (2, 2, 2, 2)),
     # exponent keys are plain digits: int() would read "1_0" as 10
     "exponent_key_underscore": (lambda d: _with_entry(d, 1, 2, _entry(5, {"1_0": "1"})), (2, 2, 2, 2)),
+    # coefficients are ASCII "p" or "p/q": Fraction() would read these as 10,
+    # 1000, 1 (an Arabic-Indic digit), 1/2 and 1
+    "coeff_underscore": (lambda d: _with_entry(d, 1, 2, _entry(5, {"1": "1_0"})), (2, 2, 2, 2)),
+    "coeff_exponent": (lambda d: _with_entry(d, 1, 2, _entry(5, {"1": "1e3"})), (2, 2, 2, 2)),
+    "coeff_arabic_indic": (lambda d: _with_entry(d, 1, 2, _entry(5, {"1": "\u0661"})), (2, 2, 2, 2)),
+    "coeff_spaces": (lambda d: _with_entry(d, 1, 2, _entry(5, {"1": " 1/2 "})), (2, 2, 2, 2)),
+    "coeff_newline": (lambda d: _with_entry(d, 1, 2, _entry(5, {"1": "1\n"})), (2, 2, 2, 2)),
 }
 
 

@@ -31,8 +31,18 @@ from moddata.cyclotomic import (
 )
 from moddata import cyclotomic as cy
 from moddata.cyclotomic import _descend, _order_info, _reduce_exponents, _twisted_sum
-from moddata.modular_data import check_admissible, derived_scalars, load, verlinde_fusion
+from moddata.modular_data import (
+    FusionComputationError,
+    check_admissible,
+    derived_scalars,
+    load,
+    verlinde_fusion,
+)
 from _oracles import (
+    dot_check_balancing,
+    dot_check_twist_equation,
+    dot_projectively_unitary,
+    dot_verlinde_fusion,
     embedding_canonical,
     fraction_dot,
     fraction_galois,
@@ -371,6 +381,8 @@ class TestDescent:
             assert cy._canonical(n, dict(nums), den) == embedding_canonical(n, nums, den)
 
     def test_canonical_matches_embedding_descent_while_checking(self, monkeypatch, data_dir):
+        """Every value canonicalised by check, and by the exact forms of the
+        identities it decides from residues."""
         calls = []
         real = cy._canonical
 
@@ -382,7 +394,14 @@ class TestDescent:
         derived_scalars.cache_clear()
         verlinde_fusion.cache_clear()
         for path in [*sorted(data_dir.glob("*.json")), *sorted(GOLDEN_REPORT_DATA.glob("*.json"))]:
-            check_admissible(load(path))
+            datum = load(path)
+            check_admissible(datum)
+            dot_projectively_unitary(datum, derived_scalars(datum).global_dim_sq)
+            dot_check_twist_equation(datum)
+            try:
+                dot_check_balancing(datum, dot_verlinde_fusion(datum))
+            except FusionComputationError:
+                pass
         monkeypatch.undo()
         assert len(calls) > 10_000
         for n, nums, den in calls:
@@ -715,6 +734,35 @@ class TestOrderTables:
             with cy._poly_lock:
                 cy._phi_cache.clear()
                 cy._phi_cache.update(saved)
+
+    def test_is_prime_against_a_sieve(self):
+        phi, _ = _sieve_phi_and_primes(10**5)
+        assert [n for n in range(10**5 + 1) if is_prime(n)] == [
+            n for n in range(2, 10**5 + 1) if phi[n] == n - 1
+        ]
+
+    def test_is_prime_past_the_sieve(self):
+        # strong pseudoprimes to the bases 2..23 and 2..37: a base past them
+        # finds each one composite
+        assert not is_prime(3825123056546413051)
+        assert not is_prime(318665857834031151167461)
+        assert not is_prime(cy._MR_LIMIT - 2 * 3 * 5)
+        assert is_prime(2**31 - 1) and is_prime(2**61 - 1) and not is_prime(2**67 - 1)
+        # above the Miller-Rabin range, trial division
+        assert cy._MR_LIMIT < 3**52 < 2**83
+        assert not is_prime(3**52) and not is_prime(2**83)
+
+    def test_embeddings_descend_from_2_62(self):
+        for n in (1, 4, 5, 11, 24, 120):
+            previous = 1 << 62
+            for i in range(3):
+                ell, powers = cy._embedding(n, i)
+                assert ell < previous and ell % n == 1 % n and is_prime(ell)
+                assert all(is_prime(m) is False for m in range(ell + n, previous, n))
+                g = powers[1] if n > 1 else 1
+                assert len(powers) == n and powers[0] == 1 and pow(g, n, ell) == 1
+                assert all(pow(g, n // q, ell) != 1 for q in factorize(n))
+                previous = ell
 
     def test_polynomials_from_the_reduction_rows(self):
         # prod_{d | n} Phi_d(x) = x^n - 1

@@ -354,8 +354,9 @@ class TestUnitarityOnce:
         assert [(c.ok, c.witness) for c in report.conditions] == expected
         assert len(unitarity_calls) == 1
 
-    def test_verlinde_conjugates_each_entry_once(self, monkeypatch, unitarity_calls, catalog_rank5):
-        # the unitarity test hands its rows of conj(S) on to the fusion rules
+    def test_verlinde_conjugates_no_entry(self, monkeypatch, unitarity_calls, catalog_rank5):
+        # unitarity and the tensor take conj(S) from residues at 1/g; only
+        # the exact loop, run when the residue candidate fails, conjugates
         conjugated = []
         real = Cyclotomic.conjugate
 
@@ -367,7 +368,7 @@ class TestUnitarityOnce:
         for _, datum in catalog_rank5:
             conjugated.clear()
             verlinde_fusion(datum)
-            assert len(conjugated) == datum.rank**2
+            assert conjugated == []
 
     def test_verlinde_alone_still_refuses(self, su2_9):
         with pytest.raises(DegenerateSError, match=r"^S \* conj\(S\)\^t != D\^2 \* Id$"):

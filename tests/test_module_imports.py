@@ -1,4 +1,5 @@
-"""Imports in src/moddata stay at module top.
+"""Imports in src/moddata stay at module top, and none is `random` or
+`secrets`: no verdict rests on a random choice.
 
 The only imports inside function bodies are the two that break the
 modular_data <-> galois / field_theory import cycle; `if TYPE_CHECKING:`
@@ -53,3 +54,16 @@ def test_only_the_cycle_imports_are_function_local():
         visitor.visit(ast.parse(path.read_text(), str(path)))
         found |= visitor.found
     assert found == CYCLE_IMPORTS
+
+
+def test_no_module_imports_a_source_of_randomness():
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):  # from random import ..., from x import random
+                imported.add((path.name, (node.module or "").split(".")[0]))
+                imported |= {(path.name, alias.name) for alias in node.names}
+    assert imported  # the walk saw the imports
+    assert {(f, m) for f, m in imported if m in ("random", "secrets")} == set()
