@@ -687,8 +687,21 @@ ONE = Cyclotomic(1, {0: 1})
 
 
 def sum_cyclotomics(values: Iterable[Cyclotomic]) -> Cyclotomic:
-    """Sum with a single canonicalization pass (hot-loop accumulator)."""
-    return _twisted_sum(1, ((0, v) for v in values), 0)
+    """Sum with a single canonicalization pass (hot-loop accumulator): every
+    value is re-expressed at the lcm order and the sum is canonicalized once."""
+    terms = [x for x in values if x._nums]
+    if len(terms) < 2:
+        return terms[0] if terms else ZERO
+    m = lcm(*(x.order for x in terms))
+    _check_order(m)
+    den = lcm(*(x._den for x in terms))
+    nums: dict[int, int] = {}
+    for x in terms:
+        f, scale = den // x._den, m // x.order
+        for e, c in x._nums.items():
+            e *= scale
+            nums[e] = nums.get(e, 0) + c * f
+    return Cyclotomic._raw(*_canonical(m, nums, den))
 
 
 def dot(pairs: Iterable[tuple[Scalar, Scalar]]) -> Cyclotomic:
@@ -717,30 +730,6 @@ def dot(pairs: Iterable[tuple[Scalar, Scalar]]) -> Cyclotomic:
                 e = e1 + e2
                 prod[e] = prod.get(e, 0) + c1 * c2
     return Cyclotomic._raw(*_canonical(n, prod, den))
-
-
-def _twisted_sum(
-    n: int, terms: Iterable[tuple[int, Cyclotomic]], shift: int
-) -> Cyclotomic:
-    """sum(x * zeta_n^(shift * s) for s, x in terms): every x is re-expressed
-    at the lcm order, the root of unity becomes an exponent shift there, and
-    the sum is canonicalized once."""
-    terms = [(s, x) for s, x in terms if x._nums]
-    if not terms:
-        return ZERO
-    if len(terms) == 1 and terms[0][0] * shift % n == 0:
-        return terms[0][1]
-    m = lcm(n, *(x.order for _, x in terms))
-    _check_order(m)
-    den = lcm(*(x._den for _, x in terms))
-    step = shift * (m // n)
-    nums: dict[int, int] = {}
-    for s, x in terms:
-        f, scale, offset = den // x._den, m // x.order, s * step
-        for e, c in x._nums.items():
-            e = e * scale + offset
-            nums[e] = nums.get(e, 0) + c * f
-    return Cyclotomic._raw(*_canonical(m, nums, den))
 
 
 def _norm_cofactor(x: Cyclotomic) -> Cyclotomic:

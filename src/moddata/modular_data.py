@@ -10,17 +10,20 @@ from itertools import product
 from math import gcd, lcm
 from operator import mul
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from . import _matrix as mat
 from .cyclotomic import (
     Cyclotomic,
     ONE,
     ZERO,
+    _canonical,
+    _check_order,
     _embedding,
     _norm_cofactor,
+    _numerators_at,
+    _reduce_exponents,
     _residue,
-    _twisted_sum,
     dot,
     factorize,
     sum_cyclotomics,
@@ -499,34 +502,44 @@ def check_twist_equation(datum: ModularDatum) -> Verdict:
     return Verdict(True) if witness is None else Verdict(False, witness, "twist equation fails")
 
 
-def _fs_table(datum: ModularDatum, fusion: FusionRules) -> list[dict[int, Cyclotomic]]:
-    """Per k, the map delta -> D^-2 c_k[delta] with c_k[delta] the sum of
-    N_ij^k d_i d_j over a_i - a_j = delta mod N (Ng-Schauenburg), so that
-    nu_n(k) = sum_delta D^-2 c_k[delta] zeta_N^(n delta) for every n."""
-    N, r = datum.torder, datum.rank
-    exps = datum.t_exponents
-    dims = datum.dims
+def _fs_numerators(datum: ModularDatum, fusion: FusionRules) -> tuple[int, int, Callable, list]:
+    """(L, den, nu, dims): nu(n, k) and dims[k] are the numerators of den nu_n(k)
+    and of den d_k on the power basis of Q_L, an integral basis, for L = lcm(ord(T),
+    the conductors of each d_i and of D^-2).  nu_n(k) sums D^-2 N_ij^k d_i d_j
+    (theta_i / theta_j)^n over i, j (Ng-Schauenburg); each theta_i is a power of zeta_L."""
+    N, r, exps, dims = datum.torder, datum.rank, datum.t_exponents, datum.dims
     d2_inv = derived_scalars(datum).global_dim_sq.inverse()
-    scaled = [d * d2_inv for d in dims]
-    table = []
-    for k in range(r):
-        groups: dict[int, list] = {}
-        for i in range(r):
-            for j in range(r):
-                m = fusion.n(i, j, k)
-                if m:
-                    # m copies of the product D^-2 d_i d_j
-                    pairs = groups.setdefault((exps[i] - exps[j]) % N, [])
-                    pairs.extend([(scaled[i], dims[j])] * m)
-        table.append({delta: dot(pairs) for delta, pairs in groups.items()})
-    return table
+    L = lcm(datum.ord_t, d2_inv.order, *(d.order for d in dims))
+    _check_order(L)
+    left, right = ([_numerators_at(x, L) for x in xs] for xs in ([d * d2_inv for d in dims], dims))
+    lden, rden = lcm(*(q for _, q in left)), lcm(*(q for _, q in right))
+    rows: list[dict[int, dict]] = [{} for _ in range(r)]  # rows[k][delta L / N]
+    for i, j, k in product(range(r), repeat=3):
+        if fusion.tensor[i][j][k]:  # N_ij^k copies of lden rden D^-2 d_i d_j
+            (a, p), (b, q) = left[i], right[j]
+            f = fusion.tensor[i][j][k] * (lden // p) * (rden // q)
+            acc = rows[k].setdefault((exps[i] - exps[j]) % N * L // N, {})
+            for (e1, c1), (e2, c2) in product(a.items(), b.items()):
+                acc[e1 + e2] = acc.get(e1 + e2, 0) + f * c1 * c2
+    rows = [[(s, _reduce_exponents(L, acc)) for s, acc in row.items()] for row in rows]
+
+    def nu(n: int, k: int) -> dict[int, int]:
+        raw: dict[int, int] = {}
+        for s, nums in rows[k]:
+            for e, c in nums.items():
+                e += n * s % L
+                raw[e] = raw.get(e, 0) + c
+        return _reduce_exponents(L, raw)
+
+    return L, lden * rden, nu, [{e: c * lden * (rden // q) for e, c in p.items()} for p, q in right]
 
 
-def fs_indicator(
-    datum: ModularDatum, fusion: FusionRules, n: int, k: int
-) -> Cyclotomic:
+def fs_indicator(datum: ModularDatum, fusion: FusionRules, n: int, k: int) -> Cyclotomic:
     """Frobenius-Schur indicator nu_n(k), exact."""
-    return _twisted_sum(datum.torder, _fs_table(datum, fusion)[k].items(), n)
+    if not 0 <= k < datum.rank:
+        raise ValueError(f"label {k} is not in 0..{datum.rank - 1}")
+    L, den, nu, _ = _fs_numerators(datum, fusion)
+    return Cyclotomic._raw(*_canonical(L, nu(n, k), den))
 
 
 def fs_exponent(datum: ModularDatum, fusion: FusionRules) -> int:
@@ -535,16 +548,11 @@ def fs_exponent(datum: ModularDatum, fusion: FusionRules) -> int:
     (theta_i / theta_j)^n is ord(T)-periodic in n, so scanning n = 1..ord(T)
     is exhaustive; the spec cap of 12 * ord(T) is therefore never reached.
     """
-    dims = datum.dims
-    table = _fs_table(datum, fusion)
+    nu, dims = _fs_numerators(datum, fusion)[2:]
     for n in range(1, datum.ord_t + 1):
-        if all(
-            _twisted_sum(datum.torder, row.items(), n) == d for row, d in zip(table, dims)
-        ):
+        if all(nu(n, k) == d for k, d in enumerate(dims)):
             return n
-    raise FSExponentNotFound(
-        f"no Frobenius-Schur exponent up to ord(T) = {datum.ord_t}"
-    )
+    raise FSExponentNotFound(f"no Frobenius-Schur exponent up to ord(T) = {datum.ord_t}")
 
 
 # ---------------------------------------------------------------------------
@@ -635,22 +643,25 @@ def _gauss_sum_relations(datum: ModularDatum, ds: DerivedScalars) -> str:
 
 
 def _fs_indicators(datum: ModularDatum, fusion: Optional[FusionRules]) -> str:
-    # (v) Frobenius-Schur indicators
+    # (v) Frobenius-Schur indicators, decided on integer numerators
     if fusion is None:
         return "no fusion"
     N = datum.ord_t
-    table = _fs_table(datum, fusion)
-    for k, row in enumerate(table):
-        nu2 = _twisted_sum(datum.torder, row.items(), 2)
-        if fusion.dual[k] == k:
-            if nu2 != ONE and nu2 != -ONE:
-                return f"nu_2({k}) = {nu2} not +-1 on self-dual"
-        elif nu2:
+    L, den, nu, _ = _fs_numerators(datum, fusion)
+    for k in range(datum.rank):
+        nu2 = nu(2, k)
+        if fusion.dual[k] == k and nu2 not in ({0: den}, {0: -den}):
+            return f"nu_2({k}) = {Cyclotomic._raw(*_canonical(L, nu2, den))} not +-1 on self-dual"
+        if fusion.dual[k] != k and nu2:
             return f"nu_2({k}) != 0 on non-self-dual"
-    for n in range(1, N + 1):
-        for k, row in enumerate(table):
-            nu = _twisted_sum(datum.torder, row.items(), n)
-            if not nu.is_algebraic_integer or N % nu.order != 0:
+    # nu_n = nu_(N-n) because the Verlinde tensor that check_admissible passes
+    # in has N_ij^k = N_ji^k, so n = 1..N/2 and then N meet the first failing
+    # (n, k) of n = 1..N.  nu_n(k) lies in Z[zeta_N] iff den divides its
+    # numerators and its conductor divides N.
+    for n in [*range(1, N // 2 + 1), N]:
+        for k in range(datum.rank):
+            nums = nu(n, k)
+            if any(c % den for c in nums.values()) or (L != N and N % _canonical(L, nums, den)[0]):
                 return f"nu_{n}({k}) not in Z[zeta_{N}]"
     return ""
 

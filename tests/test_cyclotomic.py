@@ -30,7 +30,7 @@ from moddata.cyclotomic import (
     zeta,
 )
 from moddata import cyclotomic as cy
-from moddata.cyclotomic import _descend, _order_info, _reduce_exponents, _twisted_sum
+from moddata.cyclotomic import _descend, _order_info, _reduce_exponents
 from moddata.modular_data import (
     FusionComputationError,
     check_admissible,
@@ -794,16 +794,14 @@ def _assert_matches_oracle(got, expected):
     assert got.to_json() == fraction_json(expected)
 
 
-def _check_core_against_oracle(values, n, shift, ks):
-    """dot, _twisted_sum and galois on values against the Fraction-dict core."""
+def _check_core_against_oracle(values, ks):
+    """dot, sum_cyclotomics and galois on values against the Fraction-dict core."""
     pairs = list(zip(values, reversed(values)))
     fpairs = [(fraction_value(a), fraction_value(b)) for a, b in pairs]
     _assert_matches_oracle(_outcome(dot, pairs), _outcome(fraction_dot, fpairs))
-    terms = list(enumerate(values))
-    fterms = [(s, fraction_value(x)) for s, x in terms]
+    fterms = [(0, fraction_value(x)) for x in values]
     _assert_matches_oracle(
-        _outcome(_twisted_sum, n, terms, shift),
-        _outcome(fraction_twisted_sum, n, fterms, shift),
+        _outcome(sum_cyclotomics, values), _outcome(fraction_twisted_sum, 1, fterms, 0)
     )
     for x in values:
         for k in ks:
@@ -830,10 +828,9 @@ class TestIntegerCoreAgainstFractionOracle:
             Cyclotomic(24, {5: Fraction(-6, 7)}),
         ]
         for i in range(len(values)):
-            for n, shift in ((1, 0), (3, 1), (8, 3), (12, 5)):
-                _check_core_against_oracle(values[i:] + values[:i], n, shift, (1, 2, 5, 7, -1))
-        _check_core_against_oracle([r2, r2], 1, 0, (3,))
-        _check_core_against_oracle([zeta(3), zeta(3, 2)], 3, 1, (2,))
+            _check_core_against_oracle(values[i:] + values[:i], (1, 2, 5, 7, -1))
+        _check_core_against_oracle([r2, r2], (3,))
+        _check_core_against_oracle([zeta(3), zeta(3, 2)], (2,))
 
     def test_random_cases(self):
         rng = random.Random(SEED + 29)
@@ -842,9 +839,8 @@ class TestIntegerCoreAgainstFractionOracle:
                 random_element(rng, rng.choice(ORACLE_ORDERS), terms=rng.randint(0, 4))
                 for _ in range(rng.randint(1, 4))
             ]
-            n = rng.choice(ORACLE_ORDERS)
             ks = [rng.randrange(1, 60) for _ in range(3)]
-            _check_core_against_oracle(values, n, rng.randrange(n), ks)
+            _check_core_against_oracle(values, ks)
 
     def test_past_the_order_cap(self):
         rng = random.Random(SEED + 31)
@@ -856,11 +852,11 @@ class TestIntegerCoreAgainstFractionOracle:
                     random_element(rng, rng.choice([1, 3, 4, 5, 7, 8, 9, 12]), terms=2)
                     for _ in range(rng.randint(1, 3))
                 ]
-                _check_core_against_oracle(values, rng.choice([1, 5, 7]), 1, (2, 3))
+                _check_core_against_oracle(values, (2, 3))
             # the lcm order 35 is over the cap; each product is rational
-            _check_core_against_oracle([zeta(5), zeta(7), zeta(7, 6), zeta(5, 4)], 1, 0, ())
+            _check_core_against_oracle([zeta(5), zeta(7), zeta(7, 6), zeta(5, 4)], ())
             with pytest.raises(InvalidOrderError):
-                _twisted_sum(1, [(0, zeta(5)), (0, zeta(7))], 0)
+                sum_cyclotomics([zeta(5), zeta(7)])
         finally:
             set_order_cap(cap)
 
@@ -879,12 +875,10 @@ class TestIntegerCoreAgainstFractionOracle:
         @hypothesis.settings(max_examples=80, deadline=None)
         @hypothesis.given(
             st.lists(element(), min_size=1, max_size=4),
-            st.sampled_from(ORACLE_ORDERS),
-            st.integers(0, 23),
             st.integers(1, 59),
         )
-        def check(values, n, shift, k):
-            _check_core_against_oracle(values, n, shift, (k,))
+        def check(values, k):
+            _check_core_against_oracle(values, (k,))
 
         check()
 
@@ -965,7 +959,7 @@ class TestFractionFreeHotPath:
         _CountingFraction.made = 0
         for a, b in zip(values, values[1:] + values[:1]):
             dot([(a, b), (b, a), (a, a)])
-            _twisted_sum(24, [(1, a), (5, b)], 7)
+            sum_cyclotomics([a, b, a])
             assert a + b == b + a and a * b == b * a
             assert (a == b) == (a - b == ZERO)
             assert a.galois(-1).galois(-1) == a and a.galois(13).galois(37) == a
