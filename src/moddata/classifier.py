@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import permutations, product
 from math import gcd, isqrt, lcm
-from typing import Callable, Collection, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .catalog import (
     pointed_zn,
@@ -18,6 +18,7 @@ from .catalog import (
 from .cyclotomic import Cyclotomic, ONE, ZERO, _numerators_at, _reduce_exponents, is_prime, zeta
 from .field_theory import cauchy_prime_support
 from .galois import (
+    _closure,
     compose,
     compute_profile,
     exclusion_predicates,
@@ -45,20 +46,6 @@ class TooLargeError(ValueError):
 
 # ---------------------------------------------------------------------------
 # rank-5 Galois cases
-
-
-def _closure(seed: Hashable, step: Callable, gens: Collection) -> frozenset:
-    """Everything seed reaches by repeated steps x -> step(x, g), g in gens."""
-    reached = {seed}
-    frontier = [seed]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = step(cur, g)
-            if nxt not in reached:
-                reached.add(nxt)
-                frontier.append(nxt)
-    return frozenset(reached)
 
 
 def rank5_galois_cases() -> list[frozenset[Perm]]:

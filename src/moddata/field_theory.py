@@ -17,9 +17,16 @@ from .cyclotomic import (
     units_mod,
 )
 from .modular_data import ModularDatum, Record, Verdict, derived_scalars, norm_prime_support
-from .modular_data import _fixer_of_order_above_2
 
 FERMAT_PRIMES = (3, 5, 17, 257, 65537)
+
+
+def _fixer_of_order_above_2(n: int, values: list[Cyclotomic]) -> Optional[int]:
+    """The first unit k mod n, k^2 != 1, whose sigma_k fixes every value."""
+    for k in units_mod(n):
+        if (k * k) % n != 1 % n and all(v.galois(k) == v for v in values):
+            return k
+    return None
 
 
 class BadLevelError(ValueError):

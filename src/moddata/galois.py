@@ -4,9 +4,18 @@ functions eps_sigma, orbits, and the structural exclusion predicates."""
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Hashable, Iterable, Optional, Sequence
 
-from .cyclotomic import Cyclotomic, NotAUnitError, real_sign, units_mod
+from . import _matrix as mat
+from .cyclotomic import (
+    Cyclotomic,
+    NotAUnitError,
+    _embedding,
+    _residue,
+    _within_cap,
+    real_sign,
+    units_mod,
+)
 from .modular_data import ModularDatum, Record, Verdict, derived_scalars
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -27,6 +36,20 @@ Perm = tuple[int, ...]
 def compose(a: Perm, b: Perm) -> Perm:
     """a then b: i -> b[a[i]]."""
     return tuple(b[a[i]] for i in range(len(a)))
+
+
+def _closure(seed: Hashable, step: Callable, gens: Collection) -> frozenset:
+    """Everything seed reaches by repeated steps x -> step(x, g), g in gens."""
+    reached = {seed}
+    frontier = [seed]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = step(cur, g)
+            if nxt not in reached:
+                reached.add(nxt)
+                frontier.append(nxt)
+    return frozenset(reached)
 
 
 def cycle_type(perm: Perm) -> list[list[int]]:
@@ -145,9 +168,11 @@ def compute_profile(
     table, whose columns are those of S.
     """
     cond = datum.s_field_conductor
-    table = _CharacterTable(_characters(datum.S)) if rep is None else _rep_table(rep)
     units = tuple(units_mod(cond))
-    perms = {k: table.perm(k) for k in units}
+    perms = _residue_perms(datum.S, cond, units) if rep is None else None
+    if perms is None:
+        table = _CharacterTable(_characters(datum.S)) if rep is None else _rep_table(rep)
+        perms = {k: table.perm(k) for k in units}
     edges = (edge for perm in perms.values() for edge in enumerate(perm))
     orbits = _components(datum.rank, edges)
     signs: dict[int, tuple[int, ...]] = {}
@@ -157,6 +182,79 @@ def compute_profile(
             k_ext = _extend_unit(k, cond, modulus)
             signs[k] = sign_function(rep, k_ext)
     return GaloisProfile(cond, units, perms, orbits, signs)
+
+
+def _residue_perms(
+    S: mat.Matrix, cond: int, units: Sequence[int]
+) -> Optional[dict[int, Perm]]:
+    """h_sigma for every unit mod cond, the conductor of S, with no canonical
+    character value; None when a step fails, and the caller then matches
+    every unit exactly, so that its NotGaloisStable names the first fault.
+
+    S_ia / S_0a is read mod one prime ell of _embedding(cond, i), and
+    sigma_k(x) at zeta -> g is x at zeta -> g^k: the same residues with the
+    powers table permuted by k.  Distinct residue columns prove the columns
+    distinct.  h is then matched only on generators of (Z/cond)^x, each
+    match certified by sigma_k(S_ia) S_0b = S_ib sigma_k(S_0a) for all i,
+    and extended by h_kl = h_k h_l, a homomorphism as the columns are
+    distinct.  None at a zero S_0a or a zero residue of one, a residue
+    collision, an unmatched or uncertified generator, or a conductor past
+    the order cap."""
+    r = len(S)
+    flat = [v for row in S for v in row]
+    if not all(S[0]) or not _within_cap(cond):
+        return None
+    den, i = lcm(*(v._den for v in flat)), 0
+    while den % _embedding(cond, i)[0] == 0:  # zeta -> g is not defined on S
+        i += 1
+    ell, powers = _embedding(cond, i)
+
+    tables: dict[tuple[int, int], list[list[int]]] = {}
+
+    def residues(emb, k):
+        """Residues of sigma_k(S) at emb, kept for the certificate's first prime."""
+        table = tables.get((emb[0], k))
+        if table is None:
+            permuted = (emb[0], tuple(emb[1][e * k % cond] for e in range(cond)))
+            table = tables[emb[0], k] = [[_residue(v, cond, permuted) for v in row] for row in S]
+        return table
+
+    def columns(k):
+        res = residues((ell, powers), k)
+        inverses = [pow(x, -1, ell) for x in res[0]]  # ValueError at a zero
+        return [tuple(row[a] * inv % ell for row in res) for a, inv in enumerate(inverses)]
+
+    gens: list[int] = []
+    reached = {1}
+    for k in units:  # a generating set of (Z/cond)^x, in the order of the units
+        if k not in reached:
+            gens.append(k)
+            reached = _closure(1, lambda x, g: x * g % cond, gens)
+    try:
+        index = {col: a for a, col in enumerate(columns(1))}
+        if len(index) < r:
+            return None
+        matched = {k: tuple(map(index.__getitem__, columns(k))) for k in gens}
+    except (ValueError, KeyError):  # a zero residue, or an unmatched column
+        return None
+
+    def entries(n, emb):
+        res = residues(emb, 1)
+        for k, perm in matched.items():
+            image = residues(emb, k)
+            for a, b in enumerate(perm):
+                for i in range(r):
+                    yield image[i][a] * res[0][b] - res[i][b] * image[0][a]
+
+    size = mat._size(flat)
+    if mat._first_nonzero(flat, mat._l1_bound((1, size, size), (1, size, size)), entries) is not None:
+        return None
+    perms = dict(_closure(
+        (1, tuple(range(r))),
+        lambda x, g: (x[0] * g[0] % cond, compose(x[1], g[1])),
+        matched.items(),
+    ))
+    return {k: perms[k] for k in units}
 
 
 def _components(

@@ -247,14 +247,31 @@ class ModularDatum(Record):
             rank = _json_int(data["rank"], "rank")
             torder = _json_int(data["torder"], "torder")
             exps = tuple(_json_int(a, "t_exponents") for a in data["t_exponents"])
-            S = tuple(
-                tuple(Cyclotomic.from_json(v) for v in row) for row in data["S"]
-            )
+            parsed: dict = {}
+            S = tuple(tuple(_parse_once(v, parsed) for v in row) for row in data["S"])
         except SchemaViolation:
             raise
         except Exception as exc:
             raise SchemaViolation(str(exc), "datum") from exc
         return cls(rank, torder, exps, S)
+
+
+def _parse_once(entry, parsed: dict) -> Cyclotomic:
+    """Cyclotomic.from_json(entry), parsed once per distinct entry in parsed.
+
+    The key holds JSON-exact types only: "order": true or 1.0 would hash as
+    1 and take a parsed value.  An entry with no such key goes to
+    Cyclotomic.from_json, which names its fault."""
+    try:
+        key = entry["order"], tuple(entry["coeffs"].items())
+        value = parsed.get(key) if type(key[0]) is int else None
+    except (TypeError, KeyError, AttributeError):  # not a dict, or unhashable
+        key = value = None
+    if value is None:
+        value = Cyclotomic.from_json(entry)
+        if key is not None:
+            parsed[key] = value
+    return value
 
 
 def _json_int(value, field: str) -> int:
@@ -599,14 +616,6 @@ def norm_prime_support(x: Cyclotomic) -> frozenset[int]:
     return rational_prime_support((x * _norm_cofactor(x)).as_rational())
 
 
-def _fixer_of_order_above_2(n: int, values: list[Cyclotomic]) -> Optional[int]:
-    """The first unit k mod n, k^2 != 1, whose sigma_k fixes every value."""
-    for k in units_mod(n):
-        if (k * k) % n != 1 % n and all(v.galois(k) == v for v in values):
-            return k
-    return None
-
-
 _CONDITION_NAMES = (
     "reality and unitarity", "Gauss sum relations", "Verlinde integrality",
     "balancing equation", "FS indicators", "Galois field structure", "Cauchy condition",
@@ -683,8 +692,11 @@ def _galois_field_structure(datum: ModularDatum) -> tuple[str, Optional[GaloisPr
     # others), so sigma_k sigma_l = sigma_kl gives h_kl = h_k h_l, and
     # (Z/c)^x is abelian.  A sigma with h_sigma = id fixes S: S is symmetric
     # with S_00 = 1, so column 0 is (S_i0) = (d_i), and sigma fixes every
-    # d_a and every S_ia / d_a, hence every S_ia.
-    k = _fixer_of_order_above_2(N, [v for row in datum.S for v in row])
+    # d_a and every S_ia / d_a, hence every S_ia.  Conversely a sigma that
+    # fixes S fixes every column, so Gal(F_T/F_S) is read off the profile.
+    identity = tuple(range(datum.rank))
+    fixing = {k % cond_s for k, perm in profile.perms.items() if perm == identity}
+    k = next((k for k in units_mod(N) if k * k % N != 1 % N and k % cond_s in fixing), None)
     return ("" if k is None else f"Gal(F_T/F_S) has sigma_{k} of order > 2"), profile
 
 

@@ -82,9 +82,14 @@ oracles classifier._pair_class, which keys the class by a formula.
 
 spectra_connectivity, signed_perm_match, orbits_from_perms, generate and
 smooth_residues are the package's graph walks as they stood before they
-shared galois._components and classifier._closure: a DFS over adjacency
+shared galois._components and galois._closure: a DFS over adjacency
 sets of t-eigenvalue labels, a sign DFS that tested every edge before the
 full check, a union-find over permutation cycles, and two BFS closures.
+
+oracle_profile is galois.compute_profile(datum) as it stood before h_sigma
+was read from residues on generators of the units: every character value
+S_ia / S_0a a canonical Cyclotomic, and h_sigma matched exactly for every
+unit mod the conductor.  Its orbits come from orbits_from_perms.
 """
 
 from fractions import Fraction
@@ -114,7 +119,7 @@ from moddata.cyclotomic import (
     units_mod,
     zeta,
 )
-from moddata.galois import compose
+from moddata.galois import _characters, _match_permutation, compose
 from moddata.modular_data import (
     DegenerateSError,
     FusionRules,
@@ -918,3 +923,13 @@ def dot_verlinde_fusion(datum: ModularDatum) -> FusionRules:
     if dual[0] != 0 or any(dual[dual[i]] != i for i in range(r)):
         raise NotFusionIntegral(0, 0, 0, ZERO)
     return FusionRules(r, tuple(tuple(map(tuple, plane)) for plane in tensor), dual)
+
+
+def oracle_profile(datum: ModularDatum):
+    """(units, perms, orbits) of h_sigma over every unit mod the conductor of
+    S, each matched on canonical character values; raises NotGaloisStable
+    as compute_profile does."""
+    cols = _characters(datum.S)
+    units = tuple(units_mod(datum.s_field_conductor))
+    perms = {k: _match_permutation(cols, k) for k in units}
+    return units, perms, orbits_from_perms(datum.rank, perms.values())

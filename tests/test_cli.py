@@ -322,6 +322,10 @@ MALFORMED = {
     "exponent_float": (lambda d: _with(d, t_exponents=[0, 1.0, 4, 4, 1]), (2, 2, 2, 2)),
     "exponent_bool": (lambda d: _with(d, t_exponents=[0, True, 4, 4, 1]), (2, 2, 2, 2)),
     "entry_order_float": (lambda d: _with_entry(d, 1, 2, _entry(5.0, {"1": "1"})), (2, 2, 2, 2)),
+    # the same after an identical valid entry ("order": 1 in row 0), which the
+    # loader parses once: true and 1.0 hash as 1
+    "entry_order_true_after_valid": (lambda d: _with_entry(d, 1, 2, _entry(True, {"0": "1"})), (2, 2, 2, 2)),
+    "entry_order_float_after_valid": (lambda d: _with_entry(d, 1, 2, _entry(1.0, {"0": "1"})), (2, 2, 2, 2)),
     # coefficients are "p/q" strings: Fraction() would read 0.1 as
     # 3602879701896397/36028797018963968 and true as 1
     "coeff_float": (lambda d: _with_entry(d, 1, 2, _entry(5, {"1": 0.1})), (2, 2, 2, 2)),

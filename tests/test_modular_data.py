@@ -99,6 +99,31 @@ class TestSerialization:
         with pytest.raises(SchemaViolation):
             load(path)
 
+    @pytest.mark.parametrize("order", [True, 1.0])
+    def test_inexact_order_after_an_identical_entry_rejected(self, data_dir, order):
+        # row 0 holds valid {"order": 1, "coeffs": {"0": "1"}} entries, which
+        # the loader parses once; True and 1.0 hash as 1 but are refused
+        doc = json.loads((data_dir / "pointed_z5.json").read_text())
+        doc["S"][1][2] = doc["S"][2][1] = {"order": order, "coeffs": {"0": "1"}}
+        message = f"datum: order must be an integer, not {type(order).__name__}"
+        with pytest.raises(SchemaViolation) as exc:
+            ModularDatum.from_json(doc)
+        assert str(exc.value) == message
+
+    def test_identical_entries_load_as_one_object(self, data_dir):
+        datum = load(data_dir / "pointed_z5.json")
+        assert all(v is datum.S[0][0] for v in (*datum.S[0], *(row[0] for row in datum.S)))
+        assert datum.S[1][2] is datum.S[2][1]
+
+    def test_reordered_coefficient_keys_load_as_equal_values(self, data_dir):
+        doc = json.loads((data_dir / "pointed_z5.json").read_text())
+        coeffs = doc["S"][1][3]["coeffs"]
+        assert len(coeffs) > 1
+        doc["S"][3][1] = {"order": doc["S"][1][3]["order"], "coeffs": dict(reversed(coeffs.items()))}
+        datum = ModularDatum.from_json(doc)
+        assert datum.S[3][1] == datum.S[1][3] and datum.S[3][1] is not datum.S[1][3]
+        assert datum == load(data_dir / "pointed_z5.json")
+
     def test_golden_files_match_catalog(self, catalog_rank5, data_dir, tmp_path):
         for name, datum in catalog_rank5:
             golden = data_dir / f"{name}.json"

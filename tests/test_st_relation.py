@@ -10,10 +10,9 @@ import pytest
 from moddata import _matrix as mat
 from moddata.catalog import pointed_zn, rank5_catalog, su2_4_family_all, su2_odd_mod2
 from moddata.cyclotomic import Cyclotomic, ONE, ZERO, units_mod, zeta
-from moddata.field_theory import is_modularly_admissible
+from moddata.field_theory import _fixer_of_order_above_2, is_modularly_admissible
 from moddata.modular_data import (
     ModularDatum,
-    _fixer_of_order_above_2,
     check_admissible,
     derived_scalars,
     load,
