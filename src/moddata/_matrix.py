@@ -1,6 +1,7 @@
-"""Tiny exact linear algebra over Cyclotomic, on tuples of tuples; the one
-way to decide that entries vanish from residues (`_first_nonzero`); and the
-one check of the modular relation (ST)^3 = cS^2 (`_st_cubed_is`)."""
+"""Tiny exact linear algebra over Cyclotomic, on tuples of tuples, and the one
+way to decide a matrix identity, from residues (`_first_nonzero`): a^k = cP
+for a permutation P (`_power_permutation`) and (ST)^3 = cS^2 (`_st_cubed_is`)
+among them.  `matmul` and `mat_pow` serve only the tests and perfbench."""
 
 from __future__ import annotations
 
@@ -54,21 +55,6 @@ def entrywise(a: Matrix, f: Callable[[Cyclotomic], Cyclotomic]) -> Matrix:
 def scale(a: Matrix, s: Scalar) -> Matrix:
     s = Cyclotomic._coerce(s)
     return entrywise(a, lambda v: v * s)
-
-
-def scale_cols(a: Matrix, diag: Sequence[Scalar]) -> Matrix:
-    """a @ diag(d) without materializing the diagonal matrix."""
-    return tuple(
-        tuple(v * Cyclotomic._coerce(d) for v, d in zip(row, diag)) for row in a
-    )
-
-
-def _identity_multiple(m: Matrix) -> Optional[Cyclotomic]:
-    """c with m = c Id, or None."""
-    c = m[0][0]
-    r = len(m)
-    ok = all(m[i][j] == (c if i == j else ZERO) for i in range(r) for j in range(r))
-    return c if ok else None
 
 
 def _size(values: Iterable[Cyclotomic]) -> tuple[int, int]:
@@ -134,76 +120,86 @@ def _first_nonzero(
     return first
 
 
-def _square_is_identity(a: Matrix) -> bool:
-    """a^2 == Id, decided from residues."""
-    size = _size(v for row in a for v in row)
+def _power_permutation(a: Matrix, k: int, c: Cyclotomic) -> Optional[tuple[int, ...]]:
+    """p with a^k = cP, P_ij = [j = p(i)], for k = 2 or 4; None when there is
+    none or c = 0.  p is read off a^k mod ell at the first prime where c is
+    not 0, and the entries (a^k)_ij - c [j = p(i)] are certified 0 (before
+    that prime they are (a^k)_ij, whatever p is)."""
+    r, flat = len(a), [v for row in a for v in row]
+    perm: list[int] = []
 
     def entries(n, emb):
-        rows = [[_residue(v, n, emb) for v in row] for row in a]
-        cols = list(zip(*rows))
-        for i, row in enumerate(rows):
-            nonzero = [(l, x) for l, x in enumerate(row) if x]
-            for j, col in enumerate(cols):
-                yield sum(x * col[l] for l, x in nonzero) - (i == j)
+        ell, power = emb[0], [[_residue(v, n, emb) for v in row] for row in a]
+        for _ in range(k // 2):
+            cols = list(zip(*power))
+            power = [[sum(map(mul, row, col)) % ell for col in cols] for row in power]
+        rc = _residue(c, n, emb)
+        if rc and not perm:
+            perm.extend(row.index(rc) if rc in row else -1 for row in power)
+            if sorted(perm) != list(range(r)):
+                yield 1  # no permutation fits at ell
+                return
+        for i, row in enumerate(power):
+            row[perm[i] if perm else 0] -= rc  # rc = 0 until p is read
+            yield from row
 
-    bound = _l1_bound((len(a), size, size), (1,))
-    return _first_nonzero([v for row in a for v in row], bound, entries) is None
-
-
-def _st_residual(s: Matrix, t: Sequence[Cyclotomic], c: Cyclotomic) -> Matrix:
-    """R = T(ST)^2 - cS for T = diag(t): (ST)^3 - cS^2 = SR for every s.
-
-    R_jk is one dot: sum_l (t_j s_jl t_l) (s_lk t_k) - c s_jk.  R is
-    symmetric when s is (T is diagonal), and then only the entries with
-    j <= k are formed; any other s has every entry formed."""
-    r = len(s)
-    symmetric = all(s[j][k] == s[k][j] for j in range(r) for k in range(j + 1, r))
-    st, minus_c = scale_cols(s, t), -c
-    cols = tuple(zip(*st))
-    res = [[ZERO] * r for _ in range(r)]
-    for j, (tj, st_row, s_row) in enumerate(zip(t, st, s)):
-        tst_row = [tj * x for x in st_row]  # row j of TST
-        for k in range(j if symmetric else 0, r):
-            res[j][k] = dot(((minus_c, s_row[k]), *zip(tst_row, cols[k])))
-            if symmetric:
-                res[k][j] = res[j][k]
-    return tuple(map(tuple, res))
+    bound = _l1_bound((r ** (k - 1), *[_size(flat)] * k), (1, _size([c])))
+    if _first_nonzero([*flat, c], bound, entries) is not None:
+        return None
+    return tuple(perm) or None
 
 
-def _st_first_nonzero(
-    s: Matrix, t: Sequence[Cyclotomic], c: Cyclotomic
-) -> Optional[tuple[int, int]]:
-    """(j, k) of the first entry of R = T(ST)^2 - cS that is not 0, or None
-    when R = 0, decided from residues of R_jk = t_j t_k sum_l t_l s_jl s_lk
-    - c s_jk.  When s is symmetric so is R, and only k >= j is read."""
-    r = len(s)
-    symmetric = all(s[j][k] == s[k][j] for j in range(r) for k in range(j + 1, r))
-    pairs = [(j, k) for j in range(r) for k in range(j if symmetric else 0, r)]
+def _st_residues(s: Matrix, t: Sequence[Cyclotomic], c: Cyclotomic):
+    """R = T(ST)^2 - cS, so that (ST)^3 - cS^2 = SR: the values R is a
+    polynomial in, a bound B >= |sigma(L R_jk)| as _l1_bound gives it, and
+    residues(n, emb, pairs): s mod ell and the list of R_jk = t_j t_k sum_l
+    t_l s_jl s_lk - c s_jk mod ell for (j, k) in pairs."""
     flat = [v for row in s for v in row]
     s_size, c_size = _size(flat), _size([c])
     # x conj(x) = 1 in an abelian field gives |sigma(x)| = 1 for every sigma;
     # with denominator 1 as well, x is a root of unity
     roots = all(v._den == 1 and v * v.conjugate() == ONE for v in t)
     t_size = (1, 1) if roots else _size(t)
+    bound = _l1_bound((len(s), t_size, t_size, t_size, s_size, s_size), (1, c_size, s_size))
 
-    def entries(n, emb):
-        ell = emb[0]
-        rs = [[_residue(v, n, emb) for v in row] for row in s]
-        rt = [_residue(v, n, emb) for v in t]
-        rc = _residue(c, n, emb)
+    def residues(n, emb, pairs):
+        ell, rs = emb[0], [[_residue(v, n, emb) for v in row] for row in s]
+        rt, rc = [_residue(v, n, emb) for v in t], _residue(c, n, emb)
         cols = list(zip(*rs))
         st = [[x * y % ell for x, y in zip(row, rt)] for row in rs]
-        for j, k in pairs:
-            yield rt[j] * rt[k] * sum(map(mul, st[j], cols[k])) - rc * rs[j][k]
+        r_jk = (rt[j] * rt[k] * sum(map(mul, st[j], cols[k])) - rc * rs[j][k] for j, k in pairs)
+        return rs, [x % ell for x in r_jk]
 
-    bound = _l1_bound((r, t_size, t_size, t_size, s_size, s_size), (1, c_size, s_size))
-    index = _first_nonzero([*flat, *t, c], bound, entries)
+    return [*flat, *t, c], bound, residues
+
+
+def _st_first_nonzero(
+    s: Matrix, t: Sequence[Cyclotomic], c: Cyclotomic
+) -> Optional[tuple[int, int]]:
+    """(j, k) of the first entry of R = T(ST)^2 - cS that is not 0, or None
+    when R = 0, decided from residues.  When s is symmetric so is R, and
+    only k >= j is read."""
+    r = len(s)
+    symmetric = all(s[j][k] == s[k][j] for j in range(r) for k in range(j + 1, r))
+    pairs = [(j, k) for j in range(r) for k in range(j if symmetric else 0, r)]
+    values, bound, residues = _st_residues(s, t, c)
+    index = _first_nonzero(values, bound, lambda n, emb: residues(n, emb, pairs)[1])
     return None if index is None else pairs[index]
 
 
 def _st_cubed_is(s: Matrix, t: Sequence[Cyclotomic], c: Cyclotomic) -> bool:
-    """(ST)^3 == cS^2: R = 0, or else SR = 0 (R formed exactly only when it
-    is not 0)."""
+    """(ST)^3 == cS^2: R = 0, or else (ST)^3 - cS^2 = SR = 0, each decided
+    from residues.  SR = 0 with R != 0 needs a singular s."""
     if _st_first_nonzero(s, t, c) is None:
         return True
-    return not any(map(any, matmul(s, _st_residual(s, t, c))))
+    r = len(s)
+    values, bound, residues = _st_residues(s, t, c)
+    pairs = [(j, k) for j in range(r) for k in range(r)]
+
+    def entries(n, emb):
+        rs, res = residues(n, emb, pairs)
+        cols = [res[k::r] for k in range(r)]
+        return [sum(map(mul, row, col)) for row in rs for col in cols]
+
+    # d L (SR)_ik = sum_l (d s_il)(L R_lk), d the denominator of _size(s)
+    return _first_nonzero(values, r * _size(values[: r * r])[0] * bound, entries) is None

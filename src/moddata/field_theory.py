@@ -103,9 +103,6 @@ class GroupShape(Record):
         return cls(p, tuple(sorted(rs)))
 
 
-LevelSet = frozenset
-
-
 def subfield_conductor(generators: Iterable[Cyclotomic]) -> int:
     """Minimal m with every generator inside Q_m."""
     gens = list(generators)

@@ -10,7 +10,7 @@ from operator import neg
 from typing import Iterable, Optional
 
 from . import _matrix as mat
-from .cyclotomic import Cyclotomic, ONE, is_prime, real_sign, sqrt_int, sum_cyclotomics, zeta
+from .cyclotomic import Cyclotomic, ONE, dot, is_prime, real_sign, sqrt_int, sum_cyclotomics, zeta
 from .galois import _CharacterTable, _characters, _components
 from .modular_data import Field, ModularDatum, Record, Verdict, derived_scalars
 
@@ -55,26 +55,32 @@ class ModularRep(Record):
 
 def verify_relations(s: mat.Matrix, t: tuple[Cyclotomic, ...]) -> Verdict:
     """Exact check of s^4 = Id and (st)^3 = s^2."""
-    return _verify_with_square(s, mat.matmul(s, s), t)
-
-
-def _verify_with_square(
-    s: mat.Matrix, s2: mat.Matrix, t: tuple[Cyclotomic, ...]
-) -> Verdict:
-    if not mat._square_is_identity(s2):
+    if _square_and_fourth(s)[1] != ONE:
         return Verdict(False, "s^4 != Id")
     if not mat._st_cubed_is(s, t, ONE):
         return Verdict(False, "(st)^3 != s^2")
     return Verdict(True)
 
 
+def _square_and_fourth(s: mat.Matrix) -> tuple[Optional[Cyclotomic], Optional[Cyclotomic]]:
+    """(c2, c4) with s^2 = c2 Id and s^4 = c4 Id, None for no such c.  With
+    c2 = (s^2)_00 (one dot), s^2 = c2 P for a permutation P, decided from
+    residues, gives c2 if P = Id and c4 = c2^2 if P^2 = Id.  Only otherwise
+    is c4 = (s^4)_00 formed by dots and s^4 = c4 Id decided from residues."""
+    cols, identity = list(zip(*s)), tuple(range(len(s)))
+    c2 = dot(zip(s[0], cols[0]))
+    perm = mat._power_permutation(s, 2, c2)
+    if perm is not None:
+        involution = all(perm[q] == i for i, q in enumerate(perm))
+        return (c2 if perm == identity else None), (c2 * c2 if involution else None)
+    row, col = [dot(zip(s[0], v)) for v in cols], [dot(zip(v, cols[0])) for v in s]
+    c4 = dot(zip(row, col))  # (s^2)_0l and (s^2)_l0 give (s^4)_00
+    return None, (c4 if mat._power_permutation(s, 4, c4) == identity else None)
+
+
 def _parity(c2: Optional[Cyclotomic]) -> str:
     """Parity from s^2 = c2 Id: even if c2 = 1, odd if c2 = -1."""
-    if c2 == ONE:
-        return "even"
-    if c2 == -ONE:
-        return "odd"
-    return "neither"
+    return "even" if c2 == ONE else "odd" if c2 == -ONE else "neither"
 
 
 def _lifts(
@@ -86,13 +92,12 @@ def _lifts(
     The work that depends only on the datum is done once.  lam mu^3 = 1/p+,
     so (st)^3 = s^2 iff (ST)^3 = p+ S^2.  With S^4 = c4 Id and lam = lam0 i^-a,
     s^4 = Id iff lam0^4 c4 = 1, and lam^2 = (-1)^a lam0^2 gives two parities.
-    s_(a+2) = -s_a, so S is scaled at most twice.  t is exponent arithmetic
-    at L = lcm(12, m, N), cut down to its level.  One character table serves all.
+    c2 and c4 are decided from residues, with no matrix product.  s_(a+2) =
+    -s_a, so S is scaled at most twice.  t is exponent arithmetic at L =
+    lcm(12, m, N), cut down to its level.  One character table serves all.
     """
     S, (m, e), N = datum.S, root, datum.torder
-    s2 = mat.matmul(S, S)
-    c4 = mat._identity_multiple(mat.matmul(s2, s2))
-    c2 = mat._identity_multiple(s2)
+    c2, c4 = _square_and_fourth(S)
     p_plus = derived_scalars(datum).gauss_plus
     lam = zeta(m, 3 * e) * p_plus.inverse()  # at a = 0
     if c4 is None or lam**4 * c4 != ONE:
@@ -431,14 +436,15 @@ def inadmissible_psi(p: int) -> PsiCertificate:
         )
         rows.append((p_inv,) + tuple(acc * p_inv for acc in kloosterman))
     s_prime = tuple(rows)
-    s2 = mat.matmul(s_prime, s_prime)
-    check = _verify_with_square(s_prime, s2, tuple(zeta(p, e) for e in range(p)))
-    if not check:
-        raise NotModularRepresentation(str(check.witness))
+    c2, c4 = _square_and_fourth(s_prime)
+    if c4 != ONE:
+        raise NotModularRepresentation("s^4 != Id")
+    if not mat._st_cubed_is(s_prime, tuple(zeta(p, e) for e in range(p)), ONE):
+        raise NotModularRepresentation("(st)^3 != s^2")
     # s = D s' D^-1: row 0 scaled by 1/sqrt(p+1), column 0 by sqrt(p+1), both root/p
     root = sqrt_int(p + 1)
     edge = root * p_inv
     s = ((-p_inv,) + (edge,) * (p - 1),) + tuple((edge,) + row[1:] for row in s_prime[1:])
-    rep = ModularRep(p, s, p, tuple(range(p)), _parity(mat._identity_multiple(s2)))
+    rep = ModularRep(p, s, p, tuple(range(p)), _parity(c2))
     cond = root.conductor
     return PsiCertificate(rep, cond, p % cond != 0)

@@ -58,9 +58,15 @@ dot_st_cubed_is, matmul_square_is_identity and dot_verlinde_fusion are the
 exact identities as they stood before they were decided from residues at
 primes ell = 1 mod n: each entry one exact dot (one matmul for a^2 = Id),
 canonicalised and compared with 0, and the Verlinde tensor from one dot per
-N_ij^k.  They oracle modular_data._projectively_unitary, check_balancing,
-check_twist_equation, verlinde_fusion and _matrix._st_cubed_is and
-_square_is_identity.
+N_ij^k.  The (ST)^3 forms take R from matmul_st_residual, and SR from one
+more matmul.  They oracle modular_data._projectively_unitary,
+check_balancing, check_twist_equation, verlinde_fusion and
+_matrix._st_cubed_is and _power_permutation.  matmul_power_permutation
+reads a^k = cP off mat_pow for _matrix._power_permutation.
+
+scale_cols and identity_multiple are the _matrix helpers those exact forms
+used, kept here once no verdict in the package formed a matrix product:
+a diag(d) by columns, and the c with m = c Id.
 
 product_twists is the lift's t as it stood when ModularRep stored it as
 values: t_i = mu theta_i for mu = zeta_12^a / zeta by Cyclotomic products,
@@ -589,9 +595,21 @@ def relabel_fusion(f, perm):
     return FusionRules(r, _reindexed(f.tensor, inv), dual)
 
 
+def scale_cols(a, diag):
+    """a @ diag(d) without materializing the diagonal matrix."""
+    return tuple(tuple(v * Cyclotomic._coerce(d) for v, d in zip(row, diag)) for row in a)
+
+
+def identity_multiple(m):
+    """c with m = c Id, or None."""
+    c, r = m[0][0], len(m)
+    ok = all(m[i][j] == (c if i == j else ZERO) for i in range(r) for j in range(r))
+    return c if ok else None
+
+
 def dense_st_cubed_is(s, t, c):
     """(ST)^3 == cS^2 for T = diag(t), by mat_pow."""
-    return mat.mat_pow(mat.scale_cols(s, t), 3) == mat.scale(mat.matmul(s, s), c)
+    return mat.mat_pow(scale_cols(s, t), 3) == mat.scale(mat.matmul(s, s), c)
 
 
 def twist_exponents(t):
@@ -806,7 +824,7 @@ def embedding_canonical(n, nums, den):
 def matmul_projectively_unitary(datum: ModularDatum, d2: Cyclotomic) -> bool:
     """S conj(S)^t == D^2 Id from the full product."""
     conj = mat.entrywise(datum.S, lambda v: v.conjugate())
-    return mat._identity_multiple(mat.matmul(datum.S, conj)) == d2
+    return identity_multiple(mat.matmul(datum.S, conj)) == d2
 
 
 def separate_check_balancing(datum: ModularDatum, fusion: FusionRules) -> Verdict:
@@ -829,7 +847,7 @@ def separate_check_balancing(datum: ModularDatum, fusion: FusionRules) -> Verdic
 
 def matmul_st_residual(s, t, c):
     """R = T(ST)^2 - cS from matmul(ST, ST)."""
-    st, minus_c = mat.scale_cols(s, t), -c
+    st, minus_c = scale_cols(s, t), -c
     return tuple(
         tuple(dot(((tj, x), (minus_c, v))) for x, v in zip(row, srow))
         for tj, row, srow in zip(t, mat.matmul(st, st), s)
@@ -886,7 +904,7 @@ def dot_check_balancing(datum: ModularDatum, fusion: FusionRules) -> Verdict:
 
 def dot_check_twist_equation(datum: ModularDatum) -> Verdict:
     """The first nonzero (j, k), j <= k, of the exact residual of (ST)^3 = p+ S^2."""
-    res = mat._st_residual(datum.S, datum.thetas, derived_scalars(datum).gauss_plus)
+    res = matmul_st_residual(datum.S, datum.thetas, derived_scalars(datum).gauss_plus)
     for j, row in enumerate(res):
         for k in range(j, datum.rank):
             if row[k]:
@@ -896,12 +914,26 @@ def dot_check_twist_equation(datum: ModularDatum) -> Verdict:
 
 def dot_st_cubed_is(s, t, c) -> bool:
     """(ST)^3 == cS^2: the exact residual R is 0, or else SR is."""
-    res = mat._st_residual(s, t, c)
+    res = matmul_st_residual(s, t, c)
     return not any(map(any, res)) or not any(map(any, mat.matmul(s, res)))
 
 
 def matmul_square_is_identity(a) -> bool:
-    return mat._identity_multiple(mat.matmul(a, a)) == ONE
+    return identity_multiple(mat.matmul(a, a)) == ONE
+
+
+def matmul_power_permutation(a, k, c):
+    """p with a^k = cP, P_ij = [j = p(i)], read off mat_pow(a, k); None when
+    there is none or c = 0."""
+    if not c:
+        return None
+    perm = []
+    for row in mat.mat_pow(a, k):
+        hits = [j for j, v in enumerate(row) if v]
+        if len(hits) != 1 or row[hits[0]] != c:
+            return None
+        perm += hits
+    return tuple(perm) if sorted(perm) == list(range(len(a))) else None
 
 
 def dot_verlinde_fusion(datum: ModularDatum) -> FusionRules:

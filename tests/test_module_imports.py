@@ -1,5 +1,7 @@
 """Imports in src/moddata stay at module top, and none is `random` or
-`secrets`: no verdict rests on a random choice.
+`secrets`: no verdict rests on a random choice.  No module calls `matmul`
+or `mat_pow` but `mat_pow` itself: every matrix identity is decided from
+residues, and the exact products serve the tests' oracles.
 
 The only imports inside function bodies are the two that break the
 modular_data <-> galois / field_theory import cycle; `if TYPE_CHECKING:`
@@ -67,3 +69,27 @@ def test_no_module_imports_a_source_of_randomness():
                 imported |= {(path.name, alias.name) for alias in node.names}
     assert imported  # the walk saw the imports
     assert {(f, m) for f, m in imported if m in ("random", "secrets")} == set()
+
+
+def _product_calls(path):
+    """(file, enclosing function, name) of each call of matmul or mat_pow."""
+    found = set()
+
+    def walk(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("matmul", "mat_pow"):
+                found.add((path.name, function, name))
+        for child in ast.iter_child_nodes(node):
+            walk(child, function)
+
+    walk(ast.parse(path.read_text(), str(path)), None)
+    return found
+
+
+def test_only_mat_pow_calls_an_exact_matrix_product():
+    found = set().union(*map(_product_calls, sorted(SRC.glob("*.py"))))
+    assert found == {("_matrix.py", "mat_pow", "matmul")}

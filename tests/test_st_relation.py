@@ -1,7 +1,7 @@
 """The one exact check of the modular relation (ST)^3 = cS^2,
 `_matrix._st_cubed_is`, against the dense oracle, and the identity
-(ST)^3 - cS^2 = S R behind it, with R = T(ST)^2 - cS from `_st_residual`
-(itself checked against the matmul form of R)."""
+(ST)^3 - cS^2 = S R behind it, with R = T(ST)^2 - cS from the matmul
+oracle `matmul_st_residual`."""
 
 from pathlib import Path
 
@@ -19,7 +19,7 @@ from moddata.modular_data import (
     replace,
 )
 from moddata.sl2z_reps import all_lifts
-from _oracles import dense_st_cubed_is, matmul_st_residual
+from _oracles import dense_st_cubed_is, matmul_st_residual, scale_cols
 from test_lift_algebra import BUILDERS, datum_of, negate_pair
 from test_modular_data import OFF_UNITARITY, perturb_twist
 
@@ -37,9 +37,8 @@ def is_zero(m):
 def check_against_oracle(s, t, c):
     """The routine's verdict equals the dense one, and (ST)^3 - cS^2 = S R
     entry by entry; returns (verdict, R)."""
-    res = mat._st_residual(s, t, c)
-    assert res == matmul_st_residual(s, t, c)
-    cube_minus = minus(mat.mat_pow(mat.scale_cols(s, t), 3), mat.scale(mat.matmul(s, s), c))
+    res = matmul_st_residual(s, t, c)
+    cube_minus = minus(mat.mat_pow(scale_cols(s, t), 3), mat.scale(mat.matmul(s, s), c))
     assert cube_minus == mat.matmul(s, res)
     verdict = mat._st_cubed_is(s, t, c)
     assert verdict == dense_st_cubed_is(s, t, c)
@@ -123,48 +122,9 @@ def test_fixed_small_matrices(s, t, cc, holds):
     assert check_against_oracle(s, t, cc)[0] is holds
 
 
-def residual_and_dots(monkeypatch, s, t, c):
-    """R from `_st_residual` and the number of dots it formed."""
-    calls = []
-    real_dot = mat.dot
-
-    def counting_dot(pairs):
-        calls.append(None)
-        return real_dot(pairs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(mat, "dot", counting_dot)
-        res = mat._st_residual(s, t, c)
-    return res, len(calls)
-
-
-def is_symmetric(s):
-    return all(s[j][k] == s[k][j] for j in range(len(s)) for k in range(len(s)))
-
-
-def test_residual_forms_the_upper_triangle_of_a_symmetric_s(monkeypatch):
-    cases = [
-        (d.S, d.thetas, derived_scalars(d).gauss_plus)
-        for d in (build() for build in (*ADMISSIBLE.values(), *FAILING.values()))
-    ]
-    cases += [(rep.s, rep.t, ONE) for name in BUILDERS for rep in all_lifts(datum_of(name))]
-    cases += [(s, t, cc) for s, t, cc, _ in FIXED if is_symmetric(s)]
-    for s, t, cc in cases:
-        res, dots = residual_and_dots(monkeypatch, s, t, cc)
-        assert dots == len(s) * (len(s) + 1) // 2
-        assert res == matmul_st_residual(s, t, cc)
-
-
-@pytest.mark.parametrize("s, t, cc, holds", [case for case in FIXED if not is_symmetric(case[0])])
-def test_residual_forms_every_entry_of_a_general_s(monkeypatch, s, t, cc, holds):
-    res, dots = residual_and_dots(monkeypatch, s, t, cc)
-    assert dots == len(s) ** 2
-    assert res == matmul_st_residual(s, t, cc)
-
-
 def test_nilpotent_case_needs_the_second_product():
     s, t, cc, _ = FIXED[0]
-    res = mat._st_residual(s, t, cc)
+    res = matmul_st_residual(s, t, cc)
     assert res == mat.entrywise(s, lambda v: -v)
     assert is_zero(mat.matmul(s, res))
     assert mat._st_cubed_is(s, t, cc)
