@@ -236,6 +236,14 @@ def _embedding(n: int, i: int) -> tuple[int, tuple[int, ...]]:
     return table[i]
 
 
+def _galois_embedding(emb: tuple[int, tuple[int, ...]], k: int) -> tuple[int, tuple[int, ...]]:
+    """The embedding of x -> sigma_k(x) from emb = (ell, powers) of order n:
+    sigma_k(x) at zeta_n -> g is x at zeta_n -> g^k.  k = -1 conjugates."""
+    ell, powers = emb
+    n = len(powers)
+    return ell, tuple(powers[e * k % n] for e in range(n))
+
+
 def _within_cap(n: int) -> bool:
     # phi(n) >= sqrt(n/2), so a larger n is refused without factoring it
     if n > 2 * _order_cap**2:

@@ -11,6 +11,7 @@ from .cyclotomic import (
     Cyclotomic,
     NotAUnitError,
     _embedding,
+    _galois_embedding,
     _residue,
     _within_cap,
     real_sign,
@@ -107,39 +108,6 @@ def _characters(S: Sequence[Sequence[Cyclotomic]]) -> list[tuple[Cyclotomic, ...
     return cols
 
 
-class _CharacterTable:
-    """The character columns s_ia / s_0a of a datum, with h_sigma per unit.
-
-    Every lift's s is a scalar multiple of S, so the lift builder gives all
-    the lifts of a datum one table.  h_sigma depends on k only modulo the
-    conductor of the column values; it is matched at the first k of each
-    residue and kept, so a table that is never asked matches nothing.
-    """
-
-    __slots__ = ("columns", "conductor", "_perms")
-
-    def __init__(self, columns: Sequence[tuple[Cyclotomic, ...]]):
-        self.columns = tuple(columns)
-        self.conductor = lcm(*(v.conductor for col in self.columns for v in col))
-        self._perms: dict[int, Perm] = {}
-
-    def perm(self, k: int) -> Perm:
-        """h_sigma_k; k must be a unit modulo the conductor."""
-        residue = k % self.conductor
-        perm = self._perms.get(residue)
-        if perm is None:
-            perm = self._perms[residue] = _match_permutation(self.columns, k)
-        return perm
-
-
-def _rep_table(rep: "ModularRep") -> _CharacterTable:
-    """The table the lift builder stored, else a throwaway one built from s
-    (a rep built by hand)."""
-    if rep.characters is not None:
-        return rep.characters
-    return _CharacterTable(_characters(rep.s))
-
-
 def _match_permutation(
     cols: Sequence[tuple[Cyclotomic, ...]], k: int
 ) -> Perm:
@@ -157,6 +125,12 @@ def _match_permutation(
     return tuple(perm)
 
 
+def _exact_perms(cols: Sequence[tuple[Cyclotomic, ...]], units: Iterable[int]) -> dict[int, Perm]:
+    """h_sigma_k for each k in units, matched on canonical character values
+    in that order, so that NotGaloisStable names the first fault."""
+    return {k: _match_permutation(cols, k) for k in units}
+
+
 def compute_profile(
     datum: ModularDatum, rep: Optional["ModularRep"] = None
 ) -> GaloisProfile:
@@ -164,15 +138,13 @@ def compute_profile(
 
     Signs are filled in when a normalized pair is supplied (they depend on it):
     each unit is extended to a unit modulo the rep's scalar field.  The pair
-    must be a lift of the datum: h_sigma is then read from its character
-    table, whose columns are those of S.
+    must be a lift of the datum, whose character columns are those of S.
     """
     cond = datum.s_field_conductor
     units = tuple(units_mod(cond))
-    perms = _residue_perms(datum.S, cond, units) if rep is None else None
+    perms = _residue_perms(datum.S, cond, units)
     if perms is None:
-        table = _CharacterTable(_characters(datum.S)) if rep is None else _rep_table(rep)
-        perms = {k: table.perm(k) for k in units}
+        perms = _exact_perms(_characters(datum.S), units)
     edges = (edge for perm in perms.values() for edge in enumerate(perm))
     orbits = _components(datum.rank, edges)
     signs: dict[int, tuple[int, ...]] = {}
@@ -215,8 +187,8 @@ def _residue_perms(
         """Residues of sigma_k(S) at emb, kept for the certificate's first prime."""
         table = tables.get((emb[0], k))
         if table is None:
-            permuted = (emb[0], tuple(emb[1][e * k % cond] for e in range(cond)))
-            table = tables[emb[0], k] = [[_residue(v, cond, permuted) for v in row] for row in S]
+            image = _galois_embedding(emb, k)
+            table = tables[emb[0], k] = [[_residue(v, cond, image) for v in row] for row in S]
         return table
 
     def columns(k):
@@ -290,11 +262,22 @@ def _extend_unit(k: int, cond: int, modulus: int) -> int:
     raise NotAUnitError(f"cannot extend unit {k} mod {cond} to mod {modulus}")
 
 
+def _h_sigma(perms: Optional[tuple[int, dict[int, Perm]]], s: mat.Matrix, k: int) -> Perm:
+    """h_sigma_k read at k mod c from a lift's map (c, {k: h_sigma_k for k
+    in units_mod(c)}), else matched exactly on the columns of s."""
+    if perms is not None:
+        c, by_unit = perms
+        perm = by_unit.get(k % c if c > 1 else 1)  # units_mod(1) is [1]
+        if perm is not None:  # else k is no unit mod c, and the match says so
+            return perm
+    return _exact_perms(_characters(s), (k,))[k]
+
+
 def sign_function(rep: "ModularRep", k: int) -> tuple[int, ...]:
     """eps_sigma with sigma(s_ij) = eps(i) s_{h(i) j} = eps(j) s_{i h(j)}."""
     s = rep.s
     r = len(s)
-    perm = _rep_table(rep).perm(k)
+    perm = _h_sigma(rep.galois_perms, s, k)
     eps = []
     for i in range(r):
         j0 = next((j for j in range(r) if s[perm[i]][j]), None)
@@ -322,19 +305,23 @@ def galois_twist_symmetry(rep: "ModularRep") -> Verdict:
 
     With t_i = zeta_n^(e_i) at the level n, the image sigma_k^2(t_i) is
     zeta_n^(e_i k^2), compared with t_h(i) by its exponent.  The conductor
-    of the character values must divide n, as in every lift the package
-    builds; ValueError names it otherwise.  h_sigma is read from the rep's
-    character table, which the 12 lifts of a datum share, so it is matched
-    once per unit residue mod the conductor for all of them.
+    c of the character values must divide n, as in every lift the package
+    builds; ValueError names it otherwise.  h_sigma_k is read at k mod c
+    from the map (c, {k: h_sigma_k}) that the lift builder reads once per
+    datum from residues and stores on all 12 lifts, so no character value
+    and no Galois image is formed here.
     """
-    table = _rep_table(rep)
-    n, exps = rep.level, rep.t_exponents
-    if n % table.conductor:
-        raise ValueError(
-            f"the character conductor {table.conductor} does not divide the level {n}"
-        )
+    n, exps, perms = rep.level, rep.t_exponents, rep.galois_perms
+    if perms is None:  # a rep built by hand, or one whose residue read failed
+        cols = _characters(rep.s)
+        c = lcm(*(v.conductor for col in cols for v in col))
+    else:
+        c = perms[0]
+    if n % c:
+        raise ValueError(f"the character conductor {c} does not divide the level {n}")
+    perms = perms or (c, _exact_perms(cols, units_mod(c)))
     for k in units_mod(n):
-        perm = table.perm(k)
+        perm = _h_sigma(perms, rep.s, k)
         k_squared = k * k % n
         for i, e in enumerate(exps):
             if e * k_squared % n != exps[perm[i]]:

@@ -20,6 +20,7 @@ from .cyclotomic import (
     _canonical,
     _check_order,
     _embedding,
+    _galois_embedding,
     _norm_cofactor,
     _numerators_at,
     _reduce_exponents,
@@ -407,8 +408,8 @@ def _modular_tensor(datum: ModularDatum, d2: Cyclotomic) -> Optional[list[list[l
     S, r = datum.S, datum.rank
     flat = [v for row in S for v in row]
     n = lcm(*(v.order for v in flat))
-    ell, powers = emb = _embedding(n, 0)
-    conj = (ell, powers[:1] + powers[:0:-1])  # conj(x) at g is x at 1/g
+    emb = _embedding(n, 0)
+    ell, conj = emb[0], _galois_embedding(emb, -1)
     try:
         res = [[_residue(v, n, emb) for v in row] for row in S]
         res_conj = [[_residue(v, n, conj) for v in row] for row in S]
@@ -473,8 +474,7 @@ def _projectively_unitary(datum: ModularDatum, d2: Cyclotomic) -> bool:
     flat = [v for row in S for v in row]
 
     def entries(n, emb):
-        ell, powers = emb
-        conj = (ell, powers[:1] + powers[:0:-1])  # conj(x) at g is x at 1/g
+        conj = _galois_embedding(emb, -1)
         res = [[_residue(v, n, emb) for v in row] for row in S]
         res_conj = [[_residue(v, n, conj) for v in row] for row in S]
         res_d2 = _residue(d2, n, emb)

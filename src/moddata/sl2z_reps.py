@@ -10,8 +10,8 @@ from operator import neg
 from typing import Iterable, Optional
 
 from . import _matrix as mat
-from .cyclotomic import Cyclotomic, ONE, dot, is_prime, real_sign, sqrt_int, sum_cyclotomics, zeta
-from .galois import _CharacterTable, _characters, _components
+from .cyclotomic import Cyclotomic, ONE, dot, is_prime, real_sign, sqrt_int, sum_cyclotomics, units_mod, zeta
+from .galois import Perm, _components, _residue_perms
 from .modular_data import Field, ModularDatum, Record, Verdict, derived_scalars
 
 
@@ -29,10 +29,10 @@ class ModularRep(Record):
     t = diag(zeta_level^e) for e in ``t_exponents`` (each reduced mod
     ``level``), as ModularDatum stores T; ``level`` must be the order of t,
     the lcm of the exponents' orders, or NotModularRepresentation is raised.
-    ``characters``, when set, is the character table of ``s``: the columns
-    s_ia / s_0a and h_sigma, matched on first use.  Every lift of a datum
-    shares one table, which the lift builder makes once per datum; it takes
-    no part in equality or hashing, and None means "build one from s".
+    ``galois_perms``, when set, is (c, {k: h_sigma_k for k in units_mod(c)})
+    on the character columns s_ia / s_0a, c their conductor; all lifts of a
+    datum share it.  It takes no part in equality or hashing, and None means
+    "match h_sigma exactly on the columns of s".
     """
 
     rank: int
@@ -40,7 +40,7 @@ class ModularRep(Record):
     level: int
     t_exponents: tuple[int, ...]
     parity: str  # even | odd | neither
-    characters: Optional[_CharacterTable] = Field(None, compare=False, repr=False)
+    galois_perms: Optional[tuple[int, dict[int, Perm]]] = Field(None, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.level
@@ -94,7 +94,9 @@ def _lifts(
     s^4 = Id iff lam0^4 c4 = 1, and lam^2 = (-1)^a lam0^2 gives two parities.
     c2 and c4 are decided from residues, with no matrix product.  s_(a+2) =
     -s_a, so S is scaled at most twice.  t is exponent arithmetic at L =
-    lcm(12, m, N), cut down to its level.  One character table serves all.
+    lcm(12, m, N), cut down to its level.  s_ia / s_0a = S_ia / S_0a, whose
+    field is F_S (S_ia = chi_a(i) chi_0(a)): all lifts share h_sigma read from
+    residues at c = conductor(F_S), or None when that read fails.
     """
     S, (m, e), N = datum.S, root, datum.torder
     c2, c4 = _square_and_fourth(S)
@@ -106,7 +108,9 @@ def _lifts(
         raise NotModularRepresentation("(st)^3 != s^2")
     lam2_c2 = None if c2 is None else lam * lam * c2
     parities = (_parity(lam2_c2), _parity(None if lam2_c2 is None else -lam2_c2))
-    characters = _CharacterTable(_characters(S)) if all(S[0]) else None
+    c = datum.s_field_conductor
+    perms = _residue_perms(S, c, units_mod(c))
+    galois_perms = None if perms is None else (c, perms)
     L = lcm(12, m, N)
     theta_exps = [j * (L // N) - e * (L // m) for j in datum.t_exponents]
     scaled: dict[int, mat.Matrix] = {}  # s by a mod 4
@@ -121,7 +125,7 @@ def _lifts(
         exps = [(a * (L // 12) + th) % L for th in theta_exps]
         level = lcm(*(L // gcd(v, L) for v in exps))
         exps = tuple(v // (L // level) for v in exps)
-        reps.append(ModularRep(datum.rank, s, level, exps, parities[a % 2], characters))
+        reps.append(ModularRep(datum.rank, s, level, exps, parities[a % 2], galois_perms))
     return tuple(reps)
 
 

@@ -1,15 +1,15 @@
 """Verdicts shared along classes and orbits: the vanishing-sum scan runs its
 kernel once per class of root pairs under Galois, signs and swap, and the
-twist-symmetry check matches h_sigma once per unit residue of k for all the
-lifts of a datum and compares the twists by their exponents.  Both are
-compared with the term-by-term loops they replace, kept here as oracles, and
-the scan's class key with a brute-force class."""
+twist-symmetry check reads h_sigma from the map that the lift builder reads
+once per datum from residues, and compares the twists by their exponents.
+Both are compared with the term-by-term loops they replace, kept here as
+oracles, and the scan's class key with a brute-force class."""
 
 from math import gcd, lcm
 
 import pytest
 
-from moddata import classifier, galois
+from moddata import classifier, galois, sl2z_reps
 from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.classifier import (
     _all_nonzero_solution_exists,
@@ -159,14 +159,26 @@ def outcome(f, rep):
         return type(exc)
 
 
-def oracle_twist_symmetry(rep):
-    """One permutation match and two Galois images per unit mod the level."""
+def oracle_twist_symmetry(rep, matched=None):
+    """One permutation match and two Galois images per unit mod the level,
+    once the conductor c of the column values is seen to divide the level.
+
+    Lifts of one datum share their character columns, and may share a dict
+    matched that keeps each match by k mod c: sigma_k on Q_c depends on k
+    mod c only."""
     cols = _characters(rep.s)
-    n = rep.level
+    n, c, t = rep.level, lcm(*(v.conductor for col in cols for v in col)), rep.t
+    if n % c:
+        raise ValueError(c)
     for k in units_mod(n):
-        perm = _match_permutation(cols, k)
-        for i, t in enumerate(rep.t):
-            if t.galois(k).galois(k) != rep.t[perm[i]]:
+        if matched is None:
+            perm = _match_permutation(cols, k)
+        elif k % c in matched:
+            perm = matched[k % c]
+        else:
+            perm = matched[k % c] = _match_permutation(cols, k)
+        for i, t_i in enumerate(t):
+            if t_i.galois(k).galois(k) != t[perm[i]]:
                 return Verdict(False, (k, i), "sigma^2(t_i) != t_{h(i)}")
     return Verdict(True)
 
@@ -180,24 +192,26 @@ def test_twist_symmetry_matches_oracle_on_all_lifts(name):
 
 
 @pytest.mark.parametrize(
-    "build, matches",
-    [(lambda: su2_odd_mod2(3), 6), (lambda: pointed_zn(5), 4), (lambda: su2_odd_mod2(5), 10)],
-    ids=["su2_odd_mod2(3)", "pointed_zn(5)", "su2_odd_mod2(5)"],
+    "build",
+    [
+        lambda: su2_odd_mod2(3), lambda: pointed_zn(5), lambda: su2_odd_mod2(5),
+        lambda: su2_odd_mod2(1), lambda: pointed_zn(1),
+    ],
+    ids=["su2_odd_mod2(3)", "pointed_zn(5)", "su2_odd_mod2(5)", "su2_odd_mod2(1)", "pointed_zn(1)"],
 )
-def test_twist_symmetry_matches_h_sigma_once_per_datum(build, matches, monkeypatch):
-    # the 12 lifts share one character table: one match per unit residue
-    # mod the conductor (7, 5 and 11), phi of it in all
-    calls = []
-
-    def counted(cols, k):
-        calls.append(k)
-        return _match_permutation(cols, k)
-
-    monkeypatch.setattr(galois, "_match_permutation", counted)
-    reps = all_lifts(build())
+def test_twist_symmetry_matches_h_sigma_once_per_datum(build, monkeypatch):
+    # the lift builder reads h_sigma from residues once per datum, at the
+    # conductor of S, and the 12 lifts share that map: no unit is matched on
+    # character values, at c = 1 (k mod 1 = 0, units_mod(1) = [1]) too
+    reads, matches = [], []
+    read, match = sl2z_reps._residue_perms, galois._match_permutation
+    monkeypatch.setattr(sl2z_reps, "_residue_perms", lambda S, c, units: reads.append(c) or read(S, c, units))
+    monkeypatch.setattr(galois, "_match_permutation", lambda cols, k: matches.append(k) or match(cols, k))
+    datum = build()
+    reps = all_lifts(datum)
     assert all(galois_twist_symmetry(rep).ok for rep in reps)
-    assert len(calls) == matches
-    assert len({k % reps[0].characters.conductor for k in calls}) == matches
+    assert reads == [datum.s_field_conductor] and matches == []
+    assert all(rep.galois_perms is reps[0].galois_perms for rep in reps)
 
 
 @pytest.mark.parametrize("stored", [True, False], ids=["characters", "no-characters"])
@@ -206,7 +220,7 @@ def test_twist_symmetry_refuses_a_conductor_outside_the_level(stored):
     # k = 7 is 0 mod 7, where no h_sigma exists
     rep = replace(normalize(su2_odd_mod2(3)), level=8, t_exponents=(0, 1, 0))
     if not stored:
-        rep = replace(rep, characters=None)
+        rep = replace(rep, galois_perms=None)
     with pytest.raises(ValueError, match="^the character conductor 7 does not divide the level 8$"):
         galois_twist_symmetry(rep)
 
@@ -222,8 +236,8 @@ def with_twists(rep, t):
 @pytest.mark.parametrize(
     "build",
     [lambda: su2_odd_mod2(3), lambda: su2_odd_mod2(5), lambda: pointed_zn(1)],
-    # pointed_zn(1) has rational characters: every k after the first reuses
-    # the permutation matched at k = 1, failing k included
+    # pointed_zn(1) has rational characters: c = 1, and every k, failing k
+    # included, reads the permutation stored under units_mod(1) = [1]
     ids=["su2_odd_mod2(3)", "su2_odd_mod2(5)", "pointed_zn(1)"],
 )
 def test_twist_symmetry_witness_on_perturbed_twists(build):
@@ -241,33 +255,47 @@ def test_twist_symmetry_witness_on_perturbed_twists(build):
     assert len(failures) > 1
 
 
+def count_galois_work(monkeypatch):
+    """Lists that collect the Galois images and the character matches made
+    while the patch lasts."""
+    images, matches = [], []
+    image, match = Cyclotomic.galois, galois._match_permutation
+    monkeypatch.setattr(Cyclotomic, "galois", lambda x, k: images.append(k) or image(x, k))
+    monkeypatch.setattr(galois, "_match_permutation", lambda cols, k: matches.append(k) or match(cols, k))
+    return images, matches
+
+
 @pytest.mark.parametrize(
     "build", [lambda: su2_odd_mod2(3), lambda: pointed_zn(5)],
     ids=["su2_odd_mod2(3)", "pointed_zn(5)"],
 )
 def test_twist_symmetry_compares_logs_not_galois_images(build, monkeypatch):
     # building the lifts takes one root-of-unity log, the anomaly's; checking
-    # them takes no Galois image of a twist: every image is one of the r^2 a
-    # character match takes
+    # them takes no Galois image and no character match, since h_sigma comes
+    # from the map the lift builder stored
     datum = build()
     derived_scalars(datum)
-    logs, images, matches = [], [], []
-    log, image = Cyclotomic.root_of_unity_log, Cyclotomic.galois
+    logs = []
+    log = Cyclotomic.root_of_unity_log
     monkeypatch.setattr(Cyclotomic, "root_of_unity_log", lambda x: logs.append(x) or log(x))
-    monkeypatch.setattr(Cyclotomic, "galois", lambda x, k: images.append(k) or image(x, k))
-    monkeypatch.setattr(
-        galois, "_match_permutation",
-        lambda cols, k: matches.append(k) or _match_permutation(cols, k),
-    )
     reps = all_lifts(datum)
-    images.clear()
-    verdicts = [(galois_twist_symmetry(rep), spectra_connectivity(rep)) for rep in reps]
     assert len(logs) == 1
-    assert matches and len(images) == datum.rank**2 * len(matches)
+    images, matches = count_galois_work(monkeypatch)
+    verdicts = [(galois_twist_symmetry(rep), spectra_connectivity(rep)) for rep in reps]
+    assert images == [] and matches == []
     monkeypatch.undo()
     for rep, (twist, connected) in zip(reps, verdicts):
         assert twist == oracle_twist_symmetry(rep)
         assert connected.ok
+
+
+def test_twist_symmetry_forms_no_galois_image_on_the_data_lifts(monkeypatch):
+    reps = [rep for name in BUILDERS if name.endswith(".json") for rep in all_lifts(datum_of(name))]
+    assert len(reps) == 18 * 12
+    images, matches = count_galois_work(monkeypatch)
+    verdicts = [galois_twist_symmetry(rep) for rep in reps]
+    assert images == [] and matches == []
+    assert all(verdicts)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ Cyclotomic products the builder's exponent arithmetic replaces."""
 
 from collections import namedtuple
 from functools import lru_cache
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from moddata.sl2z_reps import (
     all_lifts,
     normalize,
 )
-from _oracles import dense_st_cubed_is, mpmath_complex_eval, product_twists
+from _oracles import dense_st_cubed_is, mpmath_complex_eval, oracle_profile, product_twists
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -87,12 +88,11 @@ def assert_same_rep(rep, expected):
     assert rep.parity == expected.parity
 
 
-def assert_character_columns(rep):
-    """rep.characters.columns[a][i] = s_ia / s_0a, checked by multiplying back."""
-    cols = rep.characters.columns
-    assert len(cols) == rep.rank
-    for a, col in enumerate(cols):
-        assert [v * rep.s[0][a] for v in col] == [row[a] for row in rep.s]
+def assert_stored_perms(rep, datum):
+    """rep.galois_perms is (c, the perms of oracle_profile), c the conductor
+    of the character values s_ia / s_0a."""
+    c = lcm(*(v.conductor for col in _characters(rep.s) for v in col))
+    assert rep.galois_perms == (c, oracle_profile(datum)[1])
 
 
 @pytest.mark.parametrize("name", list(BUILDERS))
@@ -103,9 +103,9 @@ def test_lifts_match_matrix_oracle(name):
     assert len(reps) == 12
     for rep, oracle in zip(reps, expected):
         assert_same_rep(rep, oracle)
-        assert_character_columns(rep)
-    # the 12 lifts share one character table
-    assert all(rep.characters is reps[0].characters for rep in reps)
+        assert_stored_perms(rep, datum)
+    # the 12 lifts share one map
+    assert all(rep.galois_perms is reps[0].galois_perms for rep in reps)
     assert_same_rep(normalize(datum), expected[oracle_canonical_exp(datum)])
 
 
@@ -114,12 +114,12 @@ def test_stored_characters_change_no_result(name):
     datum = datum_of(name)
     root = _anomaly_sixth_root(datum)
     for a, rep in enumerate(all_lifts(datum)):
-        bare = replace(rep, characters=None)
+        bare = replace(rep, galois_perms=None)
         assert bare == rep and hash(bare) == hash(rep)
         assert galois_twist_symmetry(bare) == galois_twist_symmetry(rep)
         assert _lifts(datum, root, (a,)) == (rep,)
     rep = normalize(datum)
-    bare = replace(rep, characters=None)
+    bare = replace(rep, galois_perms=None)
     assert compute_profile(datum, bare).to_json() == compute_profile(datum, rep).to_json()
 
 
@@ -158,7 +158,7 @@ def test_vanishing_dimension_leaves_characters_unset():
     # characters s_i1 / s_01 are undefined
     datum = ModularDatum(2, 3, (0, 1), ((ONE, ZERO), (ZERO, ONE)))
     for a, rep in enumerate(all_lifts(datum)):
-        assert rep.characters is None
+        assert rep.galois_perms is None
         assert_same_rep(rep, oracle_lift(datum, a))
         with pytest.raises(NotGaloisStable, match="vanishing first-row entry"):
             galois_twist_symmetry(rep)

@@ -1,7 +1,10 @@
 """Imports in src/moddata stay at module top, and none is `random` or
 `secrets`: no verdict rests on a random choice.  No module calls `matmul`
 or `mat_pow` but `mat_pow` itself: every matrix identity is decided from
-residues, and the exact products serve the tests' oracles.
+residues, and the exact products serve the tests' oracles.  Only
+`galois._exact_perms` and `galois._dual_from_s` call `_match_permutation`:
+h_sigma is read from residues, and matched on character values only by
+that one exact loop.
 
 The only imports inside function bodies are the two that break the
 modular_data <-> galois / field_theory import cycle; `if TYPE_CHECKING:`
@@ -71,8 +74,8 @@ def test_no_module_imports_a_source_of_randomness():
     assert {(f, m) for f, m in imported if m in ("random", "secrets")} == set()
 
 
-def _product_calls(path):
-    """(file, enclosing function, name) of each call of matmul or mat_pow."""
+def _calls(path, names):
+    """(file, enclosing function, name) of each call of a function in names."""
     found = set()
 
     def walk(node, function):
@@ -81,7 +84,7 @@ def _product_calls(path):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in ("matmul", "mat_pow"):
+            if name in names:
                 found.add((path.name, function, name))
         for child in ast.iter_child_nodes(node):
             walk(child, function)
@@ -91,5 +94,13 @@ def _product_calls(path):
 
 
 def test_only_mat_pow_calls_an_exact_matrix_product():
-    found = set().union(*map(_product_calls, sorted(SRC.glob("*.py"))))
+    found = set().union(*(_calls(path, ("matmul", "mat_pow")) for path in sorted(SRC.glob("*.py"))))
     assert found == {("_matrix.py", "mat_pow", "matmul")}
+
+
+def test_only_the_exact_loop_and_the_dual_match_character_columns():
+    found = set().union(*(_calls(path, ("_match_permutation",)) for path in sorted(SRC.glob("*.py"))))
+    assert found == {
+        ("galois.py", "_exact_perms", "_match_permutation"),
+        ("galois.py", "_dual_from_s", "_match_permutation"),
+    }

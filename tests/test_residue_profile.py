@@ -1,20 +1,47 @@
 """The Galois profile of a datum read from residues (galois._residue_perms)
 against the exact per-unit loop (_oracles.oracle_profile), and the
 Gal(F_T/F_S) witness of condition (vi) read off that profile against
-_fixer_of_order_above_2."""
+_fixer_of_order_above_2.  The lift path reads the same map: every lift
+stores it, and galois_twist_symmetry, sign_function and
+compute_profile(datum, rep) are compared with the exact oracles, with the
+residue read and with it patched to fail."""
 
 import random
+from math import lcm
 
 import pytest
 
 from _oracles import oracle_profile
 from moddata import _matrix as mat
-from moddata import galois
+from moddata import galois, sl2z_reps
 from moddata.catalog import pointed_zn, su2_odd_mod2
-from moddata.cyclotomic import Cyclotomic, ONE, ZERO, _embedding, _residue, units_mod, zeta
-from moddata.galois import NotGaloisStable, compute_profile
+from moddata.cyclotomic import (
+    Cyclotomic,
+    ONE,
+    ZERO,
+    _embedding,
+    _galois_embedding,
+    _residue,
+    sqrt_int,
+    units_mod,
+    zeta,
+)
+from moddata.galois import (
+    NotGaloisStable,
+    NotGaloisSymmetric,
+    _characters,
+    _extend_unit,
+    _match_permutation,
+    _rep_field_modulus,
+    compute_profile,
+    galois_twist_symmetry,
+    sign_function,
+)
 from moddata.field_theory import _fixer_of_order_above_2
-from moddata.modular_data import _galois_field_structure, load, replace
+from moddata.modular_data import ModularDatum, _galois_field_structure, load, replace
+from moddata.sl2z_reps import all_lifts
+from test_galois_orbits import oracle_twist_symmetry
+from test_lift_algebra import BUILDERS, datum_of
 
 FACTORS = (-ONE, Cyclotomic.from_rational(2), zeta(3), zeta(4), zeta(5))
 
@@ -136,7 +163,8 @@ def test_gal_ft_fs_witness_matches_the_fixer_oracle(golden):
 
 def test_residue_of_a_galois_image_is_a_permuted_powers_table():
     """_residue(sigma_k(x)) at zeta -> g is _residue(x) at zeta -> g^k, the
-    identity the residue profile rests on."""
+    identity the residue profile rests on, and _galois_embedding builds
+    that permuted table."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -156,5 +184,152 @@ def test_residue_of_a_galois_image_is_a_permuted_powers_table():
         hypothesis.assume(x._den % ell)
         permuted = (ell, tuple(powers[e * k % n] for e in range(n)))
         assert _residue(x.galois(k), n, (ell, powers)) == _residue(x, n, permuted)
+        assert _galois_embedding((ell, powers), k) == permuted
+        # conjugation, as the conjugate embedding was built before
+        assert _galois_embedding((ell, powers), -1) == (ell, powers[:1] + powers[:0:-1])
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the lift path
+
+
+DATA_NAMES = [name for name in BUILDERS if name.endswith(".json")]
+LADDER = {"su2_odd_mod2(14)": lambda: su2_odd_mod2(14), "pointed_zn(31)": lambda: pointed_zn(31)}
+KINDS = ("vanishing first-row entry", "duplicate character columns", "sends character")
+
+
+@pytest.fixture(params=["residues", "no-residues"])
+def residues(request, monkeypatch):
+    """True, or False with _residue_perms patched to fail everywhere."""
+    if request.param == "no-residues":
+        for module in (galois, sl2z_reps):
+            monkeypatch.setattr(module, "_residue_perms", lambda S, cond, units: None)
+    return request.param == "residues"
+
+
+def result(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared by type with the oracle's
+        return type(exc)
+
+
+def oracle_sign_function(rep, k):
+    """eps with sigma_k(s_i.) = eps_i s_h(i). row by row and sigma_k(s_ij) =
+    eps_j s_ih(j) for all i, j, h = h_sigma_k matched exactly at k."""
+    s, r = rep.s, rep.rank
+    perm = _match_permutation(_characters(s), k)
+    image = [[v.galois(k) for v in row] for row in s]
+    eps = []
+    for i, row in enumerate(image):
+        target = list(s[perm[i]])
+        if row != target and row != [-v for v in target]:
+            raise NotGaloisSymmetric(i)
+        eps.append(1 if row == target else -1)
+    if any(image[i][j] != eps[j] * s[i][perm[j]] for i in range(r) for j in range(r)):
+        raise NotGaloisSymmetric("columns")
+    return tuple(eps)
+
+
+def profile_with_signs(datum, rep):
+    profile = compute_profile(datum, rep)
+    return profile.units, profile.perms, profile.orbits, profile.signs
+
+
+def oracle_profile_with_signs(datum, rep):
+    """oracle_profile, and the signs by oracle_sign_function at each unit
+    extended to the field of the rep as compute_profile extends it."""
+    units, perms, orbits = oracle_profile(datum)
+    cond, modulus = datum.s_field_conductor, _rep_field_modulus(rep)
+    signs = {k: oracle_sign_function(rep, _extend_unit(k, cond, modulus)) for k in units}
+    return units, perms, orbits, signs
+
+
+def assert_lift_path_matches(rep, matched, ks):
+    assert result(galois_twist_symmetry, rep) == result(oracle_twist_symmetry, rep, matched)
+    for k in ks:
+        assert result(sign_function, rep, k) == result(oracle_sign_function, rep, k)
+
+
+@pytest.mark.parametrize("name", DATA_NAMES + list(LADDER))
+def test_lift_path_matches_the_exact_oracles(name, residues):
+    """Every lift stores the map of oracle_profile, or None with the residue
+    read patched to fail, and has the oracle's twist verdict.  On the ladder
+    the oracle forms r^2 character values in the field of each lift's s, so
+    it runs on every lift with the map stored and on the lift of least
+    level without.  Signs, 2 r^2 Galois images each, are compared on every
+    lift of a data file and on that least lift of the ladder, and
+    compute_profile(datum, rep), which signs every unit, on the data files."""
+    datum = LADDER[name]() if name in LADDER else datum_of(name)
+    reps = all_lifts(datum)
+    units, perms, _ = oracle_profile(datum)
+    least = min(reps, key=lambda rep: rep.level)
+    matched = {}
+    for rep in reps:
+        assert rep.galois_perms == ((datum.s_field_conductor, perms) if residues else None)
+        if name not in LADDER or rep is least:
+            assert_lift_path_matches(rep, matched, units_mod(rep.level)[1:3])
+        elif residues:
+            assert_lift_path_matches(rep, matched, ())
+    if name not in LADDER:
+        assert profile_with_signs(datum, least) == oracle_profile_with_signs(datum, least)
+
+
+def hand_built(rep, S):
+    """rep with s = s_00 S, storing the map the lift builder stores for S."""
+    c = lcm(*(v.order for row in S for v in row))
+    perms = galois._residue_perms(S, c, units_mod(c))
+    return replace(rep, s=mat.scale(S, rep.s[0][0]), galois_perms=perms and (c, perms))
+
+
+def message(f, *args):
+    """The message of the NotGaloisStable that f(*args) raises, else ""."""
+    try:
+        f(*args)
+    except NotGaloisStable as exc:
+        return str(exc)
+    except ValueError:
+        pass
+    return ""
+
+
+def test_mutated_lifts_fail_like_the_exact_oracles(golden, residues):
+    rng, seen = random.Random(28), set()
+    for datum in golden:
+        rep = min(all_lifts(datum), key=lambda rep: rep.level)
+        for mutate in (vanishing, duplicate, scaled):
+            for _ in range(2):
+                bent = mutate(datum, rng)
+                hand = hand_built(rep, bent.S)
+                assert_lift_path_matches(hand, {}, units_mod(hand.level)[:3])
+                assert result(profile_with_signs, bent, hand) == result(oracle_profile_with_signs, bent, hand)
+                for f, *args in ((galois_twist_symmetry, hand), (compute_profile, bent, hand)):
+                    seen |= {kind for kind in KINDS if kind in message(f, *args)}
+    assert seen == set(KINDS)  # each NotGaloisStable message is reached
+
+
+@pytest.mark.parametrize(
+    "S, torder",
+    [
+        (((ONE, sqrt_int(3)), (sqrt_int(3), -ONE)), 2),
+        (((ONE, ZERO), (ZERO, ONE)), 3),
+    ],
+    ids=["sqrt3", "zero-S_01"],
+)
+def test_lifts_of_unstable_characters_store_no_map(S, torder, residues):
+    # S^2 = D^2 Id and (ST)^3 = p+ S^2 hold with theta = (1, zeta_torder), so
+    # the 12 lifts exist.  sigma_5 (sqrt 3 -> -sqrt 3) sends character 0 to
+    # no column; with S_01 = 0 the characters are undefined.  The builder
+    # stores no map, and the readers raise as the exact oracles do
+    datum = ModularDatum(2, torder, (0, 1), S)
+    reps = all_lifts(datum)
+    assert all(rep.galois_perms is None for rep in reps)
+    twists = [result(galois_twist_symmetry, rep) for rep in reps]
+    assert twists == [result(oracle_twist_symmetry, rep, {}) for rep in reps]
+    assert NotGaloisStable in twists
+    for rep in reps:
+        assert_lift_path_matches(rep, {}, units_mod(rep.level))
+        assert result(profile_with_signs, datum, rep) == result(oracle_profile_with_signs, datum, rep)
