@@ -1,7 +1,8 @@
 """Tiny exact linear algebra over Cyclotomic, on tuples of tuples, and the one
 way to decide a matrix identity, from residues (`_first_nonzero`): a^k = cP
-for a permutation P (`_power_permutation`) and (ST)^3 = cS^2 (`_st_cubed_is`)
-among them.  `matmul` and `mat_pow` serve only the tests and perfbench."""
+for a permutation P (`_power_permutation`, `_square_and_fourth`) and (ST)^3 =
+cS^2 (`_st_cubed_is`) among them.  `matmul` and `mat_pow` serve only the tests
+and perfbench."""
 
 from __future__ import annotations
 
@@ -65,12 +66,24 @@ def _size(values: Iterable[Cyclotomic]) -> tuple[int, int]:
     return max(sum(map(abs, v._nums.values())) * (d // v._den) for v in values), d
 
 
+def _root_size(values: Iterable[Cyclotomic]) -> tuple[int, int]:
+    """_size, with l1 1 for each root of unity x: |sigma(x)| = 1 for every
+    sigma, so |sigma(d x)| = d, where the power basis can give x an l1 of
+    phi(n).  The test, x = +-zeta^e exactly, runs once per distinct value."""
+    values = set(values)
+    d = lcm(*(v._den for v in values))
+    return max(
+        (1 if v._root_of_unity_parts() else sum(map(abs, v._nums.values()))) * (d // v._den)
+        for v in values
+    ), d
+
+
 def _l1_bound(*terms: tuple) -> int:
     """B >= |sigma(L X)| for every embedding sigma, for X a sum of products
     and L the lcm of the products of denominators: each term (count, size,
     ...) stands for at most count products, each of one value of every _size
-    given, times roots of unity.  A value of _size (h, d) is P/d with
-    |sigma(P)| <= l1(P) <= h, and a root of unity has |sigma| = 1."""
+    given, times roots of unity.  A value of _size or _root_size (h, d) is P/d
+    with |sigma(P)| <= h, and a root of unity has |sigma| = 1."""
     dens = [prod(d for _, d in sizes) for _, *sizes in terms]
     big = lcm(*dens)
     return sum(
@@ -149,17 +162,29 @@ def _power_permutation(a: Matrix, k: int, c: Cyclotomic) -> Optional[tuple[int, 
     return tuple(perm) or None
 
 
+def _square_and_fourth(s: Matrix) -> tuple[Optional[Cyclotomic], Optional[Cyclotomic]]:
+    """(c2, c4) with s^2 = c2 Id and s^4 = c4 Id, None for no such c.  With
+    c2 = (s^2)_00 (one dot), s^2 = c2 P for a permutation P, decided from
+    residues, gives c2 if P = Id and c4 = c2^2 if P^2 = Id.  Only otherwise
+    is c4 = (s^4)_00 formed by dots and s^4 = c4 Id decided from residues."""
+    cols, identity = list(zip(*s)), tuple(range(len(s)))
+    c2 = dot(zip(s[0], cols[0]))
+    perm = _power_permutation(s, 2, c2)
+    if perm is not None:
+        involution = all(perm[q] == i for i, q in enumerate(perm))
+        return (c2 if perm == identity else None), (c2 * c2 if involution else None)
+    row, col = [dot(zip(s[0], v)) for v in cols], [dot(zip(v, cols[0])) for v in s]
+    c4 = dot(zip(row, col))  # (s^2)_0l and (s^2)_l0 give (s^4)_00
+    return None, (c4 if _power_permutation(s, 4, c4) == identity else None)
+
+
 def _st_residues(s: Matrix, t: Sequence[Cyclotomic], c: Cyclotomic):
     """R = T(ST)^2 - cS, so that (ST)^3 - cS^2 = SR: the values R is a
     polynomial in, a bound B >= |sigma(L R_jk)| as _l1_bound gives it, and
     residues(n, emb, pairs): s mod ell and the list of R_jk = t_j t_k sum_l
     t_l s_jl s_lk - c s_jk mod ell for (j, k) in pairs."""
     flat = [v for row in s for v in row]
-    s_size, c_size = _size(flat), _size([c])
-    # x conj(x) = 1 in an abelian field gives |sigma(x)| = 1 for every sigma;
-    # with denominator 1 as well, x is a root of unity
-    roots = all(v._den == 1 and v * v.conjugate() == ONE for v in t)
-    t_size = (1, 1) if roots else _size(t)
+    s_size, c_size, t_size = _size(flat), _size([c]), _root_size(t)
     bound = _l1_bound((len(s), t_size, t_size, t_size, s_size, s_size), (1, c_size, s_size))
 
     def residues(n, emb, pairs):

@@ -30,6 +30,9 @@ Scalar = Union[int, Fraction, "Cyclotomic"]
 
 _DEFAULT_ORDER_CAP = 2000
 _order_cap = _DEFAULT_ORDER_CAP
+# cache_clear of each cache whose results were computed under the cap in
+# force; set_order_cap clears them when the cap changes
+_cap_caches: list = []
 # an exponent key of a JSON value: an optional minus sign and ASCII digits;
 # a coefficient: such an integer, or one over ASCII digits
 _EXPONENT_KEY = re.compile(r"-?[0-9]+").fullmatch
@@ -45,10 +48,14 @@ class NotAUnitError(ValueError):
 
 
 def set_order_cap(cap: int) -> None:
-    """Set the maximal allowed phi(n) (cost guard for Phi_n reduction)."""
+    """Set the maximal allowed phi(n) (cost guard for Phi_n reduction).  A
+    change forgets every result cached under the old cap."""
     global _order_cap
     if cap < 1:
         raise ValueError("cap must be positive")
+    if cap != _order_cap:
+        for clear in _cap_caches:
+            clear()
     _order_cap = cap
 
 

@@ -16,7 +16,7 @@ from .cyclotomic import (
     is_prime,
     units_mod,
 )
-from .modular_data import ModularDatum, Record, Verdict, derived_scalars, norm_prime_support
+from .modular_data import ModularDatum, Record, Verdict, _s_facts
 
 FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
@@ -236,7 +236,6 @@ class CauchySupport(Record):
 
 def cauchy_prime_support(datum: ModularDatum) -> CauchySupport:
     """Prime support of Norm(D^2) versus the prime support of ord(T)."""
-    d2 = derived_scalars(datum).global_dim_sq
-    left = norm_prime_support(d2)
+    left = _s_facts(datum.S).norm_primes
     right = frozenset(factorize(datum.ord_t))
     return CauchySupport(left, right, left == right)

@@ -17,7 +17,7 @@ from .cyclotomic import (
     real_sign,
     units_mod,
 )
-from .modular_data import ModularDatum, Record, Verdict, derived_scalars
+from .modular_data import ModularDatum, Record, Verdict, _s_facts, derived_scalars
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sl2z_reps import ModularRep
@@ -140,9 +140,8 @@ def compute_profile(
     each unit is extended to a unit modulo the rep's scalar field.  The pair
     must be a lift of the datum, whose character columns are those of S.
     """
-    cond = datum.s_field_conductor
+    cond, perms = _s_perms(datum.S)
     units = tuple(units_mod(cond))
-    perms = _residue_perms(datum.S, cond, units)
     if perms is None:
         perms = _exact_perms(_characters(datum.S), units)
     edges = (edge for perm in perms.values() for edge in enumerate(perm))
@@ -154,6 +153,17 @@ def compute_profile(
             k_ext = _extend_unit(k, cond, modulus)
             signs[k] = sign_function(rep, k_ext)
     return GaloisProfile(cond, units, perms, orbits, signs)
+
+
+def _s_perms(S: mat.Matrix) -> tuple[int, Optional[dict[int, Perm]]]:
+    """(c, _residue_perms(S, c, units_mod(c))) for c the conductor of F_S,
+    read once per S in a process and kept in its modular_data._s_facts
+    record, which cannot import this module."""
+    facts = _s_facts(S)
+    if facts.h_sigma is None:
+        c = facts.conductor
+        facts.h_sigma = c, _residue_perms(S, c, units_mod(c))
+    return facts.h_sigma
 
 
 def _residue_perms(
@@ -218,7 +228,7 @@ def _residue_perms(
                 for i in range(r):
                     yield image[i][a] * res[0][b] - res[i][b] * image[0][a]
 
-    size = mat._size(flat)
+    size = mat._root_size(flat)
     if mat._first_nonzero(flat, mat._l1_bound((1, size, size), (1, size, size)), entries) is not None:
         return None
     perms = dict(_closure(
@@ -307,9 +317,9 @@ def galois_twist_symmetry(rep: "ModularRep") -> Verdict:
     zeta_n^(e_i k^2), compared with t_h(i) by its exponent.  The conductor
     c of the character values must divide n, as in every lift the package
     builds; ValueError names it otherwise.  h_sigma_k is read at k mod c
-    from the map (c, {k: h_sigma_k}) that the lift builder reads once per
-    datum from residues and stores on all 12 lifts, so no character value
-    and no Galois image is formed here.
+    from the map (c, {k: h_sigma_k}) that the lift builder reads once per S
+    from residues and stores on all 12 lifts, so no character value and no
+    Galois image is formed here.
     """
     n, exps, perms = rep.level, rep.t_exponents, rep.galois_perms
     if perms is None:  # a rep built by hand, or one whose residue read failed

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm
 from operator import mul
@@ -18,6 +18,7 @@ from .cyclotomic import (
     ONE,
     ZERO,
     _canonical,
+    _cap_caches,
     _check_order,
     _embedding,
     _galois_embedding,
@@ -230,7 +231,7 @@ class ModularDatum(Record):
     @property
     def s_field_conductor(self) -> int:
         """Conductor of F_S, the field generated by all S entries."""
-        return lcm(*(v.order for row in self.S for v in row))
+        return _s_facts(self.S).conductor
 
     # -- serialization ---------------------------------------------------------
 
@@ -309,16 +310,14 @@ class DerivedScalars(Record):
 @lru_cache(maxsize=None)
 def derived_scalars(datum: ModularDatum) -> DerivedScalars:
     """Dimensions, D^2, the Gauss sums and the anomaly."""
-    dims = datum.dims
+    facts = _s_facts(datum.S)
     thetas = datum.thetas
-    d_sq = [d * d for d in dims]
-    global_dim_sq = sum_cyclotomics(d_sq)
-    p_plus = sum_cyclotomics(dq * th for dq, th in zip(d_sq, thetas))
+    p_plus = sum_cyclotomics(dq * th for dq, th in zip(facts.dims_sq, thetas))
     p_minus = sum_cyclotomics(
-        dq * th.conjugate() for dq, th in zip(d_sq, thetas)
+        dq * th.conjugate() for dq, th in zip(facts.dims_sq, thetas)
     )
     anomaly = p_plus * p_minus.inverse() if p_minus else None
-    return DerivedScalars(dims, global_dim_sq, p_plus, p_minus, anomaly)
+    return DerivedScalars(datum.dims, facts.global_dim_sq, p_plus, p_minus, anomaly)
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +373,26 @@ class FusionRules(Record):
 
 @lru_cache(maxsize=None)
 def verlinde_fusion(datum: ModularDatum) -> FusionRules:
-    """Exact fusion rules N_{ij}^k = (1/D^2) sum_a S_ia S_ja conj(S_ka) / S_0a."""
-    r = datum.rank
-    ds = derived_scalars(datum)
-    if any(not d for d in ds.dims):
+    """Exact fusion rules N_{ij}^k = (1/D^2) sum_a S_ia S_ja conj(S_ka) / S_0a,
+    computed once per S (_s_facts); a failure raises again as it first did.
+    derived_scalars runs first, so that a datum whose twists or Gauss sums
+    lie past the order cap is refused whatever its S."""
+    derived_scalars(datum)
+    fusion = _s_facts(datum.S).fusion
+    if isinstance(fusion, FusionComputationError):
+        raise fusion.with_traceback(None)
+    return fusion
+
+
+def _fusion_rules(facts: "_SFacts") -> FusionRules:
+    """The Verlinde fusion rules of facts.S: projective unitarity, then the
+    tensor from residues (_modular_tensor) or else entry by entry."""
+    S, r = facts.S, len(facts.S)
+    if any(not d for d in S[0]):
         raise DegenerateSError("vanishing entry in the first row of S")
-    if not _projectively_unitary(datum, ds.global_dim_sq):
+    if not facts.unitary:
         raise DegenerateSError("S * conj(S)^t != D^2 * Id")
-    tensor = _modular_tensor(datum, ds.global_dim_sq) or _exact_tensor(datum, ds)
+    tensor = _modular_tensor(S, facts.global_dim_sq) or _exact_tensor(S, facts.global_dim_sq)
     dual = []
     for i in range(r):
         hits = [k for k in range(r) if tensor[i][k][0] == 1]
@@ -396,7 +407,7 @@ def verlinde_fusion(datum: ModularDatum) -> FusionRules:
     return FusionRules(r, tuple(tuple(map(tuple, plane)) for plane in tensor), dual)
 
 
-def _modular_tensor(datum: ModularDatum, d2: Cyclotomic) -> Optional[list[list[list[int]]]]:
+def _modular_tensor(S: mat.Matrix, d2: Cyclotomic) -> Optional[list[list[list[int]]]]:
     """The Verlinde tensor from residues, for S conj(S)^t = D^2 Id, or None.
 
     The candidate N_ij^k is the Verlinde formula mod the first prime ell of
@@ -405,7 +416,7 @@ def _modular_tensor(datum: ModularDatum, d2: Cyclotomic) -> Optional[list[list[l
     The Verlinde tensor solves that system, and S is invertible, so it is
     its only solution.  None when a candidate lies past ell/2, a residue
     that the formula divides by is 0, or the certificate fails."""
-    S, r = datum.S, datum.rank
+    r = len(S)
     flat = [v for row in S for v in row]
     n = lcm(*(v.order for v in flat))
     emb = _embedding(n, 0)
@@ -442,20 +453,20 @@ def _modular_tensor(datum: ModularDatum, d2: Cyclotomic) -> Optional[list[list[l
     return tensor if mat._first_nonzero(flat, bound, entries) is None else None
 
 
-def _exact_tensor(datum: ModularDatum, ds: DerivedScalars) -> list[list[list[int]]]:
+def _exact_tensor(S: mat.Matrix, d2: Cyclotomic) -> list[list[list[int]]]:
     """The Verlinde tensor entry by entry, each one exact dot; raises
     NotFusionIntegral at the first (i, j, k), i <= j, that is not a
     nonnegative integer."""
-    r = datum.rank
-    conj_rows = [[v.conjugate() for v in row] for row in datum.S]
-    d2_inv = ds.global_dim_sq.inverse()
+    r = len(S)
+    conj_rows = [[v.conjugate() for v in row] for row in S]
+    d2_inv = d2.inverse()
     # weighted[i][a] = S_ia / (S_0a D^2)
-    weights = [d.inverse() * d2_inv for d in ds.dims]
-    weighted = [[v * w for v, w in zip(row, weights)] for row in datum.S]
+    weights = [d.inverse() * d2_inv for d in S[0]]
+    weighted = [[v * w for v, w in zip(row, weights)] for row in S]
     tensor = [[[0] * r for _ in range(r)] for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
-            pair = [w * v for w, v in zip(weighted[i], datum.S[j])]
+            pair = [w * v for w, v in zip(weighted[i], S[j])]
             for k in range(r):
                 value = dot(zip(pair, conj_rows[k]))
                 if not value.is_integer or value.as_integer() < 0:
@@ -464,13 +475,13 @@ def _exact_tensor(datum: ModularDatum, ds: DerivedScalars) -> list[list[list[int
     return tensor
 
 
-def _projectively_unitary(datum: ModularDatum, d2: Cyclotomic) -> bool:
+def _projectively_unitary(S: mat.Matrix, d2: Cyclotomic) -> bool:
     """S conj(S)^t == D^2 Id, decided from residues of the entries (i, j),
     i <= j.
 
     S is symmetric, so conj(S)^t = conj(S), and entry (j, i) of S conj(S) is
     the conjugate of entry (i, j): the entries with i <= j decide it."""
-    S, r = datum.S, datum.rank
+    r = len(S)
     flat = [v for row in S for v in row]
 
     def entries(n, emb):
@@ -485,6 +496,73 @@ def _projectively_unitary(datum: ModularDatum, d2: Cyclotomic) -> bool:
     size = mat._size(flat)
     bound = mat._l1_bound((r, size, size), (1, mat._size([d2])))
     return mat._first_nonzero([*flat, d2], bound, entries) is None
+
+
+# ---------------------------------------------------------------------------
+# what depends on S alone
+
+
+class _SFacts:
+    """What depends on S alone, each field computed on first use and shared
+    by every datum over S in a process (_s_facts).
+
+    fusion is the FusionRules or the FusionComputationError that computing
+    them raised.  h_sigma is (c, galois._residue_perms(S, c, units_mod(c)))
+    for c the conductor of F_S, set by galois._s_perms: this module cannot
+    import galois."""
+
+    def __init__(self, S: mat.Matrix):
+        self.S = S
+        self.h_sigma: Optional[tuple] = None
+
+    @cached_property
+    def dims_sq(self) -> list[Cyclotomic]:
+        return [d * d for d in self.S[0]]
+
+    @cached_property
+    def global_dim_sq(self) -> Cyclotomic:
+        return sum_cyclotomics(self.dims_sq)
+
+    @cached_property
+    def global_dim_sq_inv(self) -> Cyclotomic:
+        return self.global_dim_sq.inverse()
+
+    @cached_property
+    def dims_over_global(self) -> list[Cyclotomic]:
+        """d_i D^-2."""
+        return [d * self.global_dim_sq_inv for d in self.S[0]]
+
+    @cached_property
+    def unitary(self) -> bool:
+        return _projectively_unitary(self.S, self.global_dim_sq)
+
+    @cached_property
+    def fusion(self) -> Union[FusionRules, FusionComputationError]:
+        try:
+            return _fusion_rules(self)
+        except FusionComputationError as exc:
+            return exc
+
+    @cached_property
+    def norm_primes(self) -> frozenset[int]:
+        """The primes of Norm(D^2)."""
+        return norm_prime_support(self.global_dim_sq)
+
+    @cached_property
+    def conductor(self) -> int:
+        return lcm(*(v.order for row in self.S for v in row))
+
+    @cached_property
+    def square_and_fourth(self) -> tuple[Optional[Cyclotomic], Optional[Cyclotomic]]:
+        return mat._square_and_fourth(self.S)
+
+
+@lru_cache(maxsize=None)
+def _s_facts(S: mat.Matrix) -> _SFacts:
+    return _SFacts(S)
+
+
+_cap_caches.extend((derived_scalars.cache_clear, verlinde_fusion.cache_clear, _s_facts.cache_clear))
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +603,10 @@ def _fs_numerators(datum: ModularDatum, fusion: FusionRules) -> tuple[int, int, 
     the conductors of each d_i and of D^-2).  nu_n(k) sums D^-2 N_ij^k d_i d_j
     (theta_i / theta_j)^n over i, j (Ng-Schauenburg); each theta_i is a power of zeta_L."""
     N, r, exps, dims = datum.torder, datum.rank, datum.t_exponents, datum.dims
-    d2_inv = derived_scalars(datum).global_dim_sq.inverse()
-    L = lcm(datum.ord_t, d2_inv.order, *(d.order for d in dims))
+    facts = _s_facts(datum.S)
+    L = lcm(datum.ord_t, facts.global_dim_sq_inv.order, *(d.order for d in dims))
     _check_order(L)
-    left, right = ([_numerators_at(x, L) for x in xs] for xs in ([d * d2_inv for d in dims], dims))
+    left, right = ([_numerators_at(x, L) for x in xs] for xs in (facts.dims_over_global, dims))
     lden, rden = lcm(*(q for _, q in left)), lcm(*(q for _, q in right))
     rows: list[dict[int, dict]] = [{} for _ in range(r)]  # rows[k][delta L / N]
     for i, j, k in product(range(r), repeat=3):
@@ -622,20 +700,14 @@ _CONDITION_NAMES = (
 )
 
 
-def _reality_and_unitarity(datum: ModularDatum, ds: DerivedScalars, fusion_error) -> str:
+def _reality_and_unitarity(datum: ModularDatum) -> str:
     # (i) reality, projective unitarity, finite twist order; S is symmetric
-    # since ModularDatum rejects any other
-    for j, d in enumerate(ds.dims):
+    # since ModularDatum rejects any other.  verlinde_fusion reads the same
+    # unitarity field, so the test runs once per S
+    for j, d in enumerate(datum.dims):
         if not d.is_real:
             return f"d_{j} is not real"
-    # verlinde_fusion tests projective unitarity whenever the first row of S
-    # has no zero, and raises DegenerateSError then iff the test fails; its
-    # outcome settles this clause, so the test runs once
-    if all(ds.dims):
-        unitary = not isinstance(fusion_error, DegenerateSError)
-    else:
-        unitary = _projectively_unitary(datum, ds.global_dim_sq)
-    return "" if unitary else "S*conj(S)^t != D^2*Id"
+    return "" if _s_facts(datum.S).unitary else "S*conj(S)^t != D^2*Id"
 
 
 def _gauss_sum_relations(datum: ModularDatum, ds: DerivedScalars) -> str:
@@ -729,7 +801,7 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
         fusion, fusion_error = None, exc
 
     witnesses = [
-        _reality_and_unitarity(datum, ds, fusion_error),
+        _reality_and_unitarity(datum),
         _gauss_sum_relations(datum, ds),
         "" if fusion_error is None else str(fusion_error),
         "no fusion" if fusion is None else str(check_balancing(datum, fusion).witness or ""),

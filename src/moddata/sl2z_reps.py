@@ -10,9 +10,9 @@ from operator import neg
 from typing import Iterable, Optional
 
 from . import _matrix as mat
-from .cyclotomic import Cyclotomic, ONE, dot, is_prime, real_sign, sqrt_int, sum_cyclotomics, units_mod, zeta
-from .galois import Perm, _components, _residue_perms
-from .modular_data import Field, ModularDatum, Record, Verdict, derived_scalars
+from .cyclotomic import Cyclotomic, ONE, _cap_caches, is_prime, real_sign, sqrt_int, sum_cyclotomics, zeta
+from .galois import Perm, _components, _s_perms
+from .modular_data import Field, ModularDatum, Record, Verdict, _s_facts, derived_scalars
 
 
 class NotModularRepresentation(ValueError):
@@ -55,27 +55,11 @@ class ModularRep(Record):
 
 def verify_relations(s: mat.Matrix, t: tuple[Cyclotomic, ...]) -> Verdict:
     """Exact check of s^4 = Id and (st)^3 = s^2."""
-    if _square_and_fourth(s)[1] != ONE:
+    if mat._square_and_fourth(s)[1] != ONE:
         return Verdict(False, "s^4 != Id")
     if not mat._st_cubed_is(s, t, ONE):
         return Verdict(False, "(st)^3 != s^2")
     return Verdict(True)
-
-
-def _square_and_fourth(s: mat.Matrix) -> tuple[Optional[Cyclotomic], Optional[Cyclotomic]]:
-    """(c2, c4) with s^2 = c2 Id and s^4 = c4 Id, None for no such c.  With
-    c2 = (s^2)_00 (one dot), s^2 = c2 P for a permutation P, decided from
-    residues, gives c2 if P = Id and c4 = c2^2 if P^2 = Id.  Only otherwise
-    is c4 = (s^4)_00 formed by dots and s^4 = c4 Id decided from residues."""
-    cols, identity = list(zip(*s)), tuple(range(len(s)))
-    c2 = dot(zip(s[0], cols[0]))
-    perm = mat._power_permutation(s, 2, c2)
-    if perm is not None:
-        involution = all(perm[q] == i for i, q in enumerate(perm))
-        return (c2 if perm == identity else None), (c2 * c2 if involution else None)
-    row, col = [dot(zip(s[0], v)) for v in cols], [dot(zip(v, cols[0])) for v in s]
-    c4 = dot(zip(row, col))  # (s^2)_0l and (s^2)_l0 give (s^4)_00
-    return None, (c4 if mat._power_permutation(s, 4, c4) == identity else None)
 
 
 def _parity(c2: Optional[Cyclotomic]) -> str:
@@ -89,17 +73,18 @@ def _lifts(
     """The lifts s = lam S, t = mu T for x = zeta_12^a, a in x_exps, where
     lam = zeta^3 / (x^3 p+), mu = x / zeta and zeta = zeta_m^e for root = (m, e).
 
-    The work that depends only on the datum is done once.  lam mu^3 = 1/p+,
-    so (st)^3 = s^2 iff (ST)^3 = p+ S^2.  With S^4 = c4 Id and lam = lam0 i^-a,
-    s^4 = Id iff lam0^4 c4 = 1, and lam^2 = (-1)^a lam0^2 gives two parities.
-    c2 and c4 are decided from residues, with no matrix product.  s_(a+2) =
-    -s_a, so S is scaled at most twice.  t is exponent arithmetic at L =
-    lcm(12, m, N), cut down to its level.  s_ia / s_0a = S_ia / S_0a, whose
-    field is F_S (S_ia = chi_a(i) chi_0(a)): all lifts share h_sigma read from
-    residues at c = conductor(F_S), or None when that read fails.
+    The work that depends only on the datum is done once, and what depends
+    on S alone once per S (_s_facts).  lam mu^3 = 1/p+, so (st)^3 = s^2 iff
+    (ST)^3 = p+ S^2.  With S^4 = c4 Id and lam = lam0 i^-a, s^4 = Id iff
+    lam0^4 c4 = 1, and lam^2 = (-1)^a lam0^2 gives two parities.  c2 and c4
+    are decided from residues, with no matrix product.  s_(a+2) = -s_a, so S
+    is scaled at most twice.  t is exponent arithmetic at L = lcm(12, m, N),
+    cut down to its level.  s_ia / s_0a = S_ia / S_0a, whose field is F_S
+    (S_ia = chi_a(i) chi_0(a)): all lifts share h_sigma read from residues at
+    c = conductor(F_S), or None when that read fails.
     """
     S, (m, e), N = datum.S, root, datum.torder
-    c2, c4 = _square_and_fourth(S)
+    c2, c4 = _s_facts(S).square_and_fourth
     p_plus = derived_scalars(datum).gauss_plus
     lam = zeta(m, 3 * e) * p_plus.inverse()  # at a = 0
     if c4 is None or lam**4 * c4 != ONE:
@@ -108,8 +93,7 @@ def _lifts(
         raise NotModularRepresentation("(st)^3 != s^2")
     lam2_c2 = None if c2 is None else lam * lam * c2
     parities = (_parity(lam2_c2), _parity(None if lam2_c2 is None else -lam2_c2))
-    c = datum.s_field_conductor
-    perms = _residue_perms(S, c, units_mod(c))
+    c, perms = _s_perms(S)
     galois_perms = None if perms is None else (c, perms)
     L = lcm(12, m, N)
     theta_exps = [j * (L // N) - e * (L // m) for j in datum.t_exponents]
@@ -159,6 +143,9 @@ def normalize(datum: ModularDatum) -> ModularRep:
 def all_lifts(datum: ModularDatum) -> list[ModularRep]:
     """The 12 modular representations rho_x, x running over 12th roots."""
     return list(_lifts(datum, _anomaly_sixth_root(datum), range(12)))
+
+
+_cap_caches.append(normalize.cache_clear)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +427,7 @@ def inadmissible_psi(p: int) -> PsiCertificate:
         )
         rows.append((p_inv,) + tuple(acc * p_inv for acc in kloosterman))
     s_prime = tuple(rows)
-    c2, c4 = _square_and_fourth(s_prime)
+    c2, c4 = mat._square_and_fourth(s_prime)
     if c4 != ONE:
         raise NotModularRepresentation("s^4 != Id")
     if not mat._st_cubed_is(s_prime, tuple(zeta(p, e) for e in range(p)), ONE):

@@ -944,7 +944,7 @@ def dot_verlinde_fusion(datum: ModularDatum) -> FusionRules:
         raise DegenerateSError("vanishing entry in the first row of S")
     if not dot_projectively_unitary(datum, ds.global_dim_sq):
         raise DegenerateSError("S * conj(S)^t != D^2 * Id")
-    tensor = _exact_tensor(datum, ds)
+    tensor = _exact_tensor(datum.S, ds.global_dim_sq)
     dual = []
     for i in range(r):
         hits = [k for k in range(r) if tensor[i][k][0] == 1]

@@ -3,8 +3,17 @@ from pathlib import Path
 import pytest
 
 from moddata.catalog import pointed_zn, rank5_catalog, su2_4_family_all, su2_odd_mod2
+from moddata.modular_data import _s_facts
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def fresh_s_facts():
+    """Each test starts with no S analysed: a test that patches a step of the
+    S analysis (_residue_perms, _projectively_unitary, ...) must reach its
+    patch, not a record that an earlier test filled."""
+    _s_facts.cache_clear()
 
 
 @pytest.fixture(scope="session")

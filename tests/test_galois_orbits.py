@@ -1,7 +1,7 @@
 """Verdicts shared along classes and orbits: the vanishing-sum scan runs its
 kernel once per class of root pairs under Galois, signs and swap, and the
 twist-symmetry check reads h_sigma from the map that the lift builder reads
-once per datum from residues, and compares the twists by their exponents.
+once per S from residues, and compares the twists by their exponents.
 Both are compared with the term-by-term loops they replace, kept here as
 oracles, and the scan's class key with a brute-force class."""
 
@@ -9,7 +9,7 @@ from math import gcd, lcm
 
 import pytest
 
-from moddata import classifier, galois, sl2z_reps
+from moddata import classifier, galois
 from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.classifier import (
     _all_nonzero_solution_exists,
@@ -200,12 +200,12 @@ def test_twist_symmetry_matches_oracle_on_all_lifts(name):
     ids=["su2_odd_mod2(3)", "pointed_zn(5)", "su2_odd_mod2(5)", "su2_odd_mod2(1)", "pointed_zn(1)"],
 )
 def test_twist_symmetry_matches_h_sigma_once_per_datum(build, monkeypatch):
-    # the lift builder reads h_sigma from residues once per datum, at the
+    # the lift builder reads h_sigma from residues once per S, at the
     # conductor of S, and the 12 lifts share that map: no unit is matched on
     # character values, at c = 1 (k mod 1 = 0, units_mod(1) = [1]) too
     reads, matches = [], []
-    read, match = sl2z_reps._residue_perms, galois._match_permutation
-    monkeypatch.setattr(sl2z_reps, "_residue_perms", lambda S, c, units: reads.append(c) or read(S, c, units))
+    read, match = galois._residue_perms, galois._match_permutation
+    monkeypatch.setattr(galois, "_residue_perms", lambda S, c, units: reads.append(c) or read(S, c, units))
     monkeypatch.setattr(galois, "_match_permutation", lambda cols, k: matches.append(k) or match(cols, k))
     datum = build()
     reps = all_lifts(datum)

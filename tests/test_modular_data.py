@@ -10,6 +10,7 @@ from moddata.modular_data import (
     FusionComputationError,
     ModularDatum,
     SchemaViolation,
+    _s_facts,
     check_admissible,
     check_balancing,
     check_twist_equation,
@@ -355,19 +356,29 @@ class TestUnitarityOnce:
         calls = []
         real = modular_data._projectively_unitary
 
-        def counting(datum, d2):
-            calls.append(datum)
-            return real(datum, d2)
+        def counting(S, d2):
+            calls.append(S)
+            return real(S, d2)
 
         monkeypatch.setattr(modular_data, "_projectively_unitary", counting)
         verlinde_fusion.cache_clear()
+        _s_facts.cache_clear()
         return calls
 
     def test_once_per_check_on_catalog(self, unitarity_calls, catalog_rank5):
         for _, datum in catalog_rank5:
+            _s_facts.cache_clear()
             unitarity_calls.clear()
             assert check_admissible(datum).passed
-            assert unitarity_calls == [datum]
+            assert unitarity_calls == [datum.S]
+
+    def test_once_per_distinct_s(self, unitarity_calls, data_dir):
+        # the 16 su2_4_family files hold 4 distinct S, each with 4 T
+        data = [load(path) for path in sorted(data_dir.glob("su2_4_family_*.json"))]
+        for datum in data:
+            assert check_admissible(datum).passed
+        distinct = list(dict.fromkeys(datum.S for datum in data))
+        assert len(data) == 16 and len(distinct) == 4 and unitarity_calls == distinct
 
     @pytest.mark.parametrize(
         "build, expected",

@@ -12,7 +12,7 @@ import pytest
 from moddata import _matrix as mat
 from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.cyclotomic import Cyclotomic, ONE, ZERO, _embedding, zeta
-from moddata.modular_data import ModularDatum, derived_scalars, load, verlinde_fusion
+from moddata.modular_data import ModularDatum, _s_facts, derived_scalars, load, verlinde_fusion
 from moddata.sl2z_reps import (
     NotModularRepresentation,
     _anomaly_sixth_root,
@@ -105,6 +105,7 @@ def test_a_failed_certificate_gives_none_and_the_same_lifts(monkeypatch, name):
     monkeypatch.setattr(mat, "_first_nonzero", fail_once)
     calls = spy_on_powers(monkeypatch)
     root = _anomaly_sixth_root(datum)
+    _s_facts.cache_clear()  # all_lifts kept S^2 and S^4 in the record of S
     lifts = _lifts(datum, root, range(12))
     assert calls[:2] == [(2, d2, None), (4, d2 * d2, tuple(range(datum.rank)))]
     # C != Id, so no lift has even or odd parity to lose

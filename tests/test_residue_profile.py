@@ -13,7 +13,7 @@ import pytest
 
 from _oracles import oracle_profile
 from moddata import _matrix as mat
-from moddata import galois, sl2z_reps
+from moddata import galois
 from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.cyclotomic import (
     Cyclotomic,
@@ -204,9 +204,16 @@ KINDS = ("vanishing first-row entry", "duplicate character columns", "sends char
 def residues(request, monkeypatch):
     """True, or False with _residue_perms patched to fail everywhere."""
     if request.param == "no-residues":
-        for module in (galois, sl2z_reps):
-            monkeypatch.setattr(module, "_residue_perms", lambda S, cond, units: None)
+        monkeypatch.setattr(galois, "_residue_perms", lambda S, cond, units: None)
     return request.param == "residues"
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The units of each call of the exact loop galois._exact_perms."""
+    calls, real = [], galois._exact_perms
+    monkeypatch.setattr(galois, "_exact_perms", lambda cols, units: calls.append(units) or real(cols, units))
+    return calls
 
 
 def result(f, *args):
@@ -255,14 +262,16 @@ def assert_lift_path_matches(rep, matched, ks):
 
 
 @pytest.mark.parametrize("name", DATA_NAMES + list(LADDER))
-def test_lift_path_matches_the_exact_oracles(name, residues):
+def test_lift_path_matches_the_exact_oracles(name, residues, exact_calls):
     """Every lift stores the map of oracle_profile, or None with the residue
     read patched to fail, and has the oracle's twist verdict.  On the ladder
     the oracle forms r^2 character values in the field of each lift's s, so
     it runs on every lift with the map stored and on the lift of least
     level without.  Signs, 2 r^2 Galois images each, are compared on every
     lift of a data file and on that least lift of the ladder, and
-    compute_profile(datum, rep), which signs every unit, on the data files."""
+    compute_profile(datum, rep), which signs every unit, on the data files.
+    The exact loop runs exactly when the read is patched to fail: a read
+    kept from an earlier datum over the same S would skip the patch."""
     datum = LADDER[name]() if name in LADDER else datum_of(name)
     reps = all_lifts(datum)
     units, perms, _ = oracle_profile(datum)
@@ -276,6 +285,7 @@ def test_lift_path_matches_the_exact_oracles(name, residues):
             assert_lift_path_matches(rep, matched, ())
     if name not in LADDER:
         assert profile_with_signs(datum, least) == oracle_profile_with_signs(datum, least)
+    assert bool(exact_calls) is not residues
 
 
 def hand_built(rep, S):

@@ -1,0 +1,214 @@
+"""What depends on S alone is computed once per S in a process
+(modular_data._s_facts) and shared by every datum over that S: the Verlinde
+fusion rules or their failure, projective unitarity, D^2, D^-2, the primes
+of Norm(D^2), S^2 and S^4, and h_sigma read from residues.  Sharing changes
+no report and no exception; the analysis runs once per distinct S; a change
+of the order cap forgets every cached result; and h_sigma's certificate
+sizes roots of unity as 1."""
+
+import json
+import random
+
+import pytest
+
+from moddata import _matrix as mat
+from moddata import galois, modular_data
+from moddata.catalog import pointed_zn, rank5_catalog, su2_odd_mod2
+from moddata.classifier import rank5_suite
+from moddata.cyclotomic import InvalidOrderError, get_order_cap, set_order_cap, units_mod
+from moddata.modular_data import (
+    FusionComputationError,
+    ModularDatum,
+    _s_facts,
+    check_admissible,
+    derived_scalars,
+    load,
+    verlinde_fusion,
+)
+from moddata.sl2z_reps import normalize
+from test_modular_data import OFF_UNITARITY, perturb_twist
+
+SEED = 29
+
+
+def clear_all():
+    for cache in (_s_facts, derived_scalars, verlinde_fusion, normalize):
+        cache.cache_clear()
+
+
+def report(datum):
+    """The check report as `moddata check` prints it, text and --json, and
+    the Galois profile condition (vi) computed."""
+    got = check_admissible(datum)
+    profile = got.profile and json.dumps(got.profile.to_json())
+    return got.format_table(), json.dumps(got.to_json(), indent=1), profile
+
+
+def retwisted(datum, rng):
+    """datum with one twist changed at random, over the same S; a datum of
+    torder 1 is first written at torder 2."""
+    if datum.torder == 1:
+        datum = ModularDatum(datum.rank, 2, datum.t_exponents, datum.S)
+    return perturb_twist(datum, rng.randrange(1, datum.rank), rng.randrange(1, datum.torder))
+
+
+def data_over_shared_s(data_dir):
+    """Every data file and failing S of test_modular_data, each with two
+    seeded changes of T over the same S, in a seeded shuffled order."""
+    rng = random.Random(SEED)
+    base = [load(path) for path in sorted(data_dir.glob("*.json"))]
+    base += [build() for build, _ in OFF_UNITARITY]
+    data = [twisted for datum in base for twisted in (datum, retwisted(datum, rng), retwisted(datum, rng))]
+    rng.shuffle(data)
+    return data
+
+
+def test_sharing_changes_no_report(data_dir):
+    data = data_over_shared_s(data_dir)
+    clear_all()
+    shared = [report(datum) for datum in data]
+    fresh = []
+    for datum in data:
+        clear_all()
+        fresh.append(report(datum))
+    assert shared == fresh
+    # the shared run reused records: far fewer S than data, failing S among them
+    assert len({datum.S for datum in data}) <= len(data) // 3
+    assert {table.endswith("overall: admissible") for table, _, _ in shared} == {True, False}
+
+
+def fusion_error(datum):
+    with pytest.raises(FusionComputationError) as info:
+        verlinde_fusion(datum)
+    exc = info.value
+    return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+FAILING = [build for build, expected in OFF_UNITARITY if not expected[2][0]]
+
+
+@pytest.mark.parametrize("build", FAILING, ids=range(len(FAILING)))
+def test_a_failing_s_raises_alike_for_each_datum_over_it(build):
+    first = build()
+    second = retwisted(first, random.Random(SEED))
+    assert second.S == first.S and second != first
+    raised = [fusion_error(datum) for datum in (first, second, first)]
+    clear_all()
+    assert raised == [fusion_error(second)] * 3
+
+
+def test_a_non_integral_tensor_keeps_its_witness():
+    build = FAILING[-1]  # rank2_non_integral, N[1,1]^1 = 3/2
+    datum = build()
+    first = fusion_error(datum)
+    assert first[0] is modular_data.NotFusionIntegral and first[2][:3] == (1, 1, 1)
+    assert fusion_error(retwisted(datum, random.Random(SEED))) == first
+
+
+def counting(monkeypatch, module, name):
+    """Patch module.name to record its first argument, S, on each call."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda S, *args: calls.append(S) or real(S, *args))
+    return calls
+
+
+def test_check_analyses_each_distinct_s_once(monkeypatch, data_dir):
+    """The 16 su2_4_family files hold 4 distinct S, each with 4 T."""
+    tensors = counting(monkeypatch, modular_data, "_modular_tensor")
+    reads = counting(monkeypatch, galois, "_residue_perms")
+    clear_all()
+    data = [load(path) for path in sorted(data_dir.glob("su2_4_family_*.json"))]
+    assert all(check_admissible(datum).passed for datum in data)
+    distinct = list(dict.fromkeys(datum.S for datum in data))
+    assert len(data) == 16 and len(distinct) == 4
+    assert tensors == distinct and reads == distinct
+
+
+def test_classify_rank5_reads_h_sigma_once_per_distinct_s(monkeypatch):
+    """check (condition (vi)) and the canonical lift read one h_sigma map."""
+    reads = counting(monkeypatch, galois, "_residue_perms")
+    squares = counting(monkeypatch, mat, "_square_and_fourth")
+    clear_all()
+    data = rank5_catalog()
+    assert rank5_suite(data).passed
+    distinct = list(dict.fromkeys(datum.S for _, datum in data))
+    assert len(data) == 18 and len(distinct) == 6
+    assert reads == distinct and squares == distinct
+
+
+@pytest.fixture
+def cap():
+    """Runs the test at the default cap, and restores the cap after it."""
+    saved = get_order_cap()
+    yield saved
+    set_order_cap(saved)
+
+
+# su2_odd_mod2(5) lies in Q(zeta_11): phi(11) = 10 exceeds a cap of 4
+CAPPED = r"^phi\(11\) exceeds the order cap 4$"
+
+
+def test_a_cap_change_forgets_the_s_records(cap):
+    datum = su2_odd_mod2(5)
+    facts = _s_facts(datum.S)
+    assert facts.fusion.rank == 5
+    set_order_cap(4)
+    assert _s_facts.cache_info().currsize == 0
+    with pytest.raises(InvalidOrderError, match=CAPPED):
+        _s_facts(datum.S).fusion
+    set_order_cap(cap)
+    assert _s_facts(datum.S) is not facts and _s_facts(datum.S).fusion == facts.fusion
+
+
+def test_a_cap_change_forgets_the_fusion_rules(cap):
+    datum = su2_odd_mod2(5)
+    assert verlinde_fusion(datum).rank == 5
+    set_order_cap(4)
+    with pytest.raises(InvalidOrderError, match=CAPPED):
+        verlinde_fusion(datum)
+
+
+def test_a_cap_change_forgets_the_derived_scalars(cap):
+    datum = su2_odd_mod2(5)
+    assert derived_scalars(datum).global_dim_sq
+    set_order_cap(4)
+    with pytest.raises(InvalidOrderError, match=CAPPED):
+        derived_scalars(datum)
+
+
+def test_a_cap_change_forgets_the_canonical_lift(cap):
+    datum = su2_odd_mod2(5)
+    assert normalize(datum).rank == 5
+    set_order_cap(4)
+    with pytest.raises(InvalidOrderError, match=CAPPED):
+        normalize(datum)
+
+
+def test_setting_the_same_cap_keeps_the_records(cap):
+    facts = _s_facts(su2_odd_mod2(5).S)
+    set_order_cap(cap)
+    assert _s_facts(su2_odd_mod2(5).S) is facts
+
+
+@pytest.mark.parametrize("n", [31, 41])
+def test_h_sigma_certificate_takes_one_prime_on_roots_of_unity(monkeypatch, n):
+    """Every S entry of pointed_zn(n) is a root of unity, so the certificate's
+    bound is 2 and one prime covers 2^phi(n); the power-basis l1 size of
+    zeta^(n-1) = -(1 + zeta + ... + zeta^(n-2)) is n - 1, which took 8
+    primes at n = 41."""
+    primes, real = [], mat._first_nonzero
+
+    def spy(values, bound, entries):
+        def counted(m, emb):
+            primes.append(emb[0])
+            return entries(m, emb)
+
+        return real(values, bound, counted)
+
+    monkeypatch.setattr(mat, "_first_nonzero", spy)
+    S = pointed_zn(n).S
+    perms = galois._residue_perms(S, n, units_mod(n))
+    assert perms is not None and len(perms) == n - 1
+    assert len(primes) == 1
+    assert mat._root_size([v for row in S for v in row]) == (1, 1)
+    assert mat._size([v for row in S for v in row]) == (n - 1, 1)
