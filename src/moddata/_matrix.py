@@ -1,14 +1,16 @@
 """Tiny exact linear algebra over Cyclotomic, on tuples of tuples, and the one
 way to decide a matrix identity, from residues (`_first_nonzero`): a^k = cP
 for a permutation P (`_power_permutation`, `_square_and_fourth`) and (ST)^3 =
-cS^2 (`_st_cubed_is`) among them.  `matmul` and `mat_pow` serve only the tests
-and perfbench."""
+cS^2 (`_st_cubed_is`) among them.  Each identity states what it multiplies,
+as terms (count, group, ...), and only `_first_nonzero` turns them into a
+norm bound, with one size rule (`_size`: a root of unity has l1 1).
+`matmul` and `mat_pow` serve only the tests and perfbench."""
 
 from __future__ import annotations
 
 from itertools import islice
 from math import lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cyclotomic import (
@@ -58,64 +60,65 @@ def scale(a: Matrix, s: Scalar) -> Matrix:
     return entrywise(a, lambda v: v * s)
 
 
-def _size(values: Iterable[Cyclotomic]) -> tuple[int, int]:
-    """(h, d): d is the lcm of the denominators, and d v = sum c_e zeta^e with
-    sum |c_e| <= h for every value v."""
-    values = list(values)
+def _size(group: Iterable[Cyclotomic]) -> tuple[int, int]:
+    """(h, d) with |sigma(d v)| <= h for every value v of group and every
+    embedding sigma, d the lcm of the denominators.  One rule: a root of
+    unity has l1 1, since |sigma(v)| = 1 where its power-basis l1 can be
+    phi(n); any other d v = sum c_e zeta^e has l1 sum |c_e|.  The distinct
+    values are read from the largest power-basis l1 down, and the root test
+    runs only while that l1 exceeds h: below it no value can raise h."""
+    values = set(group)
     d = lcm(*(v._den for v in values))
-    return max(sum(map(abs, v._nums.values())) * (d // v._den) for v in values), d
+    h = 0
+    l1s = sorted(((sum(map(abs, v._nums.values())) * (d // v._den), v) for v in values), key=itemgetter(0))
+    while l1s and l1s[-1][0] > h:
+        l1, v = l1s.pop()
+        h = d if v._root_of_unity_parts() else l1  # h was 0 or d
+    return h, d
 
 
-def _root_size(values: Iterable[Cyclotomic]) -> tuple[int, int]:
-    """_size, with l1 1 for each root of unity x: |sigma(x)| = 1 for every
-    sigma, so |sigma(d x)| = d, where the power basis can give x an l1 of
-    phi(n).  The test, x = +-zeta^e exactly, runs once per distinct value."""
-    values = set(values)
-    d = lcm(*(v._den for v in values))
-    return max(
-        (1 if v._root_of_unity_parts() else sum(map(abs, v._nums.values()))) * (d // v._den)
-        for v in values
-    ), d
-
-
-def _l1_bound(*terms: tuple) -> int:
-    """B >= |sigma(L X)| for every embedding sigma, for X a sum of products
-    and L the lcm of the products of denominators: each term (count, size,
-    ...) stands for at most count products, each of one value of every _size
-    given, times roots of unity.  A value of _size or _root_size (h, d) is P/d
-    with |sigma(P)| <= h, and a root of unity has |sigma| = 1."""
-    dens = [prod(d for _, d in sizes) for _, *sizes in terms]
+def _bound(terms: Sequence[tuple]) -> tuple[int, int, int]:
+    """(n, den, B) for X a sum of terms (count, group, ...), each at most
+    count products of one value of every group, times roots of unity: the
+    values lie in Q(zeta_n), den is the lcm of their denominators, and
+    B >= |sigma(L X)| for every embedding sigma, for L the lcm over the
+    terms of the product of the d of their groups (_size).  A group that
+    appears more than once, as one object, is sized once."""
+    groups = {id(group): group for _, *gs in terms for group in gs}
+    sizes = {key: _size(group) for key, group in groups.items()}
+    n = lcm(*(v.order for group in groups.values() for v in group))
+    dens = [prod(sizes[id(group)][1] for group in gs) for _, *gs in terms]
     big = lcm(*dens)
-    return sum(
-        count * prod(h for h, _ in sizes) * (big // den)
-        for (count, *sizes), den in zip(terms, dens)
+    bound = sum(
+        count * prod(sizes[id(group)][0] for group in gs) * (big // den)
+        for (count, *gs), den in zip(terms, dens)
     )
+    return n, lcm(*(d for _, d in sizes.values())), bound
 
 
 def _first_nonzero(
-    values: Sequence[Cyclotomic],
-    bound: int,
+    terms: Sequence[tuple],
     entries: Callable[[int, tuple[int, tuple[int, ...]]], Iterator[int]],
 ) -> Optional[int]:
     """The index of the first of the entries X_0, X_1, ... that is not 0, or
     None when all are 0, decided from residues.
 
-    Every X_i is a polynomial in values, which lie in Q(zeta_n) for n the
-    lcm of their orders, and bound >= |sigma(L X_i)| for every embedding
-    sigma, for an L that makes L X_i an algebraic integer and whose primes
-    divide the denominators of values (as _l1_bound gives it).
+    Every X_i is a sum of terms (count, group, ...): at most count products
+    of one value from each group (a sequence of Cyclotomic), times roots of
+    unity.  From them _bound gives n, the lcm of the orders of the values,
+    and B >= |sigma(L X_i)| for every embedding sigma, for an L that makes
+    L X_i an algebraic integer and whose primes divide the denominators.
     entries(n, emb) yields the residue of each X_i, by _residue, at
     emb = _embedding(n, k).
 
     A residue that is not 0 mod ell proves X_i != 0.  A residue 0 puts
     L X_i in a prime of norm ell, so ell divides the norm N(L X_i), the
-    product of its phi(n) embeddings: |N(L X_i)| <= bound^phi(n).  Once the
+    product of its phi(n) embeddings: |N(L X_i)| <= B^phi(n).  Once the
     primes used multiply past that, N(L X_i) can only be 0, so X_i = 0.
     No verdict rests on a random choice.
     """
-    n = lcm(*(v.order for v in values))
+    n, den, bound = _bound(terms)
     _check_order(n)
-    den = lcm(*(v._den for v in values))
     need = bound ** _order_info(n)[0]
     first, covered, k = None, 1, 0
     while covered <= need and first != 0:
@@ -156,8 +159,7 @@ def _power_permutation(a: Matrix, k: int, c: Cyclotomic) -> Optional[tuple[int, 
             row[perm[i] if perm else 0] -= rc  # rc = 0 until p is read
             yield from row
 
-    bound = _l1_bound((r ** (k - 1), *[_size(flat)] * k), (1, _size([c])))
-    if _first_nonzero([*flat, c], bound, entries) is not None:
+    if _first_nonzero(((r ** (k - 1), *[flat] * k), (1, [c])), entries) is not None:
         return None
     return tuple(perm) or None
 
@@ -179,13 +181,9 @@ def _square_and_fourth(s: Matrix) -> tuple[Optional[Cyclotomic], Optional[Cyclot
 
 
 def _st_residues(s: Matrix, t: Sequence[Cyclotomic], c: Cyclotomic):
-    """R = T(ST)^2 - cS, so that (ST)^3 - cS^2 = SR: the values R is a
-    polynomial in, a bound B >= |sigma(L R_jk)| as _l1_bound gives it, and
-    residues(n, emb, pairs): s mod ell and the list of R_jk = t_j t_k sum_l
-    t_l s_jl s_lk - c s_jk mod ell for (j, k) in pairs."""
-    flat = [v for row in s for v in row]
-    s_size, c_size, t_size = _size(flat), _size([c]), _root_size(t)
-    bound = _l1_bound((len(s), t_size, t_size, t_size, s_size, s_size), (1, c_size, s_size))
+    """R = T(ST)^2 - cS, so that (ST)^3 - cS^2 = SR: residues(n, emb, pairs)
+    gives s mod ell and the list of R_jk = t_j t_k sum_l t_l s_jl s_lk -
+    c s_jk mod ell for (j, k) in pairs."""
 
     def residues(n, emb, pairs):
         ell, rs = emb[0], [[_residue(v, n, emb) for v in row] for row in s]
@@ -195,7 +193,7 @@ def _st_residues(s: Matrix, t: Sequence[Cyclotomic], c: Cyclotomic):
         r_jk = (rt[j] * rt[k] * sum(map(mul, st[j], cols[k])) - rc * rs[j][k] for j, k in pairs)
         return rs, [x % ell for x in r_jk]
 
-    return [*flat, *t, c], bound, residues
+    return residues
 
 
 def _st_first_nonzero(
@@ -207,8 +205,9 @@ def _st_first_nonzero(
     r = len(s)
     symmetric = all(s[j][k] == s[k][j] for j in range(r) for k in range(j + 1, r))
     pairs = [(j, k) for j in range(r) for k in range(j if symmetric else 0, r)]
-    values, bound, residues = _st_residues(s, t, c)
-    index = _first_nonzero(values, bound, lambda n, emb: residues(n, emb, pairs)[1])
+    residues, flat = _st_residues(s, t, c), [v for row in s for v in row]
+    terms = ((r, t, t, t, flat, flat), (1, [c], flat))
+    index = _first_nonzero(terms, lambda n, emb: residues(n, emb, pairs)[1])
     return None if index is None else pairs[index]
 
 
@@ -217,8 +216,8 @@ def _st_cubed_is(s: Matrix, t: Sequence[Cyclotomic], c: Cyclotomic) -> bool:
     from residues.  SR = 0 with R != 0 needs a singular s."""
     if _st_first_nonzero(s, t, c) is None:
         return True
-    r = len(s)
-    values, bound, residues = _st_residues(s, t, c)
+    r, flat = len(s), [v for row in s for v in row]
+    residues = _st_residues(s, t, c)
     pairs = [(j, k) for j in range(r) for k in range(r)]
 
     def entries(n, emb):
@@ -226,5 +225,6 @@ def _st_cubed_is(s: Matrix, t: Sequence[Cyclotomic], c: Cyclotomic) -> bool:
         cols = [res[k::r] for k in range(r)]
         return [sum(map(mul, row, col)) for row in rs for col in cols]
 
-    # d L (SR)_ik = sum_l (d s_il)(L R_lk), d the denominator of _size(s)
-    return _first_nonzero(values, r * _size(values[: r * r])[0] * bound, entries) is None
+    # (SR)_ik = sum_l s_il R_lk: r times each product of R, times an s_il
+    terms = ((r * r, flat, t, t, t, flat, flat), (r, flat, [c], flat))
+    return _first_nonzero(terms, entries) is None

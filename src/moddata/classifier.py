@@ -15,7 +15,7 @@ from .catalog import (
     su2_4_parameter_tuples,
     su2_odd_mod2,
 )
-from .cyclotomic import Cyclotomic, ONE, ZERO, _numerators_at, _reduce_exponents, is_prime, zeta
+from .cyclotomic import Cyclotomic, ONE, ZERO, _reduce_exponents, is_prime, zeta
 from .field_theory import cauchy_prime_support
 from .galois import (
     _closure,
@@ -146,22 +146,10 @@ def vanishing_sum_check(
     return VanishingSumReport(True, all(checks), detail)
 
 
-def _lift(columns: Sequence[Cyclotomic]) -> list[dict[int, int]]:
-    """The columns as integer columns on one power basis: their numerators
-    at the lcm order, over a common denominator (a uniform scaling, so the
-    kernel is unchanged)."""
-    order = lcm(*(col.order for col in columns))
-    den = lcm(*(col._den for col in columns))
-    return [
-        {e: q * (den // col._den) for e, q in _numerators_at(col, order)[0].items()}
-        for col in columns
-    ]
-
-
 def _integer_kernel(columns: Sequence[Mapping[int, int]]) -> list[tuple[int, ...]]:
     """Basis of {x in Q^m : sum x_c columns[c] = 0} for integer columns on
-    one power basis (exponent -> nonzero coefficient, as `_lift` and
-    `_reduce_exponents` give them): one primitive integer vector per free
+    one power basis (exponent -> nonzero coefficient, as
+    `_reduce_exponents` gives them): one primitive integer vector per free
     column, positive there and zero on the other free columns.
 
     Each row of the system is one exponent.  Only the distinct nonzero rows
@@ -213,8 +201,7 @@ def _integer_kernel(columns: Sequence[Mapping[int, int]]) -> list[tuple[int, ...
 
 def _all_nonzero_solution_exists(columns: Sequence[Mapping[int, int]]) -> bool:
     """Is there a rational relation with every coefficient nonzero among
-    integer columns on one power basis?  (`_lift` brings Cyclotomic columns
-    there.)
+    integer columns on one power basis, as `_integer_kernel` takes them?
 
     The kernel is not a finite union of proper subspaces over Q, so this
     holds iff no coordinate vanishes identically on the kernel.

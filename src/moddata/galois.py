@@ -228,8 +228,7 @@ def _residue_perms(
                 for i in range(r):
                     yield image[i][a] * res[0][b] - res[i][b] * image[0][a]
 
-    size = mat._root_size(flat)
-    if mat._first_nonzero(flat, mat._l1_bound((1, size, size), (1, size, size)), entries) is not None:
+    if mat._first_nonzero(((2, flat, flat),), entries) is not None:
         return None
     perms = dict(_closure(
         (1, tuple(range(r))),

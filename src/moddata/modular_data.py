@@ -447,10 +447,8 @@ def _modular_tensor(S: mat.Matrix, d2: Cyclotomic) -> Optional[list[list[list[in
                 for a, col in enumerate(cols):
                     yield col[0] * sum(map(mul, counts, col)) - res[i][a] * res[j][a]
 
-    size = mat._size(flat)
     most = max(sum(row) for plane in tensor for row in plane)
-    bound = mat._l1_bound((most, size, size), (1, size, size))
-    return tensor if mat._first_nonzero(flat, bound, entries) is None else None
+    return tensor if mat._first_nonzero(((most, flat, flat), (1, flat, flat)), entries) is None else None
 
 
 def _exact_tensor(S: mat.Matrix, d2: Cyclotomic) -> list[list[list[int]]]:
@@ -493,9 +491,7 @@ def _projectively_unitary(S: mat.Matrix, d2: Cyclotomic) -> bool:
             for j in range(i, r):
                 yield sum(map(mul, row, res_conj[j])) - (res_d2 if i == j else 0)
 
-    size = mat._size(flat)
-    bound = mat._l1_bound((r, size, size), (1, mat._size([d2])))
-    return mat._first_nonzero([*flat, d2], bound, entries) is None
+    return mat._first_nonzero(((r, flat, flat), (1, [d2])), entries) is None
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +580,8 @@ def check_balancing(datum: ModularDatum, fusion: FusionRules) -> Verdict:
             for j in range(r):
                 yield res_t[i] * res_t[j] * res[i][j] - sum(map(mul, plane[j], terms))
 
-    size = mat._size(flat)
     most = max(sum(row) for plane in fusion.tensor for row in plane)
-    index = mat._first_nonzero([*flat, *thetas], mat._l1_bound((1, size), (most, size)), entries)
+    index = mat._first_nonzero(((1, thetas, thetas, flat), (most, flat, thetas)), entries)
     return Verdict(True) if index is None else Verdict(False, divmod(index, r), "balancing equation fails")
 
 

@@ -92,6 +92,10 @@ shared galois._components and galois._closure: a DFS over adjacency
 sets of t-eigenvalue labels, a sign DFS that tested every edge before the
 full check, a union-find over permutation cycles, and two BFS closures.
 
+lift is classifier._lift, kept here once only the tests called it: Cyclotomic
+columns as integer columns on one power basis, the form that
+classifier._all_nonzero_solution_exists takes.
+
 oracle_profile is galois.compute_profile(datum) as it stood before h_sigma
 was read from residues on generators of the units: every character value
 S_ia / S_0a a canonical Cyclotomic, and h_sigma matched exactly for every
@@ -855,6 +859,18 @@ def matmul_st_residual(s, t, c):
 
 
 _ROOT_PAIR_CLASSES: dict[int, dict[tuple[int, int], tuple]] = {}
+
+
+def lift(columns):
+    """The columns as integer columns on one power basis: their numerators
+    at the lcm order, over a common denominator (a uniform scaling, so the
+    kernel is unchanged)."""
+    order = lcm(*(col.order for col in columns))
+    den = lcm(*(col._den for col in columns))
+    return [
+        {e: q * (den // col._den) for e, q in _numerators_at(col, order)[0].items()}
+        for col in columns
+    ]
 
 
 def root_pair_class(m, ea, n, eb):

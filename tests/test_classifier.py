@@ -11,7 +11,6 @@ from moddata.classifier import (
     _all_nonzero_solution_exists,
     _integer_kernel,
     _is_perfect_square,
-    _lift,
     classify_fusion,
     grothendieck_equiv,
     in_rank5_cases,
@@ -29,6 +28,7 @@ from moddata.modular_data import FusionRules, Verdict, verlinde_fusion
 from _oracles import (
     dense_rational_kernel,
     fraction_rational_kernel,
+    lift,
     relabel_fusion,
     root_pair_class,
 )
@@ -186,7 +186,7 @@ class TestVanishingSum:
         # a + bi + c*zeta3 + d*beta = 0 with all nonzero is impossible for
         # small beta: kernel analysis mirrors the a=1,b=1 spec example
         for beta in [zeta(3), zeta(3, 2), zeta(12), zeta(12, 7)]:
-            assert not _all_nonzero_solution_exists(_lift([ONE, zeta(4), zeta(3), beta]))
+            assert not _all_nonzero_solution_exists(lift([ONE, zeta(4), zeta(3), beta]))
 
     def test_kernel_matches_dense_oracle_on_orbit_representatives(self):
         # one pair of roots per orbit key (m, n, eb * ea^-1 mod gcd(m, n)),
@@ -204,7 +204,7 @@ class TestVanishingSum:
                         columns = [ONE, zeta(4), zeta(m, ea), zeta(n, eb)]
                         oracle = fraction_rational_kernel(columns)
                         assert oracle == dense_rational_kernel(columns), key
-                        assert_primitive_multiples(_integer_kernel(_lift(columns)), oracle)
+                        assert_primitive_multiples(_integer_kernel(lift(columns)), oracle)
 
     def test_kernel_matches_dense_oracle_on_random_columns(self):
         rng = random.Random(20240607)
@@ -222,11 +222,11 @@ class TestVanishingSum:
             ]
             oracle = fraction_rational_kernel(columns)
             assert oracle == dense_rational_kernel(columns)
-            assert_primitive_multiples(_integer_kernel(_lift(columns)), oracle)
+            assert_primitive_multiples(_integer_kernel(lift(columns)), oracle)
 
     def test_detector_finds_planted_relation(self):
-        assert _all_nonzero_solution_exists(_lift([ONE, zeta(4), ONE, zeta(4)]))
-        assert _all_nonzero_solution_exists(_lift([ONE, zeta(4), -ONE, zeta(4, 3)]))
+        assert _all_nonzero_solution_exists(lift([ONE, zeta(4), ONE, zeta(4)]))
+        assert _all_nonzero_solution_exists(lift([ONE, zeta(4), -ONE, zeta(4, 3)]))
 
     def test_scan_reads_every_row_from_its_table(self, monkeypatch):
         # every row the scan reduces is the lift of zeta_L^j to Q_L, once

@@ -13,7 +13,6 @@ from moddata import classifier, galois
 from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.classifier import (
     _all_nonzero_solution_exists,
-    _lift,
     _pair_class,
     vanishing_sum_scan,
 )
@@ -26,7 +25,7 @@ from moddata.sl2z_reps import (
     normalize,
     spectra_connectivity,
 )
-from _oracles import root_pair_class, twist_exponents
+from _oracles import lift, root_pair_class, twist_exponents
 from test_lift_algebra import BUILDERS, datum_of
 
 
@@ -51,7 +50,7 @@ def oracle_vanishing_sum_scan(max_order):
                 continue
             if lcm(4, beta.conductor) % alpha.conductor:
                 continue
-            if classifier._all_nonzero_solution_exists(_lift([ONE, i_root, alpha, beta])):
+            if classifier._all_nonzero_solution_exists(lift([ONE, i_root, alpha, beta])):
                 counterexamples.append(
                     {"alpha": alpha, "beta": beta, "ord_alpha": orda, "ord_beta": ordb}
                 )
@@ -69,7 +68,7 @@ def test_kernel_verdict_constant_on_orbits():
     by_orbit, by_class = {}, {}
     for m, ea, alpha in roots:
         for n, eb, beta in roots:
-            hit = _all_nonzero_solution_exists(_lift([ONE, zeta(4), alpha, beta]))
+            hit = _all_nonzero_solution_exists(lift([ONE, zeta(4), alpha, beta]))
             assert by_class.setdefault(root_pair_class(m, ea, n, eb), hit) == hit, (m, ea, n, eb)
             if m <= n:
                 g = gcd(m, n)
@@ -127,7 +126,7 @@ FAKE_KERNELS = {
 def test_scan_matches_oracle_with_hits(monkeypatch, max_order, fake_name):
     # the fake stands in for the verdict on integer columns, which both the
     # scan (rows read from its table) and the oracle (columns lifted by
-    # _lift) call
+    # lift) call
     calls = []
 
     def fake(columns):

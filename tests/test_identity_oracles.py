@@ -5,12 +5,13 @@ catalog data, on every lift and on seeded mutations of S and T; and the norm
 bound behind every verdict, on values whose residue at the first prime is 0."""
 
 import random
+from math import lcm
 
 import pytest
 
 from moddata import _matrix as mat
 from moddata.catalog import pointed_zn, rank5_catalog, su2_4_family_all, su2_odd_mod2
-from moddata.cyclotomic import Cyclotomic, ONE, _embedding, _residue, zeta
+from moddata.cyclotomic import Cyclotomic, ONE, ZERO, _embedding, _residue, zeta
 from moddata.modular_data import (
     FusionComputationError,
     ModularDatum,
@@ -155,13 +156,68 @@ def test_first_nonzero_reads_a_multiple_of_ell_as_nonzero(order):
     ell = emb[0]
     for x in (Cyclotomic.from_rational(ell), zeta(order) * ell, (zeta(order) + 3) * ell * ell):
         assert _residue(x, order, emb) == 0
-        bound = mat._l1_bound((1, mat._size([x])))
 
         def entries(n, emb):
             yield _residue(ONE, n, emb) - 1  # 0
             yield _residue(x, n, emb)
 
-        assert mat._first_nonzero([x, zeta(order)], bound, entries) == 1
+        # |x zeta| = |x|: the root of unity only puts the values in Q(zeta_order)
+        assert mat._first_nonzero(((1, [x], [zeta(order)]),), entries) == 1
+
+
+def test_first_nonzero_agrees_with_exact_zero_tests():
+    """On random sums of products, each X_i at most count products a b c of
+    values from one group plus at most one ell u, _first_nonzero gives the
+    index of the first X_i that is not 0 as a canonical Cyclotomic.  The
+    group takes in roots of unity whose power-basis l1 is up to 14, x =
+    (3 + 4i)/5, x^2 and conj(x), which have |x| = 1 and are no root of
+    unity, and other values; a sum drawn to cancel, plus ell u for ell the
+    first prime, has residue 0 at ell."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    x = (zeta(4) * 4 + 3) / 5
+    pool = [
+        ONE, Cyclotomic.from_rational(2), zeta(4), zeta(5, 4), zeta(8, 5), zeta(12, 11), zeta(15, 14),
+        x, x * x, x.conjugate(), zeta(5) + 2, (zeta(3) - 1) / 2, ZERO,
+    ]
+
+    @st.composite
+    def case(draw):
+        group = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True))
+        group += [-v for v in group]
+        value = st.sampled_from(group)
+        rows = []
+        for _ in range(draw(st.integers(1, 5))):
+            products = draw(st.lists(st.tuples(value, value, value), max_size=3))
+            if draw(st.booleans()):  # a sum that cancels
+                products += [(-a, b, c) for a, b, c in products]
+            rows.append((products, draw(st.one_of(st.none(), value))))
+        return group, rows
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(case())
+    def check(args):
+        group, rows = args
+        ell = _embedding(lcm(*(v.order for v in group)), 0)[0]
+        exact = [
+            sum((a * b * c for a, b, c in products), ZERO) + (ell * u if u is not None else ZERO)
+            for products, u in rows
+        ]
+        expected = next((i for i, v in enumerate(exact) if v != ZERO), None)
+
+        def entries(n, emb):
+            def res(v):
+                return _residue(v, n, emb)
+
+            for products, u in rows:
+                yield sum(res(a) * res(b) * res(c) for a, b, c in products) + (ell * res(u) if u is not None else 0)
+
+        count = max(1, *(len(products) for products, _ in rows))
+        terms = ((count, group, group, group), (1, [Cyclotomic.from_rational(ell)], group))
+        assert mat._first_nonzero(terms, entries) == expected
+
+    check()
 
 
 def test_st_relation_with_twists_that_are_not_roots_of_unity():

@@ -4,7 +4,9 @@ or `mat_pow` but `mat_pow` itself: every matrix identity is decided from
 residues, and the exact products serve the tests' oracles.  Only
 `galois._exact_perms` and `galois._dual_from_s` call `_match_permutation`:
 h_sigma is read from residues, and matched on character values only by
-that one exact loop.
+that one exact loop.  Only `_matrix._first_nonzero` sizes a certificate:
+every other caller states the terms it multiplies, and one size rule lives
+in one module.
 
 The only imports inside function bodies are the two that break the
 modular_data <-> galois / field_theory import cycle; `if TYPE_CHECKING:`
@@ -104,3 +106,15 @@ def test_only_the_exact_loop_and_the_dual_match_character_columns():
         ("galois.py", "_exact_perms", "_match_permutation"),
         ("galois.py", "_dual_from_s", "_match_permutation"),
     }
+
+
+def test_only_first_nonzero_sizes_a_certificate():
+    helpers = {
+        (path.name, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name.endswith(("_size", "_bound"))
+    }
+    assert helpers == {("_matrix.py", "_size"), ("_matrix.py", "_bound")}
+    found = set().union(*(_calls(path, ("_size", "_bound")) for path in sorted(SRC.glob("*.py"))))
+    assert found == {("_matrix.py", "_first_nonzero", "_bound"), ("_matrix.py", "_bound", "_size")}

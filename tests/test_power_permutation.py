@@ -91,16 +91,16 @@ def test_a_failed_certificate_gives_none_and_the_same_lifts(monkeypatch, name):
     d2 = derived_scalars(datum).global_dim_sq
     real = mat._first_nonzero
     with monkeypatch.context() as patch:
-        patch.setattr(mat, "_first_nonzero", lambda values, bound, entries: 0)
+        patch.setattr(mat, "_first_nonzero", lambda terms, entries: 0)
         assert mat._power_permutation(datum.S, 2, d2) is None
     # only the S^2 = D^2 C certificate fails: the S^4 fallback decides
     failed = []
 
-    def fail_once(values, bound, entries):
+    def fail_once(terms, entries):
         if not failed:
             failed.append(None)
             return 0
-        return real(values, bound, entries)
+        return real(terms, entries)
 
     monkeypatch.setattr(mat, "_first_nonzero", fail_once)
     calls = spy_on_powers(monkeypatch)

@@ -127,7 +127,7 @@ def test_mutations_fail_with_the_exact_loop_message(mutated):
 
 
 def test_a_failing_certificate_gives_the_same_profile(golden, monkeypatch):
-    monkeypatch.setattr(mat, "_first_nonzero", lambda values, bound, entries: 0)
+    monkeypatch.setattr(mat, "_first_nonzero", lambda terms, entries: 0)
     for datum in [*golden, su2_odd_mod2(14)]:
         assert outcome(compute_profile, datum) == outcome(oracle_profile, datum)
 

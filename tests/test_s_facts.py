@@ -3,8 +3,8 @@
 fusion rules or their failure, projective unitarity, D^2, D^-2, the primes
 of Norm(D^2), S^2 and S^4, and h_sigma read from residues.  Sharing changes
 no report and no exception; the analysis runs once per distinct S; a change
-of the order cap forgets every cached result; and h_sigma's certificate
-sizes roots of unity as 1."""
+of the order cap forgets every cached result; and the certificates over S
+(h_sigma, Verlinde, unitarity, S^2) size a root of unity as 1."""
 
 import json
 import random
@@ -19,6 +19,8 @@ from moddata.cyclotomic import InvalidOrderError, get_order_cap, set_order_cap, 
 from moddata.modular_data import (
     FusionComputationError,
     ModularDatum,
+    _modular_tensor,
+    _projectively_unitary,
     _s_facts,
     check_admissible,
     derived_scalars,
@@ -190,25 +192,58 @@ def test_setting_the_same_cap_keeps_the_records(cap):
     assert _s_facts(su2_odd_mod2(5).S) is facts
 
 
-@pytest.mark.parametrize("n", [31, 41])
-def test_h_sigma_certificate_takes_one_prime_on_roots_of_unity(monkeypatch, n):
-    """Every S entry of pointed_zn(n) is a root of unity, so the certificate's
-    bound is 2 and one prime covers 2^phi(n); the power-basis l1 size of
-    zeta^(n-1) = -(1 + zeta + ... + zeta^(n-2)) is n - 1, which took 8
-    primes at n = 41."""
-    primes, real = [], mat._first_nonzero
+@pytest.fixture
+def primes(monkeypatch):
+    """The primes that the _first_nonzero calls take, in call order."""
+    taken, real = [], mat._first_nonzero
 
-    def spy(values, bound, entries):
+    def spy(terms, entries):
         def counted(m, emb):
-            primes.append(emb[0])
+            taken.append(emb[0])
             return entries(m, emb)
 
-        return real(values, bound, counted)
+        return real(terms, counted)
 
     monkeypatch.setattr(mat, "_first_nonzero", spy)
+    return taken
+
+
+@pytest.mark.parametrize("n", [31, 41])
+def test_h_sigma_certificate_takes_one_prime_on_roots_of_unity(primes, n):
+    """Every S entry of pointed_zn(n) is a root of unity, so the certificate's
+    bound is 2 and one prime covers 2^phi(n).  The one size rule gives a
+    root of unity l1 1, where the power basis gives zeta^(n-1) = -(1 + zeta
+    + ... + zeta^(n-2)) an l1 of n - 1, which took 8 primes at n = 41."""
     S = pointed_zn(n).S
     perms = galois._residue_perms(S, n, units_mod(n))
     assert perms is not None and len(perms) == n - 1
     assert len(primes) == 1
-    assert mat._root_size([v for row in S for v in row]) == (1, 1)
-    assert mat._size([v for row in S for v in row]) == (n - 1, 1)
+    assert mat._size([v for row in S for v in row]) == (1, 1)
+
+
+S_CERTIFICATES = {
+    "verlinde": lambda S, d2: _modular_tensor(S, d2) is not None,
+    "unitarity": _projectively_unitary,
+    "s_squared": lambda S, d2: mat._power_permutation(S, 2, d2) is not None,
+}
+
+
+@pytest.mark.parametrize(
+    "n, name, count",
+    [
+        (31, "verlinde", 1),
+        (31, "unitarity", 3),
+        (31, "s_squared", 3),
+        (41, "verlinde", 1),
+        (41, "unitarity", 5),
+        (41, "s_squared", 5),
+    ],
+)
+def test_s_certificates_size_roots_of_unity_as_one(primes, n, name, count):
+    """The Verlinde certificate, unitarity and S^2 = D^2 C on pointed_zn(n),
+    whose S entries are roots of unity and D^2 = n.  With the power-basis
+    l1 of n - 1 for zeta^(n-1) they took 6, 8 and 8 primes at n = 31, and
+    8, 11 and 11 at n = 41."""
+    datum = pointed_zn(n)
+    assert S_CERTIFICATES[name](datum.S, derived_scalars(datum).global_dim_sq)
+    assert len(primes) == count

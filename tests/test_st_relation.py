@@ -132,14 +132,14 @@ def test_nilpotent_case_needs_the_second_product():
 
 def test_sr_fallback_bound_is_r_h_s_times_the_bound_of_r(monkeypatch):
     # d L (SR)_ik = sum_l (d s_il)(L R_lk), d the denominator of _size(s):
-    # r terms, each at most h_s B_R, so the SR fallback passes r h_s B_R
+    # r terms, each at most h_s B_R, so the SR fallback bounds by r h_s B_R
     s, t, cc, _ = FIXED[2]
     bounds, first = [], mat._first_nonzero
-    monkeypatch.setattr(mat, "_first_nonzero", lambda v, bound, e: bounds.append(bound) or first(v, bound, e))
+    monkeypatch.setattr(mat, "_first_nonzero", lambda terms, e: bounds.append(mat._bound(terms)[2]) or first(terms, e))
     assert mat._st_cubed_is(s, t, cc)
-    values, bound_r, _ = mat._st_residues(s, t, cc)
-    r = len(s)
-    assert bounds == [bound_r, r * mat._size(values[: r * r])[0] * bound_r]
+    r, flat = len(s), [v for row in s for v in row]
+    bound_r = mat._bound(((r, t, t, t, flat, flat), (1, [cc], flat)))[2]
+    assert bounds == [bound_r, r * mat._size(flat)[0] * bound_r]
     assert bounds[1] > bounds[0]
 
 
