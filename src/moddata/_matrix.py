@@ -1,10 +1,12 @@
-"""Tiny exact linear algebra over Cyclotomic, on tuples of tuples, and the one
-way to decide a matrix identity, from residues (`_first_nonzero`): a^k = cP
-for a permutation P (`_power_permutation`, `_square_and_fourth`) and (ST)^3 =
-cS^2 (`_st_cubed_is`) among them.  Each identity states what it multiplies,
-as terms (count, group, ...), and only `_first_nonzero` turns them into a
-norm bound, with one size rule (`_size`: a root of unity has l1 1).
-`matmul` and `mat_pow` serve only the tests and perfbench."""
+"""Exact matrices over Cyclotomic, as tuples of tuples, and the one way to
+decide a matrix identity, from residues (`_first_nonzero`): a^k = cP for a
+permutation P (`_power_permutation`, `_square_and_fourth`) and (ST)^3 = cS^2
+(`_st_cubed_is`) among them.  Each identity states what it multiplies, as
+terms (count, group, ...), and only `_first_nonzero` turns them into a norm
+bound, with one size rule (`_size`: a root of unity has l1 1).  No scaled
+matrix is formed here: a lift's s = lam S is formed only when read
+(sl2z_reps.ModularRep.s).  `eye`, `matmul` and `mat_pow` serve only the
+tests and perfbench."""
 
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from .cyclotomic import (
     Cyclotomic,
     ONE,
     ZERO,
-    Scalar,
     _check_order,
     _embedding,
     _order_info,
@@ -49,15 +50,6 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     for _ in range(k - 1):
         out = matmul(out, a)
     return out
-
-
-def entrywise(a: Matrix, f: Callable[[Cyclotomic], Cyclotomic]) -> Matrix:
-    return tuple(tuple(f(v) for v in row) for row in a)
-
-
-def scale(a: Matrix, s: Scalar) -> Matrix:
-    s = Cyclotomic._coerce(s)
-    return entrywise(a, lambda v: v * s)
 
 
 def _size(group: Iterable[Cyclotomic]) -> tuple[int, int]:

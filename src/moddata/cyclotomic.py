@@ -176,12 +176,13 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
 
 
 def _cyclotomic_poly_squarefree(r: int) -> list[int]:
-    if r == 1:
-        return [-1, 1]
-    f = [0] * (r + 1)
-    f[0], f[r] = -1, 1
-    for d in divisors(r)[:-1]:
-        f = _poly_div_exact(f, _cyclotomic_poly_squarefree(d))
+    """Phi_r for squarefree r, one exact division per prime p | r:
+    Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for p not dividing m, from Phi_1 = x - 1."""
+    f = [-1, 1]
+    for p in factorize(r):
+        f_of_xp = [0] * ((len(f) - 1) * p + 1)
+        f_of_xp[::p] = f
+        f = _poly_div_exact(f_of_xp, f)
     return f
 
 

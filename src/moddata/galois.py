@@ -318,11 +318,13 @@ def galois_twist_symmetry(rep: "ModularRep") -> Verdict:
     builds; ValueError names it otherwise.  h_sigma_k is read at k mod c
     from the map (c, {k: h_sigma_k}) that the lift builder reads once per S
     from residues and stores on all 12 lifts, so no character value and no
-    Galois image is formed here.
+    Galois image is formed here.  Without that map the columns are matched
+    exactly on S, whose columns S_ia / S_0a are those of s = lam S, so s is
+    never formed.
     """
     n, exps, perms = rep.level, rep.t_exponents, rep.galois_perms
     if perms is None:  # a rep built by hand, or one whose residue read failed
-        cols = _characters(rep.s)
+        cols = _characters(rep.S)
         c = lcm(*(v.conductor for col in cols for v in col))
     else:
         c = perms[0]
@@ -330,7 +332,7 @@ def galois_twist_symmetry(rep: "ModularRep") -> Verdict:
         raise ValueError(f"the character conductor {c} does not divide the level {n}")
     perms = perms or (c, _exact_perms(cols, units_mod(c)))
     for k in units_mod(n):
-        perm = _h_sigma(perms, rep.s, k)
+        perm = _h_sigma(perms, rep.S, k)
         k_squared = k * k % n
         for i, e in enumerate(exps):
             if e * k_squared % n != exps[perm[i]]:

@@ -616,8 +616,9 @@ def _fs_numerators(datum: ModularDatum, fusion: FusionRules) -> tuple[int, int, 
     def nu(n: int, k: int) -> dict[int, int]:
         raw: dict[int, int] = {}
         for s, nums in rows[k]:
+            shift = n * s % L
             for e, c in nums.items():
-                e += n * s % L
+                e += shift
                 raw[e] = raw.get(e, 0) + c
         return _reduce_exponents(L, raw)
 

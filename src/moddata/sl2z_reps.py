@@ -3,10 +3,9 @@ t-spectrum obstructions, and the static spectra database."""
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
-from operator import neg
 from typing import Iterable, Optional
 
 from . import _matrix as mat
@@ -26,27 +25,45 @@ class NotTabulatedError(LookupError):
 class ModularRep(Record):
     """A normalized pair (s, t): a genuine SL(2,Z) representation.
 
+    s = lam S.  A lift stores its datum's S, which all 12 lifts share, and
+    its scalar lam; ``s`` is formed only when read, with one product per
+    distinct entry of S.  A rep built from a matrix s alone (lam = 1) is put
+    in the form lam = s_00, S = s / s_00 when s_00 != 0, the form of every
+    lift (S_00 = 1), so (S, lam) is a function of s and == and hash mean
+    "same s, t, level, parity".
     t = diag(zeta_level^e) for e in ``t_exponents`` (each reduced mod
     ``level``), as ModularDatum stores T; ``level`` must be the order of t,
     the lcm of the exponents' orders, or NotModularRepresentation is raised.
     ``galois_perms``, when set, is (c, {k: h_sigma_k for k in units_mod(c)})
-    on the character columns s_ia / s_0a, c their conductor; all lifts of a
-    datum share it.  It takes no part in equality or hashing, and None means
-    "match h_sigma exactly on the columns of s".
+    on the character columns s_ia / s_0a = S_ia / S_0a, c their conductor;
+    all lifts of a datum share it.  It takes no part in equality or hashing,
+    and None means "match h_sigma exactly on the columns of S".
     """
 
     rank: int
-    s: mat.Matrix
+    S: mat.Matrix
     level: int
     t_exponents: tuple[int, ...]
     parity: str  # even | odd | neither
     galois_perms: Optional[tuple[int, dict[int, Perm]]] = Field(None, compare=False, repr=False)
+    lam: Cyclotomic = ONE
 
     def __post_init__(self):
         n = self.level
         if n < 1 or n != lcm(*(n // gcd(e, n) for e in self.t_exponents)):
             raise NotModularRepresentation(f"level {n} is not the order of t")
         object.__setattr__(self, "t_exponents", tuple(e % n for e in self.t_exponents))
+        s00 = self.S[0][0]
+        if s00 and s00 != ONE:
+            inv = s00.inverse()
+            object.__setattr__(self, "S", tuple(tuple(v * inv for v in row) for row in self.S))
+            object.__setattr__(self, "lam", self.lam * s00)
+
+    @cached_property
+    def s(self) -> mat.Matrix:
+        lam = self.lam
+        products = {v: v * lam for v in {v for row in self.S for v in row}}
+        return tuple(tuple(map(products.__getitem__, row)) for row in self.S)
 
     @property
     def t(self) -> tuple[Cyclotomic, ...]:
@@ -77,11 +94,12 @@ def _lifts(
     on S alone once per S (_s_facts).  lam mu^3 = 1/p+, so (st)^3 = s^2 iff
     (ST)^3 = p+ S^2.  With S^4 = c4 Id and lam = lam0 i^-a, s^4 = Id iff
     lam0^4 c4 = 1, and lam^2 = (-1)^a lam0^2 gives two parities.  c2 and c4
-    are decided from residues, with no matrix product.  s_(a+2) = -s_a, so S
-    is scaled at most twice.  t is exponent arithmetic at L = lcm(12, m, N),
-    cut down to its level.  s_ia / s_0a = S_ia / S_0a, whose field is F_S
-    (S_ia = chi_a(i) chi_0(a)): all lifts share h_sigma read from residues at
-    c = conductor(F_S), or None when that read fails.
+    are decided from residues, with no matrix product.  Each lift stores S
+    and its lam, and forms no matrix (ModularRep.s).  t is exponent
+    arithmetic at L = lcm(12, m, N), cut down to its level.  s_ia / s_0a =
+    S_ia / S_0a, whose field is F_S (S_ia = chi_a(i) chi_0(a)): all lifts
+    share h_sigma read from residues at c = conductor(F_S), or None when that
+    read fails.
     """
     S, (m, e), N = datum.S, root, datum.torder
     c2, c4 = _s_facts(S).square_and_fourth
@@ -97,19 +115,12 @@ def _lifts(
     galois_perms = None if perms is None else (c, perms)
     L = lcm(12, m, N)
     theta_exps = [j * (L // N) - e * (L // m) for j in datum.t_exponents]
-    scaled: dict[int, mat.Matrix] = {}  # s by a mod 4
     reps = []
     for a in x_exps:
-        s = scaled.get(a % 4)
-        if s is None:
-            half = scaled.get((a + 2) % 4)
-            s = scaled[a % 4] = (
-                mat.scale(S, lam * zeta(4, -a)) if half is None else mat.entrywise(half, neg)
-            )
         exps = [(a * (L // 12) + th) % L for th in theta_exps]
         level = lcm(*(L // gcd(v, L) for v in exps))
         exps = tuple(v // (L // level) for v in exps)
-        reps.append(ModularRep(datum.rank, s, level, exps, parities[a % 2], galois_perms))
+        reps.append(ModularRep(datum.rank, S, level, exps, parities[a % 2], galois_perms, lam * zeta(4, -a)))
     return tuple(reps)
 
 
@@ -156,13 +167,14 @@ def spectra_connectivity(rep: ModularRep) -> Verdict:
     """Graph on distinct t-eigenvalues, edges where s_ij != 0: connected?
 
     A disconnected graph exhibits a direct-sum split with disjoint t-spectra.
+    s_ij != 0 iff S_ij != 0, since lam != 0, so s is not formed.
     """
     exps, r = rep.t_exponents, rep.rank
     index: dict[int, int] = {}
     for e in exps:
         index.setdefault(e, len(index))
     labels = [index[e] for e in exps]
-    edges = ((labels[i], labels[j]) for i in range(r) for j in range(r) if rep.s[i][j])
+    edges = ((labels[i], labels[j]) for i in range(r) for j in range(r) if rep.S[i][j])
     component = _components(len(index), edges)[0]
     if len(component) == len(index):
         return Verdict(True)

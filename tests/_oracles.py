@@ -68,6 +68,16 @@ scale_cols and identity_multiple are the _matrix helpers those exact forms
 used, kept here once no verdict in the package formed a matrix product:
 a diag(d) by columns, and the c with m = c Id.
 
+entrywise and scale are the _matrix helpers that formed each lift's s =
+lam S as a full matrix of products, kept here once a lift stored S and lam
+and formed s only when read, one product per distinct entry of S.
+scale(S, lam) oracles sl2z_reps.ModularRep.s.
+
+cyclotomic_poly_squarefree is cyclotomic._cyclotomic_poly_squarefree as it
+stood before it built Phi_r one prime at a time: x^r - 1 divided by Phi_d
+for every proper divisor d of r, each Phi_d built again by the same
+recursion.
+
 product_twists is the lift's t as it stood when ModularRep stored it as
 values: t_i = mu theta_i for mu = zeta_12^a / zeta by Cyclotomic products,
 zeta the anomaly's sixth root, and the level as the lcm of the orders that
@@ -116,6 +126,7 @@ from moddata.cyclotomic import (
     _check_order,
     _descend,
     _numerators_at,
+    _poly_div_exact,
     _reduce_exponents,
     _within_cap,
     cyclotomic_polynomial,
@@ -604,6 +615,25 @@ def scale_cols(a, diag):
     return tuple(tuple(v * Cyclotomic._coerce(d) for v, d in zip(row, diag)) for row in a)
 
 
+def entrywise(a, f):
+    return tuple(tuple(f(v) for v in row) for row in a)
+
+
+def scale(a, s):
+    s = Cyclotomic._coerce(s)
+    return entrywise(a, lambda v: v * s)
+
+
+def cyclotomic_poly_squarefree(r):
+    if r == 1:
+        return [-1, 1]
+    f = [0] * (r + 1)
+    f[0], f[r] = -1, 1
+    for d in divisors(r)[:-1]:
+        f = _poly_div_exact(f, cyclotomic_poly_squarefree(d))
+    return f
+
+
 def identity_multiple(m):
     """c with m = c Id, or None."""
     c, r = m[0][0], len(m)
@@ -613,7 +643,7 @@ def identity_multiple(m):
 
 def dense_st_cubed_is(s, t, c):
     """(ST)^3 == cS^2 for T = diag(t), by mat_pow."""
-    return mat.mat_pow(scale_cols(s, t), 3) == mat.scale(mat.matmul(s, s), c)
+    return mat.mat_pow(scale_cols(s, t), 3) == scale(mat.matmul(s, s), c)
 
 
 def twist_exponents(t):
@@ -827,7 +857,7 @@ def embedding_canonical(n, nums, den):
 
 def matmul_projectively_unitary(datum: ModularDatum, d2: Cyclotomic) -> bool:
     """S conj(S)^t == D^2 Id from the full product."""
-    conj = mat.entrywise(datum.S, lambda v: v.conjugate())
+    conj = entrywise(datum.S, lambda v: v.conjugate())
     return identity_multiple(mat.matmul(datum.S, conj)) == d2
 
 

@@ -39,6 +39,7 @@ from moddata.modular_data import (
     verlinde_fusion,
 )
 from _oracles import (
+    cyclotomic_poly_squarefree,
     dot_check_balancing,
     dot_check_twist_equation,
     dot_projectively_unitary,
@@ -133,6 +134,79 @@ class TestArithmetic:
         assert zeta(7) ** 7 == ONE
         assert zeta(7) ** -2 == zeta(7, 5)
         assert (zeta(12) + 1) ** 0 == ONE
+
+
+class TestRandomProperties:
+    """Hypothesis versions of the fixed and seeded cases above, on values
+    drawn at orders dividing 120, so that every unit mod 120 acts on them."""
+
+    ORDERS = [1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 24, 30, 40, 60, 120]
+
+    @staticmethod
+    def strategies():
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+        @st.composite
+        def element(draw):
+            n = draw(st.sampled_from(TestRandomProperties.ORDERS))
+            terms = draw(st.dictionaries(st.integers(0, n - 1), coeff, max_size=4))
+            return Cyclotomic(n, terms)
+
+        return hypothesis, st, coeff, element()
+
+    def test_field_axioms(self):
+        hypothesis, st, _, element = self.strategies()
+
+        @hypothesis.settings(max_examples=30, deadline=None)
+        @hypothesis.given(element, element, element)
+        def check(a, b, c):
+            assert a + b == b + a and a * b == b * a
+            assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+            assert a * (b + c) == a * b + a * c
+            assert a + ZERO == a and a * ONE == a and a - a == ZERO
+            if a:
+                assert a * a.inverse() == ONE
+
+        check()
+
+    def test_galois_is_a_ring_homomorphism(self):
+        hypothesis, st, _, element = self.strategies()
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(element, element, st.sampled_from(units_mod(120)))
+        def check(a, b, k):
+            assert (a + b).galois(k) == a.galois(k) + b.galois(k)
+            assert (a * b).galois(k) == a.galois(k) * b.galois(k)
+            assert (-a).galois(k) == -a.galois(k) and ONE.galois(k) == ONE
+            if a:
+                assert a.inverse().galois(k) == a.galois(k).inverse()
+
+        check()
+
+    def test_equal_values_have_equal_json_and_hash(self):
+        hypothesis, st, coeff, element = self.strategies()
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(element, st.sampled_from([1, 2, 3, 5]), st.data())
+        def check(x, m, data):
+            # x written at order n = m ord(x), plus c zeta_n^e times a
+            # vanishing sum 1 + zeta_p + ... + zeta_p^(p-1) for a prime p | n
+            n = x.order * m
+            terms = {e * m: c for e, c in x.items()}
+            primes = sorted(factorize(n))
+            if primes:
+                p, e, c = data.draw(st.sampled_from(primes)), data.draw(st.integers(0, n - 1)), data.draw(coeff)
+                for j in range(p):
+                    k = (e + j * n // p) % n
+                    terms[k] = terms.get(k, 0) + c
+            for y in (Cyclotomic(n, terms), (x + x * zeta(n)) - x * zeta(n)):
+                assert y == x and y.to_json() == x.to_json() and hash(y) == hash(x)
+                if x.order == 1:  # a rational hashes like its Fraction
+                    assert hash(y) == hash(Fraction(x._nums.get(0, 0), x._den))
+
+        check()
 
 
 class TestGalois:
@@ -301,6 +375,16 @@ class TestPolynomials:
     def test_number_theory_helpers(self):
         assert [p for p in range(30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert units_mod(12) == [1, 5, 7, 11]
+
+    def test_squarefree_part_matches_the_divisor_recursion(self, monkeypatch):
+        # Phi_n(x) = Phi_r(x^(n/r)) for r = rad(n): every r of an n <= 500
+        divide = cy._poly_div_exact
+        calls = []
+        monkeypatch.setattr(cy, "_poly_div_exact", lambda num, den: calls.append(1) or divide(num, den))
+        for r in sorted({cy.radical(n) for n in range(1, 501)}):
+            calls.clear()
+            assert cy._cyclotomic_poly_squarefree(r) == cyclotomic_poly_squarefree(r), r
+            assert len(calls) == len(factorize(r))  # one exact division per prime
 
 
 class TestJson:

@@ -3,7 +3,10 @@ the 12 lifts by scalar equations.  Every lift is compared with the dense matrix
 check it replaces on (lam S, mu T), with lam and mu computed by
 Cyclotomic.inverse: s^4 = Id by two r x r products and (st)^3 = s^2 by the
 dense oracle.  t, its level and its exponents come from product_twists, the
-Cyclotomic products the builder's exponent arithmetic replaces."""
+Cyclotomic products that the exponent arithmetic of _lifts replaces.  A lift
+stores S and its scalar, and forms s = lam i^-a S only when read: s is
+compared with scale(S, lam i^-a), the full matrix _lifts formed before, and
+the lift paths that need no s are pinned to form none."""
 
 from collections import namedtuple
 from functools import lru_cache
@@ -13,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from moddata import _matrix as mat
+from moddata import cli
 from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.cyclotomic import ONE, ZERO, zeta
 from moddata.galois import (
@@ -23,13 +27,15 @@ from moddata.galois import (
 )
 from moddata.modular_data import ModularDatum, derived_scalars, load, replace
 from moddata.sl2z_reps import (
+    ModularRep,
     NotModularRepresentation,
     _anomaly_sixth_root,
     _lifts,
     all_lifts,
     normalize,
+    spectra_connectivity,
 )
-from _oracles import dense_st_cubed_is, mpmath_complex_eval, oracle_profile, product_twists
+from _oracles import dense_st_cubed_is, entrywise, mpmath_complex_eval, oracle_profile, product_twists, scale
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -54,7 +60,7 @@ def oracle_lift(datum, a):
     ds = derived_scalars(datum)
     zeta6 = zeta(*_anomaly_sixth_root(datum))
     lam = zeta6**3 * (zeta(12, 3 * a) * ds.gauss_plus).inverse()
-    s = mat.scale(datum.S, lam)
+    s = scale(datum.S, lam)
     t, level, exps = product_twists(datum, a)
     s2 = mat.matmul(s, s)
     if mat.matmul(s2, s2) != mat.eye(len(s)):
@@ -62,7 +68,7 @@ def oracle_lift(datum, a):
     if not dense_st_cubed_is(s, t, ONE):
         raise NotModularRepresentation("(st)^3 != s^2")
     eye = mat.eye(len(s))
-    parity = "even" if s2 == eye else "odd" if s2 == mat.scale(eye, -ONE) else "neither"
+    parity = "even" if s2 == eye else "odd" if s2 == scale(eye, -ONE) else "neither"
     return OracleLift(s, t, level, exps, parity)
 
 
@@ -133,7 +139,7 @@ def negate_pair(S, i, j):
     "perturb, witness",
     [
         (lambda S: negate_pair(S, 1, 2), "s^4 != Id"),
-        (lambda S: mat.entrywise(S, lambda v: v.galois(2)), "(st)^3 != s^2"),
+        (lambda S: entrywise(S, lambda v: v.galois(2)), "(st)^3 != s^2"),
     ],
     ids=["negated-entry", "sigma_2(S)"],
 )
@@ -163,3 +169,64 @@ def test_vanishing_dimension_leaves_characters_unset():
         with pytest.raises(NotGaloisStable, match="vanishing first-row entry"):
             galois_twist_symmetry(rep)
 
+
+SCALED = {
+    **{f.name: (lambda f=f: load(f)) for f in sorted(DATA_DIR.glob("*.json"))},
+    **{f"su2_odd_mod2({p})": (lambda p=p: su2_odd_mod2(p)) for p in (3, 5)},
+    **{f"pointed_zn({n})": (lambda n=n: pointed_zn(n)) for n in (5, 7, 31)},
+}
+
+
+@pytest.mark.parametrize("name", list(SCALED))
+def test_each_lift_is_its_scalar_times_S(name):
+    """s = lam i^-a S for lam = zeta^3 / p+, zeta the anomaly's sixth root."""
+    datum = SCALED[name]()
+    lam = zeta(*_anomaly_sixth_root(datum)) ** 3 * derived_scalars(datum).gauss_plus.inverse()
+    for a, rep in enumerate(all_lifts(datum)):
+        assert rep.S is datum.S
+        assert rep.s == scale(datum.S, lam * zeta(4, -a))
+
+
+@pytest.mark.parametrize("name", ["su2_odd_mod2(5)", "pointed_zn(7)", "su2_4_family_3.json"])
+def test_lift_paths_form_no_s(name):
+    datum = datum_of(name)
+    reps = all_lifts(datum)
+    for rep in reps:
+        galois_twist_symmetry(rep)
+        spectra_connectivity(rep)
+    assert not any("s" in vars(rep) for rep in reps)
+    assert reps[5].s == scale(datum.S, reps[5].lam) and "s" in vars(reps[5])
+
+
+def test_rep_command_forms_no_s(capsys):
+    path = DATA_DIR / "su2_9_mod2.json"
+    normalize.cache_clear()
+    for argv in (["rep", str(path)], ["--json", "rep", str(path)]):
+        assert cli.main(argv) == 0
+    rep = normalize(load(path))
+    assert "s" not in vars(rep)
+
+
+def old_key(rep):
+    """What == and hash read when ModularRep stored the matrix s."""
+    return rep.rank, rep.s, rep.level, rep.t_exponents, rep.parity
+
+
+@pytest.mark.parametrize("name", ["su2_odd_mod2(5)", "pointed_zn(7)", "pointed_z5.json"])
+def test_a_rep_built_from_s_is_its_lift(name):
+    reps = all_lifts(datum_of(name)) + [normalize(datum_of(name))]
+    for rep in reps:
+        hand = ModularRep(rep.rank, rep.s, rep.level, rep.t_exponents, rep.parity)
+        assert hand == rep and hash(hand) == hash(rep)
+        assert (hand.S, hand.lam) == (rep.S, rep.lam) and hand.s == rep.s
+        assert [hand == other for other in reps] == [old_key(rep) == old_key(other) for other in reps]
+        assert hand != replace(hand, S=scale(hand.s, -ONE), lam=ONE)
+
+
+def test_a_rep_with_s00_zero_keeps_its_matrix():
+    s = ((ZERO, ONE), (ONE, ZERO))
+    rep = ModularRep(2, s, 2, (0, 1), "even")
+    assert (rep.S, rep.lam) == (s, ONE) and rep.s == s
+    twin = ModularRep(2, tuple(map(tuple, s)), 2, (0, 1), "even")
+    assert twin == rep and hash(twin) == hash(rep)
+    assert ModularRep(2, scale(s, -ONE), 2, (0, 1), "even") != rep

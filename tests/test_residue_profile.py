@@ -11,7 +11,7 @@ from math import lcm
 
 import pytest
 
-from _oracles import oracle_profile
+from _oracles import oracle_profile, scale
 from moddata import _matrix as mat
 from moddata import galois
 from moddata.catalog import pointed_zn, su2_odd_mod2
@@ -292,7 +292,7 @@ def hand_built(rep, S):
     """rep with s = s_00 S, storing the map the lift builder stores for S."""
     c = lcm(*(v.order for row in S for v in row))
     perms = galois._residue_perms(S, c, units_mod(c))
-    return replace(rep, s=mat.scale(S, rep.s[0][0]), galois_perms=perms and (c, perms))
+    return replace(rep, S=scale(S, rep.s[0][0]), lam=ONE, galois_perms=perms and (c, perms))
 
 
 def message(f, *args):

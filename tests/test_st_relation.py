@@ -19,7 +19,7 @@ from moddata.modular_data import (
     replace,
 )
 from moddata.sl2z_reps import all_lifts
-from _oracles import dense_st_cubed_is, matmul_st_residual, scale_cols
+from _oracles import dense_st_cubed_is, entrywise, matmul_st_residual, scale, scale_cols
 from test_lift_algebra import BUILDERS, datum_of, negate_pair
 from test_modular_data import OFF_UNITARITY, perturb_twist
 
@@ -38,7 +38,7 @@ def check_against_oracle(s, t, c):
     """The routine's verdict equals the dense one, and (ST)^3 - cS^2 = S R
     entry by entry; returns (verdict, R)."""
     res = matmul_st_residual(s, t, c)
-    cube_minus = minus(mat.mat_pow(scale_cols(s, t), 3), mat.scale(mat.matmul(s, s), c))
+    cube_minus = minus(mat.mat_pow(scale_cols(s, t), 3), scale(mat.matmul(s, s), c))
     assert cube_minus == mat.matmul(s, res)
     verdict = mat._st_cubed_is(s, t, c)
     assert verdict == dense_st_cubed_is(s, t, c)
@@ -65,7 +65,7 @@ FAILING = {
     "su2_4-theta3*i": su2_4_bad_theta3,
     "z5-negated-entry": lambda: replace(pointed_zn(5), S=negate_pair(pointed_zn(5).S, 1, 2)),
     "z5-sigma_2(S)": lambda: replace(
-        pointed_zn(5), S=mat.entrywise(pointed_zn(5).S, lambda v: v.galois(2))
+        pointed_zn(5), S=entrywise(pointed_zn(5).S, lambda v: v.galois(2))
     ),
 }
 
@@ -125,7 +125,7 @@ def test_fixed_small_matrices(s, t, cc, holds):
 def test_nilpotent_case_needs_the_second_product():
     s, t, cc, _ = FIXED[0]
     res = matmul_st_residual(s, t, cc)
-    assert res == mat.entrywise(s, lambda v: -v)
+    assert res == entrywise(s, lambda v: -v)
     assert is_zero(mat.matmul(s, res))
     assert mat._st_cubed_is(s, t, cc)
 
