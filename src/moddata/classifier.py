@@ -152,17 +152,19 @@ def _integer_kernel(columns: Sequence[Mapping[int, int]]) -> list[tuple[int, ...
     `_reduce_exponents` gives them): one primitive integer vector per free
     column, positive there and zero on the other free columns.
 
-    Each row of the system is one exponent.  Only the distinct nonzero rows
-    are kept, each once up to sign and content, and they are eliminated by
-    fraction-free Gauss-Jordan, each updated row divided by its content.
+    Each row of the system is one exponent.  A zero coefficient counts as an
+    absent one.  Only the distinct nonzero rows are kept, each once up to
+    sign and content, and they are eliminated by fraction-free Gauss-Jordan,
+    each updated row divided by its content.
     """
     m = len(columns)
     rows: dict[int, list[int]] = {}
     for c, col in enumerate(columns):
         for e, q in col.items():
-            if e not in rows:
-                rows[e] = [0] * m
-            rows[e][c] = q
+            if q:
+                if e not in rows:
+                    rows[e] = [0] * m
+                rows[e][c] = q
     distinct = {}
     for row in rows.values():
         g = gcd(*row)
@@ -205,7 +207,20 @@ def _all_nonzero_solution_exists(columns: Sequence[Mapping[int, int]]) -> bool:
 
     The kernel is not a finite union of proper subspaces over Q, so this
     holds iff no coordinate vanishes identically on the kernel.
+
+    Row e reads sum_c columns[c][e] x_c = 0.  If a single column c has a
+    nonzero entry at e, that row forces x_c = 0 on the whole kernel, so the
+    answer is no.  One pass over the nonzero exponents looks for such a row,
+    and `_integer_kernel` runs only when every row has two or more columns.
     """
+    seen: set[int] = set()
+    shared: set[int] = set()
+    for col in columns:
+        for e, q in col.items():
+            if q:
+                (shared if e in seen else seen).add(e)
+    if len(shared) < len(seen):
+        return False
     basis = _integer_kernel(columns)
     if not basis:
         return False
@@ -250,17 +265,20 @@ def vanishing_sum_scan(max_order: int = 60) -> list[dict]:
 
     The filters below depend only on the orders (m, n), and every pair is
     Galois-conjugate to one with ea = 1 (take k = ea^-1 mod m, lifted to a
-    unit mod lcm(m, n)).  So the kernel runs once per class, on the first
-    pair (zeta_m, zeta_n^eb) met, before any pair is visited.  Only if some
-    class hits are the pairs walked, in the order of
+    unit mod lcm(m, n)).  So the verdict is read once per class, on the
+    first pair (zeta_m, zeta_n^eb) met, before any pair is visited.  Only if
+    some class hits are the pairs walked, in the order of
     (ord_alpha, e_alpha, ord_beta, e_beta), and those of hitting classes
     listed.
 
     The scan is integer-only. The four columns are zeta_L^j on the power
     basis of Q_L, L = lcm(4, m, n), for j = 0, L/4, L/m and eb*L/n, each
     reduced once per scan (Q_L sits linearly in any larger common order, so
-    the kernel is the same). Below order 105 a root has power-basis entries
-    in {-1, 0, 1}, so at most 40 distinct rows remain for the kernel.
+    the verdict is the same).  A power-basis exponent that only one column
+    reaches forces that coefficient to 0, so the class has no hit; the
+    Gauss-Jordan of `_integer_kernel` runs only when every exponent is
+    shared.  Up to order 96 every class has such an exponent, so the scan
+    eliminates nothing.
     """
 
     def conductor(m: int) -> int:

@@ -106,6 +106,11 @@ lift is classifier._lift, kept here once only the tests called it: Cyclotomic
 columns as integer columns on one power basis, the form that
 classifier._all_nonzero_solution_exists takes.
 
+kernel_all_nonzero_solution_exists is classifier._all_nonzero_solution_exists
+as it stood before it looked for a row owned by one column: the kernel from
+classifier._integer_kernel, non-empty and no coordinate identically 0.  It
+oracles the support shortcut.
+
 oracle_profile is galois.compute_profile(datum) as it stood before h_sigma
 was read from residues on generators of the units: every character value
 S_ia / S_0a a canonical Cyclotomic, and h_sigma matched exactly for every
@@ -119,7 +124,7 @@ from math import gcd, lcm, prod
 import pytest
 
 from moddata import _matrix as mat
-from moddata.classifier import _reindexed
+from moddata.classifier import _integer_kernel, _reindexed
 from moddata.cyclotomic import (
     Cyclotomic,
     NotAUnitError,
@@ -901,6 +906,13 @@ def lift(columns):
         {e: q * (den // col._den) for e, q in _numerators_at(col, order)[0].items()}
         for col in columns
     ]
+
+
+def kernel_all_nonzero_solution_exists(columns):
+    """A relation among the integer columns with every coefficient nonzero,
+    read off the kernel basis alone."""
+    basis = _integer_kernel(columns)
+    return bool(basis) and all(any(vec[c] for vec in basis) for c in range(len(columns)))
 
 
 def root_pair_class(m, ea, n, eb):

@@ -28,6 +28,7 @@ from moddata.modular_data import FusionRules, Verdict, verlinde_fusion
 from _oracles import (
     dense_rational_kernel,
     fraction_rational_kernel,
+    kernel_all_nonzero_solution_exists,
     lift,
     relabel_fusion,
     root_pair_class,
@@ -46,6 +47,17 @@ def assert_primitive_multiples(got, oracle):
         ratios = {Fraction(v) / r for v, r in zip(vec, ref) if r}
         assert all(v == 0 for v, r in zip(vec, ref) if not r), (vec, ref)
         assert len(ratios) == 1 and ratios.pop() > 0, (vec, ref)
+
+
+def spy_on_kernel(monkeypatch):
+    """The list of column sets that classifier._integer_kernel is called on
+    from here on."""
+    calls = []
+    kernel = classifier._integer_kernel
+    monkeypatch.setattr(
+        classifier, "_integer_kernel", lambda columns: calls.append(columns) or kernel(columns)
+    )
+    return calls
 
 
 class TestRank5Cases:
@@ -224,13 +236,68 @@ class TestVanishingSum:
             assert oracle == dense_rational_kernel(columns)
             assert_primitive_multiples(_integer_kernel(lift(columns)), oracle)
 
-    def test_detector_finds_planted_relation(self):
+    def test_detector_finds_planted_relation(self, monkeypatch):
+        # 1, i, 1, i and 1, i, -1, zeta_4^3 share every row, so no row decides
+        # them and the kernel runs once each
+        calls = spy_on_kernel(monkeypatch)
         assert _all_nonzero_solution_exists(lift([ONE, zeta(4), ONE, zeta(4)]))
         assert _all_nonzero_solution_exists(lift([ONE, zeta(4), -ONE, zeta(4, 3)]))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("max_order", [24, 48, 96])
+    def test_scan_never_reaches_the_integer_kernel(self, monkeypatch, max_order):
+        # every class has a row that one column owns, so the support test
+        # decides it before any elimination
+        calls = spy_on_kernel(monkeypatch)
+        assert vanishing_sum_scan(max_order) == []
+        assert calls == []
+
+    def test_zero_coefficient_counts_as_absent(self):
+        assert _integer_kernel([{0: 0}]) == _integer_kernel([{}]) == [(1,)]
+        assert _integer_kernel([{0: 2, 1: 0}, {0: -1}, {2: 0}]) == _integer_kernel(
+            [{0: 2}, {0: -1}, {}]
+        ) == [(1, 2, 0), (0, 0, 1)]
+        # a stray zero owns no row: x_0 = x_1 is a relation with both nonzero
+        assert _all_nonzero_solution_exists([{0: 1, 1: 0}, {0: -1}])
+        assert not _all_nonzero_solution_exists([{0: 1, 1: 2}, {0: -1}])
+
+    def test_support_test_matches_kernel_only_oracle_on_random_columns(self, monkeypatch):
+        # zero columns, zero coefficients, repeated and rescaled columns, and
+        # cases whose every row is shared, which only the kernel decides
+        rng = random.Random(20261020)
+        calls = spy_on_kernel(monkeypatch)
+        verdicts, decided_by_kernel = [], 0
+        for _ in range(400):
+            columns = []
+            for _ in range(rng.randint(1, 5)):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    columns.append({})
+                elif kind == 1 and columns:
+                    scale = rng.choice([-2, -1, 1, 3])
+                    columns.append({e: scale * q for e, q in rng.choice(columns).items()})
+                else:
+                    columns.append(
+                        {rng.randrange(5): rng.randint(-2, 2) for _ in range(rng.randint(1, 4))}
+                    )
+            if rng.randrange(2) and len(columns) > 1:
+                # give each row that one column owns a second owner
+                for e in range(5):
+                    owners = [c for c, col in enumerate(columns) if col.get(e)]
+                    if len(owners) == 1:
+                        other = rng.choice([c for c in range(len(columns)) if c != owners[0]])
+                        columns[other][e] = rng.choice([-1, 1, 2])
+            calls.clear()
+            verdict = _all_nonzero_solution_exists(columns)
+            assert verdict == kernel_all_nonzero_solution_exists(columns), columns
+            verdicts.append(verdict)
+            decided_by_kernel += len(calls)
+        assert 50 < verdicts.count(True) < 350
+        assert 50 < decided_by_kernel < 350
 
     def test_scan_reads_every_row_from_its_table(self, monkeypatch):
         # every row the scan reduces is the lift of zeta_L^j to Q_L, once
-        # per (L, j).  The kernel runs once per class of root pairs under
+        # per (L, j).  The verdict is read once per class of root pairs under
         # Galois, signs and swap, on the first pair (zeta_m, zeta_n^eb) of
         # the class in the order of (m, n, eb), reading the rows of 1, i,
         # alpha, beta from that table at L = lcm(4, m, n)
@@ -305,6 +372,28 @@ class TestVanishingSum:
             order, columns = case
             oracle = fraction_rational_kernel([Cyclotomic(order, col) for col in columns])
             assert_primitive_multiples(_integer_kernel(columns), oracle)
+
+        check()
+
+    def test_support_test_matches_kernel_only_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def integer_columns(draw):
+            # few exponents, so rows are often shared; zero coefficients and
+            # empty columns allowed, and some columns repeated
+            column = st.dictionaries(st.integers(0, 4), st.integers(-3, 3), max_size=4)
+            columns = draw(st.lists(column, min_size=1, max_size=5))
+            repeats = draw(st.lists(st.integers(0, len(columns) - 1), max_size=2))
+            return columns + [dict(columns[c]) for c in repeats]
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(integer_columns())
+        def check(columns):
+            assert _all_nonzero_solution_exists(columns) == kernel_all_nonzero_solution_exists(
+                columns
+            )
 
         check()
 

@@ -25,11 +25,11 @@ from moddata.sl2z_reps import (
     normalize,
     spectra_connectivity,
 )
-from _oracles import lift, root_pair_class, twist_exponents
+from _oracles import kernel_all_nonzero_solution_exists, lift, root_pair_class, twist_exponents
 from test_lift_algebra import BUILDERS, datum_of
 
 
-def oracle_vanishing_sum_scan(max_order):
+def oracle_vanishing_sum_scan(max_order, oracle_exists=kernel_all_nonzero_solution_exists):
     """One kernel call per pair of roots, every pair visited."""
     roots = []
     for order in range(1, max_order + 1):
@@ -50,11 +50,18 @@ def oracle_vanishing_sum_scan(max_order):
                 continue
             if lcm(4, beta.conductor) % alpha.conductor:
                 continue
-            if classifier._all_nonzero_solution_exists(lift([ONE, i_root, alpha, beta])):
+            if oracle_exists(lift([ONE, i_root, alpha, beta])):
                 counterexamples.append(
                     {"alpha": alpha, "beta": beta, "ord_alpha": orda, "ord_beta": ordb}
                 )
     return counterexamples
+
+
+@pytest.mark.parametrize("max_order", [24, 36])
+def test_scan_matches_kernel_only_oracle(max_order):
+    # the real verdicts: the scan's support shortcut and class walk against
+    # one kernel-only decision per pair
+    assert vanishing_sum_scan(max_order) == oracle_vanishing_sum_scan(max_order) == []
 
 
 def test_kernel_verdict_constant_on_orbits():
@@ -124,9 +131,9 @@ FAKE_KERNELS = {
 @pytest.mark.parametrize("fake_name", sorted(FAKE_KERNELS))
 @pytest.mark.parametrize("max_order", [12, 24])
 def test_scan_matches_oracle_with_hits(monkeypatch, max_order, fake_name):
-    # the fake stands in for the verdict on integer columns, which both the
-    # scan (rows read from its table) and the oracle (columns lifted by
-    # lift) call
+    # the fake stands in for the verdict on integer columns, which the scan
+    # (rows read from its table) and the oracle (columns lifted by lift)
+    # both take
     calls = []
 
     def fake(columns):
@@ -135,7 +142,7 @@ def test_scan_matches_oracle_with_hits(monkeypatch, max_order, fake_name):
         return FAKE_KERNELS[fake_name](calls[-1][0])
 
     monkeypatch.setattr(classifier, "_all_nonzero_solution_exists", fake)
-    expected = oracle_vanishing_sum_scan(max_order)
+    expected = oracle_vanishing_sum_scan(max_order, fake)
     classes = {cls for cls, _ in calls}
     calls.clear()
     got = vanishing_sum_scan(max_order)
