@@ -20,6 +20,7 @@ from .modular_data import (
     FusionRules,
     ModularDatum,
     SchemaViolation,
+    cauchy_prime_support,
     check_admissible,
     check_balancing,
     check_twist_equation,
@@ -40,7 +41,6 @@ from .galois import (
 )
 from .field_theory import (
     GroupShape,
-    cauchy_prime_support,
     enumerate_levels,
     is_modularly_admissible,
     odd_prime_constraints,

@@ -16,28 +16,23 @@ from .catalog import (
     su2_odd_mod2,
 )
 from .cyclotomic import Cyclotomic, ONE, ZERO, _reduce_exponents, is_prime, zeta
-from .field_theory import cauchy_prime_support
-from .galois import (
-    _closure,
-    compose,
-    compute_profile,
-    exclusion_predicates,
-    galois_twist_symmetry,
-)
+from .galois import compute_profile, exclusion_predicates, galois_twist_symmetry
 from .modular_data import (
     FusionRules,
     ModularDatum,
+    Perm,
     Record,
     Tensor,
     Verdict,
+    _closure,
     _table_line,
     _verdict_json,
+    cauchy_prime_support,
     check_admissible,
+    compose,
     verlinde_fusion,
 )
 from .sl2z_reps import normalize, spectra_connectivity
-
-Perm = tuple[int, ...]
 
 
 class TooLargeError(ValueError):
@@ -489,13 +484,11 @@ def rank5_suite(data: Optional[Sequence[tuple[str, ModularDatum]]] = None) -> Ra
                 "admissible (7 conditions)",
             )
         ]
-        profile = report.profile
-        if profile is None:
-            try:
-                profile = compute_profile(datum)
-            except (ValueError, ArithmeticError) as exc:
-                checks.append(Verdict(False, str(exc), "Galois profile"))
-        if profile is not None:
+        try:
+            profile = compute_profile(datum)
+        except (ValueError, ArithmeticError) as exc:
+            checks.append(Verdict(False, str(exc), "Galois profile"))
+        else:
             checks.append(
                 Verdict(
                     in_rank5_cases(profile.image()),

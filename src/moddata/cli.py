@@ -17,10 +17,11 @@ from . import catalog
 from .classifier import grothendieck_equiv, rank5_suite
 from .cyclotomic import zeta
 from .field_theory import GroupShape, enumerate_levels
-from .galois import NotGaloisStable, NotGaloisSymmetric, compute_profile
+from .galois import NotGaloisSymmetric, compute_profile
 from .modular_data import (
     FSExponentNotFound,
     FusionComputationError,
+    NotGaloisStable,
     SchemaViolation,
     check_admissible,
     load,

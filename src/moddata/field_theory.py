@@ -16,7 +16,7 @@ from .cyclotomic import (
     is_prime,
     units_mod,
 )
-from .modular_data import ModularDatum, Record, Verdict, _s_facts
+from .modular_data import Record, Verdict
 
 FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
@@ -226,16 +226,3 @@ def odd_prime_constraints(n: int, p: Optional[int] = None) -> Verdict:
             if len(fac) != 1:
                 return Verdict(False, f"({q}-1)/2 is not a prime power")
     return Verdict(True)
-
-
-class CauchySupport(Record):
-    norm_primes: frozenset[int]
-    torder_primes: frozenset[int]
-    ok: bool
-
-
-def cauchy_prime_support(datum: ModularDatum) -> CauchySupport:
-    """Prime support of Norm(D^2) versus the prime support of ord(T)."""
-    left = _s_facts(datum.S).norm_primes
-    right = frozenset(factorize(datum.ord_t))
-    return CauchySupport(left, right, left == right)

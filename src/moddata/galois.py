@@ -1,56 +1,33 @@
-"""Galois action on modular data: character permutations h_sigma, sign
-functions eps_sigma, orbits, and the structural exclusion predicates."""
+"""Galois action on modular data: the profile of the character permutations
+h_sigma with its orbits, sign functions eps_sigma, and the structural
+exclusion predicates."""
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Callable, Collection, Hashable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import _matrix as mat
-from .cyclotomic import (
-    Cyclotomic,
-    NotAUnitError,
-    _embedding,
-    _galois_embedding,
-    _residue,
-    _within_cap,
-    real_sign,
-    units_mod,
+from .cyclotomic import Cyclotomic, NotAUnitError, real_sign, units_mod
+from .modular_data import (
+    ModularDatum,
+    NotGaloisStable,
+    Perm,
+    Record,
+    Verdict,
+    _characters,
+    _exact_perms,
+    _match_permutation,
+    _s_facts,
+    derived_scalars,
 )
-from .modular_data import ModularDatum, Record, Verdict, _s_facts, derived_scalars
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sl2z_reps import ModularRep
 
 
-class NotGaloisStable(ValueError):
-    """A Galois-transformed character column matches no column (condition (vi))."""
-
-
 class NotGaloisSymmetric(ValueError):
     """No sign vector satisfies sigma(s_ij) = eps(i) s_{h(i) j}."""
-
-
-Perm = tuple[int, ...]
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """a then b: i -> b[a[i]]."""
-    return tuple(b[a[i]] for i in range(len(a)))
-
-
-def _closure(seed: Hashable, step: Callable, gens: Collection) -> frozenset:
-    """Everything seed reaches by repeated steps x -> step(x, g), g in gens."""
-    reached = {seed}
-    frontier = [seed]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = step(cur, g)
-            if nxt not in reached:
-                reached.add(nxt)
-                frontier.append(nxt)
-    return frozenset(reached)
 
 
 def cycle_type(perm: Perm) -> list[list[int]]:
@@ -97,53 +74,23 @@ class GaloisProfile(Record):
         }
 
 
-def _characters(S: Sequence[Sequence[Cyclotomic]]) -> list[tuple[Cyclotomic, ...]]:
-    r = len(S)
-    if any(not S[0][a] for a in range(r)):
-        raise NotGaloisStable("vanishing first-row entry: characters undefined")
-    cols = []
-    for a in range(r):
-        inv = S[0][a].inverse()
-        cols.append(tuple(S[i][a] * inv for i in range(r)))
-    return cols
-
-
-def _match_permutation(
-    cols: Sequence[tuple[Cyclotomic, ...]], k: int
-) -> Perm:
-    index: dict[tuple[Cyclotomic, ...], int] = {}
-    for a, col in enumerate(cols):
-        if col in index:
-            raise NotGaloisStable(f"duplicate character columns {index[col]}, {a}")
-        index[col] = a
-    perm = []
-    for a, col in enumerate(cols):
-        target = index.get(tuple(v.galois(k) for v in col))
-        if target is None:
-            raise NotGaloisStable(f"sigma_{k} sends character {a} to no column")
-        perm.append(target)
-    return tuple(perm)
-
-
-def _exact_perms(cols: Sequence[tuple[Cyclotomic, ...]], units: Iterable[int]) -> dict[int, Perm]:
-    """h_sigma_k for each k in units, matched on canonical character values
-    in that order, so that NotGaloisStable names the first fault."""
-    return {k: _match_permutation(cols, k) for k in units}
-
-
 def compute_profile(
     datum: ModularDatum, rep: Optional["ModularRep"] = None
 ) -> GaloisProfile:
     """h_sigma for every unit mod conductor(F_S), with orbits.
 
-    Signs are filled in when a normalized pair is supplied (they depend on it):
-    each unit is extended to a unit modulo the rep's scalar field.  The pair
-    must be a lift of the datum, whose character columns are those of S.
+    h_sigma is the one map per S of _SFacts.h_sigma; the NotGaloisStable it
+    holds for an S that is not Galois stable is raised again here, as it
+    first was.  Signs are filled in when a normalized pair is supplied (they
+    depend on it): each unit is extended to a unit modulo the rep's scalar
+    field.  The pair must be a lift of the datum, whose character columns
+    are those of S.
     """
-    cond, perms = _s_perms(datum.S)
+    h_sigma = _s_facts(datum.S).h_sigma
+    if isinstance(h_sigma, NotGaloisStable):
+        raise h_sigma.with_traceback(None)
+    cond, perms = h_sigma
     units = tuple(units_mod(cond))
-    if perms is None:
-        perms = _exact_perms(_characters(datum.S), units)
     edges = (edge for perm in perms.values() for edge in enumerate(perm))
     orbits = _components(datum.rank, edges)
     signs: dict[int, tuple[int, ...]] = {}
@@ -153,89 +100,6 @@ def compute_profile(
             k_ext = _extend_unit(k, cond, modulus)
             signs[k] = sign_function(rep, k_ext)
     return GaloisProfile(cond, units, perms, orbits, signs)
-
-
-def _s_perms(S: mat.Matrix) -> tuple[int, Optional[dict[int, Perm]]]:
-    """(c, _residue_perms(S, c, units_mod(c))) for c the conductor of F_S,
-    read once per S in a process and kept in its modular_data._s_facts
-    record, which cannot import this module."""
-    facts = _s_facts(S)
-    if facts.h_sigma is None:
-        c = facts.conductor
-        facts.h_sigma = c, _residue_perms(S, c, units_mod(c))
-    return facts.h_sigma
-
-
-def _residue_perms(
-    S: mat.Matrix, cond: int, units: Sequence[int]
-) -> Optional[dict[int, Perm]]:
-    """h_sigma for every unit mod cond, the conductor of S, with no canonical
-    character value; None when a step fails, and the caller then matches
-    every unit exactly, so that its NotGaloisStable names the first fault.
-
-    S_ia / S_0a is read mod one prime ell of _embedding(cond, i), and
-    sigma_k(x) at zeta -> g is x at zeta -> g^k: the same residues with the
-    powers table permuted by k.  Distinct residue columns prove the columns
-    distinct.  h is then matched only on generators of (Z/cond)^x, each
-    match certified by sigma_k(S_ia) S_0b = S_ib sigma_k(S_0a) for all i,
-    and extended by h_kl = h_k h_l, a homomorphism as the columns are
-    distinct.  None at a zero S_0a or a zero residue of one, a residue
-    collision, an unmatched or uncertified generator, or a conductor past
-    the order cap."""
-    r = len(S)
-    flat = [v for row in S for v in row]
-    if not all(S[0]) or not _within_cap(cond):
-        return None
-    den, i = lcm(*(v._den for v in flat)), 0
-    while den % _embedding(cond, i)[0] == 0:  # zeta -> g is not defined on S
-        i += 1
-    ell, powers = _embedding(cond, i)
-
-    tables: dict[tuple[int, int], list[list[int]]] = {}
-
-    def residues(emb, k):
-        """Residues of sigma_k(S) at emb, kept for the certificate's first prime."""
-        table = tables.get((emb[0], k))
-        if table is None:
-            image = _galois_embedding(emb, k)
-            table = tables[emb[0], k] = [[_residue(v, cond, image) for v in row] for row in S]
-        return table
-
-    def columns(k):
-        res = residues((ell, powers), k)
-        inverses = [pow(x, -1, ell) for x in res[0]]  # ValueError at a zero
-        return [tuple(row[a] * inv % ell for row in res) for a, inv in enumerate(inverses)]
-
-    gens: list[int] = []
-    reached = {1}
-    for k in units:  # a generating set of (Z/cond)^x, in the order of the units
-        if k not in reached:
-            gens.append(k)
-            reached = _closure(1, lambda x, g: x * g % cond, gens)
-    try:
-        index = {col: a for a, col in enumerate(columns(1))}
-        if len(index) < r:
-            return None
-        matched = {k: tuple(map(index.__getitem__, columns(k))) for k in gens}
-    except (ValueError, KeyError):  # a zero residue, or an unmatched column
-        return None
-
-    def entries(n, emb):
-        res = residues(emb, 1)
-        for k, perm in matched.items():
-            image = residues(emb, k)
-            for a, b in enumerate(perm):
-                for i in range(r):
-                    yield image[i][a] * res[0][b] - res[i][b] * image[0][a]
-
-    if mat._first_nonzero(((2, flat, flat),), entries) is not None:
-        return None
-    perms = dict(_closure(
-        (1, tuple(range(r))),
-        lambda x, g: (x[0] * g[0] % cond, compose(x[1], g[1])),
-        matched.items(),
-    ))
-    return {k: perms[k] for k in units}
 
 
 def _components(
@@ -316,14 +180,15 @@ def galois_twist_symmetry(rep: "ModularRep") -> Verdict:
     zeta_n^(e_i k^2), compared with t_h(i) by its exponent.  The conductor
     c of the character values must divide n, as in every lift the package
     builds; ValueError names it otherwise.  h_sigma_k is read at k mod c
-    from the map (c, {k: h_sigma_k}) that the lift builder reads once per S
-    from residues and stores on all 12 lifts, so no character value and no
-    Galois image is formed here.  Without that map the columns are matched
-    exactly on S, whose columns S_ia / S_0a are those of s = lam S, so s is
-    never formed.
+    from the map (c, {k: h_sigma_k}) that the lift builder takes once per S
+    from _SFacts.h_sigma and stores on all 12 lifts, so no character value
+    and no Galois image is formed here.  Without that map (a rep built by
+    hand, or a lift of an S that is not Galois stable) the columns are
+    matched exactly on S, whose columns S_ia / S_0a are those of s = lam S,
+    so s is never formed.
     """
     n, exps, perms = rep.level, rep.t_exponents, rep.galois_perms
-    if perms is None:  # a rep built by hand, or one whose residue read failed
+    if perms is None:
         cols = _characters(rep.S)
         c = lcm(*(v.conductor for col in cols for v in col))
     else:

@@ -1,5 +1,5 @@
-"""Modular data (S, T), Verlinde fusion and the seven-condition
-admissibility checker."""
+"""Modular data (S, T), Verlinde fusion, the character permutations h_sigma
+of S and the seven-condition admissibility checker."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from itertools import product
 from math import gcd, lcm
 from operator import mul
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import Callable, Collection, Hashable, Iterable, Optional, Sequence, Union
 
 from . import _matrix as mat
 from .cyclotomic import (
@@ -26,15 +26,13 @@ from .cyclotomic import (
     _numerators_at,
     _reduce_exponents,
     _residue,
+    _within_cap,
     dot,
     factorize,
     sum_cyclotomics,
     units_mod,
     zeta,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .galois import GaloisProfile
 
 PathLike = Union[str, Path]
 Tensor = tuple[tuple[tuple[int, ...], ...], ...]  # tensor[i][j][k] = N_{ij}^k
@@ -66,6 +64,10 @@ class NotFusionIntegral(FusionComputationError):
 
 class FSExponentNotFound(ValueError):
     """No n with nu_n(k) = d_k for all k; the data is not admissible."""
+
+
+class NotGaloisStable(ValueError):
+    """A Galois-transformed character column matches no column (condition (vi))."""
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +497,138 @@ def _projectively_unitary(S: mat.Matrix, d2: Cyclotomic) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# h_sigma: the Galois symmetry of the character columns of S
+
+
+Perm = tuple[int, ...]
+
+
+def compose(a: Perm, b: Perm) -> Perm:
+    """a then b: i -> b[a[i]]."""
+    return tuple(b[a[i]] for i in range(len(a)))
+
+
+def _closure(seed: Hashable, step: Callable, gens: Collection) -> frozenset:
+    """Everything seed reaches by repeated steps x -> step(x, g), g in gens."""
+    reached = {seed}
+    frontier = [seed]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = step(cur, g)
+            if nxt not in reached:
+                reached.add(nxt)
+                frontier.append(nxt)
+    return frozenset(reached)
+
+
+def _characters(S: Sequence[Sequence[Cyclotomic]]) -> list[tuple[Cyclotomic, ...]]:
+    r = len(S)
+    if any(not S[0][a] for a in range(r)):
+        raise NotGaloisStable("vanishing first-row entry: characters undefined")
+    cols = []
+    for a in range(r):
+        inv = S[0][a].inverse()
+        cols.append(tuple(S[i][a] * inv for i in range(r)))
+    return cols
+
+
+def _match_permutation(
+    cols: Sequence[tuple[Cyclotomic, ...]], k: int
+) -> Perm:
+    index: dict[tuple[Cyclotomic, ...], int] = {}
+    for a, col in enumerate(cols):
+        if col in index:
+            raise NotGaloisStable(f"duplicate character columns {index[col]}, {a}")
+        index[col] = a
+    perm = []
+    for a, col in enumerate(cols):
+        target = index.get(tuple(v.galois(k) for v in col))
+        if target is None:
+            raise NotGaloisStable(f"sigma_{k} sends character {a} to no column")
+        perm.append(target)
+    return tuple(perm)
+
+
+def _exact_perms(cols: Sequence[tuple[Cyclotomic, ...]], units: Iterable[int]) -> dict[int, Perm]:
+    """h_sigma_k for each k in units, matched on canonical character values
+    in that order, so that NotGaloisStable names the first fault."""
+    return {k: _match_permutation(cols, k) for k in units}
+
+
+def _residue_perms(
+    S: mat.Matrix, cond: int, units: Sequence[int]
+) -> Optional[dict[int, Perm]]:
+    """h_sigma for every unit mod cond, the conductor of S, with no canonical
+    character value; None when a step fails, and the caller then matches
+    every unit exactly, so that its NotGaloisStable names the first fault.
+
+    S_ia / S_0a is read mod one prime ell of _embedding(cond, i), and
+    sigma_k(x) at zeta -> g is x at zeta -> g^k: the same residues with the
+    powers table permuted by k.  Distinct residue columns prove the columns
+    distinct.  h is then matched only on generators of (Z/cond)^x, each
+    match certified by sigma_k(S_ia) S_0b = S_ib sigma_k(S_0a) for all i,
+    and extended by h_kl = h_k h_l, a homomorphism as the columns are
+    distinct.  None at a zero S_0a or a zero residue of one, a residue
+    collision, an unmatched or uncertified generator, or a conductor past
+    the order cap."""
+    r = len(S)
+    flat = [v for row in S for v in row]
+    if not all(S[0]) or not _within_cap(cond):
+        return None
+    den, i = lcm(*(v._den for v in flat)), 0
+    while den % _embedding(cond, i)[0] == 0:  # zeta -> g is not defined on S
+        i += 1
+    ell, powers = _embedding(cond, i)
+
+    tables: dict[tuple[int, int], list[list[int]]] = {}
+
+    def residues(emb, k):
+        """Residues of sigma_k(S) at emb, kept for the certificate's first prime."""
+        table = tables.get((emb[0], k))
+        if table is None:
+            image = _galois_embedding(emb, k)
+            table = tables[emb[0], k] = [[_residue(v, cond, image) for v in row] for row in S]
+        return table
+
+    def columns(k):
+        res = residues((ell, powers), k)
+        inverses = [pow(x, -1, ell) for x in res[0]]  # ValueError at a zero
+        return [tuple(row[a] * inv % ell for row in res) for a, inv in enumerate(inverses)]
+
+    gens: list[int] = []
+    reached = {1}
+    for k in units:  # a generating set of (Z/cond)^x, in the order of the units
+        if k not in reached:
+            gens.append(k)
+            reached = _closure(1, lambda x, g: x * g % cond, gens)
+    try:
+        index = {col: a for a, col in enumerate(columns(1))}
+        if len(index) < r:
+            return None
+        matched = {k: tuple(map(index.__getitem__, columns(k))) for k in gens}
+    except (ValueError, KeyError):  # a zero residue, or an unmatched column
+        return None
+
+    def entries(n, emb):
+        res = residues(emb, 1)
+        for k, perm in matched.items():
+            image = residues(emb, k)
+            for a, b in enumerate(perm):
+                for i in range(r):
+                    yield image[i][a] * res[0][b] - res[i][b] * image[0][a]
+
+    if mat._first_nonzero(((2, flat, flat),), entries) is not None:
+        return None
+    perms = dict(_closure(
+        (1, tuple(range(r))),
+        lambda x, g: (x[0] * g[0] % cond, compose(x[1], g[1])),
+        matched.items(),
+    ))
+    return {k: perms[k] for k in units}
+
+
+# ---------------------------------------------------------------------------
 # what depends on S alone
 
 
@@ -503,13 +637,12 @@ class _SFacts:
     by every datum over S in a process (_s_facts).
 
     fusion is the FusionRules or the FusionComputationError that computing
-    them raised.  h_sigma is (c, galois._residue_perms(S, c, units_mod(c)))
-    for c the conductor of F_S, set by galois._s_perms: this module cannot
-    import galois."""
+    them raised.  h_sigma is (c, {k: h_sigma_k for k in units_mod(c)}) for c
+    the conductor of F_S, read from residues or else matched exactly on the
+    character columns, or the NotGaloisStable that the match raised."""
 
     def __init__(self, S: mat.Matrix):
         self.S = S
-        self.h_sigma: Optional[tuple] = None
 
     @cached_property
     def dims_sq(self) -> list[Cyclotomic]:
@@ -551,6 +684,15 @@ class _SFacts:
     @cached_property
     def square_and_fourth(self) -> tuple[Optional[Cyclotomic], Optional[Cyclotomic]]:
         return mat._square_and_fourth(self.S)
+
+    @cached_property
+    def h_sigma(self) -> Union[tuple[int, dict[int, Perm]], NotGaloisStable]:
+        c, S = self.conductor, self.S
+        units = units_mod(c)
+        try:
+            return c, _residue_perms(S, c, units) or _exact_perms(_characters(S), units)
+        except NotGaloisStable as exc:
+            return exc
 
 
 @lru_cache(maxsize=None)
@@ -653,8 +795,6 @@ def fs_exponent(datum: ModularDatum, fusion: FusionRules) -> int:
 class AdmissibilityReport(Record):
     # conditions (i)-(vii) in order, each witness a string
     conditions: tuple[Verdict, ...]
-    # the Galois profile condition (vi) computed, if it got that far
-    profile: Optional[GaloisProfile] = Field(None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -688,6 +828,19 @@ def rational_prime_support(q: Fraction) -> frozenset[int]:
 def norm_prime_support(x: Cyclotomic) -> frozenset[int]:
     """Primes dividing the rational field norm of x (over the conductor field)."""
     return rational_prime_support((x * _norm_cofactor(x)).as_rational())
+
+
+class CauchySupport(Record):
+    norm_primes: frozenset[int]
+    torder_primes: frozenset[int]
+    ok: bool
+
+
+def cauchy_prime_support(datum: ModularDatum) -> CauchySupport:
+    """Prime support of Norm(D^2) versus the prime support of ord(T)."""
+    left = _s_facts(datum.S).norm_primes
+    right = frozenset(factorize(datum.ord_t))
+    return CauchySupport(left, right, left == right)
 
 
 _CONDITION_NAMES = (
@@ -743,37 +896,32 @@ def _fs_indicators(datum: ModularDatum, fusion: Optional[FusionRules]) -> str:
     return ""
 
 
-def _galois_field_structure(datum: ModularDatum) -> tuple[str, Optional[GaloisProfile]]:
+def _galois_field_structure(datum: ModularDatum) -> str:
     # (vi) Galois structure of F_S inside F_T = Q_N
     N = datum.ord_t
     cond_s = datum.s_field_conductor
     if N % cond_s != 0:
-        return f"F_S has conductor {cond_s}, not inside Q_{N}", None
-    from .galois import NotGaloisStable, compute_profile
-
-    try:
-        profile = compute_profile(datum)
-    except NotGaloisStable as exc:
-        return str(exc), None
-    # Two clauses hold for every profile, so neither is checked.  The image
-    # of h is abelian: the columns are distinct (compute_profile refuses
-    # others), so sigma_k sigma_l = sigma_kl gives h_kl = h_k h_l, and
+        return f"F_S has conductor {cond_s}, not inside Q_{N}"
+    h_sigma = _s_facts(datum.S).h_sigma
+    if isinstance(h_sigma, NotGaloisStable):
+        return str(h_sigma)
+    # Two clauses hold for every h_sigma, so neither is checked.  The image
+    # of h is abelian: the columns are distinct (the match refuses others),
+    # so sigma_k sigma_l = sigma_kl gives h_kl = h_k h_l, and
     # (Z/c)^x is abelian.  A sigma with h_sigma = id fixes S: S is symmetric
     # with S_00 = 1, so column 0 is (S_i0) = (d_i), and sigma fixes every
     # d_a and every S_ia / d_a, hence every S_ia.  Conversely a sigma that
-    # fixes S fixes every column, so Gal(F_T/F_S) is read off the profile.
+    # fixes S fixes every column, so Gal(F_T/F_S) is read off h_sigma.
     identity = tuple(range(datum.rank))
-    fixing = {k % cond_s for k, perm in profile.perms.items() if perm == identity}
+    fixing = {k % cond_s for k, perm in h_sigma[1].items() if perm == identity}
     k = next((k for k in units_mod(N) if k * k % N != 1 % N and k % cond_s in fixing), None)
-    return ("" if k is None else f"Gal(F_T/F_S) has sigma_{k} of order > 2"), profile
+    return "" if k is None else f"Gal(F_T/F_S) has sigma_{k} of order > 2"
 
 
 def _cauchy_condition(datum: ModularDatum, ds: DerivedScalars) -> str:
     # (vii) Cauchy: prime support of Norm(D^2) equals prime support of N
     if not ds.global_dim_sq:
         return "D^2 = 0"
-    from .field_theory import cauchy_prime_support
-
     support = cauchy_prime_support(datum)
     if support.ok:
         return ""
@@ -802,8 +950,8 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
         "" if fusion_error is None else str(fusion_error),
         "no fusion" if fusion is None else str(check_balancing(datum, fusion).witness or ""),
         _fs_indicators(datum, fusion),
+        _galois_field_structure(datum),
+        _cauchy_condition(datum, ds),
     ]
-    galois, profile = _galois_field_structure(datum)
-    witnesses += [galois, _cauchy_condition(datum, ds)]
     rows = zip(witnesses, _CONDITION_NAMES)
-    return AdmissibilityReport(tuple(Verdict(not w, w, name) for w, name in rows), profile)
+    return AdmissibilityReport(tuple(Verdict(not w, w, name) for w, name in rows))

@@ -10,8 +10,8 @@ from typing import Iterable, Optional
 
 from . import _matrix as mat
 from .cyclotomic import Cyclotomic, ONE, _cap_caches, is_prime, real_sign, sqrt_int, sum_cyclotomics, zeta
-from .galois import Perm, _components, _s_perms
-from .modular_data import Field, ModularDatum, Record, Verdict, _s_facts, derived_scalars
+from .galois import _components
+from .modular_data import Field, ModularDatum, NotGaloisStable, Perm, Record, Verdict, _s_facts, derived_scalars
 
 
 class NotModularRepresentation(ValueError):
@@ -37,7 +37,10 @@ class ModularRep(Record):
     ``galois_perms``, when set, is (c, {k: h_sigma_k for k in units_mod(c)})
     on the character columns s_ia / s_0a = S_ia / S_0a, c their conductor;
     all lifts of a datum share it.  It takes no part in equality or hashing,
-    and None means "match h_sigma exactly on the columns of S".
+    and None means "match h_sigma exactly on the columns of S".  A lift
+    stores its S's _SFacts.h_sigma here.  The field is not read from S
+    itself because a rep built by hand may have an S that is not symmetric,
+    whose character field can be smaller than F_S.
     """
 
     rank: int
@@ -98,8 +101,8 @@ def _lifts(
     and its lam, and forms no matrix (ModularRep.s).  t is exponent
     arithmetic at L = lcm(12, m, N), cut down to its level.  s_ia / s_0a =
     S_ia / S_0a, whose field is F_S (S_ia = chi_a(i) chi_0(a)): all lifts
-    share h_sigma read from residues at c = conductor(F_S), or None when that
-    read fails.
+    share the map of _SFacts.h_sigma at c = conductor(F_S), or None when S
+    is not Galois stable.
     """
     S, (m, e), N = datum.S, root, datum.torder
     c2, c4 = _s_facts(S).square_and_fourth
@@ -111,8 +114,8 @@ def _lifts(
         raise NotModularRepresentation("(st)^3 != s^2")
     lam2_c2 = None if c2 is None else lam * lam * c2
     parities = (_parity(lam2_c2), _parity(None if lam2_c2 is None else -lam2_c2))
-    c, perms = _s_perms(S)
-    galois_perms = None if perms is None else (c, perms)
+    h_sigma = _s_facts(S).h_sigma
+    galois_perms = None if isinstance(h_sigma, NotGaloisStable) else h_sigma
     L = lcm(12, m, N)
     theta_exps = [j * (L // N) - e * (L // m) for j in datum.t_exponents]
     reps = []

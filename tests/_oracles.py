@@ -98,7 +98,7 @@ oracles classifier._pair_class, which keys the class by a formula.
 
 spectra_connectivity, signed_perm_match, orbits_from_perms, generate and
 smooth_residues are the package's graph walks as they stood before they
-shared galois._components and galois._closure: a DFS over adjacency
+shared galois._components and modular_data._closure: a DFS over adjacency
 sets of t-eigenvalue labels, a sign DFS that tested every edge before the
 full check, a union-find over permutation cycles, and two BFS closures.
 
@@ -145,14 +145,16 @@ from moddata.cyclotomic import (
     units_mod,
     zeta,
 )
-from moddata.galois import _characters, _match_permutation, compose
 from moddata.modular_data import (
     DegenerateSError,
     FusionRules,
     ModularDatum,
     NotFusionIntegral,
     Verdict,
+    _characters,
     _exact_tensor,
+    _match_permutation,
+    compose,
     derived_scalars,
 )
 from moddata.sl2z_reps import SignedPermutation

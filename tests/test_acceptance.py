@@ -13,9 +13,10 @@ from moddata.classifier import (
     vanishing_sum_scan,
 )
 from moddata.cyclotomic import ONE, zeta
-from moddata.field_theory import GroupShape, cauchy_prime_support, enumerate_levels
+from moddata.field_theory import GroupShape, enumerate_levels
 from moddata.galois import compute_profile, cycle_type, galois_twist_symmetry
 from moddata.modular_data import (
+    cauchy_prime_support,
     check_admissible,
     derived_scalars,
     fs_exponent,

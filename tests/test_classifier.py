@@ -22,8 +22,8 @@ from moddata.classifier import (
     vanishing_sum_scan,
 )
 from moddata.cyclotomic import Cyclotomic, ONE, _numerators_at, euler_phi, zeta
-from moddata.galois import compose, compute_profile
-from moddata.modular_data import FusionRules, Verdict, verlinde_fusion
+from moddata.galois import compute_profile
+from moddata.modular_data import FusionRules, Verdict, compose, verlinde_fusion
 
 from _oracles import (
     dense_rational_kernel,

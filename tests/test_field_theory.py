@@ -9,13 +9,12 @@ from moddata.field_theory import (
     BadLevelError,
     FERMAT_PRIMES,
     GroupShape,
-    cauchy_prime_support,
     enumerate_levels,
     is_modularly_admissible,
     odd_prime_constraints,
     subfield_conductor,
 )
-from moddata.modular_data import ModularDatum
+from moddata.modular_data import ModularDatum, cauchy_prime_support
 
 
 class TestConductor:

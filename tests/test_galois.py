@@ -9,17 +9,25 @@ from _oracles import dual_from_s, g_matrix, orbit_field_degree
 from moddata.cyclotomic import Cyclotomic, ONE, ZERO, units_mod, zeta
 from moddata.galois import (
     GaloisProfile,
-    NotGaloisStable,
     _dual_from_s,
     classify_dimensions,
-    compose,
     compute_profile,
     cycle_type,
     exclusion_predicates,
     galois_twist_symmetry,
     sign_function,
 )
-from moddata.modular_data import ModularDatum, derived_scalars, load, replace, verlinde_fusion
+from moddata.modular_data import (
+    ModularDatum,
+    NotGaloisStable,
+    _characters,
+    _match_permutation,
+    compose,
+    derived_scalars,
+    load,
+    replace,
+    verlinde_fusion,
+)
 from moddata.sl2z_reps import all_lifts, normalize
 
 
@@ -146,8 +154,6 @@ class TestSigns:
 
     def test_gidrem_trivial_perm_gives_scalar(self, catalog_rank5):
         # h_sigma = id forces G_sigma = +-I
-        from moddata.galois import _characters, _match_permutation
-
         for _, datum in catalog_rank5:
             rep = normalize(datum)
             cols = _characters(rep.s)

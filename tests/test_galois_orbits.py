@@ -9,7 +9,7 @@ from math import gcd, lcm
 
 import pytest
 
-from moddata import classifier, galois
+from moddata import classifier, modular_data
 from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.classifier import (
     _all_nonzero_solution_exists,
@@ -17,8 +17,8 @@ from moddata.classifier import (
     vanishing_sum_scan,
 )
 from moddata.cyclotomic import ONE, Cyclotomic, units_mod, zeta
-from moddata.galois import _characters, _match_permutation, galois_twist_symmetry
-from moddata.modular_data import Verdict, derived_scalars, replace
+from moddata.galois import galois_twist_symmetry
+from moddata.modular_data import Verdict, _characters, _match_permutation, derived_scalars, replace
 from moddata.sl2z_reps import (
     NotModularRepresentation,
     all_lifts,
@@ -210,9 +210,9 @@ def test_twist_symmetry_matches_h_sigma_once_per_datum(build, monkeypatch):
     # conductor of S, and the 12 lifts share that map: no unit is matched on
     # character values, at c = 1 (k mod 1 = 0, units_mod(1) = [1]) too
     reads, matches = [], []
-    read, match = galois._residue_perms, galois._match_permutation
-    monkeypatch.setattr(galois, "_residue_perms", lambda S, c, units: reads.append(c) or read(S, c, units))
-    monkeypatch.setattr(galois, "_match_permutation", lambda cols, k: matches.append(k) or match(cols, k))
+    read, match = modular_data._residue_perms, modular_data._match_permutation
+    monkeypatch.setattr(modular_data, "_residue_perms", lambda S, c, units: reads.append(c) or read(S, c, units))
+    monkeypatch.setattr(modular_data, "_match_permutation", lambda cols, k: matches.append(k) or match(cols, k))
     datum = build()
     reps = all_lifts(datum)
     assert all(galois_twist_symmetry(rep).ok for rep in reps)
@@ -265,9 +265,9 @@ def count_galois_work(monkeypatch):
     """Lists that collect the Galois images and the character matches made
     while the patch lasts."""
     images, matches = [], []
-    image, match = Cyclotomic.galois, galois._match_permutation
+    image, match = Cyclotomic.galois, modular_data._match_permutation
     monkeypatch.setattr(Cyclotomic, "galois", lambda x, k: images.append(k) or image(x, k))
-    monkeypatch.setattr(galois, "_match_permutation", lambda cols, k: matches.append(k) or match(cols, k))
+    monkeypatch.setattr(modular_data, "_match_permutation", lambda cols, k: matches.append(k) or match(cols, k))
     return images, matches
 
 

@@ -19,13 +19,15 @@ from moddata import _matrix as mat
 from moddata import cli
 from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.cyclotomic import ONE, ZERO, zeta
-from moddata.galois import (
+from moddata.galois import compute_profile, galois_twist_symmetry
+from moddata.modular_data import (
+    ModularDatum,
     NotGaloisStable,
     _characters,
-    compute_profile,
-    galois_twist_symmetry,
+    derived_scalars,
+    load,
+    replace,
 )
-from moddata.modular_data import ModularDatum, derived_scalars, load, replace
 from moddata.sl2z_reps import (
     ModularRep,
     NotModularRepresentation,

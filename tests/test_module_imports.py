@@ -1,16 +1,13 @@
-"""Imports in src/moddata stay at module top, and none is `random` or
-`secrets`: no verdict rests on a random choice.  No module calls `matmul`
-or `mat_pow` but `mat_pow` itself: every matrix identity is decided from
-residues, and the exact products serve the tests' oracles.  Only
-`galois._exact_perms` and `galois._dual_from_s` call `_match_permutation`:
-h_sigma is read from residues, and matched on character values only by
-that one exact loop.  Only `_matrix._first_nonzero` sizes a certificate:
-every other caller states the terms it multiplies, and one size rule lives
-in one module.
-
-The only imports inside function bodies are the two that break the
-modular_data <-> galois / field_theory import cycle; `if TYPE_CHECKING:`
-blocks are exempt, since they never run.
+"""Imports in src/moddata stay at module top, none inside a function body
+(`if TYPE_CHECKING:` blocks are exempt, since they never run), and none is
+`random` or `secrets`: no verdict rests on a random choice.  No module calls
+`matmul` or `mat_pow` but `mat_pow` itself: every matrix identity is decided
+from residues, and the exact products serve the tests' oracles.  Only
+`modular_data._exact_perms` and `galois._dual_from_s` call
+`_match_permutation`: h_sigma is read from residues, and matched on
+character values only by that one exact loop.  Only
+`_matrix._first_nonzero` sizes a certificate: every other caller states the
+terms it multiplies, and one size rule lives in one module.
 """
 
 import ast
@@ -18,10 +15,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "moddata"
 
-CYCLE_IMPORTS = {
-    ("modular_data.py", "_galois_field_structure", "galois"),
-    ("modular_data.py", "_cauchy_condition", "field_theory"),
-}
+CYCLE_IMPORTS = set()
 
 
 class _LocalImports(ast.NodeVisitor):
@@ -103,7 +97,7 @@ def test_only_mat_pow_calls_an_exact_matrix_product():
 def test_only_the_exact_loop_and_the_dual_match_character_columns():
     found = set().union(*(_calls(path, ("_match_permutation",)) for path in sorted(SRC.glob("*.py"))))
     assert found == {
-        ("galois.py", "_exact_perms", "_match_permutation"),
+        ("modular_data.py", "_exact_perms", "_match_permutation"),
         ("galois.py", "_dual_from_s", "_match_permutation"),
     }
 

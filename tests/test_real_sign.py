@@ -18,8 +18,7 @@ import pytest
 from moddata import cyclotomic as cy
 from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.cyclotomic import ONE, ZERO, Cyclotomic, real_sign, sqrt_int, zeta
-from moddata.galois import _characters
-from moddata.modular_data import derived_scalars, load
+from moddata.modular_data import _characters, derived_scalars, load
 from moddata.sl2z_reps import _anomaly_sixth_root, all_lifts
 from _oracles import mpmath_complex_eval
 from test_cli import run_python

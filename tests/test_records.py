@@ -19,12 +19,13 @@ import pytest
 from moddata.catalog import pointed_zn, su2_4_family, su2_4_parameter_tuples, su2_odd_mod2
 from moddata.classifier import integral_dimension_search, rank5_suite, vanishing_sum_check
 from moddata.cyclotomic import ONE, zeta
-from moddata.field_theory import GroupShape, cauchy_prime_support, is_modularly_admissible
+from moddata.field_theory import GroupShape, is_modularly_admissible
 from moddata.galois import classify_dimensions, compute_profile
 from moddata.modular_data import (
     ModularDatum,
     Record,
     SchemaViolation,
+    cauchy_prime_support,
     check_admissible,
     derived_scalars,
     replace,

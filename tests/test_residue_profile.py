@@ -1,10 +1,11 @@
-"""The Galois profile of a datum read from residues (galois._residue_perms)
-against the exact per-unit loop (_oracles.oracle_profile), and the
-Gal(F_T/F_S) witness of condition (vi) read off that profile against
-_fixer_of_order_above_2.  The lift path reads the same map: every lift
-stores it, and galois_twist_symmetry, sign_function and
-compute_profile(datum, rep) are compared with the exact oracles, with the
-residue read and with it patched to fail."""
+"""The Galois profile of a datum read from residues
+(modular_data._residue_perms) against the exact per-unit loop
+(_oracles.oracle_profile), and the Gal(F_T/F_S) witness of condition (vi)
+read off the same h_sigma against _fixer_of_order_above_2.  The lift path
+reads the same map: every lift stores it, and galois_twist_symmetry,
+sign_function and compute_profile(datum, rep) are compared with the exact
+oracles, with the residue read and with it patched to fail.  An S that is
+not Galois stable holds the error its match raised, once per S."""
 
 import random
 from math import lcm
@@ -13,7 +14,7 @@ import pytest
 
 from _oracles import oracle_profile, scale
 from moddata import _matrix as mat
-from moddata import galois
+from moddata import modular_data
 from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.cyclotomic import (
     Cyclotomic,
@@ -22,23 +23,32 @@ from moddata.cyclotomic import (
     _embedding,
     _galois_embedding,
     _residue,
+    get_order_cap,
+    set_order_cap,
     sqrt_int,
     units_mod,
     zeta,
 )
 from moddata.galois import (
-    NotGaloisStable,
     NotGaloisSymmetric,
-    _characters,
     _extend_unit,
-    _match_permutation,
     _rep_field_modulus,
     compute_profile,
     galois_twist_symmetry,
     sign_function,
 )
 from moddata.field_theory import _fixer_of_order_above_2
-from moddata.modular_data import ModularDatum, _galois_field_structure, load, replace
+from moddata.modular_data import (
+    ModularDatum,
+    NotGaloisStable,
+    _characters,
+    _galois_field_structure,
+    _match_permutation,
+    _s_facts,
+    check_admissible,
+    load,
+    replace,
+)
 from moddata.sl2z_reps import all_lifts
 from test_galois_orbits import oracle_twist_symmetry
 from test_lift_algebra import BUILDERS, datum_of
@@ -134,9 +144,9 @@ def test_a_failing_certificate_gives_the_same_profile(golden, monkeypatch):
 
 def test_no_canonical_character_value_on_the_data_files(golden, monkeypatch):
     calls = []
-    inverse, match = Cyclotomic.inverse, galois._match_permutation
+    inverse, match = Cyclotomic.inverse, modular_data._match_permutation
     monkeypatch.setattr(Cyclotomic, "inverse", lambda x: calls.append("inverse") or inverse(x))
-    monkeypatch.setattr(galois, "_match_permutation", lambda cols, k: calls.append(k) or match(cols, k))
+    monkeypatch.setattr(modular_data, "_match_permutation", lambda cols, k: calls.append(k) or match(cols, k))
     for datum in golden:
         compute_profile(datum)
     assert calls == []
@@ -150,9 +160,9 @@ def test_gal_ft_fs_witness_matches_the_fixer_oracle(golden):
         for m in (1, 2, 3, 5):
             datum_m = replace(datum, torder=datum.torder * m)
             N, cond = datum_m.ord_t, datum_m.s_field_conductor
-            witness, profile = _galois_field_structure(datum_m)
+            witness = _galois_field_structure(datum_m)
             if N % cond:
-                assert profile is None and witness.startswith("F_S has conductor")
+                assert witness.startswith("F_S has conductor")
                 continue
             squares += sum(k * k % N != 1 % N for k in units_mod(N))
             k = _fixer_of_order_above_2(N, [v for row in datum_m.S for v in row])
@@ -204,15 +214,15 @@ KINDS = ("vanishing first-row entry", "duplicate character columns", "sends char
 def residues(request, monkeypatch):
     """True, or False with _residue_perms patched to fail everywhere."""
     if request.param == "no-residues":
-        monkeypatch.setattr(galois, "_residue_perms", lambda S, cond, units: None)
+        monkeypatch.setattr(modular_data, "_residue_perms", lambda S, cond, units: None)
     return request.param == "residues"
 
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """The units of each call of the exact loop galois._exact_perms."""
-    calls, real = [], galois._exact_perms
-    monkeypatch.setattr(galois, "_exact_perms", lambda cols, units: calls.append(units) or real(cols, units))
+    """The units of each call of the exact loop modular_data._exact_perms."""
+    calls, real = [], modular_data._exact_perms
+    monkeypatch.setattr(modular_data, "_exact_perms", lambda cols, units: calls.append(units) or real(cols, units))
     return calls
 
 
@@ -263,35 +273,36 @@ def assert_lift_path_matches(rep, matched, ks):
 
 @pytest.mark.parametrize("name", DATA_NAMES + list(LADDER))
 def test_lift_path_matches_the_exact_oracles(name, residues, exact_calls):
-    """Every lift stores the map of oracle_profile, or None with the residue
-    read patched to fail, and has the oracle's twist verdict.  On the ladder
-    the oracle forms r^2 character values in the field of each lift's s, so
-    it runs on every lift with the map stored and on the lift of least
-    level without.  Signs, 2 r^2 Galois images each, are compared on every
-    lift of a data file and on that least lift of the ladder, and
-    compute_profile(datum, rep), which signs every unit, on the data files.
-    The exact loop runs exactly when the read is patched to fail: a read
-    kept from an earlier datum over the same S would skip the patch."""
+    """Every lift stores the map of oracle_profile, read from residues or,
+    with that read patched to fail, matched exactly, and has the oracle's
+    twist verdict.  On the ladder the oracle forms r^2 character values in
+    the field of each lift's s, so it runs on every lift with the residue
+    read and on the lift of least level with it patched.  Signs, 2 r^2
+    Galois images each, are compared on every lift of a data file and on
+    that least lift of the ladder, and compute_profile(datum, rep), which
+    signs every unit, on the data files.  The exact loop runs once, in
+    _SFacts.h_sigma, exactly when the read is patched to fail: a read kept
+    from an earlier datum over the same S would skip the patch."""
     datum = LADDER[name]() if name in LADDER else datum_of(name)
     reps = all_lifts(datum)
     units, perms, _ = oracle_profile(datum)
     least = min(reps, key=lambda rep: rep.level)
     matched = {}
     for rep in reps:
-        assert rep.galois_perms == ((datum.s_field_conductor, perms) if residues else None)
+        assert rep.galois_perms == (datum.s_field_conductor, perms)
         if name not in LADDER or rep is least:
             assert_lift_path_matches(rep, matched, units_mod(rep.level)[1:3])
         elif residues:
             assert_lift_path_matches(rep, matched, ())
     if name not in LADDER:
         assert profile_with_signs(datum, least) == oracle_profile_with_signs(datum, least)
-    assert bool(exact_calls) is not residues
+    assert exact_calls == ([] if residues else [units_mod(datum.s_field_conductor)])
 
 
 def hand_built(rep, S):
     """rep with s = s_00 S, storing the map the lift builder stores for S."""
     c = lcm(*(v.order for row in S for v in row))
-    perms = galois._residue_perms(S, c, units_mod(c))
+    perms = modular_data._residue_perms(S, c, units_mod(c))
     return replace(rep, S=scale(S, rep.s[0][0]), lam=ONE, galois_perms=perms and (c, perms))
 
 
@@ -321,7 +332,7 @@ def test_mutated_lifts_fail_like_the_exact_oracles(golden, residues):
     assert seen == set(KINDS)  # each NotGaloisStable message is reached
 
 
-@pytest.mark.parametrize(
+UNSTABLE = pytest.mark.parametrize(
     "S, torder",
     [
         (((ONE, sqrt_int(3)), (sqrt_int(3), -ONE)), 2),
@@ -329,13 +340,18 @@ def test_mutated_lifts_fail_like_the_exact_oracles(golden, residues):
     ],
     ids=["sqrt3", "zero-S_01"],
 )
+
+
+@UNSTABLE
 def test_lifts_of_unstable_characters_store_no_map(S, torder, residues):
     # S^2 = D^2 Id and (ST)^3 = p+ S^2 hold with theta = (1, zeta_torder), so
     # the 12 lifts exist.  sigma_5 (sqrt 3 -> -sqrt 3) sends character 0 to
-    # no column; with S_01 = 0 the characters are undefined.  The builder
+    # no column; with S_01 = 0 the characters are undefined.  _SFacts.h_sigma
+    # holds that error, with the residue read or without it, so the builder
     # stores no map, and the readers raise as the exact oracles do
     datum = ModularDatum(2, torder, (0, 1), S)
     reps = all_lifts(datum)
+    assert isinstance(_s_facts(S).h_sigma, NotGaloisStable)
     assert all(rep.galois_perms is None for rep in reps)
     twists = [result(galois_twist_symmetry, rep) for rep in reps]
     assert twists == [result(oracle_twist_symmetry, rep, {}) for rep in reps]
@@ -343,3 +359,43 @@ def test_lifts_of_unstable_characters_store_no_map(S, torder, residues):
     for rep in reps:
         assert_lift_path_matches(rep, {}, units_mod(rep.level))
         assert result(profile_with_signs, datum, rep) == result(oracle_profile_with_signs, datum, rep)
+
+
+# condition (vi) of ModularDatum(2, torder, (0, 1), S) and of the same S at
+# torder 12, whose F_S lies in Q_12
+UNSTABLE_WITNESSES = {
+    "sqrt3": ["F_S has conductor 12, not inside Q_2", "sigma_5 sends character 0 to no column"],
+    "zero-S_01": ["vanishing first-row entry: characters undefined"] * 2,
+}
+
+
+def raised(f, *args):
+    """(type, message) of the exception f(*args) raises."""
+    with pytest.raises(Exception) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+@UNSTABLE
+def test_an_unstable_s_holds_the_error_its_match_raised(request, S, torder, monkeypatch):
+    """compute_profile raises the held NotGaloisStable again, alike on every
+    call and for every datum over the S; the exact match runs once per S
+    (at S_01 = 0 it stops in _characters); condition (vi) names the same
+    fault; and a change of the order cap forgets the held error."""
+    matches, real = [], modular_data._characters
+    monkeypatch.setattr(modular_data, "_characters", lambda S: matches.append(S) or real(S))
+    data = [ModularDatum(2, torder, (0, 1), S), ModularDatum(2, 12, (0, 1), S)]
+    expected = UNSTABLE_WITNESSES[request.node.callspec.id]
+    assert [check_admissible(datum).conditions[5].witness for datum in data] == expected
+    held = _s_facts(S).h_sigma
+    assert isinstance(held, NotGaloisStable) and str(held) == expected[1]
+    assert [raised(compute_profile, datum) for datum in data * 2] == [(NotGaloisStable, str(held))] * 4
+    assert matches == [S]
+    cap = get_order_cap()
+    try:
+        set_order_cap(cap + 1)
+        assert _s_facts(S).h_sigma is not held
+        assert [raised(compute_profile, datum) for datum in data] == [(NotGaloisStable, str(held))] * 2
+        assert matches == [S, S]
+    finally:
+        set_order_cap(cap)

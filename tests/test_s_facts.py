@@ -1,10 +1,11 @@
 """What depends on S alone is computed once per S in a process
 (modular_data._s_facts) and shared by every datum over that S: the Verlinde
 fusion rules or their failure, projective unitarity, D^2, D^-2, the primes
-of Norm(D^2), S^2 and S^4, and h_sigma read from residues.  Sharing changes
-no report and no exception; the analysis runs once per distinct S; a change
-of the order cap forgets every cached result; and the certificates over S
-(h_sigma, Verlinde, unitarity, S^2) size a root of unity as 1."""
+of Norm(D^2), S^2 and S^4, and h_sigma or the error its match raised.
+Sharing changes no report and no exception; the analysis runs once per
+distinct S; a change of the order cap forgets every cached result; and the
+certificates over S (h_sigma, Verlinde, unitarity, S^2) size a root of
+unity as 1."""
 
 import json
 import random
@@ -12,13 +13,15 @@ import random
 import pytest
 
 from moddata import _matrix as mat
-from moddata import galois, modular_data
+from moddata import modular_data
 from moddata.catalog import pointed_zn, rank5_catalog, su2_odd_mod2
 from moddata.classifier import rank5_suite
 from moddata.cyclotomic import InvalidOrderError, get_order_cap, set_order_cap, units_mod
+from moddata.galois import compute_profile
 from moddata.modular_data import (
     FusionComputationError,
     ModularDatum,
+    NotGaloisStable,
     _modular_tensor,
     _projectively_unitary,
     _s_facts,
@@ -40,9 +43,13 @@ def clear_all():
 
 def report(datum):
     """The check report as `moddata check` prints it, text and --json, and
-    the Galois profile condition (vi) computed."""
+    the Galois profile as `moddata galois --json` prints it, or the message
+    of the NotGaloisStable that compute_profile raises."""
     got = check_admissible(datum)
-    profile = got.profile and json.dumps(got.profile.to_json())
+    try:
+        profile = json.dumps(compute_profile(datum).to_json())
+    except NotGaloisStable as exc:
+        profile = str(exc)
     return got.format_table(), json.dumps(got.to_json(), indent=1), profile
 
 
@@ -117,7 +124,7 @@ def counting(monkeypatch, module, name):
 def test_check_analyses_each_distinct_s_once(monkeypatch, data_dir):
     """The 16 su2_4_family files hold 4 distinct S, each with 4 T."""
     tensors = counting(monkeypatch, modular_data, "_modular_tensor")
-    reads = counting(monkeypatch, galois, "_residue_perms")
+    reads = counting(monkeypatch, modular_data, "_residue_perms")
     clear_all()
     data = [load(path) for path in sorted(data_dir.glob("su2_4_family_*.json"))]
     assert all(check_admissible(datum).passed for datum in data)
@@ -128,7 +135,7 @@ def test_check_analyses_each_distinct_s_once(monkeypatch, data_dir):
 
 def test_classify_rank5_reads_h_sigma_once_per_distinct_s(monkeypatch):
     """check (condition (vi)) and the canonical lift read one h_sigma map."""
-    reads = counting(monkeypatch, galois, "_residue_perms")
+    reads = counting(monkeypatch, modular_data, "_residue_perms")
     squares = counting(monkeypatch, mat, "_square_and_fourth")
     clear_all()
     data = rank5_catalog()
@@ -215,7 +222,7 @@ def test_h_sigma_certificate_takes_one_prime_on_roots_of_unity(primes, n):
     root of unity l1 1, where the power basis gives zeta^(n-1) = -(1 + zeta
     + ... + zeta^(n-2)) an l1 of n - 1, which took 8 primes at n = 41."""
     S = pointed_zn(n).S
-    perms = galois._residue_perms(S, n, units_mod(n))
+    perms = modular_data._residue_perms(S, n, units_mod(n))
     assert perms is not None and len(perms) == n - 1
     assert len(primes) == 1
     assert mat._size([v for row in S for v in row]) == (1, 1)

@@ -1,7 +1,7 @@
 """The package's graph walks against the walks they replaced (tests/_oracles.py).
 
 galois._components answers the connectivity questions (Galois orbits, the
-t-spectrum graph) and galois._closure the closure ones (permutation
+t-spectrum graph) and modular_data._closure the closure ones (permutation
 groups, smooth residues); signed_perm_match reads its signs off a spanning
 forest before its full check.  Each is compared with the walk as it stood on
 catalog lifts, on seeded relabelled, sign-flipped and one-entry-perturbed
@@ -17,8 +17,8 @@ import pytest
 
 from moddata.catalog import pointed_zn, rank5_catalog, su2_odd_mod2
 from moddata.cyclotomic import ONE, ZERO, zeta
-from moddata.galois import _closure, _components, compose, compute_profile
-from moddata.modular_data import load, replace
+from moddata.galois import _components, compute_profile
+from moddata.modular_data import _closure, compose, load, replace
 from moddata.sl2z_reps import ModularRep, all_lifts, signed_perm_match, spectra_connectivity
 import _oracles as oracle
 
