@@ -302,24 +302,39 @@ def load(path: PathLike) -> ModularDatum:
 
 
 class DerivedScalars(Record):
+    """What the checks and lifts of one datum share, each formed once per
+    datum (derived_scalars): the dimensions d_j, D^2, the twists theta_j,
+    the Gauss sums p+- = sum_j d_j^2 theta_j^(+-1), whether p+ p- = D^2, and
+    the anomaly alpha = p+ / p-, None when p- = 0."""
+
     dims: tuple[Cyclotomic, ...]
     global_dim_sq: Cyclotomic
+    thetas: tuple[Cyclotomic, ...]
     gauss_plus: Cyclotomic
     gauss_minus: Cyclotomic
+    gauss_product_is_d2: bool
     anomaly: Optional[Cyclotomic]
 
 
 @lru_cache(maxsize=None)
 def derived_scalars(datum: ModularDatum) -> DerivedScalars:
-    """Dimensions, D^2, the Gauss sums and the anomaly."""
+    """The DerivedScalars of datum.
+
+    Each Gauss sum is one dot, canonicalised once.  When p+ p- = D^2 != 0,
+    1/p- = p+ D^-2, so alpha = p+^2 D^-2 reads the D^-2 that _SFacts forms
+    once per S and takes no norm inverse of its own.  Otherwise alpha =
+    p+ p-^-1 as the definition reads, and None when p- = 0.
+    """
     facts = _s_facts(datum.S)
-    thetas = datum.thetas
-    p_plus = sum_cyclotomics(dq * th for dq, th in zip(facts.dims_sq, thetas))
-    p_minus = sum_cyclotomics(
-        dq * th.conjugate() for dq, th in zip(facts.dims_sq, thetas)
-    )
-    anomaly = p_plus * p_minus.inverse() if p_minus else None
-    return DerivedScalars(datum.dims, facts.global_dim_sq, p_plus, p_minus, anomaly)
+    d2, thetas = facts.global_dim_sq, datum.thetas
+    p_plus = dot(zip(facts.dims_sq, thetas))
+    p_minus = dot(zip(facts.dims_sq, (th.conjugate() for th in thetas)))
+    product_is_d2 = p_plus * p_minus == d2
+    if product_is_d2 and d2:
+        anomaly = p_plus * p_plus * facts.global_dim_sq_inv
+    else:
+        anomaly = p_plus * p_minus.inverse() if p_minus else None
+    return DerivedScalars(datum.dims, d2, thetas, p_plus, p_minus, product_is_d2, anomaly)
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +725,7 @@ _cap_caches.extend((derived_scalars.cache_clear, verlinde_fusion.cache_clear, _s
 def check_balancing(datum: ModularDatum, fusion: FusionRules) -> Verdict:
     """theta_i theta_j S_ij = sum_k N_{i* j}^k d_k theta_k; the witness is
     the first (i, j) where it fails."""
-    r, S, thetas = datum.rank, datum.S, datum.thetas
+    r, S, thetas = datum.rank, datum.S, derived_scalars(datum).thetas
     flat = [v for row in S for v in row]
 
     def entries(n, emb):
@@ -730,7 +745,8 @@ def check_balancing(datum: ModularDatum, fusion: FusionRules) -> Verdict:
 def check_twist_equation(datum: ModularDatum) -> Verdict:
     """p+ S_jk = theta_j theta_k sum_i theta_i S_ij S_ik: the residual of
     (ST)^3 = p+ S^2 is 0.  The witness is its first nonzero (j, k), j <= k."""
-    witness = mat._st_first_nonzero(datum.S, datum.thetas, derived_scalars(datum).gauss_plus)
+    ds = derived_scalars(datum)
+    witness = mat._st_first_nonzero(datum.S, ds.thetas, ds.gauss_plus)
     return Verdict(True) if witness is None else Verdict(False, witness, "twist equation fails")
 
 
@@ -860,12 +876,15 @@ def _reality_and_unitarity(datum: ModularDatum) -> str:
 
 
 def _gauss_sum_relations(datum: ModularDatum, ds: DerivedScalars) -> str:
-    # (ii) (ST)^3 = p+ S^2, p+ p- = D^2, anomaly a root of unity
+    """(ii) (ST)^3 = p+ S^2, p+ p- = D^2 and the anomaly a root of unity.
+
+    Every scalar is read from ds: derived_scalars decided p+ p- = D^2 when
+    it formed the anomaly, so no product is taken here."""
     if not ds.gauss_plus or not ds.gauss_minus:
         return "vanishing Gauss sum"
-    if not mat._st_cubed_is(datum.S, datum.thetas, ds.gauss_plus):
+    if not mat._st_cubed_is(datum.S, ds.thetas, ds.gauss_plus):
         return "(ST)^3 != p+ S^2"
-    if ds.gauss_plus * ds.gauss_minus != ds.global_dim_sq:
+    if not ds.gauss_product_is_d2:
         return "p+ p- != D^2"
     if not ds.anomaly.is_root_of_unity:
         return "anomaly is not a root of unity"

@@ -95,35 +95,47 @@ def _lifts(
 
     The work that depends only on the datum is done once, and what depends
     on S alone once per S (_s_facts).  lam mu^3 = 1/p+, so (st)^3 = s^2 iff
-    (ST)^3 = p+ S^2.  With S^4 = c4 Id and lam = lam0 i^-a, s^4 = Id iff
-    lam0^4 c4 = 1, and lam^2 = (-1)^a lam0^2 gives two parities.  c2 and c4
-    are decided from residues, with no matrix product.  Each lift stores S
-    and its lam, and forms no matrix (ModularRep.s).  t is exponent
-    arithmetic at L = lcm(12, m, N), cut down to its level.  s_ia / s_0a =
-    S_ia / S_0a, whose field is F_S (S_ia = chi_a(i) chi_0(a)): all lifts
-    share the map of _SFacts.h_sigma at c = conductor(F_S), or None when S
-    is not Galois stable.
+    (ST)^3 = p+ S^2.  At a = 0, lam = zeta^3 / p+, and no norm inverse is
+    taken when derived_scalars found p+ p- = D^2 != 0: then p+ (p- D^-2) =
+    D^2 D^-2 = 1, so 1/p+ = p- D^-2 and lam = zeta^3 p- D^-2, with the D^-2
+    that _SFacts forms once per S.  Otherwise lam = zeta^3 p+^-1.  x^3 =
+    i^a, so lam_a = lam i^-a depends on a mod 4 alone: lam for a = 0, -lam
+    for a = 2, and one product each for a = 1 and a = 3.  With S^4 = c4 Id,
+    s^4 = Id iff lam^4 c4 = 1, and lam_a^2 = (-1)^a lam^2 gives two
+    parities.  c2 and c4 are decided from residues, with no matrix product.
+    Each lift stores S and its lam, and forms no matrix (ModularRep.s).  t
+    is exponent arithmetic at L = lcm(12, m, N), cut down to its level.
+    s_ia / s_0a = S_ia / S_0a, whose field is F_S (S_ia = chi_a(i)
+    chi_0(a)): all lifts share the map of _SFacts.h_sigma at c =
+    conductor(F_S), or None when S is not Galois stable.
     """
     S, (m, e), N = datum.S, root, datum.torder
-    c2, c4 = _s_facts(S).square_and_fourth
-    p_plus = derived_scalars(datum).gauss_plus
-    lam = zeta(m, 3 * e) * p_plus.inverse()  # at a = 0
-    if c4 is None or lam**4 * c4 != ONE:
+    facts, ds = _s_facts(S), derived_scalars(datum)
+    c2, c4 = facts.square_and_fourth
+    if ds.gauss_product_is_d2 and ds.global_dim_sq:
+        lam = zeta(m, 3 * e) * ds.gauss_minus * facts.global_dim_sq_inv
+    else:
+        lam = zeta(m, 3 * e) * ds.gauss_plus.inverse()
+    lam2 = lam * lam
+    if c4 is None or lam2 * lam2 * c4 != ONE:
         raise NotModularRepresentation("s^4 != Id")
-    if not mat._st_cubed_is(S, datum.thetas, p_plus):
+    if not mat._st_cubed_is(S, ds.thetas, ds.gauss_plus):
         raise NotModularRepresentation("(st)^3 != s^2")
-    lam2_c2 = None if c2 is None else lam * lam * c2
+    lam2_c2 = None if c2 is None else lam2 * c2
     parities = (_parity(lam2_c2), _parity(None if lam2_c2 is None else -lam2_c2))
-    h_sigma = _s_facts(S).h_sigma
+    h_sigma = facts.h_sigma
     galois_perms = None if isinstance(h_sigma, NotGaloisStable) else h_sigma
     L = lcm(12, m, N)
     theta_exps = [j * (L // N) - e * (L // m) for j in datum.t_exponents]
+    lams = {0: lam, 2: -lam}
     reps = []
     for a in x_exps:
+        if a % 4 not in lams:
+            lams[a % 4] = lam * zeta(4, -a)
         exps = [(a * (L // 12) + th) % L for th in theta_exps]
         level = lcm(*(L // gcd(v, L) for v in exps))
         exps = tuple(v // (L // level) for v in exps)
-        reps.append(ModularRep(datum.rank, S, level, exps, parities[a % 2], galois_perms, lam * zeta(4, -a)))
+        reps.append(ModularRep(datum.rank, S, level, exps, parities[a % 2], galois_perms, lams[a % 4]))
     return tuple(reps)
 
 

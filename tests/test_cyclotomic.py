@@ -38,6 +38,7 @@ from moddata.modular_data import (
     load,
     verlinde_fusion,
 )
+from moddata.sl2z_reps import NotModularRepresentation, all_lifts
 from _oracles import (
     cyclotomic_poly_squarefree,
     dot_check_balancing,
@@ -465,8 +466,9 @@ class TestDescent:
             assert cy._canonical(n, dict(nums), den) == embedding_canonical(n, nums, den)
 
     def test_canonical_matches_embedding_descent_while_checking(self, monkeypatch, data_dir):
-        """Every value canonicalised by check, and by the exact forms of the
-        identities it decides from residues."""
+        """Every value canonicalised by check, by the exact forms of the
+        identities it decides from residues, by the anomaly p+ p-^-1 as its
+        definition reads, and by every lift where the datum has one."""
         calls = []
         real = cy._canonical
 
@@ -480,12 +482,20 @@ class TestDescent:
         for path in [*sorted(data_dir.glob("*.json")), *sorted(GOLDEN_REPORT_DATA.glob("*.json"))]:
             datum = load(path)
             check_admissible(datum)
-            dot_projectively_unitary(datum, derived_scalars(datum).global_dim_sq)
+            ds = derived_scalars(datum)
+            dot_projectively_unitary(datum, ds.global_dim_sq)
             dot_check_twist_equation(datum)
             try:
                 dot_check_balancing(datum, dot_verlinde_fusion(datum))
             except FusionComputationError:
                 pass
+            if ds.gauss_minus:
+                assert ds.gauss_plus * ds.gauss_minus.inverse() == ds.anomaly
+            try:
+                reps = all_lifts(datum)
+            except NotModularRepresentation:
+                continue
+            assert all(len(rep.s) == datum.rank for rep in reps)
         monkeypatch.undo()
         assert len(calls) > 10_000
         for n, nums, den in calls:
