@@ -5,7 +5,7 @@ exclusion predicates."""
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from . import _matrix as mat
 from .cyclotomic import Cyclotomic, NotAUnitError, real_sign, units_mod
@@ -95,10 +95,10 @@ def compute_profile(
     orbits = _components(datum.rank, edges)
     signs: dict[int, tuple[int, ...]] = {}
     if rep is not None:
-        modulus = _rep_field_modulus(rep)
+        s, modulus, rep_h_sigma = rep.s, _rep_field_modulus(rep), _s_facts(rep.S).h_sigma
         for k in units:
             k_ext = _extend_unit(k, cond, modulus)
-            signs[k] = sign_function(rep, k_ext)
+            signs[k] = _signs(s, k_ext, rep_h_sigma)
     return GaloisProfile(cond, units, perms, orbits, signs)
 
 
@@ -135,22 +135,22 @@ def _extend_unit(k: int, cond: int, modulus: int) -> int:
     raise NotAUnitError(f"cannot extend unit {k} mod {cond} to mod {modulus}")
 
 
-def _h_sigma(perms: Optional[tuple[int, dict[int, Perm]]], s: mat.Matrix, k: int) -> Perm:
-    """h_sigma_k read at k mod c from a lift's map (c, {k: h_sigma_k for k
-    in units_mod(c)}), else matched exactly on the columns of s."""
-    if perms is not None:
-        c, by_unit = perms
-        perm = by_unit.get(k % c if c > 1 else 1)  # units_mod(1) is [1]
-        if perm is not None:  # else k is no unit mod c, and the match says so
-            return perm
-    return _exact_perms(_characters(s), (k,))[k]
-
-
 def sign_function(rep: "ModularRep", k: int) -> tuple[int, ...]:
     """eps_sigma with sigma(s_ij) = eps(i) s_{h(i) j} = eps(j) s_{i h(j)}."""
-    s = rep.s
-    r = len(s)
-    perm = _h_sigma(rep.galois_perms, s, k)
+    return _signs(rep.s, k, _s_facts(rep.S).h_sigma)
+
+
+def _signs(s: mat.Matrix, k: int, h_sigma: Union[tuple[int, dict[int, Perm]], NotGaloisStable]) -> tuple[int, ...]:
+    """sign_function, with h_sigma_k read at k mod c from h_sigma = (c, {k:
+    h_sigma_k}), the _SFacts.h_sigma of s's S that the caller looked up once,
+    else, at a NotGaloisStable or a k that is no unit mod c, matched exactly
+    on the columns of s."""
+    r, perm = len(s), None
+    if not isinstance(h_sigma, NotGaloisStable):
+        c, by_unit = h_sigma
+        perm = by_unit.get(k % c if c > 1 else 1)  # units_mod(1) is [1]
+    if perm is None:
+        perm = _exact_perms(_characters(s), (k,))[k]
     eps = []
     for i in range(r):
         j0 = next((j for j in range(r) if s[perm[i]][j]), None)
@@ -178,26 +178,24 @@ def galois_twist_symmetry(rep: "ModularRep") -> Verdict:
 
     With t_i = zeta_n^(e_i) at the level n, the image sigma_k^2(t_i) is
     zeta_n^(e_i k^2), compared with t_h(i) by its exponent.  The conductor
-    c of the character values must divide n, as in every lift the package
-    builds; ValueError names it otherwise.  h_sigma_k is read at k mod c
-    from the map (c, {k: h_sigma_k}) that the lift builder takes once per S
-    from _SFacts.h_sigma and stores on all 12 lifts, so no character value
-    and no Galois image is formed here.  Without that map (a rep built by
-    hand, or a lift of an S that is not Galois stable) the columns are
-    matched exactly on S, whose columns S_ia / S_0a are those of s = lam S,
-    so s is never formed.
+    c of F_S, that of the character values for a symmetric S, must divide
+    n, as in every genuine representation (S = s / s_00 lies in Q_n);
+    ValueError names it otherwise.  h_sigma_k is read at k mod c from the
+    map (c, {k: h_sigma_k}) of _SFacts.h_sigma, looked up once per call, so
+    no character value, no Galois image and no s is formed.  An S that is
+    not Galois stable raises its held NotGaloisStable, before the conductor
+    check at a vanishing first-row entry, as the exact match did.
     """
-    n, exps, perms = rep.level, rep.t_exponents, rep.galois_perms
-    if perms is None:
-        cols = _characters(rep.S)
-        c = lcm(*(v.conductor for col in cols for v in col))
-    else:
-        c = perms[0]
-    if n % c:
+    n, exps = rep.level, rep.t_exponents
+    facts = _s_facts(rep.S)
+    c, h_sigma = facts.conductor, facts.h_sigma
+    if n % c and all(rep.S[0]):
         raise ValueError(f"the character conductor {c} does not divide the level {n}")
-    perms = perms or (c, _exact_perms(cols, units_mod(c)))
+    if isinstance(h_sigma, NotGaloisStable):
+        raise h_sigma.with_traceback(None)
+    by_unit = h_sigma[1]
     for k in units_mod(n):
-        perm = _h_sigma(perms, rep.S, k)
+        perm = by_unit[k % c if c > 1 else 1]  # units_mod(1) is [1]
         k_squared = k * k % n
         for i, e in enumerate(exps):
             if e * k_squared % n != exps[perm[i]]:

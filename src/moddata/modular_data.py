@@ -78,12 +78,12 @@ _MISSING = object()
 
 class Field:
     """Options of one Record field: a default, and whether the field takes
-    part in == and hash and in repr."""
+    part in == and hash."""
 
-    __slots__ = ("default", "compare", "repr")
+    __slots__ = ("default", "compare")
 
-    def __init__(self, default=_MISSING, *, compare: bool = True, repr: bool = True):
-        self.default, self.compare, self.repr = default, compare, repr
+    def __init__(self, default=_MISSING, *, compare: bool = True):
+        self.default, self.compare = default, compare
 
 
 class Record:
@@ -94,8 +94,8 @@ class Record:
     __init__ takes the fields as arguments, sets them and then calls
     __post_init__ when the class defines one.  == and hash read the compared
     fields as one tuple, so a record hashes as the tuple of those fields.
-    repr is "Name(f=v, ...)".  Assigning or deleting an attribute raises
-    AttributeError; replace() makes a changed copy.
+    repr is "Name(f=v, ...)", every field.  Assigning or deleting an
+    attribute raises AttributeError; replace() makes a changed copy.
     """
 
     __record_fields__: dict[str, Field] = {}
@@ -138,7 +138,7 @@ class Record:
             setattr(cls, name, method)
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n, f in self.__record_fields__.items() if f.repr)
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__record_fields__)
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name, value):
@@ -409,7 +409,7 @@ def _fusion_rules(facts: "_SFacts") -> FusionRules:
         raise DegenerateSError("vanishing entry in the first row of S")
     if not facts.unitary:
         raise DegenerateSError("S * conj(S)^t != D^2 * Id")
-    tensor = _modular_tensor(S, facts.global_dim_sq) or _exact_tensor(S, facts.global_dim_sq)
+    tensor = _modular_tensor(facts) or _exact_tensor(S, facts.global_dim_sq)
     dual = []
     for i in range(r):
         hits = [k for k in range(r) if tensor[i][k][0] == 1]
@@ -424,8 +424,8 @@ def _fusion_rules(facts: "_SFacts") -> FusionRules:
     return FusionRules(r, tuple(tuple(map(tuple, plane)) for plane in tensor), dual)
 
 
-def _modular_tensor(S: mat.Matrix, d2: Cyclotomic) -> Optional[list[list[list[int]]]]:
-    """The Verlinde tensor from residues, for S conj(S)^t = D^2 Id, or None.
+def _modular_tensor(facts: "_SFacts") -> Optional[list[list[list[int]]]]:
+    """The Verlinde tensor of S from residues, for S conj(S)^t = D^2 Id, or None.
 
     The candidate N_ij^k is the Verlinde formula mod the first prime ell of
     the order of S, read in [0, ell/2].  It is certified by sum_k N_ij^k S_ka
@@ -433,15 +433,13 @@ def _modular_tensor(S: mat.Matrix, d2: Cyclotomic) -> Optional[list[list[list[in
     The Verlinde tensor solves that system, and S is invertible, so it is
     its only solution.  None when a candidate lies past ell/2, a residue
     that the formula divides by is 0, or the certificate fails."""
-    r = len(S)
+    S, r, n = facts.S, len(facts.S), facts.conductor
     flat = [v for row in S for v in row]
-    n = lcm(*(v.order for v in flat))
     emb = _embedding(n, 0)
-    ell, conj = emb[0], _galois_embedding(emb, -1)
+    ell = emb[0]
     try:
-        res = [[_residue(v, n, emb) for v in row] for row in S]
-        res_conj = [[_residue(v, n, conj) for v in row] for row in S]
-        scale = [pow(d * _residue(d2, n, emb), -1, ell) for d in res[0]]
+        res, res_conj, res_d2 = facts.residues(emb), facts.residues(emb, -1), _residue(facts.global_dim_sq, n, emb)
+        scale = [pow(d * res_d2, -1, ell) for d in res[0]]
     except ValueError:  # ell divides a denominator, or a residue is not invertible
         return None
     tensor = [[[0] * r for _ in range(r)] for _ in range(r)]
@@ -456,7 +454,7 @@ def _modular_tensor(S: mat.Matrix, d2: Cyclotomic) -> Optional[list[list[list[in
                 tensor[i][j][k] = tensor[j][i][k] = value
 
     def entries(n, emb):
-        res = [[_residue(v, n, emb) for v in row] for row in S]
+        res = facts.residues(emb)
         cols = list(zip(*res))
         for i in range(r):
             for j in range(i, r):
@@ -490,19 +488,17 @@ def _exact_tensor(S: mat.Matrix, d2: Cyclotomic) -> list[list[list[int]]]:
     return tensor
 
 
-def _projectively_unitary(S: mat.Matrix, d2: Cyclotomic) -> bool:
-    """S conj(S)^t == D^2 Id, decided from residues of the entries (i, j),
+def _projectively_unitary(facts: "_SFacts", d2: Cyclotomic) -> bool:
+    """S conj(S)^t == d2 Id, decided from residues of the entries (i, j),
     i <= j.
 
     S is symmetric, so conj(S)^t = conj(S), and entry (j, i) of S conj(S) is
     the conjugate of entry (i, j): the entries with i <= j decide it."""
-    r = len(S)
+    S, r = facts.S, len(facts.S)
     flat = [v for row in S for v in row]
 
     def entries(n, emb):
-        conj = _galois_embedding(emb, -1)
-        res = [[_residue(v, n, emb) for v in row] for row in S]
-        res_conj = [[_residue(v, n, conj) for v in row] for row in S]
+        res, res_conj = facts.residues(emb), facts.residues(emb, -1)
         res_d2 = _residue(d2, n, emb)
         for i, row in enumerate(res):
             for j in range(i, r):
@@ -571,43 +567,32 @@ def _exact_perms(cols: Sequence[tuple[Cyclotomic, ...]], units: Iterable[int]) -
     return {k: _match_permutation(cols, k) for k in units}
 
 
-def _residue_perms(
-    S: mat.Matrix, cond: int, units: Sequence[int]
-) -> Optional[dict[int, Perm]]:
+def _residue_perms(facts: "_SFacts", units: Sequence[int]) -> Optional[dict[int, Perm]]:
     """h_sigma for every unit mod cond, the conductor of S, with no canonical
     character value; None when a step fails, and the caller then matches
     every unit exactly, so that its NotGaloisStable names the first fault.
 
     S_ia / S_0a is read mod one prime ell of _embedding(cond, i), and
     sigma_k(x) at zeta -> g is x at zeta -> g^k: the same residues with the
-    powers table permuted by k.  Distinct residue columns prove the columns
-    distinct.  h is then matched only on generators of (Z/cond)^x, each
-    match certified by sigma_k(S_ia) S_0b = S_ib sigma_k(S_0a) for all i,
-    and extended by h_kl = h_k h_l, a homomorphism as the columns are
-    distinct.  None at a zero S_0a or a zero residue of one, a residue
-    collision, an unmatched or uncertified generator, or a conductor past
-    the order cap."""
-    r = len(S)
+    powers table permuted by k, a table of facts.residues.  Distinct residue
+    columns prove the columns distinct.  h is then matched only on
+    generators of (Z/cond)^x, each match certified by sigma_k(S_ia) S_0b =
+    S_ib sigma_k(S_0a) for all i, and extended by h_kl = h_k h_l, a
+    homomorphism as the columns are distinct.  None at a zero S_0a or a zero
+    residue of one, a residue collision, an unmatched or uncertified
+    generator, or a conductor past the order cap."""
+    S, cond, r = facts.S, facts.conductor, len(facts.S)
     flat = [v for row in S for v in row]
     if not all(S[0]) or not _within_cap(cond):
         return None
     den, i = lcm(*(v._den for v in flat)), 0
     while den % _embedding(cond, i)[0] == 0:  # zeta -> g is not defined on S
         i += 1
-    ell, powers = _embedding(cond, i)
-
-    tables: dict[tuple[int, int], list[list[int]]] = {}
-
-    def residues(emb, k):
-        """Residues of sigma_k(S) at emb, kept for the certificate's first prime."""
-        table = tables.get((emb[0], k))
-        if table is None:
-            image = _galois_embedding(emb, k)
-            table = tables[emb[0], k] = [[_residue(v, cond, image) for v in row] for row in S]
-        return table
+    read = _embedding(cond, i)
+    ell = read[0]
 
     def columns(k):
-        res = residues((ell, powers), k)
+        res = facts.residues(read, k)
         inverses = [pow(x, -1, ell) for x in res[0]]  # ValueError at a zero
         return [tuple(row[a] * inv % ell for row in res) for a, inv in enumerate(inverses)]
 
@@ -626,9 +611,9 @@ def _residue_perms(
         return None
 
     def entries(n, emb):
-        res = residues(emb, 1)
+        res = facts.residues(emb)
         for k, perm in matched.items():
-            image = residues(emb, k)
+            image = facts.residues(emb, k)
             for a, b in enumerate(perm):
                 for i in range(r):
                     yield image[i][a] * res[0][b] - res[i][b] * image[0][a]
@@ -649,15 +634,27 @@ def _residue_perms(
 
 class _SFacts:
     """What depends on S alone, each field computed on first use and shared
-    by every datum over S in a process (_s_facts).
+    by every datum and every rep over S in a process (_s_facts).
 
     fusion is the FusionRules or the FusionComputationError that computing
     them raised.  h_sigma is (c, {k: h_sigma_k for k in units_mod(c)}) for c
     the conductor of F_S, read from residues or else matched exactly on the
-    character columns, or the NotGaloisStable that the match raised."""
+    character columns, or the NotGaloisStable that the match raised.
+    residues gives the residue tables of S that every identity over S reads."""
 
     def __init__(self, S: mat.Matrix):
         self.S = S
+        self._tables: dict[tuple[int, int, int], list[list[int]]] = {}
+
+    def residues(self, emb: tuple[int, tuple[int, ...]], k: int = 1) -> list[list[int]]:
+        """The residues of sigma_k(S) at emb = _embedding(n, i), formed once per
+        (n, ell, k); ValueError, and nothing kept, when ell divides a denominator."""
+        n = len(emb[1])
+        table = self._tables.get((n, emb[0], k))
+        if table is None:
+            image = emb if k == 1 else _galois_embedding(emb, k)
+            table = self._tables[n, emb[0], k] = [[_residue(v, n, image) for v in row] for row in self.S]
+        return table
 
     @cached_property
     def dims_sq(self) -> list[Cyclotomic]:
@@ -678,7 +675,7 @@ class _SFacts:
 
     @cached_property
     def unitary(self) -> bool:
-        return _projectively_unitary(self.S, self.global_dim_sq)
+        return _projectively_unitary(self, self.global_dim_sq)
 
     @cached_property
     def fusion(self) -> Union[FusionRules, FusionComputationError]:
@@ -705,7 +702,7 @@ class _SFacts:
         c, S = self.conductor, self.S
         units = units_mod(c)
         try:
-            return c, _residue_perms(S, c, units) or _exact_perms(_characters(S), units)
+            return c, _residue_perms(self, units) or _exact_perms(_characters(S), units)
         except NotGaloisStable as exc:
             return exc
 
@@ -726,10 +723,10 @@ def check_balancing(datum: ModularDatum, fusion: FusionRules) -> Verdict:
     """theta_i theta_j S_ij = sum_k N_{i* j}^k d_k theta_k; the witness is
     the first (i, j) where it fails."""
     r, S, thetas = datum.rank, datum.S, derived_scalars(datum).thetas
-    flat = [v for row in S for v in row]
+    facts, flat = _s_facts(S), [v for row in S for v in row]
 
     def entries(n, emb):
-        res = [[_residue(v, n, emb) for v in row] for row in S]
+        res = facts.residues(emb)
         res_t = [_residue(v, n, emb) for v in thetas]
         terms = [d * th for d, th in zip(res[0], res_t)]  # d_k theta_k
         for i in range(r):

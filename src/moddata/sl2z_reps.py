@@ -11,7 +11,7 @@ from typing import Iterable, Optional
 from . import _matrix as mat
 from .cyclotomic import Cyclotomic, ONE, _cap_caches, is_prime, real_sign, sqrt_int, sum_cyclotomics, zeta
 from .galois import _components
-from .modular_data import Field, ModularDatum, NotGaloisStable, Perm, Record, Verdict, _s_facts, derived_scalars
+from .modular_data import ModularDatum, Record, Verdict, _s_facts, derived_scalars
 
 
 class NotModularRepresentation(ValueError):
@@ -34,13 +34,7 @@ class ModularRep(Record):
     t = diag(zeta_level^e) for e in ``t_exponents`` (each reduced mod
     ``level``), as ModularDatum stores T; ``level`` must be the order of t,
     the lcm of the exponents' orders, or NotModularRepresentation is raised.
-    ``galois_perms``, when set, is (c, {k: h_sigma_k for k in units_mod(c)})
-    on the character columns s_ia / s_0a = S_ia / S_0a, c their conductor;
-    all lifts of a datum share it.  It takes no part in equality or hashing,
-    and None means "match h_sigma exactly on the columns of S".  A lift
-    stores its S's _SFacts.h_sigma here.  The field is not read from S
-    itself because a rep built by hand may have an S that is not symmetric,
-    whose character field can be smaller than F_S.
+    h_sigma on the columns s_ia / s_0a = S_ia / S_0a is _SFacts.h_sigma of S.
     """
 
     rank: int
@@ -48,7 +42,6 @@ class ModularRep(Record):
     level: int
     t_exponents: tuple[int, ...]
     parity: str  # even | odd | neither
-    galois_perms: Optional[tuple[int, dict[int, Perm]]] = Field(None, compare=False, repr=False)
     lam: Cyclotomic = ONE
 
     def __post_init__(self):
@@ -105,9 +98,7 @@ def _lifts(
     parities.  c2 and c4 are decided from residues, with no matrix product.
     Each lift stores S and its lam, and forms no matrix (ModularRep.s).  t
     is exponent arithmetic at L = lcm(12, m, N), cut down to its level.
-    s_ia / s_0a = S_ia / S_0a, whose field is F_S (S_ia = chi_a(i)
-    chi_0(a)): all lifts share the map of _SFacts.h_sigma at c =
-    conductor(F_S), or None when S is not Galois stable.
+    Every lift's S is datum.S, so all read one _SFacts.h_sigma.
     """
     S, (m, e), N = datum.S, root, datum.torder
     facts, ds = _s_facts(S), derived_scalars(datum)
@@ -123,8 +114,6 @@ def _lifts(
         raise NotModularRepresentation("(st)^3 != s^2")
     lam2_c2 = None if c2 is None else lam2 * c2
     parities = (_parity(lam2_c2), _parity(None if lam2_c2 is None else -lam2_c2))
-    h_sigma = facts.h_sigma
-    galois_perms = None if isinstance(h_sigma, NotGaloisStable) else h_sigma
     L = lcm(12, m, N)
     theta_exps = [j * (L // N) - e * (L // m) for j in datum.t_exponents]
     lams = {0: lam, 2: -lam}
@@ -135,7 +124,7 @@ def _lifts(
         exps = [(a * (L // 12) + th) % L for th in theta_exps]
         level = lcm(*(L // gcd(v, L) for v in exps))
         exps = tuple(v // (L // level) for v in exps)
-        reps.append(ModularRep(datum.rank, S, level, exps, parities[a % 2], galois_perms, lams[a % 4]))
+        reps.append(ModularRep(datum.rank, S, level, exps, parities[a % 2], lams[a % 4]))
     return tuple(reps)
 
 

@@ -1,7 +1,8 @@
 """Verdicts shared along classes and orbits: the vanishing-sum scan runs its
 kernel once per class of root pairs under Galois, signs and swap, and the
-twist-symmetry check reads h_sigma from the map that the lift builder reads
-once per S from residues, and compares the twists by their exponents.
+twist-symmetry check reads h_sigma from the one map per S that _SFacts
+reads from residues, for a lift and a rep built by hand alike, and compares
+the twists by their exponents.
 Both are compared with the term-by-term loops they replace, kept here as
 oracles, and the scan's class key with a brute-force class."""
 
@@ -18,8 +19,9 @@ from moddata.classifier import (
 )
 from moddata.cyclotomic import ONE, Cyclotomic, units_mod, zeta
 from moddata.galois import galois_twist_symmetry
-from moddata.modular_data import Verdict, _characters, _match_permutation, derived_scalars, replace
+from moddata.modular_data import Verdict, _characters, _match_permutation, _s_facts, derived_scalars, replace
 from moddata.sl2z_reps import (
+    ModularRep,
     NotModularRepresentation,
     all_lifts,
     normalize,
@@ -206,29 +208,46 @@ def test_twist_symmetry_matches_oracle_on_all_lifts(name):
     ids=["su2_odd_mod2(3)", "pointed_zn(5)", "su2_odd_mod2(5)", "su2_odd_mod2(1)", "pointed_zn(1)"],
 )
 def test_twist_symmetry_matches_h_sigma_once_per_datum(build, monkeypatch):
-    # the lift builder reads h_sigma from residues once per S, at the
-    # conductor of S, and the 12 lifts share that map: no unit is matched on
-    # character values, at c = 1 (k mod 1 = 0, units_mod(1) = [1]) too
+    # _SFacts reads h_sigma from residues once per S, at the conductor of S,
+    # and the 12 lifts read that map: no unit is matched on character
+    # values, at c = 1 (k mod 1 = 0, units_mod(1) = [1]) too
     reads, matches = [], []
     read, match = modular_data._residue_perms, modular_data._match_permutation
-    monkeypatch.setattr(modular_data, "_residue_perms", lambda S, c, units: reads.append(c) or read(S, c, units))
+    monkeypatch.setattr(
+        modular_data, "_residue_perms", lambda facts, units: reads.append(facts.conductor) or read(facts, units)
+    )
     monkeypatch.setattr(modular_data, "_match_permutation", lambda cols, k: matches.append(k) or match(cols, k))
     datum = build()
     reps = all_lifts(datum)
     assert all(galois_twist_symmetry(rep).ok for rep in reps)
     assert reads == [datum.s_field_conductor] and matches == []
-    assert all(rep.galois_perms is reps[0].galois_perms for rep in reps)
+    assert all(_s_facts(rep.S).h_sigma is _s_facts(datum.S).h_sigma for rep in reps)
 
 
 @pytest.mark.parametrize("stored", [True, False], ids=["characters", "no-characters"])
 def test_twist_symmetry_refuses_a_conductor_outside_the_level(stored):
     # the characters of su2_odd_mod2(3) have conductor 7; at level 8 the unit
-    # k = 7 is 0 mod 7, where no h_sigma exists
+    # k = 7 is 0 mod 7, where no h_sigma exists.  The lift and its copy built
+    # by hand from s read the same _SFacts and raise alike
     rep = replace(normalize(su2_odd_mod2(3)), level=8, t_exponents=(0, 1, 0))
     if not stored:
-        rep = replace(rep, galois_perms=None)
+        rep = replace(rep, S=rep.s, lam=ONE)
     with pytest.raises(ValueError, match="^the character conductor 7 does not divide the level 8$"):
         galois_twist_symmetry(rep)
+
+
+def test_twist_symmetry_checks_the_conductor_of_f_s_on_a_hand_built_s():
+    # S = [[1, zeta_3], [1, -zeta_3]] is not symmetric: its character columns
+    # (1, 1) and (1, -1) are rational, but F_S = Q(zeta_3).  The conductor
+    # checked is F_S's, 3, not the characters' 1, which the oracle checks:
+    # a genuine rep has s, and so S = s / s_00, in Q_level
+    S = ((ONE, zeta(3)), (ONE, -zeta(3)))
+    low, high = ModularRep(2, S, 2, (0, 1), "even"), ModularRep(2, S, 6, (0, 1), "even")
+    assert oracle_twist_symmetry(low) == Verdict(True)
+    with pytest.raises(ValueError, match="^the character conductor 3 does not divide the level 2$"):
+        galois_twist_symmetry(low)
+    assert _s_facts(S).h_sigma == (3, {1: (0, 1), 2: (0, 1)})
+    assert galois_twist_symmetry(high) == oracle_twist_symmetry(high) == Verdict(True)
 
 
 def with_twists(rep, t):

@@ -16,6 +16,7 @@ from moddata.modular_data import (
     FusionComputationError,
     ModularDatum,
     _projectively_unitary,
+    _s_facts,
     check_balancing,
     check_twist_equation,
     derived_scalars,
@@ -84,7 +85,7 @@ def agree(datum, fusion):
     """Each identity gives what its earlier forms give; returns the verdicts."""
     ds = derived_scalars(datum)
     d2, c = ds.global_dim_sq, ds.gauss_plus
-    unitary = _projectively_unitary(datum.S, d2)
+    unitary = _projectively_unitary(_s_facts(datum.S), d2)
     assert unitary == dot_projectively_unitary(datum, d2) == matmul_projectively_unitary(datum, d2)
     assert outcome(verlinde_fusion, datum) == outcome(dot_verlinde_fusion, datum)
     balancing = check_balancing(datum, fusion)
@@ -101,7 +102,7 @@ def test_catalog_data_hold(name):
     assert agree(datum, verlinde_fusion(datum)) == (True, True, True)
     # S conj(S) = D^2 Id holds off the diagonal, so only the diagonal refutes 2 D^2
     wrong = derived_scalars(datum).global_dim_sq * 2
-    assert not _projectively_unitary(datum.S, wrong)
+    assert not _projectively_unitary(_s_facts(datum.S), wrong)
     assert not matmul_projectively_unitary(datum, wrong)
 
 
@@ -128,7 +129,7 @@ def test_sign_flips_raise_the_exact_witness():
     for name, datum in sorted(CATALOG.items()):
         for i in range(1, datum.rank):
             mutant = flip_label(datum, i)
-            assert _projectively_unitary(mutant.S, derived_scalars(mutant).global_dim_sq)
+            assert _projectively_unitary(_s_facts(mutant.S), derived_scalars(mutant).global_dim_sq)
             got = outcome(verlinde_fusion, mutant)
             assert got == outcome(dot_verlinde_fusion, mutant)
             raised += isinstance(got, tuple)

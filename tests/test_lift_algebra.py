@@ -24,6 +24,7 @@ from moddata.modular_data import (
     ModularDatum,
     NotGaloisStable,
     _characters,
+    _s_facts,
     derived_scalars,
     load,
     replace,
@@ -97,10 +98,10 @@ def assert_same_rep(rep, expected):
 
 
 def assert_stored_perms(rep, datum):
-    """rep.galois_perms is (c, the perms of oracle_profile), c the conductor
-    of the character values s_ia / s_0a."""
+    """The _SFacts.h_sigma that rep reads is (c, the perms of oracle_profile),
+    c the conductor of the character values s_ia / s_0a."""
     c = lcm(*(v.conductor for col in _characters(rep.s) for v in col))
-    assert rep.galois_perms == (c, oracle_profile(datum)[1])
+    assert _s_facts(rep.S).h_sigma == (c, oracle_profile(datum)[1])
 
 
 @pytest.mark.parametrize("name", list(BUILDERS))
@@ -112,8 +113,8 @@ def test_lifts_match_matrix_oracle(name):
     for rep, oracle in zip(reps, expected):
         assert_same_rep(rep, oracle)
         assert_stored_perms(rep, datum)
-    # the 12 lifts share one map
-    assert all(rep.galois_perms is reps[0].galois_perms for rep in reps)
+    # the 12 lifts share one S, and so one map
+    assert all(rep.S is datum.S for rep in reps)
     assert_same_rep(normalize(datum), expected[oracle_canonical_exp(datum)])
 
 
@@ -121,13 +122,14 @@ def test_lifts_match_matrix_oracle(name):
 def test_stored_characters_change_no_result(name):
     datum = datum_of(name)
     root = _anomaly_sixth_root(datum)
+    # a copy built by hand from s is the lift, and reads the lift's map
     for a, rep in enumerate(all_lifts(datum)):
-        bare = replace(rep, galois_perms=None)
+        bare = replace(rep, S=rep.s, lam=ONE)
         assert bare == rep and hash(bare) == hash(rep)
         assert galois_twist_symmetry(bare) == galois_twist_symmetry(rep)
         assert _lifts(datum, root, (a,)) == (rep,)
     rep = normalize(datum)
-    bare = replace(rep, galois_perms=None)
+    bare = replace(rep, S=rep.s, lam=ONE)
     assert compute_profile(datum, bare).to_json() == compute_profile(datum, rep).to_json()
 
 
@@ -166,7 +168,7 @@ def test_vanishing_dimension_leaves_characters_unset():
     # characters s_i1 / s_01 are undefined
     datum = ModularDatum(2, 3, (0, 1), ((ONE, ZERO), (ZERO, ONE)))
     for a, rep in enumerate(all_lifts(datum)):
-        assert rep.galois_perms is None
+        assert isinstance(_s_facts(rep.S).h_sigma, NotGaloisStable)
         assert_same_rep(rep, oracle_lift(datum, a))
         with pytest.raises(NotGaloisStable, match="vanishing first-row entry"):
             galois_twist_symmetry(rep)

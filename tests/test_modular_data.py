@@ -356,9 +356,9 @@ class TestUnitarityOnce:
         calls = []
         real = modular_data._projectively_unitary
 
-        def counting(S, d2):
-            calls.append(S)
-            return real(S, d2)
+        def counting(facts, d2):
+            calls.append(facts.S)
+            return real(facts, d2)
 
         monkeypatch.setattr(modular_data, "_projectively_unitary", counting)
         verlinde_fusion.cache_clear()

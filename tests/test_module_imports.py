@@ -7,7 +7,10 @@ from residues, and the exact products serve the tests' oracles.  Only
 `_match_permutation`: h_sigma is read from residues, and matched on
 character values only by that one exact loop.  Only
 `_matrix._first_nonzero` sizes a certificate: every other caller states the
-terms it multiplies, and one size rule lives in one module.
+terms it multiplies, and one size rule lives in one module.  Inside
+`modular_data` only `_SFacts.residues` maps the entries of S through
+`_residue`: unitarity, the Verlinde tensor, h_sigma and balancing read its
+tables, each formed once per S and prime.
 """
 
 import ast
@@ -112,3 +115,30 @@ def test_only_first_nonzero_sizes_a_certificate():
     assert helpers == {("_matrix.py", "_size"), ("_matrix.py", "_bound")}
     found = set().union(*(_calls(path, ("_size", "_bound")) for path in sorted(SRC.glob("*.py"))))
     assert found == {("_matrix.py", "_first_nonzero", "_bound"), ("_matrix.py", "_bound", "_size")}
+
+
+
+
+def test_only_the_s_facts_map_the_entries_of_s_through_residue():
+    """The outermost function around each _residue call in modular_data, and
+    around each comprehension that maps values through _residue, with its
+    iterable: the table of S in _SFacts.residues and the twists in
+    check_balancing.  The other callers map D^2 alone, once."""
+    path = SRC / "modular_data.py"
+    callers, tables = set(), set()
+
+    def walk(node, parent, function):
+        if function is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_residue":
+            callers.add(function)
+        if isinstance(node, ast.comprehension) and any(
+            isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "_residue" for sub in ast.walk(parent)
+        ):
+            tables.add((function, ast.unparse(node.iter)))
+        for child in ast.iter_child_nodes(node):
+            walk(child, node, function)
+
+    walk(ast.parse(path.read_text(), str(path)), None, None)
+    assert callers == {"residues", "_modular_tensor", "_projectively_unitary", "check_balancing"}
+    assert tables == {("residues", "self.S"), ("residues", "row"), ("check_balancing", "thetas")}

@@ -97,7 +97,7 @@ def twin_class(cls):
     for p in params:
         spec = cls.__record_fields__[p.name]
         default = {} if p.default is p.empty else {"default": p.default}
-        namespace[p.name] = dataclasses.field(compare=spec.compare, repr=spec.repr, **default)
+        namespace[p.name] = dataclasses.field(compare=spec.compare, **default)
     return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))
 
 

@@ -2,19 +2,19 @@
 (modular_data._residue_perms) against the exact per-unit loop
 (_oracles.oracle_profile), and the Gal(F_T/F_S) witness of condition (vi)
 read off the same h_sigma against _fixer_of_order_above_2.  The lift path
-reads the same map: every lift stores it, and galois_twist_symmetry,
-sign_function and compute_profile(datum, rep) are compared with the exact
-oracles, with the residue read and with it patched to fail.  An S that is
-not Galois stable holds the error its match raised, once per S."""
+reads the same map: every rep, lift or built by hand, reads _SFacts.h_sigma
+of its S, and galois_twist_symmetry, sign_function and compute_profile(datum,
+rep) are compared with the exact oracles, with the residue read and with it
+patched to fail.  An S that is not Galois stable holds the error its match
+raised, once per S."""
 
 import random
-from math import lcm
 
 import pytest
 
 from _oracles import oracle_profile, scale
 from moddata import _matrix as mat
-from moddata import modular_data
+from moddata import galois, modular_data
 from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.cyclotomic import (
     Cyclotomic,
@@ -214,7 +214,7 @@ KINDS = ("vanishing first-row entry", "duplicate character columns", "sends char
 def residues(request, monkeypatch):
     """True, or False with _residue_perms patched to fail everywhere."""
     if request.param == "no-residues":
-        monkeypatch.setattr(modular_data, "_residue_perms", lambda S, cond, units: None)
+        monkeypatch.setattr(modular_data, "_residue_perms", lambda facts, units: None)
     return request.param == "residues"
 
 
@@ -273,8 +273,9 @@ def assert_lift_path_matches(rep, matched, ks):
 
 @pytest.mark.parametrize("name", DATA_NAMES + list(LADDER))
 def test_lift_path_matches_the_exact_oracles(name, residues, exact_calls):
-    """Every lift stores the map of oracle_profile, read from residues or,
-    with that read patched to fail, matched exactly, and has the oracle's
+    """Every lift reads the map of oracle_profile from the _SFacts of its S,
+    read from residues or, with that read patched to fail, matched exactly,
+    and has the oracle's
     twist verdict.  On the ladder the oracle forms r^2 character values in
     the field of each lift's s, so it runs on every lift with the residue
     read and on the lift of least level with it patched.  Signs, 2 r^2
@@ -289,7 +290,7 @@ def test_lift_path_matches_the_exact_oracles(name, residues, exact_calls):
     least = min(reps, key=lambda rep: rep.level)
     matched = {}
     for rep in reps:
-        assert rep.galois_perms == (datum.s_field_conductor, perms)
+        assert _s_facts(rep.S).h_sigma == (datum.s_field_conductor, perms)
         if name not in LADDER or rep is least:
             assert_lift_path_matches(rep, matched, units_mod(rep.level)[1:3])
         elif residues:
@@ -300,10 +301,9 @@ def test_lift_path_matches_the_exact_oracles(name, residues, exact_calls):
 
 
 def hand_built(rep, S):
-    """rep with s = s_00 S, storing the map the lift builder stores for S."""
-    c = lcm(*(v.order for row in S for v in row))
-    perms = modular_data._residue_perms(S, c, units_mod(c))
-    return replace(rep, S=scale(S, rep.s[0][0]), lam=ONE, galois_perms=perms and (c, perms))
+    """rep with s = s_00 S, built by hand: it reads _SFacts.h_sigma of S,
+    as a lift over S does."""
+    return replace(rep, S=scale(S, rep.s[0][0]), lam=ONE)
 
 
 def message(f, *args):
@@ -332,6 +332,50 @@ def test_mutated_lifts_fail_like_the_exact_oracles(golden, residues):
     assert seen == set(KINDS)  # each NotGaloisStable message is reached
 
 
+@pytest.mark.parametrize("name", ["su2_odd_mod2(5)", "pointed_zn(7)", "su2_4_family_3.json"])
+def test_a_hand_built_copy_of_a_lift_reads_its_map(name, monkeypatch):
+    """replace(rep, S=scale(S, s_00), lam=ONE) is the lift built by hand from
+    s: an S equal to the lift's but not the same object.  It has the lift's
+    twist verdict and signs, read from the one _SFacts.h_sigma of S, and
+    matches no character column."""
+    datum = datum_of(name)
+    reps = all_lifts(datum)
+    ks = [units_mod(rep.level)[:3] for rep in reps]
+    expected = [
+        (result(galois_twist_symmetry, rep), [result(sign_function, rep, k) for k in units])
+        for rep, units in zip(reps, ks)
+    ]
+    matches, match = [], modular_data._match_permutation
+    monkeypatch.setattr(modular_data, "_match_permutation", lambda cols, k: matches.append(k) or match(cols, k))
+    for rep, units, (twist, signs) in zip(reps, ks, expected):
+        hand = replace(rep, S=scale(rep.S, rep.s[0][0]), lam=ONE)
+        assert hand.S == rep.S and hand.S is not rep.S
+        assert result(galois_twist_symmetry, hand) == twist
+        assert [result(sign_function, hand, k) for k in units] == signs
+    assert matches == []
+    assert all(twist.ok for twist, _ in expected)
+
+
+def test_each_reader_looks_up_the_s_facts_once_per_call(monkeypatch):
+    """galois_twist_symmetry and sign_function look up _s_facts once per call,
+    not once per unit: the lookup hashes all r^2 entries of S.
+    compute_profile(datum, rep) looks it up once for the datum and once for
+    the rep, whatever the number of units it signs."""
+    datum = su2_odd_mod2(5)
+    rep = all_lifts(datum)[1]
+    lookups, real = [], galois._s_facts
+    monkeypatch.setattr(galois, "_s_facts", lambda S: lookups.append(S) or real(S))
+    assert galois_twist_symmetry(rep).ok
+    assert lookups == [rep.S]
+    for k in units_mod(_rep_field_modulus(rep))[:4]:
+        lookups.clear()
+        sign_function(rep, k)
+        assert lookups == [rep.S]
+    lookups.clear()
+    profile = compute_profile(datum, rep)
+    assert len(profile.signs) == 10 and lookups == [datum.S, rep.S]
+
+
 UNSTABLE = pytest.mark.parametrize(
     "S, torder",
     [
@@ -347,12 +391,13 @@ def test_lifts_of_unstable_characters_store_no_map(S, torder, residues):
     # S^2 = D^2 Id and (ST)^3 = p+ S^2 hold with theta = (1, zeta_torder), so
     # the 12 lifts exist.  sigma_5 (sqrt 3 -> -sqrt 3) sends character 0 to
     # no column; with S_01 = 0 the characters are undefined.  _SFacts.h_sigma
-    # holds that error, with the residue read or without it, so the builder
-    # stores no map, and the readers raise as the exact oracles do
+    # holds that error, with the residue read or without it, every lift reads
+    # it, and the readers raise as the exact oracles do
     datum = ModularDatum(2, torder, (0, 1), S)
     reps = all_lifts(datum)
-    assert isinstance(_s_facts(S).h_sigma, NotGaloisStable)
-    assert all(rep.galois_perms is None for rep in reps)
+    held = _s_facts(S).h_sigma
+    assert isinstance(held, NotGaloisStable)
+    assert all(_s_facts(rep.S).h_sigma is held for rep in reps)
     twists = [result(galois_twist_symmetry, rep) for rep in reps]
     assert twists == [result(oracle_twist_symmetry, rep, {}) for rep in reps]
     assert NotGaloisStable in twists

@@ -9,6 +9,7 @@ unity as 1."""
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,12 +17,22 @@ from moddata import _matrix as mat
 from moddata import modular_data
 from moddata.catalog import pointed_zn, rank5_catalog, su2_odd_mod2
 from moddata.classifier import rank5_suite
-from moddata.cyclotomic import InvalidOrderError, get_order_cap, set_order_cap, units_mod
+from moddata.cyclotomic import (
+    ONE,
+    Cyclotomic,
+    InvalidOrderError,
+    _embedding,
+    _residue,
+    get_order_cap,
+    set_order_cap,
+    units_mod,
+)
 from moddata.galois import compute_profile
 from moddata.modular_data import (
     FusionComputationError,
     ModularDatum,
     NotGaloisStable,
+    _SFacts,
     _modular_tensor,
     _projectively_unitary,
     _s_facts,
@@ -115,9 +126,15 @@ def test_a_non_integral_tensor_keeps_its_witness():
 
 
 def counting(monkeypatch, module, name):
-    """Patch module.name to record its first argument, S, on each call."""
+    """Patch module.name to record, on each call, the S it runs over: its
+    first argument, or that argument's S when it is an _SFacts."""
     calls, real = [], getattr(module, name)
-    monkeypatch.setattr(module, name, lambda S, *args: calls.append(S) or real(S, *args))
+
+    def spy(first, *args):
+        calls.append(first.S if isinstance(first, _SFacts) else first)
+        return real(first, *args)
+
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -131,6 +148,79 @@ def test_check_analyses_each_distinct_s_once(monkeypatch, data_dir):
     distinct = list(dict.fromkeys(datum.S for datum in data))
     assert len(data) == 16 and len(distinct) == 4
     assert tensors == distinct and reads == distinct
+
+
+@pytest.fixture
+def residue_work(monkeypatch):
+    """(calls, formed, reads): the number of _residue calls, in modular_data
+    and _matrix; each table of S that _SFacts.residues forms, as (S, n, ell,
+    k); and the number of tables it hands out."""
+    calls, formed, reads = [0], [], [0]
+    real, residues = modular_data._residue, _SFacts.residues
+
+    def count(x, n, emb):
+        calls[0] += 1
+        return real(x, n, emb)
+
+    def spy(self, emb, k=1):
+        known = len(self._tables)
+        table = residues(self, emb, k)
+        if len(self._tables) > known:
+            formed.append((self.S, len(emb[1]), emb[0], k))
+        reads[0] += 1
+        return table
+
+    for module in (modular_data, mat):
+        monkeypatch.setattr(module, "_residue", count)
+    monkeypatch.setattr(_SFacts, "residues", spy)
+    return calls, formed, reads
+
+
+def test_a_check_pass_forms_each_residue_table_once(residue_work, data_dir):
+    """check on the 18 data files maps at most 1,441 values through _residue;
+    it took 2,441 when unitarity, the Verlinde tensor, h_sigma and balancing
+    each formed the residues of S.  Each (n, ell, k) table is formed once per
+    S and read again: the 16 su2_4_family files share 4 S, so their
+    balancing tables at n = lcm(S, T) are shared too."""
+    calls, formed, reads = residue_work
+    clear_all()
+    data = [load(path) for path in sorted(data_dir.glob("*.json"))]
+    assert len(data) == 18 and all(check_admissible(datum).passed for datum in data)
+    assert calls[0] <= 1441
+    assert len(set(formed)) == len(formed) and reads[0] > 2 * len(formed)
+    distinct = list(dict.fromkeys(datum.S for datum in data))
+    assert list(dict.fromkeys(S for S, *_ in formed)) == distinct
+    family = {load(path).S for path in data_dir.glob("su2_4_family_*.json")}
+    assert len(family) == 4 and sum(S in family and n == 24 for S, n, _, _ in formed) == 4
+
+
+def test_a_table_above_the_conductor_holds_the_residues_of_its_entries():
+    """Read at an embedding of order n = 4 c above the conductor c, the table
+    of sigma_k(S) is _residue of each sigma_k(S_ij) at n, and is kept apart
+    from the tables at c."""
+    S = su2_odd_mod2(5).S
+    facts = _s_facts(S)
+    c = facts.conductor
+    for n in (4 * c, c):
+        for i in (0, 1):
+            emb = _embedding(n, i)
+            for k in (1, -1, 3):
+                table = facts.residues(emb, k)
+                assert table == [[_residue(v.galois(k), n, emb) for v in row] for row in S]
+                assert facts.residues(emb, k) is table
+    assert len(facts._tables) == 12
+
+
+def test_a_table_at_a_prime_of_a_denominator_is_refused_and_not_kept():
+    ell = _embedding(1, 0)[0]
+    x = Cyclotomic.from_rational(Fraction(1, ell))
+    facts = _SFacts(((ONE, x), (x, ONE)))
+    with pytest.raises(ValueError):
+        facts.residues(_embedding(1, 0))
+    assert facts._tables == {}
+    emb = _embedding(1, 1)
+    assert facts.residues(emb) == [[1, pow(ell, -1, emb[0])], [pow(ell, -1, emb[0]), 1]]
+    assert len(facts._tables) == 1
 
 
 def test_classify_rank5_reads_h_sigma_once_per_distinct_s(monkeypatch):
@@ -222,15 +312,15 @@ def test_h_sigma_certificate_takes_one_prime_on_roots_of_unity(primes, n):
     root of unity l1 1, where the power basis gives zeta^(n-1) = -(1 + zeta
     + ... + zeta^(n-2)) an l1 of n - 1, which took 8 primes at n = 41."""
     S = pointed_zn(n).S
-    perms = modular_data._residue_perms(S, n, units_mod(n))
+    perms = modular_data._residue_perms(_s_facts(S), units_mod(n))
     assert perms is not None and len(perms) == n - 1
     assert len(primes) == 1
     assert mat._size([v for row in S for v in row]) == (1, 1)
 
 
 S_CERTIFICATES = {
-    "verlinde": lambda S, d2: _modular_tensor(S, d2) is not None,
-    "unitarity": _projectively_unitary,
+    "verlinde": lambda S, d2: _modular_tensor(_s_facts(S)) is not None,
+    "unitarity": lambda S, d2: _projectively_unitary(_s_facts(S), d2),
     "s_squared": lambda S, d2: mat._power_permutation(S, 2, d2) is not None,
 }
 

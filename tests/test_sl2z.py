@@ -292,7 +292,7 @@ class TestSignedPermMatch:
                 for a in range(5)
             )
             exps2 = tuple(rep.t_exponents[perm[a]] for a in range(5))
-            rep2 = replace(rep, S=s2, lam=ONE, t_exponents=exps2, galois_perms=None)
+            rep2 = replace(rep, S=s2, lam=ONE, t_exponents=exps2)
             t2 = rep2.t
             assert t2 == tuple(rep.t[perm[a]] for a in range(5))
             recovered = signed_perm_match(rep, rep2)

@@ -56,7 +56,7 @@ def relabelled(rep, perm, signs):
         for a in range(r)
     )
     exps = tuple(rep.t_exponents[perm[a]] for a in range(r))
-    return replace(rep, S=s, lam=ONE, t_exponents=exps, galois_perms=None)
+    return replace(rep, S=s, lam=ONE, t_exponents=exps)
 
 
 def perturbed(rep, rng):
@@ -68,7 +68,7 @@ def perturbed(rep, rng):
         tuple(change(v) if (i, j) == (a, b) else v for j, v in enumerate(row))
         for i, row in enumerate(rep.s)
     )
-    return replace(rep, S=s, lam=ONE, galois_perms=None)
+    return replace(rep, S=s, lam=ONE)
 
 
 def copies(rep, rng, count=4):
