@@ -5,7 +5,7 @@ exclusion predicates."""
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import _matrix as mat
 from .cyclotomic import Cyclotomic, NotAUnitError, real_sign, units_mod
@@ -95,10 +95,10 @@ def compute_profile(
     orbits = _components(datum.rank, edges)
     signs: dict[int, tuple[int, ...]] = {}
     if rep is not None:
-        s, modulus, rep_h_sigma = rep.s, _rep_field_modulus(rep), _s_facts(rep.S).h_sigma
+        modulus = _rep_field_modulus(rep)
         for k in units:
             k_ext = _extend_unit(k, cond, modulus)
-            signs[k] = _signs(s, k_ext, rep_h_sigma)
+            signs[k] = sign_function(rep, k_ext)
     return GaloisProfile(cond, units, perms, orbits, signs)
 
 
@@ -136,15 +136,13 @@ def _extend_unit(k: int, cond: int, modulus: int) -> int:
 
 
 def sign_function(rep: "ModularRep", k: int) -> tuple[int, ...]:
-    """eps_sigma with sigma(s_ij) = eps(i) s_{h(i) j} = eps(j) s_{i h(j)}."""
-    return _signs(rep.s, k, _s_facts(rep.S).h_sigma)
+    """eps_sigma with sigma(s_ij) = eps(i) s_{h(i) j} = eps(j) s_{i h(j)}.
 
-
-def _signs(s: mat.Matrix, k: int, h_sigma: Union[tuple[int, dict[int, Perm]], NotGaloisStable]) -> tuple[int, ...]:
-    """sign_function, with h_sigma_k read at k mod c from h_sigma = (c, {k:
-    h_sigma_k}), the _SFacts.h_sigma of s's S that the caller looked up once,
-    else, at a NotGaloisStable or a k that is no unit mod c, matched exactly
-    on the columns of s."""
+    h_sigma_k is read at k mod c from the map (c, {k: h_sigma_k}) of
+    _SFacts.h_sigma, looked up once per call; at a held NotGaloisStable or a
+    k that is no unit mod c it is matched exactly on the columns of s.
+    """
+    s, h_sigma = rep.s, _s_facts(rep.S).h_sigma
     r, perm = len(s), None
     if not isinstance(h_sigma, NotGaloisStable):
         c, by_unit = h_sigma
@@ -190,6 +188,8 @@ def galois_twist_symmetry(rep: "ModularRep") -> Verdict:
     facts = _s_facts(rep.S)
     c, h_sigma = facts.conductor, facts.h_sigma
     if n % c and all(rep.S[0]):
+        # The text predates reading F_S's conductor: for a non-symmetric S
+        # the number it names is F_S's, not the character values'.
         raise ValueError(f"the character conductor {c} does not divide the level {n}")
     if isinstance(h_sigma, NotGaloisStable):
         raise h_sigma.with_traceback(None)

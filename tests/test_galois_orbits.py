@@ -239,8 +239,9 @@ def test_twist_symmetry_refuses_a_conductor_outside_the_level(stored):
 def test_twist_symmetry_checks_the_conductor_of_f_s_on_a_hand_built_s():
     # S = [[1, zeta_3], [1, -zeta_3]] is not symmetric: its character columns
     # (1, 1) and (1, -1) are rational, but F_S = Q(zeta_3).  The conductor
-    # checked is F_S's, 3, not the characters' 1, which the oracle checks:
-    # a genuine rep has s, and so S = s / s_00, in Q_level
+    # checked, and named by the message's unchanged text, is F_S's, 3, not
+    # the characters' 1, which the oracle checks: a genuine rep has s, and
+    # so S = s / s_00, in Q_level
     S = ((ONE, zeta(3)), (ONE, -zeta(3)))
     low, high = ModularRep(2, S, 2, (0, 1), "even"), ModularRep(2, S, 6, (0, 1), "even")
     assert oracle_twist_symmetry(low) == Verdict(True)

@@ -117,8 +117,6 @@ def test_only_first_nonzero_sizes_a_certificate():
     assert found == {("_matrix.py", "_first_nonzero", "_bound"), ("_matrix.py", "_bound", "_size")}
 
 
-
-
 def test_only_the_s_facts_map_the_entries_of_s_through_residue():
     """The outermost function around each _residue call in modular_data, and
     around each comprehension that maps values through _residue, with its

@@ -358,9 +358,7 @@ def test_a_hand_built_copy_of_a_lift_reads_its_map(name, monkeypatch):
 
 def test_each_reader_looks_up_the_s_facts_once_per_call(monkeypatch):
     """galois_twist_symmetry and sign_function look up _s_facts once per call,
-    not once per unit: the lookup hashes all r^2 entries of S.
-    compute_profile(datum, rep) looks it up once for the datum and once for
-    the rep, whatever the number of units it signs."""
+    not once per unit: the lookup hashes all r^2 entries of S."""
     datum = su2_odd_mod2(5)
     rep = all_lifts(datum)[1]
     lookups, real = [], galois._s_facts
@@ -371,9 +369,6 @@ def test_each_reader_looks_up_the_s_facts_once_per_call(monkeypatch):
         lookups.clear()
         sign_function(rep, k)
         assert lookups == [rep.S]
-    lookups.clear()
-    profile = compute_profile(datum, rep)
-    assert len(profile.signs) == 10 and lookups == [datum.S, rep.S]
 
 
 UNSTABLE = pytest.mark.parametrize(
