@@ -186,12 +186,6 @@ def _cyclotomic_poly_squarefree(r: int) -> list[int]:
     return f
 
 
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, little-endian, monic of degree phi(n)."""
-    # the first reduction row is x^phi(n) mod Phi_n = x^phi(n) - Phi_n
-    return (*(-c for c in _reduction_rows(n)[0]), 1)
-
-
 def _reduction_rows(n: int) -> list[tuple[int, ...]]:
     """Row e-phi(n) is x^e mod Phi_n for phi(n) <= e <= max(n-1, 2*phi(n)-2)."""
     rows = _red_cache.get(n)

@@ -305,8 +305,11 @@ class DerivedScalars(Record):
     """What the checks and lifts of one datum share, each formed once per
     datum (derived_scalars): the dimensions d_j, D^2, the twists theta_j,
     the Gauss sums p+- = sum_j d_j^2 theta_j^(+-1), whether p+ p- = D^2, and
-    the anomaly alpha = p+ / p-, None when p- = 0."""
+    the anomaly alpha = p+ / p-, None when p- = 0; and, on first use, the
+    first nonzero (j, k), j <= k, of R = T(ST)^2 - p+ S and whether (ST)^3 =
+    p+ S^2, read by condition (ii), the twist equation and the lifts."""
 
+    S: mat.Matrix
     dims: tuple[Cyclotomic, ...]
     global_dim_sq: Cyclotomic
     thetas: tuple[Cyclotomic, ...]
@@ -314,6 +317,15 @@ class DerivedScalars(Record):
     gauss_minus: Cyclotomic
     gauss_product_is_d2: bool
     anomaly: Optional[Cyclotomic]
+
+    @cached_property
+    def twist_witness(self) -> Optional[tuple[int, int]]:
+        return mat._st_first_nonzero(self.S, _s_facts(self.S).residues, self.thetas, self.gauss_plus)
+
+    @cached_property
+    def st_cubed(self) -> bool:
+        table = _s_facts(self.S).residues
+        return self.twist_witness is None or mat._sr_is_zero(self.S, table, self.thetas, self.gauss_plus)
 
 
 @lru_cache(maxsize=None)
@@ -334,7 +346,7 @@ def derived_scalars(datum: ModularDatum) -> DerivedScalars:
         anomaly = p_plus * p_plus * facts.global_dim_sq_inv
     else:
         anomaly = p_plus * p_minus.inverse() if p_minus else None
-    return DerivedScalars(datum.dims, d2, thetas, p_plus, p_minus, product_is_d2, anomaly)
+    return DerivedScalars(datum.S, datum.dims, d2, thetas, p_plus, p_minus, product_is_d2, anomaly)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +652,8 @@ class _SFacts:
     them raised.  h_sigma is (c, {k: h_sigma_k for k in units_mod(c)}) for c
     the conductor of F_S, read from residues or else matched exactly on the
     character columns, or the NotGaloisStable that the match raised.
-    residues gives the residue tables of S that every identity over S reads."""
+    residues gives the residue tables of S that every identity over S reads;
+    a bare matrix's identities read those of an _SFacts of their own."""
 
     def __init__(self, S: mat.Matrix):
         self.S = S
@@ -695,7 +708,7 @@ class _SFacts:
 
     @cached_property
     def square_and_fourth(self) -> tuple[Optional[Cyclotomic], Optional[Cyclotomic]]:
-        return mat._square_and_fourth(self.S)
+        return mat._square_and_fourth(self.S, self.residues)
 
     @cached_property
     def h_sigma(self) -> Union[tuple[int, dict[int, Perm]], NotGaloisStable]:
@@ -742,8 +755,7 @@ def check_balancing(datum: ModularDatum, fusion: FusionRules) -> Verdict:
 def check_twist_equation(datum: ModularDatum) -> Verdict:
     """p+ S_jk = theta_j theta_k sum_i theta_i S_ij S_ik: the residual of
     (ST)^3 = p+ S^2 is 0.  The witness is its first nonzero (j, k), j <= k."""
-    ds = derived_scalars(datum)
-    witness = mat._st_first_nonzero(datum.S, ds.thetas, ds.gauss_plus)
+    witness = derived_scalars(datum).twist_witness
     return Verdict(True) if witness is None else Verdict(False, witness, "twist equation fails")
 
 
@@ -872,14 +884,14 @@ def _reality_and_unitarity(datum: ModularDatum) -> str:
     return "" if _s_facts(datum.S).unitary else "S*conj(S)^t != D^2*Id"
 
 
-def _gauss_sum_relations(datum: ModularDatum, ds: DerivedScalars) -> str:
+def _gauss_sum_relations(ds: DerivedScalars) -> str:
     """(ii) (ST)^3 = p+ S^2, p+ p- = D^2 and the anomaly a root of unity.
 
-    Every scalar is read from ds: derived_scalars decided p+ p- = D^2 when
-    it formed the anomaly, so no product is taken here."""
+    Every scalar and verdict is read from ds: derived_scalars decided p+ p-
+    = D^2 when it formed the anomaly, so no product is taken here."""
     if not ds.gauss_plus or not ds.gauss_minus:
         return "vanishing Gauss sum"
-    if not mat._st_cubed_is(datum.S, ds.thetas, ds.gauss_plus):
+    if not ds.st_cubed:
         return "(ST)^3 != p+ S^2"
     if not ds.gauss_product_is_d2:
         return "p+ p- != D^2"
@@ -962,7 +974,7 @@ def check_admissible(datum: ModularDatum) -> AdmissibilityReport:
 
     witnesses = [
         _reality_and_unitarity(datum),
-        _gauss_sum_relations(datum, ds),
+        _gauss_sum_relations(ds),
         "" if fusion_error is None else str(fusion_error),
         "no fusion" if fusion is None else str(check_balancing(datum, fusion).witness or ""),
         _fs_indicators(datum, fusion),

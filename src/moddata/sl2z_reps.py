@@ -11,7 +11,7 @@ from typing import Iterable, Optional
 from . import _matrix as mat
 from .cyclotomic import Cyclotomic, ONE, _cap_caches, is_prime, real_sign, sqrt_int, sum_cyclotomics, zeta
 from .galois import _components
-from .modular_data import ModularDatum, Record, Verdict, _s_facts, derived_scalars
+from .modular_data import ModularDatum, Record, Verdict, _s_facts, _SFacts, derived_scalars
 
 
 class NotModularRepresentation(ValueError):
@@ -68,9 +68,10 @@ class ModularRep(Record):
 
 def verify_relations(s: mat.Matrix, t: tuple[Cyclotomic, ...]) -> Verdict:
     """Exact check of s^4 = Id and (st)^3 = s^2."""
-    if mat._square_and_fourth(s)[1] != ONE:
+    table = _SFacts(s).residues
+    if mat._square_and_fourth(s, table)[1] != ONE:
         return Verdict(False, "s^4 != Id")
-    if not mat._st_cubed_is(s, t, ONE):
+    if not mat._st_cubed_is(s, table, t, ONE):
         return Verdict(False, "(st)^3 != s^2")
     return Verdict(True)
 
@@ -95,10 +96,11 @@ def _lifts(
     i^a, so lam_a = lam i^-a depends on a mod 4 alone: lam for a = 0, -lam
     for a = 2, and one product each for a = 1 and a = 3.  With S^4 = c4 Id,
     s^4 = Id iff lam^4 c4 = 1, and lam_a^2 = (-1)^a lam^2 gives two
-    parities.  c2 and c4 are decided from residues, with no matrix product.
-    Each lift stores S and its lam, and forms no matrix (ModularRep.s).  t
-    is exponent arithmetic at L = lcm(12, m, N), cut down to its level.
-    Every lift's S is datum.S, so all read one _SFacts.h_sigma.
+    parities.  c2, c4 and the (ST)^3 verdict of condition (ii) are read
+    from S's residue tables, with no matrix product.  Each lift stores S and
+    its lam, and forms no matrix (ModularRep.s).  t is exponent arithmetic
+    at L = lcm(12, m, N), cut down to its level.  Every lift's S is datum.S,
+    so all read one _SFacts.h_sigma.
     """
     S, (m, e), N = datum.S, root, datum.torder
     facts, ds = _s_facts(S), derived_scalars(datum)
@@ -110,7 +112,7 @@ def _lifts(
     lam2 = lam * lam
     if c4 is None or lam2 * lam2 * c4 != ONE:
         raise NotModularRepresentation("s^4 != Id")
-    if not mat._st_cubed_is(S, ds.thetas, ds.gauss_plus):
+    if not ds.st_cubed:
         raise NotModularRepresentation("(st)^3 != s^2")
     lam2_c2 = None if c2 is None else lam2 * c2
     parities = (_parity(lam2_c2), _parity(None if lam2_c2 is None else -lam2_c2))
@@ -395,10 +397,6 @@ _TABLE_ROWS: tuple[SpectrumRecord, ...] = (
 _TABLE_LEVELS = frozenset(row.level for row in _TABLE_ROWS)
 
 
-def spectra_table() -> tuple[SpectrumRecord, ...]:
-    return _TABLE_ROWS
-
-
 def spectra_lookup(degree: int, level: int, parity: str) -> list[SpectrumRecord]:
     """Table rows for (degree, level, parity); empty list means no such
     irreducible exists at a tabulated level."""
@@ -443,10 +441,11 @@ def inadmissible_psi(p: int) -> PsiCertificate:
         )
         rows.append((p_inv,) + tuple(acc * p_inv for acc in kloosterman))
     s_prime = tuple(rows)
-    c2, c4 = mat._square_and_fourth(s_prime)
+    table = _SFacts(s_prime).residues
+    c2, c4 = mat._square_and_fourth(s_prime, table)
     if c4 != ONE:
         raise NotModularRepresentation("s^4 != Id")
-    if not mat._st_cubed_is(s_prime, tuple(zeta(p, e) for e in range(p)), ONE):
+    if not mat._st_cubed_is(s_prime, table, tuple(zeta(p, e) for e in range(p)), ONE):
         raise NotModularRepresentation("(st)^3 != s^2")
     # s = D s' D^-1: row 0 scaled by 1/sqrt(p+1), column 0 by sqrt(p+1), both root/p
     root = sqrt_int(p + 1)

@@ -64,6 +64,10 @@ check_balancing, check_twist_equation, verlinde_fusion and
 _matrix._st_cubed_is and _power_permutation.  matmul_power_permutation
 reads a^k = cP off mat_pow for _matrix._power_permutation.
 
+cyclotomic_polynomial was a package function whose only callers were
+tests: Phi_n read off the package's first reduction row, x^phi(n) mod Phi_n
+= x^phi(n) - Phi_n.
+
 scale_cols and identity_multiple are the _matrix helpers those exact forms
 used, kept here once no verdict in the package formed a matrix product:
 a diag(d) by columns, and the c with m = c Id.
@@ -133,8 +137,8 @@ from moddata.cyclotomic import (
     _numerators_at,
     _poly_div_exact,
     _reduce_exponents,
+    _reduction_rows,
     _within_cap,
-    cyclotomic_polynomial,
     divisors,
     ONE,
     ZERO,
@@ -414,6 +418,11 @@ def fraction_json(x):
     """Cyclotomic.to_json of an (order, coeffs) value."""
     order, coeffs = x
     return {"order": order, "coeffs": {str(e): str(c) for e, c in sorted(coeffs.items())}}
+
+
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of Phi_n, little-endian, monic of degree phi(n)."""
+    return (*(-c for c in _reduction_rows(n)[0]), 1)
 
 
 def fraction_inverse(x: Cyclotomic) -> Cyclotomic:

@@ -16,7 +16,6 @@ from moddata.cyclotomic import (
     NotAUnitError,
     ONE,
     ZERO,
-    cyclotomic_polynomial,
     divisors,
     dot,
     euler_phi,
@@ -41,6 +40,7 @@ from moddata.modular_data import (
 from moddata.sl2z_reps import NotModularRepresentation, all_lifts
 from _oracles import (
     cyclotomic_poly_squarefree,
+    cyclotomic_polynomial,
     dot_check_balancing,
     dot_check_twist_equation,
     dot_projectively_unitary,

@@ -15,6 +15,7 @@ from moddata.cyclotomic import Cyclotomic, ONE, ZERO, _embedding, _residue, zeta
 from moddata.modular_data import (
     FusionComputationError,
     ModularDatum,
+    _SFacts,
     _projectively_unitary,
     _s_facts,
     check_balancing,
@@ -92,7 +93,7 @@ def agree(datum, fusion):
     assert balancing == dot_check_balancing(datum, fusion) == separate_check_balancing(datum, fusion)
     twist = check_twist_equation(datum)
     assert twist == dot_check_twist_equation(datum)
-    assert mat._st_cubed_is(datum.S, datum.thetas, c) == dot_st_cubed_is(datum.S, datum.thetas, c)
+    assert ds.st_cubed == dot_st_cubed_is(datum.S, datum.thetas, c)
     return unitary, balancing.ok, twist.ok
 
 
@@ -229,11 +230,12 @@ def test_st_relation_with_twists_that_are_not_roots_of_unity():
     for sign in (ONE, -ONE):
         cube = sign * x**3
         for c, holds in [(cube, True), (cube + ell, False), (cube * (1 + ell * zeta(4)), False)]:
-            assert mat._st_cubed_is(((sign,),), (x,), c) == dot_st_cubed_is(((sign,),), (x,), c) == holds
+            s = ((sign,),)
+            assert mat._st_cubed_is(s, _SFacts(s).residues, (x,), c) == dot_st_cubed_is(s, (x,), c) == holds
     s = ((ONE, ONE), (ONE, -ONE))
     for t in [(x, x), (x, zeta(4) * x), (ONE, x)]:
         for c in (x**3, ONE, zeta(8)):
-            assert mat._st_cubed_is(s, t, c) == dot_st_cubed_is(s, t, c)
+            assert mat._st_cubed_is(s, _SFacts(s).residues, t, c) == dot_st_cubed_is(s, t, c)
 
 
 @pytest.mark.parametrize("name", ["pointed_z5", "su2_4_family_0", "su2_4_family_7", "su2_odd_mod2(6)"])
@@ -244,15 +246,17 @@ def test_every_lift_agrees(name):
     for rep in all_lifts(CATALOG[name]):
         identity = tuple(range(rep.rank))
         s2 = mat.matmul(rep.s, rep.s)
-        assert mat._power_permutation(rep.s, 4, ONE) == identity and matmul_square_is_identity(s2)
-        assert mat._st_cubed_is(rep.s, rep.t, ONE) and dot_st_cubed_is(rep.s, rep.t, ONE)
+        table = _SFacts(rep.s).residues
+        assert mat._power_permutation(rep.s, table, 4, ONE) == identity and matmul_square_is_identity(s2)
+        assert mat._st_cubed_is(rep.s, table, rep.t, ONE) and dot_st_cubed_is(rep.s, rep.t, ONE)
         bent = tuple(
             tuple(-v if (a, b) == (1, 1) else v for b, v in enumerate(row)) for a, row in enumerate(rep.s)
         )
         bent2 = mat.matmul(bent, bent)
-        square = mat._power_permutation(bent, 4, ONE) == identity
+        table = _SFacts(bent).residues
+        square = mat._power_permutation(bent, table, 4, ONE) == identity
         assert square == matmul_square_is_identity(bent2)
-        cubed = mat._st_cubed_is(bent, rep.t, ONE)
+        cubed = mat._st_cubed_is(bent, table, rep.t, ONE)
         assert cubed == dot_st_cubed_is(bent, rep.t, ONE)
         seen.add((square, cubed))
     assert (False, False) in seen

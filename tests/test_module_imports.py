@@ -9,8 +9,10 @@ character values only by that one exact loop.  Only
 `_matrix._first_nonzero` sizes a certificate: every other caller states the
 terms it multiplies, and one size rule lives in one module.  Inside
 `modular_data` only `_SFacts.residues` maps the entries of S through
-`_residue`: unitarity, the Verlinde tensor, h_sigma and balancing read its
-tables, each formed once per S and prime.
+`_residue`: unitarity, the Verlinde tensor, h_sigma, balancing, S^2, S^4
+and (ST)^3 read its tables, each formed once per S and prime, and a bare
+matrix's identities read the tables of an `_SFacts` of its own.  `_matrix`
+maps no matrix through `_residue`; its identities map only t and c.
 """
 
 import ast
@@ -117,12 +119,9 @@ def test_only_first_nonzero_sizes_a_certificate():
     assert found == {("_matrix.py", "_first_nonzero", "_bound"), ("_matrix.py", "_bound", "_size")}
 
 
-def test_only_the_s_facts_map_the_entries_of_s_through_residue():
-    """The outermost function around each _residue call in modular_data, and
-    around each comprehension that maps values through _residue, with its
-    iterable: the table of S in _SFacts.residues and the twists in
-    check_balancing.  The other callers map D^2 alone, once."""
-    path = SRC / "modular_data.py"
+def _residue_maps(path):
+    """The outermost function around each _residue call in path, and around
+    each comprehension that maps values through _residue, with its iterable."""
     callers, tables = set(), set()
 
     def walk(node, parent, function):
@@ -138,5 +137,17 @@ def test_only_the_s_facts_map_the_entries_of_s_through_residue():
             walk(child, node, function)
 
     walk(ast.parse(path.read_text(), str(path)), None, None)
+    return callers, tables
+
+
+def test_only_the_s_facts_map_the_entries_of_s_through_residue():
+    """In modular_data the table of S in _SFacts.residues, and the twists in
+    check_balancing; the other callers map D^2 alone, once.  In _matrix t
+    in _st_residues, and c alone in _power_permutation: S^2, S^4 and (ST)^3
+    read their matrix from a source, _SFacts.residues."""
+    callers, tables = _residue_maps(SRC / "modular_data.py")
     assert callers == {"residues", "_modular_tensor", "_projectively_unitary", "check_balancing"}
     assert tables == {("residues", "self.S"), ("residues", "row"), ("check_balancing", "thetas")}
+    callers, tables = _residue_maps(SRC / "_matrix.py")
+    assert callers == {"_power_permutation", "_st_residues"}
+    assert tables == {("_st_residues", "t")}

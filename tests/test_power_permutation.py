@@ -12,7 +12,7 @@ import pytest
 from moddata import _matrix as mat
 from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.cyclotomic import Cyclotomic, ONE, ZERO, _embedding, zeta
-from moddata.modular_data import ModularDatum, _s_facts, derived_scalars, load, verlinde_fusion
+from moddata.modular_data import ModularDatum, _SFacts, _s_facts, derived_scalars, load, verlinde_fusion
 from moddata.sl2z_reps import (
     NotModularRepresentation,
     _anomaly_sixth_root,
@@ -40,7 +40,7 @@ def rat(v):
 def test_square_of_s_reads_the_charge_conjugation(name):
     datum = DATA[name]()
     d2 = derived_scalars(datum).global_dim_sq
-    assert mat._power_permutation(datum.S, 2, d2) == verlinde_fusion(datum).dual
+    assert mat._power_permutation(datum.S, _s_facts(datum.S).residues, 2, d2) == verlinde_fusion(datum).dual
 
 
 def rotated_s():
@@ -58,8 +58,8 @@ def spy_on_powers(monkeypatch):
     """Record (k, c, result) of every _power_permutation call."""
     calls, real = [], mat._power_permutation
 
-    def spy(a, k, c):
-        calls.append((k, c, real(a, k, c)))
+    def spy(a, table, k, c):
+        calls.append((k, c, real(a, table, k, c)))
         return calls[-1][2]
 
     monkeypatch.setattr(mat, "_power_permutation", spy)
@@ -68,8 +68,9 @@ def spy_on_powers(monkeypatch):
 
 def test_s4_fallback_of_the_lift_builder(monkeypatch):
     S, c4 = rotated_s()
-    assert mat._power_permutation(S, 2, rat(1) + S[0][1] ** 2) is None
-    assert matmul_power_permutation(S, 4, c4) == mat._power_permutation(S, 4, c4) == (0, 1)
+    table = _SFacts(S).residues
+    assert mat._power_permutation(S, table, 2, rat(1) + S[0][1] ** 2) is None
+    assert matmul_power_permutation(S, 4, c4) == mat._power_permutation(S, table, 4, c4) == (0, 1)
     # theta = 1 makes p+ = p- and the anomaly 1, so the dense reference runs
     datum = ModularDatum(2, 1, (0, 0), S)
     root = _anomaly_sixth_root(datum)
@@ -92,7 +93,7 @@ def test_a_failed_certificate_gives_none_and_the_same_lifts(monkeypatch, name):
     real = mat._first_nonzero
     with monkeypatch.context() as patch:
         patch.setattr(mat, "_first_nonzero", lambda terms, entries: 0)
-        assert mat._power_permutation(datum.S, 2, d2) is None
+        assert mat._power_permutation(datum.S, _SFacts(datum.S).residues, 2, d2) is None
     # only the S^2 = D^2 C certificate fails: the S^4 fallback decides
     failed = []
 
@@ -134,7 +135,7 @@ FIXED = [
 
 @pytest.mark.parametrize("a, k, c", FIXED)
 def test_fixed_small_matrices(a, k, c):
-    assert mat._power_permutation(a, k, c) == matmul_power_permutation(a, k, c)
+    assert mat._power_permutation(a, _SFacts(a).residues, k, c) == matmul_power_permutation(a, k, c)
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -145,8 +146,9 @@ def test_a_power_off_by_the_first_prime_is_caught_by_the_bound(k):
     ell = _embedding(1, 0)[0]
     for x in (2, isqrt(isqrt(ell)) + 1 if k == 4 else isqrt(ell) + 1):
         c = rat(x**k - ell)
-        assert mat._power_permutation(((rat(x),),), k, c) is None
-        assert mat._power_permutation(((rat(x),),), k, c + ell) == (0,)
+        a = ((rat(x),),)
+        assert mat._power_permutation(a, _SFacts(a).residues, k, c) is None
+        assert mat._power_permutation(a, _SFacts(a).residues, k, c + ell) == (0,)
 
 
 def dense_witness(s, t):
@@ -197,8 +199,9 @@ def test_power_permutation_and_st_cubed_agree_with_matmul_property():
     @hypothesis.given(case())
     def check(args):
         a, k, c, t, c_st = args
-        assert mat._power_permutation(a, k, c) == matmul_power_permutation(a, k, c)
-        assert mat._st_cubed_is(a, t, c_st) == dense_st_cubed_is(a, t, c_st)
+        table = _SFacts(a).residues
+        assert mat._power_permutation(a, table, k, c) == matmul_power_permutation(a, k, c)
+        assert mat._st_cubed_is(a, table, t, c_st) == dense_st_cubed_is(a, t, c_st)
         assert verify_relations(a, t).witness == dense_witness(a, t)
 
     check()

@@ -65,9 +65,11 @@ def samples():
         report = check_admissible(datum)
         profile = compute_profile(datum)
         rep = normalize(datum)
-        add(datum, derived_scalars(datum), verlinde_fusion(datum), report, *report.conditions)
+        # copies: the cached derived_scalars(datum) holds the (ST)^3 verdict once
+        # check has read it, and the cached normalize(datum) holds s once any
+        # caller has read it
+        add(datum, replace(derived_scalars(datum)), verlinde_fusion(datum), report, *report.conditions)
         add(profile, classify_dimensions(datum, profile), cauchy_prime_support(datum))
-        # a copy: the cached normalize(datum) holds s once any caller has read it
         add(replace(rep), *all_lifts(datum)[:2], obstruction_120(rep))
         add(is_modularly_admissible(rep.level, [v for row in datum.S for v in row]))
     lift2, lift6 = normalize(su2_odd_mod2(5, 2)), normalize(su2_odd_mod2(5, 6))

@@ -1,15 +1,17 @@
 """What depends on S alone is computed once per S in a process
 (modular_data._s_facts) and shared by every datum over that S: the Verlinde
 fusion rules or their failure, projective unitarity, D^2, D^-2, the primes
-of Norm(D^2), S^2 and S^4, and h_sigma or the error its match raised.
-Sharing changes no report and no exception; the analysis runs once per
-distinct S; a change of the order cap forgets every cached result; and the
-certificates over S (h_sigma, Verlinde, unitarity, S^2) size a root of
-unity as 1."""
+of Norm(D^2), S^2 and S^4, h_sigma or the error its match raised, and the
+residue tables of S that every identity over S reads, which no reader
+changes.  Sharing changes no report and no exception; the analysis runs
+once per distinct S; (ST)^3 = p+ S^2 is decided once per datum; a change of
+the order cap forgets every cached result; and the certificates over S
+(h_sigma, Verlinde, unitarity, S^2) size a root of unity as 1."""
 
 import json
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
@@ -37,11 +39,12 @@ from moddata.modular_data import (
     _projectively_unitary,
     _s_facts,
     check_admissible,
+    check_twist_equation,
     derived_scalars,
     load,
     verlinde_fusion,
 )
-from moddata.sl2z_reps import normalize
+from moddata.sl2z_reps import all_lifts, inadmissible_psi, normalize
 from test_modular_data import OFF_UNITARITY, perturb_twist
 
 SEED = 29
@@ -177,21 +180,81 @@ def residue_work(monkeypatch):
 
 
 def test_a_check_pass_forms_each_residue_table_once(residue_work, data_dir):
-    """check on the 18 data files maps at most 1,441 values through _residue;
-    it took 2,441 when unitarity, the Verlinde tensor, h_sigma and balancing
-    each formed the residues of S.  Each (n, ell, k) table is formed once per
-    S and read again: the 16 su2_4_family files share 4 S, so their
-    balancing tables at n = lcm(S, T) are shared too."""
+    """check on the 18 data files maps at most 942 values through _residue.
+    It took 2,441 when unitarity, the Verlinde tensor, h_sigma and balancing
+    each formed the residues of S, and 1,417 while (ST)^3 mapped S itself.
+    Each (n, ell, k) table is formed once per S and read again: the 16
+    su2_4_family files share 4 S, so their tables at n = lcm(S, T), which
+    balancing and (ST)^3 read, are shared too."""
     calls, formed, reads = residue_work
     clear_all()
     data = [load(path) for path in sorted(data_dir.glob("*.json"))]
     assert len(data) == 18 and all(check_admissible(datum).passed for datum in data)
-    assert calls[0] <= 1441
+    assert calls[0] <= 942
     assert len(set(formed)) == len(formed) and reads[0] > 2 * len(formed)
     distinct = list(dict.fromkeys(datum.S for datum in data))
     assert list(dict.fromkeys(S for S, *_ in formed)) == distinct
     family = {load(path).S for path in data_dir.glob("su2_4_family_*.json")}
     assert len(family) == 4 and sum(S in family and n == 24 for S, n, _, _ in formed) == 4
+
+
+# perfbench's lift_ladder: all 12 lifts of each, and the canonical lift of pointed_zn(7)
+LADDER = (su2_odd_mod2(3), pointed_zn(5), su2_odd_mod2(5))
+CANONICAL = pointed_zn(7)
+
+
+def run_ladder():
+    return [rep for datum in LADDER for rep in all_lifts(datum)] + [normalize(CANONICAL)]
+
+
+def test_no_reader_changes_a_residue_table(data_dir):
+    """_power_permutation subtracts c from rows in place, and (ST)^3 reads
+    the table it is handed: after check on every data file, the lifts of the
+    ladder and psi at p = 5, every table that an _SFacts keeps still holds
+    the residues of sigma_k(S)."""
+    clear_all()
+    data = [load(path) for path in sorted(data_dir.glob("*.json"))]
+    assert all(check_admissible(datum).passed for datum in data)
+    run_ladder()
+    assert inadmissible_psi(5).inadmissible
+    for S in dict.fromkeys(datum.S for datum in (*data, *LADDER, CANONICAL)):
+        tables = _s_facts(S)._tables
+        assert tables
+        for (n, ell, k), table in tables.items():
+            emb = next(emb for emb in (_embedding(n, i) for i in count()) if emb[0] == ell)
+            assert table == [[_residue(v.galois(k), n, emb) for v in row] for row in S]
+
+
+def test_the_lift_ladder_maps_no_entry_of_s_in_matrix(monkeypatch):
+    """During the ladder's lifts _matrix maps only t and c through _residue
+    (t the twists, c = p+ for (ST)^3 and c = D^2 for S^2): both identities
+    read S from the tables of _s_facts(S).  When both mapped S themselves,
+    _matrix made 301 _residue calls here, 266 of them on entries of S."""
+    seen, real = [], mat._residue
+    monkeypatch.setattr(mat, "_residue", lambda x, n, emb: seen.append(x) or real(x, n, emb))
+    clear_all()
+    assert len(run_ladder()) == 37
+    allowed = set()
+    for datum in (*LADDER, CANONICAL):
+        ds = derived_scalars(datum)
+        allowed |= {*ds.thetas, ds.gauss_plus, ds.global_dim_sq}
+    assert set(seen) <= allowed and len(seen) == 35
+
+
+def test_the_twist_residual_is_decided_once_per_datum(monkeypatch, data_dir):
+    """check (condition (ii)), check_twist_equation and the canonical lift
+    read one R = T(ST)^2 - p+ S; on a datum where R != 0, check and the twist
+    equation read one witness."""
+    residuals = counting(monkeypatch, mat, "_st_first_nonzero")
+    clear_all()
+    datum = load(data_dir / "su2_9_mod2.json")
+    assert check_admissible(datum).passed and check_twist_equation(datum).ok
+    normalize(datum)
+    assert residuals == [datum.S]
+    bent = perturb_twist(datum, 1, 1)
+    report, twist = check_admissible(bent), check_twist_equation(bent)
+    assert report.conditions[1].witness == "(ST)^3 != p+ S^2" and not twist.ok
+    assert residuals == [datum.S, datum.S]
 
 
 def test_a_table_above_the_conductor_holds_the_residues_of_its_entries():
@@ -321,7 +384,7 @@ def test_h_sigma_certificate_takes_one_prime_on_roots_of_unity(primes, n):
 S_CERTIFICATES = {
     "verlinde": lambda S, d2: _modular_tensor(_s_facts(S)) is not None,
     "unitarity": lambda S, d2: _projectively_unitary(_s_facts(S), d2),
-    "s_squared": lambda S, d2: mat._power_permutation(S, 2, d2) is not None,
+    "s_squared": lambda S, d2: mat._power_permutation(S, _s_facts(S).residues, 2, d2) is not None,
 }
 
 

@@ -11,6 +11,7 @@ from moddata.cyclotomic import Cyclotomic, ONE, ZERO, zeta
 from moddata.catalog import su2_odd_mod2
 from moddata.modular_data import ModularDatum, derived_scalars, replace
 from moddata.sl2z_reps import (
+    _TABLE_ROWS,
     ModularRep,
     NotModularRepresentation,
     NotTabulatedError,
@@ -21,7 +22,6 @@ from moddata.sl2z_reps import (
     signed_perm_match,
     spectra_connectivity,
     spectra_lookup,
-    spectra_table,
     verify_relations,
 )
 from _oracles import mpmath_complex_eval
@@ -171,12 +171,12 @@ class TestSpectraTable:
         assert spectra_lookup(2, 7, "odd") == []
 
     def test_spectrum_sizes_match_degree(self):
-        for row in spectra_table():
+        for row in _TABLE_ROWS:
             for spec in row.spectra:
                 assert len(spec) == row.degree
 
     def test_values_have_level_compatible_order(self):
-        for row in spectra_table():
+        for row in _TABLE_ROWS:
             for spec in row.spectra:
                 for v in spec:
                     order = v.root_of_unity_order()
@@ -187,7 +187,7 @@ class TestSpectraTable:
         from _oracles import PRINTED_TABLE_PI_FRACTIONS, match_rendered_spectra
 
         seen = set()
-        for row in spectra_table():
+        for row in _TABLE_ROWS:
             key = (row.degree, row.parity, row.level)
             assert key in PRINTED_TABLE_PI_FRACTIONS, key
             seen.add(key)
