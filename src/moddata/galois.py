@@ -141,6 +141,13 @@ def sign_function(rep: "ModularRep", k: int) -> tuple[int, ...]:
     h_sigma_k is read at k mod c from the map (c, {k: h_sigma_k}) of
     _SFacts.h_sigma, looked up once per call; at a held NotGaloisStable or a
     k that is no unit mod c it is matched exactly on the columns of s.
+    h certifies sigma(s_ij / s_0j) = s_{i h(j)} / s_{0 h(j)} (s = lam S has
+    the columns of S), so the column form holds with eps(j) = sigma(s_0j) /
+    s_{0 h(j)}, read from the r images of row 0: s_0b = lam S_0b is never 0
+    where h exists, as both the read and the match refuse a zero S_0a.  The
+    row form then holds exactly when eps(j) s_{i h(j)} = eps(i) s_{h(i) j}.
+    A k sharing a prime p with the order of an entry raises in the exact
+    match when p | c, and else at the image of s_00, whose order p divides.
     """
     s, h_sigma = rep.s, _s_facts(rep.S).h_sigma
     r, perm = len(s), None
@@ -150,21 +157,18 @@ def sign_function(rep: "ModularRep", k: int) -> tuple[int, ...]:
     if perm is None:
         perm = _exact_perms(_characters(s), (k,))[k]
     eps = []
-    for i in range(r):
-        j0 = next((j for j in range(r) if s[perm[i]][j]), None)
-        if j0 is None:
-            raise NotGaloisSymmetric(f"zero row {perm[i]} in s")
-        image, target = s[i][j0].galois(k), s[perm[i]][j0]
+    for j in range(r):
+        image, target = s[0][j].galois(k), s[0][perm[j]]
         if image == target:
             eps.append(1)
         elif image == -target:
             eps.append(-1)
         else:
-            raise NotGaloisSymmetric(f"sigma_{k}(s[{i}]) is not +-row {perm[i]}")
+            raise NotGaloisSymmetric(f"sigma_{k}(s[{j}]) is not +-row {perm[j]}")
     for i in range(r):
         for j in range(r):
-            img = s[i][j].galois(k)
-            if img != eps[i] * s[perm[i]][j] or img != eps[j] * s[i][perm[j]]:
+            row = s[perm[i]][j]
+            if s[i][perm[j]] != (row if eps[i] == eps[j] else -row):
                 raise NotGaloisSymmetric(
                     f"sign vector inconsistent at ({i},{j}) for sigma_{k}"
                 )

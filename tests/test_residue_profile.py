@@ -49,7 +49,7 @@ from moddata.modular_data import (
     load,
     replace,
 )
-from moddata.sl2z_reps import all_lifts
+from moddata.sl2z_reps import ModularRep, all_lifts, normalize
 from test_galois_orbits import oracle_twist_symmetry
 from test_lift_algebra import BUILDERS, datum_of
 
@@ -275,15 +275,16 @@ def assert_lift_path_matches(rep, matched, ks):
 def test_lift_path_matches_the_exact_oracles(name, residues, exact_calls):
     """Every lift reads the map of oracle_profile from the _SFacts of its S,
     read from residues or, with that read patched to fail, matched exactly,
-    and has the oracle's
-    twist verdict.  On the ladder the oracle forms r^2 character values in
-    the field of each lift's s, so it runs on every lift with the residue
-    read and on the lift of least level with it patched.  Signs, 2 r^2
-    Galois images each, are compared on every lift of a data file and on
-    that least lift of the ladder, and compute_profile(datum, rep), which
-    signs every unit, on the data files.  The exact loop runs once, in
-    _SFacts.h_sigma, exactly when the read is patched to fail: a read kept
-    from an earlier datum over the same S would skip the patch."""
+    and has the oracle's twist verdict.  On the ladder the oracle forms r^2
+    character values in the field of each lift's s, so it runs on every
+    lift with the residue read and on the lift of least level with it
+    patched.  Signs, r^2 Galois images each in the oracle, are compared on
+    every lift of a data file and on that least lift of the ladder, and
+    compute_profile(datum, rep), which signs every unit, on the data files
+    and su2_odd_mod2(14), not on pointed_zn(31), whose oracle forms
+    30 * 31^2 images.  The exact loop runs once, in _SFacts.h_sigma,
+    exactly when the read is patched to fail: a read kept from an earlier
+    datum over the same S would skip the patch."""
     datum = LADDER[name]() if name in LADDER else datum_of(name)
     reps = all_lifts(datum)
     units, perms, _ = oracle_profile(datum)
@@ -295,9 +296,90 @@ def test_lift_path_matches_the_exact_oracles(name, residues, exact_calls):
             assert_lift_path_matches(rep, matched, units_mod(rep.level)[1:3])
         elif residues:
             assert_lift_path_matches(rep, matched, ())
-    if name not in LADDER:
+    if name != "pointed_zn(31)":
         assert profile_with_signs(datum, least) == oracle_profile_with_signs(datum, least)
     assert exact_calls == ([] if residues else [units_mod(datum.s_field_conductor)])
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_least_lift_signs_match_the_oracle_at_every_k(name):
+    """sign_function on the lift of least level at every k in 1..the
+    modulus of its field, units and non-units alike: a k that shares a
+    prime with the order of an entry raises as the oracle does."""
+    rep = min(all_lifts(datum_of(name)), key=lambda rep: rep.level)
+    for k in range(1, _rep_field_modulus(rep) + 1):
+        assert result(sign_function, rep, k) == result(oracle_sign_function, rep, k), k
+
+
+@pytest.fixture
+def galois_images(monkeypatch):
+    """The unit of each Cyclotomic.galois call."""
+    calls, real = [], Cyclotomic.galois
+    monkeypatch.setattr(Cyclotomic, "galois", lambda x, k: calls.append(k) or real(x, k))
+    return calls
+
+
+def test_signs_take_the_images_of_row_0(galois_images):
+    """sign_function forms r Galois images per call on a lift, those of row
+    0, and none to check the row form."""
+    datum = su2_odd_mod2(5)
+    compute_profile(datum)  # h_sigma read before counting
+    for rep in all_lifts(datum):
+        for k in units_mod(_rep_field_modulus(rep)):
+            galois_images.clear()
+            sign_function(rep, k)
+            assert galois_images == [k] * rep.rank
+
+
+@pytest.mark.parametrize("name, images", [("su2_odd_mod2(14)", 392), ("pointed_zn(31)", 930)])
+def test_the_profile_with_signs_takes_r_images_per_unit(name, images, galois_images):
+    datum = LADDER[name]()
+    rep = normalize(datum)
+    compute_profile(datum)  # h_sigma read before counting
+    galois_images.clear()
+    profile = compute_profile(datum, rep)
+    assert len(galois_images) == images == rep.rank * len(profile.units)
+
+
+SQRT2 = sqrt_int(2)
+# Reps built by hand, with the signs or the error at each unit.  Row 0 of
+# the first reads eps = (1, 1) under sigma_3 and sigma_5, which swap its
+# columns, but s_01 != s_10, so the row form fails.  The second has a zero
+# row and rational columns: h = id and eps = 1.
+HAND_BUILT = {
+    "sqrt2": (
+        ModularRep(2, ((ONE, ONE), (SQRT2, -SQRT2)), 8, (0, 1), "even"),
+        {
+            1: (1, 1),
+            3: (NotGaloisSymmetric, "sign vector inconsistent at (0,0) for sigma_3"),
+            5: (NotGaloisSymmetric, "sign vector inconsistent at (0,0) for sigma_5"),
+            7: (1, 1),
+        },
+    ),
+    "zero-row": (
+        ModularRep(3, ((ONE, ONE, ONE), (ONE, -ONE, ONE + ONE), (ZERO, ZERO, ZERO)), 1, (0, 0, 0), "even"),
+        {1: (1, 1, 1)},
+    ),
+}
+
+
+def signs_or_error(rep, k):
+    """sign_function(rep, k), or (type, message) of what it raises."""
+    try:
+        return sign_function(rep, k)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", list(HAND_BUILT))
+def test_a_hand_built_rep_checks_the_row_form(name, residues):
+    """An S that is not symmetric can fail the row form where row 0 gives
+    signs; sign_function then raises as the oracle, which checks both forms
+    on every entry, does at every k in 1..the modulus."""
+    rep, expected = HAND_BUILT[name]
+    assert {k: signs_or_error(rep, k) for k in expected} == expected
+    for k in range(1, _rep_field_modulus(rep) + 1):
+        assert result(sign_function, rep, k) == result(oracle_sign_function, rep, k), k
 
 
 def hand_built(rep, S):
