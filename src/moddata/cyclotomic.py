@@ -625,6 +625,9 @@ class Cyclotomic:
         # window [j phi(f), (j+1) phi(f)) and drops below phi(f) when the
         # exponents are shifted down by j phi(f).  A hit is a unit e, since
         # for a non-unit e, +-zeta_f^e lies in a proper subfield of Q_f.
+        # For even f, -zeta_f^e == zeta_f^(e + f/2): the two forms lie
+        # f/2 >= phi(f) apart, in different windows, and the scan meets the
+        # smaller exponent, below f/2, first.
         phi = _order_info(f)[0]
         for shift in range(0, f, phi):
             mono = nums if shift == 0 else _reduce_exponents(
@@ -633,12 +636,7 @@ class Cyclotomic:
             if len(mono) == 1:
                 ((e, c),) = mono.items()
                 if c in (1, -1):
-                    e = (e + shift) % f
-                    # for even f, -zeta_f^e == zeta_f^(e + f/2): report the
-                    # smaller exponent
-                    if f % 2 == 0 and e >= f // 2:
-                        c, e = -c, e - f // 2
-                    return (c, e)
+                    return (c, (e + shift) % f)
         return None
 
     # -- numerics ------------------------------------------------------------

@@ -7,9 +7,9 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from . import _matrix as mat
 from .cyclotomic import Cyclotomic, NotAUnitError, real_sign, units_mod
 from .modular_data import (
+    FusionRules,
     ModularDatum,
     NotGaloisStable,
     Perm,
@@ -17,7 +17,6 @@ from .modular_data import (
     Verdict,
     _characters,
     _exact_perms,
-    _match_permutation,
     _s_facts,
     derived_scalars,
 )
@@ -223,11 +222,7 @@ def classify_dimensions(datum: ModularDatum, profile: GaloisProfile) -> Dimensio
     ds = derived_scalars(datum)
     orbit0 = profile.orbit_of(0)
     fp_column = _fp_column(datum)
-    fp_unit = None
-    if fp_column is not None:
-        fp_unit = next(
-            (k for k, p in profile.perms.items() if p[0] == fp_column), None
-        )
+    fp_unit = next((k for k, p in profile.perms.items() if p[0] == fp_column), None)
     constant = None
     if ds.global_dim_sq.is_integer and all(
         _positive(d) for d in ds.dims
@@ -250,10 +245,13 @@ def classify_dimensions(datum: ModularDatum, profile: GaloisProfile) -> Dimensio
 
 
 def _fp_column(datum: ModularDatum) -> Optional[int]:
-    """Column whose character values are all positive reals (Frobenius-Perron)."""
-    cols = _characters(datum.S)
-    for a, col in enumerate(cols):
-        if all(_positive(v) for v in col):
+    """Column whose character values S_ia / S_0a are all positive reals
+    (Frobenius-Perron), each tested as S_ia conj(S_0a), a positive real
+    exactly when S_ia / S_0a is: no S_0a is 0 where a profile exists."""
+    S = datum.S
+    for a in range(datum.rank):
+        d = S[0][a].conjugate()
+        if all(_positive(row[a] * d) for row in S):
             return a
     return None
 
@@ -298,24 +296,14 @@ def _no_c61_pattern(r: int, profile: GaloisProfile) -> Verdict:
     return Verdict(True, "", "no (0 a)(r-2 cycle) element")
 
 
-def _dual_from_s(datum: ModularDatum) -> Optional[Perm]:
-    """Charge conjugation j -> j* from S_{i j*} = conj(S_ij), or None when the
-    columns are not distinct, a conjugate column is missing or 0* != 0.
-
-    The match is an involution without a check: the columns are distinct and
-    conjugation is one.
-    """
-    try:
-        perm = _match_permutation(tuple(zip(*datum.S)), -1)
-    except NotGaloisStable:
-        return None
-    return perm if perm[0] == 0 else None
-
-
 def _no_c62_pattern(datum: ModularDatum, profile: GaloisProfile) -> Verdict:
-    # forbidden: 0 inside an (r-2)-cycle next to a transposition of self-dual labels
+    """Forbidden: 0 inside an (r-2)-cycle next to a transposition of
+    self-dual labels, i = i* in the fusion rules of S; that is conj(S_ij) =
+    S_{i j*}, as S^2 = D^2 C and unitarity give.  Without them, every label
+    may be self-dual."""
     r = datum.rank
-    dual = _dual_from_s(datum)
+    fusion = _s_facts(datum.S).fusion
+    dual = fusion.dual if isinstance(fusion, FusionRules) else None
     name = "no (r-2 cycle through 0)(a b) element"
     for perm in profile.image():
         cycles = cycle_type(perm)

@@ -16,7 +16,6 @@ from . import _matrix as mat
 from .cyclotomic import (
     Cyclotomic,
     ONE,
-    ZERO,
     _canonical,
     _cap_caches,
     _check_order,
@@ -415,24 +414,18 @@ def verlinde_fusion(datum: ModularDatum) -> FusionRules:
 
 def _fusion_rules(facts: "_SFacts") -> FusionRules:
     """The Verlinde fusion rules of facts.S: projective unitarity, then the
-    tensor from residues (_modular_tensor) or else entry by entry."""
+    tensor from residues (_modular_tensor) or else entry by entry.  The dual
+    i* is the k with N_ik^0 = 1, unchecked: unitarity gives sum |d_a|^2 =
+    D^2 = sum d_a^2, so each d_a is real and N^0 = S^2 / D^2, the square of
+    the unitary symmetric S/D, is a unitary matrix of nonnegative integers:
+    a symmetric permutation, with 0* = 0 as (S^2)_0k = (S conj(S)^t)_k0."""
     S, r = facts.S, len(facts.S)
     if any(not d for d in S[0]):
         raise DegenerateSError("vanishing entry in the first row of S")
     if not facts.unitary:
         raise DegenerateSError("S * conj(S)^t != D^2 * Id")
     tensor = _modular_tensor(facts) or _exact_tensor(S, facts.global_dim_sq)
-    dual = []
-    for i in range(r):
-        hits = [k for k in range(r) if tensor[i][k][0] == 1]
-        if len(hits) != 1 or any(
-            tensor[i][k][0] not in (0, 1) for k in range(r)
-        ):
-            raise NotFusionIntegral(i, 0, 0, ZERO)
-        dual.append(hits[0])
-    dual = tuple(dual)
-    if dual[0] != 0 or any(dual[dual[i]] != i for i in range(r)):
-        raise NotFusionIntegral(0, 0, 0, ZERO)
+    dual = tuple([n[0] for n in plane].index(1) for plane in tensor)
     return FusionRules(r, tuple(tuple(map(tuple, plane)) for plane in tensor), dual)
 
 

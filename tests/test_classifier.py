@@ -404,6 +404,13 @@ class TestIntegralDimensionSearch:
         assert result.survivors == ()
         assert result.excluded_by_modulus == 5
 
+    def test_feasible_modulus_gives_the_toric_code(self):
+        # orbit sizes (1, 3): mod 3, 1 + 3 d^2 = 1 is a square, so no
+        # modulus excludes, and 1 + 3 d^2 is a square power of 2 only at d = 1
+        result = integral_dimension_search(4, (1, 3), {2})
+        assert result.survivors == ((1, 1, 1, 1),)
+        assert result.excluded_by_modulus is None
+
     def test_rank5_pointed_survives(self):
         result = integral_dimension_search(5, (1, 1, 1, 1, 1), {5}, bound=200)
         assert (1, 1, 1, 1, 1) in result.survivors

@@ -1,15 +1,14 @@
 import random
 from math import gcd
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from _oracles import dual_from_s, g_matrix, orbit_field_degree
+from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.cyclotomic import Cyclotomic, ONE, ZERO, units_mod, zeta
 from moddata.galois import (
     GaloisProfile,
-    _dual_from_s,
     classify_dimensions,
     compute_profile,
     cycle_type,
@@ -18,6 +17,7 @@ from moddata.galois import (
     sign_function,
 )
 from moddata.modular_data import (
+    FusionComputationError,
     ModularDatum,
     NotGaloisStable,
     _characters,
@@ -243,6 +243,14 @@ class TestClassification:
         assert result.label == "generic"
         assert result.fp_column == 0 and result.fp_unit is not None
 
+    def test_fp_column_with_a_complex_first_row_entry(self):
+        # the values S_i1 / S_01 of column 1 are (1, 2), those of column 0
+        # are (1, i): only S_11 conj(S_01) = 2, not S_11 S_01 = -2, is positive
+        i = zeta(4)
+        datum = ModularDatum(2, 1, (0, 0), ((ONE, i), (i, i + i)))
+        profile = GaloisProfile(1, (1,), {1: (0, 1)}, ((0,), (1,)), {})
+        assert classify_dimensions(datum, profile).fp_column == 1
+
 
 class TestExclusionPredicates:
     def test_su2_4_clauses(self, su2_4_all):
@@ -296,6 +304,28 @@ class TestExclusionPredicates:
         fired = [v for v in verdicts if not v.ok]
         assert any("(0 a)(r-2 cycle)" in v.name for v in fired)
 
+    @pytest.mark.parametrize(
+        "build, image, has_fusion, witness",
+        [
+            (lambda: su2_odd_mod2(5), (1, 2, 0, 4, 3), True, "found (1, 2, 0, 4, 3)"),
+            (lambda: pointed_zn(5), (1, 4, 3, 2, 0), True, ""),
+            (lambda: load(GOLDEN_REPORT_DATA / "su2_9_mod2_S12_xm1.json"), (1, 2, 0, 4, 3), False, "found (1, 2, 0, 4, 3)"),
+        ],
+        ids=["self-dual-swap", "dual-swap", "no-fusion-rules"],
+    )
+    def test_synthetic_self_dual_pattern(self, build, image, has_fusion, witness):
+        """(0 1 2)(3 4) swaps the self-dual labels 3, 4 of su2_odd_mod2(5)
+        and fires; (0 1 4)(2 3) swaps the dual pair 2* = 3 of pointed_zn(5)
+        and passes; without fusion rules every label may be self-dual, so
+        the swap fires."""
+        datum = build()
+        if not has_fusion:
+            with pytest.raises(FusionComputationError):
+                verlinde_fusion(datum)
+        verdict = exclusion_predicates(datum, GaloisProfile(1, (1,), {1: image}, (), {}))[1]
+        assert verdict.name == "no (r-2 cycle through 0)(a b) element"
+        assert (verdict.ok, verdict.witness) == (not witness, witness)
+
 
 class TestOrbitFields:
     def test_degree_equals_orbit_size(self, catalog_rank5):
@@ -318,18 +348,4 @@ class TestDualFromS:
         data = [d for _, d in catalog_rank5]
         data += [load(path) for path in sorted(data_dir.glob("*.json"))]
         for datum in data:
-            assert _dual_from_s(datum) == dual_from_s(datum) == verlinde_fusion(datum).dual
-
-    @pytest.mark.parametrize(
-        "S, expected",
-        [
-            (((ONE, ONE), (ONE, ONE)), None),  # duplicate columns
-            (((ONE, ONE), (ONE, zeta(4))), None),  # column 1 has no conjugate column
-            (((ONE, ONE), (zeta(4), -zeta(4))), None),  # conjugation moves the unit
-            (((ONE, ONE, ONE), (ONE, zeta(3), zeta(3, 2)), (ONE, zeta(3, 2), zeta(3))), (0, 2, 1)),
-        ],
-        ids=["duplicate-columns", "no-conjugate", "unit-moved", "z3"],
-    )
-    def test_perturbed_s_matches_oracle(self, S, expected):
-        datum = SimpleNamespace(rank=len(S), S=S)
-        assert _dual_from_s(datum) == dual_from_s(datum) == expected
+            assert dual_from_s(datum) == verlinde_fusion(datum).dual

@@ -3,9 +3,11 @@
 `random` or `secrets`: no verdict rests on a random choice.  No module calls
 `matmul` or `mat_pow` but `mat_pow` itself: every matrix identity is decided
 from residues, and the exact products serve the tests' oracles.  Only
-`modular_data._exact_perms` and `galois._dual_from_s` call
-`_match_permutation`: h_sigma is read from residues, and matched on
-character values only by that one exact loop.  Only
+`modular_data._exact_perms` calls `_match_permutation`, and only the two
+exact fallbacks, `_SFacts.h_sigma` and `galois.sign_function`, form
+`_characters`: h_sigma is read from residues, and matched on character
+values only by that one exact loop; the dual is read off the fusion rules,
+and the Frobenius-Perron column tests S_ia conj(S_0a).  Only
 `_matrix._first_nonzero` sizes a certificate: every other caller states the
 terms it multiplies, and one size rule lives in one module.  Inside
 `modular_data` only `_SFacts.residues` maps the entries of S through
@@ -99,12 +101,14 @@ def test_only_mat_pow_calls_an_exact_matrix_product():
     assert found == {("_matrix.py", "mat_pow", "matmul")}
 
 
-def test_only_the_exact_loop_and_the_dual_match_character_columns():
+def test_only_the_exact_loop_matches_character_columns():
     found = set().union(*(_calls(path, ("_match_permutation",)) for path in sorted(SRC.glob("*.py"))))
-    assert found == {
-        ("modular_data.py", "_exact_perms", "_match_permutation"),
-        ("galois.py", "_dual_from_s", "_match_permutation"),
-    }
+    assert found == {("modular_data.py", "_exact_perms", "_match_permutation")}
+
+
+def test_only_the_exact_fallbacks_form_characters():
+    found = set().union(*(_calls(path, ("_characters",)) for path in sorted(SRC.glob("*.py"))))
+    assert found == {("modular_data.py", "h_sigma", "_characters"), ("galois.py", "sign_function", "_characters")}
 
 
 def test_only_first_nonzero_sizes_a_certificate():

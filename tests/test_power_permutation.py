@@ -1,8 +1,9 @@
 """`_matrix._power_permutation`, the one test of a^k = cP for a permutation
 matrix P, decided from residues: the charge conjugation it reads off
-S^2 = D^2 C, the S^4 fallback of the lift builder, a forced certificate
-failure, and a property test of it, of `_st_cubed_is` and of
-`verify_relations` against the matmul oracles."""
+S^2 = D^2 C, which is the dual that the fusion rules read off N_ij^0 with no
+check, the S^4 fallback of the lift builder, a forced certificate failure,
+and a property test of it, of `_st_cubed_is` and of `verify_relations`
+against the matmul oracles."""
 
 from math import isqrt
 from pathlib import Path
@@ -12,7 +13,15 @@ import pytest
 from moddata import _matrix as mat
 from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.cyclotomic import Cyclotomic, ONE, ZERO, _embedding, zeta
-from moddata.modular_data import ModularDatum, _SFacts, _s_facts, derived_scalars, load, verlinde_fusion
+from moddata.modular_data import (
+    FusionComputationError,
+    ModularDatum,
+    _SFacts,
+    _s_facts,
+    derived_scalars,
+    load,
+    verlinde_fusion,
+)
 from moddata.sl2z_reps import (
     NotModularRepresentation,
     _anomaly_sixth_root,
@@ -21,14 +30,34 @@ from moddata.sl2z_reps import (
     verify_relations,
 )
 from _oracles import dense_st_cubed_is, matmul_power_permutation
+from test_gauss_scalars import D2_ZERO
 from test_lift_algebra import oracle_lift
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+GOLDEN_REPORT_DATA = Path(__file__).resolve().parent / "golden_reports" / "data"
 
+# the data/ files, the failing report data and the families' members that
+# the tests build elsewhere
 DATA = {
     **{f.name: (lambda f=f: load(f)) for f in sorted(DATA_DIR.glob("*.json"))},
-    **{f"pointed_zn({n})": (lambda n=n: pointed_zn(n)) for n in (5, 7, 31)},
-    **{f"su2_odd_mod2({p})": (lambda p=p: su2_odd_mod2(p)) for p in (3, 5, 14)},
+    **{f"golden_reports/{f.name}": (lambda f=f: load(f)) for f in sorted(GOLDEN_REPORT_DATA.glob("*.json"))},
+    **{f"pointed_zn({n})": (lambda n=n: pointed_zn(n)) for n in (1, 3, 5, 7, 9, 11, 31)},
+    **{f"su2_odd_mod2({p})": (lambda p=p: su2_odd_mod2(p)) for p in (1, 2, 3, 5, 6, 14)},
+    "d2_zero": lambda: D2_ZERO,
+}
+
+# S has a zero first-row entry, is not projectively unitary, or gives a
+# coefficient that is no nonnegative integer
+NO_FUSION_RULES = {
+    "golden_reports/pointed_z5_S01_x0.json",
+    "golden_reports/pointed_z5_S01_xzeta5.json",
+    "golden_reports/pointed_z5_S12_x2.json",
+    "golden_reports/rank2_all_ones.json",
+    "golden_reports/rank2_d1_i.json",
+    "golden_reports/rank2_non_integral.json",
+    "golden_reports/su2_9_mod2_S12_xm1.json",
+    "golden_reports/su2_9_mod2_S23_x3.json",
+    "d2_zero",
 }
 
 
@@ -38,9 +67,25 @@ def rat(v):
 
 @pytest.mark.parametrize("name", list(DATA))
 def test_square_of_s_reads_the_charge_conjugation(name):
+    """Where the fusion rules compute, the argument of _fusion_rules holds:
+    every d_a is real, N^0 is the matrix of an involution fixing 0, a
+    symmetric permutation, and that permutation is the C of S^2 = D^2 C
+    and h_sigma at complex conjugation."""
     datum = DATA[name]()
+    if name in NO_FUSION_RULES:
+        with pytest.raises(FusionComputationError):
+            verlinde_fusion(datum)
+        return
+    fusion, facts, r = verlinde_fusion(datum), _s_facts(datum.S), datum.rank
+    dual = fusion.dual
+    assert all(d == d.conjugate() for d in datum.S[0])
+    n0 = [[fusion.n(i, j, 0) for j in range(r)] for i in range(r)]
+    assert n0 == [[int(j == dual[i]) for j in range(r)] for i in range(r)]
+    assert dual[0] == 0 and all(dual[dual[i]] == i for i in range(r))
     d2 = derived_scalars(datum).global_dim_sq
-    assert mat._power_permutation(datum.S, _s_facts(datum.S).residues, 2, d2) == verlinde_fusion(datum).dual
+    assert mat._power_permutation(datum.S, facts.residues, 2, d2) == dual
+    c, perms = facts.h_sigma
+    assert perms[(-1) % c if c > 1 else 1] == dual
 
 
 def rotated_s():
