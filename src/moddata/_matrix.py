@@ -1,20 +1,20 @@
 """Exact matrices over Cyclotomic, as tuples of tuples, and the one way to
-decide a matrix identity, from residues (`_first_nonzero`): a^k = cP for a
+decide a matrix identity, from residues (`_first_nonzero`): S^k = cP for a
 permutation P (`_power_permutation`, `_square_and_fourth`) and (ST)^3 = cS^2
-(`_st_cubed_is`) among them.  Each reads its matrix mod ell from a source,
-table(emb) = modular_data._SFacts.residues, and keeps the matrix to state
-what it multiplies, as terms (count, group, ...); only `_first_nonzero`
-turns them into a norm bound, with one size rule (`_size`: a root of unity
-has l1 1).  No scaled matrix is formed here: a lift's s = lam S is formed
-only when read (sl2z_reps.ModularRep.s).  `eye`, `matmul` and `mat_pow`
-serve only the tests and perfbench."""
+(`_st_cubed_is`) among them.  Each takes its matrix as one record, facts =
+modular_data._SFacts, and reads S, its entries and its tables mod ell from
+it; it states what it multiplies as terms (count, group, ...), and only
+`_first_nonzero` turns them into a norm bound, with one size rule (`_size`:
+a root of unity has l1 1).  No scaled matrix is formed here: a lift's
+s = lam S is formed only when read (sl2z_reps.ModularRep.s).  `eye`,
+`matmul` and `mat_pow` serve only the tests and perfbench."""
 
 from __future__ import annotations
 
 from itertools import islice
 from math import lcm, prod
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .cyclotomic import (
     Cyclotomic,
@@ -27,8 +27,10 @@ from .cyclotomic import (
     dot,
 )
 
+if TYPE_CHECKING:  # modular_data imports this module
+    from .modular_data import _SFacts
+
 Matrix = tuple[tuple[Cyclotomic, ...], ...]
-Source = Callable[[tuple[int, tuple[int, ...]]], list[list[int]]]  # emb -> residues of a matrix
 
 
 def eye(r: int) -> Matrix:
@@ -130,16 +132,16 @@ def _first_nonzero(
     return first
 
 
-def _power_permutation(a: Matrix, table: Source, k: int, c: Cyclotomic) -> Optional[tuple[int, ...]]:
-    """p with a^k = cP, P_ij = [j = p(i)], for k = 2 or 4; None when there is
-    none or c = 0.  p is read off a^k mod ell at the first prime where c is
-    not 0, and the entries (a^k)_ij - c [j = p(i)] are certified 0 (before
-    that prime they are (a^k)_ij, whatever p is), in the product rows."""
-    r, flat = len(a), [v for row in a for v in row]
+def _power_permutation(facts: _SFacts, k: int, c: Cyclotomic) -> Optional[tuple[int, ...]]:
+    """p with S^k = cP, P_ij = [j = p(i)], for k = 2 or 4; None when there is
+    none or c = 0.  p is read off S^k mod ell at the first prime where c is
+    not 0, and the entries (S^k)_ij - c [j = p(i)] are certified 0 (before
+    that prime they are (S^k)_ij, whatever p is), in the product rows."""
+    r, flat = len(facts.S), facts.flat
     perm: list[int] = []
 
     def entries(n, emb):
-        ell, power = emb[0], table(emb)
+        ell, power = emb[0], facts.residues(emb)
         for _ in range(k // 2):
             cols = list(zip(*power))
             power = [[sum(map(mul, row, col)) % ell for col in cols] for row in power]
@@ -158,29 +160,29 @@ def _power_permutation(a: Matrix, table: Source, k: int, c: Cyclotomic) -> Optio
     return tuple(perm) or None
 
 
-def _square_and_fourth(s: Matrix, table: Source) -> tuple[Optional[Cyclotomic], Optional[Cyclotomic]]:
-    """(c2, c4) with s^2 = c2 Id and s^4 = c4 Id, None for no such c.  With
-    c2 = (s^2)_00 (one dot), s^2 = c2 P for a permutation P, decided from
+def _square_and_fourth(facts: _SFacts) -> tuple[Optional[Cyclotomic], Optional[Cyclotomic]]:
+    """(c2, c4) with S^2 = c2 Id and S^4 = c4 Id, None for no such c.  With
+    c2 = (S^2)_00 (one dot), S^2 = c2 P for a permutation P, decided from
     residues, gives c2 if P = Id and c4 = c2^2 if P^2 = Id.  Only otherwise
-    is c4 = (s^4)_00 formed by dots and s^4 = c4 Id decided from residues."""
-    cols, identity = list(zip(*s)), tuple(range(len(s)))
+    is c4 = (S^4)_00 formed by dots and S^4 = c4 Id decided from residues."""
+    s, cols, identity = facts.S, list(zip(*facts.S)), tuple(range(len(facts.S)))
     c2 = dot(zip(s[0], cols[0]))
-    perm = _power_permutation(s, table, 2, c2)
+    perm = _power_permutation(facts, 2, c2)
     if perm is not None:
         involution = all(perm[q] == i for i, q in enumerate(perm))
         return (c2 if perm == identity else None), (c2 * c2 if involution else None)
     row, col = [dot(zip(s[0], v)) for v in cols], [dot(zip(v, cols[0])) for v in s]
-    c4 = dot(zip(row, col))  # (s^2)_0l and (s^2)_l0 give (s^4)_00
-    return None, (c4 if _power_permutation(s, table, 4, c4) == identity else None)
+    c4 = dot(zip(row, col))  # (S^2)_0l and (S^2)_l0 give (S^4)_00
+    return None, (c4 if _power_permutation(facts, 4, c4) == identity else None)
 
 
-def _st_residues(table: Source, t: Sequence[Cyclotomic], c: Cyclotomic, pairs: list[tuple[int, int]]):
+def _st_residues(facts: _SFacts, t: Sequence[Cyclotomic], c: Cyclotomic, pairs: list[tuple[int, int]]):
     """R = T(ST)^2 - cS, so that (ST)^3 - cS^2 = SR: residues(n, emb) lists
-    R_jk = t_j t_k sum_l t_l s_jl s_lk - c s_jk mod ell for (j, k) in
-    pairs, with s mod ell read from table(emb)."""
+    R_jk = t_j t_k sum_l t_l S_jl S_lk - c S_jk mod ell for (j, k) in
+    pairs, with S mod ell read from facts.residues(emb)."""
 
     def residues(n, emb):
-        ell, rs = emb[0], table(emb)
+        ell, rs = emb[0], facts.residues(emb)
         rt, rc = [_residue(v, n, emb) for v in t], _residue(c, n, emb)
         cols = list(zip(*rs))
         st = [[x * y % ell for x, y in zip(row, rt)] for row in rs]
@@ -189,37 +191,34 @@ def _st_residues(table: Source, t: Sequence[Cyclotomic], c: Cyclotomic, pairs: l
     return residues
 
 
-def _st_first_nonzero(
-    s: Matrix, table: Source, t: Sequence[Cyclotomic], c: Cyclotomic
-) -> Optional[tuple[int, int]]:
+def _st_first_nonzero(facts: _SFacts, t: Sequence[Cyclotomic], c: Cyclotomic) -> Optional[tuple[int, int]]:
     """(j, k) of the first entry of R = T(ST)^2 - cS that is not 0, or None
-    when R = 0, decided from residues.  When s is symmetric so is R, and
+    when R = 0, decided from residues.  When S is symmetric so is R, and
     only k >= j is read."""
-    r = len(s)
+    s, r, flat = facts.S, len(facts.S), facts.flat
     symmetric = all(s[j][k] == s[k][j] for j in range(r) for k in range(j + 1, r))
     pairs = [(j, k) for j in range(r) for k in range(j if symmetric else 0, r)]
-    flat = [v for row in s for v in row]
     terms = ((r, t, t, t, flat, flat), (1, [c], flat))
-    index = _first_nonzero(terms, _st_residues(table, t, c, pairs))
+    index = _first_nonzero(terms, _st_residues(facts, t, c, pairs))
     return None if index is None else pairs[index]
 
 
-def _sr_is_zero(s: Matrix, table: Source, t: Sequence[Cyclotomic], c: Cyclotomic) -> bool:
+def _sr_is_zero(facts: _SFacts, t: Sequence[Cyclotomic], c: Cyclotomic) -> bool:
     """(ST)^3 - cS^2 = SR = 0, decided from residues; read once R != 0 is
-    known, since SR = 0 with R != 0 needs a singular s."""
-    r, flat = len(s), [v for row in s for v in row]
-    residues = _st_residues(table, t, c, [(j, k) for j in range(r) for k in range(r)])
+    known, since SR = 0 with R != 0 needs a singular S."""
+    r, flat = len(facts.S), facts.flat
+    residues = _st_residues(facts, t, c, [(j, k) for j in range(r) for k in range(r)])
 
     def entries(n, emb):
         res = residues(n, emb)
         cols = [res[k::r] for k in range(r)]
-        return [sum(map(mul, row, col)) for row in table(emb) for col in cols]
+        return [sum(map(mul, row, col)) for row in facts.residues(emb) for col in cols]
 
-    # (SR)_ik = sum_l s_il R_lk: r times each product of R, times an s_il
+    # (SR)_ik = sum_l S_il R_lk: r times each product of R, times an S_il
     terms = ((r * r, flat, t, t, t, flat, flat), (r, flat, [c], flat))
     return _first_nonzero(terms, entries) is None
 
 
-def _st_cubed_is(s: Matrix, table: Source, t: Sequence[Cyclotomic], c: Cyclotomic) -> bool:
+def _st_cubed_is(facts: _SFacts, t: Sequence[Cyclotomic], c: Cyclotomic) -> bool:
     """(ST)^3 == cS^2: R = 0, or else SR = 0 (DerivedScalars.st_cubed for a datum)."""
-    return _st_first_nonzero(s, table, t, c) is None or _sr_is_zero(s, table, t, c)
+    return _st_first_nonzero(facts, t, c) is None or _sr_is_zero(facts, t, c)

@@ -7,7 +7,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .cyclotomic import Cyclotomic, NotAUnitError, real_sign, units_mod
+from .cyclotomic import Cyclotomic, real_sign, units_mod
 from .modular_data import (
     FusionRules,
     ModularDatum,
@@ -127,11 +127,11 @@ def _rep_field_modulus(rep: "ModularRep") -> int:
 
 
 def _extend_unit(k: int, cond: int, modulus: int) -> int:
+    """The least positive unit mod M = lcm(modulus, cond) that is k mod cond,
+    for k a unit mod cond: cond | M, so (Z/M)^x maps onto (Z/cond)^x and
+    some k mod cond + j cond <= M is a unit mod M."""
     modulus = lcm(modulus, cond)
-    for cand in range(k % cond, modulus + 1, cond):
-        if cand and gcd(cand, modulus) == 1:
-            return cand
-    raise NotAUnitError(f"cannot extend unit {k} mod {cond} to mod {modulus}")
+    return next(c for c in range(k % cond, modulus + 1, cond) if c and gcd(c, modulus) == 1)
 
 
 def sign_function(rep: "ModularRep", k: int) -> tuple[int, ...]:
@@ -191,9 +191,7 @@ def galois_twist_symmetry(rep: "ModularRep") -> Verdict:
     facts = _s_facts(rep.S)
     c, h_sigma = facts.conductor, facts.h_sigma
     if n % c and all(rep.S[0]):
-        # The text predates reading F_S's conductor: for a non-symmetric S
-        # the number it names is F_S's, not the character values'.
-        raise ValueError(f"the character conductor {c} does not divide the level {n}")
+        raise ValueError(f"the conductor {c} of F_S does not divide the level {n}")
     if isinstance(h_sigma, NotGaloisStable):
         raise h_sigma.with_traceback(None)
     by_unit = h_sigma[1]

@@ -319,12 +319,11 @@ class DerivedScalars(Record):
 
     @cached_property
     def twist_witness(self) -> Optional[tuple[int, int]]:
-        return mat._st_first_nonzero(self.S, _s_facts(self.S).residues, self.thetas, self.gauss_plus)
+        return mat._st_first_nonzero(_s_facts(self.S), self.thetas, self.gauss_plus)
 
     @cached_property
     def st_cubed(self) -> bool:
-        table = _s_facts(self.S).residues
-        return self.twist_witness is None or mat._sr_is_zero(self.S, table, self.thetas, self.gauss_plus)
+        return self.twist_witness is None or mat._sr_is_zero(_s_facts(self.S), self.thetas, self.gauss_plus)
 
 
 @lru_cache(maxsize=None)
@@ -438,8 +437,7 @@ def _modular_tensor(facts: "_SFacts") -> Optional[list[list[list[int]]]]:
     The Verlinde tensor solves that system, and S is invertible, so it is
     its only solution.  None when a candidate lies past ell/2, a residue
     that the formula divides by is 0, or the certificate fails."""
-    S, r, n = facts.S, len(facts.S), facts.conductor
-    flat = [v for row in S for v in row]
+    r, n, flat = len(facts.S), facts.conductor, facts.flat
     emb = _embedding(n, 0)
     ell = emb[0]
     try:
@@ -499,8 +497,7 @@ def _projectively_unitary(facts: "_SFacts", d2: Cyclotomic) -> bool:
 
     S is symmetric, so conj(S)^t = conj(S), and entry (j, i) of S conj(S) is
     the conjugate of entry (i, j): the entries with i <= j decide it."""
-    S, r = facts.S, len(facts.S)
-    flat = [v for row in S for v in row]
+    r, flat = len(facts.S), facts.flat
 
     def entries(n, emb):
         res, res_conj = facts.residues(emb), facts.residues(emb, -1)
@@ -586,8 +583,7 @@ def _residue_perms(facts: "_SFacts", units: Sequence[int]) -> Optional[dict[int,
     homomorphism as the columns are distinct.  None at a zero S_0a or a zero
     residue of one, a residue collision, an unmatched or uncertified
     generator, or a conductor past the order cap."""
-    S, cond, r = facts.S, facts.conductor, len(facts.S)
-    flat = [v for row in S for v in row]
+    S, cond, r, flat = facts.S, facts.conductor, len(facts.S), facts.flat
     if not all(S[0]) or not _within_cap(cond):
         return None
     den, i = lcm(*(v._den for v in flat)), 0
@@ -645,8 +641,9 @@ class _SFacts:
     them raised.  h_sigma is (c, {k: h_sigma_k for k in units_mod(c)}) for c
     the conductor of F_S, read from residues or else matched exactly on the
     character columns, or the NotGaloisStable that the match raised.
-    residues gives the residue tables of S that every identity over S reads;
-    a bare matrix's identities read those of an _SFacts of their own."""
+    residues gives the residue tables of S and flat its entries, row by row,
+    that every identity over S reads: each in _matrix takes this record as
+    the one argument for its matrix, uncached (_SFacts(s)) for a bare s."""
 
     def __init__(self, S: mat.Matrix):
         self.S = S
@@ -661,6 +658,10 @@ class _SFacts:
             image = emb if k == 1 else _galois_embedding(emb, k)
             table = self._tables[n, emb[0], k] = [[_residue(v, n, image) for v in row] for row in self.S]
         return table
+
+    @cached_property
+    def flat(self) -> list[Cyclotomic]:
+        return [v for row in self.S for v in row]
 
     @cached_property
     def dims_sq(self) -> list[Cyclotomic]:
@@ -697,11 +698,11 @@ class _SFacts:
 
     @cached_property
     def conductor(self) -> int:
-        return lcm(*(v.order for row in self.S for v in row))
+        return lcm(*(v.order for v in self.flat))
 
     @cached_property
     def square_and_fourth(self) -> tuple[Optional[Cyclotomic], Optional[Cyclotomic]]:
-        return mat._square_and_fourth(self.S, self.residues)
+        return mat._square_and_fourth(self)
 
     @cached_property
     def h_sigma(self) -> Union[tuple[int, dict[int, Perm]], NotGaloisStable]:
@@ -728,8 +729,7 @@ _cap_caches.extend((derived_scalars.cache_clear, verlinde_fusion.cache_clear, _s
 def check_balancing(datum: ModularDatum, fusion: FusionRules) -> Verdict:
     """theta_i theta_j S_ij = sum_k N_{i* j}^k d_k theta_k; the witness is
     the first (i, j) where it fails."""
-    r, S, thetas = datum.rank, datum.S, derived_scalars(datum).thetas
-    facts, flat = _s_facts(S), [v for row in S for v in row]
+    r, thetas, facts = datum.rank, derived_scalars(datum).thetas, _s_facts(datum.S)
 
     def entries(n, emb):
         res = facts.residues(emb)
@@ -741,7 +741,7 @@ def check_balancing(datum: ModularDatum, fusion: FusionRules) -> Verdict:
                 yield res_t[i] * res_t[j] * res[i][j] - sum(map(mul, plane[j], terms))
 
     most = max(sum(row) for plane in fusion.tensor for row in plane)
-    index = mat._first_nonzero(((1, thetas, thetas, flat), (most, flat, thetas)), entries)
+    index = mat._first_nonzero(((1, thetas, thetas, facts.flat), (most, facts.flat, thetas)), entries)
     return Verdict(True) if index is None else Verdict(False, divmod(index, r), "balancing equation fails")
 
 
@@ -796,9 +796,10 @@ def fs_indicator(datum: ModularDatum, fusion: FusionRules, n: int, k: int) -> Cy
 def fs_exponent(datum: ModularDatum, fusion: FusionRules) -> int:
     """Minimal n with nu_n(k) = d_k for all k.
 
-    (theta_i / theta_j)^n is ord(T)-periodic in n, so scanning n = 1..ord(T)
-    is exhaustive; the spec cap of 12 * ord(T) is therefore never reached.
-    """
+    (theta_i / theta_j)^n is ord(T)-periodic in n, so n = 1..ord(T) is
+    exhaustive, below the spec cap of 12 ord(T).  With the datum's own
+    Verlinde tensor n = ord(T) qualifies, as sum_ij N_ij^k d_i d_j = D^2 d_k:
+    only a foreign fusion reaches FSExponentNotFound."""
     nu, dims = _fs_numerators(datum, fusion)[2:]
     for n in range(1, datum.ord_t + 1):
         if all(nu(n, k) == d for k, d in enumerate(dims)):

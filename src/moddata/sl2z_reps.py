@@ -68,10 +68,10 @@ class ModularRep(Record):
 
 def verify_relations(s: mat.Matrix, t: tuple[Cyclotomic, ...]) -> Verdict:
     """Exact check of s^4 = Id and (st)^3 = s^2."""
-    table = _SFacts(s).residues
-    if mat._square_and_fourth(s, table)[1] != ONE:
+    facts = _SFacts(s)
+    if facts.square_and_fourth[1] != ONE:
         return Verdict(False, "s^4 != Id")
-    if not mat._st_cubed_is(s, table, t, ONE):
+    if not mat._st_cubed_is(facts, t, ONE):
         return Verdict(False, "(st)^3 != s^2")
     return Verdict(True)
 
@@ -441,11 +441,11 @@ def inadmissible_psi(p: int) -> PsiCertificate:
         )
         rows.append((p_inv,) + tuple(acc * p_inv for acc in kloosterman))
     s_prime = tuple(rows)
-    table = _SFacts(s_prime).residues
-    c2, c4 = mat._square_and_fourth(s_prime, table)
+    facts = _SFacts(s_prime)
+    c2, c4 = facts.square_and_fourth
     if c4 != ONE:
         raise NotModularRepresentation("s^4 != Id")
-    if not mat._st_cubed_is(s_prime, table, tuple(zeta(p, e) for e in range(p)), ONE):
+    if not mat._st_cubed_is(facts, tuple(zeta(p, e) for e in range(p)), ONE):
         raise NotModularRepresentation("(st)^3 != s^2")
     # s = D s' D^-1: row 0 scaled by 1/sqrt(p+1), column 0 by sqrt(p+1), both root/p
     root = sqrt_int(p + 1)

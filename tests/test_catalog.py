@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from moddata.catalog import (
@@ -31,6 +33,10 @@ class TestSu2OddMod2:
             su2_odd_mod2(4)  # q = 9
         with pytest.raises(InvalidFamilyError):
             su2_odd_mod2(7)  # q = 15
+
+    def test_conj_not_a_unit_rejected(self):
+        with pytest.raises(InvalidFamilyError, match="^conj = 11 is not a unit mod 11$"):
+            su2_odd_mod2(5, 11)
 
     def test_conjugates_are_relabelings(self):
         from moddata.classifier import grothendieck_equiv
@@ -118,6 +124,15 @@ class TestSu24Family:
     def test_bad_theta2_rejected(self):
         with pytest.raises(InvalidParametersError):
             su2_4_family(1, 1, zeta(4), zeta(8))
+
+    @pytest.mark.parametrize(
+        "nu1, theta3, message",
+        [(2, zeta(8), "nu1, nu2 must be +-1"), (1, zeta(4), "theta3 = z4 is not a primitive 8th root")],
+    )
+    def test_bad_sign_or_theta3_rejected(self, nu1, theta3, message):
+        # each would fail theta3^2 = -nu2*nu3*i too: the message tells the checks apart
+        with pytest.raises(InvalidParametersError, match=f"^{re.escape(message)}$"):
+            su2_4_family(nu1, 1, zeta(3), theta3)
 
     def test_s_matrix_shape(self, su2_4_all):
         datum = su2_4_all[0]

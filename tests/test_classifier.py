@@ -95,6 +95,10 @@ class TestRank5Cases:
         assert subgroups_conjugate(case, relabeled)
         z4 = rank5_galois_cases()[2]
         assert not subgroups_conjugate(case, z4)
+        # (0 1)(2 3) has the order of (0 1), so only the scan over all
+        # relabelings tells them apart, and it finds none
+        double = frozenset({(0, 1, 2, 3, 4), (1, 0, 3, 2, 4)})
+        assert not subgroups_conjugate(case, double)
 
 
 class TestGrothendieckEquiv:

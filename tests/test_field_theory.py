@@ -189,6 +189,14 @@ class TestOddPrimeConstraints:
     def test_small_primes_ignored(self):
         assert odd_prime_constraints(24).ok
 
+    @pytest.mark.parametrize(
+        "n, p, witness", [(23, 3, "23 != 2*3^r + 1"), (31, None, "(31-1)/2 is not a prime power")]
+    )
+    def test_q_not_twice_a_prime_power_plus_one(self, n, p, witness):
+        # 23 = 2 * 11 + 1 with 11 no power of 3; 31 = 2 * 15 + 1 with 15 = 3 * 5
+        verdict = odd_prime_constraints(n, p)
+        assert not verdict.ok and verdict.witness == witness
+
 
 class TestCauchySupport:
     def test_su2_9(self, su2_9):

@@ -232,20 +232,20 @@ def test_twist_symmetry_refuses_a_conductor_outside_the_level(stored):
     rep = replace(normalize(su2_odd_mod2(3)), level=8, t_exponents=(0, 1, 0))
     if not stored:
         rep = replace(rep, S=rep.s, lam=ONE)
-    with pytest.raises(ValueError, match="^the character conductor 7 does not divide the level 8$"):
+    with pytest.raises(ValueError, match="^the conductor 7 of F_S does not divide the level 8$"):
         galois_twist_symmetry(rep)
 
 
 def test_twist_symmetry_checks_the_conductor_of_f_s_on_a_hand_built_s():
     # S = [[1, zeta_3], [1, -zeta_3]] is not symmetric: its character columns
     # (1, 1) and (1, -1) are rational, but F_S = Q(zeta_3).  The conductor
-    # checked, and named by the message's unchanged text, is F_S's, 3, not
-    # the characters' 1, which the oracle checks: a genuine rep has s, and
-    # so S = s / s_00, in Q_level
+    # checked, and named by the message, is F_S's, 3, not the characters' 1,
+    # which the oracle checks: a genuine rep has s, and so S = s / s_00, in
+    # Q_level
     S = ((ONE, zeta(3)), (ONE, -zeta(3)))
     low, high = ModularRep(2, S, 2, (0, 1), "even"), ModularRep(2, S, 6, (0, 1), "even")
     assert oracle_twist_symmetry(low) == Verdict(True)
-    with pytest.raises(ValueError, match="^the character conductor 3 does not divide the level 2$"):
+    with pytest.raises(ValueError, match="^the conductor 3 of F_S does not divide the level 2$"):
         galois_twist_symmetry(low)
     assert _s_facts(S).h_sigma == (3, {1: (0, 1), 2: (0, 1)})
     assert galois_twist_symmetry(high) == oracle_twist_symmetry(high) == Verdict(True)

@@ -231,11 +231,11 @@ def test_st_relation_with_twists_that_are_not_roots_of_unity():
         cube = sign * x**3
         for c, holds in [(cube, True), (cube + ell, False), (cube * (1 + ell * zeta(4)), False)]:
             s = ((sign,),)
-            assert mat._st_cubed_is(s, _SFacts(s).residues, (x,), c) == dot_st_cubed_is(s, (x,), c) == holds
+            assert mat._st_cubed_is(_SFacts(s), (x,), c) == dot_st_cubed_is(s, (x,), c) == holds
     s = ((ONE, ONE), (ONE, -ONE))
     for t in [(x, x), (x, zeta(4) * x), (ONE, x)]:
         for c in (x**3, ONE, zeta(8)):
-            assert mat._st_cubed_is(s, _SFacts(s).residues, t, c) == dot_st_cubed_is(s, t, c)
+            assert mat._st_cubed_is(_SFacts(s), t, c) == dot_st_cubed_is(s, t, c)
 
 
 @pytest.mark.parametrize("name", ["pointed_z5", "su2_4_family_0", "su2_4_family_7", "su2_odd_mod2(6)"])
@@ -246,17 +246,17 @@ def test_every_lift_agrees(name):
     for rep in all_lifts(CATALOG[name]):
         identity = tuple(range(rep.rank))
         s2 = mat.matmul(rep.s, rep.s)
-        table = _SFacts(rep.s).residues
-        assert mat._power_permutation(rep.s, table, 4, ONE) == identity and matmul_square_is_identity(s2)
-        assert mat._st_cubed_is(rep.s, table, rep.t, ONE) and dot_st_cubed_is(rep.s, rep.t, ONE)
+        facts = _SFacts(rep.s)
+        assert mat._power_permutation(facts, 4, ONE) == identity and matmul_square_is_identity(s2)
+        assert mat._st_cubed_is(facts, rep.t, ONE) and dot_st_cubed_is(rep.s, rep.t, ONE)
         bent = tuple(
             tuple(-v if (a, b) == (1, 1) else v for b, v in enumerate(row)) for a, row in enumerate(rep.s)
         )
         bent2 = mat.matmul(bent, bent)
-        table = _SFacts(bent).residues
-        square = mat._power_permutation(bent, table, 4, ONE) == identity
+        facts = _SFacts(bent)
+        square = mat._power_permutation(facts, 4, ONE) == identity
         assert square == matmul_square_is_identity(bent2)
-        cubed = mat._st_cubed_is(bent, table, rep.t, ONE)
+        cubed = mat._st_cubed_is(facts, rep.t, ONE)
         assert cubed == dot_st_cubed_is(bent, rep.t, ONE)
         seen.add((square, cubed))
     assert (False, False) in seen

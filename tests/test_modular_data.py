@@ -7,6 +7,7 @@ from moddata.catalog import pointed_zn, su2_odd_mod2
 from moddata.cyclotomic import Cyclotomic, ONE, zeta
 from moddata.modular_data import (
     DegenerateSError,
+    FSExponentNotFound,
     FusionComputationError,
     ModularDatum,
     SchemaViolation,
@@ -243,6 +244,12 @@ class TestIndicators:
         assert fs_exponent(su2_9, verlinde_fusion(su2_9)) == 11
         assert fs_exponent(pointed_z5, verlinde_fusion(pointed_z5)) == 5
         assert fs_exponent(TRIVIAL, verlinde_fusion(TRIVIAL)) == 1
+
+    def test_a_foreign_fusion_has_no_fs_exponent(self, pointed_z5):
+        # with its own tensor n = ord(T) always qualifies; with the fusion
+        # rules of su2_odd_mod2(5) no n <= ord(T) gives nu_n(k) = d_k
+        with pytest.raises(FSExponentNotFound, match=r"^no Frobenius-Schur exponent up to ord\(T\) = 5$"):
+            fs_exponent(pointed_z5, verlinde_fusion(su2_odd_mod2(5)))
 
     def test_fsexp_equals_ord_t_on_catalog(self, catalog_rank5):
         for _, datum in catalog_rank5:

@@ -14,7 +14,11 @@ terms it multiplies, and one size rule lives in one module.  Inside
 `_residue`: unitarity, the Verlinde tensor, h_sigma, balancing, S^2, S^4
 and (ST)^3 read its tables, each formed once per S and prime, and a bare
 matrix's identities read the tables of an `_SFacts` of its own.  `_matrix`
-maps no matrix through `_residue`; its identities map only t and c.
+maps no matrix through `_residue`; its identities map only t and c.  Each
+identity there takes its matrix as one argument, `facts`, the `_SFacts`
+record that holds S, its entries and its tables, and no function takes a
+residue `table` apart from its matrix; in `_matrix` and `modular_data`
+only `_SFacts.flat` lists the entries of a matrix row by row.
 """
 
 import ast
@@ -148,10 +152,53 @@ def test_only_the_s_facts_map_the_entries_of_s_through_residue():
     """In modular_data the table of S in _SFacts.residues, and the twists in
     check_balancing; the other callers map D^2 alone, once.  In _matrix t
     in _st_residues, and c alone in _power_permutation: S^2, S^4 and (ST)^3
-    read their matrix from a source, _SFacts.residues."""
+    read the tables of their matrix from its _SFacts record."""
     callers, tables = _residue_maps(SRC / "modular_data.py")
     assert callers == {"residues", "_modular_tensor", "_projectively_unitary", "check_balancing"}
     assert tables == {("residues", "self.S"), ("residues", "row"), ("check_balancing", "thetas")}
     callers, tables = _residue_maps(SRC / "_matrix.py")
     assert callers == {"_power_permutation", "_st_residues"}
     assert tables == {("_st_residues", "t")}
+
+
+IDENTITIES = (
+    "_power_permutation", "_square_and_fourth", "_st_residues", "_st_first_nonzero", "_sr_is_zero", "_st_cubed_is"
+)
+
+
+def test_each_identity_takes_the_record_of_its_matrix():
+    """No function in _matrix takes a residue table apart from its matrix:
+    the six identities take the _SFacts record first, as facts."""
+    params = [
+        (node.name, [a.arg for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)])
+        for node in ast.walk(ast.parse((SRC / "_matrix.py").read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert [name for name, args in params if "table" in args] == []
+    firsts = {name: args[0] for name, args in params if name in IDENTITIES}
+    assert firsts == dict.fromkeys(IDENTITIES, "facts")
+
+
+def _flattenings(path):
+    """The scope (class.function) around each [v for row in m for v in row]
+    in path."""
+    found = []
+
+    def walk(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.ListComp) and len(node.generators) == 2:
+            outer, inner = node.generators
+            same = ast.unparse(inner.iter) == ast.unparse(outer.target)
+            if same and ast.unparse(node.elt) == ast.unparse(inner.target):
+                found.append((path.name, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    walk(ast.parse(path.read_text(), str(path)), ())
+    return found
+
+
+def test_only_the_s_facts_list_the_entries_of_a_matrix():
+    found = _flattenings(SRC / "_matrix.py") + _flattenings(SRC / "modular_data.py")
+    assert found == [("modular_data.py", "_SFacts.flat")]

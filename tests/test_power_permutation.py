@@ -83,7 +83,7 @@ def test_square_of_s_reads_the_charge_conjugation(name):
     assert n0 == [[int(j == dual[i]) for j in range(r)] for i in range(r)]
     assert dual[0] == 0 and all(dual[dual[i]] == i for i in range(r))
     d2 = derived_scalars(datum).global_dim_sq
-    assert mat._power_permutation(datum.S, facts.residues, 2, d2) == dual
+    assert mat._power_permutation(facts, 2, d2) == dual
     c, perms = facts.h_sigma
     assert perms[(-1) % c if c > 1 else 1] == dual
 
@@ -103,8 +103,8 @@ def spy_on_powers(monkeypatch):
     """Record (k, c, result) of every _power_permutation call."""
     calls, real = [], mat._power_permutation
 
-    def spy(a, table, k, c):
-        calls.append((k, c, real(a, table, k, c)))
+    def spy(facts, k, c):
+        calls.append((k, c, real(facts, k, c)))
         return calls[-1][2]
 
     monkeypatch.setattr(mat, "_power_permutation", spy)
@@ -113,9 +113,9 @@ def spy_on_powers(monkeypatch):
 
 def test_s4_fallback_of_the_lift_builder(monkeypatch):
     S, c4 = rotated_s()
-    table = _SFacts(S).residues
-    assert mat._power_permutation(S, table, 2, rat(1) + S[0][1] ** 2) is None
-    assert matmul_power_permutation(S, 4, c4) == mat._power_permutation(S, table, 4, c4) == (0, 1)
+    facts = _SFacts(S)
+    assert mat._power_permutation(facts, 2, rat(1) + S[0][1] ** 2) is None
+    assert matmul_power_permutation(S, 4, c4) == mat._power_permutation(facts, 4, c4) == (0, 1)
     # theta = 1 makes p+ = p- and the anomaly 1, so the dense reference runs
     datum = ModularDatum(2, 1, (0, 0), S)
     root = _anomaly_sixth_root(datum)
@@ -138,7 +138,7 @@ def test_a_failed_certificate_gives_none_and_the_same_lifts(monkeypatch, name):
     real = mat._first_nonzero
     with monkeypatch.context() as patch:
         patch.setattr(mat, "_first_nonzero", lambda terms, entries: 0)
-        assert mat._power_permutation(datum.S, _SFacts(datum.S).residues, 2, d2) is None
+        assert mat._power_permutation(_SFacts(datum.S), 2, d2) is None
     # only the S^2 = D^2 C certificate fails: the S^4 fallback decides
     failed = []
 
@@ -180,7 +180,7 @@ FIXED = [
 
 @pytest.mark.parametrize("a, k, c", FIXED)
 def test_fixed_small_matrices(a, k, c):
-    assert mat._power_permutation(a, _SFacts(a).residues, k, c) == matmul_power_permutation(a, k, c)
+    assert mat._power_permutation(_SFacts(a), k, c) == matmul_power_permutation(a, k, c)
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -192,8 +192,8 @@ def test_a_power_off_by_the_first_prime_is_caught_by_the_bound(k):
     for x in (2, isqrt(isqrt(ell)) + 1 if k == 4 else isqrt(ell) + 1):
         c = rat(x**k - ell)
         a = ((rat(x),),)
-        assert mat._power_permutation(a, _SFacts(a).residues, k, c) is None
-        assert mat._power_permutation(a, _SFacts(a).residues, k, c + ell) == (0,)
+        assert mat._power_permutation(_SFacts(a), k, c) is None
+        assert mat._power_permutation(_SFacts(a), k, c + ell) == (0,)
 
 
 def dense_witness(s, t):
@@ -244,9 +244,9 @@ def test_power_permutation_and_st_cubed_agree_with_matmul_property():
     @hypothesis.given(case())
     def check(args):
         a, k, c, t, c_st = args
-        table = _SFacts(a).residues
-        assert mat._power_permutation(a, table, k, c) == matmul_power_permutation(a, k, c)
-        assert mat._st_cubed_is(a, table, t, c_st) == dense_st_cubed_is(a, t, c_st)
+        facts = _SFacts(a)
+        assert mat._power_permutation(facts, k, c) == matmul_power_permutation(a, k, c)
+        assert mat._st_cubed_is(facts, t, c_st) == dense_st_cubed_is(a, t, c_st)
         assert verify_relations(a, t).witness == dense_witness(a, t)
 
     check()

@@ -5,10 +5,12 @@ read off the same h_sigma against _fixer_of_order_above_2.  The lift path
 reads the same map: every rep, lift or built by hand, reads _SFacts.h_sigma
 of its S, and galois_twist_symmetry, sign_function and compute_profile(datum,
 rep) are compared with the exact oracles, with the residue read and with it
-patched to fail.  An S that is not Galois stable holds the error its match
-raised, once per S."""
+patched to fail; each unit mod the conductor extends to the field of the
+rep (_extend_unit).  An S that is not Galois stable holds the error its
+match raised, once per S."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -251,6 +253,16 @@ def oracle_sign_function(rep, k):
     return tuple(eps)
 
 
+def test_extend_unit_lifts_every_unit_to_every_multiple_of_its_modulus():
+    """For all cond | M <= 60 and every unit k mod cond, _extend_unit gives a
+    unit mod M congruent to k mod cond."""
+    for M in range(1, 61):
+        for cond in (c for c in range(1, M + 1) if M % c == 0):
+            for k in units_mod(cond):
+                k_ext = _extend_unit(k, cond, M)
+                assert 0 < k_ext <= M and gcd(k_ext, M) == 1 and (k_ext - k) % cond == 0, (k, cond, M)
+
+
 def profile_with_signs(datum, rep):
     profile = compute_profile(datum, rep)
     return profile.units, profile.perms, profile.orbits, profile.signs
@@ -345,7 +357,8 @@ SQRT2 = sqrt_int(2)
 # Reps built by hand, with the signs or the error at each unit.  Row 0 of
 # the first reads eps = (1, 1) under sigma_3 and sigma_5, which swap its
 # columns, but s_01 != s_10, so the row form fails.  The second has a zero
-# row and rational columns: h = id and eps = 1.
+# row and rational columns: h = id and eps = 1.  The third, s = (zeta_8),
+# fails the column form: sigma_3 and sigma_7 send s_00 to no +-s_00.
 HAND_BUILT = {
     "sqrt2": (
         ModularRep(2, ((ONE, ONE), (SQRT2, -SQRT2)), 8, (0, 1), "even"),
@@ -359,6 +372,15 @@ HAND_BUILT = {
     "zero-row": (
         ModularRep(3, ((ONE, ONE, ONE), (ONE, -ONE, ONE + ONE), (ZERO, ZERO, ZERO)), 1, (0, 0, 0), "even"),
         {1: (1, 1, 1)},
+    ),
+    "zeta8": (
+        ModularRep(1, ((zeta(8),),), 1, (0,), "even"),
+        {
+            1: (1,),
+            3: (NotGaloisSymmetric, "sigma_3(s[0]) is not +-row 0"),
+            5: (-1,),
+            7: (NotGaloisSymmetric, "sigma_7(s[0]) is not +-row 0"),
+        },
     ),
 }
 

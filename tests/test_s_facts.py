@@ -129,13 +129,13 @@ def test_a_non_integral_tensor_keeps_its_witness():
 
 
 def counting(monkeypatch, module, name):
-    """Patch module.name to record, on each call, the S it runs over: its
-    first argument, or that argument's S when it is an _SFacts."""
+    """Patch module.name to record, on each call, the S it runs over: that
+    of its first argument, an _SFacts."""
     calls, real = [], getattr(module, name)
 
-    def spy(first, *args):
-        calls.append(first.S if isinstance(first, _SFacts) else first)
-        return real(first, *args)
+    def spy(facts, *args):
+        calls.append(facts.S)
+        return real(facts, *args)
 
     monkeypatch.setattr(module, name, spy)
     return calls
@@ -384,7 +384,7 @@ def test_h_sigma_certificate_takes_one_prime_on_roots_of_unity(primes, n):
 S_CERTIFICATES = {
     "verlinde": lambda S, d2: _modular_tensor(_s_facts(S)) is not None,
     "unitarity": lambda S, d2: _projectively_unitary(_s_facts(S), d2),
-    "s_squared": lambda S, d2: mat._power_permutation(S, _s_facts(S).residues, 2, d2) is not None,
+    "s_squared": lambda S, d2: mat._power_permutation(_s_facts(S), 2, d2) is not None,
 }
 
 

@@ -41,7 +41,7 @@ def check_against_oracle(s, t, c):
     res = matmul_st_residual(s, t, c)
     cube_minus = minus(mat.mat_pow(scale_cols(s, t), 3), scale(mat.matmul(s, s), c))
     assert cube_minus == mat.matmul(s, res)
-    verdict = mat._st_cubed_is(s, _SFacts(s).residues, t, c)
+    verdict = mat._st_cubed_is(_SFacts(s), t, c)
     assert verdict == dense_st_cubed_is(s, t, c)
     return verdict, res
 
@@ -88,7 +88,7 @@ def test_failing_data_agree_with_p_plus(name):
 @pytest.mark.parametrize("name", list(BUILDERS))
 def test_all_lifts_hold_with_one(name):
     for rep in all_lifts(datum_of(name)):
-        assert mat._st_cubed_is(rep.s, _SFacts(rep.s).residues, rep.t, ONE)
+        assert mat._st_cubed_is(_SFacts(rep.s), rep.t, ONE)
         assert dense_st_cubed_is(rep.s, rep.t, ONE)
 
 
@@ -129,7 +129,7 @@ def test_nilpotent_case_needs_the_second_product():
     res = matmul_st_residual(s, t, cc)
     assert res == entrywise(s, lambda v: -v)
     assert is_zero(mat.matmul(s, res))
-    assert mat._st_cubed_is(s, _SFacts(s).residues, t, cc)
+    assert mat._st_cubed_is(_SFacts(s), t, cc)
 
 
 def test_sr_fallback_bound_is_r_h_s_times_the_bound_of_r(monkeypatch):
@@ -138,7 +138,7 @@ def test_sr_fallback_bound_is_r_h_s_times_the_bound_of_r(monkeypatch):
     s, t, cc, _ = FIXED[2]
     bounds, first = [], mat._first_nonzero
     monkeypatch.setattr(mat, "_first_nonzero", lambda terms, e: bounds.append(mat._bound(terms)[2]) or first(terms, e))
-    assert mat._st_cubed_is(s, _SFacts(s).residues, t, cc)
+    assert mat._st_cubed_is(_SFacts(s), t, cc)
     r, flat = len(s), [v for row in s for v in row]
     bound_r = mat._bound(((r, t, t, t, flat, flat), (1, [cc], flat)))[2]
     assert bounds == [bound_r, r * mat._size(flat)[0] * bound_r]
