@@ -356,7 +356,7 @@ def integral_dimension_search(
     sizes = tuple(orbit_multiplicities)
     if sum(sizes) != rank:
         raise ValueError("orbit multiplicities must sum to the rank")
-    if sizes[0] != 1:
+    if not sizes or sizes[0] != 1:
         raise ValueError("the unit's orbit (first entry) must be a singleton")
     primes = frozenset(prime_set)
     if not all(is_prime(p) for p in primes):

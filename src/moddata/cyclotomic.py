@@ -12,17 +12,17 @@ fixed-point evaluation with a proven error bound serves both numeric needs:
 real_sign decides the sign of a real value exactly, and complex_eval rounds
 each part of a value correctly to a double for display.
 
-Values are immutable; the per-order phi, reduction and prime tables are
-written under a lock so instances can be shared freely between threads.
+Values are immutable, so instances can be shared freely between threads.
+The per-order phi, reduction and prime tables are lru_cache functions of
+their arguments: two threads that miss at once compute equal values.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import copysign, gcd, inf, lcm, nextafter
+from math import copysign, gcd, inf, lcm, nextafter, prod
 from typing import Iterable, Mapping, Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -96,13 +96,6 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def radical(n: int) -> int:
-    r = 1
-    for p in factorize(n):
-        r *= p
-    return r
-
-
 # Miller-Rabin to the bases 2..41 is exact below _MR_LIMIT, the least strong
 # pseudoprime to all thirteen of them
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -142,21 +135,11 @@ def units_mod(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and power-basis reduction tables
 
-# per-order tables; a dict read is atomic, so only writes take the lock
-_poly_lock = threading.Lock()
-_phi_cache: dict[int, tuple[int, tuple[int, ...]]] = {}  # n -> _order_info(n)
-_red_cache: dict[int, list[tuple[int, ...]]] = {}  # n -> _reduction_rows(n)
-_embed_cache: dict[int, list[tuple[int, tuple[int, ...]]]] = {}  # n -> _embedding(n, i), i = 0, 1, ...
-
-
+@lru_cache(maxsize=None)
 def _order_info(n: int) -> tuple[int, tuple[int, ...]]:
-    """(phi(n), the primes dividing n), factored once per order."""
-    info = _phi_cache.get(n)
-    if info is None:
-        info = (euler_phi(n), tuple(factorize(n)))
-        with _poly_lock:
-            info = _phi_cache.setdefault(n, info)
-    return info
+    """(phi(n), the primes dividing n), from one factorization of n."""
+    fac = factorize(n)
+    return prod((p - 1) * p ** (e - 1) for p, e in fac.items()), tuple(fac)
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -186,12 +169,10 @@ def _cyclotomic_poly_squarefree(r: int) -> list[int]:
     return f
 
 
-def _reduction_rows(n: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Row e-phi(n) is x^e mod Phi_n for phi(n) <= e <= max(n-1, 2*phi(n)-2)."""
-    rows = _red_cache.get(n)
-    if rows is not None:
-        return rows
-    r = radical(n)
+    r = prod(_order_info(n)[1])
     base, step = _cyclotomic_poly_squarefree(r), n // r  # Phi_n(x) = Phi_r(x^step)
     deg = (len(base) - 1) * step
     top = [0] * deg  # x^deg = top
@@ -208,34 +189,28 @@ def _reduction_rows(n: int) -> list[tuple[int, ...]]:
                 nxt[j] += lead * top[j]
         rows.append(tuple(nxt))
         cur = nxt
-    with _poly_lock:
-        return _red_cache.setdefault(n, rows)
+    return tuple(rows)
 
 
+@lru_cache(maxsize=None)
 def _embedding(n: int, i: int) -> tuple[int, tuple[int, ...]]:
     """(ell, powers) for the i-th prime ell = 1 mod n below 2^62, counting
     down, with powers[e] = g^e mod ell for g = b^((ell-1)/n), b >= 2 the
     least base that gives g the order n.  zeta_n -> g is a ring map
-    Z[zeta_n] -> F_ell whose kernel is a prime of norm ell."""
-    table = _embed_cache.get(n, [])
-    while len(table) <= i:
-        known = len(table)
-        ell = table[-1][0] - n if table else ((1 << 62) - 1) // n * n + 1
-        while not is_prime(ell):
-            ell -= n
-        qs = factorize(n)
-        g = next(
-            g for g in (pow(b, (ell - 1) // n, ell) for b in range(2, ell))
-            if all(pow(g, n // q, ell) != 1 for q in qs)
-        )
-        powers = [1] * n
-        for e in range(1, n):
-            powers[e] = powers[e - 1] * g % ell
-        with _poly_lock:
-            table = _embed_cache.setdefault(n, [])
-            if len(table) == known:
-                table.append((ell, tuple(powers)))
-    return table[i]
+    Z[zeta_n] -> F_ell whose kernel is a prime of norm ell.  Entry i starts
+    below entry i - 1, and callers walk i upward, so a miss recurses once."""
+    ell = _embedding(n, i - 1)[0] - n if i else ((1 << 62) - 1) // n * n + 1
+    while not is_prime(ell):
+        ell -= n
+    qs = _order_info(n)[1]
+    g = next(
+        g for g in (pow(b, (ell - 1) // n, ell) for b in range(2, ell))
+        if all(pow(g, n // q, ell) != 1 for q in qs)
+    )
+    powers = [1] * n
+    for e in range(1, n):
+        powers[e] = powers[e - 1] * g % ell
+    return ell, tuple(powers)
 
 
 def _galois_embedding(emb: tuple[int, tuple[int, ...]], k: int) -> tuple[int, tuple[int, ...]]:
@@ -248,10 +223,7 @@ def _galois_embedding(emb: tuple[int, tuple[int, ...]], k: int) -> tuple[int, tu
 
 def _within_cap(n: int) -> bool:
     # phi(n) >= sqrt(n/2), so a larger n is refused without factoring it
-    if n > 2 * _order_cap**2:
-        return False
-    info = _phi_cache.get(n)
-    return (euler_phi(n) if info is None else info[0]) <= _order_cap
+    return n <= 2 * _order_cap**2 and _order_info(n)[0] <= _order_cap
 
 
 def _check_order(n: int) -> None:

@@ -4,7 +4,6 @@ of S and the seven-condition admissibility checker."""
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm
@@ -693,8 +692,11 @@ class _SFacts:
 
     @cached_property
     def norm_primes(self) -> frozenset[int]:
-        """The primes of Norm(D^2)."""
-        return norm_prime_support(self.global_dim_sq)
+        """The primes of Norm(D^2), the rational field norm of D^2 over its
+        conductor field."""
+        d2 = self.global_dim_sq
+        q = (d2 * _norm_cofactor(d2)).as_rational()
+        return frozenset({*factorize(abs(q.numerator)), *factorize(q.denominator)})
 
     @cached_property
     def conductor(self) -> int:
@@ -838,17 +840,6 @@ class AdmissibilityReport(Record):
         }
 
 
-def rational_prime_support(q: Fraction) -> frozenset[int]:
-    primes = set(factorize(abs(q.numerator)) if q.numerator else set())
-    primes |= set(factorize(q.denominator))
-    return frozenset(primes)
-
-
-def norm_prime_support(x: Cyclotomic) -> frozenset[int]:
-    """Primes dividing the rational field norm of x (over the conductor field)."""
-    return rational_prime_support((x * _norm_cofactor(x)).as_rational())
-
-
 class CauchySupport(Record):
     norm_primes: frozenset[int]
     torder_primes: frozenset[int]
@@ -871,11 +862,13 @@ _CONDITION_NAMES = (
 def _reality_and_unitarity(datum: ModularDatum) -> str:
     # (i) reality, projective unitarity, finite twist order; S is symmetric
     # since ModularDatum rejects any other.  verlinde_fusion reads the same
-    # unitarity field, so the test runs once per S
-    for j, d in enumerate(datum.dims):
-        if not d.is_real:
-            return f"d_{j} is not real"
-    return "" if _s_facts(datum.S).unitary else "S*conj(S)^t != D^2*Id"
+    # unitarity field, so the test runs once per S.  Unitarity gives
+    # sum |d_a|^2 = D^2 = sum d_a^2, so every d_a is real: the dimensions
+    # are scanned only to name the witness of a failure
+    if _s_facts(datum.S).unitary:
+        return ""
+    j = next((j for j, d in enumerate(datum.dims) if not d.is_real), None)
+    return "S*conj(S)^t != D^2*Id" if j is None else f"d_{j} is not real"
 
 
 def _gauss_sum_relations(ds: DerivedScalars) -> str:

@@ -437,6 +437,8 @@ class TestIntegralDimensionSearch:
             integral_dimension_search(5, (1, 5, 1), {2})
         with pytest.raises(ValueError):
             integral_dimension_search(7, (5, 1, 1), {2})
+        with pytest.raises(ValueError, match="must be a singleton"):
+            integral_dimension_search(0, [], [2])  # no unit's orbit at all
         with pytest.raises(ValueError):
             integral_dimension_search(7, (1, 5, 1), {4})
 

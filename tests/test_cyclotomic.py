@@ -5,7 +5,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -382,7 +382,7 @@ class TestPolynomials:
         divide = cy._poly_div_exact
         calls = []
         monkeypatch.setattr(cy, "_poly_div_exact", lambda num, den: calls.append(1) or divide(num, den))
-        for r in sorted({cy.radical(n) for n in range(1, 501)}):
+        for r in sorted({prod(factorize(n)) for n in range(1, 501)}):
             calls.clear()
             assert cy._cyclotomic_poly_squarefree(r) == cyclotomic_poly_squarefree(r), r
             assert len(calls) == len(factorize(r))  # one exact division per prime
@@ -516,14 +516,16 @@ class TestDescent:
             for n in (24, 60, 72, 120, 156)
             for _ in range(4)
         ]
-        with cy._poly_lock:
-            cy._phi_cache.clear()
-            cy._red_cache.clear()
+        orders = sorted({n for n, _ in jobs})
+        tables = (cy._order_info, cy._reduction_rows, cy._embedding)
+        for table in tables:
+            table.cache_clear()
         barrier = threading.Barrier(4)
 
         def work():
             barrier.wait(timeout=60)
-            return [Cyclotomic(n, c).to_json() for n, c in jobs]
+            values = [Cyclotomic(n, c).to_json() for n, c in jobs]
+            return values, [cy._embedding(n, i) for n in orders for i in range(4)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -534,13 +536,24 @@ class TestDescent:
         finally:
             sys.setswitchinterval(interval)
         assert all(r == results[0] for r in results)
-        assert results[0] == [Cyclotomic(n, c).to_json() for n, c in jobs]
-        # the per-order entries the threads wrote agree with a fresh factoring
-        assert {n for n, _ in jobs} <= set(cy._phi_cache)
-        for n, info in list(cy._phi_cache.items()):
-            assert info == (euler_phi(n), tuple(factorize(n)))
-        for n, rows in list(cy._red_cache.items()):
-            assert len(rows[0]) == euler_phi(n)
+        values, embeddings = results[0]
+        assert values == [Cyclotomic(n, c).to_json() for n, c in jobs]
+        # the threads wrote the entries of every job order: reading them misses nothing
+        misses = [table.cache_info().misses for table in tables]
+        for n in orders:
+            cy._order_info(n)
+            cy._reduction_rows(n)
+            for i in range(4):
+                cy._embedding(n, i)
+        assert [table.cache_info().misses for table in tables] == misses
+        # and those entries, and the divisors', agree with a fresh computation
+        for n in orders:
+            for d in divisors(n):
+                info, rows = cy._order_info(d), cy._reduction_rows(d)
+                assert info == cy._order_info.__wrapped__(d) == (euler_phi(d), tuple(factorize(d)))
+                assert rows == cy._reduction_rows.__wrapped__(d) and len(rows[0]) == euler_phi(d)
+        cy._embedding.cache_clear()
+        assert embeddings == [cy._embedding(n, i) for n in orders for i in range(4)]  # a sequential walk
 
 
 def _schoolbook_product(a, b):
@@ -817,7 +830,6 @@ def _sieve_phi_and_primes(limit):
 class TestOrderTables:
     def test_phi_and_primes_up_to_5000(self):
         phi, primes = _sieve_phi_and_primes(5000)
-        saved = dict(cy._phi_cache)
         try:
             for n in range(1, 5001):
                 info = _order_info(n)
@@ -825,9 +837,7 @@ class TestOrderTables:
                 assert info == (euler_phi(n), tuple(factorize(n)))
                 assert _order_info(n) is info  # factored once per order
         finally:
-            with cy._poly_lock:
-                cy._phi_cache.clear()
-                cy._phi_cache.update(saved)
+            _order_info.cache_clear()  # forget the orders no other test reads
 
     def test_is_prime_against_a_sieve(self):
         phi, _ = _sieve_phi_and_primes(10**5)

@@ -19,10 +19,15 @@ identity there takes its matrix as one argument, `facts`, the `_SFacts`
 record that holds S, its entries and its tables, and no function takes a
 residue `table` apart from its matrix; in `_matrix` and `modular_data`
 only `_SFacts.flat` lists the entries of a matrix row by row.
+`cyclotomic` imports no `threading`: its per-order tables, `_order_info`,
+`_reduction_rows`, `_embedding` and `_descent_units`, are `lru_cache`
+functions, not module dicts written under a lock.
 """
 
 import ast
 from pathlib import Path
+
+from moddata import cyclotomic
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "moddata"
 
@@ -202,3 +207,12 @@ def _flattenings(path):
 def test_only_the_s_facts_list_the_entries_of_a_matrix():
     found = _flattenings(SRC / "_matrix.py") + _flattenings(SRC / "modular_data.py")
     assert found == [("modular_data.py", "_SFacts.flat")]
+
+
+def test_the_per_order_tables_are_lru_caches():
+    tree = ast.parse((SRC / "cyclotomic.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "functools" in imported and "threading" not in imported
+    tables = ("_order_info", "_reduction_rows", "_embedding", "_descent_units")
+    assert [name for name in tables if not hasattr(getattr(cyclotomic, name), "cache_info")] == []
