@@ -19,7 +19,6 @@ from .cyclotomic import zeta
 from .field_theory import GroupShape, enumerate_levels
 from .galois import NotGaloisSymmetric, compute_profile
 from .modular_data import (
-    FSExponentNotFound,
     FusionComputationError,
     NotGaloisStable,
     SchemaViolation,
@@ -252,7 +251,6 @@ def main(argv=None) -> int:
         NotModularRepresentation,
         NotGaloisStable,
         NotGaloisSymmetric,
-        FSExponentNotFound,
     ) as exc:
         print(f"predicate failure: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -71,53 +71,32 @@ class NotGaloisStable(ValueError):
 # ---------------------------------------------------------------------------
 # immutable records
 
-_MISSING = object()
-
-
-class Field:
-    """Options of one Record field: a default, and whether the field takes
-    part in == and hash."""
-
-    __slots__ = ("default", "compare")
-
-    def __init__(self, default=_MISSING, *, compare: bool = True):
-        self.default, self.compare = default, compare
-
 
 class Record:
     """Base of the package's immutable value types.
 
-    The fields are the class annotations, in order; a class attribute gives a
-    field's default, either as a plain value or as a Field.  The generated
+    The fields are the class annotations, in order, and __record_fields__
+    names them; a class attribute gives a field's default.  The generated
     __init__ takes the fields as arguments, sets them and then calls
-    __post_init__ when the class defines one.  == and hash read the compared
-    fields as one tuple, so a record hashes as the tuple of those fields.
-    repr is "Name(f=v, ...)", every field.  Assigning or deleting an
-    attribute raises AttributeError; replace() makes a changed copy.
+    __post_init__ when the class defines one.  == and hash read every
+    field as one tuple, so a record hashes as the tuple of its fields.  repr
+    is "Name(f=v, ...)", every field.  Assigning or deleting an attribute
+    raises AttributeError; replace() makes a changed copy.
     """
 
-    __record_fields__: dict[str, Field] = {}
+    __record_fields__: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = dict(cls.__record_fields__)
-        for name in cls.__dict__.get("__annotations__", {}):
-            spec = cls.__dict__.get(name, _MISSING)
-            fields[name] = spec = spec if isinstance(spec, Field) else Field(spec)
-            if spec.default is not _MISSING:
-                setattr(cls, name, spec.default)
-            elif name in cls.__dict__:
-                delattr(cls, name)
-        cls.__record_fields__ = fields
-        # One compile per class.  A plain signature lets Python bind and check
-        # the arguments, and attribute loads in bytecode read the compared
-        # fields faster than a generic getter would.
-        params = ", ".join(n if f.default is _MISSING else f"{n}=None" for n, f in fields.items())
+        fields = cls.__record_fields__ = (*cls.__record_fields__, *cls.__dict__.get("__annotations__", {}))
+        defaults = {n: getattr(cls, n) for n in fields if hasattr(cls, n)}
+        # One compile per class.  A plain signature lets Python bind and check the
+        # arguments, and attribute loads in bytecode beat a generic getter.
+        params = ", ".join(f"{n}=None" if n in defaults else n for n in fields)
         body = "".join(f"\n    __set(self, {n!r}, {n})" for n in fields)
         if hasattr(cls, "__post_init__"):
             body += "\n    self.__post_init__()"
-        mine = "".join(f"self.{n}," for n, f in fields.items() if f.compare)
-        theirs = "".join(f"other.{n}," for n, f in fields.items() if f.compare)
+        mine, theirs = ("".join(f"{who}.{n}," for n in fields) for who in ("self", "other"))
         namespace: dict = {}
         exec(
             f"def __init__(self, {params}):{body or ' pass'}\n"
@@ -129,8 +108,7 @@ class Record:
             {"__set": object.__setattr__},
             namespace,
         )
-        defaults = tuple(f.default for f in fields.values() if f.default is not _MISSING)
-        namespace["__init__"].__defaults__ = defaults or None
+        namespace["__init__"].__defaults__ = tuple(defaults.values()) or None
         for name, method in namespace.items():
             method.__qualname__ = f"{cls.__qualname__}.{name}"
             setattr(cls, name, method)
@@ -351,11 +329,22 @@ def derived_scalars(datum: ModularDatum) -> DerivedScalars:
 
 
 class FusionRules(Record):
-    """Nonnegative-integer fusion tensor N_{ij}^k with dual involution."""
+    """Nonnegative-integer fusion tensor N_{ij}^k, which gives rank and dual."""
 
-    rank: int
     tensor: Tensor
-    dual: tuple[int, ...] = Field(compare=False)
+
+    @property
+    def rank(self) -> int:
+        return len(self.tensor)
+
+    @cached_property
+    def dual(self) -> tuple[int, ...]:
+        """i* is the first k with N_ik^0 = 1; ValueError when N_i.^0 holds no 1.
+        In a Verlinde tensor it is the only one: unitarity gives sum |d_a|^2 =
+        D^2 = sum d_a^2, so each d_a is real and N^0 = S^2 / D^2, the square of
+        the unitary symmetric S/D, is a unitary matrix of nonnegative integers:
+        a symmetric permutation, with 0* = 0 as (S^2)_0k = (S conj(S)^t)_k0."""
+        return tuple([n[0] for n in plane].index(1) for plane in self.tensor)
 
     def n(self, i: int, j: int, k: int) -> int:
         return self.tensor[i][j][k]
@@ -365,9 +354,13 @@ class FusionRules(Record):
         return [list(col) for col in zip(*self.tensor[i])]
 
     def verify_invariants(self) -> list[str]:
-        """All violated fusion-ring identities (empty when consistent)."""
-        r, N, dual = self.rank, self.tensor, self.dual
-        bad = []
+        """All violated fusion-ring identities (empty when consistent); with no
+        dual, only "no k with N[i,k]^0 = 1", as the others read i*."""
+        r, N = self.rank, self.tensor
+        bad = [f"no k with N[{i},k]^0 = 1" for i, plane in enumerate(N) if 1 not in [n[0] for n in plane]]
+        if bad:
+            return bad
+        dual = self.dual
         for i in range(r):
             for j in range(r):
                 for k in range(r):
@@ -412,19 +405,13 @@ def verlinde_fusion(datum: ModularDatum) -> FusionRules:
 
 def _fusion_rules(facts: "_SFacts") -> FusionRules:
     """The Verlinde fusion rules of facts.S: projective unitarity, then the
-    tensor from residues (_modular_tensor) or else entry by entry.  The dual
-    i* is the k with N_ik^0 = 1, unchecked: unitarity gives sum |d_a|^2 =
-    D^2 = sum d_a^2, so each d_a is real and N^0 = S^2 / D^2, the square of
-    the unitary symmetric S/D, is a unitary matrix of nonnegative integers:
-    a symmetric permutation, with 0* = 0 as (S^2)_0k = (S conj(S)^t)_k0."""
-    S, r = facts.S, len(facts.S)
-    if any(not d for d in S[0]):
+    tensor from residues (_modular_tensor) or else entry by entry."""
+    if any(not d for d in facts.S[0]):
         raise DegenerateSError("vanishing entry in the first row of S")
     if not facts.unitary:
         raise DegenerateSError("S * conj(S)^t != D^2 * Id")
-    tensor = _modular_tensor(facts) or _exact_tensor(S, facts.global_dim_sq)
-    dual = tuple([n[0] for n in plane].index(1) for plane in tensor)
-    return FusionRules(r, tuple(tuple(map(tuple, plane)) for plane in tensor), dual)
+    tensor = _modular_tensor(facts) or _exact_tensor(facts.S, facts.global_dim_sq)
+    return FusionRules(tuple(tuple(map(tuple, plane)) for plane in tensor))
 
 
 def _modular_tensor(facts: "_SFacts") -> Optional[list[list[list[int]]]]:
@@ -728,10 +715,17 @@ _cap_caches.extend((derived_scalars.cache_clear, verlinde_fusion.cache_clear, _s
 # exact identities, decided from residues
 
 
+def _shared_rank(datum: ModularDatum, fusion: FusionRules) -> int:
+    """The rank of datum and of fusion; ValueError naming both when they differ."""
+    if fusion.rank != datum.rank:
+        raise ValueError(f"fusion rules of rank {fusion.rank} for a datum of rank {datum.rank}")
+    return datum.rank
+
+
 def check_balancing(datum: ModularDatum, fusion: FusionRules) -> Verdict:
     """theta_i theta_j S_ij = sum_k N_{i* j}^k d_k theta_k; the witness is
     the first (i, j) where it fails."""
-    r, thetas, facts = datum.rank, derived_scalars(datum).thetas, _s_facts(datum.S)
+    r, thetas, facts = _shared_rank(datum, fusion), derived_scalars(datum).thetas, _s_facts(datum.S)
 
     def entries(n, emb):
         res = facts.residues(emb)
@@ -759,7 +753,7 @@ def _fs_numerators(datum: ModularDatum, fusion: FusionRules) -> tuple[int, int, 
     and of den d_k on the power basis of Q_L, an integral basis, for L = lcm(ord(T),
     the conductors of each d_i and of D^-2).  nu_n(k) sums D^-2 N_ij^k d_i d_j
     (theta_i / theta_j)^n over i, j (Ng-Schauenburg); each theta_i is a power of zeta_L."""
-    N, r, exps, dims = datum.torder, datum.rank, datum.t_exponents, datum.dims
+    N, r, exps, dims = datum.torder, _shared_rank(datum, fusion), datum.t_exponents, datum.dims
     facts = _s_facts(datum.S)
     L = lcm(datum.ord_t, facts.global_dim_sq_inv.order, *(d.order for d in dims))
     _check_order(L)
@@ -901,9 +895,10 @@ def _fs_indicators(datum: ModularDatum, fusion: Optional[FusionRules]) -> str:
             return f"nu_2({k}) != 0 on non-self-dual"
     # nu_n = nu_(N-n) because the Verlinde tensor that check_admissible passes
     # in has N_ij^k = N_ji^k, so n = 1..N/2 and then N meet the first failing
-    # (n, k) of n = 1..N.  nu_n(k) lies in Z[zeta_N] iff den divides its
+    # (n, k) of n = 1..N.  The loop above proved every nu_2(k) 0 or +-1, so
+    # n = 2 is skipped.  nu_n(k) lies in Z[zeta_N] iff den divides its
     # numerators and its conductor divides N.
-    for n in [*range(1, N // 2 + 1), N]:
+    for n in [m for m in (*range(1, N // 2 + 1), N) if m != 2]:
         for k in range(datum.rank):
             nums = nu(n, k)
             if any(c % den for c in nums.values()) or (L != N and N % _canonical(L, nums, den)[0]):

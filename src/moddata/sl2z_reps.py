@@ -15,7 +15,7 @@ from .modular_data import ModularDatum, Record, Verdict, _s_facts, _SFacts, deri
 
 
 class NotModularRepresentation(ValueError):
-    """The scaled pair violates s^4 = 1 or (st)^3 = s^2."""
+    """The pair is malformed or violates s^4 = 1 or (st)^3 = s^2."""
 
 
 class NotTabulatedError(LookupError):
@@ -31,13 +31,13 @@ class ModularRep(Record):
     in the form lam = s_00, S = s / s_00 when s_00 != 0, the form of every
     lift (S_00 = 1), so (S, lam) is a function of s and == and hash mean
     "same s, t, level, parity".
-    t = diag(zeta_level^e) for e in ``t_exponents`` (each reduced mod
-    ``level``), as ModularDatum stores T; ``level`` must be the order of t,
-    the lcm of the exponents' orders, or NotModularRepresentation is raised.
+    S is nonempty and square, its size the rank; t = diag(zeta_level^e) for e
+    in ``t_exponents``, one per row (each reduced mod ``level``), as
+    ModularDatum stores T.  ``level`` must be the order of t, the lcm of the
+    exponents' orders.  Other inputs raise NotModularRepresentation.
     h_sigma on the columns s_ia / s_0a = S_ia / S_0a is _SFacts.h_sigma of S.
     """
 
-    rank: int
     S: mat.Matrix
     level: int
     t_exponents: tuple[int, ...]
@@ -46,6 +46,8 @@ class ModularRep(Record):
 
     def __post_init__(self):
         n = self.level
+        if not self.S or any(len(row) != len(self.S) for row in (*self.S, self.t_exponents)):
+            raise NotModularRepresentation("S is not a nonempty square with one t-exponent per row")
         if n < 1 or n != lcm(*(n // gcd(e, n) for e in self.t_exponents)):
             raise NotModularRepresentation(f"level {n} is not the order of t")
         object.__setattr__(self, "t_exponents", tuple(e % n for e in self.t_exponents))
@@ -54,6 +56,10 @@ class ModularRep(Record):
             inv = s00.inverse()
             object.__setattr__(self, "S", tuple(tuple(v * inv for v in row) for row in self.S))
             object.__setattr__(self, "lam", self.lam * s00)
+
+    @property
+    def rank(self) -> int:
+        return len(self.S)
 
     @cached_property
     def s(self) -> mat.Matrix:
@@ -126,7 +132,7 @@ def _lifts(
         exps = [(a * (L // 12) + th) % L for th in theta_exps]
         level = lcm(*(L // gcd(v, L) for v in exps))
         exps = tuple(v // (L // level) for v in exps)
-        reps.append(ModularRep(datum.rank, S, level, exps, parities[a % 2], lams[a % 4]))
+        reps.append(ModularRep(S, level, exps, parities[a % 2], lams[a % 4]))
     return tuple(reps)
 
 
@@ -451,6 +457,6 @@ def inadmissible_psi(p: int) -> PsiCertificate:
     root = sqrt_int(p + 1)
     edge = root * p_inv
     s = ((-p_inv,) + (edge,) * (p - 1),) + tuple((edge,) + row[1:] for row in s_prime[1:])
-    rep = ModularRep(p, s, p, tuple(range(p)), _parity(c2))
+    rep = ModularRep(s, p, tuple(range(p)), _parity(c2))
     cond = root.conductor
     return PsiCertificate(rep, cond, p % cond != 0)

@@ -259,8 +259,11 @@ def match_rendered_spectra(rendered_sets, expected_sets, tol):
 def numpy_verify_invariants(fusion):
     """FusionRules.verify_invariants on a numpy int64 tensor."""
     np = pytest.importorskip("numpy")
-    r, N, dual = fusion.rank, np.array(fusion.tensor, dtype=np.int64), fusion.dual
-    bad = []
+    r, N = fusion.rank, np.array(fusion.tensor, dtype=np.int64)
+    bad = [f"no k with N[{i},k]^0 = 1" for i in range(r) if not (N[i, :, 0] == 1).any()]
+    if bad:
+        return bad
+    dual = fusion.dual
     for i in range(r):
         for j in range(r):
             for k in range(r):
@@ -618,12 +621,10 @@ def p3_levels(rs):
 
 def relabel_fusion(f, perm):
     """The fusion rules with label i renamed perm[i] (perm[0] = 0)."""
-    r = f.rank
-    inv = [0] * r
+    inv = [0] * f.rank
     for i, p in enumerate(perm):
         inv[p] = i
-    dual = tuple(perm[f.dual[inv[i]]] for i in range(r))
-    return FusionRules(r, _reindexed(f.tensor, inv), dual)
+    return FusionRules(_reindexed(f.tensor, inv))
 
 
 def scale_cols(a, diag):
@@ -1020,10 +1021,9 @@ def dot_verlinde_fusion(datum: ModularDatum) -> FusionRules:
         if len(hits) != 1 or any(tensor[i][k][0] not in (0, 1) for k in range(r)):
             raise NotFusionIntegral(i, 0, 0, ZERO)
         dual.append(hits[0])
-    dual = tuple(dual)
     if dual[0] != 0 or any(dual[dual[i]] != i for i in range(r)):
         raise NotFusionIntegral(0, 0, 0, ZERO)
-    return FusionRules(r, tuple(tuple(map(tuple, plane)) for plane in tensor), dual)
+    return FusionRules(tuple(tuple(map(tuple, plane)) for plane in tensor))
 
 
 def oracle_profile(datum: ModularDatum):

@@ -121,9 +121,7 @@ def test_criterion_5_spectra_connectivity():
                 assert spectra_connectivity(rep).ok
         from moddata.cyclotomic import ZERO
 
-        block = ModularRep(  # t = (zeta_5, zeta_7)
-            2, ((ONE, ZERO), (ZERO, ONE)), 35, (7, 5), "even"
-        )
+        block = ModularRep(((ONE, ZERO), (ZERO, ONE)), 35, (7, 5), "even")  # t = (zeta_5, zeta_7)
         assert not spectra_connectivity(block).ok
 
 

@@ -24,12 +24,11 @@ from moddata.modular_data import FusionRules, verlinde_fusion
 pytest.importorskip("numpy")
 
 
-def rules(r, n, dual):
+def rules(r, n):
     """FusionRules with N_ij^k = n(i, j, k)."""
-    tensor = tuple(
-        tuple(tuple(n(i, j, k) for k in range(r)) for j in range(r)) for i in range(r)
+    return FusionRules(
+        tuple(tuple(tuple(n(i, j, k) for k in range(r)) for j in range(r)) for i in range(r))
     )
-    return FusionRules(r, tensor, tuple(dual))
 
 
 def s3_group_ring():
@@ -37,44 +36,47 @@ def s3_group_ring():
     elems = list(permutations(range(3)))  # elems[0] is the identity
     index = {g: i for i, g in enumerate(elems)}
     mul = [[index[tuple(g[h[x]] for x in range(3))] for h in elems] for g in elems]
-    dual = [mul[i].index(0) for i in range(6)]
-    return rules(6, lambda i, j, k: int(mul[i][j] == k), dual)
+    return rules(6, lambda i, j, k: int(mul[i][j] == k))
 
 
 def non_associative_rank3():
     """1, x, y with x^2 = 1 + y, y^2 = 1 + x, xy = x + y: N_abc is totally
     symmetric, so only associativity (and with it commutation) fails."""
     products = {(1, 1): {0, 2}, (1, 2): {1, 2}, (2, 1): {1, 2}, (2, 2): {0, 1}}
-    return rules(3, lambda i, j, k: int(k in products.get((i, j), {i + j})), (0, 1, 2))
+    return rules(3, lambda i, j, k: int(k in products.get((i, j), {i + j})))
 
 
-def z5(dual=None):
-    """Z_5 with its true duals unless others are given."""
-    dual = dual or [(-i) % 5 for i in range(5)]
-    return rules(5, lambda i, j, k: int((i + j) % 5 == k), dual)
+def z5():
+    """The group ring of Z_5."""
+    return rules(5, lambda i, j, k: int((i + j) % 5 == k))
+
+
+def z5_self_dual():
+    """Z_5 with N_ij^0 = delta_ij, so that every label is its own dual."""
+    return rules(5, lambda i, j, k: int(i == j if k == 0 else (i + j) % 5 == k))
+
+
+def z5_no_dual():
+    """Z_5 with N_14^0 = 2, so that label 1 has no dual."""
+    return rules(5, lambda i, j, k: 2 if (i, j, k) == (1, 4, 0) else int((i + j) % 5 == k))
 
 
 def z5_asymmetric():
     """Z_5 with 1 * 2 = 4 instead of 3, and 2 * 1 = 3 kept."""
     fixed = z5()
-    return rules(
-        5,
-        lambda i, j, k: int(k == 4) if (i, j) == (1, 2) else fixed.n(i, j, k),
-        fixed.dual,
-    )
+    return rules(5, lambda i, j, k: int(k == 4) if (i, j) == (1, 2) else fixed.n(i, j, k))
 
 
 def z5_unit_moved():
     """Z_5 with label i standing for g^(i+1), so label 0 is not the unit."""
-    return rules(
-        5, lambda i, j, k: int((i + j + 1) % 5 == k), [(-i - 2) % 5 for i in range(5)]
-    )
+    return rules(5, lambda i, j, k: int((i + j + 1) % 5 == k))
 
 
 # each broken tensor and a witness of the identity it violates
 BROKEN = {
     "symmetry": (z5_asymmetric, "N[1,2]^3 != N[2,1]^3"),
-    "duality": (lambda: z5(dual=range(5)), "!= N[i,k*]^(j*)"),
+    "duality": (z5_self_dual, "!= N[i,k*]^(j*)"),
+    "no dual": (z5_no_dual, "no k with N[1,k]^0 = 1"),
     "unit": (z5_unit_moved, "N[0,0]^0 != delta(0,0)"),
     "associativity": (non_associative_rank3, "associativity fails at"),
     "commutativity": (s3_group_ring, "do not commute"),
@@ -127,9 +129,7 @@ def test_random_perturbations_agree(catalog_fusions):
         base = rng.choice(catalog_fusions)
         hit = tuple(rng.randrange(base.rank) for _ in range(3))
         bump = rng.choice((1, 2))
-        fusion = rules(
-            base.rank, lambda *ijk: base.n(*ijk) + bump * (ijk == hit), base.dual
-        )
+        fusion = rules(base.rank, lambda *ijk: base.n(*ijk) + bump * (ijk == hit))
         assert fusion.verify_invariants() == numpy_verify_invariants(fusion)
         assert grothendieck_equiv(base, fusion) == numpy_grothendieck_equiv(base, fusion)
 

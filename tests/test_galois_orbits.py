@@ -243,7 +243,7 @@ def test_twist_symmetry_checks_the_conductor_of_f_s_on_a_hand_built_s():
     # which the oracle checks: a genuine rep has s, and so S = s / s_00, in
     # Q_level
     S = ((ONE, zeta(3)), (ONE, -zeta(3)))
-    low, high = ModularRep(2, S, 2, (0, 1), "even"), ModularRep(2, S, 6, (0, 1), "even")
+    low, high = ModularRep(S, 2, (0, 1), "even"), ModularRep(S, 6, (0, 1), "even")
     assert oracle_twist_symmetry(low) == Verdict(True)
     with pytest.raises(ValueError, match="^the conductor 3 of F_S does not divide the level 2$"):
         galois_twist_symmetry(low)

@@ -220,7 +220,7 @@ def old_key(rep):
 def test_a_rep_built_from_s_is_its_lift(name):
     reps = all_lifts(datum_of(name)) + [normalize(datum_of(name))]
     for rep in reps:
-        hand = ModularRep(rep.rank, rep.s, rep.level, rep.t_exponents, rep.parity)
+        hand = ModularRep(rep.s, rep.level, rep.t_exponents, rep.parity)
         assert hand == rep and hash(hand) == hash(rep)
         assert (hand.S, hand.lam) == (rep.S, rep.lam) and hand.s == rep.s
         assert [hand == other for other in reps] == [old_key(rep) == old_key(other) for other in reps]
@@ -229,8 +229,8 @@ def test_a_rep_built_from_s_is_its_lift(name):
 
 def test_a_rep_with_s00_zero_keeps_its_matrix():
     s = ((ZERO, ONE), (ONE, ZERO))
-    rep = ModularRep(2, s, 2, (0, 1), "even")
+    rep = ModularRep(s, 2, (0, 1), "even")
     assert (rep.S, rep.lam) == (s, ONE) and rep.s == s
-    twin = ModularRep(2, tuple(map(tuple, s)), 2, (0, 1), "even")
+    twin = ModularRep(tuple(map(tuple, s)), 2, (0, 1), "even")
     assert twin == rep and hash(twin) == hash(rep)
-    assert ModularRep(2, scale(s, -ONE), 2, (0, 1), "even") != rep
+    assert ModularRep(scale(s, -ONE), 2, (0, 1), "even") != rep

@@ -9,6 +9,7 @@ from moddata.modular_data import (
     DegenerateSError,
     FSExponentNotFound,
     FusionComputationError,
+    FusionRules,
     ModularDatum,
     SchemaViolation,
     _s_facts,
@@ -183,6 +184,34 @@ class TestVerlinde:
             all_real = all(v.is_real for row in datum.S for v in row)
             assert (fusion.dual == tuple(range(datum.rank))) == all_real
 
+    def test_dual_is_read_off_the_tensor(self, pointed_z5):
+        # rules over one tensor are one record, with one dual, and balance alike
+        f = verlinde_fusion(pointed_z5)
+        g = FusionRules(f.tensor)
+        assert g == f and hash(g) == hash(f) and g.dual == f.dual == (0, 4, 3, 2, 1)
+        assert check_balancing(pointed_z5, g).ok
+
+    def test_a_tensor_with_no_dual_raises_value_error(self, pointed_z5):
+        tensor = [[list(row) for row in plane] for plane in verlinde_fusion(pointed_z5).tensor]
+        tensor[1][4][0] = 2  # N_{1,k}^0 = 1 for no k
+        fusion = FusionRules(tuple(tuple(map(tuple, plane)) for plane in tensor))
+        with pytest.raises(ValueError):
+            fusion.dual
+
+
+FOREIGN_RANK = {
+    "balancing-rank-3": lambda d: check_balancing(d, verlinde_fusion(su2_odd_mod2(3))),
+    "fs-exponent-rank-3": lambda d: fs_exponent(d, verlinde_fusion(su2_odd_mod2(3))),
+    "fs-indicator-rank-7": lambda d: fs_indicator(d, verlinde_fusion(pointed_zn(7)), 1, 0),
+    "balancing-rank-7": lambda d: check_balancing(d, verlinde_fusion(pointed_zn(7))),
+}
+
+
+@pytest.mark.parametrize("case", FOREIGN_RANK)
+def test_fusion_rules_of_another_rank_are_refused(case, pointed_z5):
+    with pytest.raises(ValueError, match=r"^fusion rules of rank [37] for a datum of rank 5$"):
+        FOREIGN_RANK[case](pointed_z5)
+
 
 class TestBalancing:
     def test_catalog_passes(self, catalog_rank5):
@@ -278,6 +307,25 @@ class TestAdmissibility:
     def test_perturbed_twist_reported(self, su2_9):
         report = check_admissible(perturb_twist(su2_9, 2, 3))
         assert not report.passed
+
+    def test_condition_v_forms_each_nu_once(self, monkeypatch, data_dir):
+        formed = []
+        numerators = modular_data._fs_numerators
+
+        def counting(datum, fusion):
+            L, den, nu, dims = numerators(datum, fusion)
+
+            def counted(n, k):
+                formed.append((n, k))
+                return nu(n, k)
+
+            return L, den, counted, dims
+
+        monkeypatch.setattr(modular_data, "_fs_numerators", counting)
+        for path in sorted(data_dir.glob("*.json")):
+            formed.clear()
+            check_admissible(load(path))
+            assert formed and len(formed) == len(set(formed)), path.name
 
     def test_report_table_format(self, su2_9):
         table = check_admissible(su2_9).format_table()

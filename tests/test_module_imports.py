@@ -21,13 +21,19 @@ residue `table` apart from its matrix; in `_matrix` and `modular_data`
 only `_SFacts.flat` lists the entries of a matrix row by row.
 `cyclotomic` imports no `threading`: its per-order tables, `_order_info`,
 `_reduction_rows`, `_embedding` and `_descent_units`, are `lru_cache`
-functions, not module dicts written under a lock.
+functions, not module dicts written under a lock.  The records that the
+public checks take store only independent values, and `Record` compares
+every field: `modular_data` defines no `Field` option, `FusionRules` holds
+its tensor alone and reads its rank and dual off it, and `ModularRep` reads
+its rank off S.
 """
 
 import ast
 from pathlib import Path
 
-from moddata import cyclotomic
+from moddata import cyclotomic, modular_data
+from moddata.modular_data import FusionRules
+from moddata.sl2z_reps import ModularRep
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "moddata"
 
@@ -216,3 +222,9 @@ def test_the_per_order_tables_are_lru_caches():
     assert "functools" in imported and "threading" not in imported
     tables = ("_order_info", "_reduction_rows", "_embedding", "_descent_units")
     assert [name for name in tables if not hasattr(getattr(cyclotomic, name), "cache_info")] == []
+
+
+def test_records_store_only_independent_values():
+    assert not hasattr(modular_data, "Field")
+    assert FusionRules.__record_fields__ == ("tensor",)
+    assert ModularRep.__record_fields__ == ("S", "level", "t_exponents", "parity", "lam")

@@ -361,7 +361,7 @@ SQRT2 = sqrt_int(2)
 # fails the column form: sigma_3 and sigma_7 send s_00 to no +-s_00.
 HAND_BUILT = {
     "sqrt2": (
-        ModularRep(2, ((ONE, ONE), (SQRT2, -SQRT2)), 8, (0, 1), "even"),
+        ModularRep(((ONE, ONE), (SQRT2, -SQRT2)), 8, (0, 1), "even"),
         {
             1: (1, 1),
             3: (NotGaloisSymmetric, "sign vector inconsistent at (0,0) for sigma_3"),
@@ -370,11 +370,11 @@ HAND_BUILT = {
         },
     ),
     "zero-row": (
-        ModularRep(3, ((ONE, ONE, ONE), (ONE, -ONE, ONE + ONE), (ZERO, ZERO, ZERO)), 1, (0, 0, 0), "even"),
+        ModularRep(((ONE, ONE, ONE), (ONE, -ONE, ONE + ONE), (ZERO, ZERO, ZERO)), 1, (0, 0, 0), "even"),
         {1: (1, 1, 1)},
     ),
     "zeta8": (
-        ModularRep(1, ((zeta(8),),), 1, (0,), "even"),
+        ModularRep(((zeta(8),),), 1, (0,), "even"),
         {
             1: (1,),
             3: (NotGaloisSymmetric, "sigma_3(s[0]) is not +-row 0"),

@@ -81,10 +81,10 @@ class TestNormalize:
 
     def test_level_must_be_the_order_of_t(self):
         s = ((ONE,),)
-        assert ModularRep(1, s, 6, (-1,), "even").t_exponents == (5,)
+        assert ModularRep(s, 6, (-1,), "even").t_exponents == (5,)
         for level, exps in ((2, (0,)), (6, (2,)), (6, (0, 2, 4)), (0, (0,)), (-3, (1,))):
             with pytest.raises(NotModularRepresentation):
-                ModularRep(1, s, level, exps, "even")
+                ModularRep(s, level, exps, "even")
         rep = normalize(su2_odd_mod2(3))
         doubled = tuple(2 * e for e in rep.t_exponents)  # t itself, read at level 42
         with pytest.raises(NotModularRepresentation, match="^level 42 is not the order of t$"):
@@ -106,12 +106,12 @@ class TestConnectivity:
 
     def test_block_diagonal_counterexample(self):
         s = ((ONE, ZERO), (ZERO, ONE))
-        rep = ModularRep(2, s, 35, (7, 5), "even")  # (zeta_5, zeta_7)
+        rep = ModularRep(s, 35, (7, 5), "even")  # (zeta_5, zeta_7)
         verdict = spectra_connectivity(rep)
         assert not verdict.ok
 
     def test_rank_one(self):
-        rep = ModularRep(1, ((ONE,),), 1, (0,), "even")
+        rep = ModularRep(((ONE,),), 1, (0,), "even")
         assert spectra_connectivity(rep).ok
 
 
@@ -124,19 +124,19 @@ class TestObstruction120:
         assert scan.all_obstructed
 
     def test_all_77th_roots(self):
-        rep = ModularRep(3, mat.eye(3), 77, (1, 2, 3), "even")
+        rep = ModularRep(mat.eye(3), 77, (1, 2, 3), "even")
         assert rep.t == (zeta(77), zeta(77, 2), zeta(77, 3))
         scan = obstruction_120(rep)
         assert scan.all_obstructed and not scan.split_allowed
 
     def test_rank3_with_one(self):
-        rep = ModularRep(3, mat.eye(3), 77, (0, 1, 76), "even")
+        rep = ModularRep(mat.eye(3), 77, (0, 1, 76), "even")
         assert rep.t == (ONE, zeta(77), zeta(77, 76))
         scan = obstruction_120(rep)
         assert scan.split_allowed
 
     def test_rank_too_small(self):
-        rep = ModularRep(2, mat.eye(2), 2, (0, 1), "even")
+        rep = ModularRep(mat.eye(2), 2, (0, 1), "even")
         with pytest.raises(ValueError):
             obstruction_120(rep)
 
@@ -303,12 +303,12 @@ class TestSignedPermMatch:
 
     def test_equal_exponents_at_different_levels_do_not_match(self):
         # (1, zeta_3) and (1, zeta_6) are different spectra with the same exponents
-        rep3 = ModularRep(2, mat.eye(2), 3, (0, 1), "even")
+        rep3 = ModularRep(mat.eye(2), 3, (0, 1), "even")
         rep6 = replace(rep3, level=6)
         assert signed_perm_match(rep3, rep6) is None
         assert signed_perm_match(rep6, replace(rep6, t_exponents=(1, 0))).perm == (1, 0)
 
     def test_degenerate_rejected(self):
-        rep = ModularRep(2, mat.eye(2), 1, (0, 0), "even")
+        rep = ModularRep(mat.eye(2), 1, (0, 0), "even")
         with pytest.raises(ValueError):
             signed_perm_match(rep, rep)

@@ -45,7 +45,7 @@ def block_sum(rep1, rep2):
     exps = tuple(e * (level // rep1.level) for e in rep1.t_exponents)
     exps += tuple(e * (level // rep2.level) for e in rep2.t_exponents)
     parity = rep1.parity if rep1.parity == rep2.parity else "neither"
-    return ModularRep(r1 + r2, s, level, exps, parity)
+    return ModularRep(s, level, exps, parity)
 
 
 def relabelled(rep, perm, signs):
