@@ -15,7 +15,7 @@ from .catalog import (
     su2_4_parameter_tuples,
     su2_odd_mod2,
 )
-from .cyclotomic import Cyclotomic, ONE, ZERO, _reduce_exponents, is_prime, zeta
+from .cyclotomic import Cyclotomic, ONE, ZERO, _monomial, is_prime, zeta
 from .galois import compute_profile, exclusion_predicates, galois_twist_symmetry
 from .modular_data import (
     FusionRules,
@@ -268,8 +268,8 @@ def vanishing_sum_scan(max_order: int = 60) -> list[dict]:
 
     The scan is integer-only. The four columns are zeta_L^j on the power
     basis of Q_L, L = lcm(4, m, n), for j = 0, L/4, L/m and eb*L/n, each
-    reduced once per scan (Q_L sits linearly in any larger common order, so
-    the verdict is the same).  A power-basis exponent that only one column
+    read by `_monomial` off the table of L's radical (Q_L sits linearly in
+    any larger common order, so the verdict is the same).  A power-basis exponent that only one column
     reaches forces that coefficient to 0, so the class has no hit; the
     Gauss-Jordan of `_integer_kernel` runs only when every exponent is
     shared.  Up to order 96 every class has such an exponent, so the scan
@@ -292,8 +292,6 @@ def vanishing_sum_scan(max_order: int = 60) -> list[dict]:
         ]
         for m in range(1, max_order + 1)
     }
-    # zeta_L^j on the power basis of Q_L, once per (L, j); shared, so only read
-    row = cache(lambda order, j: _reduce_exponents(order, {j: 1}))
     verdicts: dict[tuple[int, int, int], bool] = {}
     for m, ns in partners.items():
         for n in ns:
@@ -302,7 +300,7 @@ def vanishing_sum_scan(max_order: int = 60) -> list[dict]:
                 key = _pair_class(m, 1, n, eb)
                 if key not in verdicts:
                     js = (0, order // 4, order // m % order, eb * order // n)
-                    verdicts[key] = _all_nonzero_solution_exists([row(order, j) for j in js])
+                    verdicts[key] = _all_nonzero_solution_exists([_monomial(order, j) for j in js])
     if not any(verdicts.values()):
         return []
     root = cache(zeta)  # each root of a listed pair is built once per scan

@@ -13,8 +13,8 @@ real_sign decides the sign of a real value exactly, and complex_eval rounds
 each part of a value correctly to a double for display.
 
 Values are immutable, so instances can be shared freely between threads.
-The per-order phi, reduction and prime tables are lru_cache functions of
-their arguments: two threads that miss at once compute equal values.
+The phi, prime and reduction tables are lru_cache functions of their
+arguments: two threads that miss at once compute equal values.
 """
 
 from __future__ import annotations
@@ -170,26 +170,31 @@ def _cyclotomic_poly_squarefree(r: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row e-phi(n) is x^e mod Phi_n for phi(n) <= e <= max(n-1, 2*phi(n)-2)."""
-    r = prod(_order_info(n)[1])
-    base, step = _cyclotomic_poly_squarefree(r), n // r  # Phi_n(x) = Phi_r(x^step)
-    deg = (len(base) - 1) * step
-    top = [0] * deg  # x^deg = top
-    for i, c in enumerate(base[:-1]):
-        top[i * step] = -c
-    rows = [tuple(top)]
-    hi = max(n - 1, 2 * deg - 2)
-    cur = top
-    for _ in range(deg + 1, hi + 1):
-        nxt = [0] + cur[:-1]
-        lead = cur[-1]
-        if lead:
-            for j in range(deg):
-                nxt[j] += lead * top[j]
-        rows.append(tuple(nxt))
-        cur = nxt
+def _radical_rows(r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row q - phi(r) holds the nonzero (j, c) of y^q mod Phi_r(y), j ascending,
+    for squarefree r and phi(r) <= q < r: y times the row before, with
+    y^phi(r) folded in, so the build touches only nonzero entries."""
+    base = _cyclotomic_poly_squarefree(r)
+    deg = len(base) - 1
+    top = cur = tuple((j, -c) for j, c in enumerate(base[:-1]) if c)  # y^deg
+    rows = []
+    for _ in range(deg, r):
+        rows.append(cur)
+        last, lead = cur[-1]
+        if last < deg - 1:
+            cur = tuple([(j + 1, c) for j, c in cur])
+            continue
+        acc = {j + 1: c for j, c in cur[:-1]}
+        for j, c in top:
+            acc[j] = acc.get(j, 0) + lead * c
+        cur = tuple(sorted([(j, c) for j, c in acc.items() if c]))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _row_index(r: int) -> dict[tuple[tuple[int, int], ...], int]:
+    """q for each row of _radical_rows(r); the y^q, q < r, are distinct."""
+    return {row: q for q, row in enumerate(_radical_rows(r), _order_info(r)[0])}
 
 
 @lru_cache(maxsize=None)
@@ -246,13 +251,31 @@ def _reduce_exponents(n: int, raw: Mapping[int, RationalLike]) -> dict[int, Rati
             acc = out if e < deg else high
             acc[e] = acc[e] + c if e in acc else c
     if high:
-        rows = _reduction_rows(n)
-        for e, c in high.items():
-            if c:
-                for j, rc in enumerate(rows[e - deg]):
-                    if rc:
-                        out[j] = out[j] + c * rc if j in out else c * rc
+        _reduce_high(n, high, out)
     return {e: c for e, c in out.items() if c}
+
+
+def _reduce_high(n: int, high: Mapping[int, RationalLike], out: dict) -> dict:
+    """Add each c x^e of high, phi(n) <= e < n, reduced mod Phi_n, into out.
+    With r the radical of n and m = n/r, Phi_n(x) = Phi_r(x^m), so
+    e = m q + t, t < m, gives x^e = x^t (x^m)^q = sum c' x^(t + m j) over
+    row q of the radical's table, y^q = sum c' y^j mod Phi_r(y)."""
+    deg, primes = _order_info(n)
+    r = prod(primes)
+    m, rows = n // r, _radical_rows(r)
+    first = deg // m  # phi(r), the power of row 0
+    for e, c in high.items():
+        if c:
+            q, t = divmod(e, m)
+            for j, rc in rows[q - first]:
+                k = t + m * j
+                out[k] = out[k] + c * rc if k in out else c * rc
+    return out
+
+
+def _monomial(n: int, e: int) -> dict[int, int]:
+    """x^e mod Phi_n for 0 <= e < n, as exponent -> nonzero coefficient."""
+    return {e: 1} if e < _order_info(n)[0] else _reduce_high(n, {e: 1}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -582,34 +605,27 @@ class Cyclotomic:
         return self.root_of_unity_order() is not None
 
     def _root_of_unity_parts(self) -> Optional[tuple[int, int]]:
-        """(sign, e) with self == sign * zeta_order^e, if a root of unity."""
-        if self._den != 1:
-            return None
+        """(sign, e) with self == sign * zeta_order^e, e least, if a root of
+        unity.  +-zeta_f^e is one basis term for e < phi(f); for any other
+        e = m q + t < f, m = f/r with r the radical of f and t < m, every
+        exponent is t mod m and the (j, c) form +-row q of the radical's
+        table (see _reduce_high).  The rows are distinct, and for even f,
+        where -zeta_f^e == zeta_f^(e + f/2), the least e has the least q."""
         f, nums = self.order, self._nums
-        if f == 1:
-            q = nums.get(0, 0)
-            if q == 1:
-                return (1, 0)
-            if q == -1:
-                return (-1, 0)
+        if self._den != 1 or not nums:
             return None
-        # +-zeta_f^e is one basis term for e < phi(f); any other e lies in a
-        # window [j phi(f), (j+1) phi(f)) and drops below phi(f) when the
-        # exponents are shifted down by j phi(f).  A hit is a unit e, since
-        # for a non-unit e, +-zeta_f^e lies in a proper subfield of Q_f.
-        # For even f, -zeta_f^e == zeta_f^(e + f/2): the two forms lie
-        # f/2 >= phi(f) apart, in different windows, and the scan meets the
-        # smaller exponent, below f/2, first.
-        phi = _order_info(f)[0]
-        for shift in range(0, f, phi):
-            mono = nums if shift == 0 else _reduce_exponents(
-                f, {e - shift: c for e, c in nums.items()}
-            )
-            if len(mono) == 1:
-                ((e, c),) = mono.items()
-                if c in (1, -1):
-                    return (c, (e + shift) % f)
-        return None
+        if len(nums) == 1:
+            ((e, c),) = nums.items()
+            return (c, e) if c in (1, -1) else None
+        r = prod(_order_info(f)[1])
+        m, index = f // r, _row_index(r)
+        t = next(iter(nums)) % m
+        if any(k % m != t for k in nums):
+            return None
+        row = tuple(sorted((k // m, c) for k, c in nums.items()))
+        neg = tuple((j, -c) for j, c in row)
+        hits = sorted((index[p], sign) for sign, p in ((1, row), (-1, neg)) if p in index)
+        return (hits[0][1], m * hits[0][0] + t) if hits else None
 
     # -- numerics ------------------------------------------------------------
 

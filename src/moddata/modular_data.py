@@ -339,12 +339,17 @@ class FusionRules(Record):
 
     @cached_property
     def dual(self) -> tuple[int, ...]:
-        """i* is the first k with N_ik^0 = 1; ValueError when N_i.^0 holds no 1.
-        In a Verlinde tensor it is the only one: unitarity gives sum |d_a|^2 =
-        D^2 = sum d_a^2, so each d_a is real and N^0 = S^2 / D^2, the square of
-        the unitary symmetric S/D, is a unitary matrix of nonnegative integers:
-        a symmetric permutation, with 0* = 0 as (S^2)_0k = (S conj(S)^t)_k0."""
-        return tuple([n[0] for n in plane].index(1) for plane in self.tensor)
+        """i* is the first k with N_ik^0 = 1; ValueError names the first i whose
+        N_i.^0 holds no 1.  In a Verlinde tensor i* is the only such k:
+        unitarity gives sum |d_a|^2 = D^2 = sum d_a^2, so each d_a is real and
+        N^0 = S^2 / D^2, the square of the unitary symmetric S/D, is a unitary
+        matrix of nonnegative integers: a symmetric permutation, with 0* = 0
+        as (S^2)_0k = (S conj(S)^t)_k0."""
+        columns = [[n[0] for n in plane] for plane in self.tensor]
+        for i, column in enumerate(columns):
+            if 1 not in column:
+                raise ValueError(f"no k with N[{i},k]^0 = 1")
+        return tuple(column.index(1) for column in columns)
 
     def n(self, i: int, j: int, k: int) -> int:
         return self.tensor[i][j][k]
@@ -355,12 +360,13 @@ class FusionRules(Record):
 
     def verify_invariants(self) -> list[str]:
         """All violated fusion-ring identities (empty when consistent); with no
-        dual, only "no k with N[i,k]^0 = 1", as the others read i*."""
+        dual, only the first i's "no k with N[i,k]^0 = 1", as the others read i*."""
         r, N = self.rank, self.tensor
-        bad = [f"no k with N[{i},k]^0 = 1" for i, plane in enumerate(N) if 1 not in [n[0] for n in plane]]
-        if bad:
-            return bad
-        dual = self.dual
+        try:
+            dual = self.dual
+        except ValueError as missing:
+            return [str(missing)]
+        bad = []
         for i in range(r):
             for j in range(r):
                 for k in range(r):

@@ -65,8 +65,16 @@ _matrix._st_cubed_is and _power_permutation.  matmul_power_permutation
 reads a^k = cP off mat_pow for _matrix._power_permutation.
 
 cyclotomic_polynomial was a package function whose only callers were
-tests: Phi_n read off the package's first reduction row, x^phi(n) mod Phi_n
-= x^phi(n) - Phi_n.
+tests.  It is Phi_n by the divisor recursion, which holds for every n:
+x^n - 1 divided by Phi_d for every proper divisor d of n.  On squarefree n
+it is cyclotomic._cyclotomic_poly_squarefree as it stood before it built
+Phi_r one prime at a time.  reduce_mod_cyclotomic is x^e mod Phi_n by long
+division by it, and oracles cyclotomic._reduce_exponents.
+
+window_root_of_unity_parts is Cyclotomic._root_of_unity_parts as it stood
+before it read a root off the reduction table of the conductor's radical:
+the exponents shifted down by each multiple j phi(f) < f and reduced again,
+until one window leaves a single term +-1.
 
 scale_cols and identity_multiple are the _matrix helpers those exact forms
 used, kept here once no verdict in the package formed a matrix product:
@@ -76,11 +84,6 @@ entrywise and scale are the _matrix helpers that formed each lift's s =
 lam S as a full matrix of products, kept here once a lift stored S and lam
 and formed s only when read, one product per distinct entry of S.
 scale(S, lam) oracles sl2z_reps.ModularRep.s.
-
-cyclotomic_poly_squarefree is cyclotomic._cyclotomic_poly_squarefree as it
-stood before it built Phi_r one prime at a time: x^r - 1 divided by Phi_d
-for every proper divisor d of r, each Phi_d built again by the same
-recursion.
 
 product_twists is the lift's t as it stood when ModularRep stored it as
 values: t_i = mu theta_i for mu = zeta_12^a / zeta by Cyclotomic products,
@@ -122,6 +125,7 @@ unit mod the conductor.  Its orbits come from orbits_from_perms.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import gcd, lcm, prod
 
@@ -135,9 +139,9 @@ from moddata.cyclotomic import (
     _check_order,
     _descend,
     _numerators_at,
+    _order_info,
     _poly_div_exact,
     _reduce_exponents,
-    _reduction_rows,
     _within_cap,
     divisors,
     ONE,
@@ -262,7 +266,7 @@ def numpy_verify_invariants(fusion):
     r, N = fusion.rank, np.array(fusion.tensor, dtype=np.int64)
     bad = [f"no k with N[{i},k]^0 = 1" for i in range(r) if not (N[i, :, 0] == 1).any()]
     if bad:
-        return bad
+        return bad[:1]
     dual = fusion.dual
     for i in range(r):
         for j in range(r):
@@ -423,9 +427,54 @@ def fraction_json(x):
     return {"order": order, "coeffs": {str(e): str(c) for e, c in sorted(coeffs.items())}}
 
 
+@cache
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, little-endian, monic of degree phi(n)."""
-    return (*(-c for c in _reduction_rows(n)[0]), 1)
+    f = [0] * (n + 1)
+    f[0], f[n] = -1, 1
+    for d in divisors(n)[:-1]:
+        f = _poly_div_exact(f, cyclotomic_polynomial(d))
+    return tuple(f)
+
+
+def reduce_mod_cyclotomic(n: int, raw):
+    """sum c x^e over raw, exponents folded mod n, reduced mod Phi_n by long
+    division, as exponent -> nonzero coefficient."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    terms = [(j, d) for j, d in enumerate(phi) if d]
+    poly = [0] * max(deg, 1 + max((e % n for e in raw), default=0))
+    for e, c in raw.items():
+        poly[e % n] += c
+    for i in range(len(poly) - 1, deg - 1, -1):
+        c = poly[i]
+        if c:
+            for j, d in terms:
+                poly[i - deg + j] -= c * d
+    return {e: c for e, c in enumerate(poly[:deg]) if c}
+
+
+def window_root_of_unity_parts(x: Cyclotomic):
+    """(sign, e) with x == sign * zeta_order^e, if a root of unity."""
+    if x._den != 1:
+        return None
+    f, nums = x.order, x._nums
+    if f == 1:
+        q = nums.get(0, 0)
+        return (q, 0) if q in (1, -1) else None
+    # +-zeta_f^e is one basis term for e < phi(f); any other e lies in a
+    # window [j phi(f), (j+1) phi(f)) and drops below phi(f) when the
+    # exponents are shifted down by j phi(f).  For even f, -zeta_f^e ==
+    # zeta_f^(e + f/2): the two forms lie f/2 >= phi(f) apart, in different
+    # windows, and the scan meets the smaller exponent, below f/2, first.
+    phi = _order_info(f)[0]
+    for shift in range(0, f, phi):
+        mono = nums if shift == 0 else _reduce_exponents(f, {e - shift: c for e, c in nums.items()})
+        if len(mono) == 1:
+            ((e, c),) = mono.items()
+            if c in (1, -1):
+                return (c, (e + shift) % f)
+    return None
 
 
 def fraction_inverse(x: Cyclotomic) -> Cyclotomic:
@@ -639,16 +688,6 @@ def entrywise(a, f):
 def scale(a, s):
     s = Cyclotomic._coerce(s)
     return entrywise(a, lambda v: v * s)
-
-
-def cyclotomic_poly_squarefree(r):
-    if r == 1:
-        return [-1, 1]
-    f = [0] * (r + 1)
-    f[0], f[r] = -1, 1
-    for d in divisors(r)[:-1]:
-        f = _poly_div_exact(f, cyclotomic_poly_squarefree(d))
-    return f
 
 
 def identity_multiple(m):

@@ -21,7 +21,7 @@ from moddata.classifier import (
     vanishing_sum_check,
     vanishing_sum_scan,
 )
-from moddata.cyclotomic import Cyclotomic, ONE, _numerators_at, euler_phi, zeta
+from moddata.cyclotomic import Cyclotomic, ONE, _numerators_at, _reduce_exponents, euler_phi, zeta
 from moddata.galois import compute_profile
 from moddata.modular_data import FusionRules, Verdict, compose, verlinde_fusion
 
@@ -300,25 +300,23 @@ class TestVanishingSum:
         assert 50 < decided_by_kernel < 350
 
     def test_scan_reads_every_row_from_its_table(self, monkeypatch):
-        # every row the scan reduces is the lift of zeta_L^j to Q_L, once
-        # per (L, j).  The verdict is read once per class of root pairs under
-        # Galois, signs and swap, on the first pair (zeta_m, zeta_n^eb) of
-        # the class in the order of (m, n, eb), reading the rows of 1, i,
-        # alpha, beta from that table at L = lcm(4, m, n)
-        built, calls = {}, []
-        reduce_exponents = classifier._reduce_exponents
+        # every column the scan reads is zeta_L^j on the power basis of Q_L,
+        # one row of the reduction table.  The verdict is read once per class
+        # of root pairs under Galois, signs and swap, on the first pair
+        # (zeta_m, zeta_n^eb) of the class in the order of (m, n, eb),
+        # reading the rows of 1, i, alpha, beta at L = lcm(4, m, n)
+        read, calls = [], []
+        monomial = classifier._monomial
 
-        def reduce(order, raw):
-            ((j, c),) = raw.items()
-            assert c == 1 and (order, j) not in built
-            built[order, j] = reduce_exponents(order, raw)
-            return built[order, j]
+        def row(order, j):
+            read.append((order, j))
+            return monomial(order, j)
 
         def exists(columns):
             calls.append(columns)
             return False
 
-        monkeypatch.setattr(classifier, "_reduce_exponents", reduce)
+        monkeypatch.setattr(classifier, "_monomial", row)
         monkeypatch.setattr(classifier, "_all_nonzero_solution_exists", exists)
         assert vanishing_sum_scan(48) == []
         monkeypatch.undo()
@@ -338,12 +336,12 @@ class TestVanishingSum:
             for m, n, eb in representatives.values()
             for order in [lcm(4, m, n)]
         ]
-        assert {order for order, _ in built} == {order for (order, _), *_ in reads}
-        for (order, j), row in built.items():
-            assert row == _numerators_at(zeta(order, j), order)[0], (order, j)
-        tables = {id(row): key for key, row in built.items()}
         assert len(calls) == 342
-        assert [[tables[id(col)] for col in columns] for columns in calls] == reads
+        assert read == [key for keys in reads for key in keys]
+        for keys, columns in zip(reads, calls):
+            for (order, j), column in zip(keys, columns):
+                assert column == _reduce_exponents(order, {j: 1}), (order, j)
+                assert column == _numerators_at(zeta(order, j), order)[0], (order, j)
 
     @pytest.mark.parametrize(
         "max_order, classes", [(24, 94), (36, 198), (48, 342), (60, 522), (96, 1272)]

@@ -39,7 +39,6 @@ from moddata.modular_data import (
 )
 from moddata.sl2z_reps import NotModularRepresentation, all_lifts
 from _oracles import (
-    cyclotomic_poly_squarefree,
     cyclotomic_polynomial,
     dot_check_balancing,
     dot_check_twist_equation,
@@ -53,6 +52,8 @@ from _oracles import (
     fraction_str,
     fraction_twisted_sum,
     fraction_value,
+    reduce_mod_cyclotomic,
+    window_root_of_unity_parts,
 )
 
 SEED = 20240601
@@ -384,7 +385,7 @@ class TestPolynomials:
         monkeypatch.setattr(cy, "_poly_div_exact", lambda num, den: calls.append(1) or divide(num, den))
         for r in sorted({prod(factorize(n)) for n in range(1, 501)}):
             calls.clear()
-            assert cy._cyclotomic_poly_squarefree(r) == cyclotomic_poly_squarefree(r), r
+            assert cy._cyclotomic_poly_squarefree(r) == list(cyclotomic_polynomial(r)), r
             assert len(calls) == len(factorize(r))  # one exact division per prime
 
 
@@ -517,7 +518,8 @@ class TestDescent:
             for _ in range(4)
         ]
         orders = sorted({n for n, _ in jobs})
-        tables = (cy._order_info, cy._reduction_rows, cy._embedding)
+        radicals = sorted({prod(factorize(n)) for n in orders})
+        tables = (cy._order_info, cy._radical_rows, cy._embedding)
         for table in tables:
             table.cache_clear()
         barrier = threading.Barrier(4)
@@ -542,16 +544,19 @@ class TestDescent:
         misses = [table.cache_info().misses for table in tables]
         for n in orders:
             cy._order_info(n)
-            cy._reduction_rows(n)
             for i in range(4):
                 cy._embedding(n, i)
+        for r in radicals:
+            cy._radical_rows(r)
         assert [table.cache_info().misses for table in tables] == misses
         # and those entries, and the divisors', agree with a fresh computation
         for n in orders:
             for d in divisors(n):
-                info, rows = cy._order_info(d), cy._reduction_rows(d)
+                info = cy._order_info(d)
                 assert info == cy._order_info.__wrapped__(d) == (euler_phi(d), tuple(factorize(d)))
-                assert rows == cy._reduction_rows.__wrapped__(d) and len(rows[0]) == euler_phi(d)
+        for r in radicals:
+            rows = cy._radical_rows(r)
+            assert rows == cy._radical_rows.__wrapped__(r) and len(rows) == r - euler_phi(r)
         cy._embedding.cache_clear()
         assert embeddings == [cy._embedding(n, i) for n in orders for i in range(4)]  # a sequential walk
 
@@ -799,6 +804,26 @@ class TestRootOfUnityAgainstScanOracle:
             parts = x._root_of_unity_parts()
             assert parts is not None and parts == _scan_root_of_unity_parts(x), x
 
+    def test_every_root_up_to_conductor_240_against_the_window_scan(self):
+        for f in (f for f in range(1, 241) if f % 4 != 2):
+            for e in range(f):
+                for sign in (1, -1):
+                    x = Cyclotomic(f, {e: sign})
+                    parts = x._root_of_unity_parts()
+                    assert parts is not None and parts == window_root_of_unity_parts(x), (f, e, sign)
+                    m, j = x.root_of_unity_log()
+                    assert gcd(j, m) == 1 and zeta(m, j) == x
+
+    def test_sums_of_two_roots_and_values_with_a_denominator(self):
+        rng = random.Random(SEED + 29)
+        for _ in range(400):
+            f, g = rng.randrange(1, 241), rng.choice([1, 2, 3, 4, 5, 8, 12, 24])
+            a, b = zeta(f, rng.randrange(f)), zeta(g, rng.randrange(g))
+            values = [a + b, a - b, 2 * a, a * Fraction(1, rng.randint(2, 5)), (a + b) * Fraction(1, 2)]
+            for x in values:
+                assert x._root_of_unity_parts() == window_root_of_unity_parts(x), x
+            assert all(x._root_of_unity_parts() is None for x in values[2:4])
+
     def test_values_that_are_not_roots_of_unity(self):
         rng = random.Random(SEED + 23)
         values = [
@@ -869,17 +894,69 @@ class TestOrderTables:
                 previous = ell
 
     def test_polynomials_from_the_reduction_rows(self):
+        # x^phi(n) mod Phi_n = x^phi(n) - Phi_n reads Phi_n off the package's
+        # reduction: it is the divisor recursion's Phi_n, and
         # prod_{d | n} Phi_d(x) = x^n - 1
+        def package_phi(n):
+            top = _reduce_exponents(n, {euler_phi(n): 1})
+            return (*(-top.get(e, 0) for e in range(euler_phi(n))), 1)
+
+        assert all(package_phi(n) == cyclotomic_polynomial(n) for n in range(1, 401))
         for n in range(1, 61):
             prod = [1]
             for d in divisors(n):
-                phi_d = cyclotomic_polynomial(d)
+                phi_d = package_phi(d)
                 out = [0] * (len(prod) + len(phi_d) - 1)
                 for i, a in enumerate(prod):
                     for j, b in enumerate(phi_d):
                         out[i + j] += a * b
                 prod = out
             assert prod == [-1] + [0] * (n - 1) + [1], n
+
+
+class TestRadicalTable:
+    """_reduce_exponents against long division by the divisor recursion's
+    Phi_n, through the one table of each squarefree radical."""
+
+    def test_every_monomial_up_to_order_400(self):
+        # x^(e+1) mod Phi_n is x^e mod Phi_n times x, divided once more
+        for n in (n for n in range(1, 401) if cy._within_cap(n)):
+            rem = {0: 1}
+            for e in range(n):
+                assert _reduce_exponents(n, {e: 1}) == rem, (n, e)
+                rem = reduce_mod_cyclotomic(n, {k + 1: c for k, c in rem.items()})
+
+    @pytest.mark.parametrize("n", [256, 243, 2048, 6, 90, 486, 210, 330])
+    def test_seeded_sums(self, n):
+        # prime powers, 2 * odd orders and squarefree composites, with
+        # negative and >= n exponents, integer and Fraction coefficients
+        rng = random.Random(SEED + n)
+        for trial in range(30):
+            exponents = [rng.randrange(-3 * n, 3 * n) for _ in range(rng.randint(1, 12))]
+            if trial % 2:
+                raw = {e: rng.randint(-9, 9) for e in exponents}
+            else:
+                raw = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for e in exponents}
+            got = _reduce_exponents(n, raw)
+            assert got == reduce_mod_cyclotomic(n, raw), raw
+            assert all(type(c) is (int if trial % 2 else Fraction) for c in got.values())
+            assert all(0 <= e < euler_phi(n) and c for e, c in got.items())
+
+    def test_order_2048_builds_one_row(self):
+        # Phi_2048(x) = Phi_2(x^1024) = x^1024 + 1: the radical 2 has one row, y = -1
+        cy._radical_rows.cache_clear()
+        assert zeta(2048, 1) * zeta(2048, 2047) == ONE
+        assert zeta(2048, 2047) == Cyclotomic(2048, {1023: -1})
+        assert cy._radical_rows.cache_info().currsize == 1
+        assert cy._radical_rows(2) == (((0, -1),),)
+
+    def test_rows_hold_only_nonzero_entries(self):
+        for r in sorted({prod(factorize(n)) for n in range(1, 501)}):
+            rows, phi = cy._radical_rows(r), euler_phi(r)
+            assert len(rows) == r - phi, r
+            for q, row in enumerate(rows, phi):
+                assert row == tuple(sorted(reduce_mod_cyclotomic(r, {q: 1}).items())), (r, q)
+            assert cy._row_index(r) == {row: q for q, row in enumerate(rows, phi)}
 
 
 def _assert_matches_oracle(got, expected):

@@ -193,10 +193,11 @@ class TestVerlinde:
 
     def test_a_tensor_with_no_dual_raises_value_error(self, pointed_z5):
         tensor = [[list(row) for row in plane] for plane in verlinde_fusion(pointed_z5).tensor]
-        tensor[1][4][0] = 2  # N_{1,k}^0 = 1 for no k
+        tensor[1][4][0] = tensor[3][2][0] = 2  # N_{i,k}^0 = 1 for no k, i = 1 and 3
         fusion = FusionRules(tuple(tuple(map(tuple, plane)) for plane in tensor))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^no k with N\[1,k\]\^0 = 1$"):
             fusion.dual
+        assert fusion.verify_invariants() == ["no k with N[1,k]^0 = 1"]  # the first i only
 
 
 FOREIGN_RANK = {

@@ -20,8 +20,9 @@ record that holds S, its entries and its tables, and no function takes a
 residue `table` apart from its matrix; in `_matrix` and `modular_data`
 only `_SFacts.flat` lists the entries of a matrix row by row.
 `cyclotomic` imports no `threading`: its per-order tables, `_order_info`,
-`_reduction_rows`, `_embedding` and `_descent_units`, are `lru_cache`
-functions, not module dicts written under a lock.  The records that the
+`_embedding` and `_descent_units`, and its per-radical reduction tables,
+`_radical_rows` and `_row_index`, are `lru_cache` functions, not module
+dicts written under a lock.  The records that the
 public checks take store only independent values, and `Record` compares
 every field: `modular_data` defines no `Field` option, `FusionRules` holds
 its tensor alone and reads its rank and dual off it, and `ModularRep` reads
@@ -220,7 +221,7 @@ def test_the_per_order_tables_are_lru_caches():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "functools" in imported and "threading" not in imported
-    tables = ("_order_info", "_reduction_rows", "_embedding", "_descent_units")
+    tables = ("_order_info", "_radical_rows", "_row_index", "_embedding", "_descent_units")
     assert [name for name in tables if not hasattr(getattr(cyclotomic, name), "cache_info")] == []
 
 
